@@ -1,5 +1,5 @@
 // tmwia-lint: allow-file(raw-io) bench harness: best-effort stderr warnings on sink-file open failure.
-// tmwia-lint: allow-file(sink-registration) bench harness is a sink owner: it installs the --trace/--record sinks.
+// tmwia-lint: allow-file(sink-registration) bench harness is a sink owner: it installs the --record sink.
 // Shared helpers for the experiment harnesses (bench/e*_*.cpp).
 //
 // Every experiment binary:
@@ -15,11 +15,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,7 +33,6 @@
 #include "tmwia/matrix/preference_matrix.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/metrics.hpp"
-#include "tmwia/obs/trace.hpp"
 
 namespace tmwia::bench {
 
@@ -89,16 +88,17 @@ inline std::string default_json_path(const std::string& name) {
 ///   --json=FILE     where to write the report (default BENCH_<name>.json,
 ///                   under $TMWIA_BENCH_DIR when that is set)
 ///   --metrics=FILE  final global-registry snapshot as one-line JSON
-///   --trace=FILE    span/event JSONL (deterministic logical clock)
 ///   --record=FILE   flight-recorder event log (see `tmwia_cli inspect`)
 ///   --record-format=jsonl|binary   recorder wire format
 ///   --threads=N     global thread-pool size (0 = hardware)
 ///   --kernel=B      distance-kernel backend: scalar|avx2|avx512|auto
 ///
+/// An unknown --kernel or --record-format exits 2.
+///
 /// finish() prints the usual [PASS]/[FAIL] verdict line and writes
 /// {"bench":...,"kernel":...,"ok":...,"wall_ms":...,"metrics":{...}}
 /// where "kernel" is the resolved (never "auto") backend the run used.
-/// Wall time is only in the BENCH json — the --metrics/--trace/--record
+/// Wall time is only in the BENCH json — the --metrics/--record
 /// artifacts stay byte-identical across --threads and --kernel for a
 /// fixed seed.
 class BenchReport {
@@ -117,34 +117,20 @@ class BenchReport {
       }
       bits::kernels::set_backend(*backend);  // throws if the CPU can't run it
     }
+    const auto fmt_name = args.get("record-format").value_or("jsonl");
+    const auto fmt = obs::parse_record_format(fmt_name);
+    if (!fmt.has_value()) {
+      std::fprintf(stderr, "error: unknown --record-format '%s'\n", fmt_name.c_str());
+      std::exit(2);
+    }
     if (!metrics_path_.empty()) obs::MetricsRegistry::global().set_enabled(true);
-    if (const auto trace_path = args.get("trace"); trace_path.has_value()) {
-      trace_out_.open(*trace_path);
-      if (trace_out_) {
-        tracer_ = std::make_unique<obs::Tracer>(trace_out_);
-        obs::set_tracer(tracer_.get());
-      } else {
-        std::fprintf(stderr, "warning: cannot write %s\n", trace_path->c_str());
-      }
-    }
     if (const auto record_path = args.get("record"); record_path.has_value()) {
-      const auto binary = args.get("record-format").value_or("jsonl") == "binary";
-      record_out_.open(*record_path,
-                       binary ? std::ios::out | std::ios::binary : std::ios::out);
-      if (record_out_) {
-        recorder_ = std::make_unique<obs::FlightRecorder>(
-            record_out_, binary ? obs::RecordFormat::kBinary : obs::RecordFormat::kJsonl);
-        obs::set_recorder(recorder_.get());
-      } else {
-        std::fprintf(stderr, "warning: cannot write %s\n", record_path->c_str());
+      try {
+        record_ = std::make_unique<obs::RecordSink>(*record_path, *fmt);
+        recording_.emplace(record_.get());
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "warning: %s\n", e.what());
       }
-    }
-  }
-
-  ~BenchReport() {
-    if (tracer_ != nullptr && obs::tracer() == tracer_.get()) obs::set_tracer(nullptr);
-    if (recorder_ != nullptr && obs::recorder() == recorder_.get()) {
-      obs::set_recorder(nullptr);
     }
   }
 
@@ -152,7 +138,7 @@ class BenchReport {
   /// max/mean discrepancy (harness side only; `truth` must stay alive
   /// for the run).
   void record_truth(const matrix::PreferenceMatrix& truth) {
-    if (recorder_ != nullptr) recorder_->set_output_evaluator(make_truth_evaluator(truth));
+    if (record_ != nullptr) record_->recorder().set_output_evaluator(make_truth_evaluator(truth));
   }
 
   BenchReport(const BenchReport&) = delete;
@@ -170,14 +156,8 @@ class BenchReport {
     const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - start_)
                              .count();
-    if (tracer_ != nullptr) {
-      if (obs::tracer() == tracer_.get()) obs::set_tracer(nullptr);
-      tracer_->flush();
-    }
-    if (recorder_ != nullptr) {
-      if (obs::recorder() == recorder_.get()) obs::set_recorder(nullptr);
-      recorder_->flush();
-    }
+    recording_.reset();
+    record_.reset();  // flushes and closes the log
     if (!metrics_path_.empty()) {
       try {
         io::atomic_write_file(metrics_path_,
@@ -223,12 +203,8 @@ class BenchReport {
   std::string metrics_path_;
   std::chrono::steady_clock::time_point start_;
   std::map<std::string, double> metrics_;
-  // tmwia-lint: allow(durable-write) streaming event sink, not a one-shot artifact
-  std::ofstream trace_out_;
-  std::unique_ptr<obs::Tracer> tracer_;
-  // tmwia-lint: allow(durable-write) streaming event sink, not a one-shot artifact
-  std::ofstream record_out_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
+  std::unique_ptr<obs::RecordSink> record_;
+  std::optional<obs::RecordSink::Scope> recording_;  ///< after record_: closes first
 };
 
 /// If the harness was invoked with --csv=DIR, mirror `table` to

@@ -296,7 +296,7 @@ double select_workload_hooked_ms(std::size_t iters) {
 }  // namespace
 
 // Custom main: --benchmark_* flags go to google-benchmark, everything
-// else (--json/--metrics/--trace/--threads) to BenchReport. After the
+// else (--json/--metrics/--record/--threads) to BenchReport. After the
 // microbenchmarks we measure the registry's end-to-end overhead
 // (metrics on vs. off on the Select workload, best of 5) and gate the
 // verdict on the <= 5% budget from DESIGN.md.

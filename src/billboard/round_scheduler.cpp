@@ -6,7 +6,6 @@
 #include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/obs/profile.hpp"
-#include "tmwia/obs/trace.hpp"
 
 namespace tmwia::billboard {
 namespace {
@@ -50,8 +49,6 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
   auto* auditor = oracle_->auditor();
 #endif
   const auto& metrics = scheduler_metrics();
-  obs::Span span(obs::tracer(), "scheduler.run",
-                 {{"players", strategies.size()}, {"max_rounds", max_rounds}});
   auto* rec = obs::recorder();
   const auto inv_before = oracle_->snapshot();
   const auto total_before = oracle_->total_invocations();
@@ -91,20 +88,12 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
     if (rec != nullptr) rec->round_begin(round);
     if (injector != nullptr) {
       injector->begin_round(round);
-      if (rec != nullptr || obs::tracer() != nullptr) {
+      if (rec != nullptr) {
         for (PlayerId p = 0; p < strategies.size(); ++p) {
           const bool down = injector->is_down(p);
           if (down == (was_down[p] != 0)) continue;
-          const char* what = down ? "scheduler.crash" : "scheduler.recover";
-          if (auto* tr = obs::tracer()) {
-            tr->event(what, {{"round", static_cast<std::uint64_t>(round)},
-                             {"player", static_cast<std::uint64_t>(p)}});
-          }
-          if (rec != nullptr) {
-            rec->fault(down ? obs::RecorderEvent::Kind::kCrash
-                            : obs::RecorderEvent::Kind::kRecover,
-                       round, static_cast<std::uint32_t>(p));
-          }
+          rec->fault(down ? obs::RecorderEvent::Kind::kCrash : obs::RecorderEvent::Kind::kRecover,
+                     round, static_cast<std::uint32_t>(p));
           was_down[p] = down ? 1 : 0;
         }
       }
@@ -255,7 +244,6 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
     rec->run_end("scheduler", oracle_->rounds_since(inv_before),
                  oracle_->total_invocations() - total_before);
   }
-  span.end({{"rounds", res.rounds}, {"all_done", res.all_done ? 1 : 0}});
   return res;
 }
 

@@ -1,62 +1,20 @@
-// Free functions over collections of bit vectors: the distance
-// aggregates the paper's definitions are phrased in (diameter D(P*),
-// discrepancy, balls).
-//
-// DEPRECATED SURFACE: the collection operations here are thin forwards
-// into the batched kernel layer (tmwia/bits/kernels.hpp), kept so old
-// call sites and tests keep compiling. New code — in particular every
-// hot loop in src/core and src/billboard — should call the kernels::
-// API directly, which amortizes backend dispatch per collection and
-// runs SIMD word-parallel. Only `dist()` remains a first-class alias:
-// tests and audit paths lean on it as the one-pair reference.
+// dist(x, y): the one-pair Hamming distance of Definition 1.1, kept as
+// a first-class name because tests and audit paths lean on it as the
+// reference. Collection aggregates (diameter, argmin, balls) live in
+// the batched kernel layer, tmwia/bits/kernels.hpp.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/bits/kernels.hpp"
-#include "tmwia/bits/trivector.hpp"
 
 namespace tmwia::bits {
 
-/// dist(x, y): plain Hamming distance (Definition 1.1). Forwards to the
-/// kernel layer so even one-pair audit calls use the active backend.
+/// Plain Hamming distance. Forwards to the kernel layer so even
+/// one-pair audit calls use the active backend.
 inline std::size_t dist(const BitVector& a, const BitVector& b) {
   return kernels::dist(a, b);
-}
-
-/// Hamming diameter D(V) = max over pairs. Returns 0 for |V| <= 1.
-[[deprecated("use kernels::pairwise_diameter")]] inline std::size_t diameter(
-    std::span<const BitVector> vs) {
-  return kernels::pairwise_diameter(vs);
-}
-
-/// Hamming diameter of the sub-multiset given by `indices`.
-[[deprecated("use kernels::pairwise_diameter")]] inline std::size_t diameter(
-    std::span<const BitVector> vs, std::span<const std::uint32_t> indices) {
-  return kernels::pairwise_diameter(vs, indices);
-}
-
-/// Index of the vector in `vs` closest to `target` (ties: lowest index).
-/// Precondition: vs non-empty.
-[[deprecated("use kernels::argmin_dist")]] inline std::size_t argmin_dist(
-    std::span<const BitVector> vs, const BitVector& target) {
-  return kernels::argmin_dist(vs, target).index;
-}
-
-/// |ball(v, D)| under d-tilde: how many vectors of `vs` lie within
-/// distance D of `v` ignoring ? coordinates (Coalesce step 2a).
-[[deprecated("use kernels::ball_size")]] inline std::size_t ball_size(
-    std::span<const BitVector> vs, const TriVector& v, std::size_t D) {
-  return kernels::ball_size(vs, v, D);
-}
-
-/// Indices of vs-members inside ball(v, D) under d-tilde.
-[[deprecated("use kernels::ball_members")]] inline std::vector<std::size_t>
-ball_members(std::span<const BitVector> vs, const TriVector& v, std::size_t D) {
-  return kernels::ball_members(vs, v, D);
 }
 
 }  // namespace tmwia::bits

@@ -14,7 +14,6 @@
 #include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/profile.hpp"
-#include "tmwia/obs/trace.hpp"
 
 namespace tmwia::core {
 namespace {
@@ -133,8 +132,6 @@ RunReport find_preferences(billboard::ProbeOracle& oracle, billboard::Billboard*
   const auto before = oracle.snapshot();
   const auto probes_before = oracle.total_invocations();
 
-  obs::Span span(obs::tracer(), "find_preferences", {{"alpha", alpha}, {"D", D}});
-
   RunReport res;
   res.algo = RunReport::Algo::kFixedD;
   const double log_n = std::log2(static_cast<double>(std::max<std::size_t>(players.size(), 4)));
@@ -182,9 +179,6 @@ RunReport find_preferences(billboard::ProbeOracle& oracle, billboard::Billboard*
   record_checkpoint(res, rec, phase_label, res.outputs, res.rounds, res.total_probes);
   if (rec != nullptr) rec->run_end(phase_label, res.rounds, res.total_probes);
   finalize_report(res, oracle);
-  span.end({{"branch", branch_name(res.branch)},
-            {"rounds", res.rounds},
-            {"probes", res.total_probes}});
   return res;
 }
 
@@ -204,7 +198,6 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
   const auto objects = all_objects(oracle);
   const std::size_t m = objects.size();
 
-  obs::Span span(obs::tracer(), "find_preferences_unknown_d", {{"alpha", alpha}});
   obs::ProfileZone prof_zone("unknown_d");
   auto* rec = obs::recorder();
 
@@ -296,11 +289,6 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
     }
     const auto guess_probes = oracle.total_invocations() - guess_probes_before;
     h_guess_probes.observe(guess_probes);
-    if (auto* t = obs::tracer()) {
-      t->event("unknown_d.guess", {{"d", res.guesses[gi]},
-                                   {"probes", guess_probes},
-                                   {"cum_rounds", oracle.rounds_since(before)}});
-    }
     record_checkpoint(res, rec, "guess:d=" + std::to_string(res.guesses[gi]), versions.back(),
                       oracle.rounds_since(before),
                       oracle.total_invocations() - probes_before);
@@ -348,9 +336,6 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
   record_checkpoint(res, rec, "select", res.outputs, res.rounds, res.total_probes);
   if (rec != nullptr) rec->run_end("unknown_d", res.rounds, res.total_probes);
   finalize_report(res, oracle);
-  span.end({{"guesses", res.guesses.size()},
-            {"rounds", res.rounds},
-            {"probes", res.total_probes}});
   return res;
 }
 
@@ -434,7 +419,6 @@ RunReport anytime(billboard::ProbeOracle& oracle, billboard::Billboard* board,
   const auto before = oracle.snapshot();
   const auto probes_before = oracle.total_invocations();
 
-  obs::Span span(obs::tracer(), "anytime", {{"round_budget", round_budget}});
   obs::ProfileZone prof_zone("anytime");
   auto* rec = obs::recorder();
   if (rec != nullptr) rec->run_begin("anytime", 1.0, players.size(), objects.size());
@@ -463,11 +447,6 @@ RunReport anytime(billboard::ProbeOracle& oracle, billboard::Billboard* board,
 
     res.phases.push_back(AnytimePhase{alpha, oracle.rounds_since(before),
                                       oracle.total_invocations() - probes_before});
-    if (auto* t = obs::tracer()) {
-      t->event("anytime.phase", {{"alpha", alpha},
-                                 {"cum_rounds", res.phases.back().rounds},
-                                 {"cum_probes", res.phases.back().total_probes}});
-    }
     record_checkpoint(res, rec, "phase:" + std::to_string(phase), res.outputs,
                       res.phases.back().rounds, res.phases.back().total_probes);
     if (oracle.rounds_since(before) >= round_budget) break;
@@ -477,9 +456,6 @@ RunReport anytime(billboard::ProbeOracle& oracle, billboard::Billboard* board,
   res.total_probes = oracle.total_invocations() - probes_before;
   if (rec != nullptr) rec->run_end("anytime", res.rounds, res.total_probes);
   finalize_report(res, oracle);
-  span.end({{"phases", res.phases.size()},
-            {"rounds", res.rounds},
-            {"probes", res.total_probes}});
   return res;
 }
 

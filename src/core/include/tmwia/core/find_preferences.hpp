@@ -118,12 +118,6 @@ struct RunReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Pre-RunReport result names, kept one release so downstream code
-/// compiles (RunReport is a superset of each).
-using FindPreferencesResult [[deprecated("use core::RunReport")]] = RunReport;
-using UnknownDResult [[deprecated("use core::RunReport")]] = RunReport;
-using AnytimeResult [[deprecated("use core::RunReport")]] = RunReport;
-
 /// Fig. 1: main algorithm for known alpha and D over all players and
 /// all objects of the oracle's matrix.
 RunReport find_preferences(billboard::ProbeOracle& oracle, billboard::Billboard* board,

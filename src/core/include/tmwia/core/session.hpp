@@ -7,8 +7,8 @@
 // A Session owns the ProbeOracle / Billboard / FaultInjector plumbing
 // that the lower-level API makes the caller wire by hand, plus the
 // observability sinks: `.metrics_sink(path)` writes the final
-// MetricsRegistry snapshot as JSON after each run, `.trace_sink(path)`
-// streams the run's span/event JSONL.
+// MetricsRegistry snapshot as JSON after each run, `.record_sink(path)`
+// streams the run's flight log.
 //
 // Configuration is builder-style and must happen before the first
 // run*() call (the oracle and sinks are built lazily at that point);
@@ -34,7 +34,6 @@
 #include "tmwia/core/params.hpp"
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
-#include "tmwia/obs/trace.hpp"
 
 namespace tmwia {
 
@@ -80,8 +79,6 @@ class Session {
   /// After every run, write the metrics snapshot (JSON) here. Enables
   /// the global MetricsRegistry.
   Session& metrics_sink(std::string path);
-  /// Stream trace JSONL (deterministic logical clock) here.
-  Session& trace_sink(std::string path);
   /// Stream the flight-recorder event log here (see
   /// obs::FlightRecorder). The session installs a truth-closing output
   /// evaluator, so phase_summary records carry max/mean discrepancy.
@@ -114,7 +111,6 @@ class Session {
   std::optional<bits::KernelBackend> kernel_;
   std::optional<faults::FaultPlan> fault_plan_;
   std::string metrics_path_;
-  std::string trace_path_;
   std::string record_path_;
   obs::RecordFormat record_format_ = obs::RecordFormat::kJsonl;
 
@@ -123,10 +119,8 @@ class Session {
   std::unique_ptr<billboard::ProbeOracle> oracle_;
   std::unique_ptr<billboard::Billboard> board_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  struct TraceSink;
-  std::unique_ptr<TraceSink> trace_;
-  struct RecordSink;
-  std::unique_ptr<RecordSink> record_;
+  struct Recording;  ///< the record sink, installed from build() on
+  std::unique_ptr<Recording> recording_;
 };
 
 }  // namespace tmwia

@@ -42,5 +42,4 @@
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/matrix/preference_matrix.hpp"
 #include "tmwia/obs/metrics.hpp"
-#include "tmwia/obs/trace.hpp"
 #include "tmwia/rng/rng.hpp"

@@ -1,8 +1,7 @@
 #include "tmwia/core/find_preferences.hpp"
 
-#include <cstdio>
-
 #include "tmwia/bits/kernels.hpp"
+#include "tmwia/support/json.hpp"
 
 namespace tmwia::core {
 namespace {
@@ -25,34 +24,6 @@ const char* branch_json_name(Branch b) {
     case Branch::kLargeRadius: return "large";
   }
   return "?";
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_f64(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -97,7 +68,7 @@ std::string RunReport::to_json() const {
       for (std::size_t i = 0; i < phases.size(); ++i) {
         if (i != 0) out.push_back(',');
         out += "{\"alpha\":";
-        append_f64(out, phases[i].alpha);
+        support::append_json_f64(out, phases[i].alpha);
         out += ",\"rounds\":";
         out += std::to_string(phases[i].rounds);
         out += ",\"total_probes\":";
@@ -117,16 +88,16 @@ std::string RunReport::to_json() const {
     const auto& cp = timeline[i];
     if (i != 0) out.push_back(',');
     out += "{\"label\":";
-    append_json_string(out, cp.label);
+    support::append_json_string(out, cp.label);
     out += ",\"rounds\":";
     out += std::to_string(cp.rounds);
     out += ",\"total_probes\":";
     out += std::to_string(cp.total_probes);
     if (cp.max_disc >= 0.0) {
       out += ",\"max_disc\":";
-      append_f64(out, cp.max_disc);
+      support::append_json_f64(out, cp.max_disc);
       out += ",\"mean_disc\":";
-      append_f64(out, cp.mean_disc);
+      support::append_json_f64(out, cp.mean_disc);
     }
     out.push_back('}');
   }
@@ -140,7 +111,7 @@ std::string RunReport::to_json() const {
     out += "],\"unmet_phases\":[";
     for (std::size_t i = 0; i < degraded.unmet_phases.size(); ++i) {
       if (i != 0) out.push_back(',');
-      append_json_string(out, degraded.unmet_phases[i]);
+      support::append_json_string(out, degraded.unmet_phases[i]);
     }
     out += "]}";
   }

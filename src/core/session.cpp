@@ -3,7 +3,6 @@
 #include "tmwia/core/session.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -33,47 +32,17 @@ obs::FlightRecorder::OutputEvaluator make_truth_evaluator(
   };
 }
 
-/// Owns the trace output stream and the Tracer writing to it, and is
-/// responsible for installing/uninstalling the process-global tracer
-/// pointer (the library's trace points read obs::tracer()).
-struct Session::TraceSink {
-  // tmwia-lint: allow(durable-write) streaming event sink, not a one-shot artifact
-  std::ofstream out;
-  std::unique_ptr<obs::Tracer> tracer;
-
-  explicit TraceSink(const std::string& path) : out(path) {
-    if (!out) throw std::runtime_error("Session: cannot open trace sink '" + path + "'");
-    tracer = std::make_unique<obs::Tracer>(out);
-    obs::set_tracer(tracer.get());
+/// The record sink, installed as the global recorder from build() until
+/// the session dies, with the truth-closing output evaluator so phase
+/// summaries carry discrepancy.
+struct Session::Recording {
+  Recording(const std::string& path, obs::RecordFormat format,
+            const matrix::PreferenceMatrix& truth)
+      : sink(path, format) {
+    sink.recorder().set_output_evaluator(make_truth_evaluator(truth));
   }
-  ~TraceSink() {
-    if (obs::tracer() == tracer.get()) obs::set_tracer(nullptr);
-    tracer->flush();
-  }
-};
-
-/// Same ownership pattern for the flight recorder: stream + recorder +
-/// the process-global obs::recorder() slot, with the truth-closing
-/// output evaluator installed so phase summaries carry discrepancy.
-struct Session::RecordSink {
-  // tmwia-lint: allow(durable-write) streaming event sink, not a one-shot artifact
-  std::ofstream out;
-  std::unique_ptr<obs::FlightRecorder> recorder;
-
-  RecordSink(const std::string& path, obs::RecordFormat format,
-             const matrix::PreferenceMatrix& truth)
-      : out(path, format == obs::RecordFormat::kBinary
-                      ? std::ios::out | std::ios::binary
-                      : std::ios::out) {
-    if (!out) throw std::runtime_error("Session: cannot open record sink '" + path + "'");
-    recorder = std::make_unique<obs::FlightRecorder>(out, format);
-    recorder->set_output_evaluator(make_truth_evaluator(truth));
-    obs::set_recorder(recorder.get());
-  }
-  ~RecordSink() {
-    if (obs::recorder() == recorder.get()) obs::set_recorder(nullptr);
-    recorder->flush();
-  }
+  obs::RecordSink sink;
+  obs::RecordSink::Scope installed{&sink};
 };
 
 Session::Session(const matrix::PreferenceMatrix& truth)
@@ -140,12 +109,6 @@ Session& Session::metrics_sink(std::string path) {
   return *this;
 }
 
-Session& Session::trace_sink(std::string path) {
-  require_unbuilt("trace_sink");
-  trace_path_ = std::move(path);
-  return *this;
-}
-
 Session& Session::record_sink(std::string path, obs::RecordFormat format) {
   require_unbuilt("record_sink");
   record_path_ = std::move(path);
@@ -168,9 +131,8 @@ void Session::build() {
     oracle_->set_fault_injector(injector_.get());
   }
   if (!metrics_path_.empty()) obs::MetricsRegistry::global().set_enabled(true);
-  if (!trace_path_.empty()) trace_ = std::make_unique<TraceSink>(trace_path_);
   if (!record_path_.empty()) {
-    record_ = std::make_unique<RecordSink>(record_path_, record_format_, *truth_);
+    recording_ = std::make_unique<Recording>(record_path_, record_format_, *truth_);
   }
 }
 
@@ -181,8 +143,7 @@ core::RunReport Session::finish(core::RunReport report) {
     out << report.metrics.to_json() << '\n';
     io::atomic_write_file(metrics_path_, out.str());
   }
-  if (trace_ != nullptr) trace_->tracer->flush();
-  if (record_ != nullptr) record_->recorder->flush();
+  if (recording_ != nullptr) recording_->sink.recorder().flush();
   ++run_index_;
   return report;
 }

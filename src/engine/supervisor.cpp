@@ -5,7 +5,6 @@
 
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/obs/metrics.hpp"
-#include "tmwia/obs/trace.hpp"
 
 namespace tmwia::engine {
 namespace {
@@ -126,8 +125,6 @@ Supervisor::Supervisor(billboard::ProbeOracle& oracle, SupervisorConfig cfg)
 SupervisorResult Supervisor::run(
     std::vector<std::unique_ptr<billboard::PlayerStrategy>>& strategies,
     const std::vector<PhaseSpec>& phases) {
-  obs::Span span(obs::tracer(), "supervisor.run",
-                 {{"players", strategies.size()}, {"phases", phases.size()}});
   const auto& metrics = supervisor_metrics();
 
   // Wrap every live strategy; handles keep typed access for the
@@ -178,10 +175,6 @@ SupervisorResult Supervisor::run(
   }
   metrics.benched.add(out.benched_rounds);
   std::sort(out.quarantined.begin(), out.quarantined.end());
-
-  span.end({{"strikes", out.strikes},
-            {"quarantined", out.quarantined.size()},
-            {"unmet_phases", out.unmet_phases.size()}});
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "tmwia/io/flat_json.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <stdexcept>
 
 namespace tmwia::io {
@@ -192,29 +191,6 @@ std::vector<std::string> FlatJson::keys() const {
   std::vector<std::string> out;
   out.reserve(kv_.size());
   for (const auto& [k, v] : kv_) out.push_back(k);
-  return out;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 

@@ -54,8 +54,4 @@ class FlatJson {
   std::map<std::string, Value> kv_;
 };
 
-/// Escape `s` for embedding in a JSON string literal (quotes not
-/// included).
-std::string json_escape(std::string_view s);
-
 }  // namespace tmwia::io

@@ -1,45 +1,19 @@
 #include "tmwia/obs/flight_recorder.hpp"
 
 #include <array>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+
+#include "tmwia/support/json.hpp"
 
 namespace tmwia::obs {
 namespace {
 
 constexpr char kBinaryMagic[8] = {'T', 'M', 'W', 'I', 'A', 'F', 'R', '1'};
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -97,6 +71,12 @@ std::optional<RecorderEvent::Kind> kind_from_string(std::string_view name) {
   return std::nullopt;
 }
 
+std::optional<RecordFormat> parse_record_format(std::string_view name) {
+  if (name == "jsonl") return RecordFormat::kJsonl;
+  if (name == "binary") return RecordFormat::kBinary;
+  return std::nullopt;
+}
+
 FlightRecorder::FlightRecorder(std::ostream& out, RecordFormat format, std::size_t stage_cap)
     : out_(out), format_(format), stage_cap_(stage_cap) {
   if (format_ == RecordFormat::kBinary) {
@@ -139,15 +119,15 @@ void FlightRecorder::write_locked(RecorderEvent& ev) {
     }
     if (ev.has(RecorderEvent::kHasX)) {
       line += ",\"x\":";
-      append_double(line, ev.x);
+      support::append_json_f64(line, ev.x);
     }
     if (ev.has(RecorderEvent::kHasY)) {
       line += ",\"y\":";
-      append_double(line, ev.y);
+      support::append_json_f64(line, ev.y);
     }
     if (ev.has(RecorderEvent::kHasLabel)) {
       line += ",\"label\":";
-      append_json_string(line, ev.label);
+      support::append_json_string(line, ev.label);
     }
     line += "}\n";
   } else {
@@ -411,6 +391,35 @@ void FlightRecorder::resume_run(std::size_t players, std::uint64_t clock) {
   clock_ = clock;
   depth_ = 1;  // re-open the checkpointed run scope silently
   if (stages_.size() < players) stages_.resize(players);
+}
+
+// ---------------------------------------------------------------------------
+// RecordSink
+
+namespace {
+
+std::unique_ptr<std::ostream> open_log(const std::string& path, RecordFormat format) {
+  // tmwia-lint: allow(durable-write) streaming event sink, not a one-shot artifact
+  auto out = std::make_unique<std::ofstream>(
+      path, format == RecordFormat::kBinary ? std::ios::out | std::ios::binary : std::ios::out);
+  if (!*out) throw std::runtime_error("cannot open record sink '" + path + "'");
+  return out;
+}
+
+}  // namespace
+
+RecordSink::RecordSink(const std::string& path, RecordFormat format)
+    : out_(open_log(path, format)), recorder_(*out_, format) {}
+
+RecordSink::~RecordSink() = default;
+
+RecordSink::Scope::Scope(RecordSink* sink)
+    : prev_(obs::recorder()), installed_(sink != nullptr) {
+  if (installed_) set_recorder(&sink->recorder_);
+}
+
+RecordSink::Scope::~Scope() {
+  if (installed_) set_recorder(prev_);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 // discrepancy against the planted matrix when the harness installs an
 // output evaluator — the library itself never sees the truth).
 //
-// Determinism contract (the same one MetricsRegistry and Tracer obey):
+// Determinism contract (the same one MetricsRegistry and Profiler obey):
 // records carry a per-recorder *logical clock*, never wall time, and
 // the stream for a fixed seed and fault plan is byte-identical across
 // `--threads`. Parallel player code cannot write to the sink directly
@@ -28,9 +28,10 @@
 // instead of silently lying.
 //
 // Disabled recording is one relaxed atomic load per instrumented site
-// (the process-global recorder slot, mirroring obs::tracer()), so the
-// hooks stay compiled in everywhere at ~zero cost — the same fast-path
-// budget the metrics layer is held to (bench/e11).
+// (the process-global recorder slot), so the hooks stay compiled in
+// everywhere at ~zero cost — the same fast-path budget the metrics
+// layer is held to (bench/e11). Harnesses write logs to files through
+// RecordSink, the one owner of a log file and of its slot installation.
 //
 // Two wire formats behind one writer: JSONL (one object per record,
 // fixed key order, jq-able) and a compact binary framing (magic
@@ -42,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -53,6 +55,9 @@
 namespace tmwia::obs {
 
 enum class RecordFormat : std::uint8_t { kJsonl, kBinary };
+
+/// "jsonl" or "binary" (the --record-format values); nullopt otherwise.
+[[nodiscard]] std::optional<RecordFormat> parse_record_format(std::string_view name);
 
 /// One record of the flight log. Which fields are meaningful is
 /// per-kind (see DESIGN.md section 10); `mask` says which are present.
@@ -251,6 +256,45 @@ inline FlightRecorder* recorder() { return detail::g_recorder.load(std::memory_o
 inline void set_recorder(FlightRecorder* r) {
   detail::g_recorder.store(r, std::memory_order_release);
 }
+
+/// A flight-log file and the recorder writing it. Every harness that
+/// records (Session, tmwia_cli, the bench harness, serve tenants) goes
+/// through this one owner: it opens `path` in the format's mode, owns
+/// the stream and the recorder, and flushes when destroyed. The
+/// library's record points see the recorder only while a Scope has it
+/// installed.
+class RecordSink {
+ public:
+  /// Throws std::runtime_error when `path` cannot be opened.
+  explicit RecordSink(const std::string& path, RecordFormat format = RecordFormat::kJsonl);
+  ~RecordSink();
+
+  RecordSink(const RecordSink&) = delete;
+  RecordSink& operator=(const RecordSink&) = delete;
+
+  [[nodiscard]] FlightRecorder& recorder() { return recorder_; }
+
+  /// Installs a sink's recorder in the process-global slot for the
+  /// scope's lifetime, then restores whatever was installed before — a
+  /// serve tenant opens one per refinement epoch. A null sink installs
+  /// nothing. Scopes nest: close them in reverse order of opening.
+  class Scope {
+   public:
+    explicit Scope(RecordSink* sink);
+    ~Scope();
+
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    FlightRecorder* prev_;
+    bool installed_;
+  };
+
+ private:
+  std::unique_ptr<std::ostream> out_;
+  FlightRecorder recorder_;  ///< after out_: its destructor flushes into the stream
+};
 
 /// A parsed flight log (either wire format).
 struct RecorderLog {

@@ -1,14 +1,14 @@
 // MetricsRegistry: low-overhead named counters, gauges and fixed-bucket
 // histograms for the whole stack.
 //
-// Hot-path design: every writing thread owns a private *shard* of plain
-// 64-bit slots; Counter::add / Histogram::observe touch only the local
-// shard (owner-writes, no cross-thread cache-line contention), so the
-// ThreadPool phases pay no synchronization for instrumentation. Reads
-// (snapshot) merge all shards by summation, which is order-independent
-// — the merged totals are identical regardless of how work was spread
-// over threads. That is the determinism contract the benches rely on:
-// same seed, different --threads, byte-identical snapshot JSON.
+// Hot-path design: counters and histograms live in an owner-write
+// ShardSet (shard_set.hpp); Counter::add / Histogram::observe touch only
+// the calling thread's shard, so the ThreadPool phases pay no
+// synchronization for instrumentation. Reads (snapshot) merge all
+// shards by summation, which is order-independent — the merged totals
+// are identical regardless of how work was spread over threads. That
+// is the determinism contract the benches rely on: same seed, different
+// --threads, byte-identical snapshot JSON.
 //
 // Determinism rules for instrumented code:
 //  * counters/histograms may be touched from parallel player code —
@@ -25,7 +25,6 @@
 // code costs ~nothing until a sink asks for data).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -34,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "tmwia/obs/shard_set.hpp"
 #include "tmwia/support/thread_annotations.hpp"
 
 namespace tmwia::obs {
@@ -78,10 +78,6 @@ struct Snapshot {
 };
 
 class MetricsRegistry {
-  static constexpr std::size_t kChunkBits = 8;
-  static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkBits;
-  static constexpr std::size_t kMaxChunks = 64;  ///< 16384 slots total
-
  public:
   /// Handle to a named counter. Cheap to copy; safe to cache in a
   /// function-local static. A default-constructed handle is a no-op.
@@ -161,20 +157,10 @@ class MetricsRegistry {
   /// tmwia_cli --metrics=, bench --metrics=) enable it.
   static MetricsRegistry& global();
 
- private:
-  struct Chunk {
-    std::array<std::atomic<std::uint64_t>, kChunkSlots> slots{};
-  };
-  /// One writer thread's private slot array. Slots are atomics so the
-  /// merging reader is race-free, but only the owner writes, with
-  /// plain load+store (no RMW, no lock prefix).
-  struct Shard {
-    std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
-    ~Shard();
-    void add(std::size_t slot, std::uint64_t v);
-    Chunk* grow(std::size_t chunk_index);
-  };
+  /// Shards attached so far: one per thread that ever wrote a metric.
+  [[nodiscard]] std::size_t shard_count() const { return shards_.shard_count(); }
 
+ private:
   enum class Kind : std::uint8_t { kCounter, kHistogram };
   struct MetricInfo {
     Kind kind;
@@ -186,21 +172,14 @@ class MetricsRegistry {
   friend class Counter;
   friend class Histogram;
 
-  void slot_add(std::uint32_t slot, std::uint64_t v) { local_shard().add(slot, v); }
-  Shard& local_shard();
-  Shard& attach_thread() TMWIA_EXCLUDES(mu_);
+  void slot_add(std::size_t slot, std::uint64_t v) { shards_.add(slot, v); }
 
   std::atomic<bool> enabled_;
-  std::uint64_t id_;  ///< process-unique; keys the thread-local shard cache
-  /// Guards registry *structure* (name table, shard list, gauge cells).
-  /// Shard slot contents are deliberately NOT guarded: they are
-  /// owner-write atomics (only the owning thread stores; snapshot sums
-  /// them with atomic loads under mu_), the whole point of the
-  /// contention-free hot path above.
+  ShardSet shards_;  ///< counter/histogram slots (synchronizes itself)
+  /// Guards registry *structure* (name table, gauge cells).
   mutable support::Mutex mu_;
   std::map<std::string, MetricInfo, std::less<>> names_ TMWIA_GUARDED_BY(mu_);
   std::uint32_t next_slot_ TMWIA_GUARDED_BY(mu_) = 0;
-  std::vector<std::unique_ptr<Shard>> shards_ TMWIA_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>, std::less<>> gauges_
       TMWIA_GUARDED_BY(mu_);
 };

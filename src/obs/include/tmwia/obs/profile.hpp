@@ -9,10 +9,10 @@
 // Determinism contract (the reason this exists next to wall-clock
 // profilers): all *logical* costs are pure functions of the workload,
 // so the attribution tree is byte-identical across --threads and
-// across kernel backends. The storage reuses the MetricsRegistry
-// owner-write shard pattern — each writing thread deposits into a
-// private shard of plain 64-bit slots (no RMW, no contention), and
-// report() merges shards by summation, which commutes. Zone *ids* are
+// across kernel backends. The storage is the same owner-write ShardSet
+// MetricsRegistry uses — each writing thread deposits into a private
+// shard of plain 64-bit slots (no RMW, no contention), and report()
+// merges shards by summation, which commutes. Zone *ids* are
 // interning-order dependent (racy across threads), so they never
 // appear in any export: report() re-keys the tree by zone name, with
 // children sorted by name.
@@ -39,12 +39,12 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "tmwia/obs/shard_set.hpp"
 #include "tmwia/support/thread_annotations.hpp"
 
 namespace tmwia::obs {
@@ -98,10 +98,6 @@ struct ProfileReport {
 };
 
 class Profiler {
-  static constexpr std::size_t kChunkBits = 8;
-  static constexpr std::size_t kChunkSlots = std::size_t{1} << kChunkBits;
-  static constexpr std::size_t kMaxChunks = 64;  ///< 16384 slots / kCostCount zones
-
  public:
   using ZoneId = std::uint32_t;
   static constexpr ZoneId kRoot = 0;
@@ -130,7 +126,7 @@ class Profiler {
   /// cross-thread contention). No-op while disabled.
   void add(ZoneId zone, Cost c, std::uint64_t v) {
     if (!enabled()) return;
-    local_shard().add(zone * kCostCount + static_cast<std::size_t>(c), v);
+    shards_.add(zone * kCostCount + static_cast<std::size_t>(c), v);
   }
 
   /// Merge every shard into a name-keyed attribution tree (call at
@@ -154,37 +150,22 @@ class Profiler {
   /// telemetry) enable it.
   static Profiler& global();
 
- private:
-  struct Chunk {
-    std::array<std::atomic<std::uint64_t>, kChunkSlots> slots{};
-  };
-  /// One writer thread's private slot array — same owner-write shape
-  /// as MetricsRegistry::Shard (plain load+store, atomic only so the
-  /// merging reader is race-free).
-  struct Shard {
-    std::array<std::atomic<Chunk*>, kMaxChunks> chunks{};
-    ~Shard();
-    void add(std::size_t slot, std::uint64_t v);
-    Chunk* grow(std::size_t chunk_index);
-  };
+  /// Shards attached so far: one per thread that ever deposited.
+  [[nodiscard]] std::size_t shard_count() const { return shards_.shard_count(); }
 
+ private:
   struct ZoneInfo {
     std::string name;
     ZoneId parent = kRoot;
   };
 
-  Shard& local_shard();
-  Shard& attach_thread() TMWIA_EXCLUDES(mu_);
-
   std::atomic<bool> enabled_;
   std::atomic<bool> wall_{false};
-  std::uint64_t id_;  ///< process-unique; keys the thread-local shard cache
-  /// Guards profiler *structure* (zone table, shard list); shard slot
-  /// contents are owner-write atomics, deliberately unguarded.
+  ShardSet shards_;  ///< slot zone * kCostCount + cost (synchronizes itself)
+  /// Guards profiler *structure* (the zone table).
   mutable support::Mutex mu_;
   std::vector<ZoneInfo> zones_ TMWIA_GUARDED_BY(mu_);
   std::map<std::pair<ZoneId, std::string>, ZoneId, std::less<>> ids_ TMWIA_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Shard>> shards_ TMWIA_GUARDED_BY(mu_);
 };
 
 /// RAII scope marking `name` as the current zone on this thread.

@@ -21,10 +21,6 @@
 // tests can assert on stream shape. (Record *contents* include
 // latencies — only counts and key shape are replay-stable.)
 //
-// Tail exemplars: when a Tracer is attached, the top-K slowest
-// requests of each tick also become "serve.exemplar" trace spans, so
-// a flight log can be joined against the slow tail of live traffic.
-//
 // Thread-safety: one mutex serializes everything (request threads
 // call observe_request; the closing thread calls finish). The serve
 // request path pays one lock + vector push per request plus the full
@@ -40,7 +36,6 @@
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/obs/profile.hpp"
 #include "tmwia/obs/slo.hpp"
-#include "tmwia/obs/trace.hpp"
 #include "tmwia/support/thread_annotations.hpp"
 
 namespace tmwia::obs {
@@ -55,13 +50,12 @@ struct TelemetryConfig {
 
 class TelemetryExporter {
  public:
-  /// `registry` must outlive the exporter; `profiler`, `watchdog` and
-  /// `tracer` are optional (nullptr = that facet off). Opens the
-  /// stream immediately; throws std::runtime_error when the path
-  /// cannot be opened.
+  /// `registry` must outlive the exporter; `profiler` and `watchdog`
+  /// are optional (nullptr = that facet off). Opens the stream
+  /// immediately; throws std::runtime_error when the path cannot be
+  /// opened.
   TelemetryExporter(TelemetryConfig cfg, MetricsRegistry& registry,
-                    Profiler* profiler = nullptr, SloWatchdog* watchdog = nullptr,
-                    Tracer* tracer = nullptr);
+                    Profiler* profiler = nullptr, SloWatchdog* watchdog = nullptr);
   ~TelemetryExporter();
 
   TelemetryExporter(const TelemetryExporter&) = delete;
@@ -101,7 +95,6 @@ class TelemetryExporter {
   MetricsRegistry& registry_;
   Profiler* profiler_;
   SloWatchdog* watchdog_;
-  Tracer* tracer_;
 
   mutable support::Mutex mu_;
   // tmwia-lint: allow(durable-write) streaming telemetry sink: append-only JSONL, torn tail tolerated by readers

@@ -1,110 +1,26 @@
 #include "tmwia/obs/metrics.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <stdexcept>
+
+#include "tmwia/support/json.hpp"
 
 namespace tmwia::obs {
 namespace {
 
-/// Registries get process-unique ids so the thread-local shard cache
-/// can never confuse a new registry allocated at a recycled address.
-// tmwia-lint: allow(nonconst-global) registered singleton: monotone id source
-std::atomic<std::uint64_t> g_next_registry_id{1};
-
-struct TlsShardCache {
-  std::uint64_t registry_id = 0;
-  void* shard = nullptr;
-};
-thread_local TlsShardCache t_shard_cache;
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
-void append_f64(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Shard
-
-MetricsRegistry::Shard::~Shard() {
-  for (auto& c : chunks) delete c.load(std::memory_order_relaxed);
-}
-
-void MetricsRegistry::Shard::add(std::size_t slot, std::uint64_t v) {
-  Chunk* c = chunks[slot >> kChunkBits].load(std::memory_order_acquire);
-  if (c == nullptr) c = grow(slot >> kChunkBits);
-  auto& s = c->slots[slot & (kChunkSlots - 1)];
-  // Owner-thread-only writes: a plain load+store (no RMW) is enough
-  // and compiles to two movs.
-  s.store(s.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
-}
-
-MetricsRegistry::Chunk* MetricsRegistry::Shard::grow(std::size_t chunk_index) {
-  auto* fresh = new Chunk();
-  Chunk* expected = nullptr;
-  if (!chunks[chunk_index].compare_exchange_strong(expected, fresh, std::memory_order_acq_rel)) {
-    delete fresh;  // lost the (theoretical) race; owner-only writes make this unreachable
-    return expected;
-  }
-  return fresh;
-}
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry
-
-MetricsRegistry::MetricsRegistry(bool enabled)
-    : enabled_(enabled), id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
+MetricsRegistry::MetricsRegistry(bool enabled) : enabled_(enabled) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Shard& MetricsRegistry::local_shard() {
-  if (t_shard_cache.registry_id == id_ && t_shard_cache.shard != nullptr) {
-    return *static_cast<Shard*>(t_shard_cache.shard);
-  }
-  Shard& s = attach_thread();
-  t_shard_cache = {id_, &s};
-  return s;
-}
-
-MetricsRegistry::Shard& MetricsRegistry::attach_thread() {
-  support::MutexLock lk(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  return *shards_.back();
-}
 
 MetricsRegistry::Counter MetricsRegistry::counter(std::string_view name) {
   support::MutexLock lk(mu_);
   auto it = names_.find(name);
   if (it == names_.end()) {
-    if (next_slot_ >= kMaxChunks * kChunkSlots) {
+    if (next_slot_ >= ShardSet::kMaxSlots) {
       throw std::length_error("MetricsRegistry: slot space exhausted");
     }
     MetricInfo info{Kind::kCounter, next_slot_, 1, nullptr};
@@ -128,7 +44,7 @@ MetricsRegistry::Histogram MetricsRegistry::histogram(std::string_view name,
   auto it = names_.find(name);
   if (it == names_.end()) {
     const auto slot_count = static_cast<std::uint32_t>(bounds.size() + 2);
-    if (next_slot_ + slot_count > kMaxChunks * kChunkSlots) {
+    if (next_slot_ + slot_count > ShardSet::kMaxSlots) {
       throw std::length_error("MetricsRegistry: slot space exhausted");
     }
     MetricInfo info{Kind::kHistogram, next_slot_, slot_count,
@@ -160,9 +76,8 @@ void MetricsRegistry::Histogram::observe(std::uint64_t v) const {
   const auto& bounds = *bounds_;
   const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
   const auto bucket = static_cast<std::size_t>(it - bounds.begin());
-  auto& shard = reg_->local_shard();
-  shard.add(base_ + bucket, 1);
-  shard.add(base_ + bounds.size() + 1, v);  // running sum slot
+  reg_->slot_add(base_ + bucket, 1);
+  reg_->slot_add(base_ + bounds.size() + 1, v);  // running sum slot
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, std::int64_t value) {
@@ -188,25 +103,18 @@ void MetricsRegistry::add_gauge(std::string_view name, std::int64_t delta) {
 Snapshot MetricsRegistry::snapshot() const {
   support::MutexLock lk(mu_);
   Snapshot snap;
-  auto slot_total = [&](std::uint32_t slot) {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      const Chunk* c = shard->chunks[slot >> kChunkBits].load(std::memory_order_acquire);
-      if (c != nullptr) total += c->slots[slot & (kChunkSlots - 1)].load(std::memory_order_relaxed);
-    }
-    return total;
-  };
+  const auto totals = shards_.totals(next_slot_);
   for (const auto& [name, info] : names_) {
     if (info.kind == Kind::kCounter) {
-      snap.counters.emplace(name, slot_total(info.slot));
+      snap.counters.emplace(name, totals[info.slot]);
     } else {
       HistogramData h;
       h.bounds = *info.bounds;
       h.buckets.resize(info.bounds->size() + 1);
       for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-        h.buckets[b] = slot_total(info.slot + static_cast<std::uint32_t>(b));
+        h.buckets[b] = totals[info.slot + b];
       }
-      h.sum = slot_total(info.slot + static_cast<std::uint32_t>(info.bounds->size()) + 1);
+      h.sum = totals[info.slot + info.bounds->size() + 1];
       for (auto c : h.buckets) h.count += c;
       snap.histograms.emplace(name, std::move(h));
     }
@@ -218,14 +126,8 @@ Snapshot MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::reset() {
+  shards_.reset();
   support::MutexLock lk(mu_);
-  for (const auto& shard : shards_) {
-    for (auto& cp : shard->chunks) {
-      Chunk* c = cp.load(std::memory_order_acquire);
-      if (c == nullptr) continue;
-      for (auto& s : c->slots) s.store(0, std::memory_order_relaxed);
-    }
-  }
   for (const auto& [name, cell] : gauges_) cell->store(0, std::memory_order_relaxed);
 }
 
@@ -299,7 +201,7 @@ std::string Snapshot::to_json() const {
   for (const auto& [name, v] : counters) {
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    support::append_json_string(out, name);
     out.push_back(':');
     append_u64(out, v);
   }
@@ -308,7 +210,7 @@ std::string Snapshot::to_json() const {
   for (const auto& [name, v] : gauges) {
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    support::append_json_string(out, name);
     out.push_back(':');
     out += std::to_string(v);
   }
@@ -317,7 +219,7 @@ std::string Snapshot::to_json() const {
   for (const auto& [name, h] : histograms) {
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, name);
+    support::append_json_string(out, name);
     out += ":{\"bounds\":[";
     for (std::size_t i = 0; i < h.bounds.size(); ++i) {
       if (i != 0) out.push_back(',');
@@ -333,11 +235,11 @@ std::string Snapshot::to_json() const {
     out += ",\"count\":";
     append_u64(out, h.count);
     out += ",\"p50\":";
-    append_f64(out, h.percentile(0.50));
+    support::append_json_f64(out, h.percentile(0.50));
     out += ",\"p95\":";
-    append_f64(out, h.percentile(0.95));
+    support::append_json_f64(out, h.percentile(0.95));
     out += ",\"p99\":";
-    append_f64(out, h.percentile(0.99));
+    support::append_json_f64(out, h.percentile(0.99));
     out.push_back('}');
   }
   out += "}}";

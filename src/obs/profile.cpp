@@ -2,45 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+
+#include "tmwia/support/json.hpp"
 
 namespace tmwia::obs {
 namespace {
 
-/// Profilers get process-unique ids so the thread-local shard cache
-/// can never confuse a new profiler allocated at a recycled address.
-// tmwia-lint: allow(nonconst-global) registered singleton: monotone id source
-std::atomic<std::uint64_t> g_next_profiler_id{1};
-
-struct TlsShardCache {
-  std::uint64_t profiler_id = 0;
-  void* shard = nullptr;
-};
-thread_local TlsShardCache t_shard_cache;
-
 thread_local Profiler::ZoneId t_current_zone = Profiler::kRoot;
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 std::int64_t wall_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -50,7 +18,7 @@ std::int64_t wall_now_us() {
 
 void append_node_json(std::string& out, const ProfileNode& node, bool include_wall) {
   out += "{\"name\":";
-  append_json_string(out, node.name);
+  support::append_json_string(out, node.name);
   out += ",\"costs\":{";
   bool first = true;
   for (std::size_t i = 0; i < kCostCount; ++i) {
@@ -59,7 +27,7 @@ void append_node_json(std::string& out, const ProfileNode& node, bool include_wa
     if (node.costs[i] == 0) continue;
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, cost_name(axis));
+    support::append_json_string(out, cost_name(axis));
     out.push_back(':');
     out += std::to_string(node.costs[i]);
   }
@@ -73,7 +41,7 @@ void append_node_json(std::string& out, const ProfileNode& node, bool include_wa
 
 void append_flame_json(std::string& out, const ProfileNode& node, Cost axis) {
   out += "{\"name\":";
-  append_json_string(out, node.name);
+  support::append_json_string(out, node.name);
   out += ",\"value\":";
   out += std::to_string(node.cost(axis));
   out += ",\"children\":[";
@@ -128,61 +96,20 @@ std::string ProfileReport::flamegraph_json(Cost axis) const {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler::Shard (owner-write pattern, mirrors MetricsRegistry::Shard)
-
-Profiler::Shard::~Shard() {
-  for (auto& c : chunks) delete c.load(std::memory_order_relaxed);
-}
-
-void Profiler::Shard::add(std::size_t slot, std::uint64_t v) {
-  Chunk* c = chunks[slot >> kChunkBits].load(std::memory_order_acquire);
-  if (c == nullptr) c = grow(slot >> kChunkBits);
-  auto& s = c->slots[slot & (kChunkSlots - 1)];
-  // Owner-thread-only writes: plain load+store, no RMW.
-  s.store(s.load(std::memory_order_relaxed) + v, std::memory_order_relaxed);
-}
-
-Profiler::Chunk* Profiler::Shard::grow(std::size_t chunk_index) {
-  auto* fresh = new Chunk();
-  Chunk* expected = nullptr;
-  if (!chunks[chunk_index].compare_exchange_strong(expected, fresh, std::memory_order_acq_rel)) {
-    delete fresh;  // lost the (theoretical) race; owner-only writes make this unreachable
-    return expected;
-  }
-  return fresh;
-}
-
-// ---------------------------------------------------------------------------
 // Profiler
 
-Profiler::Profiler(bool enabled)
-    : enabled_(enabled), id_(g_next_profiler_id.fetch_add(1, std::memory_order_relaxed)) {
+Profiler::Profiler(bool enabled) : enabled_(enabled) {
   support::MutexLock lk(mu_);
   zones_.push_back(ZoneInfo{"root", kRoot});  // kRoot names itself
 }
 
 Profiler::~Profiler() = default;
 
-Profiler::Shard& Profiler::local_shard() {
-  if (t_shard_cache.profiler_id == id_ && t_shard_cache.shard != nullptr) {
-    return *static_cast<Shard*>(t_shard_cache.shard);
-  }
-  Shard& s = attach_thread();
-  t_shard_cache = {id_, &s};
-  return s;
-}
-
-Profiler::Shard& Profiler::attach_thread() {
-  support::MutexLock lk(mu_);
-  shards_.push_back(std::make_unique<Shard>());
-  return *shards_.back();
-}
-
 Profiler::ZoneId Profiler::intern(ZoneId parent, std::string_view name) {
   support::MutexLock lk(mu_);
   auto it = ids_.find(std::make_pair(parent, std::string(name)));
   if (it != ids_.end()) return it->second;
-  if ((zones_.size() + 1) * kCostCount > kMaxChunks * kChunkSlots) {
+  if ((zones_.size() + 1) * kCostCount > ShardSet::kMaxSlots) {
     // Out of slot space: attribute to the parent rather than throwing
     // from instrumentation (a profiler must never fail the workload).
     return parent;
@@ -194,28 +121,15 @@ Profiler::ZoneId Profiler::intern(ZoneId parent, std::string_view name) {
 }
 
 ProfileReport Profiler::report() const {
-  // Snapshot structure and merge shard totals under the lock; the
-  // slots themselves are atomics, so concurrent owner writes are not
-  // corrupted (though a mid-phase report may split a deposit pair).
+  // Snapshot the zone table, then merge the shards; the slots are
+  // atomics, so concurrent owner writes are not corrupted (though a
+  // mid-phase report may split a deposit pair).
   std::vector<ZoneInfo> zones;
-  std::vector<std::uint64_t> totals;
   {
     support::MutexLock lk(mu_);
     zones = zones_;
-    totals.assign(zones.size() * kCostCount, 0);
-    for (const auto& shard : shards_) {
-      for (std::size_t ci = 0; ci < kMaxChunks; ++ci) {
-        const Chunk* chunk = shard->chunks[ci].load(std::memory_order_acquire);
-        if (chunk == nullptr) continue;
-        const std::size_t base = ci << kChunkBits;
-        for (std::size_t si = 0; si < kChunkSlots; ++si) {
-          const std::size_t slot = base + si;
-          if (slot >= totals.size()) break;
-          totals[slot] += chunk->slots[si].load(std::memory_order_relaxed);
-        }
-      }
-    }
   }
+  const auto totals = shards_.totals(zones.size() * kCostCount);
 
   // Build the id-keyed tree bottom-up (parents always precede
   // children in zones_, so one forward pass suffices), then re-key by
@@ -236,16 +150,7 @@ ProfileReport Profiler::report() const {
   return rep;
 }
 
-void Profiler::reset() {
-  support::MutexLock lk(mu_);
-  for (const auto& shard : shards_) {
-    for (auto& cp : shard->chunks) {
-      Chunk* chunk = cp.load(std::memory_order_acquire);
-      if (chunk == nullptr) continue;
-      for (auto& s : chunk->slots) s.store(0, std::memory_order_relaxed);
-    }
-  }
-}
+void Profiler::reset() { shards_.reset(); }
 
 Profiler::ZoneId Profiler::current_zone() { return t_current_zone; }
 

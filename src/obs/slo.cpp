@@ -1,17 +1,12 @@
 #include "tmwia/obs/slo.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
+
+#include "tmwia/support/json.hpp"
 
 namespace tmwia::obs {
 namespace {
-
-void append_f64(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
 
 double parse_number(std::string_view key, std::string_view value) {
   try {
@@ -68,9 +63,9 @@ std::string SloAlert::to_json() const {
   out += ",\"objective\":\"";
   out += objective;
   out += "\",\"observed\":";
-  append_f64(out, observed);
+  support::append_json_f64(out, observed);
   out += ",\"threshold\":";
-  append_f64(out, threshold);
+  support::append_json_f64(out, threshold);
   out += ",\"window\":";
   out += std::to_string(window_count);
   out.push_back('}');
@@ -89,9 +84,9 @@ std::string SloReport::to_json() const {
     out += "{\"name\":\"";
     out += o.name;
     out += "\",\"threshold\":";
-    append_f64(out, o.threshold);
+    support::append_json_f64(out, o.threshold);
     out += ",\"worst\":";
-    append_f64(out, o.worst);
+    support::append_json_f64(out, o.worst);
     out += ",\"breaches\":";
     out += std::to_string(o.breaches);
     out += ",\"ok\":";

@@ -4,30 +4,10 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "tmwia/support/json.hpp"
+
 namespace tmwia::obs {
 namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 /// Prometheus metric name: "tmwia_" prefix, dots/invalid chars -> '_'.
 std::string prom_name(std::string_view name) {
@@ -71,9 +51,8 @@ std::string prometheus_exposition(const Snapshot& snap) {
 }
 
 TelemetryExporter::TelemetryExporter(TelemetryConfig cfg, MetricsRegistry& registry,
-                                     Profiler* profiler, SloWatchdog* watchdog, Tracer* tracer)
-    : cfg_(std::move(cfg)), registry_(registry), profiler_(profiler), watchdog_(watchdog),
-      tracer_(tracer) {
+                                     Profiler* profiler, SloWatchdog* watchdog)
+    : cfg_(std::move(cfg)), registry_(registry), profiler_(profiler), watchdog_(watchdog) {
   support::MutexLock lk(mu_);
   out_.open(cfg_.path, std::ios::out | std::ios::trunc);
   if (!out_) {
@@ -123,8 +102,7 @@ void TelemetryExporter::tick_locked() {
   line.push_back('}');
   write_line_locked(line);
 
-  // Tail exemplars: the K slowest requests of this tick, as stream
-  // records and (when a tracer is attached) as trace spans.
+  // Tail exemplars: the K slowest requests of this tick.
   if (cfg_.exemplars > 0 && !window_.empty()) {
     const std::size_t k = std::min(cfg_.exemplars, window_.size());
     std::partial_sort(window_.begin(), window_.begin() + static_cast<std::ptrdiff_t>(k),
@@ -136,9 +114,9 @@ void TelemetryExporter::tick_locked() {
       std::string ex = "{\"kind\":\"exemplar\",\"seq\":";
       ex += std::to_string(seq);
       ex += ",\"tenant\":";
-      append_json_string(ex, p.tenant);
+      support::append_json_string(ex, p.tenant);
       ex += ",\"op\":";
-      append_json_string(ex, p.op);
+      support::append_json_string(ex, p.op);
       ex += ",\"latency_us\":";
       ex += std::to_string(p.latency_us);
       ex += ",\"staleness\":";
@@ -147,13 +125,6 @@ void TelemetryExporter::tick_locked() {
       ex += p.degraded ? "true" : "false";
       ex.push_back('}');
       write_line_locked(ex);
-      if (tracer_ != nullptr) {
-        const auto span = tracer_->begin_span(
-            "serve.exemplar", {{"tenant", p.tenant}, {"op", p.op}, {"seq", seq}});
-        tracer_->end_span(span, {{"latency_us", p.latency_us},
-                                 {"staleness", p.staleness},
-                                 {"degraded", p.degraded ? std::uint64_t{1} : std::uint64_t{0}}});
-      }
     }
   }
   window_.clear();

@@ -13,9 +13,9 @@
 //
 // Thread roles: refine_epoch()/save_snapshot()/restore_snapshot()/
 // audit() belong to the single refiner thread (the service serializes
-// them — also required because the process-global recorder slot is
-// swapped per epoch); cache()/epochs_started()/epochs_published()/
-// degraded() are safe from any request thread.
+// them — also required because the record sink is installed in the
+// process-global recorder slot per epoch); cache()/epochs_started()/
+// epochs_published()/degraded() are safe from any request thread.
 //
 // Degradation contract: an epoch that throws, or whose supervised run
 // quarantines strategies or blows its phase deadline, publishes
@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -81,7 +80,6 @@ class Tenant {
   /// Construct over a generated/loaded instance (the hidden truth moves
   /// in) and publish the empty epoch-0 cache version.
   Tenant(TenantConfig cfg, matrix::Instance inst);
-  ~Tenant();
 
   Tenant(const Tenant&) = delete;
   Tenant& operator=(const Tenant&) = delete;
@@ -167,9 +165,7 @@ class Tenant {
   bool sabotaged_this_session_ TMWIA_GUARDED_BY(refine_mu_) = false;
   std::function<void(const CacheVersion&)> publish_hook_ TMWIA_GUARDED_BY(refine_mu_);
 
-  // tmwia-lint: allow(durable-write) streaming per-tenant flight-log sink, not a one-shot artifact
-  std::ofstream record_out_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
+  std::unique_ptr<obs::RecordSink> record_;  ///< null without cfg_.record_path
 
   AnswerCache cache_;
   std::atomic<bool> degraded_{false};

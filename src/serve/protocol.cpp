@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "tmwia/io/flat_json.hpp"
+#include "tmwia/support/json.hpp"
 
 namespace tmwia::serve {
 namespace {
@@ -103,10 +104,15 @@ std::string hash_to_hex(std::uint64_t h) {
 }
 
 std::string Response::to_json() const {
+  const auto quoted = [](std::string_view s) {
+    std::string q;
+    support::append_json_string(q, s);
+    return q;
+  };
   std::ostringstream out;
-  out << "{\"op\":\"" << io::json_escape(op) << "\",\"tenant\":\"" << io::json_escape(tenant)
-      << "\",\"ok\":" << (ok ? "true" : "false");
-  if (!ok) out << ",\"error\":\"" << io::json_escape(error) << "\"";
+  out << "{\"op\":" << quoted(op) << ",\"tenant\":" << quoted(tenant)
+      << ",\"ok\":" << (ok ? "true" : "false");
+  if (!ok) out << ",\"error\":" << quoted(error);
   if (has_view) {
     out << ",\"epoch\":" << epoch << ",\"hash\":\"" << hash_to_hex(cache_hash)
         << "\",\"degraded\":" << (degraded ? "true" : "false")
@@ -121,10 +127,8 @@ std::string Response::to_json() const {
     out << ']';
   }
   if (has_estimate) out << ",\"estimate\":\"" << estimate << "\"";
-  if (!path.empty()) out << ",\"path\":\"" << io::json_escape(path) << "\"";
-  for (const auto& [key, value] : stats) {
-    out << ",\"" << io::json_escape(key) << "\":" << value;
-  }
+  if (!path.empty()) out << ",\"path\":" << quoted(path);
+  for (const auto& [key, value] : stats) out << ',' << quoted(key) << ':' << value;
   out << ",\"latency_us\":" << latency_us << "}";
   return out.str();
 }

@@ -1,6 +1,6 @@
 // tmwia-lint: allow-file(serve-matrix-isolation) harness side: see tenant.hpp.
 // tmwia-lint: allow-file(sink-registration) the tenant is a sink owner: it installs its
-// per-tenant flight recorder into the global slot for the duration of each epoch.
+// per-tenant record sink into the global slot for the duration of each epoch.
 #include "tmwia/serve/tenant.hpp"
 
 #include <algorithm>
@@ -17,26 +17,6 @@
 
 namespace tmwia::serve {
 namespace {
-
-/// Swap the process-global recorder slot to this tenant's recorder for
-/// one epoch, restoring whatever was installed before. Epochs are
-/// serialized by the service, so the swap cannot race another tenant's.
-class RecorderSwap {
- public:
-  explicit RecorderSwap(obs::FlightRecorder* mine) : prev_(obs::recorder()) {
-    if (mine != nullptr) obs::set_recorder(mine);
-    else swapped_ = false;
-  }
-  ~RecorderSwap() {
-    if (swapped_) obs::set_recorder(prev_);
-  }
-  RecorderSwap(const RecorderSwap&) = delete;
-  RecorderSwap& operator=(const RecorderSwap&) = delete;
-
- private:
-  obs::FlightRecorder* prev_;
-  bool swapped_ = true;
-};
 
 /// Rebuild a TriVector from its two checkpointed planes.
 bits::TriVector trivector_from_planes(const bits::BitVector& value,
@@ -72,12 +52,8 @@ Tenant::Tenant(TenantConfig cfg, matrix::Instance inst)
   oracle_->set_auditor(auditor_.get());
 #endif
   if (!cfg_.record_path.empty()) {
-    record_out_.open(cfg_.record_path);
-    if (!record_out_) {
-      throw std::runtime_error("Tenant: cannot open record sink '" + cfg_.record_path + "'");
-    }
-    recorder_ = std::make_unique<obs::FlightRecorder>(record_out_);
-    recorder_->set_output_evaluator(tmwia::make_truth_evaluator(inst_.matrix));
+    record_ = std::make_unique<obs::RecordSink>(cfg_.record_path);
+    record_->recorder().set_output_evaluator(tmwia::make_truth_evaluator(inst_.matrix));
   }
 
   support::MutexLock lock(refine_mu_);
@@ -88,10 +64,6 @@ Tenant::Tenant(TenantConfig cfg, matrix::Instance inst)
   publish_current_locked(0, {});
 }
 
-Tenant::~Tenant() {
-  if (recorder_ != nullptr) recorder_->flush();
-}
-
 std::shared_ptr<const CacheVersion> Tenant::refine_epoch() {
   support::MutexLock lock(refine_mu_);
   const std::uint64_t e = epochs_started_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -99,7 +71,9 @@ std::shared_ptr<const CacheVersion> Tenant::refine_epoch() {
     if (cfg_.sabotage_refine) {
       throw std::runtime_error("Tenant: refinement sabotaged (test hook)");
     }
-    RecorderSwap swap(recorder_.get());
+    // Epochs are serialized by the service, so the slot swap cannot
+    // race another tenant's.
+    const obs::RecordSink::Scope recording(record_.get());
     if (cfg_.algo == "mimic") {
       refine_mimic_locked(e);
     } else {
@@ -219,7 +193,7 @@ void Tenant::save_snapshot(const std::string& path) {
   ckpt.objects = objects();
   ckpt.seq = cur->epoch;
   ckpt.cum_rounds = oracle_->max_invocations();
-  ckpt.recorder_clock = recorder_ != nullptr ? recorder_->clock() : 0;
+  ckpt.recorder_clock = record_ != nullptr ? record_->recorder().clock() : 0;
   // versions[0] = estimates; versions[1]/[2] = the serving candidate
   // set's value/known planes, so restore republishes the identical
   // (epoch, content_hash) version.
@@ -265,7 +239,7 @@ void Tenant::restore_snapshot(const std::string& path) {
   if (ckpt.has_injector && injector_ != nullptr) injector_->restore_state(ckpt.injector);
   estimates_ = ckpt.versions[0];
   root_ = rng::Rng::from_state(ckpt.rng_state);
-  if (recorder_ != nullptr) recorder_->resume_run(players(), ckpt.recorder_clock);
+  if (record_ != nullptr) record_->recorder().resume_run(players(), ckpt.recorder_clock);
   // The restored ledger predates this tenant's auditor; rebase A4.
   audit_base_ = oracle_->snapshot();
 

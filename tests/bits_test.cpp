@@ -9,6 +9,7 @@
 
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/bits/hamming.hpp"
+#include "tmwia/bits/kernels.hpp"
 #include "tmwia/bits/trivector.hpp"
 #include "tmwia/rng/rng.hpp"
 
@@ -251,30 +252,28 @@ TEST(TriVector, LexCompareOrdersZeroOneUnknown) {
   EXPECT_LT(z.lex_compare(u), 0);
 }
 
-// ---------------------------------------------------------------- hamming.hpp
-// These exercise the deprecated compatibility forwards on purpose; the
-// kernel layer they forward to is covered by tests/kernels_test.cpp.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// ---------------------------------------------------------------- kernels.hpp
+// Collection aggregates on hand-checkable inputs; the full backend
+// parity suite is tests/kernels_test.cpp.
 
 TEST(Hamming, DiameterOfSet) {
   std::vector<BitVector> vs{BitVector::from_string("0000"), BitVector::from_string("0011"),
                             BitVector::from_string("1111")};
-  EXPECT_EQ(diameter(vs), 4u);
-  EXPECT_EQ(diameter(std::span<const BitVector>(vs.data(), 1)), 0u);
+  EXPECT_EQ(kernels::pairwise_diameter(vs), 4u);
+  EXPECT_EQ(kernels::pairwise_diameter(std::span<const BitVector>(vs.data(), 1)), 0u);
 }
 
 TEST(Hamming, DiameterOfSubset) {
   std::vector<BitVector> vs{BitVector::from_string("0000"), BitVector::from_string("0011"),
                             BitVector::from_string("1111")};
   const std::vector<std::uint32_t> idx{0, 1};
-  EXPECT_EQ(diameter(vs, idx), 2u);
+  EXPECT_EQ(kernels::pairwise_diameter(vs, idx), 2u);
 }
 
 TEST(Hamming, ArgminDist) {
   std::vector<BitVector> vs{BitVector::from_string("1111"), BitVector::from_string("0011"),
                             BitVector::from_string("0001")};
-  EXPECT_EQ(argmin_dist(vs, BitVector::from_string("0000")), 2u);
+  EXPECT_EQ(kernels::argmin_dist(vs, BitVector::from_string("0000")).index, 2u);
 }
 
 TEST(Hamming, BallSizeAndMembers) {
@@ -282,15 +281,13 @@ TEST(Hamming, BallSizeAndMembers) {
                             BitVector::from_string("0111")};
   const auto center = TriVector::from_string("000?");
   // dtilde distances: 0, 0, 2
-  EXPECT_EQ(ball_size(vs, center, 0), 2u);
-  EXPECT_EQ(ball_size(vs, center, 2), 3u);
-  const auto members = ball_members(vs, center, 0);
+  EXPECT_EQ(kernels::ball_size(vs, center, 0), 2u);
+  EXPECT_EQ(kernels::ball_size(vs, center, 2), 3u);
+  const auto members = kernels::ball_members(vs, center, 0);
   ASSERT_EQ(members.size(), 2u);
   EXPECT_EQ(members[0], 0u);
   EXPECT_EQ(members[1], 1u);
 }
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace tmwia::bits

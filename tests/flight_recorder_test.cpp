@@ -1,11 +1,14 @@
 // Tests for obs::FlightRecorder: JSONL wire shape, staged per-player
 // drain order (the --threads determinism mechanism), stage-cap overflow
 // accounting, binary/JSONL round-trip equivalence, nested run scopes,
-// and an end-to-end faulted run whose event stream reconciles with the
-// run_end totals and the RunReport timeline.
+// the RecordSink file owner and its slot scopes, and an end-to-end
+// faulted run whose event stream reconciles with the run_end totals and
+// the RunReport timeline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -273,6 +276,48 @@ TEST(FlightRecorder, ReaderRejectsMalformedInput) {
   EXPECT_THROW(obs::read_recorder_log(bad_kind), std::runtime_error);
   std::istringstream truncated(std::string("TMWIAFR1") + "\x08");
   EXPECT_THROW(obs::read_recorder_log(truncated), std::runtime_error);
+}
+
+/// RecordSink owns a log file: a binary log written through it parses
+/// with read_recorder_log, and closing a Scope restores the recorder
+/// installed before it — the per-epoch swap serve::Tenant relies on.
+TEST(FlightRecorder, RecordSinkScopeRestoresSlotAndBinaryLogParses) {
+  EXPECT_EQ(obs::parse_record_format("jsonl"), obs::RecordFormat::kJsonl);
+  EXPECT_EQ(obs::parse_record_format("binary"), obs::RecordFormat::kBinary);
+  EXPECT_FALSE(obs::parse_record_format("binry").has_value());
+  EXPECT_THROW(obs::RecordSink(testing::TempDir() + "no-such-dir-tmwia/x.jsonl"),
+               std::runtime_error);
+
+  const std::string outer_path = testing::TempDir() + "record_sink_outer.jsonl";
+  const std::string inner_path = testing::TempDir() + "record_sink_inner.bin";
+  ASSERT_EQ(obs::recorder(), nullptr);
+  {
+    obs::RecordSink outer(outer_path);
+    obs::RecordSink inner(inner_path, obs::RecordFormat::kBinary);
+    const obs::RecordSink::Scope outer_scope(&outer);
+    for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
+      const obs::RecordSink::Scope inner_scope(&inner);
+      ASSERT_EQ(obs::recorder(), &inner.recorder());
+      obs::recorder()->run_begin("epoch", 0.5, 2, 4);
+      obs::recorder()->probe(1, 3, true, epoch);
+      obs::recorder()->run_end("epoch", 1, 1);
+    }
+    EXPECT_EQ(obs::recorder(), &outer.recorder());
+    const obs::RecordSink::Scope none(nullptr);  // a null sink installs nothing
+    EXPECT_EQ(obs::recorder(), &outer.recorder());
+  }
+  EXPECT_EQ(obs::recorder(), nullptr);
+
+  std::ifstream in(inner_path, std::ios::binary);
+  const auto log = obs::read_recorder_log(in);
+  EXPECT_EQ(log.format, obs::RecordFormat::kBinary);
+  ASSERT_EQ(log.events.size(), 6u);
+  EXPECT_EQ(log.events[0].kind, RecorderEvent::Kind::kRunBegin);
+  EXPECT_EQ(log.events[4].kind, RecorderEvent::Kind::kProbe);
+  EXPECT_EQ(log.events[4].b, 1u);  // the second epoch's probe
+  EXPECT_EQ(log.events[5].t, 5u);  // one logical clock across both epochs
+  std::remove(outer_path.c_str());
+  std::remove(inner_path.c_str());
 }
 
 /// End to end: a faulted unknown-D run records a stream whose per-player

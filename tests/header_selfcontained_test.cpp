@@ -54,9 +54,9 @@
 #include "tmwia/obs/metric_names.gen.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/obs/profile.hpp"
+#include "tmwia/obs/shard_set.hpp"
 #include "tmwia/obs/slo.hpp"
 #include "tmwia/obs/telemetry.hpp"
-#include "tmwia/obs/trace.hpp"
 #include "tmwia/rng/partition.hpp"
 #include "tmwia/rng/rng.hpp"
 #include "tmwia/serve/cache.hpp"
@@ -64,8 +64,9 @@
 #include "tmwia/serve/service.hpp"
 #include "tmwia/serve/tenant.hpp"
 #include "tmwia/stats/summary.hpp"
+#include "tmwia/support/json.hpp"
 #include "tmwia/support/thread_annotations.hpp"
 
 TEST(HeaderSelfContained, AllPublicHeadersCompileTogether) {
-  SUCCEED() << "56 public headers included";
+  SUCCEED() << "57 public headers included";
 }

@@ -1,29 +1,25 @@
-// tmwia-lint: allow-file(sink-registration) obs unit tests construct the sinks under test.
 // Tests for the observability layer (src/obs): counter/gauge/histogram
 // correctness, the per-thread shard merge (same totals and identical
-// snapshot bytes regardless of writer-thread count), trace JSONL shape,
-// and end-to-end byte-determinism of metrics + traces for a fixed seed
-// and fault plan.
+// snapshot bytes regardless of writer-thread count, one shard per
+// thread and instance), and end-to-end byte-determinism of metrics for
+// a fixed seed and fault plan.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "tmwia/billboard/probe_oracle.hpp"
-#include "tmwia/billboard/round_scheduler.hpp"
 #include "tmwia/core/find_preferences.hpp"
 #include "tmwia/core/params.hpp"
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/latency.hpp"
 #include "tmwia/obs/metrics.hpp"
-#include "tmwia/obs/trace.hpp"
+#include "tmwia/obs/profile.hpp"
 
 namespace {
 
@@ -262,107 +258,55 @@ TEST(WallTimer, ResetRestartsTheClock) {
   EXPECT_LT(timer.elapsed_us(), 2000u);
 }
 
-TEST(Trace, JsonlShapeAndLogicalClock) {
-  std::ostringstream out;
-  obs::Tracer tracer(out);
-  const auto span = tracer.begin_span("phase", {{"n", 64}, {"alpha", 0.5}});
-  tracer.event("tick", {{"round", 1}});
-  tracer.end_span(span, {{"ok", "yes"}});
-  tracer.flush();
-  EXPECT_EQ(out.str(),
-            "{\"t\":0,\"kind\":\"begin\",\"span\":1,\"name\":\"phase\","
-            "\"attrs\":{\"n\":64,\"alpha\":0.5}}\n"
-            "{\"t\":1,\"kind\":\"event\",\"name\":\"tick\",\"attrs\":{\"round\":1}}\n"
-            "{\"t\":2,\"kind\":\"end\",\"span\":1,\"attrs\":{\"ok\":\"yes\"}}\n");
-}
-
-TEST(Trace, NullTracerSpanIsNoOp) {
-  obs::Span span(nullptr, "nothing", {{"k", 1}});
-  span.end({{"r", 2}});  // must not crash
-  EXPECT_EQ(obs::tracer(), nullptr);
-}
-
-TEST(Trace, RaiiSpanClosesOnScopeExit) {
-  std::ostringstream out;
-  obs::Tracer tracer(out);
-  {
-    obs::Span span(&tracer, "s");
+/// A thread alternating between instances keeps exactly one shard per
+/// instance: a miss in the thread-local shard cache finds the thread's
+/// existing shard instead of attaching a fresh one on every switch.
+TEST(ShardSet, AlternatingInstancesKeepOneShardEach) {
+  constexpr std::uint64_t kIters = 10000;
+  obs::MetricsRegistry a;
+  obs::MetricsRegistry b;
+  obs::Profiler prof;
+  const auto ca = a.counter("alt.a");
+  const auto cb = b.counter("alt.b");
+  const auto zone = prof.intern(obs::Profiler::kRoot, "alt");
+  for (std::uint64_t i = 0; i < kIters; ++i) {
+    ca.inc();
+    cb.inc();
   }
-  tracer.flush();
-  const auto text = out.str();
-  EXPECT_NE(text.find("\"kind\":\"begin\""), std::string::npos);
-  EXPECT_NE(text.find("\"kind\":\"end\""), std::string::npos);
-}
-
-/// The scheduler turns the injector's crash windows into trace *events*
-/// at the transition rounds: one "scheduler.crash" when the player goes
-/// down, one "scheduler.recover" when it comes back.
-TEST(Trace, SchedulerEmitsCrashAndRecoverEvents) {
-  // Probes objects 0..m-1 in order, one per round, done after m results.
-  class Sweep final : public billboard::PlayerStrategy {
-   public:
-    explicit Sweep(std::size_t m) : m_(m) {}
-    std::optional<matrix::ObjectId> next_probe(const billboard::RoundView&) override {
-      if (next_ >= m_) return std::nullopt;
-      return static_cast<matrix::ObjectId>(next_);
-    }
-    void on_result(matrix::ObjectId, bool) override { ++next_; }
-    [[nodiscard]] bool done() const override { return next_ >= m_; }
-
-   private:
-    std::size_t m_;
-    std::size_t next_ = 0;
-  };
-
-  rng::Rng gen(23);
-  const auto inst = matrix::planted_community(6, 10, {0.5, 1}, gen);
-  faults::FaultPlan plan;
-  plan.explicit_crashes = {{2, {3, 6}}};  // player 2 down for rounds [3, 6)
-  billboard::ProbeOracle oracle(inst.matrix);
-  faults::FaultInjector injector(plan, inst.matrix.players());
-  oracle.set_fault_injector(&injector);
-
-  std::ostringstream out;
-  obs::Tracer tracer(out);
-  obs::set_tracer(&tracer);
-  billboard::RoundScheduler sched(oracle);
-  std::vector<std::unique_ptr<billboard::PlayerStrategy>> strategies;
-  for (std::size_t p = 0; p < inst.matrix.players(); ++p) {
-    strategies.push_back(std::make_unique<Sweep>(inst.matrix.objects()));
+  for (std::uint64_t i = 0; i < kIters; ++i) {
+    ca.inc();
+    prof.add(zone, obs::Cost::kProbes, 1);
   }
-  const auto res = sched.run(strategies, /*max_rounds=*/64);
-  obs::set_tracer(nullptr);
-  tracer.flush();
+  // More registries than the cache holds, cycled: every switch misses.
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> ring;
+  for (int r = 0; r < 6; ++r) ring.push_back(std::make_unique<obs::MetricsRegistry>());
+  for (std::uint64_t i = 0; i < kIters; ++i) ring[i % ring.size()]->counter("alt.r").inc();
 
-  EXPECT_TRUE(res.all_done);
-  EXPECT_EQ(res.crash_skips, 3u);
-  const auto text = out.str();
-  EXPECT_NE(text.find("\"name\":\"scheduler.crash\","
-                      "\"attrs\":{\"round\":3,\"player\":2}"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("\"name\":\"scheduler.recover\","
-                      "\"attrs\":{\"round\":6,\"player\":2}"),
-            std::string::npos)
-      << text;
-  // Exactly one transition each way: the window fires once.
-  EXPECT_EQ(text.find("scheduler.crash"), text.rfind("scheduler.crash"));
-  EXPECT_EQ(text.find("scheduler.recover"), text.rfind("scheduler.recover"));
+  EXPECT_EQ(a.shard_count(), 1u);
+  EXPECT_EQ(b.shard_count(), 1u);
+  EXPECT_EQ(prof.shard_count(), 1u);
+  EXPECT_EQ(a.snapshot().counter("alt.a"), 2 * kIters);
+  EXPECT_EQ(b.snapshot().counter("alt.b"), kIters);
+  const auto tree = prof.report();
+  ASSERT_EQ(tree.root.children.size(), 1u);
+  EXPECT_EQ(tree.root.children[0].cost(obs::Cost::kProbes), kIters);
+  for (std::size_t r = 0; r < ring.size(); ++r) {
+    EXPECT_EQ(ring[r]->shard_count(), 1u);
+    EXPECT_EQ(ring[r]->snapshot().counter("alt.r"),
+              kIters / ring.size() + (r < kIters % ring.size() ? 1 : 0));
+  }
 }
 
 /// End-to-end determinism: the same seed and fault plan must produce
-/// byte-identical metrics snapshots and trace JSONL, run to run.
-TEST(Obs, MetricsAndTraceDeterministicUnderFaults) {
+/// byte-identical metrics snapshots, run to run.
+TEST(Obs, MetricsDeterministicUnderFaults) {
   rng::Rng gen(17);
   const auto inst = matrix::planted_community(64, 64, {0.5, 1}, gen);
   const auto plan = faults::FaultPlan::parse("seed=3,probe=0.05,retry=3");
 
   auto& reg = obs::MetricsRegistry::global();
   const bool was_enabled = reg.enabled();
-  auto run_once = [&](std::string* trace_text) {
-    std::ostringstream trace_out;
-    obs::Tracer tracer(trace_out);
-    obs::set_tracer(&tracer);
+  auto run_once = [&] {
     reg.set_enabled(true);
     reg.reset();
     billboard::ProbeOracle oracle(inst.matrix);
@@ -370,35 +314,15 @@ TEST(Obs, MetricsAndTraceDeterministicUnderFaults) {
     oracle.set_fault_injector(&injector);
     const auto res = core::find_preferences_unknown_d(
         oracle, nullptr, 0.5, core::Params::practical(), rng::Rng(5));
-    obs::set_tracer(nullptr);
-    tracer.flush();
-    *trace_text = trace_out.str();
     return res.metrics.to_json();
   };
 
-  std::string trace1;
-  std::string trace2;
-  const auto metrics1 = run_once(&trace1);
-  const auto metrics2 = run_once(&trace2);
+  const auto metrics1 = run_once();
+  const auto metrics2 = run_once();
   reg.reset();
   reg.set_enabled(was_enabled);
 
   EXPECT_EQ(metrics1, metrics2);
-  EXPECT_EQ(trace1, trace2);
-  EXPECT_FALSE(trace1.empty());
-  // Every trace line is a JSON object with a leading logical clock.
-  std::istringstream lines(trace1);
-  std::string line;
-  std::uint64_t expect_t = 0;
-  while (std::getline(lines, line)) {
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_EQ(line.rfind("{\"t\":" + std::to_string(expect_t) + ",", 0), 0u)
-        << line;
-    ++expect_t;
-  }
-  EXPECT_GT(expect_t, 0u);
   // The instrumented fault paths actually fired under this plan.
   EXPECT_NE(metrics1.find("\"counters\""), std::string::npos);
 }

@@ -147,7 +147,7 @@ if [[ $RUN_TSAN -eq 1 ]]; then
     --target test_obs test_profile test_engine test_round_scheduler test_thread_safety test_serve
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-    -R '(Metrics|Trace|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry)'
+    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry)'
 fi
 
 if [[ $RUN_AUDIT -eq 1 ]]; then

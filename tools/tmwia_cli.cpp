@@ -14,8 +14,7 @@
 // structure. Every subcommand is deterministic given --seed.
 //
 // Observability: `run` takes --metrics=FILE (final MetricsRegistry
-// snapshot as one-line JSON), --trace=FILE (span/event JSONL on a
-// deterministic logical clock), --record=FILE (flight-recorder event
+// snapshot as one-line JSON), --record=FILE (flight-recorder event
 // log, JSONL or binary), --report=FILE (RunReport with the per-phase
 // timeline as JSON) and --threads=N (global pool size; the artifacts
 // are byte-identical for any N under the same seed).
@@ -61,7 +60,7 @@
 //   6  serve completed but an SLO objective was breached
 //
 // tmwia-lint: allow-file(sink-registration) CLI is a sink registrar:
-// it owns the trace/record sinks it installs for --trace/--record.
+// it owns the record sink it installs for --record.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -131,8 +130,6 @@ const io::FlagTable& flag_table() {
           {"rank", "K", "rank for --algo=svd (default 4)", "run"},
           {"faults", "SPEC", "fault plan, e.g. seed=S,crash=R@A-B,probe=R,kill=R", "run"},
           {"metrics", "FILE", "write final metrics snapshot JSON here", "run,resume,serve"},
-          {"trace", "FILE", "write span/event trace JSONL here (serve: exemplar "
-           "spans)", "run,resume,serve"},
           {"record", "FILE", "write the flight-recorder event log here", "run,resume"},
           {"record-format", "F", "recorder wire format: jsonl|binary (default jsonl)",
            "run,resume"},
@@ -233,55 +230,24 @@ void write_profiler_artifacts(const io::Args& args) {
   }
 }
 
-/// The trace/record sinks `run` and `resume` both install. The
-/// recorder gets the planted-truth evaluator, so phase summaries carry
-/// real discrepancy numbers (the library only sees the std::function).
-struct ObsSinks {
-  // tmwia-lint: allow(durable-write) streaming event sinks, not one-shot artifacts
-  std::ofstream trace_out;
-  std::unique_ptr<obs::Tracer> tracer;
-  // tmwia-lint: allow(durable-write) streaming event sinks, not one-shot artifacts
-  std::ofstream record_out;
-  std::unique_ptr<obs::FlightRecorder> recorder;
-
-  void open(const io::Args& args, const matrix::Instance& inst) {
-    if (const auto trace_path = args.get("trace"); trace_path.has_value()) {
-      trace_out.open(*trace_path);
-      if (!trace_out) throw std::runtime_error("cannot open --trace file");
-      tracer = std::make_unique<obs::Tracer>(trace_out);
-      obs::set_tracer(tracer.get());
-    }
-    if (const auto record_path = args.get("record"); record_path.has_value()) {
-      const auto fmt_name = args.get("record-format").value_or("jsonl");
-      obs::RecordFormat fmt = obs::RecordFormat::kJsonl;
-      if (fmt_name == "binary") {
-        fmt = obs::RecordFormat::kBinary;
-      } else if (fmt_name != "jsonl") {
-        throw std::invalid_argument("unknown --record-format=" + fmt_name);
-      }
-      record_out.open(*record_path, fmt == obs::RecordFormat::kBinary
-                                        ? std::ios::out | std::ios::binary
-                                        : std::ios::out);
-      if (!record_out) throw std::runtime_error("cannot open --record file");
-      recorder = std::make_unique<obs::FlightRecorder>(record_out, fmt);
-      recorder->set_output_evaluator(make_truth_evaluator(inst.matrix));
-      obs::set_recorder(recorder.get());
-    } else if (args.get("record-format").has_value()) {
-      throw std::invalid_argument("--record-format requires --record");
-    }
+/// The --record sink `run` and `resume` both install (null without
+/// --record). The recorder gets the planted-truth evaluator, so phase
+/// summaries carry real discrepancy numbers (the library only sees the
+/// std::function).
+std::unique_ptr<obs::RecordSink> open_record_sink(const io::Args& args,
+                                                  const matrix::Instance& inst) {
+  const auto path = args.get("record");
+  const auto fmt_name = args.get("record-format");
+  if (!path.has_value()) {
+    if (fmt_name.has_value()) throw std::invalid_argument("--record-format requires --record");
+    return nullptr;
   }
-
-  void finish() {
-    if (tracer != nullptr) {
-      obs::set_tracer(nullptr);
-      tracer->flush();
-    }
-    if (recorder != nullptr) {
-      obs::set_recorder(nullptr);
-      recorder->flush();
-    }
-  }
-};
+  const auto fmt = obs::parse_record_format(fmt_name.value_or("jsonl"));
+  if (!fmt.has_value()) throw std::invalid_argument("unknown --record-format=" + *fmt_name);
+  auto sink = std::make_unique<obs::RecordSink>(*path, *fmt);
+  sink->recorder().set_output_evaluator(make_truth_evaluator(inst.matrix));
+  return sink;
+}
 
 /// Serial-point metrics export shared by `run` and `resume`.
 void write_metrics_snapshot(const std::string& path, const billboard::ProbeOracle& oracle) {
@@ -376,8 +342,8 @@ int cmd_run(const io::Args& args) {
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
   apply_profiler_flags(args);
-  ObsSinks sinks;
-  sinks.open(args, inst);
+  const auto record = open_record_sink(args, inst);
+  const obs::RecordSink::Scope recording(record.get());
 
   billboard::ProbeOracle oracle(inst.matrix);
   billboard::Billboard board;
@@ -541,7 +507,6 @@ int cmd_run(const io::Args& args) {
     write_metrics_snapshot(*metrics_path, oracle);
   }
   write_profiler_artifacts(args);
-  sinks.finish();
 
   std::cout << "algo: " << algo << "\nrounds (max probes/player): "
             << oracle.max_invocations() << "\ntotal probes: " << oracle.total_invocations()
@@ -568,8 +533,8 @@ int cmd_resume(const io::Args& args) {
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
   apply_profiler_flags(args);
-  ObsSinks sinks;
-  sinks.open(args, inst);
+  const auto record = open_record_sink(args, inst);
+  const obs::RecordSink::Scope recording(record.get());
 
   billboard::ProbeOracle oracle(inst.matrix);
   billboard::Billboard board;
@@ -611,7 +576,6 @@ int cmd_resume(const io::Args& args) {
   }
   if (metrics_path.has_value()) write_metrics_snapshot(*metrics_path, oracle);
   write_profiler_artifacts(args);
-  sinks.finish();
 
   std::cout << "resumed from checkpoint seq " << ckpt.seq << " (cut at "
             << ckpt.cum_rounds << " rounds)\nrounds (max probes/player): "
@@ -965,22 +929,13 @@ int cmd_serve(const io::Args& args) {
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
   apply_profiler_flags(args);
 
-  // Live-observability stack, outermost first: optional exemplar
-  // tracer, optional SLO watchdog, optional telemetry exporter over
-  // both. The exporter snapshots the metrics registry, so --telemetry
-  // implies enabling it (otherwise every snapshot would be empty).
+  // Live-observability stack, outermost first: optional SLO watchdog,
+  // optional telemetry exporter over it. The exporter snapshots the
+  // metrics registry, so --telemetry implies enabling it (otherwise
+  // every snapshot would be empty).
   const auto telemetry_path = args.get("telemetry");
   if (!telemetry_path.has_value() && args.get("telemetry-every").has_value()) {
     throw std::invalid_argument("--telemetry-every requires --telemetry");
-  }
-  // tmwia-lint: allow(durable-write) streaming exemplar-trace sink, not a one-shot artifact
-  std::ofstream trace_out;
-  std::unique_ptr<obs::Tracer> tracer;
-  if (const auto trace_path = args.get("trace"); trace_path.has_value()) {
-    trace_out.open(*trace_path);
-    if (!trace_out) throw std::runtime_error("cannot open --trace file");
-    tracer = std::make_unique<obs::Tracer>(trace_out);
-    obs::set_tracer(tracer.get());
   }
   std::unique_ptr<obs::SloWatchdog> watchdog;
   if (const auto spec = args.get("slo"); spec.has_value()) {
@@ -998,8 +953,7 @@ int cmd_serve(const io::Args& args) {
     tcfg.every = static_cast<std::size_t>(args.get_int("telemetry-every", 64));
     if (tcfg.every == 0) throw std::invalid_argument("--telemetry-every must be >= 1");
     telemetry = std::make_unique<obs::TelemetryExporter>(
-        tcfg, obs::MetricsRegistry::global(), &obs::Profiler::global(), watchdog.get(),
-        tracer.get());
+        tcfg, obs::MetricsRegistry::global(), &obs::Profiler::global(), watchdog.get());
   }
 
   const auto req_path = require(args, "requests");
@@ -1066,11 +1020,6 @@ int cmd_serve(const io::Args& args) {
     // so --slo still judges the session.
     (void)watchdog->evaluate(0);
   }
-  if (tracer != nullptr) {
-    obs::set_tracer(nullptr);
-    tracer->flush();
-  }
-
   if (metrics_path.has_value()) {
     write_text_artifact(*metrics_path, obs::MetricsRegistry::global().snapshot().to_json());
   }
