@@ -1,5 +1,4 @@
 // tmwia-lint: allow-file(raw-io) bench harness: best-effort stderr warnings on sink-file open failure.
-// tmwia-lint: allow-file(sink-registration) bench harness is a sink owner: it installs the --record sink.
 // Shared helpers for the experiment harnesses (bench/e*_*.cpp).
 //
 // Every experiment binary:
@@ -19,10 +18,10 @@
 #include <sstream>
 #include <memory>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/core/session.hpp"
@@ -89,6 +88,9 @@ inline std::string default_json_path(const std::string& name) {
 ///                   under $TMWIA_BENCH_DIR when that is set)
 ///   --metrics=FILE  final global-registry snapshot as one-line JSON
 ///   --record=FILE   flight-recorder event log (see `tmwia_cli inspect`)
+///                   of the runs whose oracle the bench passes to
+///                   attach(); e17/e18, whose runs happen inside serve
+///                   tenants that own their logs, reject it
 ///   --record-format=jsonl|binary   recorder wire format
 ///   --threads=N     global thread-pool size (0 = hardware)
 ///   --kernel=B      distance-kernel backend: scalar|avx2|avx512|auto
@@ -127,7 +129,6 @@ class BenchReport {
     if (const auto record_path = args.get("record"); record_path.has_value()) {
       try {
         record_ = std::make_unique<obs::RecordSink>(*record_path, *fmt);
-        recording_.emplace(record_.get());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "warning: %s\n", e.what());
       }
@@ -139,6 +140,15 @@ class BenchReport {
   /// for the run).
   void record_truth(const matrix::PreferenceMatrix& truth) {
     if (record_ != nullptr) record_->recorder().set_output_evaluator(make_truth_evaluator(truth));
+  }
+
+  /// Attach the --record sink to a run's oracle and, when the run has
+  /// one, its billboard. Call at every oracle the bench builds, before
+  /// its first probe; without --record this does nothing.
+  void attach(billboard::ProbeOracle& oracle, billboard::Billboard* board = nullptr) {
+    if (record_ == nullptr) return;
+    oracle.set_recorder(&record_->recorder());
+    if (board != nullptr) board->set_recorder(&record_->recorder());
   }
 
   BenchReport(const BenchReport&) = delete;
@@ -156,7 +166,6 @@ class BenchReport {
     const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - start_)
                              .count();
-    recording_.reset();
     record_.reset();  // flushes and closes the log
     if (!metrics_path_.empty()) {
       try {
@@ -204,7 +213,6 @@ class BenchReport {
   std::chrono::steady_clock::time_point start_;
   std::map<std::string, double> metrics_;
   std::unique_ptr<obs::RecordSink> record_;
-  std::optional<obs::RecordSink::Scope> recording_;  ///< after record_: closes first
 };
 
 /// If the harness was invoked with --csv=DIR, mirror `table` to

@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
                    {"solo budget m"}});
 
   billboard::ProbeOracle oracle(inst.matrix);
+  report.attach(oracle);
   const auto players = bench::iota_players(n);
   const auto objects = bench::iota_objects(n);
   const auto before = oracle.snapshot();

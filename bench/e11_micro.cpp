@@ -1,5 +1,4 @@
 // tmwia-lint: allow-file(raw-io) bench main: prints its experiment table to stdout.
-// tmwia-lint: allow-file(sink-registration) e11 prices the recorder itself, so it owns a throwaway sink.
 // E11 — google-benchmark microbenchmarks of the substrates: the
 // popcount Hamming kernels, vote tallying, random partitions, Coalesce,
 // the truncated SVD and the parallel_for engine. These quantify the
@@ -206,18 +205,20 @@ void BM_ProbeOracle(benchmark::State& state) {
 BENCHMARK(BM_ProbeOracle);
 
 // The raw cost of one flight-recorder probe record point: Arg 0 is the
-// disabled fast path (one relaxed load of the null recorder slot),
-// Arg 1 the staged owner-write append while recording. The stage is
-// drained (and the sink discarded) off the clock every 64k events so
-// the loop measures the append, not an overflowing buffer.
+// disabled fast path (a null FlightRecorder* test, as ProbeOracle's
+// recorder member), Arg 1 the staged owner-write append while
+// recording. The stage is drained (and the sink discarded) off the
+// clock every 64k events so the loop measures the append, not an
+// overflowing buffer.
 void BM_RecorderProbe(benchmark::State& state) {
   std::ostringstream sink;
   obs::FlightRecorder rec(sink, obs::RecordFormat::kJsonl);
   rec.run_begin("bench", 0.5, 1, 1);
-  if (state.range(0) != 0) obs::set_recorder(&rec);
+  obs::FlightRecorder* attached = state.range(0) != 0 ? &rec : nullptr;
   std::uint64_t inv = 0;
   for (auto _ : state) {
-    if (auto* r = obs::recorder()) r->probe(0, 0, true, inv);
+    benchmark::DoNotOptimize(attached);  // reloaded every probe, like the member
+    if (attached != nullptr) attached->probe(0, 0, true, inv);
     benchmark::DoNotOptimize(inv);
     if ((++inv & 0xFFFF) == 0) {
       state.PauseTiming();
@@ -226,7 +227,6 @@ void BM_RecorderProbe(benchmark::State& state) {
       state.ResumeTiming();
     }
   }
-  obs::set_recorder(nullptr);
 }
 BENCHMARK(BM_RecorderProbe)->Arg(0)->Arg(1);
 
@@ -267,10 +267,10 @@ double select_workload_ms(std::size_t iters) {
 
 /// The same Select workload with the flight-recorder record point spliced
 /// into the probe lambda — exactly the hook the ProbeOracle carries.
-/// With the recorder slot null this prices the *disabled* path (one
-/// relaxed load + untaken branch per probe) against select_workload_ms;
-/// with a recorder attached it prices full recording.
-double select_workload_hooked_ms(std::size_t iters) {
+/// With `rec` null this prices the *disabled* path (one pointer load +
+/// untaken branch per probe) against select_workload_ms; with a
+/// recorder it prices full recording.
+double select_workload_hooked_ms(std::size_t iters, obs::FlightRecorder* rec) {
   rng::Rng rng(11);
   const auto truth = matrix::random_vector(512, rng);
   std::vector<bits::BitVector> cands;
@@ -278,11 +278,12 @@ double select_workload_hooked_ms(std::size_t iters) {
   for (std::size_t i = 1; i < 8; ++i) cands.push_back(matrix::random_vector(512, rng));
   std::size_t sink = 0;
   std::uint64_t inv = 0;
+  benchmark::DoNotOptimize(rec);  // the null is a runtime value, as in the oracle
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t it = 0; it < iters; ++it) {
     const auto res = core::select_closest(cands, 3, [&](std::uint32_t j) {
       const bool v = truth.get(j);
-      if (auto* r = obs::recorder()) r->probe(0, j, v, inv++);
+      if (rec != nullptr) rec->probe(0, j, v, inv++);
       return v;
     });
     sink += res.index + res.probes;
@@ -341,20 +342,19 @@ int main(int argc, char** argv) {
   report.metric("select_ms_metrics_on", on_ms);
   report.metric("metrics_overhead_pct", overhead_pct);
 
-  // Same drill for the flight recorder. The budget from ISSUE/DESIGN is
-  // on the *disabled* path: the record point compiled into every probe
-  // site (one relaxed load of the null recorder slot + an untaken
-  // branch) must cost <= 5% on the Select workload. That is what we
-  // gate: plain workload vs. hooked workload with no recorder attached.
-  // Full recording of every probe is real work, not a fast path — it is
+  // Same drill for the flight recorder. The budget from DESIGN is on
+  // the *disabled* path: the record point compiled into every probe
+  // site (one load of the null recorder pointer + an untaken branch)
+  // must cost <= 5% on the Select workload. That is what we gate: plain
+  // workload vs. hooked workload with no recorder attached. Full
+  // recording of every probe is real work, not a fast path — it is
   // reported (recorder_enabled_pct) but ungated.
-  obs::set_recorder(nullptr);
-  select_workload_hooked_ms(iters / 4);  // warm-up
+  select_workload_hooked_ms(iters / 4, nullptr);  // warm-up
   double rec_base_ms = 1e300;
   double rec_null_ms = 1e300;
   for (int rep = 0; rep < 7; ++rep) {
     rec_base_ms = std::min(rec_base_ms, select_workload_ms(iters));
-    rec_null_ms = std::min(rec_null_ms, select_workload_hooked_ms(iters));
+    rec_null_ms = std::min(rec_null_ms, select_workload_hooked_ms(iters, nullptr));
   }
   const double rec_overhead_pct = (rec_null_ms / rec_base_ms - 1.0) * 100.0;
 
@@ -364,9 +364,7 @@ int main(int argc, char** argv) {
   const std::size_t rec_iters = std::max<std::size_t>(1, iters / 4);
   double rec_on_ms = 1e300;
   for (int rep = 0; rep < 5; ++rep) {
-    obs::set_recorder(&rec);
-    rec_on_ms = std::min(rec_on_ms, select_workload_hooked_ms(rec_iters));
-    obs::set_recorder(nullptr);
+    rec_on_ms = std::min(rec_on_ms, select_workload_hooked_ms(rec_iters, &rec));
     rec.note("drain", static_cast<std::uint64_t>(rep), 0);
     rec_sink.str("");
   }

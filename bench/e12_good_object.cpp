@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
       for (matrix::PlayerId p = 0; p < n; ++p) mat.set_value(p, shared, true);
 
       billboard::ProbeOracle oracle(mat);
+      report.attach(oracle);
       const auto res = core::good_object(oracle, {}, rng::Rng(seed ^ (t + n)));
       probes.add(static_cast<double>(res.total_probes));
       rounds.add(static_cast<double>(res.rounds));

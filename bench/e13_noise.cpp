@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
     {
       billboard::ProbeOracle oracle(inst.matrix,
                                     billboard::NoiseModel::sticky(eps, seed * 3 + 1));
+      report.attach(oracle);
       const auto out =
           core::zero_radius_bits(oracle, nullptr, bench::iota_players(n),
                                  bench::iota_objects(n), 1.0, params, rng::Rng(seed + 7));
@@ -60,6 +61,7 @@ int main(int argc, char** argv) {
     {
       billboard::ProbeOracle oracle(inst.matrix,
                                     billboard::NoiseModel::sticky(eps, seed * 3 + 1));
+      report.attach(oracle);
       const auto res = core::small_radius(oracle, nullptr, bench::iota_players(n),
                                           bench::iota_objects(n), 1.0, d_eff, params,
                                           rng::Rng(seed + 9), n);

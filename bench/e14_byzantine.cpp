@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   std::uint64_t clean_probes = 0;
   {
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     core::BitSpace space(oracle, nullptr);
     (void)core::zero_radius(space, players, objects, alpha, params, rng::Rng(seed + 1), n);
     clean_probes = oracle.total_invocations();
@@ -82,6 +83,7 @@ int main(int argc, char** argv) {
                                           static_cast<std::ptrdiff_t>(liar_count));
 
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     core::BitSpace space(oracle, nullptr);
     space.set_byzantine(liars, forged);
     const auto outputs =

@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
     max_D = std::max(max_D, D);
 
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     const auto run = core::find_preferences_unknown_d(oracle, nullptr, 0.5, params,
                                                       rng::Rng(seed ^ (epoch * 101)));
     if (epoch == 0) stale = run.outputs;

@@ -26,10 +26,11 @@ struct Outcome {
   faults::FaultReport report;
 };
 
-Outcome run_faulty(const matrix::Instance& inst, const faults::FaultPlan& plan,
-                   std::size_t D, std::uint64_t seed) {
+Outcome run_faulty(bench::BenchReport& report, const matrix::Instance& inst,
+                   const faults::FaultPlan& plan, std::size_t D, std::uint64_t seed) {
   billboard::ProbeOracle oracle(inst.matrix);
   billboard::Billboard board;
+  report.attach(oracle, &board);
   faults::FaultInjector injector(plan, inst.matrix.players());
   oracle.set_fault_injector(&injector);
 
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
     plan.crash_round_lo = 40;
     plan.crash_round_hi = 400;
     plan.probe_fail_rate = 0.02;
-    const auto out = run_faulty(inst, plan, D, seed + 2);
+    const auto out = run_faulty(report, inst, plan, D, seed + 2);
     // Gate: survivors stay within a generous constant-stretch envelope
     // (the no-fault practical profile sits well under 4).
     const bool row_ok = out.survivors > 0 && out.survivor_stretch <= 12.0;
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
     faults::FaultPlan plan;
     plan.seed = seed + 3;
     plan.post_drop_rate = rate;
-    const auto out = run_faulty(inst, plan, D, seed + 2);
+    const auto out = run_faulty(report, inst, plan, D, seed + 2);
     const bool row_ok = out.survivor_stretch <= 12.0;
     if (!row_ok) ok = false;
     drop_table.add_row({rate, static_cast<long long>(out.report.posts_dropped),

@@ -47,6 +47,12 @@ struct TenantUnderTest {
 
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
+  // Every run here happens inside a serve tenant, which owns its flight
+  // log (TenantConfig::record_path); --record would write nothing.
+  if (args.get("record").has_value()) {
+    std::fprintf(stderr, "error: --record is not supported: tenants own their flight logs\n");
+    return 2;
+  }
   bench::BenchReport report(args, "e17_serve");
 
   const auto requests = static_cast<std::uint64_t>(args.get_int("requests", 100000));

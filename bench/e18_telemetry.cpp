@@ -113,6 +113,12 @@ ArmResult run_arm(const WorkloadConfig& w, obs::TelemetryExporter* telemetry) {
 
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
+  // Every run here happens inside a serve tenant, which owns its flight
+  // log (TenantConfig::record_path); --record would write nothing.
+  if (args.get("record").has_value()) {
+    std::fprintf(stderr, "error: --record is not supported: tenants own their flight logs\n");
+    return 2;
+  }
   bench::BenchReport report(args, "e18_telemetry");
 
   WorkloadConfig w;

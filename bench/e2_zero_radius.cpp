@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
         rng::Rng gen(seed + t * 1000 + n + static_cast<std::size_t>(alpha * 100));
         auto inst = matrix::planted_community(n, n, {alpha, 0}, gen);
         billboard::ProbeOracle oracle(inst.matrix);
+        report.attach(oracle);
         const auto outputs = core::zero_radius_bits(
             oracle, nullptr, bench::iota_players(n), bench::iota_objects(n), alpha, params,
             rng::Rng(seed ^ (t * 77 + n)));
@@ -96,6 +97,7 @@ int main(int argc, char** argv) {
           rng::Rng gen(seed + 31 * t + static_cast<std::uint64_t>(leaf_c * 10));
           auto inst = matrix::planted_community(n, n, {alpha, 0}, gen);
           billboard::ProbeOracle oracle(inst.matrix);
+          report.attach(oracle);
           const auto outputs = core::zero_radius_bits(
               oracle, nullptr, bench::iota_players(n), bench::iota_objects(n), alpha, p,
               rng::Rng(seed ^ (t * 7 + static_cast<std::uint64_t>(vote * 100))));

@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
           1, inst.matrix.subset_diameter(inst.communities[0]));
       D_used = D;
       billboard::ProbeOracle oracle(inst.matrix);
+      report.attach(oracle);
       const auto res = core::small_radius(oracle, nullptr, bench::iota_players(n),
                                           bench::iota_objects(m), alpha, D, params,
                                           rng::Rng(seed ^ (t + radius * 31)), n);
@@ -82,6 +83,7 @@ int main(int argc, char** argv) {
     const auto D =
         std::max<std::size_t>(1, inst.matrix.subset_diameter(inst.communities[0]));
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     const auto res =
         core::small_radius(oracle, nullptr, bench::iota_players(n), bench::iota_objects(m),
                            alpha, D, params, rng::Rng(seed ^ 0x5a), n);

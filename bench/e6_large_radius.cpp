@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
       const auto D = inst.matrix.subset_diameter(inst.communities[0]);
       D_used = D;
       billboard::ProbeOracle oracle(inst.matrix);
+      report.attach(oracle);
       const auto res = core::large_radius(oracle, nullptr, bench::iota_players(c.n),
                                           bench::iota_objects(c.m), alpha, D, params,
                                           rng::Rng(seed ^ (t * 13 + c.radius)));

@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
     const auto d2 = inst.matrix.subset_diameter(inst.communities[1]);
 
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     const auto res = core::find_preferences_unknown_d(oracle, nullptr, 0.25, params,
                                                       rng::Rng(seed ^ n));
 

@@ -75,14 +75,15 @@ baselines::BaselineResult capped_solo(billboard::ProbeOracle& oracle, std::size_
   return res;
 }
 
-std::vector<Row> run_all(const matrix::Instance& inst, double alpha, std::size_t budget,
-                         std::uint64_t seed) {
+std::vector<Row> run_all(bench::BenchReport& report, const matrix::Instance& inst,
+                         double alpha, std::size_t budget, std::uint64_t seed) {
   std::vector<Row> rows;
   const auto params = core::Params::practical();
   const std::size_t m = inst.matrix.objects();
 
   {
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     const auto res =
         core::find_preferences_unknown_d(oracle, nullptr, alpha, params, rng::Rng(seed));
     rows.push_back({"tmwia (unknown D)", res.rounds, overall_mean_error(res.outputs, inst),
@@ -90,6 +91,7 @@ std::vector<Row> run_all(const matrix::Instance& inst, double alpha, std::size_t
   }
   {
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     const auto res = capped_solo(oracle, budget, rng::Rng(seed + 4));
     rows.push_back({"solo (budget-capped)", res.rounds,
                     overall_mean_error(res.outputs, inst),
@@ -97,6 +99,7 @@ std::vector<Row> run_all(const matrix::Instance& inst, double alpha, std::size_t
   }
   {
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     baselines::KnnParams kp;
     kp.probes_per_player = budget;
     kp.neighbours = 8;
@@ -106,6 +109,7 @@ std::vector<Row> run_all(const matrix::Instance& inst, double alpha, std::size_t
   }
   {
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     baselines::SvdParams sp;
     sp.sample_rate = static_cast<double>(budget) / static_cast<double>(m);
     // Fixed constant rank budget: the related work assumes a constant
@@ -120,6 +124,7 @@ std::vector<Row> run_all(const matrix::Instance& inst, double alpha, std::size_t
   }
   {
     billboard::ProbeOracle oracle(inst.matrix);
+    report.attach(oracle);
     const auto res = baselines::global_majority(oracle, budget, rng::Rng(seed + 3));
     rows.push_back({"global majority (budget)", res.rounds,
                     overall_mean_error(res.outputs, inst),
@@ -152,7 +157,7 @@ int main(int argc, char** argv) {
   // (a) The SVD-friendly control.
   rng::Rng gen_a(seed);
   const auto control = matrix::low_rank_model(n, m, 4, 0.005, gen_a);
-  const auto rows_a = run_all(control, 0.2, budget, seed + 100);
+  const auto rows_a = run_all(report, control, 0.2, budget, seed + 100);
   print_rows("E9a: low-rank control (4 clean types, 0.5% noise); one-shot budget m/8",
              rows_a, m);
 
@@ -164,7 +169,7 @@ int main(int argc, char** argv) {
   for (const auto& c : adversarial.communities) {
     d_max = std::max(d_max, adversarial.matrix.subset_diameter(c));
   }
-  const auto rows_b = run_all(adversarial, 0.09, budget, seed + 200);
+  const auto rows_b = run_all(report, adversarial, 0.09, budget, seed + 200);
   print_rows("E9b: adversarial diversity (8 communities, radius 6, 25% noise, D_max=" +
                  std::to_string(d_max) + "); one-shot budget m/8",
              rows_b, m);

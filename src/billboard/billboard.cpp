@@ -33,8 +33,8 @@ void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits:
   board_metrics().posts.inc();
   // Vector content is logged as (hash, size) — enough for the replayer
   // to distinguish posts without storing whole rows in the flight log.
-  if (auto* rec = obs::recorder()) {
-    rec->vector_post(static_cast<std::uint32_t>(p), channel, v.hash(), v.size());
+  if (recorder_ != nullptr) {
+    recorder_->vector_post(static_cast<std::uint32_t>(p), channel, v.hash(), v.size());
   }
   support::MutexLock lk(mu_);
   auto& ch = channels_[channel];
@@ -49,10 +49,10 @@ void Billboard::post_many(const std::string& channel, std::span<const matrix::Pl
   }
   if (players.empty()) return;
   board_metrics().posts.add(players.size());
-  if (auto* rec = obs::recorder()) {
+  if (recorder_ != nullptr) {
     for (std::size_t i = 0; i < players.size(); ++i) {
-      rec->vector_post(static_cast<std::uint32_t>(players[i]), channel, rows[i].hash(),
-                       rows[i].size());
+      recorder_->vector_post(static_cast<std::uint32_t>(players[i]), channel, rows[i].hash(),
+                             rows[i].size());
     }
   }
   support::MutexLock lk(mu_);
@@ -113,7 +113,6 @@ void Billboard::consolidate(Channel& ch) const {
   ch.posted = std::move(posted);
   ch.rank = bits::RankSelect(ch.posted);
   ch.rows = std::move(rows);
-  ch.indexed_version = ch.version;
 }
 
 std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
@@ -210,19 +209,7 @@ Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
 
 void Billboard::clear(const std::string& channel) {
   support::MutexLock lk(mu_);
-  const auto it = channels_.find(channel);
-  if (it == channels_.end()) return;
-  // Keep the entry so the epoch survives name recycling.
-  auto& ch = it->second;
-  ch.pending.clear();
-  ch.posted = bits::BitVector();
-  ch.rank = bits::RankSelect();
-  ch.rows.clear();
-  ch.tally_valid = false;
-  ch.tally_cache.clear();
-  ++ch.version;
-  ch.indexed_version = ch.version;
-  ++ch.epoch;
+  channels_.erase(channel);
 }
 
 std::size_t Billboard::total_posts() const {
@@ -241,7 +228,7 @@ std::vector<Billboard::ChannelDump> Billboard::export_posts() const {
   out.reserve(channels_.size());
   for (auto& [name, ch] : channels_) {
     consolidate(ch);
-    if (ch.rows.empty()) continue;  // cleared channels keep only their epoch
+    if (ch.rows.empty()) continue;  // a restored empty channel has nothing to dump
     ChannelDump dump;
     dump.channel = name;
     const auto players = ch.rank.one_positions();

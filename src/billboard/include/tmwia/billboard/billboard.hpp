@@ -31,6 +31,10 @@
 #include "tmwia/matrix/ids.hpp"
 #include "tmwia/support/thread_annotations.hpp"
 
+namespace tmwia::obs {
+class FlightRecorder;
+}  // namespace tmwia::obs
+
 namespace tmwia::billboard {
 
 /// A vector together with how many players posted exactly it.
@@ -48,6 +52,13 @@ std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
 
 class Billboard {
  public:
+  /// Attach the flight recorder that logs this board's vector posts
+  /// (one vector_post record per post). Attach before the first post;
+  /// the recorder must outlive the board's use; nullptr (the default)
+  /// records nothing.
+  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
+  [[nodiscard]] obs::FlightRecorder* recorder() const { return recorder_; }
+
   /// Player p posts vector v on `channel` (overwrites p's previous post
   /// on that channel, as a player has one current opinion per channel).
   /// O(1): appends to the channel's pending log.
@@ -85,9 +96,8 @@ class Billboard {
   };
   [[nodiscard]] ChannelView snapshot(const std::string& channel) const;
 
-  /// Drop a channel's posts (phases recycle channel names). Bumps the
-  /// channel epoch: a later post under the same name starts a fresh
-  /// index.
+  /// Drop a channel and its posts (phases recycle channel names): a
+  /// later post under the same name starts a fresh channel.
   void clear(const std::string& channel);
 
   /// Total posts across all channels (diagnostics).
@@ -107,8 +117,7 @@ class Billboard {
 
  private:
   struct Channel {
-    std::uint64_t version = 0;  ///< bumped on every post and clear
-    std::uint64_t epoch = 0;    ///< bumped on clear
+    std::uint64_t version = 0;  ///< bumped on every post
 
     // Appended by post(), merged into the index by consolidate().
     std::vector<std::pair<matrix::PlayerId, bits::BitVector>> pending;
@@ -119,7 +128,6 @@ class Billboard {
     bits::BitVector posted;
     bits::RankSelect rank;
     std::vector<bits::BitVector> rows;
-    std::uint64_t indexed_version = 0;  ///< version `posted`/`rank`/`rows` reflect
 
     // popular() result memo for the polling pattern.
     std::uint64_t tally_version = 0;
@@ -133,6 +141,7 @@ class Billboard {
   /// always an element of channels_, hence the capability requirement.
   void consolidate(Channel& ch) const TMWIA_REQUIRES(mu_);
 
+  obs::FlightRecorder* recorder_ = nullptr;  ///< set before the first post, then read-only
   mutable support::Mutex mu_;
   mutable std::unordered_map<std::string, Channel> channels_ TMWIA_GUARDED_BY(mu_);
 };

@@ -72,6 +72,15 @@ class ProbeOracle {
   void set_fault_injector(faults::FaultInjector* injector) { injector_ = injector; }
   [[nodiscard]] faults::FaultInjector* fault_injector() const { return injector_; }
 
+  /// Attach the flight recorder that logs this run. Probes, failed
+  /// probes, crashes and degradations are recorded to it, and the
+  /// RoundScheduler and the tower entry points read it from here (the
+  /// scheduler hands it to its billboard). Attach before the first
+  /// probe so the log covers the whole run. The recorder must outlive
+  /// the oracle's use; nullptr (the default) records nothing.
+  void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
+  [[nodiscard]] obs::FlightRecorder* recorder() const { return recorder_; }
+
 #if TMWIA_AUDIT
   /// Attach a ProtocolAuditor: probes, result reads and (through the
   /// RoundScheduler) posts are reported to it so the paper's billboard
@@ -107,7 +116,7 @@ class ProbeOracle {
     }
     const bool value = noisy_read(p, o, inv);
     values_[p].set(o, value);
-    if (auto* rec = obs::recorder()) rec->probe(p, o, value, inv);
+    if (recorder_ != nullptr) recorder_->probe(p, o, value, inv);
     return value;
   }
 
@@ -141,7 +150,7 @@ class ProbeOracle {
     invocations_[p].store(inv0 + n, std::memory_order_relaxed);
     auto& probed = probed_[p];
     auto& values = values_[p];
-    auto* rec = obs::recorder();
+    auto* rec = recorder_;
     const bool noisy = noise_.kind != NoiseModel::Kind::kNone;
     const auto& truth_row = truth_->row(p);
     std::uint64_t newly_charged = 0;
@@ -286,6 +295,7 @@ class ProbeOracle {
   const matrix::PreferenceMatrix* truth_;
   NoiseModel noise_;
   faults::FaultInjector* injector_ = nullptr;
+  obs::FlightRecorder* recorder_ = nullptr;
 #if TMWIA_AUDIT
   ProtocolAuditor* auditor_ = nullptr;
 #endif

@@ -1,7 +1,6 @@
 #include "tmwia/billboard/probe_oracle.hpp"
 
 #include "tmwia/billboard/protocol_auditor.hpp"
-#include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/metrics.hpp"
 
 // Audit hooks compile to nothing when TMWIA_AUDIT is 0; with hooks
@@ -62,7 +61,7 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
     switch (injector_->on_probe_attempt(p)) {
       case faults::FaultInjector::Attempt::kCrashed:
         oracle_metrics().crashes.inc();
-        if (auto* rec = obs::recorder()) rec->crashed(p);
+        if (recorder_ != nullptr) recorder_->crashed(p);
         throw faults::PlayerCrashedError(p);
       case faults::FaultInjector::Attempt::kFail: {
         // The probe was sent and the round spent; only the result is
@@ -70,7 +69,7 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
         const auto failed_inv = bump(invocations_[p]);
         TMWIA_AUDIT_HOOK(on_probe_attempt(p));
         oracle_metrics().failures.inc();
-        if (auto* rec = obs::recorder()) rec->probe_failed(p, o, failed_inv);
+        if (recorder_ != nullptr) recorder_->probe_failed(p, o, failed_inv);
         throw faults::ProbeFailedError(p, o);
       }
       case faults::FaultInjector::Attempt::kOk:
@@ -86,7 +85,7 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
   const bool value = noisy_read(p, o, inv);
   values_[p].set(o, value);
   TMWIA_AUDIT_HOOK(on_probe(p, o));
-  if (auto* rec = obs::recorder()) rec->probe(p, o, value, inv);
+  if (recorder_ != nullptr) recorder_->probe(p, o, value, inv);
   return value;
 }
 
@@ -115,7 +114,7 @@ bool ProbeOracle::probe_resilient_slow(PlayerId p, ObjectId o) {
   if (!injector_->is_down(p)) {
     injector_->mark_degraded(p);
     oracle_metrics().degraded.inc();
-    if (auto* rec = obs::recorder()) rec->degraded(p);
+    if (recorder_ != nullptr) recorder_->degraded(p);
   }
   injector_->note_fallback_read(p);
   oracle_metrics().fallback_reads.inc();

@@ -49,7 +49,10 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
   auto* auditor = oracle_->auditor();
 #endif
   const auto& metrics = scheduler_metrics();
-  auto* rec = obs::recorder();
+  // The board this scheduler owns logs its vector posts to the same
+  // recorder as the oracle it drives.
+  auto* rec = oracle_->recorder();
+  board_.set_recorder(rec);
   const auto inv_before = oracle_->snapshot();
   const auto total_before = oracle_->total_invocations();
   if (rec != nullptr) {

@@ -56,7 +56,7 @@ void finalize_report(RunReport& res, const billboard::ProbeOracle& oracle) {
 }
 
 /// Append a timeline checkpoint to the report and, when a recorder is
-/// installed, emit the matching phase_summary record (whose evaluator
+/// attached, emit the matching phase_summary record (whose evaluator
 /// — if the harness set one — supplies the discrepancy fields).
 void record_checkpoint(RunReport& res, obs::FlightRecorder* rec, std::string_view label,
                        const std::vector<bits::BitVector>& outputs, std::uint64_t cum_rounds,
@@ -146,7 +146,7 @@ RunReport find_preferences(billboard::ProbeOracle& oracle, billboard::Billboard*
                : D <= small_cutoff ? Branch::kSmallRadius
                                    : Branch::kLargeRadius;
   const std::string phase_label = std::string("fp:") + branch_name(res.branch);
-  auto* rec = obs::recorder();
+  auto* rec = oracle.recorder();
   if (rec != nullptr) rec->run_begin(phase_label, alpha, players.size(), objects.size(), D);
 
   {
@@ -199,7 +199,7 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
   const std::size_t m = objects.size();
 
   obs::ProfileZone prof_zone("unknown_d");
-  auto* rec = obs::recorder();
+  auto* rec = oracle.recorder();
 
   RunReport res;
   std::vector<std::vector<bits::BitVector>> versions;
@@ -386,9 +386,7 @@ RunReport resume_unknown_d(billboard::ProbeOracle& oracle, billboard::Billboard*
     reg.set_enabled(true);
     reg.restore(ckpt.metrics);
   }
-  if (auto* rec = obs::recorder()) {
-    rec->resume_run(oracle.players(), ckpt.recorder_clock);
-  }
+  if (auto* rec = oracle.recorder()) rec->resume_run(oracle.players(), ckpt.recorder_clock);
 
   return unknown_d_impl(oracle, board, ckpt.alpha, params,
                         rng::Rng::from_state(ckpt.rng_state), &policy, &ckpt);
@@ -420,7 +418,7 @@ RunReport anytime(billboard::ProbeOracle& oracle, billboard::Billboard* board,
   const auto probes_before = oracle.total_invocations();
 
   obs::ProfileZone prof_zone("anytime");
-  auto* rec = obs::recorder();
+  auto* rec = oracle.recorder();
   if (rec != nullptr) rec->run_begin("anytime", 1.0, players.size(), objects.size());
 
   RunReport res;

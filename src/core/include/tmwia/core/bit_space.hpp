@@ -92,6 +92,8 @@ class BitSpace {
   }
 
   [[nodiscard]] billboard::ProbeOracle& oracle() { return *oracle_; }
+  /// The oracle's flight recorder (Zero Radius notes its adopt votes).
+  [[nodiscard]] obs::FlightRecorder* recorder() const { return oracle_->recorder(); }
 
   /// Mark players as Byzantine: from now on, whatever they *publish*
   /// into a vote (Zero Radius step 4) is replaced by the projection of

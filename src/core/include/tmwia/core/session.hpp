@@ -8,7 +8,9 @@
 // that the lower-level API makes the caller wire by hand, plus the
 // observability sinks: `.metrics_sink(path)` writes the final
 // MetricsRegistry snapshot as JSON after each run, `.record_sink(path)`
-// streams the run's flight log.
+// streams the flight log of this session's runs — its recorder is
+// attached to this session's oracle and billboard only, so Sessions
+// alive side by side never write into each other's logs.
 //
 // Configuration is builder-style and must happen before the first
 // run*() call (the oracle and sinks are built lazily at that point);
@@ -119,8 +121,7 @@ class Session {
   std::unique_ptr<billboard::ProbeOracle> oracle_;
   std::unique_ptr<billboard::Billboard> board_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  struct Recording;  ///< the record sink, installed from build() on
-  std::unique_ptr<Recording> recording_;
+  std::unique_ptr<obs::RecordSink> record_;  ///< attached to oracle_/board_ from build() on
 };
 
 }  // namespace tmwia

@@ -21,12 +21,19 @@
 //   (optional) typename Space::Row  — packed row representation; when
 //                                     it is bits::BitVector the whole
 //                                     recursion runs word-parallel
-//                                     (leaf rows, votes, Select-0,
-//                                     publishes) instead of on byte
-//                                     vectors. Values must be 0/1.
-//   (optional) void publish(std::string_view channel, PlayerId,
-//                           const Row& | std::span<const Value>)
-//                                   — mirror posts to a billboard
+//                                     (leaf rows, votes, Select-0)
+//                                     instead of on byte vectors.
+//                                     Values must be 0/1. A packed
+//                                     space also provides
+//       void probe_row(PlayerId, std::span<const uint32_t>, Row&)
+//                                   — one batched leaf row of probes
+//       void publish_rows(std::string_view channel,
+//                         std::span<const PlayerId>, std::span<const Row>)
+//                                   — mirror a node's outputs to a
+//                                     billboard
+//   (optional) obs::FlightRecorder* recorder()
+//                                   — the recorder of the run being
+//                                     probed; receives the zr.adopt notes
 #pragma once
 
 #include <algorithm>
@@ -104,19 +111,13 @@ struct RowTraits<Space, std::void_t<typename Space::Row>> {
   using Row = typename Space::Row;
   static_assert(std::is_same_v<Row, bits::BitVector>,
                 "packed Zero Radius rows must be bits::BitVector");
+  static_assert(requires(Space& s, PlayerId p, std::span<const std::uint32_t> objs, Row& row,
+                         std::span<const PlayerId> ps, std::span<const Row> rows) {
+                  s.probe_row(p, objs, row);
+                  s.publish_rows(std::string_view{}, ps, rows);
+                },
+                "a packed Zero Radius space provides probe_row and publish_rows");
 };
-
-template <typename Space>
-typename RowTraits<Space>::Row::value_type row_value_type_probe();  // unused, doc only
-
-template <typename Space, typename Row, typename Value>
-void row_set(Row& row, std::size_t j, Value v) {
-  if constexpr (RowTraits<Space>::packed) {
-    row.set(j, v != Value{0});
-  } else {
-    row[j] = v;
-  }
-}
 
 template <typename Space, typename Row>
 int row_cmp(const Row& a, const Row& b) {
@@ -173,19 +174,6 @@ bool space_faults_active(Space& space) {
   }
 }
 
-/// Whether the space's corrupt_posts hook would rewrite anything right
-/// now. Only meaningful when the hook exists (the caller gates on
-/// that); a space without the activity query is assumed to rewrite.
-template <typename Space>
-bool space_corrupts_posts(Space& space) {
-  if constexpr (requires { { space.corrupts_posts() } -> std::convertible_to<bool>; }) {
-    return space.corrupts_posts();
-  } else {
-    (void)space;
-    return true;
-  }
-}
-
 template <typename Space>
 void space_note_orphan(Space& space, PlayerId p) {
   if constexpr (requires { space.note_orphan(p); }) {
@@ -193,6 +181,19 @@ void space_note_orphan(Space& space, PlayerId p) {
   } else {
     (void)space;
     (void)p;
+  }
+}
+
+/// The flight recorder of the run the space probes for (BitSpace and
+/// Large Radius's VirtualSpace hand out their oracle's); null for a
+/// space without one.
+template <typename Space>
+obs::FlightRecorder* space_recorder(Space& space) {
+  if constexpr (requires { { space.recorder() } -> std::convertible_to<obs::FlightRecorder*>; }) {
+    return space.recorder();
+  } else {
+    (void)space;
+    return nullptr;
   }
 }
 
@@ -378,31 +379,13 @@ struct ZeroRadiusRun {
       // they are excluded from votes higher up).
       engine::parallel_for(0, players.size(), [&](std::size_t i) {
         if (space_is_failed(space, players[i])) return;
-        if constexpr (requires {
-                        space.probe_row(players[i], std::span<const std::uint32_t>(objects),
-                                        out[i]);
-                      }) {
-          // Space exposes a batched row probe (BitSpace → oracle
-          // probe_block): one call per leaf row instead of one per bit.
+        if constexpr (RowTraits<Space>::packed) {
+          // Batched row probe (BitSpace → oracle probe_block): one call
+          // per leaf row instead of one per bit.
           space.probe_row(players[i], std::span<const std::uint32_t>(objects), out[i]);
-        } else if constexpr (RowTraits<Space>::packed) {
-          // Pack 64 probe results into a word before touching the row:
-          // one store per word instead of a read-modify-write per bit
-          // (leaves run millions of times; this loop is the single
-          // hottest site in the Small Radius experiments).
-          std::uint64_t word = 0;
-          for (std::size_t j = 0; j < objects.size(); ++j) {
-            word |= static_cast<std::uint64_t>(space.probe(players[i], objects[j]))
-                    << (j % 64);
-            if (j % 64 == 63) {
-              out[i].set_word(j / 64, word);
-              word = 0;
-            }
-          }
-          if (objects.size() % 64 != 0) out[i].set_word(objects.size() / 64, word);
         } else {
           for (std::size_t j = 0; j < objects.size(); ++j) {
-            row_set<Space>(out[i], j, space.probe(players[i], objects[j]));
+            out[i][j] = space.probe(players[i], objects[j]);
           }
         }
       });
@@ -513,14 +496,15 @@ struct ZeroRadiusRun {
     // Both the rewrite and the survivor filter below mutate the post
     // list; the fault-free, honest run (the common case by far) needs
     // neither, so the posts are only copied when a fault injector or an
-    // active corrupter is present.
+    // active corrupter is present. A space with the hook also says
+    // whether it would rewrite anything right now (corrupts_posts).
     constexpr bool kHasCorrupt =
         requires(Space& s, const std::vector<PlayerId>& ps,
                  std::span<const std::uint32_t> objs, Outputs& posted) {
           s.corrupt_posts(ps, objs, posted);
         };
     bool mutate = space_faults_active(space);
-    if constexpr (kHasCorrupt) mutate = mutate || space_corrupts_posts(space);
+    if constexpr (kHasCorrupt) mutate = mutate || space.corrupts_posts();
 
     Outputs filtered;
     const Outputs* votable = &posts;
@@ -574,9 +558,7 @@ struct ZeroRadiusRun {
     // Community-size record per adoption vote — also a serial drain
     // point for the recorder's staged per-player probe events, keeping
     // staged memory bounded by one recursion node's worth of probes.
-    if (auto* rec = obs::recorder()) {
-      rec->note("zr.adopt", kept, candidates.size());
-    }
+    if (auto* rec = space_recorder(space)) rec->note("zr.adopt", kept, candidates.size());
     if (candidates.empty()) {
       // No surviving post at all: adopters keep defaults for this half.
       for (const PlayerId a : adopters) {
@@ -604,33 +586,17 @@ struct ZeroRadiusRun {
     }
   }
 
+  /// Mirror a node's outputs to the billboard. Only packed spaces
+  /// publish: one channel resolution and board lock per node (the
+  /// failed-player skip lives inside publish_rows).
   void publish_all(const std::vector<PlayerId>& players, const Outputs& out,
                    std::uint64_t node_tag) {
-    constexpr bool kPublishRow = requires(Space& s, PlayerId p, const Row& r) {
-      s.publish(std::string_view{}, p, r);
-    };
-    constexpr bool kPublishSpan = requires(Space& s, PlayerId p, std::span<const Value> v) {
-      s.publish(std::string_view{}, p, v);
-    };
-    if constexpr (kPublishRow || kPublishSpan) {
-      const std::string channel = "zr/" + std::to_string(node_tag);
-      if constexpr (requires {
-                      space.publish_rows(std::string_view{}, std::span<const PlayerId>(players),
-                                         std::span<const Row>(out));
-                    }) {
-        // Batched mirror: one channel resolution + board lock per node
-        // (the failed-player skip moves inside publish_rows).
-        space.publish_rows(channel, players, out);
-      } else {
-        for (std::size_t i = 0; i < players.size(); ++i) {
-          if (space_is_failed(space, players[i])) continue;  // nothing to post
-          if constexpr (kPublishRow) {
-            space.publish(channel, players[i], out[i]);
-          } else {
-            space.publish(channel, players[i], std::span<const Value>(out[i]));
-          }
-        }
-      }
+    if constexpr (RowTraits<Space>::packed) {
+      space.publish_rows("zr/" + std::to_string(node_tag), players, out);
+    } else {
+      (void)players;
+      (void)out;
+      (void)node_tag;
     }
   }
 };

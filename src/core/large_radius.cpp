@@ -53,6 +53,9 @@ class VirtualSpace {
     if (auto* inj = oracle_->fault_injector(); inj != nullptr) inj->note_orphan(p);
   }
   [[nodiscard]] bool faults_active() const { return oracle_->fault_injector() != nullptr; }
+  /// The virtual instance's adopt notes go to the primitive oracle's
+  /// recorder.
+  [[nodiscard]] obs::FlightRecorder* recorder() const { return oracle_->recorder(); }
 
  private:
   billboard::ProbeOracle* oracle_;
@@ -154,7 +157,7 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     auto co = coalesce(surviving, coalesce_D, min_ball, params.co_merge_mult);
     res.max_candidates = std::max(res.max_candidates, co.candidates.size());
     // Per-group coalesce record; serial drain point for the recorder.
-    if (auto* rec = obs::recorder()) {
+    if (auto* rec = oracle.recorder()) {
       rec->note("lr.group", surviving.size(), co.candidates.size());
     }
     group_candidates[l] = std::move(co.candidates);

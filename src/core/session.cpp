@@ -1,5 +1,4 @@
 // tmwia-lint: allow-file(matrix-read-in-strategy) harness side: see session.hpp.
-// tmwia-lint: allow-file(sink-registration) Session is a sink owner: it installs the artifact sinks the config asks for.
 #include "tmwia/core/session.hpp"
 
 #include <algorithm>
@@ -31,19 +30,6 @@ obs::FlightRecorder::OutputEvaluator make_truth_evaluator(
     return eval;
   };
 }
-
-/// The record sink, installed as the global recorder from build() until
-/// the session dies, with the truth-closing output evaluator so phase
-/// summaries carry discrepancy.
-struct Session::Recording {
-  Recording(const std::string& path, obs::RecordFormat format,
-            const matrix::PreferenceMatrix& truth)
-      : sink(path, format) {
-    sink.recorder().set_output_evaluator(make_truth_evaluator(truth));
-  }
-  obs::RecordSink sink;
-  obs::RecordSink::Scope installed{&sink};
-};
 
 Session::Session(const matrix::PreferenceMatrix& truth)
     : truth_(&truth), params_(core::Params::practical()) {}
@@ -132,7 +118,12 @@ void Session::build() {
   }
   if (!metrics_path_.empty()) obs::MetricsRegistry::global().set_enabled(true);
   if (!record_path_.empty()) {
-    recording_ = std::make_unique<Recording>(record_path_, record_format_, *truth_);
+    // Attached before the first probe and post, with the truth-closing
+    // evaluator so phase summaries carry discrepancy.
+    record_ = std::make_unique<obs::RecordSink>(record_path_, record_format_);
+    record_->recorder().set_output_evaluator(make_truth_evaluator(*truth_));
+    oracle_->set_recorder(&record_->recorder());
+    board_->set_recorder(&record_->recorder());
   }
 }
 
@@ -143,7 +134,7 @@ core::RunReport Session::finish(core::RunReport report) {
     out << report.metrics.to_json() << '\n';
     io::atomic_write_file(metrics_path_, out.str());
   }
-  if (recording_ != nullptr) recording_->sink.recorder().flush();
+  if (record_ != nullptr) record_->recorder().flush();
   ++run_index_;
   return report;
 }

@@ -87,7 +87,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       candidates.reserve(voted.size());
       for (const auto& vv : voted) candidates.push_back(vv.vec);
       // Per-part community size; serial drain point for the recorder.
-      if (auto* rec = obs::recorder()) {
+      if (auto* rec = oracle.recorder()) {
         rec->note("sr.part", votable.size(), candidates.size());
       }
 

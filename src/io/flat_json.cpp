@@ -141,30 +141,23 @@ std::string FlatJson::get_string(const std::string& key, const std::string& def)
   return v->text;
 }
 
-std::int64_t FlatJson::get_int(const std::string& key, std::int64_t def) const {
-  const auto* v = find(key);
-  if (v == nullptr || v->kind == Kind::kNull) return def;
-  if (v->kind != Kind::kNumber) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
-  }
-  std::size_t pos = 0;
-  const auto parsed = std::stoll(v->text, &pos);
-  if (pos != v->text.size()) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not an integer");
-  }
-  return parsed;
-}
-
 std::uint64_t FlatJson::get_u64(const std::string& key, std::uint64_t def) const {
   const auto* v = find(key);
   if (v == nullptr || v->kind == Kind::kNull) return def;
   if (v->kind != Kind::kNumber) {
     throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
   }
+  // std::stoull accepts a sign and wraps "-1" to 2^64-1: digits only.
   std::size_t pos = 0;
-  const auto parsed = std::stoull(v->text, &pos);
-  if (pos != v->text.size()) {
-    throw std::invalid_argument("flat json: field \"" + key + "\" is not an integer");
+  std::uint64_t parsed = 0;
+  try {
+    if (v->text[0] != '-' && v->text[0] != '+') parsed = std::stoull(v->text, &pos);
+  } catch (const std::exception&) {  // out of range, or no digits
+    pos = 0;
+  }
+  if (pos == 0 || pos != v->text.size()) {
+    throw std::invalid_argument("flat json: field \"" + key +
+                                "\" is not an unsigned 64-bit integer");
   }
   return parsed;
 }
@@ -175,7 +168,11 @@ double FlatJson::get_double(const std::string& key, double def) const {
   if (v->kind != Kind::kNumber) {
     throw std::invalid_argument("flat json: field \"" + key + "\" is not a number");
   }
-  return std::stod(v->text);
+  try {
+    return std::stod(v->text);
+  } catch (const std::exception&) {  // out of range, or no digits
+    throw std::invalid_argument("flat json: field \"" + key + "\" is not a finite number");
+  }
 }
 
 bool FlatJson::get_bool(const std::string& key, bool def) const {

@@ -32,10 +32,11 @@ class FlatJson {
 
   [[nodiscard]] bool has(const std::string& key) const;
 
-  /// Typed accessors with defaults. A present field of the wrong type
-  /// throws std::invalid_argument naming the key.
+  /// Typed accessors with defaults. A present field of the wrong type,
+  /// or a number its type cannot hold (a signed or out-of-range
+  /// get_u64, an overflowing get_double), throws std::invalid_argument
+  /// naming the key.
   [[nodiscard]] std::string get_string(const std::string& key, const std::string& def) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;

@@ -413,15 +413,6 @@ RecordSink::RecordSink(const std::string& path, RecordFormat format)
 
 RecordSink::~RecordSink() = default;
 
-RecordSink::Scope::Scope(RecordSink* sink)
-    : prev_(obs::recorder()), installed_(sink != nullptr) {
-  if (installed_) set_recorder(&sink->recorder_);
-}
-
-RecordSink::Scope::~Scope() {
-  if (installed_) set_recorder(prev_);
-}
-
 // ---------------------------------------------------------------------------
 // Reader
 

@@ -27,11 +27,14 @@
 // `overflow` record at the next drain, so a truncated log says so
 // instead of silently lying.
 //
-// Disabled recording is one relaxed atomic load per instrumented site
-// (the process-global recorder slot), so the hooks stay compiled in
+// A recorder belongs to the run it records: the harness attaches it to
+// that run's ProbeOracle and Billboard (ProbeOracle::set_recorder,
+// Billboard::set_recorder), and every record point reads it from an
+// object the run already holds. Disabled recording is one member load
+// and a null test per instrumented site, so the hooks stay compiled in
 // everywhere at ~zero cost — the same fast-path budget the metrics
 // layer is held to (bench/e11). Harnesses write logs to files through
-// RecordSink, the one owner of a log file and of its slot installation.
+// RecordSink, the one owner of a log file.
 //
 // Two wire formats behind one writer: JSONL (one object per record,
 // fixed key order, jq-able) and a compact binary framing (magic
@@ -244,25 +247,12 @@ class FlightRecorder {
   std::atomic<std::uint64_t> unstaged_dropped_{0};  ///< events before run_begin
 };
 
-/// Process-global recorder used by the library's built-in record
-/// points. Null (recording off) until a sink installs one; reading it
-/// is one relaxed atomic load — inline, because the probe hot path
-/// performs this check tens of millions of times per run.
-namespace detail {
-// tmwia-lint: allow(nonconst-global) the process-wide recorder slot itself; installed/cleared only by sink owners via set_recorder
-inline std::atomic<FlightRecorder*> g_recorder{nullptr};
-}  // namespace detail
-inline FlightRecorder* recorder() { return detail::g_recorder.load(std::memory_order_relaxed); }
-inline void set_recorder(FlightRecorder* r) {
-  detail::g_recorder.store(r, std::memory_order_release);
-}
-
 /// A flight-log file and the recorder writing it. Every harness that
 /// records (Session, tmwia_cli, the bench harness, serve tenants) goes
 /// through this one owner: it opens `path` in the format's mode, owns
-/// the stream and the recorder, and flushes when destroyed. The
-/// library's record points see the recorder only while a Scope has it
-/// installed.
+/// the stream and the recorder, and flushes when destroyed. The owner
+/// attaches recorder() to the oracle and billboard of each run it
+/// records; the sink must outlive their use.
 class RecordSink {
  public:
   /// Throws std::runtime_error when `path` cannot be opened.
@@ -273,23 +263,6 @@ class RecordSink {
   RecordSink& operator=(const RecordSink&) = delete;
 
   [[nodiscard]] FlightRecorder& recorder() { return recorder_; }
-
-  /// Installs a sink's recorder in the process-global slot for the
-  /// scope's lifetime, then restores whatever was installed before — a
-  /// serve tenant opens one per refinement epoch. A null sink installs
-  /// nothing. Scopes nest: close them in reverse order of opening.
-  class Scope {
-   public:
-    explicit Scope(RecordSink* sink);
-    ~Scope();
-
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    FlightRecorder* prev_;
-    bool installed_;
-  };
 
  private:
   std::unique_ptr<std::ostream> out_;

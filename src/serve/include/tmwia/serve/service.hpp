@@ -11,14 +11,14 @@
 //    therefore never mix two versions, which the per-epoch hash ledger
 //    (published_hash) lets tests and the e17 harness verify response by
 //    response.
-//  * One refiner runs epochs. refine() and the background refiner
-//    thread are serialized on a single service-wide mutex — epochs swap
-//    the process-global flight-recorder slot and drive engine
-//    parallel_for, so exactly one epoch may be in flight per process.
-//    The background refiner is a dedicated std::thread (never a pool
-//    task: pool tasks must not submit nested parallel_for) that
-//    round-robins one epoch per tenant until stopped or every tenant
-//    reaches its epoch cap.
+//  * Refiners run epochs. refine() and the background refiner thread
+//    serialize on each tenant's own lock: one tenant's epochs, snapshot
+//    and restore run one at a time, while two different tenants may
+//    refine at the same time (each records into its own oracle's
+//    recorder). The background refiner is a dedicated std::thread
+//    (never a pool task: pool tasks must not submit nested
+//    parallel_for) that round-robins one epoch per tenant until stopped
+//    or every tenant reaches its epoch cap.
 //
 // Request metrics land in the global MetricsRegistry under "serve.*"
 // (request-latency and staleness histograms, request/degraded
@@ -71,7 +71,7 @@ class RecommendationService {
   /// failures come back as ok=false responses.
   Response handle(const Request& req);
 
-  // ---- refinement (serialized service-wide) ------------------------
+  // ---- refinement (serialized per tenant) --------------------------
 
   /// Run one epoch for `tenant` and return the version now serving
   /// (the previous one if the epoch degraded). Throws
@@ -127,18 +127,13 @@ class RecommendationService {
   Entry* find(const std::string& name) TMWIA_EXCLUDES(mu_);
   void record_publish(Entry& entry, const CacheVersion& version) TMWIA_EXCLUDES(mu_);
   void observe(Entry& entry, const Response& r);
-  std::shared_ptr<const CacheVersion> refine_entry(Entry& entry) TMWIA_EXCLUDES(refine_mu_);
+  std::shared_ptr<const CacheVersion> refine_entry(Entry& entry);
   Response add_tenant_request(const Request& req);
   void refiner_loop(std::uint64_t max_epochs);
 
   /// Guards the tenant table and every Entry::hashes ledger.
   mutable support::Mutex mu_;
   std::map<std::string, std::unique_ptr<Entry>> tenants_ TMWIA_GUARDED_BY(mu_);
-
-  /// Serializes every refinement epoch across tenants (global recorder
-  /// slot + nested-parallel_for prohibition).
-  support::Mutex refine_mu_;
-  std::uint64_t epochs_run_ TMWIA_GUARDED_BY(refine_mu_) = 0;
 
   obs::MetricsRegistry::Counter requests_;
   obs::MetricsRegistry::Counter degraded_responses_;

@@ -12,9 +12,10 @@
 // deployment (the tmwia::Session contract, made permanent).
 //
 // Thread roles: refine_epoch()/save_snapshot()/restore_snapshot()/
-// audit() belong to the single refiner thread (the service serializes
-// them — also required because the record sink is installed in the
-// process-global recorder slot per epoch); cache()/epochs_started()/
+// audit() are serialized per tenant by refine_mu_, so one tenant's
+// epochs run one at a time while different tenants may refine
+// concurrently — each tenant's record sink is attached to its own
+// oracle and board, so their logs never mix. cache()/epochs_started()/
 // epochs_published()/degraded() are safe from any request thread.
 //
 // Degradation contract: an epoch that throws, or whose supervised run
@@ -103,7 +104,7 @@ class Tenant {
     return epochs_published_.load(std::memory_order_acquire);
   }
 
-  // ---- refiner-thread surface (serialized by the service) ----------
+  // ---- refiner surface (serialized per tenant by refine_mu_) --------
 
   /// Run one refinement epoch and, if healthy, publish a new cache
   /// version. Returns the version now being served (the previous one
@@ -165,7 +166,9 @@ class Tenant {
   bool sabotaged_this_session_ TMWIA_GUARDED_BY(refine_mu_) = false;
   std::function<void(const CacheVersion&)> publish_hook_ TMWIA_GUARDED_BY(refine_mu_);
 
-  std::unique_ptr<obs::RecordSink> record_;  ///< null without cfg_.record_path
+  /// Attached to oracle_ and board_ at construction; null without
+  /// cfg_.record_path.
+  std::unique_ptr<obs::RecordSink> record_;
 
   AnswerCache cache_;
   std::atomic<bool> degraded_{false};

@@ -1,6 +1,7 @@
 #include "tmwia/serve/protocol.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -88,7 +89,11 @@ Request parse_request(std::string_view line) {
     if (!j.has("player")) {
       throw std::invalid_argument("serve: op '" + req.op + "' requires field 'player'");
     }
-    req.player = static_cast<std::uint32_t>(j.get_u64("player", 0));
+    const auto player = j.get_u64("player", 0);
+    if (player > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument("serve: field 'player' exceeds the 32-bit player id range");
+    }
+    req.player = static_cast<std::uint32_t>(player);
     if (req.op == "recommend") req.k = static_cast<std::size_t>(j.get_u64("k", req.k));
   } else if (req.op == "snapshot" || req.op == "restore") {
     req.path = require_string(j, "path", req.op);

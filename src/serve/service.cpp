@@ -224,9 +224,7 @@ std::shared_ptr<const CacheVersion> RecommendationService::refine(const std::str
 std::shared_ptr<const CacheVersion> RecommendationService::refine_entry(Entry& entry) {
   // tmwia-lint: allow(metric-name-registry) per-tenant zone: "tenant:<name>"
   obs::ProfileZone zone("tenant:" + entry.tenant->name());
-  obs::profile_cost(obs::Cost::kLocks, 1);
-  support::MutexLock serial(refine_mu_);
-  ++epochs_run_;
+  obs::profile_cost(obs::Cost::kLocks, 1);  // the epoch takes the tenant's lock
   // The publish hook installed at add_tenant records (epoch, hash)
   // before the version is visible; nothing to record here.
   return entry.tenant->refine_epoch();
@@ -304,10 +302,8 @@ Response RecommendationService::handle(const Request& req) {
       Entry* e = find(req.tenant);
       if (e == nullptr) throw std::invalid_argument("serve: unknown tenant '" + req.tenant + "'");
       if (req.op == "snapshot") {
-        support::MutexLock serial(refine_mu_);
         e->tenant->save_snapshot(req.path);
       } else {
-        support::MutexLock serial(refine_mu_);
         e->tenant->restore_snapshot(req.path);
         const auto v = e->tenant->cache().current();
         r.has_view = true;

@@ -1,6 +1,4 @@
 // tmwia-lint: allow-file(serve-matrix-isolation) harness side: see tenant.hpp.
-// tmwia-lint: allow-file(sink-registration) the tenant is a sink owner: it installs its
-// per-tenant record sink into the global slot for the duration of each epoch.
 #include "tmwia/serve/tenant.hpp"
 
 #include <algorithm>
@@ -52,8 +50,11 @@ Tenant::Tenant(TenantConfig cfg, matrix::Instance inst)
   oracle_->set_auditor(auditor_.get());
 #endif
   if (!cfg_.record_path.empty()) {
+    // The tenant's log records its own oracle and board, every epoch.
     record_ = std::make_unique<obs::RecordSink>(cfg_.record_path);
     record_->recorder().set_output_evaluator(tmwia::make_truth_evaluator(inst_.matrix));
+    oracle_->set_recorder(&record_->recorder());
+    board_->set_recorder(&record_->recorder());
   }
 
   support::MutexLock lock(refine_mu_);
@@ -71,9 +72,6 @@ std::shared_ptr<const CacheVersion> Tenant::refine_epoch() {
     if (cfg_.sabotage_refine) {
       throw std::runtime_error("Tenant: refinement sabotaged (test hook)");
     }
-    // Epochs are serialized by the service, so the slot swap cannot
-    // race another tenant's.
-    const obs::RecordSink::Scope recording(record_.get());
     if (cfg_.algo == "mimic") {
       refine_mimic_locked(e);
     } else {

@@ -1,14 +1,15 @@
 // Tests for obs::FlightRecorder: JSONL wire shape, staged per-player
 // drain order (the --threads determinism mechanism), stage-cap overflow
 // accounting, binary/JSONL round-trip equivalence, nested run scopes,
-// the RecordSink file owner and its slot scopes, and an end-to-end
-// faulted run whose event stream reconciles with the run_end totals and
-// the RunReport timeline.
+// the RecordSink file owner, Sessions whose logs hold exactly their own
+// runs, and an end-to-end faulted run whose event stream reconciles
+// with the run_end totals and the RunReport timeline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,11 +20,10 @@
 #include "tmwia/billboard/round_scheduler.hpp"
 #include "tmwia/core/find_preferences.hpp"
 #include "tmwia/core/params.hpp"
+#include "tmwia/core/session.hpp"
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
-
-// tmwia-lint: allow-file(sink-registration) recorder unit tests construct their own sinks.
 
 namespace {
 
@@ -279,36 +279,25 @@ TEST(FlightRecorder, ReaderRejectsMalformedInput) {
 }
 
 /// RecordSink owns a log file: a binary log written through it parses
-/// with read_recorder_log, and closing a Scope restores the recorder
-/// installed before it — the per-epoch swap serve::Tenant relies on.
-TEST(FlightRecorder, RecordSinkScopeRestoresSlotAndBinaryLogParses) {
+/// with read_recorder_log, on one logical clock across run scopes.
+TEST(FlightRecorder, RecordSinkWritesParsableBinaryLog) {
   EXPECT_EQ(obs::parse_record_format("jsonl"), obs::RecordFormat::kJsonl);
   EXPECT_EQ(obs::parse_record_format("binary"), obs::RecordFormat::kBinary);
   EXPECT_FALSE(obs::parse_record_format("binry").has_value());
   EXPECT_THROW(obs::RecordSink(testing::TempDir() + "no-such-dir-tmwia/x.jsonl"),
                std::runtime_error);
 
-  const std::string outer_path = testing::TempDir() + "record_sink_outer.jsonl";
-  const std::string inner_path = testing::TempDir() + "record_sink_inner.bin";
-  ASSERT_EQ(obs::recorder(), nullptr);
+  const std::string path = testing::TempDir() + "record_sink.bin";
   {
-    obs::RecordSink outer(outer_path);
-    obs::RecordSink inner(inner_path, obs::RecordFormat::kBinary);
-    const obs::RecordSink::Scope outer_scope(&outer);
+    obs::RecordSink sink(path, obs::RecordFormat::kBinary);
     for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
-      const obs::RecordSink::Scope inner_scope(&inner);
-      ASSERT_EQ(obs::recorder(), &inner.recorder());
-      obs::recorder()->run_begin("epoch", 0.5, 2, 4);
-      obs::recorder()->probe(1, 3, true, epoch);
-      obs::recorder()->run_end("epoch", 1, 1);
+      sink.recorder().run_begin("epoch", 0.5, 2, 4);
+      sink.recorder().probe(1, 3, true, epoch);
+      sink.recorder().run_end("epoch", 1, 1);
     }
-    EXPECT_EQ(obs::recorder(), &outer.recorder());
-    const obs::RecordSink::Scope none(nullptr);  // a null sink installs nothing
-    EXPECT_EQ(obs::recorder(), &outer.recorder());
   }
-  EXPECT_EQ(obs::recorder(), nullptr);
 
-  std::ifstream in(inner_path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary);
   const auto log = obs::read_recorder_log(in);
   EXPECT_EQ(log.format, obs::RecordFormat::kBinary);
   ASSERT_EQ(log.events.size(), 6u);
@@ -316,8 +305,52 @@ TEST(FlightRecorder, RecordSinkScopeRestoresSlotAndBinaryLogParses) {
   EXPECT_EQ(log.events[4].kind, RecorderEvent::Kind::kProbe);
   EXPECT_EQ(log.events[4].b, 1u);  // the second epoch's probe
   EXPECT_EQ(log.events[5].t, 5u);  // one logical clock across both epochs
-  std::remove(outer_path.c_str());
-  std::remove(inner_path.c_str());
+  std::remove(path.c_str());
+}
+
+std::size_t run_begins_in(const std::string& path) {
+  std::ifstream in(path);
+  return events_of_kind(obs::read_recorder_log(in).events, RecorderEvent::Kind::kRunBegin)
+      .size();
+}
+
+/// A recording Session's log holds its own runs only: a non-recording
+/// Session running while it is alive writes nothing into it.
+TEST(Session, RecordingLogHoldsOnlyItsOwnRuns) {
+  rng::Rng gen(41);
+  const auto inst = matrix::planted_community(32, 32, {0.5, 0}, gen);
+  const std::string path = testing::TempDir() + "session_own_runs.jsonl";
+  {
+    Session recording(inst.matrix);
+    recording.record_sink(path);
+    (void)recording.run(0);
+    Session quiet(inst.matrix);
+    (void)quiet.run(0);
+  }
+  EXPECT_EQ(run_begins_in(path), 1u);
+  std::remove(path.c_str());
+}
+
+/// Two recording Sessions destroyed in creation order: each log holds
+/// every run its Session made, including b's run after a is destroyed.
+TEST(Session, RecordingsDestroyedInCreationOrderKeepEveryRun) {
+  rng::Rng gen(42);
+  const auto inst = matrix::planted_community(32, 32, {0.5, 0}, gen);
+  const std::string path_a = testing::TempDir() + "session_a.jsonl";
+  const std::string path_b = testing::TempDir() + "session_b.jsonl";
+  auto a = std::make_unique<Session>(inst.matrix);
+  a->record_sink(path_a);
+  (void)a->run(0);
+  auto b = std::make_unique<Session>(inst.matrix);
+  b->record_sink(path_b);
+  (void)b->run(0);
+  a.reset();
+  (void)b->run(0);
+  b.reset();
+  EXPECT_EQ(run_begins_in(path_a), 1u);
+  EXPECT_EQ(run_begins_in(path_b), 2u);
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 /// End to end: a faulted unknown-D run records a stream whose per-player
@@ -333,13 +366,12 @@ TEST(FlightRecorder, FaultedRunStreamReconcilesWithTotals) {
   auto run_once = [&](core::RunReport* out_report) {
     std::ostringstream out;
     obs::FlightRecorder rec(out);
-    obs::set_recorder(&rec);
     billboard::ProbeOracle oracle(inst.matrix);
+    oracle.set_recorder(&rec);
     faults::FaultInjector injector(plan, inst.matrix.players());
     oracle.set_fault_injector(&injector);
     auto res = core::find_preferences_unknown_d(oracle, nullptr, 0.5,
                                                 core::Params::practical(), rng::Rng(5));
-    obs::set_recorder(nullptr);
     rec.flush();
     EXPECT_EQ(rec.events_dropped(), 0u);
     if (out_report != nullptr) *out_report = std::move(res);
@@ -425,8 +457,8 @@ TEST(FlightRecorder, SchedulerLogReplaysThroughAuditor) {
 
   std::ostringstream out;
   obs::FlightRecorder rec(out);
-  obs::set_recorder(&rec);
   billboard::ProbeOracle oracle(inst.matrix);
+  oracle.set_recorder(&rec);  // the scheduler hands it to its own board
   faults::FaultInjector injector(plan, inst.matrix.players());
   oracle.set_fault_injector(&injector);
   billboard::RoundScheduler sched(oracle);
@@ -435,7 +467,6 @@ TEST(FlightRecorder, SchedulerLogReplaysThroughAuditor) {
     strategies.push_back(std::make_unique<Sweep>(inst.matrix.objects()));
   }
   const auto res = sched.run(strategies, /*max_rounds=*/128);
-  obs::set_recorder(nullptr);
   rec.flush();
   EXPECT_TRUE(res.all_done);
 

@@ -4,9 +4,10 @@
 //   * request codec: parse/render, unknown op/field rejection, defaults;
 //   * cache versions: toplist ranking, content-hash sensitivity;
 //   * multi-tenant isolation: a tenant refined inside a two-tenant
-//     service (concurrent readers + interleaved epochs) produces
-//     byte-identical estimates AND a byte-identical flight log to the
-//     same tenant refined solo — no cross-tenant leakage of any kind;
+//     service (concurrent readers + interleaved epochs, or two threads
+//     refining the two tenants at once) produces byte-identical
+//     estimates AND a byte-identical flight log to the same tenant
+//     refined solo — no cross-tenant leakage of any kind;
 //   * versioned consistency: every response's (epoch, cache_hash) pair
 //     matches the publish ledger even while the background refiner is
 //     swapping versions (this test is the TSan target for the serve
@@ -109,6 +110,17 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
                std::invalid_argument);
   // Not JSON at all.
   EXPECT_THROW(serve::parse_request("recommend a 3"), std::invalid_argument);
+  // Integers that would wrap instead of failing: a sign on an unsigned
+  // field, a player id past 32 bits, and a value past 64 bits.
+  EXPECT_THROW(serve::parse_request(R"({"op":"refine","tenant":"t","epochs":-1})"),
+               std::invalid_argument);
+  EXPECT_THROW(serve::parse_request(R"({"op":"estimate","tenant":"t","player":4294967296})"),
+               std::invalid_argument);
+  EXPECT_THROW(serve::parse_request(R"({"op":"estimate","tenant":"t","player":-4294967296})"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      serve::parse_request(R"({"op":"estimate","tenant":"t","player":99999999999999999999999})"),
+      std::invalid_argument);
 }
 
 TEST(ServeProtocol, ResponseJsonCarriesViewAndItems) {
@@ -284,6 +296,60 @@ TEST(ServeIsolation, ServiceTenantsMatchSoloRunsByteForByte) {
   EXPECT_FALSE(shared_log_a.empty());
   EXPECT_EQ(shared_log_a, slurp(log_sa));
   EXPECT_EQ(shared_log_b, slurp(log_sb));
+
+  for (const auto& p : {log_a, log_b, log_sa, log_sb}) std::remove(p.c_str());
+}
+
+/// Two threads refine two different tenants at the same time, twice
+/// each: epochs serialize per tenant only, and each tenant's estimates
+/// and flight log still equal its solo run.
+TEST(ServeIsolation, ConcurrentRefinesOfTwoTenantsMatchSoloRuns) {
+  constexpr std::uint64_t kSeedA = 23, kSeedB = 24;
+  const std::string log_a = temp_path("conc_a"), log_b = temp_path("conc_b");
+  const std::string log_sa = temp_path("conc_sa"), log_sb = temp_path("conc_sb");
+
+  std::vector<bits::BitVector> est_a, est_b;
+  {
+    serve::RecommendationService service;
+    auto cfg_a = make_config("a", kSeedA);
+    cfg_a.record_path = log_a;
+    auto cfg_b = make_config("b", kSeedB);
+    cfg_b.record_path = log_b;
+    service.add_tenant(std::move(cfg_a), make_instance(kSeedA));
+    service.add_tenant(std::move(cfg_b), make_instance(kSeedB));
+
+    std::vector<std::thread> refiners;
+    for (const std::string tenant : {"a", "b"}) {
+      refiners.emplace_back([&service, tenant] {
+        service.refine(tenant);
+        service.refine(tenant);
+      });
+    }
+    for (auto& th : refiners) th.join();
+
+    est_a = service.tenant("a")->cache().current()->estimates;
+    est_b = service.tenant("b")->cache().current()->estimates;
+    EXPECT_EQ(service.tenant("a")->epochs_published(), 2u);
+    EXPECT_EQ(service.tenant("b")->epochs_published(), 2u);
+    EXPECT_TRUE(service.tenant("a")->audit().clean());
+    EXPECT_TRUE(service.tenant("b")->audit().clean());
+  }
+
+  auto solo = [&](std::uint64_t seed, const std::string& log) {
+    auto cfg = make_config("solo", seed);
+    cfg.record_path = log;
+    serve::Tenant t(cfg, make_instance(seed));
+    t.refine_epoch();
+    t.refine_epoch();
+    return t.cache().current()->estimates;
+  };
+  EXPECT_EQ(est_a, solo(kSeedA, log_sa));
+  EXPECT_EQ(est_b, solo(kSeedB, log_sb));
+
+  const auto shared_log_a = slurp(log_a);
+  EXPECT_FALSE(shared_log_a.empty());
+  EXPECT_EQ(shared_log_a, slurp(log_sa));
+  EXPECT_EQ(slurp(log_b), slurp(log_sb));
 
   for (const auto& p : {log_a, log_b, log_sa, log_sb}) std::remove(p.c_str());
 }

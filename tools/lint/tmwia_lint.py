@@ -40,14 +40,6 @@ literals stripped) for constructs that would let those invariants rot:
                            (tmp + fsync + rename) so a crash or a concurrent
                            reader never sees a torn file. Streaming event
                            sinks (record, telemetry) carry explicit allow pragmas.
-  sink-registration        constructing a FlightRecorder/RecordSink or
-                           installing one (RecordSink::Scope, set_recorder)
-                           outside src/obs. The recorder slot is
-                           process-global; only designated sink owners
-                           (Session, the CLI, the bench harness, serve
-                           tenants, recorder tests — each with an auditable
-                           allow-file pragma) may register one, so library
-                           code can never hijack the artifact contract.
   size-empty               `x.size() == 0` instead of `x.empty()` (the
                            readability-container-size-empty mirror, kept
                            here because clang-tidy is optional).
@@ -69,11 +61,10 @@ literals stripped) for constructs that would let those invariants rot:
                            hides the intended protocol; every ordering in
                            library code is a documented decision.
   owner-write              files outside src/obs touching obs:: shard
-                           internals (local_shard/attach_thread/slot_add,
-                           the g_recorder slot). The owner-write/merge-on-
-                           read discipline only holds if writers go
-                           through the Counter/Histogram handles and the
-                           RecordSink/set_recorder registration points.
+                           internals (local_shard/attach_thread/slot_add).
+                           The owner-write/merge-on-read discipline only
+                           holds if writers go through the Counter/
+                           Histogram handles.
   metric-name-registry     a metric or profile-zone name literal
                            (counter/histogram/set_gauge/add_gauge/
                            ProfileZone/intern call site in src/) that is
@@ -246,19 +237,6 @@ RULES = [
         ),
     ),
     Rule(
-        id="sink-registration",
-        description="only src/obs and designated sink owners (allow-file pragma) "
-        "may construct or install FlightRecorder/RecordSink sinks",
-        dirs=CODE_DIRS,
-        exempt=("src/obs",),
-        patterns=(
-            r"\bset_recorder\s*\(",
-            r"\bmake_unique\s*<\s*(obs\s*::\s*)?(FlightRecorder|RecordSink)\b",
-            r"\b(FlightRecorder|RecordSink)\s+\w+\s*[({]",
-            r"\bRecordSink\s*::\s*Scope\b",
-        ),
-    ),
-    Rule(
         id="size-empty",
         description="use .empty() instead of comparing .size() with 0",
         dirs=CODE_DIRS,
@@ -278,17 +256,14 @@ RULES = [
     ),
     Rule(
         id="owner-write",
-        description="obs:: shard internals (local_shard/attach_thread/slot_add, "
-        "the recorder slot word) touched outside src/obs; write metrics through "
-        "Counter/Histogram handles and install sinks via RecordSink/set_recorder",
+        description="obs:: shard internals (local_shard/attach_thread/slot_add) "
+        "touched outside src/obs; write metrics through Counter/Histogram handles",
         dirs=CODE_DIRS,
         exempt=("src/obs",),
         patterns=(
             r"\blocal_shard\s*\(",
             r"\battach_thread\s*\(",
             r"\bslot_add\s*\(",
-            r"\bg_recorder\b",
-            r"\bobs\s*::\s*detail\b",
         ),
     ),
 ]
@@ -1154,19 +1129,6 @@ SELF_TEST_FIXTURES = {
         "// tmwia-lint: allow-file(serve-matrix-isolation) fixture: harness side\n"
         "void fixture_serve_allowed(PreferenceMatrix* m) {}\n"
     ),
-    "src/fix/sink_fire.cpp": (
-        "void fixture_sink_fire() {\n"
-        '  obs::RecordSink sink("log.jsonl");\n'
-        "  const obs::RecordSink::Scope installed(&sink);\n"
-        "}\n"
-    ),
-    "src/fix/sink_allowed.cpp": (
-        "// tmwia-lint: allow-file(sink-registration) fixture: designated owner\n"
-        "auto fixture_sink_allowed() { return std::make_unique<obs::RecordSink>(\"x\"); }\n"
-    ),
-    "src/obs/sink_ok.cpp": (
-        "void fixture_sink_ok(RecordSink* s) { RecordSink::Scope scope(s); }\n"
-    ),
     "src/fix/stale.cpp": (
         "// tmwia-lint: allow-file(unseeded-rng) fixture: nothing random here\n"
         "void fixture_stale() {}\n"
@@ -1213,8 +1175,6 @@ SELF_TEST_FINDINGS = {
     ("explicit-atomic-ordering", "src/fix/atomic.cpp", 4),
     ("explicit-atomic-ordering", "src/fix/atomic.cpp", 5),
     ("owner-write", "src/fix/owner_write.cpp", 3),
-    ("sink-registration", "src/fix/sink_fire.cpp", 2),
-    ("sink-registration", "src/fix/sink_fire.cpp", 3),
     ("serve-matrix-isolation", "src/serve/fix_serve_fire.cpp", 2),
     ("serve-matrix-isolation", "src/serve/fix_serve_fire.cpp", 3),
     ("stale-pragma", "src/fix/stale.cpp", 1),
@@ -1229,7 +1189,6 @@ SELF_TEST_FINDINGS = {
 SELF_TEST_ALLOWED = {
     ("naked-mutex", "src/fix/naked_allowed.hpp", 5),
     ("manual-lock", "src/fix/manual_lock.cpp", 6),
-    ("sink-registration", "src/fix/sink_allowed.cpp", 2),
     ("stale-pragma", "src/fix/stale_allowed.cpp", 2),
     ("serve-matrix-isolation", "src/serve/fix_serve_allowed.cpp", 2),
     ("metric-name-registry", "src/fix/metric_allowed.cpp", 3),

@@ -310,6 +310,16 @@ if [[ $RUN_SERVE -eq 1 ]]; then
   [[ $rc -eq 2 ]] || { echo "serve: expected exit 2 for failed request, got $rc" >&2; exit 1; }
   jq -e '.ok == false and (.error | length > 0)' "$SERVE_DIR/bad.jsonl" >/dev/null \
     || { echo "serve: failed request not reported as ok=false" >&2; exit 1; }
+  # A negative epoch count must fail to parse, not wrap to 2^64-1
+  # epochs (the timeout turns a regression into a failure, not a hang).
+  rc=0
+  printf '%s\n' \
+    '{"op":"add_tenant","tenant":"t","n":16,"m":32,"kind":"planted","seed":3}' \
+    '{"op":"refine","tenant":"t","epochs":-1}' \
+    | timeout 60 "$CLI" serve --requests=- --out="$SERVE_DIR/neg.jsonl" || rc=$?
+  [[ $rc -eq 2 ]] || { echo "serve: expected exit 2 for epochs=-1, got $rc" >&2; exit 1; }
+  jq -e -s '.[-1].ok == false and (.[-1].error | test("epochs"))' "$SERVE_DIR/neg.jsonl" \
+    >/dev/null || { echo "serve: epochs=-1 not reported as ok=false" >&2; exit 1; }
 
   echo "-- degraded tenant: exit 4, responses carry the marker"
   rc=0

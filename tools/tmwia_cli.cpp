@@ -58,9 +58,6 @@
 //   4  run completed degraded (quarantined players / unmet phases)
 //   5  checkpoint file corrupt or unreadable
 //   6  serve completed but an SLO objective was breached
-//
-// tmwia-lint: allow-file(sink-registration) CLI is a sink registrar:
-// it owns the record sink it installs for --record.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -230,12 +227,14 @@ void write_profiler_artifacts(const io::Args& args) {
   }
 }
 
-/// The --record sink `run` and `resume` both install (null without
-/// --record). The recorder gets the planted-truth evaluator, so phase
-/// summaries carry real discrepancy numbers (the library only sees the
-/// std::function).
+/// The --record sink `run` and `resume` both open (null without
+/// --record), attached to the run's oracle and board. The recorder gets
+/// the planted-truth evaluator, so phase summaries carry real
+/// discrepancy numbers (the library only sees the std::function).
 std::unique_ptr<obs::RecordSink> open_record_sink(const io::Args& args,
-                                                  const matrix::Instance& inst) {
+                                                  const matrix::Instance& inst,
+                                                  billboard::ProbeOracle& oracle,
+                                                  billboard::Billboard& board) {
   const auto path = args.get("record");
   const auto fmt_name = args.get("record-format");
   if (!path.has_value()) {
@@ -246,6 +245,8 @@ std::unique_ptr<obs::RecordSink> open_record_sink(const io::Args& args,
   if (!fmt.has_value()) throw std::invalid_argument("unknown --record-format=" + *fmt_name);
   auto sink = std::make_unique<obs::RecordSink>(*path, *fmt);
   sink->recorder().set_output_evaluator(make_truth_evaluator(inst.matrix));
+  oracle.set_recorder(&sink->recorder());
+  board.set_recorder(&sink->recorder());
   return sink;
 }
 
@@ -342,11 +343,10 @@ int cmd_run(const io::Args& args) {
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
   apply_profiler_flags(args);
-  const auto record = open_record_sink(args, inst);
-  const obs::RecordSink::Scope recording(record.get());
 
   billboard::ProbeOracle oracle(inst.matrix);
   billboard::Billboard board;
+  const auto record = open_record_sink(args, inst, oracle, board);
   std::vector<bits::BitVector> outputs;
   std::optional<core::RunReport> report;
 
@@ -533,11 +533,10 @@ int cmd_resume(const io::Args& args) {
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
   apply_profiler_flags(args);
-  const auto record = open_record_sink(args, inst);
-  const obs::RecordSink::Scope recording(record.get());
 
   billboard::ProbeOracle oracle(inst.matrix);
   billboard::Billboard board;
+  const auto record = open_record_sink(args, inst, oracle, board);
   std::unique_ptr<faults::FaultInjector> injector;
   if (const auto spec = ckpt.harness_value("faults"); !spec.empty()) {
     auto plan = faults::FaultPlan::parse(spec);
