@@ -16,8 +16,6 @@ struct BoardMetrics {
       obs::MetricsRegistry::global().counter("billboard.posts");
   obs::MetricsRegistry::Counter reads =
       obs::MetricsRegistry::global().counter("billboard.reads");
-  obs::MetricsRegistry::Counter consolidations =
-      obs::MetricsRegistry::global().counter("billboard.consolidations");
   obs::MetricsRegistry::Counter tally_hits =
       obs::MetricsRegistry::global().counter("billboard.tally_cache_hits");
 };
@@ -37,9 +35,7 @@ void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits:
     recorder_->vector_post(static_cast<std::uint32_t>(p), channel, v.hash(), v.size());
   }
   support::MutexLock lk(mu_);
-  auto& ch = channels_[channel];
-  ch.pending.emplace_back(p, v);
-  ++ch.version;
+  put(channels_[channel], p, v);
 }
 
 void Billboard::post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
@@ -57,62 +53,19 @@ void Billboard::post_many(const std::string& channel, std::span<const matrix::Pl
   }
   support::MutexLock lk(mu_);
   auto& ch = channels_[channel];
-  ch.pending.reserve(ch.pending.size() + players.size());
-  for (std::size_t i = 0; i < players.size(); ++i) {
-    ch.pending.emplace_back(players[i], rows[i]);
-  }
-  ch.version += players.size();
+  for (std::size_t i = 0; i < players.size(); ++i) put(ch, players[i], rows[i]);
 }
 
-void Billboard::consolidate(Channel& ch) const {
-  if (ch.pending.empty()) return;
-  board_metrics().consolidations.inc();
-
-  // Later posts by the same player overwrite earlier ones; a stable
-  // sort keeps arrival order within a player, so walking runs and
-  // keeping the last entry applies the overwrites.
-  std::stable_sort(ch.pending.begin(), ch.pending.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  const matrix::PlayerId max_pending = ch.pending.back().first;
-  const std::size_t new_size =
-      std::max<std::size_t>(ch.posted.size(), static_cast<std::size_t>(max_pending) + 1);
-
-  // Word-parallel widening copy of the old poster bitmap (unused tail
-  // bits of the old vector are zero by class invariant).
-  bits::BitVector posted(new_size);
-  const auto old_words = ch.posted.words();
-  for (std::size_t w = 0; w < old_words.size(); ++w) posted.set_word(w, old_words[w]);
-  for (const auto& [p, v] : ch.pending) posted.set(p, true);
-
-  // Merge the two player-ordered sequences (existing rows enumerate via
-  // the old index) into a dense row array aligned with the new index.
-  std::vector<bits::BitVector> rows;
-  rows.reserve(posted.count_ones());
-  const auto old_players = ch.rank.one_positions();
-  std::size_t oi = 0;  // cursor into old_players / ch.rows
-  std::size_t pi = 0;  // cursor into pending runs
-  while (oi < old_players.size() || pi < ch.pending.size()) {
-    const bool take_pending =
-        oi >= old_players.size() ||
-        (pi < ch.pending.size() && ch.pending[pi].first <= old_players[oi]);
-    if (take_pending) {
-      const matrix::PlayerId p = ch.pending[pi].first;
-      std::size_t last = pi;
-      while (last + 1 < ch.pending.size() && ch.pending[last + 1].first == p) ++last;
-      rows.push_back(std::move(ch.pending[last].second));
-      pi = last + 1;
-      if (oi < old_players.size() && old_players[oi] == p) ++oi;  // overwritten
-    } else {
-      rows.push_back(std::move(ch.rows[oi]));
-      ++oi;
-    }
+void Billboard::put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v) {
+  ++ch.version;
+  if (p >= ch.slot.size()) ch.slot.resize(static_cast<std::size_t>(p) + 1, 0);
+  std::uint32_t& slot = ch.slot[p];
+  if (slot != 0) {
+    ch.rows[slot - 1] = v;  // reuses the row's storage (same width: no allocation)
+    return;
   }
-
-  ch.pending.clear();
-  ch.posted = std::move(posted);
-  ch.rank = bits::RankSelect(ch.posted);
-  ch.rows = std::move(rows);
+  ch.rows.push_back(v);
+  slot = static_cast<std::uint32_t>(ch.rows.size());
 }
 
 std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
@@ -168,7 +121,6 @@ std::vector<VotedVector> Billboard::popular(const std::string& channel,
   const auto it = channels_.find(channel);
   if (it == channels_.end()) return {};
   auto& ch = it->second;
-  consolidate(ch);
   if (ch.tally_valid && ch.tally_version == ch.version && ch.tally_min_votes == min_votes) {
     board_metrics().tally_hits.inc();
     return ch.tally_cache;
@@ -183,17 +135,15 @@ std::vector<VotedVector> Billboard::popular(const std::string& channel,
 std::size_t Billboard::posters(const std::string& channel) const {
   support::MutexLock lk(mu_);
   const auto it = channels_.find(channel);
-  if (it == channels_.end()) return 0;
-  consolidate(it->second);
-  return it->second.rank.ones();
+  return it == channels_.end() ? 0 : it->second.rows.size();
 }
 
 bool Billboard::has_posted(const std::string& channel, matrix::PlayerId p) const {
   support::MutexLock lk(mu_);
   const auto it = channels_.find(channel);
   if (it == channels_.end()) return false;
-  consolidate(it->second);
-  return p < it->second.posted.size() && it->second.posted.get(p);
+  const auto& slot = it->second.slot;
+  return p < slot.size() && slot[p] != 0;
 }
 
 Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
@@ -201,9 +151,14 @@ Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
   ChannelView view;
   const auto it = channels_.find(channel);
   if (it == channels_.end()) return view;
-  consolidate(it->second);
-  view.players = it->second.rank.one_positions();
-  view.rows = it->second.rows;
+  const auto& ch = it->second;
+  view.players.reserve(ch.rows.size());
+  view.rows.reserve(ch.rows.size());
+  for (std::size_t p = 0; p < ch.slot.size(); ++p) {
+    if (ch.slot[p] == 0) continue;
+    view.players.push_back(static_cast<matrix::PlayerId>(p));
+    view.rows.push_back(ch.rows[ch.slot[p] - 1]);
+  }
   return view;
 }
 
@@ -215,10 +170,7 @@ void Billboard::clear(const std::string& channel) {
 std::size_t Billboard::total_posts() const {
   support::MutexLock lk(mu_);
   std::size_t t = 0;
-  for (auto& [name, ch] : channels_) {
-    consolidate(ch);
-    t += ch.rows.size();
-  }
+  for (const auto& [name, ch] : channels_) t += ch.rows.size();
   return t;
 }
 
@@ -226,15 +178,15 @@ std::vector<Billboard::ChannelDump> Billboard::export_posts() const {
   support::MutexLock lk(mu_);
   std::vector<ChannelDump> out;
   out.reserve(channels_.size());
-  for (auto& [name, ch] : channels_) {
-    consolidate(ch);
+  for (const auto& [name, ch] : channels_) {
     if (ch.rows.empty()) continue;  // a restored empty channel has nothing to dump
     ChannelDump dump;
     dump.channel = name;
-    const auto players = ch.rank.one_positions();
-    dump.posts.reserve(players.size());
-    for (std::size_t i = 0; i < players.size(); ++i) {
-      dump.posts.emplace_back(players[i], ch.rows[i]);
+    dump.posts.reserve(ch.rows.size());
+    for (std::size_t p = 0; p < ch.slot.size(); ++p) {
+      if (ch.slot[p] != 0) {
+        dump.posts.emplace_back(static_cast<matrix::PlayerId>(p), ch.rows[ch.slot[p] - 1]);
+      }
     }
     out.push_back(std::move(dump));
   }
@@ -248,10 +200,7 @@ void Billboard::restore_posts(const std::vector<ChannelDump>& dump) {
   channels_.clear();
   for (const auto& chd : dump) {
     auto& ch = channels_[chd.channel];
-    for (const auto& [p, v] : chd.posts) {
-      ch.pending.emplace_back(p, v);
-      ++ch.version;
-    }
+    for (const auto& [p, v] : chd.posts) put(ch, p, v);
   }
 }
 

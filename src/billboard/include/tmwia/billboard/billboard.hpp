@@ -7,14 +7,14 @@
 // The billboard therefore supports named channels of (player -> vector)
 // posts with vote aggregation by vector equality.
 //
-// Storage per channel is a succinct posted-player index: posts append
-// to a small pending log in O(1), and the first read consolidates them
-// into a packed poster bitvector with a rank/select directory plus a
-// dense row array ordered by player id (rows[rank1(p)] is p's post).
-// Reads that arrive at the same channel version — the await-polling
-// pattern of the distributed strategies, which asks posters()/popular()
-// every round while a vote fills — hit the consolidated index and the
-// version-keyed tally cache instead of rescanning the posts.
+// A player has one current post per channel (the paper's billboard
+// model, §1.1), so a channel stores exactly that: one row slot per
+// poster. A repost overwrites the poster's row in place, so a channel's
+// storage and the cost of reading it follow its live posts, not its
+// history. Reads that arrive at the same channel version — the
+// await-polling pattern of the distributed strategies, which asks
+// posters()/popular() every round while a vote fills — hit the
+// version-keyed tally cache instead of re-tallying.
 //
 // Thread safety: posts from concurrent players are serialized by a
 // mutex; aggregation reads take the same mutex.
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "tmwia/bits/bitvector.hpp"
-#include "tmwia/bits/rank_select.hpp"
 #include "tmwia/matrix/ids.hpp"
 #include "tmwia/support/thread_annotations.hpp"
 
@@ -61,7 +60,9 @@ class Billboard {
 
   /// Player p posts vector v on `channel` (overwrites p's previous post
   /// on that channel, as a player has one current opinion per channel).
-  /// O(1): appends to the channel's pending log.
+  /// A repost copies into p's existing row; a first post appends one.
+  /// p must be below the run's player count: a channel's storage is
+  /// O(largest poster id + posters).
   void post(const std::string& channel, matrix::PlayerId p, const bits::BitVector& v);
 
   /// Batched post: players[i] posts rows[i] (spans must be equal
@@ -79,17 +80,15 @@ class Billboard {
   [[nodiscard]] std::vector<VotedVector> popular(const std::string& channel,
                                                  std::uint32_t min_votes) const;
 
-  /// Number of players who posted on `channel`. O(1) after the posts
-  /// since the last read are consolidated.
+  /// Number of players who posted on `channel`. O(1).
   [[nodiscard]] std::size_t posters(const std::string& channel) const;
 
-  /// Has player p posted on `channel`? One bit probe of the poster
-  /// index.
+  /// Has player p posted on `channel`? One lookup in its slot array.
   [[nodiscard]] bool has_posted(const std::string& channel, matrix::PlayerId p) const;
 
   /// The channel's current posts, ordered by player id ascending
-  /// (players[i] posted rows[i]). Rows are copies; the poster index
-  /// itself stays internal to keep the lock discipline simple.
+  /// (players[i] posted rows[i]). Rows are copies; the channel itself
+  /// stays internal to keep the lock discipline simple.
   struct ChannelView {
     std::vector<matrix::PlayerId> players;
     std::vector<bits::BitVector> rows;
@@ -119,14 +118,9 @@ class Billboard {
   struct Channel {
     std::uint64_t version = 0;  ///< bumped on every post
 
-    // Appended by post(), merged into the index by consolidate().
-    std::vector<std::pair<matrix::PlayerId, bits::BitVector>> pending;
-
-    // Consolidated succinct index: bit p of `posted` marks a poster,
-    // `rank` is its rank/select directory, and rows[rank.rank1(p)] is
-    // p's current post (dense, ordered by player id).
-    bits::BitVector posted;
-    bits::RankSelect rank;
+    // slot[p] is 1 + the index of p's row in `rows` (0: p never
+    // posted); rows holds each poster's current post in first-post order.
+    std::vector<std::uint32_t> slot;
     std::vector<bits::BitVector> rows;
 
     // popular() result memo for the polling pattern.
@@ -136,13 +130,12 @@ class Billboard {
     std::vector<VotedVector> tally_cache;
   };
 
-  /// Merge `pending` into the consolidated index (later posts by the
-  /// same player win). Amortized O(new posts) per read burst. `ch` is
-  /// always an element of channels_, hence the capability requirement.
-  void consolidate(Channel& ch) const TMWIA_REQUIRES(mu_);
+  /// The one write path: p's post on `ch` becomes v.
+  static void put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v);
 
   obs::FlightRecorder* recorder_ = nullptr;  ///< set before the first post, then read-only
   mutable support::Mutex mu_;
+  // mutable for the tally memo popular() fills.
   mutable std::unordered_map<std::string, Channel> channels_ TMWIA_GUARDED_BY(mu_);
 };
 

@@ -1,6 +1,7 @@
 #include "tmwia/core/checkpoint.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace tmwia::core {
 namespace {
@@ -55,6 +56,17 @@ std::vector<std::uint8_t> read_u8_vec(BinReader& r) {
   v.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u8());
   return v;
+}
+
+/// A player id off the wire. An id at or past the run's player count is
+/// corrupt: a restored board sizes each channel by its largest poster.
+PlayerId read_player(BinReader& r, std::uint64_t players) {
+  const std::uint64_t p = r.u64();
+  if (p >= players || p > std::numeric_limits<PlayerId>::max()) {
+    throw io::CheckpointError("checkpoint: player id " + std::to_string(p) +
+                              " out of range for " + std::to_string(players) + " players");
+  }
+  return static_cast<PlayerId>(p);
 }
 
 void write_bitvec_vec(BinWriter& w, const std::vector<bits::BitVector>& v) {
@@ -151,7 +163,7 @@ void write_run_report(BinWriter& w, const RunReport& report) {
   for (const auto& ph : report.degraded.unmet_phases) w.str(ph);
 }
 
-RunReport read_run_report(BinReader& r) {
+RunReport read_run_report(BinReader& r, std::uint64_t players) {
   RunReport report;
   report.algo = static_cast<RunReport::Algo>(r.u8());
   report.outputs = read_bitvec_vec(r);
@@ -178,7 +190,7 @@ RunReport read_run_report(BinReader& r) {
   }
   report.metrics = read_snapshot(r);
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    report.degraded.quarantined.push_back(static_cast<PlayerId>(r.u64()));
+    report.degraded.quarantined.push_back(read_player(r, players));
   }
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     report.degraded.unmet_phases.push_back(r.str());
@@ -295,7 +307,7 @@ RunCheckpoint decode_run_checkpoint(std::string_view bytes) {
   }
   {
     BinReader r(cp.require(kSecReport), "checkpoint report");
-    ckpt.partial = read_run_report(r);
+    ckpt.partial = read_run_report(r, ckpt.players);
   }
   {
     BinReader r(cp.require(kSecOracle), "checkpoint oracle");
@@ -310,7 +322,7 @@ RunCheckpoint decode_run_checkpoint(std::string_view bytes) {
       billboard::Billboard::ChannelDump ch;
       ch.channel = r.str();
       for (std::uint64_t k = 0, np = r.u64(); k < np; ++k) {
-        const auto p = static_cast<matrix::PlayerId>(r.u64());
+        const auto p = read_player(r, ckpt.players);
         ch.posts.emplace_back(p, r.bitvec());
       }
       ckpt.board.push_back(std::move(ch));

@@ -93,7 +93,8 @@ struct CheckpointPolicy {
 // ---------------------------------------------------------------------------
 
 void write_run_report(io::BinWriter& w, const RunReport& report);
-RunReport read_run_report(io::BinReader& r);
+/// Quarantined player ids at or past `players` are corrupt.
+RunReport read_run_report(io::BinReader& r, std::uint64_t players);
 
 void write_snapshot(io::BinWriter& w, const obs::Snapshot& snap);
 obs::Snapshot read_snapshot(io::BinReader& r);

@@ -18,7 +18,6 @@
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/bits/hamming.hpp"
 #include "tmwia/bits/kernels.hpp"
-#include "tmwia/bits/rank_select.hpp"
 #include "tmwia/bits/trivector.hpp"
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"

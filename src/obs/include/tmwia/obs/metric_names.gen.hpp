@@ -14,9 +14,8 @@
 
 namespace tmwia::obs {
 
-inline constexpr std::array<std::string_view, 41> kMetricNames = {
+inline constexpr std::array<std::string_view, 40> kMetricNames = {
     "anytime",
-    "billboard.consolidations",
     "billboard.posts",
     "billboard.reads",
     "billboard.tally_cache_hits",

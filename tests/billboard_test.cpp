@@ -118,6 +118,66 @@ TEST(Billboard, RepostOverwrites) {
   ASSERT_EQ(pop.size(), 1u);
   EXPECT_EQ(pop[0].vec.to_string(), "1111");
   EXPECT_EQ(b.posters("ch"), 1u);
+
+  // An in-place overwrite after a read must invalidate the tally memo.
+  b.post("ch", 1, bits::BitVector::from_string("1111"));
+  ASSERT_EQ(b.popular("ch", 2).size(), 1u);
+  b.post("ch", 0, bits::BitVector::from_string("0011"));
+  EXPECT_TRUE(b.popular("ch", 2).empty());
+  const auto after = b.popular("ch", 1);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0].vec.to_string(), "0011");
+  EXPECT_EQ(after[1].vec.to_string(), "1111");
+  EXPECT_EQ(b.posters("ch"), 2u);
+}
+
+using Posts = std::vector<std::pair<matrix::PlayerId, bits::BitVector>>;
+
+// Rows are stored in first-post order, but every listing is by player.
+TEST(Billboard, ListingsAreByPlayerNotPostOrder) {
+  Billboard b;
+  b.post("ch", 9, bits::BitVector::from_string("1001"));
+  b.post("ch", 2, bits::BitVector::from_string("0010"));
+  b.post("ch", 5, bits::BitVector::from_string("0101"));
+  b.post("ch", 2, bits::BitVector::from_string("110"));  // a different width
+  const Posts want{{2, bits::BitVector::from_string("110")},
+                   {5, bits::BitVector::from_string("0101")},
+                   {9, bits::BitVector::from_string("1001")}};
+
+  const auto view = b.snapshot("ch");
+  EXPECT_EQ(view.players, (std::vector<matrix::PlayerId>{2, 5, 9}));
+  ASSERT_EQ(view.rows.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(view.rows[i], want[i].second);
+
+  const auto dump = b.export_posts();
+  ASSERT_EQ(dump.size(), 1u);
+  EXPECT_EQ(dump[0].channel, "ch");
+  EXPECT_EQ(dump[0].posts, want);
+  EXPECT_TRUE(b.has_posted("ch", 5));
+  EXPECT_FALSE(b.has_posted("ch", 4));
+  EXPECT_FALSE(b.has_posted("ch", 10));
+  EXPECT_EQ(b.total_posts(), 3u);
+}
+
+TEST(Billboard, RestoredPostsOverwriteInPlace) {
+  Billboard b;
+  b.post("a", 3, bits::BitVector::from_string("11"));
+  b.post("a", 1, bits::BitVector::from_string("01"));
+  b.post("b", 0, bits::BitVector::from_string("1"));
+
+  Billboard restored;
+  restored.restore_posts(b.export_posts());
+  EXPECT_EQ(restored.posters("a"), 2u);
+  restored.post("a", 3, bits::BitVector::from_string("00"));
+
+  const auto dump = restored.export_posts();
+  ASSERT_EQ(dump.size(), 2u);
+  EXPECT_EQ(dump[0].channel, "a");
+  EXPECT_EQ(dump[0].posts, (Posts{{1, bits::BitVector::from_string("01")},
+                                  {3, bits::BitVector::from_string("00")}}));
+  EXPECT_EQ(dump[1].channel, "b");
+  EXPECT_EQ(dump[1].posts, (Posts{{0, bits::BitVector::from_string("1")}}));
+  EXPECT_EQ(restored.posters("a"), 2u);
 }
 
 TEST(Billboard, MissingChannelEmpty) {

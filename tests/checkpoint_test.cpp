@@ -172,7 +172,7 @@ TEST(RunReportWire, RoundTripsIncludingHistogramsAndDegraded) {
   io::BinWriter w;
   core::write_run_report(w, rep);
   io::BinReader r(w.bytes(), "report");
-  const auto back = core::read_run_report(r);
+  const auto back = core::read_run_report(r, 2);
   EXPECT_TRUE(r.at_end());
 
   EXPECT_EQ(back.algo, rep.algo);
@@ -261,6 +261,38 @@ TEST(RunCheckpointWire, RoundTripsFullState) {
   auto bad = bytes;
   bad[bytes.size() / 2] = static_cast<char>(bad[bytes.size() / 2] ^ 0x40);
   EXPECT_THROW(core::decode_run_checkpoint(bad), io::CheckpointError);
+}
+
+// A board or quarantine player id at or past the checkpoint's player
+// count is corrupt: restoring it would size a channel by that id, and
+// an id past 2^32 must not wrap onto a real player.
+TEST(RunCheckpointWire, RejectsOutOfRangePlayerIds) {
+  core::RunCheckpoint ck;
+  ck.players = 4;
+  ck.objects = 8;
+  ck.board.push_back({"votes", {{1, bits::BitVector(8)}, {3, bits::BitVector(8)}}});
+  const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(ck));
+  EXPECT_EQ(core::decode_run_checkpoint(good.encode()).board[0].posts[1].first, 3u);
+
+  for (const std::uint64_t bad_id : {(std::uint64_t{1} << 32) + 1, std::uint64_t{3000000000}}) {
+    io::BinWriter w;
+    w.u64(1);  // one channel
+    w.str("votes");
+    w.u64(1);  // one post
+    w.u64(bad_id);
+    w.bitvec(bits::BitVector(8));
+    auto cp = good;
+    cp.set("board", w.take());
+    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << bad_id;
+  }
+
+  core::RunReport quarantined;
+  quarantined.degraded.quarantined = {4};
+  io::BinWriter w;
+  core::write_run_report(w, quarantined);
+  auto cp = good;
+  cp.set("report", w.take());
+  EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError);
 }
 
 // The tentpole: cut checkpoints mid-run, then resume each one in a

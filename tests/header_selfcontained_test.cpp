@@ -18,7 +18,6 @@
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/bits/hamming.hpp"
 #include "tmwia/bits/kernels.hpp"
-#include "tmwia/bits/rank_select.hpp"
 #include "tmwia/bits/trivector.hpp"
 #include "tmwia/core/bit_space.hpp"
 #include "tmwia/core/budget.hpp"
@@ -68,5 +67,5 @@
 #include "tmwia/support/thread_annotations.hpp"
 
 TEST(HeaderSelfContained, AllPublicHeadersCompileTogether) {
-  SUCCEED() << "57 public headers included";
+  SUCCEED() << "56 public headers included";
 }

@@ -1,8 +1,8 @@
 // Parity suite for the batched distance-kernel layer: every supported
 // backend (scalar, AVX2, AVX-512) must compute the SAME integers as a
 // naive per-bit reference on randomized inputs, including non-word-
-// aligned tails and TriVector '?' masks. Also covers the RankSelect
-// directory and backend selection semantics. Runs under ASan/UBSan via
+// aligned tails and TriVector '?' masks. Also covers backend
+// selection semantics. Runs under ASan/UBSan via
 // tools/run_tests.sh (and the dedicated --kernel-parity stage).
 #include <algorithm>
 #include <cstdint>
@@ -13,7 +13,6 @@
 
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/bits/kernels.hpp"
-#include "tmwia/bits/rank_select.hpp"
 #include "tmwia/bits/trivector.hpp"
 #include "tmwia/core/session.hpp"
 #include "tmwia/matrix/generators.hpp"
@@ -312,58 +311,6 @@ TEST(KernelsErrors, MismatchedSizesThrow) {
   std::vector<std::uint32_t> small;
   std::vector<BitVector> two{a, a};
   EXPECT_THROW(kernels::dist_many(a, two, small), std::invalid_argument);
-}
-
-// ------------------------------------------------------------ RankSelect
-
-TEST(RankSelect, RankAndSelectMatchNaiveOnRandomBits) {
-  rng::Rng rng(12345);
-  for (const std::size_t n : {1UL, 63UL, 64UL, 65UL, 511UL, 512UL, 513UL,
-                              4096UL, 5000UL}) {
-    const BitVector bits = random_bits(n, rng);
-    const RankSelect rs(bits);
-    EXPECT_EQ(rs.size(), n);
-    EXPECT_EQ(rs.ones(), bits.count_ones());
-    std::size_t running = 0;
-    std::vector<std::uint32_t> ones;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(rs.rank1(i), running) << "n=" << n << " i=" << i;
-      if (bits.get(i)) {
-        ones.push_back(static_cast<std::uint32_t>(i));
-        ++running;
-      }
-    }
-    EXPECT_EQ(rs.rank1(n), running);
-    for (std::size_t k = 0; k < ones.size(); ++k) {
-      EXPECT_EQ(rs.select1(k), ones[k]) << "n=" << n << " k=" << k;
-    }
-    EXPECT_EQ(rs.one_positions(), ones);
-  }
-}
-
-TEST(RankSelect, EmptyAndAllOnes) {
-  const RankSelect empty(BitVector(0));
-  EXPECT_EQ(empty.size(), 0U);
-  EXPECT_EQ(empty.ones(), 0U);
-  EXPECT_EQ(empty.rank1(0), 0U);
-
-  const RankSelect ones(BitVector(700, true));
-  EXPECT_EQ(ones.ones(), 700U);
-  for (const std::size_t i : {0UL, 1UL, 333UL, 699UL}) {
-    EXPECT_EQ(ones.rank1(i), i);
-    EXPECT_EQ(ones.select1(i), i);
-  }
-  EXPECT_THROW((void)ones.select1(700), std::out_of_range);
-}
-
-TEST(RankSelect, SnapshotIsImmutable) {
-  BitVector bits(128);
-  bits.set(5, true);
-  const RankSelect rs(bits);
-  bits.set(6, true);  // must not be visible through the index
-  EXPECT_EQ(rs.ones(), 1U);
-  EXPECT_TRUE(rs.get(5));
-  EXPECT_FALSE(rs.get(6));
 }
 
 }  // namespace

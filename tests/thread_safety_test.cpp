@@ -65,8 +65,8 @@ TEST(ThreadSafety, ConcurrentBillboardPostsMatchSerial) {
       for (std::size_t i = 0; i < kPlayersPerThread; ++i) {
         ids.push_back(first + static_cast<PlayerId>(i));
       }
-      // Post in three chunks with interleaved reads, so consolidation
-      // runs while other threads' pending logs fill.
+      // Post in three chunks with interleaved reads, so reads and the
+      // tally memo race other threads' first posts into the channel.
       const std::size_t third = kPlayersPerThread / 3;
       std::size_t done = 0;
       while (done < kPlayersPerThread) {

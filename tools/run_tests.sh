@@ -211,7 +211,7 @@ if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
   UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
   ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-    -R '(Kernels|RankSelect)'
+    -R 'Kernels'
 
   CLI="$ROOT/build-asan/tools/tmwia_cli"
   PAR_DIR="$(mktemp -d)"
