@@ -37,10 +37,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -68,28 +71,92 @@ inline std::size_t zero_radius_leaf_threshold(std::size_t n_total, double alpha,
   return std::max(params.zr_min_leaf, static_cast<std::size_t>(std::ceil(t)));
 }
 
-/// The shared-coin halving of one recursion node (Fig. 2 step 2),
-/// returned as position lists into the node's player/object lists. Both
-/// the centralized engine below and the distributed per-player strategy
-/// (zero_radius_strategy.hpp) derive the identical tree from the same
-/// root rng, which is what makes their outputs bit-for-bit comparable.
-struct ZeroRadiusSplit {
-  std::vector<std::uint32_t> p1, p2;  ///< player positions per half
-  std::vector<std::uint32_t> o1, o2;  ///< object positions per half
+/// Vote quorum of Fig. 2 step 4: a vector is a candidate once at least
+/// this many of the `posters` sibling players posted it.
+inline std::size_t zero_radius_min_votes(std::size_t posters, double alpha,
+                                         const Params& params) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::ceil(params.zr_vote_frac * alpha * static_cast<double>(posters))));
+}
+
+/// The recursion tree of Fig. 2, derived once from the shared coins.
+/// Node t halves its players and then its objects with
+/// rng.split(t, 0x5eed) (step 2); its children carry tags 2t+1 and 2t+2.
+/// The coins are public (§1.1 models them as randomness posted on the
+/// billboard), so one immutable plan serves the centralized engine
+/// below and every per-player ZeroRadiusStrategy of a distributed run
+/// (zero_radius_strategy.hpp) — which is what makes their outputs
+/// bit-for-bit comparable.
+class ZeroRadiusPlan {
+ public:
+  struct Node {
+    std::uint64_t tag = 1;
+    std::vector<PlayerId> players;       ///< the node's player ids
+    std::vector<std::uint32_t> objects;  ///< the node's object ids
+    /// Ascending positions in `players`/`objects` of child 2t+1 ([0])
+    /// and child 2t+2 ([1]); empty at a leaf.
+    std::array<std::vector<std::uint32_t>, 2> player_pos, object_pos;
+    std::size_t first_child = 0;  ///< index of child 2t+1 (2t+2 follows); 0 at a leaf
+
+    [[nodiscard]] bool leaf() const { return first_child == 0; }
+  };
+
+  /// A node is a leaf when min(|P|, |O|) < `leaf_threshold` (step 1),
+  /// which must be at least 2 for the halving to bottom out.
+  ZeroRadiusPlan(std::vector<PlayerId> players, std::vector<std::uint32_t> objects,
+                 std::size_t leaf_threshold, const rng::Rng& rng);
+
+  [[nodiscard]] const Node& root() const { return nodes_.front(); }
+  /// Child 2t+1 (`half` 0) or 2t+2 (`half` 1) of an internal node.
+  [[nodiscard]] const Node& child(const Node& node, std::size_t half) const {
+    return nodes_[node.first_child + half];
+  }
+
+ private:
+  std::vector<Node> nodes_;  // breadth-first, siblings adjacent
 };
 
-inline ZeroRadiusSplit zero_radius_node_split(std::size_t n_players, std::size_t n_objects,
-                                              const rng::Rng& rng, std::uint64_t node_tag) {
-  auto index_list = [](std::size_t n) {
+inline ZeroRadiusPlan::ZeroRadiusPlan(std::vector<PlayerId> players,
+                                      std::vector<std::uint32_t> objects,
+                                      std::size_t leaf_threshold, const rng::Rng& rng) {
+  if (leaf_threshold < 2) {
+    // A 1x1 node would split into an empty half and itself forever.
+    throw std::invalid_argument("ZeroRadiusPlan: leaf threshold below 2");
+  }
+  const auto positions = [](std::size_t n) {
     std::vector<std::uint32_t> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint32_t>(i);
+    std::iota(v.begin(), v.end(), 0u);
     return v;
   };
-  rng::Rng split_rng = rng.split(node_tag, 0x5eed);
-  ZeroRadiusSplit s;
-  std::tie(s.p1, s.p2) = rng::random_half_split(index_list(n_players), split_rng);
-  std::tie(s.o1, s.o2) = rng::random_half_split(index_list(n_objects), split_rng);
-  return s;
+  const auto gather = [](const auto& src, const std::vector<std::uint32_t>& idx) {
+    std::remove_cvref_t<decltype(src)> out;
+    out.reserve(idx.size());
+    for (std::uint32_t i : idx) out.push_back(src[i]);
+    return out;
+  };
+  Node& root = nodes_.emplace_back();
+  root.players = std::move(players);
+  root.objects = std::move(objects);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    Node& node = nodes_[i];
+    if (std::min(node.players.size(), node.objects.size()) < leaf_threshold) continue;
+    rng::Rng split_rng = rng.split(node.tag, 0x5eed);
+    std::tie(node.player_pos[0], node.player_pos[1]) =
+        rng::random_half_split(positions(node.players.size()), split_rng);
+    std::tie(node.object_pos[0], node.object_pos[1]) =
+        rng::random_half_split(positions(node.objects.size()), split_rng);
+    std::array<Node, 2> kids;
+    for (std::size_t h = 0; h < 2; ++h) {
+      kids[h].tag = node.tag * 2 + 1 + h;
+      kids[h].players = gather(node.players, node.player_pos[h]);
+      kids[h].objects = gather(node.objects, node.object_pos[h]);
+    }
+    node.first_child = nodes_.size();
+    // The pushes may move the nodes: `node` is not used past here.
+    nodes_.push_back(std::move(kids[0]));
+    nodes_.push_back(std::move(kids[1]));
+  }
 }
 
 namespace detail {
@@ -119,15 +186,15 @@ struct RowTraits<Space, std::void_t<typename Space::Row>> {
                 "a packed Zero Radius space provides probe_row and publish_rows");
 };
 
-template <typename Space, typename Row>
-int row_cmp(const Row& a, const Row& b) {
-  if constexpr (RowTraits<Space>::packed) {
-    return a.lex_compare(b);
-  } else {
-    if (a < b) return -1;
-    if (b < a) return 1;
-    return 0;
-  }
+inline int row_cmp(const bits::BitVector& a, const bits::BitVector& b) {
+  return a.lex_compare(b);
+}
+
+template <typename Value>
+int row_cmp(const std::vector<Value>& a, const std::vector<Value>& b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return 0;
 }
 
 // Optional degradation hooks of the Space concept (see faults/). A
@@ -197,11 +264,30 @@ obs::FlightRecorder* space_recorder(Space& space) {
   }
 }
 
+/// The winner of Select with distance bound 0: an alive candidate
+/// first, then fewest mismatches, then the lexicographically smallest
+/// row. select_zero below and the per-player ZeroRadiusStrategy both
+/// decide with it.
+template <typename Row>
+std::size_t select_zero_winner(const std::vector<Row>& cands, const std::vector<bool>& alive,
+                               const std::vector<std::size_t>& mismatches) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < cands.size(); ++i) {
+    if (alive[i] != alive[best]) {
+      if (alive[i]) best = i;
+    } else if (mismatches[i] != mismatches[best]) {
+      if (mismatches[i] < mismatches[best]) best = i;
+    } else if (row_cmp(cands[i], cands[best]) < 0) {
+      best = i;
+    }
+  }
+  return best;
+}
+
 /// Select with distance bound 0 over generic value-rows: probe
 /// distinguishing positions in order, drop candidates on their first
-/// mismatch. Returns the surviving candidate's index (ties and the
-/// all-eliminated fallback resolve to fewest mismatches, then
-/// lexicographic order). The packed variant aggregates alive
+/// mismatch. Returns the winner's index (select_zero_winner). The
+/// packed variant aggregates alive
 /// candidates into word-parallel any0/any1 masks whose AND marks every
 /// distinguishing coordinate at once — the probe sequence is identical
 /// to the per-coordinate scan it replaces.
@@ -287,38 +373,25 @@ std::size_t select_zero(Space& space, PlayerId p, const std::vector<Row>& cands,
     }
   }
 
-  std::size_t best = 0;
-  bool best_alive = alive[0];
-  for (std::size_t i = 1; i < k; ++i) {
-    const bool better_liveness = alive[i] && !best_alive;
-    const bool same_liveness = alive[i] == best_alive;
-    if (better_liveness ||
-        (same_liveness &&
-         (mismatches[i] < mismatches[best] ||
-          (mismatches[i] == mismatches[best] && row_cmp<Space>(cands[i], cands[best]) < 0)))) {
-      best = i;
-      best_alive = alive[i];
-    }
-  }
-  return best;
+  return select_zero_winner(cands, alive, mismatches);
 }
 
 /// Sort row pointers lexicographically and visit each run of equal
 /// rows: the shared grouping engine behind the vote tallies below
 /// (replaces a std::map of whole rows — same ascending order, no
 /// node-per-row allocation).
-template <typename Space, typename Row, typename Visit>
+template <typename Row, typename Visit>
 void for_each_row_group(const std::vector<Row>& posts, Visit&& visit) {
   std::vector<const Row*> ptrs;
   ptrs.reserve(posts.size());
   for (const auto& r : posts) ptrs.push_back(&r);
   std::sort(ptrs.begin(), ptrs.end(), [](const Row* a, const Row* b) {
-    return row_cmp<Space>(*a, *b) < 0;
+    return row_cmp(*a, *b) < 0;
   });
   std::size_t i = 0;
   while (i < ptrs.size()) {
     std::size_t j = i + 1;
-    while (j < ptrs.size() && row_cmp<Space>(*ptrs[i], *ptrs[j]) == 0) ++j;
+    while (j < ptrs.size() && row_cmp(*ptrs[i], *ptrs[j]) == 0) ++j;
     visit(*ptrs[i], j - i);
     i = j;
   }
@@ -326,10 +399,10 @@ void for_each_row_group(const std::vector<Row>& posts, Visit&& visit) {
 
 /// Group equal rows and return those with >= min_votes occurrences,
 /// sorted lexicographically (deterministic candidates).
-template <typename Space, typename Row>
+template <typename Row>
 std::vector<Row> popular_vectors(const std::vector<Row>& posts, std::size_t min_votes) {
   std::vector<Row> out;
-  for_each_row_group<Space>(posts, [&](const Row& row, std::size_t count) {
+  for_each_row_group(posts, [&](const Row& row, std::size_t count) {
     if (count >= min_votes) out.push_back(row);
   });
   return out;
@@ -339,10 +412,10 @@ std::vector<Row> popular_vectors(const std::vector<Row>& posts, std::size_t min_
 /// distinct rows of `posts` (ties broken lexicographically). Used when
 /// a vote loses quorum and the adopters fall back to whatever the
 /// survivors published.
-template <typename Space, typename Row>
+template <typename Row>
 std::vector<Row> top_vectors(const std::vector<Row>& posts, std::size_t limit) {
   std::vector<std::pair<std::size_t, const Row*>> ranked;
-  for_each_row_group<Space>(posts, [&](const Row& row, std::size_t count) {
+  for_each_row_group(posts, [&](const Row& row, std::size_t count) {
     ranked.emplace_back(count, &row);
   });
   // for_each_row_group visits ascending, so a stable sort by count
@@ -361,19 +434,19 @@ struct ZeroRadiusRun {
   Space& space;
   double alpha;
   const Params& params;
-  std::size_t n_total;
-  std::size_t threshold;
+  const ZeroRadiusPlan& plan;
 
-  using Value = typename Space::Value;
   using Row = typename RowTraits<Space>::Row;
   using Outputs = std::vector<Row>;  // per player, per object
+  using Node = ZeroRadiusPlan::Node;
 
-  Outputs run(const std::vector<PlayerId>& players, const std::vector<std::uint32_t>& objects,
-              rng::Rng rng, std::uint64_t node_tag) {
+  Outputs run(const Node& node) {
+    const auto& players = node.players;
+    const auto& objects = node.objects;
     Outputs out(players.size(), Row(objects.size()));
     if (players.empty() || objects.empty()) return out;
 
-    if (std::min(players.size(), objects.size()) < threshold) {
+    if (node.leaf()) {
       // Step 1: leaf — every player probes every object. Crashed /
       // degraded players sit the leaf out (their rows stay default and
       // they are excluded from votes higher up).
@@ -389,62 +462,34 @@ struct ZeroRadiusRun {
           }
         }
       });
-      publish_all(players, out, node_tag);
+      publish_all(players, out, node.tag);
       return out;
     }
 
-    // Step 2: random halving of players and objects (shared coins).
-    const auto split = zero_radius_node_split(players.size(), objects.size(), rng, node_tag);
-    const auto& p1_idx = split.p1;
-    const auto& p2_idx = split.p2;
-    const auto& o1_idx = split.o1;
-    const auto& o2_idx = split.o2;
-
-    const auto p1 = gather(players, p1_idx);
-    const auto p2 = gather(players, p2_idx);
-    const auto o1 = gather(objects, o1_idx);
-    const auto o2 = gather(objects, o2_idx);
-
-    // Step 3: both halves recurse on their own corner.
-    Outputs r1 = run(p1, o1, rng, node_tag * 2 + 1);
-    Outputs r2 = run(p2, o2, rng, node_tag * 2 + 2);
+    // Steps 2-3: the plan's halving of players and objects (shared
+    // coins); both halves recurse on their own corner.
+    const Outputs r[2] = {run(plan.child(node, 0)), run(plan.child(node, 1))};
 
     // For packed rows every scatter below deposits through the same
     // two position sets, so build each set's word mask once per node
     // and reuse it for every player (adopters and own-half alike).
-    const Mask m1 = make_mask(o1_idx, objects.size());
-    const Mask m2 = make_mask(o2_idx, objects.size());
+    const Mask masks[2] = {make_mask(node.object_pos[0], objects.size()),
+                           make_mask(node.object_pos[1], objects.size())};
 
-    // Step 4: cross-adoption via voting + Select with bound 0. The
-    // posting half published its outputs under its child tag, which is
-    // what the post-loss filter keys on.
-    adopt(p1, o2, r2, p2, out, p1_idx, o2_idx, m2, node_tag * 2 + 2);
-    adopt(p2, o1, r1, p1, out, p2_idx, o1_idx, m1, node_tag * 2 + 1);
+    // Step 4: cross-adoption via voting + Select with bound 0.
+    adopt(node, 0, r[1], masks[1], out);
+    adopt(node, 1, r[0], masks[0], out);
 
     // Own-half results copy straight through.
-    scatter_outputs(r1, p1_idx, o1_idx, m1, out);
-    scatter_outputs(r2, p2_idx, o2_idx, m2, out);
+    for (std::size_t h = 0; h < 2; ++h) {
+      scatter_outputs(r[h], node.player_pos[h], node.object_pos[h], masks[h], out);
+    }
 
-    publish_all(players, out, node_tag);
+    publish_all(players, out, node.tag);
     return out;
   }
 
  private:
-  static std::vector<std::uint32_t> index_list(std::size_t n) {
-    std::vector<std::uint32_t> v(n);
-    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint32_t>(i);
-    return v;
-  }
-
-  template <typename T>
-  static std::vector<T> gather(const std::vector<T>& src,
-                               const std::vector<std::uint32_t>& idx) {
-    std::vector<T> out;
-    out.reserve(idx.size());
-    for (std::uint32_t i : idx) out.push_back(src[i]);
-    return out;
-  }
-
   /// Position-set type for the per-node scatter masks: a packed word
   /// mask when rows are packed (reused across every row of the node),
   /// nothing otherwise.
@@ -476,16 +521,16 @@ struct ZeroRadiusRun {
     }
   }
 
-  /// Players `adopters` (positions `adopter_pos` in the parent lists)
-  /// adopt the other half's outputs `posts` for objects `object_ids`
-  /// (positions `obj_pos` in the parent object list). `poster_tag` is
-  /// the recursion tag the posting half published under (the post-loss
-  /// filter keys on it).
-  void adopt(const std::vector<PlayerId>& adopters, const std::vector<std::uint32_t>& object_ids,
-             const Outputs& posts, const std::vector<PlayerId>& posters, Outputs& out,
-             const std::vector<std::uint32_t>& adopter_pos,
-             const std::vector<std::uint32_t>& obj_pos, const Mask& obj_mask,
-             std::uint64_t poster_tag) {
+  /// The players of `node`'s child `half` adopt the other child's
+  /// outputs `posts` for that child's objects (`obj_mask` marks their
+  /// positions in the node's object list). The posting child published
+  /// under its own tag, which is what the post-loss filter keys on.
+  void adopt(const Node& node, std::size_t half, const Outputs& posts, const Mask& obj_mask,
+             Outputs& out) {
+    const auto& adopters = plan.child(node, half).players;
+    const Node& posting = plan.child(node, 1 - half);
+    const auto& posters = posting.players;
+    const auto& object_ids = posting.objects;
     // Byzantine hook: the space may rewrite what individual posters
     // *publish* for voting (dishonest eBay users, per the paper's
     // intro) — their own outputs are untouched, only their influence
@@ -518,7 +563,7 @@ struct ZeroRadiusRun {
       // it to the billboard — the vote and its quorum threshold are
       // taken over the survivors only. With no faults this keeps every
       // post and the paper's threshold exactly.
-      const std::string poster_channel = "zr/" + std::to_string(poster_tag);
+      const std::string poster_channel = "zr/" + std::to_string(posting.tag);
       kept = 0;
       for (std::size_t i = 0; i < posters.size(); ++i) {
         if (space_is_failed(space, posters[i]) ||
@@ -532,10 +577,8 @@ struct ZeroRadiusRun {
       votable = &filtered;
     }
 
-    const auto min_votes = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(params.zr_vote_frac * alpha * static_cast<double>(kept))));
-    std::vector<Row> candidates = popular_vectors<Space>(*votable, min_votes);
+    std::vector<Row> candidates =
+        popular_vectors(*votable, zero_radius_min_votes(kept, alpha, params));
 
     // Orphan adoption: the committee lost its quorum (mass crash or
     // post loss). Rather than leave the adopters with garbage, fall
@@ -552,7 +595,7 @@ struct ZeroRadiusRun {
     // the distributed ZeroRadiusStrategy, which has no such fallback.
     bool orphan_fallback = false;
     if (candidates.empty() && !votable->empty() && space_faults_active(space)) {
-      candidates = top_vectors<Space>(*votable, params.ft_orphan_candidates);
+      candidates = top_vectors(*votable, params.ft_orphan_candidates);
       orphan_fallback = true;
     }
     // Community-size record per adoption vote — also a serial drain
@@ -574,7 +617,8 @@ struct ZeroRadiusRun {
           candidates.size() == 1
               ? 0
               : select_zero(space, adopters[i], candidates, std::span(object_ids));
-      scatter_row(out[adopter_pos[i]], candidates[choice], obj_pos, obj_mask);
+      scatter_row(out[node.player_pos[half][i]], candidates[choice], node.object_pos[1 - half],
+                  obj_mask);
     });
   }
 
@@ -614,9 +658,10 @@ std::vector<typename detail::RowTraits<Space>::Row> zero_radius(
     Space& space, const std::vector<PlayerId>& players,
     const std::vector<std::uint32_t>& objects, double alpha, const Params& params,
     rng::Rng rng, std::size_t n_total) {
-  detail::ZeroRadiusRun<Space> run{space, alpha, params, n_total,
-                                   zero_radius_leaf_threshold(n_total, alpha, params)};
-  return run.run(players, objects, std::move(rng), 1);
+  const ZeroRadiusPlan plan(players, objects, zero_radius_leaf_threshold(n_total, alpha, params),
+                            rng);
+  detail::ZeroRadiusRun<Space> run{space, alpha, params, plan};
+  return run.run(plan.root());
 }
 
 }  // namespace tmwia::core

@@ -1,20 +1,22 @@
 // ZeroRadiusStrategy: Algorithm Zero Radius (Fig. 2) as a *genuinely
 // distributed* per-player state machine under the synchronous
-// RoundScheduler — each player independently derives the shared
-// recursion tree from the common coins, probes its own leaf, publishes
-// its vectors on the billboard, awaits its sibling half's posts, and
-// adopts by vote + Select with bound 0, exactly as the paper describes
-// a player executing the algorithm.
+// RoundScheduler — each player follows its own root-to-leaf path of the
+// shared recursion tree, probes its own leaf, publishes its vectors on
+// the billboard, awaits its sibling half's posts, and adopts by vote +
+// Select with bound 0, exactly as the paper describes a player
+// executing the algorithm.
 //
-// The centralized engine in zero_radius.hpp is the fast simulation; it
-// shares the tree derivation (zero_radius_node_split) and the vote
-// semantics with this class, and the test suite checks the two produce
-// BIT-IDENTICAL outputs and probe counts from the same seed — the
-// simulation-faithfulness argument for every experiment built on the
-// centralized path.
+// The tree is the ZeroRadiusPlan of zero_radius.hpp: the public coins,
+// derived once and shared by every player of a run and by the
+// centralized engine (the fast simulation), which also share the vote
+// quorum and the Select-0 winner rule. The test suite checks the two
+// produce BIT-IDENTICAL outputs and probe counts from the same seed —
+// the simulation-faithfulness argument for every experiment built on
+// the centralized path.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,13 +30,12 @@ namespace tmwia::core {
 
 class ZeroRadiusStrategy final : public billboard::PlayerStrategy {
  public:
-  /// `self` must appear in `players`. `shared_rng` is the common-coins
-  /// stream (same value for every player and for the centralized run
-  /// being compared against). `channel_prefix` namespaces the billboard
-  /// channels of this execution.
-  ZeroRadiusStrategy(PlayerId self, std::vector<PlayerId> players,
-                     std::vector<std::uint32_t> objects, double alpha, const Params& params,
-                     const rng::Rng& shared_rng, std::string channel_prefix = "dzr");
+  /// `self` must be among the plan's root players. `plan` is the shared
+  /// recursion tree, one for every player of the execution (and for the
+  /// centralized run being compared against). `channel_prefix`
+  /// namespaces the billboard channels of this execution.
+  ZeroRadiusStrategy(PlayerId self, std::shared_ptr<const ZeroRadiusPlan> plan, double alpha,
+                     const Params& params, std::string channel_prefix = "dzr");
 
   std::optional<billboard::ObjectId> next_probe(const billboard::RoundView& view) override;
   void on_result(billboard::ObjectId o, bool value) override;
@@ -45,45 +46,39 @@ class ZeroRadiusStrategy final : public billboard::PlayerStrategy {
   [[nodiscard]] bits::BitVector output() const;
 
  private:
-  /// One recursion node on the player's root-to-leaf path.
+  using Node = ZeroRadiusPlan::Node;
+
+  /// One internal node on the player's path, and the child (not
+  /// containing the player) whose posts it adopts.
   struct Frame {
-    std::vector<std::uint32_t> objects;          ///< node's global object ids
-    std::vector<std::uint32_t> sibling_objects;  ///< sibling child's global ids
-    std::uint64_t own_child_tag = 0;
-    std::uint64_t sibling_child_tag = 0;
-    std::size_t sibling_player_count = 0;
-    std::size_t min_votes = 1;
+    const Node* node;
+    const Node* sibling;
+    std::string sibling_channel;
+    std::size_t min_votes;
   };
 
-  enum class State : std::uint8_t { kLeafProbe, kPostChild, kAwait, kSelect, kDone };
+  enum class State : std::uint8_t { kLeafProbe, kAwait, kSelect, kDone };
 
   [[nodiscard]] std::string channel(std::uint64_t tag) const {
     return prefix_ + "/" + std::to_string(tag);
   }
-  void begin_level();  // set up Await for frames_[level_]
+  void finish_leaf();
 
-  PlayerId self_;
-  double alpha_;
+  std::shared_ptr<const ZeroRadiusPlan> plan_;
   std::string prefix_;
-
-  // Root-to-leaf path; frames_[0] is the root. The leaf's objects are
-  // leaf_objects_.
-  std::vector<Frame> frames_;
-  std::vector<std::uint32_t> leaf_objects_;
-  std::uint64_t leaf_tag_ = 1;
+  const Node* leaf_ = nullptr;
+  std::vector<Frame> frames_;  // the path's internal nodes, deepest first
 
   // Accumulated estimate over the global object space.
   bits::BitVector values_;
-  std::vector<std::uint32_t> root_objects_;
 
   State state_ = State::kLeafProbe;
   std::size_t leaf_pos_ = 0;
-  std::size_t level_ = 0;  // index into frames_ counting from the leaf upward
-  std::uint64_t pending_post_tag_ = 0;
-  bool have_pending_post_ = false;
+  std::size_t level_ = 0;  // index into frames_
+  const Node* pending_post_ = nullptr;
 
   // Select-with-bound-0 working state for the current level.
-  std::vector<bits::BitVector> candidates_;  // over sibling_objects order
+  std::vector<bits::BitVector> candidates_;  // over the sibling's object order
   std::vector<bool> alive_;
   std::vector<std::size_t> mismatches_;
   std::size_t select_cursor_ = 0;

@@ -3,100 +3,70 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace tmwia::core {
-namespace {
 
-template <typename T>
-std::vector<T> gather(const std::vector<T>& src, const std::vector<std::uint32_t>& idx) {
-  std::vector<T> out;
-  out.reserve(idx.size());
-  for (std::uint32_t i : idx) out.push_back(src[i]);
-  return out;
-}
-
-}  // namespace
-
-ZeroRadiusStrategy::ZeroRadiusStrategy(PlayerId self, std::vector<PlayerId> players,
-                                       std::vector<std::uint32_t> objects, double alpha,
-                                       const Params& params, const rng::Rng& shared_rng,
+ZeroRadiusStrategy::ZeroRadiusStrategy(PlayerId self, std::shared_ptr<const ZeroRadiusPlan> plan,
+                                       double alpha, const Params& params,
                                        std::string channel_prefix)
-    : self_(self), alpha_(alpha), prefix_(std::move(channel_prefix)) {
-  const std::size_t n_total = players.size();
-  const std::size_t threshold = zero_radius_leaf_threshold(n_total, alpha, params);
-  if (std::find(players.begin(), players.end(), self_) == players.end()) {
+    : plan_(std::move(plan)), prefix_(std::move(channel_prefix)) {
+  const Node* node = &plan_->root();
+  const auto it = std::find(node->players.begin(), node->players.end(), self);
+  if (it == node->players.end()) {
     throw std::invalid_argument("ZeroRadiusStrategy: self not among players");
   }
+  auto pos = static_cast<std::uint32_t>(it - node->players.begin());
 
   // Pre-size the global estimate: object ids address the oracle's
   // space, so size it to the max id + 1.
   std::uint32_t max_obj = 0;
-  for (auto o : objects) max_obj = std::max(max_obj, o);
+  for (auto o : node->objects) max_obj = std::max(max_obj, o);
   values_ = bits::BitVector(max_obj + 1);
-  root_objects_ = objects;
 
   // Walk down the shared recursion tree, keeping the half containing
   // self at every node (Fig. 2: "Let P' be the half that contains p").
-  std::uint64_t tag = 1;
-  while (std::min(players.size(), objects.size()) >= threshold && !players.empty() &&
-         !objects.empty()) {
-    const auto split = zero_radius_node_split(players.size(), objects.size(), shared_rng, tag);
-
-    const auto self_pos = static_cast<std::uint32_t>(
-        std::find(players.begin(), players.end(), self_) - players.begin());
-    if (self_pos >= players.size()) {
-      throw std::invalid_argument("ZeroRadiusStrategy: self not among players");
-    }
-    const bool in_first = std::binary_search(split.p1.begin(), split.p1.end(), self_pos);
-
-    Frame f;
-    f.objects = objects;
-    const auto& own_p = in_first ? split.p1 : split.p2;
-    const auto& sib_p = in_first ? split.p2 : split.p1;
-    const auto& own_o = in_first ? split.o1 : split.o2;
-    const auto& sib_o = in_first ? split.o2 : split.o1;
-    f.sibling_objects = gather(objects, sib_o);
-    f.own_child_tag = tag * 2 + (in_first ? 1 : 2);
-    f.sibling_child_tag = tag * 2 + (in_first ? 2 : 1);
-    f.sibling_player_count = sib_p.size();
-    f.min_votes = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(params.zr_vote_frac * alpha_ *
-                                              static_cast<double>(sib_p.size()))));
-    frames_.push_back(std::move(f));
-
-    players = gather(players, own_p);
-    objects = gather(objects, own_o);
-    tag = frames_.back().own_child_tag;
+  // `pos` is self's position in the node's player list.
+  while (!node->leaf()) {
+    const auto& first = node->player_pos[0];
+    const std::size_t half = std::binary_search(first.begin(), first.end(), pos) ? 0 : 1;
+    const auto& own = node->player_pos[half];
+    pos = static_cast<std::uint32_t>(std::lower_bound(own.begin(), own.end(), pos) - own.begin());
+    const Node& sibling = plan_->child(*node, 1 - half);
+    frames_.push_back(Frame{node, &sibling, channel(sibling.tag),
+                            zero_radius_min_votes(sibling.players.size(), alpha, params)});
+    node = &plan_->child(*node, half);
   }
-  leaf_objects_ = std::move(objects);
-  leaf_tag_ = tag;
+  leaf_ = node;
 
   // Process deepest node first on the way back up.
   std::reverse(frames_.begin(), frames_.end());
-  state_ = State::kLeafProbe;
+}
+
+void ZeroRadiusStrategy::finish_leaf() {
+  pending_post_ = leaf_;
+  state_ = frames_.empty() ? State::kDone : State::kAwait;
 }
 
 std::optional<billboard::ObjectId> ZeroRadiusStrategy::next_probe(
     const billboard::RoundView& view) {
   switch (state_) {
     case State::kLeafProbe:
-      if (leaf_pos_ < leaf_objects_.size()) {
-        return leaf_objects_[leaf_pos_];
+      if (leaf_pos_ < leaf_->objects.size()) {
+        return leaf_->objects[leaf_pos_];
       }
       // Leaf complete (empty-leaf corner case): fall through to posting.
-      pending_post_tag_ = leaf_tag_;
-      have_pending_post_ = true;
-      state_ = frames_.empty() ? State::kDone : State::kAwait;
+      finish_leaf();
       return std::nullopt;
 
     case State::kAwait: {
       const Frame& f = frames_[level_];
-      const auto ch = channel(f.sibling_child_tag);
-      if (view.board().posters(ch) < f.sibling_player_count) {
+      if (view.board().posters(f.sibling_channel) < f.sibling->players.size()) {
         return std::nullopt;  // sibling half still working
       }
       // All sibling posts in: tally and set up Select with bound 0.
-      const auto voted = view.board().popular(ch, static_cast<std::uint32_t>(f.min_votes));
+      const auto voted =
+          view.board().popular(f.sibling_channel, static_cast<std::uint32_t>(f.min_votes));
       candidates_.clear();
       for (const auto& vv : voted) candidates_.push_back(vv.vec);
       alive_.assign(candidates_.size(), true);
@@ -108,12 +78,13 @@ std::optional<billboard::ObjectId> ZeroRadiusStrategy::next_probe(
 
     case State::kSelect: {
       const Frame& f = frames_[level_];
+      const auto& sibling_objects = f.sibling->objects;
       std::size_t alive_count = 0;
       for (bool a : alive_) alive_count += a ? 1 : 0;
 
       if (candidates_.size() > 1 && alive_count > 1) {
         // Next coordinate where two alive candidates disagree.
-        for (; select_cursor_ < f.sibling_objects.size(); ++select_cursor_) {
+        for (; select_cursor_ < sibling_objects.size(); ++select_cursor_) {
           bool saw0 = false, saw1 = false;
           for (std::size_t i = 0; i < candidates_.size(); ++i) {
             if (!alive_[i]) continue;
@@ -121,40 +92,25 @@ std::optional<billboard::ObjectId> ZeroRadiusStrategy::next_probe(
           }
           if (saw0 && saw1) {
             probing_candidate_coord_ = select_cursor_;
-            return f.sibling_objects[select_cursor_];
+            return sibling_objects[select_cursor_];
           }
         }
       }
 
       // Selection finished for this level: adopt the winner.
       if (!candidates_.empty()) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < candidates_.size(); ++i) {
-          const bool better_liveness = alive_[i] && !alive_[best];
-          const bool same_liveness = alive_[i] == alive_[best];
-          if (better_liveness ||
-              (same_liveness &&
-               (mismatches_[i] < mismatches_[best] ||
-                (mismatches_[i] == mismatches_[best] &&
-                 candidates_[i].lex_compare(candidates_[best]) < 0)))) {
-            best = i;
-          }
-        }
-        values_.scatter(candidates_[best], f.sibling_objects);
+        values_.scatter(candidates_[detail::select_zero_winner(candidates_, alive_, mismatches_)],
+                        sibling_objects);
       }
 
       // Publish the completed node vector for the parent level's
       // sibling players (the root's vector needs no audience).
-      if (level_ + 1 < frames_.size()) {
-        pending_post_tag_ = frames_[level_ + 1].own_child_tag;
-        have_pending_post_ = true;
-      }
+      if (level_ + 1 < frames_.size()) pending_post_ = f.node;
       ++level_;
       state_ = level_ < frames_.size() ? State::kAwait : State::kDone;
       return std::nullopt;
     }
 
-    case State::kPostChild:
     case State::kDone:
       return std::nullopt;
   }
@@ -164,12 +120,7 @@ std::optional<billboard::ObjectId> ZeroRadiusStrategy::next_probe(
 void ZeroRadiusStrategy::on_result(billboard::ObjectId o, bool value) {
   if (state_ == State::kLeafProbe) {
     values_.set(o, value);
-    ++leaf_pos_;
-    if (leaf_pos_ == leaf_objects_.size()) {
-      pending_post_tag_ = leaf_tag_;
-      have_pending_post_ = true;
-      state_ = frames_.empty() ? State::kDone : State::kAwait;
-    }
+    if (++leaf_pos_ == leaf_->objects.size()) finish_leaf();
     return;
   }
   if (state_ == State::kSelect && probing_candidate_coord_.has_value()) {
@@ -188,18 +139,14 @@ void ZeroRadiusStrategy::on_result(billboard::ObjectId o, bool value) {
 }
 
 std::vector<billboard::PendingPost> ZeroRadiusStrategy::posts() {
-  if (!have_pending_post_) return {};
-  have_pending_post_ = false;
-  // The node's object set: leaf objects for the leaf post, otherwise
-  // the just-completed frame's objects.
-  const std::vector<std::uint32_t>* objs = &leaf_objects_;
-  if (pending_post_tag_ != leaf_tag_) {
-    objs = &frames_[level_ - 1].objects;
-  }
-  return {billboard::PendingPost{channel(pending_post_tag_), values_.project(*objs)}};
+  if (pending_post_ == nullptr) return {};
+  const Node* node = std::exchange(pending_post_, nullptr);
+  return {billboard::PendingPost{channel(node->tag), values_.project(node->objects)}};
 }
 
-bits::BitVector ZeroRadiusStrategy::output() const { return values_.project(root_objects_); }
+bits::BitVector ZeroRadiusStrategy::output() const {
+  return values_.project(plan_->root().objects);
+}
 
 DistributedZeroRadiusResult zero_radius_distributed(billboard::ProbeOracle& oracle,
                                                     double alpha, const Params& params,
@@ -213,13 +160,15 @@ DistributedZeroRadiusResult zero_radius_distributed(billboard::ProbeOracle& orac
   std::iota(players.begin(), players.end(), 0u);
   std::vector<std::uint32_t> objects(m);
   std::iota(objects.begin(), objects.end(), 0u);
+  const auto plan = std::make_shared<const ZeroRadiusPlan>(
+      std::move(players), std::move(objects), zero_radius_leaf_threshold(n, alpha, params),
+      shared_rng);
 
   std::vector<std::unique_ptr<billboard::PlayerStrategy>> strategies;
   std::vector<ZeroRadiusStrategy*> raw;
   strategies.reserve(n);
   for (PlayerId p = 0; p < n; ++p) {
-    auto s = std::make_unique<ZeroRadiusStrategy>(p, players, objects, alpha, params,
-                                                  shared_rng);
+    auto s = std::make_unique<ZeroRadiusStrategy>(p, plan, alpha, params);
     raw.push_back(s.get());
     strategies.push_back(std::move(s));
   }

@@ -1,14 +1,13 @@
 // Serialization of the library's value types: preference matrices,
 // generated instances (matrix + planted community structure) and result
-// vectors. Two interchangeable encodings:
+// vectors, in one line-oriented text encoding: human-inspectable
+// ("TMWIA/1 text" header, one '0'/'1' row per line) and diff-friendly
+// for goldens.
 //
-//  * text  — line-oriented, human-inspectable ("TMWIA/1 text" header,
-//            one '0'/'1' row per line), diff-friendly for goldens;
-//  * binary — "TMWIA/1 bin" magic + little-endian u64 dims + packed row
-//             words; loads back bit-exact.
-//
-// Both round-trip exactly; loaders validate headers and shapes and
-// throw std::runtime_error on malformed input.
+// Everything round-trips exactly. Loaders validate headers, shapes and
+// community ids and throw std::runtime_error ("serialize: ...") on
+// malformed input; a header's counts only bound the reads, so memory
+// grows with the rows actually present.
 #pragma once
 
 #include <iosfwd>
@@ -24,15 +23,15 @@ namespace tmwia::io {
 // --- preference matrices -------------------------------------------------
 
 void save_matrix_text(const matrix::PreferenceMatrix& m, std::ostream& os);
+/// Rejects more than 2^32-1 players (player ids are 32-bit).
 matrix::PreferenceMatrix load_matrix_text(std::istream& is);
-
-void save_matrix_binary(const matrix::PreferenceMatrix& m, std::ostream& os);
-matrix::PreferenceMatrix load_matrix_binary(std::istream& is);
 
 // --- generated instances (matrix + community structure) ------------------
 
 /// Text format: the matrix section followed by one line per community
-/// ("community <id...>" ) and per center ("center <bits>").
+/// ("community <id...>" ) and per center ("center <bits>"). The loader
+/// rejects ids that are not players of the matrix and centers whose
+/// width is not its object count.
 void save_instance(const matrix::Instance& inst, std::ostream& os);
 matrix::Instance load_instance(std::istream& is);
 
@@ -44,9 +43,6 @@ std::vector<bits::BitVector> load_outputs(std::istream& is);
 
 // --- file helpers ----------------------------------------------------------
 
-void save_matrix_file(const matrix::PreferenceMatrix& m, const std::string& path,
-                      bool binary = false);
-matrix::PreferenceMatrix load_matrix_file(const std::string& path);
 void save_instance_file(const matrix::Instance& inst, const std::string& path);
 matrix::Instance load_instance_file(const std::string& path);
 

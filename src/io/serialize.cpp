@@ -1,8 +1,9 @@
 #include "tmwia/io/serialize.hpp"
 
-#include <cstring>
+#include <charconv>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -11,22 +12,6 @@ namespace tmwia::io {
 namespace {
 
 constexpr char kTextMagic[] = "TMWIA/1 text";
-constexpr char kBinMagic[] = "TMWIA/1 bin";
-
-void write_u64(std::ostream& os, std::uint64_t v) {
-  unsigned char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<unsigned char>(v >> (8 * i));
-  os.write(reinterpret_cast<const char*>(buf), 8);
-}
-
-std::uint64_t read_u64(std::istream& is) {
-  unsigned char buf[8];
-  is.read(reinterpret_cast<char*>(buf), 8);
-  if (!is) throw std::runtime_error("serialize: truncated binary input");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf[i]) << (8 * i);
-  return v;
-}
 
 std::string read_line(std::istream& is, const char* what) {
   std::string line;
@@ -34,6 +19,16 @@ std::string read_line(std::istream& is, const char* what) {
     throw std::runtime_error(std::string("serialize: missing ") + what);
   }
   return line;
+}
+
+/// A community member: a decimal player id below `players`.
+matrix::PlayerId parse_member(const std::string& token, std::size_t players) {
+  std::uint64_t id = 0;
+  const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), id);
+  if (ec != std::errc{} || end != token.data() + token.size() || id >= players) {
+    throw std::runtime_error("serialize: bad community member '" + token + "'");
+  }
+  return static_cast<matrix::PlayerId>(id);
 }
 
 }  // namespace
@@ -52,46 +47,19 @@ matrix::PreferenceMatrix load_matrix_text(std::istream& is) {
   std::istringstream dims(read_line(is, "dimensions"));
   std::size_t n = 0, m = 0;
   if (!(dims >> n >> m)) throw std::runtime_error("serialize: bad dimensions");
+  if (n > std::numeric_limits<matrix::PlayerId>::max()) {
+    throw std::runtime_error("serialize: more players than 32-bit player ids address");
+  }
 
-  matrix::PreferenceMatrix out(n, m);
+  // The header only bounds the loop: rows are allocated as they arrive,
+  // so a lying header fails on the missing rows instead of allocating.
+  std::vector<bits::BitVector> rows;
   for (std::size_t p = 0; p < n; ++p) {
     const auto line = read_line(is, "row");
     if (line.size() != m) throw std::runtime_error("serialize: row length mismatch");
-    out.row(static_cast<matrix::PlayerId>(p)) = bits::BitVector::from_string(line);
+    rows.push_back(bits::BitVector::from_string(line));
   }
-  return out;
-}
-
-void save_matrix_binary(const matrix::PreferenceMatrix& m, std::ostream& os) {
-  os.write(kBinMagic, static_cast<std::streamsize>(std::strlen(kBinMagic)));
-  write_u64(os, m.players());
-  write_u64(os, m.objects());
-  for (matrix::PlayerId p = 0; p < m.players(); ++p) {
-    for (auto w : m.row(p).words()) write_u64(os, w);
-  }
-}
-
-matrix::PreferenceMatrix load_matrix_binary(std::istream& is) {
-  char magic[sizeof(kBinMagic) - 1];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kBinMagic, sizeof(magic)) != 0) {
-    throw std::runtime_error("serialize: bad binary magic");
-  }
-  const auto n = read_u64(is);
-  const auto m = read_u64(is);
-  matrix::PreferenceMatrix out(n, m);
-  const auto words = bits::BitVector::word_count(m);
-  for (std::uint64_t p = 0; p < n; ++p) {
-    auto& row = out.row(static_cast<matrix::PlayerId>(p));
-    for (std::size_t w = 0; w < words; ++w) {
-      const auto word = read_u64(is);
-      for (int b = 0; b < 64; ++b) {
-        const std::size_t o = w * 64 + static_cast<std::size_t>(b);
-        if (o < m && ((word >> b) & 1u)) row.set(o, true);
-      }
-    }
-  }
-  return out;
+  return matrix::PreferenceMatrix(std::move(rows));
 }
 
 void save_instance(const matrix::Instance& inst, std::ostream& os) {
@@ -123,8 +91,8 @@ matrix::Instance load_instance(std::istream& is) {
       throw std::runtime_error("serialize: bad community line");
     }
     std::vector<matrix::PlayerId> ids;
-    matrix::PlayerId p = 0;
-    while (line >> p) ids.push_back(p);
+    std::string token;
+    while (line >> token) ids.push_back(parse_member(token, inst.matrix.players()));
     inst.communities.push_back(std::move(ids));
   }
   for (std::size_t i = 0; i < count; ++i) {
@@ -132,6 +100,9 @@ matrix::Instance load_instance(std::istream& is) {
     std::string bitstr;
     if (!(line >> word >> bitstr) || word != "center") {
       throw std::runtime_error("serialize: bad center line");
+    }
+    if (bitstr.size() != inst.matrix.objects()) {
+      throw std::runtime_error("serialize: center width mismatch");
     }
     inst.centers.push_back(bits::BitVector::from_string(bitstr));
   }
@@ -151,34 +122,10 @@ std::vector<bits::BitVector> load_outputs(std::istream& is) {
     throw std::runtime_error("serialize: bad outputs header");
   }
   std::vector<bits::BitVector> out;
-  out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     out.push_back(bits::BitVector::from_string(read_line(is, "output row")));
   }
   return out;
-}
-
-void save_matrix_file(const matrix::PreferenceMatrix& m, const std::string& path,
-                      bool binary) {
-  std::ofstream os(path, binary ? std::ios::binary : std::ios::out);
-  if (!os) throw std::runtime_error("serialize: cannot open " + path);
-  if (binary) {
-    save_matrix_binary(m, os);
-  } else {
-    save_matrix_text(m, os);
-  }
-}
-
-matrix::PreferenceMatrix load_matrix_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("serialize: cannot open " + path);
-  // Sniff the magic to pick the decoder.
-  char c = 0;
-  std::string head;
-  while (is.get(c) && c != '\n' && head.size() < 16) head.push_back(c);
-  is.seekg(0);
-  if (head.rfind(kBinMagic, 0) == 0) return load_matrix_binary(is);
-  return load_matrix_text(is);
 }
 
 void save_instance_file(const matrix::Instance& inst, const std::string& path) {

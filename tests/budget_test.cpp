@@ -99,11 +99,13 @@ TEST(ForgingStrategy, HonestPeersSurviveProtocolLevelForgery) {
   for (std::size_t i = 0; i < outsiders.size() / 3; ++i) is_liar[outsiders[i]] = true;
   const bits::BitVector forged = inst.centers[0] ^ bits::BitVector(n, true);
 
+  const auto plan = std::make_shared<const ZeroRadiusPlan>(
+      players, objects, zero_radius_leaf_threshold(n, alpha, params), coins);
   billboard::ProbeOracle oracle(inst.matrix);
   std::vector<std::unique_ptr<billboard::PlayerStrategy>> strategies;
   std::vector<ZeroRadiusStrategy*> honest(n, nullptr);
   for (PlayerId p = 0; p < n; ++p) {
-    ZeroRadiusStrategy inner(p, players, objects, alpha, params, coins);
+    ZeroRadiusStrategy inner(p, plan, alpha, params);
     if (is_liar[p]) {
       strategies.push_back(
           std::make_unique<ForgingZeroRadiusStrategy>(std::move(inner), forged));

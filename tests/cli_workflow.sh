@@ -139,6 +139,34 @@ expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=solo --bogus=1 --out=/dev/
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=nonsense --out=/dev/null
 expect_exit 1 "$CLI" info --in="$DIR/missing.tmw"
 
+# 1 also for malformed instance and outputs files: a community id that
+# is no player (out of range, or beyond 32 bits), a center of the wrong
+# width, or a header count the rows do not back. Each must fail with
+# the loader's "serialize:" error, not a crash or an allocation failure.
+expect_serialize_error() {
+  local got=0
+  "$@" >/dev/null 2>"$DIR/serialize_err.txt" || got=$?
+  if [ "$got" -ne 1 ] || ! grep -q "serialize:" "$DIR/serialize_err.txt"; then
+    echo "expected exit 1 with a serialize: error, got $got: $*" >&2
+    exit 1
+  fi
+}
+bad_instance() {
+  printf 'TMWIA/1 text\n2 3\n010\n110\ncommunities 1\ncommunity %s\ncenter %s\n' "$2" "$3" \
+    >"$DIR/$1.tmw"
+}
+bad_instance member_range "0 70000000" 010
+bad_instance member_wide "0 4294967297" 010
+bad_instance center_width "0 1" 0101111
+for bad in member_range member_wide center_width; do
+  expect_serialize_error "$CLI" info --in="$DIR/$bad.tmw"
+  expect_serialize_error "$CLI" eval --in="$DIR/$bad.tmw" --outputs="$DIR/est.txt"
+done
+printf 'TMWIA/1 text\n4000000000 1\n' >"$DIR/rows_header.tmw"
+expect_serialize_error "$CLI" info --in="$DIR/rows_header.tmw"
+printf 'outputs 4000000000\n' >"$DIR/outputs_header.txt"
+expect_serialize_error "$CLI" eval --in="$DIR/world.tmw" --outputs="$DIR/outputs_header.txt"
+
 # 3: replay audit failure. Tamper the recorded run_end totals; the
 # replayer's cross-check must notice.
 sed '$s/"a":[0-9][0-9]*/"a":999999999/' "$DIR/r1.jsonl" >"$DIR/r1_tampered.jsonl"

@@ -1,9 +1,9 @@
-// Tests for matrix/instance/output serialization: exact round-trips in
-// both encodings, malformed-input rejection, format sniffing.
+// Tests for matrix/instance/output serialization: exact round-trips and
+// malformed-input rejection.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "tmwia/io/serialize.hpp"
 #include "tmwia/matrix/generators.hpp"
@@ -43,19 +43,21 @@ TEST(SerializeText, RejectsTruncated) {
   EXPECT_THROW(load_matrix_text(ss), std::runtime_error);
 }
 
-TEST(SerializeBinary, RoundTrip) {
-  const auto m = sample_matrix(9, 129, 2);
-  std::stringstream ss;
-  save_matrix_binary(m, ss);
-  const auto back = load_matrix_binary(ss);
-  for (matrix::PlayerId p = 0; p < m.players(); ++p) {
-    EXPECT_EQ(back.row(p), m.row(p));
-  }
+TEST(SerializeText, RejectsHeaderBeyondRows) {
+  // The header's player count must not allocate before the rows arrive.
+  std::stringstream ss("TMWIA/1 text\n4000000000 1\n");
+  EXPECT_THROW(load_matrix_text(ss), std::runtime_error);
 }
 
-TEST(SerializeBinary, RejectsBadMagic) {
-  std::stringstream ss("garbage");
-  EXPECT_THROW(load_matrix_binary(ss), std::runtime_error);
+TEST(SerializeText, RejectsMorePlayersThanIds) {
+  // Refused at the header: player ids are 32-bit.
+  std::stringstream ss("TMWIA/1 text\n4294967296 1\n0\n");
+  try {
+    (void)load_matrix_text(ss);
+    FAIL() << "expected a serialize error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos) << e.what();
+  }
 }
 
 TEST(SerializeInstance, RoundTripWithCommunities) {
@@ -80,6 +82,37 @@ TEST(SerializeInstance, NoCommunities) {
   EXPECT_TRUE(back.communities.empty());
 }
 
+// A 2x3 instance with one community and one center line.
+std::string instance_text(const std::string& community, const std::string& center) {
+  return "TMWIA/1 text\n2 3\n010\n110\ncommunities 1\ncommunity " + community +
+         "\ncenter " + center + "\n";
+}
+
+TEST(SerializeInstance, RejectsCommunityIdOutOfRange) {
+  std::stringstream ss(instance_text("0 70000000", "010"));
+  EXPECT_THROW(load_instance(ss), std::runtime_error);
+}
+
+TEST(SerializeInstance, RejectsCommunityIdBeyond32Bits) {
+  // Used to truncate the community to {0} silently.
+  std::stringstream ss(instance_text("0 4294967297", "010"));
+  EXPECT_THROW(load_instance(ss), std::runtime_error);
+}
+
+TEST(SerializeInstance, RejectsUnparsableCommunityId) {
+  for (const char* bad : {"0 x", "0 -1", "0 1x", "0 +1"}) {
+    std::stringstream ss(instance_text(bad, "010"));
+    EXPECT_THROW(load_instance(ss), std::runtime_error) << bad;
+  }
+}
+
+TEST(SerializeInstance, RejectsCenterWidthMismatch) {
+  for (const char* bad : {"0101111", "01"}) {
+    std::stringstream ss(instance_text("0 1", bad));
+    EXPECT_THROW(load_instance(ss), std::runtime_error) << bad;
+  }
+}
+
 TEST(SerializeOutputs, RoundTrip) {
   std::vector<bits::BitVector> outs{bits::BitVector::from_string("0101"),
                                     bits::BitVector::from_string("1111")};
@@ -88,24 +121,13 @@ TEST(SerializeOutputs, RoundTrip) {
   EXPECT_EQ(load_outputs(ss), outs);
 }
 
-TEST(SerializeFile, SniffsTextAndBinary) {
-  const auto m = sample_matrix(6, 40, 5);
-  const std::string text_path = "/tmp/tmwia_ser_test.txt";
-  const std::string bin_path = "/tmp/tmwia_ser_test.bin";
-  save_matrix_file(m, text_path, /*binary=*/false);
-  save_matrix_file(m, bin_path, /*binary=*/true);
-  const auto t = load_matrix_file(text_path);
-  const auto b = load_matrix_file(bin_path);
-  for (matrix::PlayerId p = 0; p < 6; ++p) {
-    EXPECT_EQ(t.row(p), m.row(p));
-    EXPECT_EQ(b.row(p), m.row(p));
-  }
-  std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
+TEST(SerializeOutputs, RejectsHeaderBeyondRows) {
+  std::stringstream ss("outputs 4000000000\n0101\n");
+  EXPECT_THROW(load_outputs(ss), std::runtime_error);
 }
 
 TEST(SerializeFile, MissingFileThrows) {
-  EXPECT_THROW(load_matrix_file("/tmp/definitely_missing_tmwia_file"), std::runtime_error);
+  EXPECT_THROW(load_instance_file("/tmp/definitely_missing_tmwia_file"), std::runtime_error);
 }
 
 }  // namespace

@@ -15,7 +15,11 @@ namespace tmwia::core {
 namespace {
 
 struct EqCase {
-  std::size_t n;
+  // n players x m objects; m == 0 means square (m = n). The packed
+  // 32-bit pair keeps the printed parameters of the square cases, and
+  // with them their test names, unchanged.
+  std::uint32_t n;
+  std::uint32_t m;
   double alpha;
   std::uint64_t seed;
 };
@@ -23,9 +27,10 @@ struct EqCase {
 class DistributedEquivalence : public ::testing::TestWithParam<EqCase> {};
 
 TEST_P(DistributedEquivalence, MatchesCentralizedBitForBit) {
-  const auto [n, alpha, seed] = GetParam();
+  const auto [n, m_or_square, alpha, seed] = GetParam();
+  const std::size_t m = m_or_square == 0 ? n : m_or_square;
   rng::Rng gen(seed);
-  auto inst = matrix::planted_community(n, n, {alpha, 0}, gen);
+  auto inst = matrix::planted_community(n, m, {alpha, 0}, gen);
 
   const rng::Rng shared_coins(seed ^ 0xD15C0);
 
@@ -33,7 +38,7 @@ TEST_P(DistributedEquivalence, MatchesCentralizedBitForBit) {
   billboard::ProbeOracle central_oracle(inst.matrix);
   std::vector<PlayerId> players(n);
   std::iota(players.begin(), players.end(), 0u);
-  std::vector<std::uint32_t> objects(n);
+  std::vector<std::uint32_t> objects(m);
   std::iota(objects.begin(), objects.end(), 0u);
   const auto central = zero_radius_bits(central_oracle, nullptr, players, objects, alpha,
                                         Params::practical(), shared_coins);
@@ -53,10 +58,13 @@ TEST_P(DistributedEquivalence, MatchesCentralizedBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, DistributedEquivalence,
-                         ::testing::Values(EqCase{64, 1.0, 1}, EqCase{128, 0.5, 2},
-                                           EqCase{256, 0.5, 3}, EqCase{256, 0.25, 4},
-                                           EqCase{100, 0.5, 5}  // non-power-of-two
-                                           ));
+                         ::testing::Values(EqCase{64, 0, 1.0, 1}, EqCase{128, 0, 0.5, 2},
+                                           EqCase{256, 0, 0.5, 3}, EqCase{256, 0, 0.25, 4},
+                                           EqCase{100, 0, 0.5, 5},  // non-power-of-two
+                                           // Non-square: more players, more objects,
+                                           // and a small community on few objects.
+                                           EqCase{200, 96, 0.5, 6}, EqCase{96, 300, 0.5, 7},
+                                           EqCase{300, 37, 0.25, 8}));
 
 TEST(DistributedZeroRadius, CommunityReconstructionCorrect) {
   const std::size_t n = 256;
@@ -100,11 +108,9 @@ TEST(DistributedZeroRadius, WallClockRoundsStayLogarithmicish) {
 }
 
 TEST(DistributedZeroRadius, StrategyRejectsUnknownSelf) {
-  std::vector<PlayerId> players{0, 1, 2};
-  std::vector<std::uint32_t> objects{0, 1, 2};
-  EXPECT_THROW(ZeroRadiusStrategy(7, players, objects, 1.0, Params::practical(),
-                                  rng::Rng(1)),
-               std::invalid_argument);
+  const auto plan = std::make_shared<const ZeroRadiusPlan>(
+      std::vector<PlayerId>{0, 1, 2}, std::vector<std::uint32_t>{0, 1, 2}, 2, rng::Rng(1));
+  EXPECT_THROW(ZeroRadiusStrategy(7, plan, 1.0, Params::practical()), std::invalid_argument);
 }
 
 TEST(DistributedZeroRadius, TinyInstanceIsAllLeaf) {

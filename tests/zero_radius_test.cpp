@@ -3,14 +3,19 @@
 // O(log n / alpha) per-player probe bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <string>
 
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
 #include "tmwia/core/bit_space.hpp"
 #include "tmwia/core/params.hpp"
+#include "tmwia/core/zero_radius.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "tmwia/rng/partition.hpp"
 
 namespace tmwia::core {
 namespace {
@@ -25,6 +30,78 @@ std::vector<std::uint32_t> iota_objects(std::size_t m) {
   std::vector<std::uint32_t> o(m);
   std::iota(o.begin(), o.end(), 0u);
   return o;
+}
+
+// The halving at one internal node: positions `pos` of the two children
+// are ascending, partition 0..ids.size()-1 into halves whose sizes
+// differ by at most 1, and each child lists the ids at its positions.
+template <typename Id>
+void expect_halves(const std::vector<Id>& ids,
+                   const std::array<std::vector<std::uint32_t>, 2>& pos,
+                   const std::vector<Id>& kid0, const std::vector<Id>& kid1) {
+  const std::vector<Id>* kids[2] = {&kid0, &kid1};
+  std::vector<std::uint32_t> all;
+  for (std::size_t h = 0; h < 2; ++h) {
+    EXPECT_EQ(std::adjacent_find(pos[h].begin(), pos[h].end(), std::greater_equal<>()),
+              pos[h].end());
+    ASSERT_EQ(kids[h]->size(), pos[h].size());
+    for (std::size_t i = 0; i < pos[h].size(); ++i) EXPECT_EQ((*kids[h])[i], ids[pos[h][i]]);
+    all.insert(all.end(), pos[h].begin(), pos[h].end());
+  }
+  EXPECT_LE(std::max(pos[0].size(), pos[1].size()) - std::min(pos[0].size(), pos[1].size()), 1u);
+  std::sort(all.begin(), all.end());
+  std::vector<std::uint32_t> expected(ids.size());
+  std::iota(expected.begin(), expected.end(), 0u);
+  EXPECT_EQ(all, expected);
+}
+
+// Checks the subtree under `node` and returns its number of players
+// summed over leaves. Node t's coins are rng.split(t, 0x5eed), players
+// first: the tree every earlier run, log and checkpoint was made with.
+std::size_t expect_plan_subtree(const ZeroRadiusPlan& plan, const ZeroRadiusPlan::Node& node,
+                                std::size_t threshold, const rng::Rng& rng) {
+  SCOPED_TRACE("node " + std::to_string(node.tag));
+  EXPECT_EQ(node.leaf(), std::min(node.players.size(), node.objects.size()) < threshold);
+  if (node.leaf()) return node.players.size();
+  rng::Rng coins = rng.split(node.tag, 0x5eed);
+  const auto player_halves = rng::random_half_split(iota_objects(node.players.size()), coins);
+  const auto object_halves = rng::random_half_split(iota_objects(node.objects.size()), coins);
+  EXPECT_EQ(node.player_pos[0], player_halves.first);
+  EXPECT_EQ(node.object_pos[0], object_halves.first);
+  const auto& kid0 = plan.child(node, 0);
+  const auto& kid1 = plan.child(node, 1);
+  EXPECT_EQ(kid0.tag, 2 * node.tag + 1);
+  EXPECT_EQ(kid1.tag, 2 * node.tag + 2);
+  expect_halves(node.players, node.player_pos, kid0.players, kid1.players);
+  expect_halves(node.objects, node.object_pos, kid0.objects, kid1.objects);
+  return expect_plan_subtree(plan, kid0, threshold, rng) +
+         expect_plan_subtree(plan, kid1, threshold, rng);
+}
+
+TEST(ZeroRadiusPlan, ChildrenHalveEveryInternalNode) {
+  struct Shape {
+    std::size_t n, m, threshold;
+  };
+  for (const auto [n, m, threshold] :
+       {Shape{200, 96, 10}, Shape{96, 300, 12}, Shape{300, 37, 5}, Shape{101, 101, 2},
+        Shape{8, 8, 9}}) {
+    SCOPED_TRACE(std::to_string(n) + "x" + std::to_string(m));
+    // Non-contiguous, unsorted ids: positions, not ids, drive the split.
+    std::vector<PlayerId> players(n);
+    for (std::size_t i = 0; i < n; ++i) players[i] = static_cast<PlayerId>((7 * i + 3) % (2 * n));
+    std::vector<std::uint32_t> objects(m);
+    for (std::size_t j = 0; j < m; ++j) objects[j] = static_cast<std::uint32_t>(m - 1 - j);
+    const rng::Rng coins(n * 31 + m);
+    const ZeroRadiusPlan plan(players, objects, threshold, coins);
+    EXPECT_EQ(plan.root().tag, 1u);
+    EXPECT_EQ(plan.root().players, players);
+    EXPECT_EQ(plan.root().objects, objects);
+    EXPECT_EQ(expect_plan_subtree(plan, plan.root(), threshold, coins), n);
+  }
+}
+
+TEST(ZeroRadiusPlan, RejectsThresholdThatNeverBottomsOut) {
+  EXPECT_THROW(ZeroRadiusPlan({0, 1}, {0, 1}, 1, rng::Rng(1)), std::invalid_argument);
 }
 
 struct ZrCase {

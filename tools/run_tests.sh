@@ -7,9 +7,10 @@
 #              via -DTMWIA_LINT=ON when a clang-tidy binary exists.
 #   plain      full suite, default flags            (build/)
 #   asan       full suite, ASan+UBSan               (build-asan/)
-#   tsan       obs/engine/scheduler suites under ThreadSanitizer —
-#              exercises the sharded MetricsRegistry and the thread
-#              pool for data races                  (build-tsan/)
+#   tsan       obs/engine/scheduler/Zero Radius suites under
+#              ThreadSanitizer — exercises the sharded MetricsRegistry,
+#              the thread pool, and pool workers sharing one Zero Radius
+#              plan for data races                  (build-tsan/)
 #   audit      opt-in: just the ProtocolAuditor suite (runtime
 #              billboard-invariant checks; also part of plain)
 #   bench-json opt-in: run every e* bench binary and jq-check that each
@@ -141,13 +142,14 @@ if [[ $RUN_SAN -eq 1 ]]; then
 fi
 
 if [[ $RUN_TSAN -eq 1 ]]; then
-  echo "== TSan (obs + engine + scheduler) =="
+  echo "== TSan (obs + engine + scheduler + Zero Radius) =="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DTMWIA_TSAN=ON
   cmake --build "$ROOT/build-tsan" -j "$JOBS" \
-    --target test_obs test_profile test_engine test_round_scheduler test_thread_safety test_serve
+    --target test_obs test_profile test_engine test_round_scheduler test_thread_safety test_serve \
+    test_zero_radius test_zero_radius_strategy
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry)'
+    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry|ZeroRadius|DistributedEquivalence)'
 fi
 
 if [[ $RUN_AUDIT -eq 1 ]]; then
