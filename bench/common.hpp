@@ -91,11 +91,10 @@ inline std::string default_json_path(const std::string& name) {
 ///                   of the runs whose oracle the bench passes to
 ///                   attach(); e17/e18, whose runs happen inside serve
 ///                   tenants that own their logs, reject it
-///   --record-format=jsonl|binary   recorder wire format
 ///   --threads=N     global thread-pool size (0 = hardware)
 ///   --kernel=B      distance-kernel backend: scalar|avx2|avx512|auto
 ///
-/// An unknown --kernel or --record-format exits 2.
+/// An unknown --kernel exits 2.
 ///
 /// finish() prints the usual [PASS]/[FAIL] verdict line and writes
 /// {"bench":...,"kernel":...,"ok":...,"wall_ms":...,"metrics":{...}}
@@ -110,7 +109,7 @@ class BenchReport {
         json_path_(args.get("json").value_or(default_json_path(name_))),
         metrics_path_(args.get("metrics").value_or("")),
         start_(std::chrono::steady_clock::now()) {
-    engine::set_global_threads(static_cast<std::size_t>(args.get_int("threads", 0)));
+    engine::set_global_threads(static_cast<std::size_t>(args.get_u64("threads", 0)));
     if (const auto k = args.get("kernel"); k.has_value()) {
       const auto backend = bits::kernels::parse_backend(*k);
       if (!backend.has_value()) {
@@ -119,16 +118,10 @@ class BenchReport {
       }
       bits::kernels::set_backend(*backend);  // throws if the CPU can't run it
     }
-    const auto fmt_name = args.get("record-format").value_or("jsonl");
-    const auto fmt = obs::parse_record_format(fmt_name);
-    if (!fmt.has_value()) {
-      std::fprintf(stderr, "error: unknown --record-format '%s'\n", fmt_name.c_str());
-      std::exit(2);
-    }
     if (!metrics_path_.empty()) obs::MetricsRegistry::global().set_enabled(true);
     if (const auto record_path = args.get("record"); record_path.has_value()) {
       try {
-        record_ = std::make_unique<obs::RecordSink>(*record_path, *fmt);
+        record_ = std::make_unique<obs::RecordSink>(*record_path);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "warning: %s\n", e.what());
       }

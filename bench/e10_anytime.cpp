@@ -34,8 +34,8 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e10_anytime");
-  const auto seed = args.get_seed("seed", 10);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 1024));
+  const auto seed = args.get_u64("seed", 10);
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 1024));
   auto params = core::Params::practical();
   params.zr_vote_frac = 0.5;  // paper's alpha/2 quorum (see header note)
 

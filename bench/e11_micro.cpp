@@ -211,7 +211,7 @@ BENCHMARK(BM_ProbeOracle);
 // overflowing buffer.
 void BM_RecorderProbe(benchmark::State& state) {
   std::ostringstream sink;
-  obs::FlightRecorder rec(sink, obs::RecordFormat::kJsonl);
+  obs::FlightRecorder rec(sink);
   rec.run_begin("bench", 0.5, 1, 1);
   obs::FlightRecorder* attached = state.range(0) != 0 ? &rec : nullptr;
   std::uint64_t inv = 0;
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
   auto& reg = obs::MetricsRegistry::global();
   const bool was_enabled = reg.enabled();
   const std::size_t iters =
-      static_cast<std::size_t>(args.get_int("overhead-iters", 60000));
+      static_cast<std::size_t>(args.get_u64("overhead-iters", 60000));
   // Timer/scheduler jitter on a shared box is additive and positive,
   // so the minimum over reps converges on the true runtime of each
   // side; the ~60ms measurement window keeps millisecond-scale jitter
@@ -376,7 +376,7 @@ int main(int argc, char** argv) {
   const double rec_overhead_pct = (rec_null_ms / rec_base_ms - 1.0) * 100.0;
 
   std::ostringstream rec_sink;
-  obs::FlightRecorder rec(rec_sink, obs::RecordFormat::kJsonl, std::size_t{1} << 22);
+  obs::FlightRecorder rec(rec_sink, std::size_t{1} << 22);
   rec.run_begin("bench", 0.5, 1, 512);
   const std::size_t rec_iters = std::max<std::size_t>(1, iters / 4);
   double rec_on_ms = 1e300;

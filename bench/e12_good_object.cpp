@@ -22,8 +22,8 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e12_good_object");
-  const auto seed = args.get_seed("seed", 12);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 5));
+  const auto seed = args.get_u64("seed", 12);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 5));
 
   io::Table table("E12: one-good-object cost ([4]'s O(m + n log n) claim), one shared "
                   "liked object",

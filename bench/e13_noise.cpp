@@ -24,8 +24,8 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e13_noise");
-  const auto seed = args.get_seed("seed", 13);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 256));
+  const auto seed = args.get_u64("seed", 13);
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 256));
   const auto params = core::Params::practical();
 
   io::Table table(

@@ -45,8 +45,8 @@ bits::BitVector top_vote(const std::vector<bits::BitVector>& posts) {
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e14_byzantine");
-  const auto seed = args.get_seed("seed", 14);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 256));
+  const auto seed = args.get_u64("seed", 14);
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 256));
   const double alpha = 0.4;
   const auto params = core::Params::practical();
 

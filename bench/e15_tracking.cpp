@@ -26,10 +26,10 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e15_tracking");
-  const auto seed = args.get_seed("seed", 15);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 256));
-  const std::size_t epochs = static_cast<std::size_t>(args.get_int("epochs", 5));
-  const std::size_t center_flips = static_cast<std::size_t>(args.get_int("drift", 12));
+  const auto seed = args.get_u64("seed", 15);
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 256));
+  const std::size_t epochs = static_cast<std::size_t>(args.get_u64("epochs", 5));
+  const std::size_t center_flips = static_cast<std::size_t>(args.get_u64("drift", 12));
   const auto params = core::Params::practical();
 
   rng::Rng gen(seed);

@@ -55,8 +55,8 @@ Outcome run_faulty(bench::BenchReport& report, const matrix::Instance& inst,
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e16_faults");
-  const auto seed = args.get_seed("seed", 16);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 256));
+  const auto seed = args.get_u64("seed", 16);
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 256));
 
   rng::Rng gen(seed);
   auto inst = matrix::planted_community(n, n, {0.5, 2}, gen);

@@ -55,14 +55,14 @@ int main(int argc, char** argv) {
   }
   bench::BenchReport report(args, "e17_serve");
 
-  const auto requests = static_cast<std::uint64_t>(args.get_int("requests", 100000));
-  const auto tenant_count = static_cast<std::size_t>(args.get_int("tenants", 2));
-  const auto epochs = static_cast<std::uint64_t>(args.get_int("epochs", 6));
-  const auto min_epochs = static_cast<std::uint64_t>(args.get_int("min-epochs", 2));
-  const auto n = static_cast<std::size_t>(args.get_int("players", 48));
-  const auto m = static_cast<std::size_t>(args.get_int("objects", 96));
-  const auto k = static_cast<std::size_t>(args.get_int("k", 8));
-  const std::uint64_t seed = args.get_seed("seed", 1);
+  const auto requests = args.get_u64("requests", 100000);
+  const auto tenant_count = static_cast<std::size_t>(args.get_u64("tenants", 2));
+  const auto epochs = args.get_u64("epochs", 6);
+  const auto min_epochs = args.get_u64("min-epochs", 2);
+  const auto n = static_cast<std::size_t>(args.get_u64("players", 48));
+  const auto m = static_cast<std::size_t>(args.get_u64("objects", 96));
+  const auto k = static_cast<std::size_t>(args.get_u64("k", 8));
+  const std::uint64_t seed = args.get_u64("seed", 1);
 
   // The service reports through the global registry whether or not the
   // caller asked for a --metrics artifact; the percentiles below need it.

@@ -122,19 +122,16 @@ int main(int argc, char** argv) {
   bench::BenchReport report(args, "e18_telemetry");
 
   WorkloadConfig w;
-  w.requests = static_cast<std::uint64_t>(args.get_int("requests", 20000));
-  w.tenants = static_cast<std::size_t>(args.get_int("tenants", 2));
-  w.epochs = static_cast<std::uint64_t>(args.get_int("epochs", 5));
-  w.n = static_cast<std::size_t>(args.get_int("players", 48));
-  w.m = static_cast<std::size_t>(args.get_int("objects", 96));
-  w.k = static_cast<std::size_t>(args.get_int("k", 8));
-  w.seed = args.get_seed("seed", 1);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 3));
-  const auto every = static_cast<std::size_t>(args.get_int("every", 2048));
-  const double max_overhead = [&] {
-    const auto s = args.get("max-overhead");
-    return s.has_value() ? std::stod(*s) : 0.05;
-  }();
+  w.requests = args.get_u64("requests", 20000);
+  w.tenants = static_cast<std::size_t>(args.get_u64("tenants", 2));
+  w.epochs = args.get_u64("epochs", 5);
+  w.n = static_cast<std::size_t>(args.get_u64("players", 48));
+  w.m = static_cast<std::size_t>(args.get_u64("objects", 96));
+  w.k = static_cast<std::size_t>(args.get_u64("k", 8));
+  w.seed = args.get_u64("seed", 1);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 3));
+  const auto every = static_cast<std::size_t>(args.get_u64("every", 2048));
+  const double max_overhead = args.get_double("max-overhead", 0.05);
   const std::string stream_path =
       args.get("stream").value_or(bench::default_json_path("e18_stream") + "l");
 

@@ -22,9 +22,9 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e1_select");
-  const auto seed = args.get_seed("seed", 1);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 100));
-  const std::size_t m = static_cast<std::size_t>(args.get_int("m", 512));
+  const auto seed = args.get_u64("seed", 1);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 100));
+  const std::size_t m = static_cast<std::size_t>(args.get_u64("m", 512));
 
   io::Table table("E1: Select probe cost vs the k(D+1) bound (Theorem 3.2)",
                   {{"k"}, {"D"}, {"probes_mean", 1}, {"probes_max"}, {"bound k(D+1)"},

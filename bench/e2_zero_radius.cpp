@@ -21,8 +21,8 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e2_zero_radius");
-  const auto seed = args.get_seed("seed", 2);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 3));
+  const auto seed = args.get_u64("seed", 2);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 3));
   const auto params = core::Params::practical();
 
   io::Table table(

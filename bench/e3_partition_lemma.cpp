@@ -66,10 +66,10 @@ bool partition_successful(std::size_t M, std::size_t m, std::size_t d, std::size
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e3_partition_lemma");
-  const auto seed = args.get_seed("seed", 3);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 200));
-  const std::size_t M = static_cast<std::size_t>(args.get_int("M", 25));
-  const std::size_t m = static_cast<std::size_t>(args.get_int("m", 2048));
+  const auto seed = args.get_u64("seed", 3);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 200));
+  const std::size_t M = static_cast<std::size_t>(args.get_u64("M", 25));
+  const std::size_t m = static_cast<std::size_t>(args.get_u64("m", 2048));
 
   io::Table table(
       "E3: Lemma 4.1 — random-partition failure probability vs s/d^{3/2}",

@@ -23,10 +23,10 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e4_small_radius");
-  const auto seed = args.get_seed("seed", 4);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 3));
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 512));
-  const std::size_t m = static_cast<std::size_t>(args.get_int("m", 1024));
+  const auto seed = args.get_u64("seed", 4);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 3));
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 512));
+  const std::size_t m = static_cast<std::size_t>(args.get_u64("m", 1024));
   const double alpha = args.get_double("alpha", 0.5);
   auto params = core::Params::practical();
 

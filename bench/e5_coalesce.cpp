@@ -17,10 +17,10 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e5_coalesce");
-  const auto seed = args.get_seed("seed", 5);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 50));
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 100));
-  const std::size_t m = static_cast<std::size_t>(args.get_int("m", 512));
+  const auto seed = args.get_u64("seed", 5);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 50));
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 100));
+  const std::size_t m = static_cast<std::size_t>(args.get_u64("m", 512));
 
   io::Table table("E5: Coalesce output guarantees (Theorem 5.3), n=100 vectors",
                   {{"alpha", 2}, {"D"}, {"|B|_max"}, {"1/alpha bound"}, {"unique_rate", 2},

@@ -20,8 +20,8 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e6_large_radius");
-  const auto seed = args.get_seed("seed", 6);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 3));
+  const auto seed = args.get_u64("seed", 6);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 3));
   const double alpha = args.get_double("alpha", 0.5);
   const auto params = core::Params::practical();
 

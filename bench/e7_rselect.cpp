@@ -21,10 +21,10 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e7_rselect");
-  const auto seed = args.get_seed("seed", 7);
-  const auto trials = static_cast<std::size_t>(args.get_int("trials", 60));
-  const std::size_t m = static_cast<std::size_t>(args.get_int("m", 1024));
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 1024));
+  const auto seed = args.get_u64("seed", 7);
+  const auto trials = static_cast<std::size_t>(args.get_u64("trials", 60));
+  const std::size_t m = static_cast<std::size_t>(args.get_u64("m", 1024));
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 1024));
   const core::Params params = core::Params::practical();
 
   io::Table table("E7: RSelect probes and output quality (Theorem 6.1), m=n=1024",

@@ -21,7 +21,7 @@ using namespace tmwia;
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e8_main_theorem");
-  const auto seed = args.get_seed("seed", 8);
+  const auto seed = args.get_u64("seed", 8);
   const auto params = core::Params::practical();
 
   io::Table table(

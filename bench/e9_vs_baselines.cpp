@@ -149,9 +149,9 @@ void print_rows(const std::string& title, const std::vector<Row>& rows, std::siz
 int main(int argc, char** argv) {
   const io::Args args(argc, argv);
   bench::BenchReport report(args, "e9_vs_baselines");
-  const auto seed = args.get_seed("seed", 9);
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 512));
-  const std::size_t m = static_cast<std::size_t>(args.get_int("m", 512));
+  const auto seed = args.get_u64("seed", 9);
+  const std::size_t n = static_cast<std::size_t>(args.get_u64("n", 512));
+  const std::size_t m = static_cast<std::size_t>(args.get_u64("m", 512));
   const std::size_t budget = m / 8;
 
   // (a) The SVD-friendly control.

@@ -25,9 +25,9 @@
 int main(int argc, char** argv) {
   using namespace tmwia;
   const io::Args args(argc, argv);
-  const auto users = static_cast<std::size_t>(args.get_int("users", 400));
-  const auto products = static_cast<std::size_t>(args.get_int("products", 512));
-  const auto seed = args.get_seed("seed", 7);
+  const auto users = static_cast<std::size_t>(args.get_u64("users", 400));
+  const auto products = static_cast<std::size_t>(args.get_u64("products", 512));
+  const auto seed = args.get_u64("seed", 7);
 
   const std::vector<std::string> segment_names{"sports", "cooking", "gaming", "travel"};
 

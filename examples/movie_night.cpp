@@ -21,9 +21,9 @@
 int main(int argc, char** argv) {
   using namespace tmwia;
   const io::Args args(argc, argv);
-  const auto users = static_cast<std::size_t>(args.get_int("users", 512));
-  const auto movies = static_cast<std::size_t>(args.get_int("movies", 512));
-  const auto seed = args.get_seed("seed", 11);
+  const auto users = static_cast<std::size_t>(args.get_u64("users", 512));
+  const auto movies = static_cast<std::size_t>(args.get_u64("movies", 512));
+  const auto seed = args.get_u64("seed", 11);
 
   // Two taste clusters (say, thrillers vs musicals people) with real
   // internal disagreement, and 20% of users with one-of-a-kind taste.

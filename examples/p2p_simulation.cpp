@@ -22,8 +22,8 @@
 int main(int argc, char** argv) {
   using namespace tmwia;
   const io::Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("peers", 256));
-  const auto seed = args.get_seed("seed", 21);
+  const auto n = static_cast<std::size_t>(args.get_u64("peers", 256));
+  const auto seed = args.get_u64("seed", 21);
 
   rng::Rng gen(seed);
   auto world = matrix::planted_community(n, n, {0.5, 0}, gen);

@@ -26,8 +26,8 @@ std::vector<std::uint32_t> first_64() {
 int main(int argc, char** argv) {
   using namespace tmwia;
   const io::Args args(argc, argv);
-  const auto n = static_cast<std::size_t>(args.get_int("n", 256));
-  const auto seed = args.get_seed("seed", 42);
+  const auto n = static_cast<std::size_t>(args.get_u64("n", 256));
+  const auto seed = args.get_u64("seed", 42);
 
   // A world with 256 users and 256 items: half the users form a "taste
   // community" whose opinions differ pairwise in at most ~4 items; the

@@ -23,10 +23,10 @@
 int main(int argc, char** argv) {
   using namespace tmwia;
   const io::Args args(argc, argv);
-  const auto sensors = static_cast<std::size_t>(args.get_int("sensors", 512));
-  const auto cells = static_cast<std::size_t>(args.get_int("cells", 512));
-  const auto budget = static_cast<std::uint64_t>(args.get_int("budget", 40000));
-  const auto seed = args.get_seed("seed", 13);
+  const auto sensors = static_cast<std::size_t>(args.get_u64("sensors", 512));
+  const auto cells = static_cast<std::size_t>(args.get_u64("cells", 512));
+  const auto budget = args.get_u64("budget", 40000);
+  const auto seed = args.get_u64("seed", 13);
 
   // Three sensor clusters with different noise levels (calibration
   // quirk radius), plus 10% failed/erratic sensors.

@@ -148,10 +148,6 @@ class RoundScheduler {
   /// recorder all see globally increasing round numbers.
   [[nodiscard]] std::size_t next_round() const { return start_round_; }
 
-  /// Override the starting round of the next run() (normally only used
-  /// when reconstructing a scheduler mid-run).
-  void resume_at(std::size_t round) { start_round_ = round; }
-
  private:
   ProbeOracle* oracle_;
   Billboard board_;

@@ -17,10 +17,10 @@
 // supported backend on randomized sizes including non-word-aligned
 // tails and TriVector '?' masks.
 //
-// The one-pair free functions of hamming.hpp are thin (deprecated)
-// forwards into this layer; new call sites in src/core and
-// src/billboard use the batched API directly so per-pair call overhead
-// is paid once per collection, not once per element.
+// hamming.hpp keeps the one-pair dist(x, y) as a first-class name that
+// forwards into this layer; src/core and src/billboard use the batched
+// API directly so per-pair call overhead is paid once per collection,
+// not once per element.
 #pragma once
 
 #include <cstddef>

@@ -127,6 +127,7 @@ void rescue_orphans(billboard::ProbeOracle& oracle, std::vector<bits::BitVector>
 
 RunReport find_preferences(billboard::ProbeOracle& oracle, billboard::Billboard* board,
                            double alpha, std::size_t D, const Params& params, rng::Rng rng) {
+  require_alpha(alpha, "find_preferences");
   const auto players = all_players(oracle);
   const auto objects = all_objects(oracle);
   const auto before = oracle.snapshot();
@@ -194,6 +195,7 @@ namespace {
 RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* board,
                          double alpha, const Params& params, rng::Rng rng,
                          const CheckpointPolicy* policy, const RunCheckpoint* resume) {
+  require_alpha(alpha, "find_preferences_unknown_d");
   const auto players = all_players(oracle);
   const auto objects = all_objects(oracle);
   const std::size_t m = objects.size();

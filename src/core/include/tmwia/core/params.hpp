@@ -16,10 +16,33 @@
 //                          profile each number was measured under.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
 
 namespace tmwia::core {
+
+/// The one check of the community fraction: every entry point that
+/// takes alpha (find_preferences, the unknown-D body, Small and Large
+/// Radius, serve tenants) calls it before its first probe. Throws
+/// std::invalid_argument unless 0 < alpha <= 1, so NaN fails too.
+inline void require_alpha(double alpha, const char* where) {
+  if (alpha > 0.0 && alpha <= 1.0) return;
+  char got[32];
+  std::snprintf(got, sizeof got, "%g", alpha);
+  throw std::invalid_argument(std::string(where) + ": alpha must be in (0, 1], got " + got);
+}
+
+/// ceil(x) as a count, clamped to 2^63 first: a count derived from
+/// 1/alpha overflows size_t for a tiny alpha, and one that large
+/// already exceeds every instance. Below the clamp nothing changes.
+inline std::size_t ceil_count(double x) {
+  return static_cast<std::size_t>(std::ceil(std::min(x, 0x1p63)));
+}
 
 struct Params {
   // --- Zero Radius (Fig. 2) ---

@@ -84,8 +84,7 @@ class Session {
   /// Stream the flight-recorder event log here (see
   /// obs::FlightRecorder). The session installs a truth-closing output
   /// evaluator, so phase_summary records carry max/mean discrepancy.
-  Session& record_sink(std::string path,
-                       obs::RecordFormat format = obs::RecordFormat::kJsonl);
+  Session& record_sink(std::string path);
 
   /// Theorem 1.1: known alpha, unknown D.
   core::RunReport run();
@@ -114,7 +113,6 @@ class Session {
   std::optional<faults::FaultPlan> fault_plan_;
   std::string metrics_path_;
   std::string record_path_;
-  obs::RecordFormat record_format_ = obs::RecordFormat::kJsonl;
 
   bool built_ = false;
   std::uint64_t run_index_ = 0;

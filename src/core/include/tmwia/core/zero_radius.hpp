@@ -67,8 +67,7 @@ using matrix::PlayerId;
 inline std::size_t zero_radius_leaf_threshold(std::size_t n_total, double alpha,
                                               const Params& params) {
   const double ln_n = std::log(static_cast<double>(std::max<std::size_t>(n_total, 3)));
-  const double t = params.zr_leaf_c * ln_n / alpha;
-  return std::max(params.zr_min_leaf, static_cast<std::size_t>(std::ceil(t)));
+  return std::max(params.zr_min_leaf, ceil_count(params.zr_leaf_c * ln_n / alpha));
 }
 
 /// Vote quorum of Fig. 2 step 4: a vector is a candidate once at least

@@ -1,7 +1,6 @@
 #include "tmwia/core/large_radius.hpp"
 
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "tmwia/core/coalesce.hpp"
@@ -70,10 +69,8 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
                                const std::vector<PlayerId>& players,
                                const std::vector<std::uint32_t>& objects, double alpha,
                                std::size_t D, const Params& params, rng::Rng rng) {
+  require_alpha(alpha, "large_radius");
   if (players.empty()) return {};
-  if (alpha <= 0.0 || alpha > 1.0) {
-    throw std::invalid_argument("large_radius: alpha must be in (0, 1]");
-  }
 
   const std::size_t n = players.size();
   const std::size_t m = objects.size();
@@ -99,8 +96,7 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
 
   const double target_per_part = params.lr_players_mult * log_n / alpha;
   const auto copies = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(target_per_part * static_cast<double>(L) / static_cast<double>(n))));
+      1, ceil_count(target_per_part * static_cast<double>(L) / static_cast<double>(n)));
   res.player_copies = std::min(copies, L);
 
   std::vector<std::uint32_t> player_positions(n);

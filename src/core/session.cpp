@@ -95,10 +95,9 @@ Session& Session::metrics_sink(std::string path) {
   return *this;
 }
 
-Session& Session::record_sink(std::string path, obs::RecordFormat format) {
+Session& Session::record_sink(std::string path) {
   require_unbuilt("record_sink");
   record_path_ = std::move(path);
-  record_format_ = format;
   return *this;
 }
 
@@ -120,7 +119,7 @@ void Session::build() {
   if (!record_path_.empty()) {
     // Attached before the first probe and post, with the truth-closing
     // evaluator so phase summaries carry discrepancy.
-    record_ = std::make_unique<obs::RecordSink>(record_path_, record_format_);
+    record_ = std::make_unique<obs::RecordSink>(record_path_);
     record_->recorder().set_output_evaluator(make_truth_evaluator(*truth_));
     oracle_->set_recorder(&record_->recorder());
     board_->set_recorder(&record_->recorder());

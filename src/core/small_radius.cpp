@@ -1,7 +1,6 @@
 #include "tmwia/core/small_radius.hpp"
 
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "tmwia/core/bit_space.hpp"
@@ -23,10 +22,8 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
                                const std::vector<std::uint32_t>& objects, double alpha,
                                std::size_t D, const Params& params, rng::Rng rng,
                                std::size_t n_total) {
+  require_alpha(alpha, "small_radius");
   if (players.empty()) return {};
-  if (alpha <= 0.0 || alpha > 1.0) {
-    throw std::invalid_argument("small_radius: alpha must be in (0, 1]");
-  }
 
   SmallRadiusResult res;
   const std::size_t m = objects.size();

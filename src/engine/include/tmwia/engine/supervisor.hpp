@@ -20,7 +20,7 @@
 //
 // Determinism: backoff lengths depend only on (strike count, config),
 // bench windows on the shared round clock, and phases reuse one
-// scheduler via its monotone round clock (resume_at/next_round), so a
+// scheduler via its monotone round clock (next_round), so a
 // supervised run replays byte-identically under the flight recorder.
 //
 // Thread safety: like the RoundScheduler it drives, a Supervisor is

@@ -1,6 +1,8 @@
 #include "tmwia/io/args.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace tmwia::io {
@@ -28,19 +30,37 @@ std::optional<std::string> Args::get(const std::string& name) const {
   return it->second;
 }
 
-std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
+namespace {
+
+/// from_chars over all of `text`: false if it fails or leaves a byte.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+[[noreturn]] void reject(const std::string& name, const std::string& text,
+                         const char* expected) {
+  throw std::invalid_argument("--" + name + ": expected " + expected + ", got '" + text + "'");
+}
+
+}  // namespace
+
+std::uint64_t Args::get_u64(const std::string& name, std::uint64_t def) const {
   const auto v = get(name);
-  return v ? std::stoll(*v) : def;
+  if (!v) return def;
+  std::uint64_t out = 0;
+  if (!parse_whole(*v, out)) reject(name, *v, "an unsigned integer below 2^64");
+  return out;
 }
 
 double Args::get_double(const std::string& name, double def) const {
   const auto v = get(name);
-  return v ? std::stod(*v) : def;
-}
-
-std::uint64_t Args::get_seed(const std::string& name, std::uint64_t def) const {
-  const auto v = get(name);
-  return v ? std::stoull(*v) : def;
+  if (!v) return def;
+  double out = 0.0;
+  if (!parse_whole(*v, out) || !std::isfinite(out)) reject(name, *v, "a finite number");
+  return out;
 }
 
 bool Args::get_flag(const std::string& name) const {

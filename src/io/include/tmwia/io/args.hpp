@@ -21,10 +21,14 @@ class Args {
   /// Value of --name=value, if present.
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
 
-  /// Typed accessors with defaults.
-  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Typed accessors with defaults. Each parses the whole value or
+  /// throws std::invalid_argument naming the flag.
+  ///
+  /// Every integer flag is a count, an id or a seed: digits only, no
+  /// sign, below 2^64.
+  [[nodiscard]] std::uint64_t get_u64(const std::string& name, std::uint64_t def) const;
+  /// A finite number.
   [[nodiscard]] double get_double(const std::string& name, double def) const;
-  [[nodiscard]] std::uint64_t get_seed(const std::string& name, std::uint64_t def) const;
   /// --name (no value) or --name=true/1 => true.
   [[nodiscard]] bool get_flag(const std::string& name) const;
 

@@ -1,10 +1,11 @@
 #include "tmwia/obs/flight_recorder.hpp"
 
 #include <array>
-#include <cstdlib>
-#include <cstring>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -12,22 +13,6 @@
 
 namespace tmwia::obs {
 namespace {
-
-constexpr char kBinaryMagic[8] = {'T', 'M', 'W', 'I', 'A', 'F', 'R', '1'};
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
-}
 
 struct KindName {
   RecorderEvent::Kind kind;
@@ -71,18 +56,8 @@ std::optional<RecorderEvent::Kind> kind_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-std::optional<RecordFormat> parse_record_format(std::string_view name) {
-  if (name == "jsonl") return RecordFormat::kJsonl;
-  if (name == "binary") return RecordFormat::kBinary;
-  return std::nullopt;
-}
-
-FlightRecorder::FlightRecorder(std::ostream& out, RecordFormat format, std::size_t stage_cap)
-    : out_(out), format_(format), stage_cap_(stage_cap) {
-  if (format_ == RecordFormat::kBinary) {
-    out_.write(kBinaryMagic, sizeof kBinaryMagic);
-  }
-}
+FlightRecorder::FlightRecorder(std::ostream& out, std::size_t stage_cap)
+    : out_(out), stage_cap_(stage_cap) {}
 
 FlightRecorder::~FlightRecorder() { flush(); }
 
@@ -91,61 +66,44 @@ void FlightRecorder::write_locked(RecorderEvent& ev) {
   written_.fetch_add(1, std::memory_order_relaxed);
   std::string line;
   line.reserve(96);
-  if (format_ == RecordFormat::kJsonl) {
-    line += "{\"t\":";
-    line += std::to_string(ev.t);
-    line += ",\"ev\":\"";
-    line += to_string(ev.kind);
-    line.push_back('"');
-    if (ev.has(RecorderEvent::kHasRound)) {
-      line += ",\"round\":";
-      line += std::to_string(ev.round);
-    }
-    if (ev.has(RecorderEvent::kHasPlayer)) {
-      line += ",\"p\":";
-      line += std::to_string(ev.player);
-    }
-    if (ev.has(RecorderEvent::kHasObject)) {
-      line += ",\"o\":";
-      line += std::to_string(ev.object);
-    }
-    if (ev.has(RecorderEvent::kHasA)) {
-      line += ",\"a\":";
-      line += std::to_string(ev.a);
-    }
-    if (ev.has(RecorderEvent::kHasB)) {
-      line += ",\"b\":";
-      line += std::to_string(ev.b);
-    }
-    if (ev.has(RecorderEvent::kHasX)) {
-      line += ",\"x\":";
-      support::append_json_f64(line, ev.x);
-    }
-    if (ev.has(RecorderEvent::kHasY)) {
-      line += ",\"y\":";
-      support::append_json_f64(line, ev.y);
-    }
-    if (ev.has(RecorderEvent::kHasLabel)) {
-      line += ",\"label\":";
-      support::append_json_string(line, ev.label);
-    }
-    line += "}\n";
-  } else {
-    line.push_back(static_cast<char>(ev.kind));
-    line.push_back(static_cast<char>(ev.mask));
-    put_u64(line, ev.t);
-    if (ev.has(RecorderEvent::kHasRound)) put_u64(line, ev.round);
-    if (ev.has(RecorderEvent::kHasPlayer)) put_u32(line, ev.player);
-    if (ev.has(RecorderEvent::kHasObject)) put_u32(line, ev.object);
-    if (ev.has(RecorderEvent::kHasA)) put_u64(line, ev.a);
-    if (ev.has(RecorderEvent::kHasB)) put_u64(line, ev.b);
-    if (ev.has(RecorderEvent::kHasX)) put_f64(line, ev.x);
-    if (ev.has(RecorderEvent::kHasY)) put_f64(line, ev.y);
-    if (ev.has(RecorderEvent::kHasLabel)) {
-      put_u32(line, static_cast<std::uint32_t>(ev.label.size()));
-      line += ev.label;
-    }
+  line += "{\"t\":";
+  line += std::to_string(ev.t);
+  line += ",\"ev\":\"";
+  line += to_string(ev.kind);
+  line.push_back('"');
+  if (ev.has(RecorderEvent::kHasRound)) {
+    line += ",\"round\":";
+    line += std::to_string(ev.round);
   }
+  if (ev.has(RecorderEvent::kHasPlayer)) {
+    line += ",\"p\":";
+    line += std::to_string(ev.player);
+  }
+  if (ev.has(RecorderEvent::kHasObject)) {
+    line += ",\"o\":";
+    line += std::to_string(ev.object);
+  }
+  if (ev.has(RecorderEvent::kHasA)) {
+    line += ",\"a\":";
+    line += std::to_string(ev.a);
+  }
+  if (ev.has(RecorderEvent::kHasB)) {
+    line += ",\"b\":";
+    line += std::to_string(ev.b);
+  }
+  if (ev.has(RecorderEvent::kHasX)) {
+    line += ",\"x\":";
+    support::append_json_f64(line, ev.x);
+  }
+  if (ev.has(RecorderEvent::kHasY)) {
+    line += ",\"y\":";
+    support::append_json_f64(line, ev.y);
+  }
+  if (ev.has(RecorderEvent::kHasLabel)) {
+    line += ",\"label\":";
+    support::append_json_string(line, ev.label);
+  }
+  line += "}\n";
   out_.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
@@ -398,18 +356,17 @@ void FlightRecorder::resume_run(std::size_t players, std::uint64_t clock) {
 
 namespace {
 
-std::unique_ptr<std::ostream> open_log(const std::string& path, RecordFormat format) {
+std::unique_ptr<std::ostream> open_log(const std::string& path) {
   // tmwia-lint: allow(durable-write) streaming event sink, not a one-shot artifact
-  auto out = std::make_unique<std::ofstream>(
-      path, format == RecordFormat::kBinary ? std::ios::out | std::ios::binary : std::ios::out);
+  auto out = std::make_unique<std::ofstream>(path);
   if (!*out) throw std::runtime_error("cannot open record sink '" + path + "'");
   return out;
 }
 
 }  // namespace
 
-RecordSink::RecordSink(const std::string& path, RecordFormat format)
-    : out_(open_log(path, format)), recorder_(*out_, format) {}
+RecordSink::RecordSink(const std::string& path)
+    : out_(open_log(path)), recorder_(*out_) {}
 
 RecordSink::~RecordSink() = default;
 
@@ -433,6 +390,20 @@ class LineParser {
   }
 
   bool peek(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
+
+  [[nodiscard]] bool at_end() const { return pos_ == s_.size(); }
+
+  /// The bytes between two quotes, unescaped. Keys and event names are
+  /// read this way: none of the known ones holds a backslash, so an
+  /// escaped one can only spell an unknown name.
+  std::string_view parse_raw_string() {
+    expect('"');
+    const std::size_t close = s_.find('"', pos_);
+    if (close == std::string_view::npos) fail("unterminated string");
+    const std::string_view out = s_.substr(pos_, close - pos_);
+    pos_ = close + 1;
+    return out;
+  }
 
   std::string parse_string() {
     expect('"');
@@ -459,7 +430,8 @@ class LineParser {
               else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
               else fail("bad \\u escape");
             }
-            out.push_back(static_cast<char>(v & 0x7f));
+            if (v > 0x7f) fail("\\u escape beyond ASCII");
+            out.push_back(static_cast<char>(v));
             break;
           }
           default: fail("unknown escape");
@@ -472,167 +444,119 @@ class LineParser {
     return out;
   }
 
-  std::string_view parse_number_token() {
+  /// An unsigned decimal integer, whole: digits only, at most `max`.
+  std::uint64_t parse_u64(std::string_view key, std::uint64_t max) {
+    const std::string_view tok = number_token();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec != std::errc{} || end != tok.data() + tok.size() || v > max) {
+      fail("\"" + std::string(key) + "\" must be an integer in [0, " + std::to_string(max) +
+           "], got '" + std::string(tok) + "'");
+    }
+    return v;
+  }
+
+  /// A finite number, whole.
+  double parse_finite(std::string_view key) {
+    const std::string_view tok = number_token();
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
+    if (ec != std::errc{} || end != tok.data() + tok.size() || !std::isfinite(v)) {
+      fail("\"" + std::string(key) + "\" must be a finite number, got '" + std::string(tok) +
+           "'");
+    }
+    return v;
+  }
+
+ private:
+  std::string_view number_token() {
     const std::size_t start = pos_;
     while (pos_ < s_.size() && s_[pos_] != ',' && s_[pos_] != '}') ++pos_;
     if (pos_ == start) fail("empty value");
     return s_.substr(start, pos_ - start);
   }
 
- private:
   std::string_view s_;
   std::size_t pos_ = 0;
   std::size_t lineno_;
 };
 
 RecorderEvent parse_jsonl_line(std::string_view line, std::size_t lineno) {
+  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
+  // One bit per key for the repeat check: the optional fields' mask
+  // bits, plus two for the mandatory `t` and `ev`.
+  constexpr unsigned kSeenT = 0x100;
+  constexpr unsigned kSeenEv = 0x200;
+
   LineParser p(line, lineno);
   RecorderEvent ev;
+  unsigned seen = 0;
   p.expect('{');
-  bool first = true;
-  while (!p.peek('}')) {
+  for (bool first = true; !p.peek('}'); first = false) {
     if (!first) p.expect(',');
-    first = false;
-    const std::string key = p.parse_string();
+    const std::string_view key = p.parse_raw_string();
     p.expect(':');
-    if (key == "ev" || key == "label") {
-      const std::string val = p.parse_string();
-      if (key == "ev") {
-        const auto k = kind_from_string(val);
-        if (!k) p.fail("unknown event kind '" + val + "'");
-        ev.kind = *k;
-      } else {
-        ev.label = val;
-        ev.mask |= RecorderEvent::kHasLabel;
-      }
-      continue;
-    }
-    const std::string_view tok = p.parse_number_token();
-    const std::string tmp(tok);
-    if (key == "x" || key == "y") {
-      const double v = std::strtod(tmp.c_str(), nullptr);
-      if (key == "x") {
-        ev.x = v;
-        ev.mask |= RecorderEvent::kHasX;
-      } else {
-        ev.y = v;
-        ev.mask |= RecorderEvent::kHasY;
-      }
-      continue;
-    }
-    const std::uint64_t v = std::strtoull(tmp.c_str(), nullptr, 10);
+    unsigned bit = 0;
     if (key == "t") {
-      ev.t = v;
+      ev.t = p.parse_u64(key, kU64);
+      bit = kSeenT;
+    } else if (key == "ev") {
+      const std::string_view name = p.parse_raw_string();
+      const auto k = kind_from_string(name);
+      if (!k) p.fail("unknown event kind '" + std::string(name) + "'");
+      ev.kind = *k;
+      bit = kSeenEv;
     } else if (key == "round") {
-      ev.round = v;
-      ev.mask |= RecorderEvent::kHasRound;
+      ev.round = p.parse_u64(key, kU64);
+      bit = RecorderEvent::kHasRound;
     } else if (key == "p") {
-      ev.player = static_cast<std::uint32_t>(v);
-      ev.mask |= RecorderEvent::kHasPlayer;
+      ev.player = static_cast<std::uint32_t>(p.parse_u64(key, kU32));
+      bit = RecorderEvent::kHasPlayer;
     } else if (key == "o") {
-      ev.object = static_cast<std::uint32_t>(v);
-      ev.mask |= RecorderEvent::kHasObject;
+      ev.object = static_cast<std::uint32_t>(p.parse_u64(key, kU32));
+      bit = RecorderEvent::kHasObject;
     } else if (key == "a") {
-      ev.a = v;
-      ev.mask |= RecorderEvent::kHasA;
+      ev.a = p.parse_u64(key, kU64);
+      bit = RecorderEvent::kHasA;
     } else if (key == "b") {
-      ev.b = v;
-      ev.mask |= RecorderEvent::kHasB;
+      ev.b = p.parse_u64(key, kU64);
+      bit = RecorderEvent::kHasB;
+    } else if (key == "x") {
+      ev.x = p.parse_finite(key);
+      bit = RecorderEvent::kHasX;
+    } else if (key == "y") {
+      ev.y = p.parse_finite(key);
+      bit = RecorderEvent::kHasY;
+    } else if (key == "label") {
+      ev.label = p.parse_string();
+      bit = RecorderEvent::kHasLabel;
     } else {
-      p.fail("unknown key '" + key + "'");
+      p.fail("unknown key '" + std::string(key) + "'");
     }
+    if ((seen & bit) != 0) p.fail("repeated key '" + std::string(key) + "'");
+    seen |= bit;
   }
   p.expect('}');
+  if (!p.at_end()) p.fail("bytes after '}'");
+  if ((seen & kSeenT) == 0) p.fail("missing \"t\"");
+  if ((seen & kSeenEv) == 0) p.fail("missing \"ev\"");
+  ev.mask = static_cast<std::uint8_t>(seen & 0xff);
   return ev;
-}
-
-std::uint64_t get_u64(std::istream& in) {
-  unsigned char buf[8];
-  in.read(reinterpret_cast<char*>(buf), 8);
-  if (!in) throw std::runtime_error("recorder log: truncated binary record");
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | buf[i];
-  return v;
-}
-
-std::uint32_t get_u32(std::istream& in) {
-  unsigned char buf[4];
-  in.read(reinterpret_cast<char*>(buf), 4);
-  if (!in) throw std::runtime_error("recorder log: truncated binary record");
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | buf[i];
-  return v;
-}
-
-double get_f64(std::istream& in) {
-  const std::uint64_t bits = get_u64(in);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-RecorderLog read_binary(std::istream& in) {
-  RecorderLog log;
-  log.format = RecordFormat::kBinary;
-  for (;;) {
-    const int kind_byte = in.get();
-    if (kind_byte == std::char_traits<char>::eof()) break;
-    const int mask_byte = in.get();
-    if (mask_byte == std::char_traits<char>::eof()) {
-      throw std::runtime_error("recorder log: truncated binary record");
-    }
-    RecorderEvent ev;
-    ev.kind = static_cast<RecorderEvent::Kind>(kind_byte);
-    if (std::string_view(to_string(ev.kind)) == "unknown") {
-      throw std::runtime_error("recorder log: unknown binary event kind " +
-                               std::to_string(kind_byte));
-    }
-    ev.mask = static_cast<std::uint8_t>(mask_byte);
-    ev.t = get_u64(in);
-    if (ev.has(RecorderEvent::kHasRound)) ev.round = get_u64(in);
-    if (ev.has(RecorderEvent::kHasPlayer)) ev.player = get_u32(in);
-    if (ev.has(RecorderEvent::kHasObject)) ev.object = get_u32(in);
-    if (ev.has(RecorderEvent::kHasA)) ev.a = get_u64(in);
-    if (ev.has(RecorderEvent::kHasB)) ev.b = get_u64(in);
-    if (ev.has(RecorderEvent::kHasX)) ev.x = get_f64(in);
-    if (ev.has(RecorderEvent::kHasY)) ev.y = get_f64(in);
-    if (ev.has(RecorderEvent::kHasLabel)) {
-      const std::uint32_t len = get_u32(in);
-      if (len > (std::uint32_t{1} << 20)) {
-        throw std::runtime_error("recorder log: implausible label length");
-      }
-      ev.label.resize(len);
-      in.read(ev.label.data(), static_cast<std::streamsize>(len));
-      if (!in) throw std::runtime_error("recorder log: truncated label");
-    }
-    log.events.push_back(std::move(ev));
-  }
-  return log;
 }
 
 }  // namespace
 
-RecorderLog read_recorder_log(std::istream& in) {
-  char magic[sizeof kBinaryMagic];
-  in.read(magic, sizeof magic);
-  const auto got = in.gcount();
-  if (got == static_cast<std::streamsize>(sizeof magic) &&
-      std::memcmp(magic, kBinaryMagic, sizeof magic) == 0) {
-    return read_binary(in);
-  }
-  // Not binary: rewind and parse as JSONL.
-  in.clear();
-  in.seekg(0);
-  RecorderLog log;
-  log.format = RecordFormat::kJsonl;
+std::vector<RecorderEvent> read_recorder_log(std::istream& in) {
+  std::vector<RecorderEvent> events;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    log.events.push_back(parse_jsonl_line(line, lineno));
+    events.push_back(parse_jsonl_line(line, lineno));
   }
-  return log;
+  return events;
 }
 
 }  // namespace tmwia::obs

@@ -36,10 +36,10 @@
 // layer is held to (bench/e11). Harnesses write logs to files through
 // RecordSink, the one owner of a log file.
 //
-// Two wire formats behind one writer: JSONL (one object per record,
-// fixed key order, jq-able) and a compact binary framing (magic
-// "TMWIAFR1", then [kind u8][field mask u8][t u64][present fields]).
-// read_recorder_log() sniffs the magic and parses either.
+// One wire format: JSONL, one object per record with a fixed key order
+// (t, ev, round, p, o, a, b, x, y, label), so logs are jq-able and
+// byte-comparable. read_recorder_log() parses it strictly: every line
+// parses whole or fails with a typed error naming the line.
 #pragma once
 
 #include <atomic>
@@ -56,11 +56,6 @@
 #include "tmwia/support/thread_annotations.hpp"
 
 namespace tmwia::obs {
-
-enum class RecordFormat : std::uint8_t { kJsonl, kBinary };
-
-/// "jsonl" or "binary" (the --record-format values); nullopt otherwise.
-[[nodiscard]] std::optional<RecordFormat> parse_record_format(std::string_view name);
 
 /// One record of the flight log. Which fields are meaningful is
 /// per-kind (see DESIGN.md section 10); `mask` says which are present.
@@ -126,11 +121,9 @@ class FlightRecorder {
   };
   using OutputEvaluator = std::function<PhaseEval(const std::vector<bits::BitVector>&)>;
 
-  /// Writes records to `out` (which must outlive the recorder; open
-  /// binary-mode streams for RecordFormat::kBinary). `stage_cap` bounds
-  /// each player's staged-event buffer.
-  explicit FlightRecorder(std::ostream& out, RecordFormat format = RecordFormat::kJsonl,
-                          std::size_t stage_cap = std::size_t{1} << 16);
+  /// Writes records to `out`, which must outlive the recorder.
+  /// `stage_cap` bounds each player's staged-event buffer.
+  explicit FlightRecorder(std::ostream& out, std::size_t stage_cap = std::size_t{1} << 16);
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -229,7 +222,6 @@ class FlightRecorder {
   void emit_serial(RecorderEvent ev) TMWIA_EXCLUDES(mu_);
 
   std::ostream& out_;      ///< written only under mu_ (references can't be guarded)
-  RecordFormat format_;    ///< immutable after construction
   std::size_t stage_cap_;  ///< immutable after construction
   OutputEvaluator evaluator_;  ///< installed/read from serial code only
 
@@ -249,14 +241,14 @@ class FlightRecorder {
 
 /// A flight-log file and the recorder writing it. Every harness that
 /// records (Session, tmwia_cli, the bench harness, serve tenants) goes
-/// through this one owner: it opens `path` in the format's mode, owns
-/// the stream and the recorder, and flushes when destroyed. The owner
-/// attaches recorder() to the oracle and billboard of each run it
-/// records; the sink must outlive their use.
+/// through this one owner: it opens `path`, owns the stream and the
+/// recorder, and flushes when destroyed. The owner attaches recorder()
+/// to the oracle and billboard of each run it records; the sink must
+/// outlive their use.
 class RecordSink {
  public:
   /// Throws std::runtime_error when `path` cannot be opened.
-  explicit RecordSink(const std::string& path, RecordFormat format = RecordFormat::kJsonl);
+  explicit RecordSink(const std::string& path);
   ~RecordSink();
 
   RecordSink(const RecordSink&) = delete;
@@ -269,14 +261,12 @@ class RecordSink {
   FlightRecorder recorder_;  ///< after out_: its destructor flushes into the stream
 };
 
-/// A parsed flight log (either wire format).
-struct RecorderLog {
-  std::vector<RecorderEvent> events;
-  RecordFormat format = RecordFormat::kJsonl;
-};
-
-/// Parse a recorder stream, sniffing the binary magic. Throws
-/// std::runtime_error on malformed input.
-RecorderLog read_recorder_log(std::istream& in);
+/// Parse a JSONL flight log. Blank lines are skipped; any other line
+/// must be one record as the recorder writes it: `t` and `ev` present,
+/// known keys only, each at most once, integers as unsigned digits in
+/// range (`p` and `o` below 2^32), finite `x`/`y`, nothing after the
+/// closing brace. Anything else throws
+/// std::runtime_error("recorder log line N: ...").
+std::vector<RecorderEvent> read_recorder_log(std::istream& in);
 
 }  // namespace tmwia::obs

@@ -163,7 +163,6 @@ class Tenant {
   /// Oracle invocation baseline for audit(): nonzero after a snapshot
   /// restore, where the restored ledger predates the auditor.
   std::vector<std::uint64_t> audit_base_ TMWIA_GUARDED_BY(refine_mu_);
-  bool sabotaged_this_session_ TMWIA_GUARDED_BY(refine_mu_) = false;
   std::function<void(const CacheVersion&)> publish_hook_ TMWIA_GUARDED_BY(refine_mu_);
 
   /// Attached to oracle_ and board_ at construction; null without

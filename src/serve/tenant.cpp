@@ -30,6 +30,7 @@ bits::TriVector trivector_from_planes(const bits::BitVector& value,
 
 Tenant::Tenant(TenantConfig cfg, matrix::Instance inst)
     : cfg_(std::move(cfg)), inst_(std::move(inst)), root_(cfg_.seed) {
+  core::require_alpha(cfg_.alpha, "Tenant");
   if (cfg_.algo != "unknown_d" && cfg_.algo != "mimic") {
     throw std::invalid_argument("Tenant: unknown refinement algo '" + cfg_.algo + "'");
   }

@@ -87,12 +87,6 @@ grep -q "fault overlay" "$DIR/inspect_f.txt"
 "$CLI" replay --log="$DIR/rf.jsonl" >"$DIR/replay_f.txt"
 grep -q "replay clean" "$DIR/replay_f.txt"
 
-# The binary framing replays identically.
-"$CLI" run --in="$DIR/world.tmw" --algo=unknown_d --alpha=0.5 --seed=9 \
-       --record="$DIR/r.bin" --record-format=binary --out=/dev/null >/dev/null
-"$CLI" replay --log="$DIR/r.bin" >"$DIR/replay_bin.txt"
-grep -q "replay clean" "$DIR/replay_bin.txt"
-
 # Generated --help comes from the flag table; unknown flags are rejected.
 "$CLI" --help >"$DIR/help.txt"
 grep -q -- "--metrics=FILE" "$DIR/help.txt"
@@ -139,6 +133,28 @@ expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=solo --bogus=1 --out=/dev/
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=nonsense --out=/dev/null
 expect_exit 1 "$CLI" info --in="$DIR/missing.tmw"
 
+# 2 also for numbers that do not parse whole: integer flags are counts,
+# ids or seeds (digits only, below 2^64), doubles are finite, and alpha
+# lies in (0, 1]. A bad alpha is refused before the first probe, so the
+# run's log stays empty.
+"$CLI" gen --kind=planted --n=256 --m=256 --alpha=0.5 --radius=1 --seed=3 \
+       --out="$DIR/w256.tmw" >/dev/null
+expect_exit 2 "$CLI" gen --kind=planted --n=8x --out="$DIR/bad.tmw"
+expect_exit 2 "$CLI" gen --kind=planted --n=99999999999999999999 --out="$DIR/bad.tmw"
+expect_exit 2 "$CLI" gen --kind=planted --seed=-1 --out="$DIR/bad.tmw"
+expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=0.5abc --out=/dev/null
+expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=-1 --out=/dev/null
+expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=nan --out=/dev/null
+expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=zero --alpha=1.5 --out=/dev/null
+expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=0 --record="$DIR/alpha0.jsonl" \
+       --out=/dev/null
+test ! -s "$DIR/alpha0.jsonl"
+printf '{"op":"add_tenant","tenant":"z","kind":"uniform","n":8,"m":8,"alpha":0}\n' \
+  >"$DIR/alpha0_req.jsonl"
+expect_exit 2 "$CLI" serve --requests="$DIR/alpha0_req.jsonl" --out="$DIR/alpha0_resp.jsonl"
+grep -q '"ok":false' "$DIR/alpha0_resp.jsonl"
+grep -q 'alpha must be in (0, 1\]' "$DIR/alpha0_resp.jsonl"
+
 # 1 also for malformed instance and outputs files: a community id that
 # is no player (out of range, or beyond 32 bits), a center of the wrong
 # width, or a header count the rows do not back. Each must fail with
@@ -166,6 +182,53 @@ printf 'TMWIA/1 text\n4000000000 1\n' >"$DIR/rows_header.tmw"
 expect_serialize_error "$CLI" info --in="$DIR/rows_header.tmw"
 printf 'outputs 4000000000\n' >"$DIR/outputs_header.txt"
 expect_serialize_error "$CLI" eval --in="$DIR/world.tmw" --outputs="$DIR/outputs_header.txt"
+
+# 1 for a flight log that does not parse: every field parses whole (no
+# aliasing past 2^32, no sign, no text read as 0), keys appear once,
+# nothing follows the record, and numbers are finite. inspect and
+# replay both name the offending line.
+expect_recorder_error() {
+  local got=0
+  "$@" >/dev/null 2>"$DIR/recorder_err.txt" || got=$?
+  if [ "$got" -ne 1 ] || ! grep -q "recorder log line 2:" "$DIR/recorder_err.txt"; then
+    echo "expected exit 1 with a recorder log line 2: error, got $got: $*" >&2
+    exit 1
+  fi
+}
+RB='{"t":0,"ev":"run_begin","a":2,"b":2,"x":0.5,"label":"forged"}'
+i=0
+for forged in '"p":4294967296,"o":0' '"p":"x","o":0' '"p":-4294967296,"o":0' \
+              '"p":1,"p":0,"o":0' '"p":0,"o":0,"a":1,"b":0}x' \
+              '"p":0,"o":0,"a":1,"b":0,"x":1e999'; do
+  i=$((i + 1))
+  case "$forged" in
+    *'}x') line="{\"t\":1,\"ev\":\"probe\",$forged" ;;
+    *) line="{\"t\":1,\"ev\":\"probe\",$forged}" ;;
+  esac
+  printf '%s\n%s\n{"t":2,"ev":"run_end","a":1,"b":1,"label":"forged"}\n' "$RB" "$line" \
+    >"$DIR/forged$i.jsonl"
+  expect_recorder_error "$CLI" replay --log="$DIR/forged$i.jsonl"
+  expect_recorder_error "$CLI" inspect --log="$DIR/forged$i.jsonl"
+done
+
+# 1 also for a log whose events leave the shape their run declares (a
+# probe by player 7, a post of object 70000 in a 2x2 run) or lack the
+# ids replay reads (a post with no player), while a header alone
+# allocates nothing: replay sizes its shadow from the ids the events
+# use, so a 4e9 x 4e9 declaration with no events is clean.
+printf '%s\n{"t":1,"ev":"probe","p":7,"o":0,"a":1,"b":0}\n{"t":2,"ev":"run_end","a":1,"b":1,"label":"forged"}\n' \
+  "$RB" >"$DIR/outside_player.jsonl"
+expect_exit 1 "$CLI" replay --log="$DIR/outside_player.jsonl"
+printf '%s\n{"t":1,"ev":"round_begin","round":0}\n{"t":2,"ev":"probe","p":1,"o":1,"a":1,"b":0}\n{"t":3,"ev":"post","round":0,"p":1,"o":1}\n{"t":4,"ev":"post","round":0,"p":1,"o":70000}\n{"t":5,"ev":"round_end","round":0,"a":2,"b":2}\n{"t":6,"ev":"run_end","a":1,"b":1,"label":"forged"}\n' \
+  "$RB" >"$DIR/outside_object.jsonl"
+expect_exit 1 "$CLI" replay --log="$DIR/outside_object.jsonl"
+printf '%s\n{"t":1,"ev":"round_begin","round":0}\n{"t":2,"ev":"post","round":0,"o":1}\n{"t":3,"ev":"round_end","round":0,"a":2,"b":1}\n{"t":4,"ev":"run_end","a":0,"b":0,"label":"forged"}\n' \
+  "$RB" >"$DIR/missing_player.jsonl"
+expect_exit 1 "$CLI" replay --log="$DIR/missing_player.jsonl"
+printf '{"t":0,"ev":"run_begin","a":4000000000,"b":4000000000,"x":0.5,"label":"huge"}\n{"t":1,"ev":"run_end","a":0,"b":0,"label":"huge"}\n' \
+  >"$DIR/huge_header.jsonl"
+"$CLI" replay --log="$DIR/huge_header.jsonl" >"$DIR/replay_huge.txt"
+grep -q "replay clean" "$DIR/replay_huge.txt"
 
 # 3: replay audit failure. Tamper the recorded run_end totals; the
 # replayer's cross-check must notice.

@@ -3,9 +3,17 @@
 // polylog rounds every typical player has constant-stretch output.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <numeric>
+#include <stdexcept>
+
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
 #include "tmwia/core/find_preferences.hpp"
+#include "tmwia/core/large_radius.hpp"
+#include "tmwia/core/session.hpp"
+#include "tmwia/core/small_radius.hpp"
+#include "tmwia/core/zero_radius.hpp"
 #include "tmwia/matrix/generators.hpp"
 
 namespace tmwia::core {
@@ -150,6 +158,76 @@ TEST(FindPreferences, RoundsPolylogWhileSoloIsLinear) {
   const auto res =
       find_preferences(oracle, nullptr, 0.5, 0, Params::practical(), rng::Rng(16));
   EXPECT_LT(res.rounds, n / 8);
+}
+
+/// alpha outside (0, 1], NaN included, is refused before the first
+/// probe by every entry point that takes it.
+TEST(FindPreferences, RejectsAlphaOutsideUnitIntervalBeforeProbing) {
+  rng::Rng gen(17);
+  const auto inst = matrix::planted_community(32, 32, {0.5, 0}, gen);
+  std::vector<PlayerId> players(32);
+  std::iota(players.begin(), players.end(), 0u);
+  const std::vector<std::uint32_t> objects(players.begin(), players.end());
+  const auto params = Params::practical();
+  for (const double alpha : {0.0, -0.5, 1.5, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    billboard::ProbeOracle oracle(inst.matrix);
+    EXPECT_THROW(find_preferences(oracle, nullptr, alpha, 0, params, rng::Rng(1)),
+                 std::invalid_argument);
+    EXPECT_THROW(find_preferences_unknown_d(oracle, nullptr, alpha, params, rng::Rng(1)),
+                 std::invalid_argument);
+    EXPECT_THROW(small_radius(oracle, nullptr, players, objects, alpha, 2, params, rng::Rng(1),
+                              32),
+                 std::invalid_argument);
+    EXPECT_THROW(large_radius(oracle, nullptr, {}, objects, alpha, 32, params, rng::Rng(1)),
+                 std::invalid_argument);
+    EXPECT_EQ(oracle.total_invocations(), 0u) << alpha;
+
+    Session session(inst.matrix);
+    session.alpha(alpha);
+    EXPECT_THROW((void)session.run(), std::invalid_argument);
+    EXPECT_EQ(session.oracle().total_invocations(), 0u) << alpha;
+  }
+}
+
+/// A tiny alpha inside (0, 1] is valid. The counts derived from 1/alpha
+/// (the Zero Radius leaf threshold, Large Radius's per-player group
+/// count) clamp at 2^63 instead of overflowing size_t, so every node
+/// is a leaf and every player joins every group.
+TEST(FindPreferences, TinyAlphaClampsCountsAndCompletes) {
+  constexpr double kTiny = 1e-300;
+  constexpr std::size_t kClamp = std::size_t{1} << 63;
+  const auto params = Params::practical();
+  EXPECT_EQ(ceil_count(2.5), 3u);
+  EXPECT_EQ(ceil_count(1e301), kClamp);
+  EXPECT_EQ(zero_radius_leaf_threshold(64, kTiny, params), kClamp);
+
+  rng::Rng gen(19);
+  const auto inst = matrix::planted_community(64, 64, {0.5, 2}, gen);
+  for (const std::size_t D : {0u, 2u, 32u}) {
+    billboard::ProbeOracle oracle(inst.matrix);
+    const auto res = find_preferences(oracle, nullptr, kTiny, D, params, rng::Rng(20));
+    ASSERT_EQ(res.outputs.size(), 64u) << D;
+  }
+  {
+    // Zero Radius with every node a leaf probes everything: exact.
+    billboard::ProbeOracle oracle(inst.matrix);
+    const auto res = find_preferences(oracle, nullptr, kTiny, 0, params, rng::Rng(20));
+    for (PlayerId p = 0; p < 64; ++p) EXPECT_EQ(res.outputs[p], inst.matrix.row(p)) << p;
+  }
+  {
+    std::vector<PlayerId> players(64);
+    std::iota(players.begin(), players.end(), 0u);
+    const std::vector<std::uint32_t> objects(players.begin(), players.end());
+    billboard::ProbeOracle oracle(inst.matrix);
+    const auto res =
+        large_radius(oracle, nullptr, players, objects, kTiny, 32, params, rng::Rng(21));
+    EXPECT_GT(res.parts, 1u);
+    EXPECT_EQ(res.player_copies, res.parts);
+  }
+  billboard::ProbeOracle oracle(inst.matrix);
+  const auto res = find_preferences_unknown_d(oracle, nullptr, kTiny, params, rng::Rng(22));
+  EXPECT_EQ(res.outputs.size(), 64u);
 }
 
 }  // namespace

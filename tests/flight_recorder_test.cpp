@@ -1,9 +1,9 @@
 // Tests for obs::FlightRecorder: JSONL wire shape, staged per-player
 // drain order (the --threads determinism mechanism), stage-cap overflow
-// accounting, binary/JSONL round-trip equivalence, nested run scopes,
-// the RecordSink file owner, Sessions whose logs hold exactly their own
-// runs, and an end-to-end faulted run whose event stream reconciles
-// with the run_end totals and the RunReport timeline.
+// accounting, the strict reader, nested run scopes, the RecordSink file
+// owner, Sessions whose logs hold exactly their own runs, and an
+// end-to-end faulted run whose event stream reconciles with the run_end
+// totals and the RunReport timeline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,7 +32,7 @@ using obs::RecorderEvent;
 
 std::vector<RecorderEvent> parse(const std::string& text) {
   std::istringstream in(text);
-  return obs::read_recorder_log(in).events;
+  return obs::read_recorder_log(in);
 }
 
 std::vector<RecorderEvent> events_of_kind(const std::vector<RecorderEvent>& events,
@@ -136,7 +136,7 @@ TEST(FlightRecorder, ConcurrentStagingIsDeterministic) {
 /// surfaced as an explicit overflow record — a truncated log says so.
 TEST(FlightRecorder, StageCapOverflowIsExplicit) {
   std::ostringstream out;
-  obs::FlightRecorder rec(out, obs::RecordFormat::kJsonl, /*stage_cap=*/2);
+  obs::FlightRecorder rec(out, /*stage_cap=*/2);
   rec.run_begin("run", 0.5, 1, 8);
   for (std::uint32_t i = 0; i < 5; ++i) rec.probe(0, i, false, i);
   rec.run_end("run", 0, 5);
@@ -217,79 +217,65 @@ TEST(FlightRecorder, PhaseSummaryUsesEvaluator) {
   EXPECT_EQ(summaries[1].y, 1.5);
 }
 
-/// The binary framing carries exactly the same records as JSONL: write
-/// one scripted sequence in both formats and compare parsed events.
-TEST(FlightRecorder, BinaryRoundTripMatchesJsonl) {
-  auto script = [](obs::FlightRecorder& rec) {
-    rec.run_begin("scheduler", 0.25, 3, 9);
-    rec.round_begin(0);
-    rec.probe(1, 4, true, 0);
-    rec.probe(2, 5, false, 0);
-    rec.vector_post(0, "zr/vote", 0xDEADBEEFu, 9);
-    rec.fault(RecorderEvent::Kind::kPostDelayed, 0, 1, /*a=*/3);
-    rec.post(0, 1, 4);
-    rec.round_end(0, 3, 1);
-    rec.phase_summary("round0", {}, 1, 2);
-    rec.run_end("scheduler", 1, 2);
-    rec.flush();
-  };
-
-  std::ostringstream jout;
-  {
-    obs::FlightRecorder rec(jout, obs::RecordFormat::kJsonl);
-    script(rec);
-  }
-  std::ostringstream bout;
-  {
-    obs::FlightRecorder rec(bout, obs::RecordFormat::kBinary);
-    script(rec);
-  }
-
-  std::istringstream jin(jout.str());
-  std::istringstream bin(bout.str());
-  const auto jlog = obs::read_recorder_log(jin);
-  const auto blog = obs::read_recorder_log(bin);
-  EXPECT_EQ(jlog.format, obs::RecordFormat::kJsonl);
-  EXPECT_EQ(blog.format, obs::RecordFormat::kBinary);
-  ASSERT_EQ(jlog.events.size(), blog.events.size());
-  for (std::size_t i = 0; i < jlog.events.size(); ++i) {
-    const auto& a = jlog.events[i];
-    const auto& b = blog.events[i];
-    EXPECT_EQ(a.kind, b.kind) << i;
-    EXPECT_EQ(a.mask, b.mask) << i;
-    EXPECT_EQ(a.t, b.t) << i;
-    EXPECT_EQ(a.round, b.round) << i;
-    EXPECT_EQ(a.player, b.player) << i;
-    EXPECT_EQ(a.object, b.object) << i;
-    EXPECT_EQ(a.a, b.a) << i;
-    EXPECT_EQ(a.b, b.b) << i;
-    EXPECT_EQ(a.x, b.x) << i;
-    EXPECT_EQ(a.y, b.y) << i;
-    EXPECT_EQ(a.label, b.label) << i;
-  }
-}
-
 TEST(FlightRecorder, ReaderRejectsMalformedInput) {
   std::istringstream bad_key("{\"t\":0,\"ev\":\"note\",\"zz\":1}\n");
   EXPECT_THROW(obs::read_recorder_log(bad_key), std::runtime_error);
   std::istringstream bad_kind("{\"t\":0,\"ev\":\"no_such\"}\n");
   EXPECT_THROW(obs::read_recorder_log(bad_kind), std::runtime_error);
-  std::istringstream truncated(std::string("TMWIAFR1") + "\x08");
-  EXPECT_THROW(obs::read_recorder_log(truncated), std::runtime_error);
 }
 
-/// RecordSink owns a log file: a binary log written through it parses
-/// with read_recorder_log, on one logical clock across run scopes.
-TEST(FlightRecorder, RecordSinkWritesParsableBinaryLog) {
-  EXPECT_EQ(obs::parse_record_format("jsonl"), obs::RecordFormat::kJsonl);
-  EXPECT_EQ(obs::parse_record_format("binary"), obs::RecordFormat::kBinary);
-  EXPECT_FALSE(obs::parse_record_format("binry").has_value());
+/// Every field parses whole or the log is refused with the line number:
+/// none of these forged lines may alias, wrap, default or round.
+TEST(FlightRecorder, ReaderRejectsForgedFields) {
+  const std::string good = "{\"t\":0,\"ev\":\"note\",\"a\":1,\"b\":2,\"label\":\"ok\"}\n";
+  const std::vector<std::string> forged = {
+      "{\"t\":1,\"ev\":\"probe\",\"p\":4294967296,\"o\":0,\"a\":1,\"b\":0}",
+      "{\"t\":1,\"ev\":\"probe\",\"p\":0,\"o\":4294967296,\"a\":1,\"b\":0}",
+      "{\"t\":1,\"ev\":\"probe\",\"p\":\"x\",\"o\":0,\"a\":1,\"b\":0}",
+      "{\"t\":1,\"ev\":\"probe\",\"p\":-4294967296,\"o\":0,\"a\":1,\"b\":0}",
+      "{\"t\":1,\"ev\":\"probe\",\"p\":+1,\"o\":0,\"a\":1,\"b\":0}",
+      "{\"t\":1,\"ev\":\"probe\",\"p\":1x,\"o\":0,\"a\":1,\"b\":0}",
+      "{\"t\":1,\"ev\":\"note\",\"a\":18446744073709551616,\"b\":0}",
+      "{\"t\":1,\"ev\":\"probe\",\"p\":1,\"p\":0,\"o\":0,\"a\":1,\"b\":0}",
+      "{\"t\":1,\"ev\":\"note\",\"a\":1,\"b\":0}{\"t\":2,\"ev\":\"note\"}",
+      "{\"t\":1,\"ev\":\"note\",\"a\":1,\"b\":0} ",
+      "{\"t\":1,\"ev\":\"run_begin\",\"a\":2,\"b\":2,\"x\":1e999,\"label\":\"r\"}",
+      "{\"t\":1,\"ev\":\"run_begin\",\"a\":2,\"b\":2,\"x\":nan,\"label\":\"r\"}",
+      "{\"t\":1,\"ev\":\"phase_summary\",\"p\":2,\"a\":1,\"b\":1,\"x\":1,\"y\":inf}",
+      "{\"t\":1,\"ev\":\"note\",\"label\":\"\\u00e9\"}",
+      "{\"t\":1,\"a\":1}",
+      "{\"ev\":\"note\",\"a\":1}",
+  };
+  for (const auto& line : forged) {
+    std::istringstream in(good + line + "\n");
+    try {
+      (void)obs::read_recorder_log(in);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("recorder log line 2: ", 0), 0u) << e.what();
+    }
+  }
+  // The largest ids and values still parse exactly.
+  std::istringstream edge(
+      "{\"t\":18446744073709551615,\"ev\":\"probe\",\"p\":4294967295,\"o\":4294967295,"
+      "\"a\":1,\"b\":18446744073709551615}\n");
+  const auto events = obs::read_recorder_log(edge);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].t, 18446744073709551615ull);
+  EXPECT_EQ(events[0].player, 4294967295u);
+  EXPECT_EQ(events[0].object, 4294967295u);
+  EXPECT_EQ(events[0].b, 18446744073709551615ull);
+}
+
+/// RecordSink owns a log file: a log written through it parses with
+/// read_recorder_log, on one logical clock across run scopes.
+TEST(FlightRecorder, RecordSinkWritesParsableLog) {
   EXPECT_THROW(obs::RecordSink(testing::TempDir() + "no-such-dir-tmwia/x.jsonl"),
                std::runtime_error);
 
-  const std::string path = testing::TempDir() + "record_sink.bin";
+  const std::string path = testing::TempDir() + "record_sink.jsonl";
   {
-    obs::RecordSink sink(path, obs::RecordFormat::kBinary);
+    obs::RecordSink sink(path);
     for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
       sink.recorder().run_begin("epoch", 0.5, 2, 4);
       sink.recorder().probe(1, 3, true, epoch);
@@ -297,20 +283,19 @@ TEST(FlightRecorder, RecordSinkWritesParsableBinaryLog) {
     }
   }
 
-  std::ifstream in(path, std::ios::binary);
-  const auto log = obs::read_recorder_log(in);
-  EXPECT_EQ(log.format, obs::RecordFormat::kBinary);
-  ASSERT_EQ(log.events.size(), 6u);
-  EXPECT_EQ(log.events[0].kind, RecorderEvent::Kind::kRunBegin);
-  EXPECT_EQ(log.events[4].kind, RecorderEvent::Kind::kProbe);
-  EXPECT_EQ(log.events[4].b, 1u);  // the second epoch's probe
-  EXPECT_EQ(log.events[5].t, 5u);  // one logical clock across both epochs
+  std::ifstream in(path);
+  const auto events = obs::read_recorder_log(in);
+  ASSERT_EQ(events.size(), 6u);
+  EXPECT_EQ(events[0].kind, RecorderEvent::Kind::kRunBegin);
+  EXPECT_EQ(events[4].kind, RecorderEvent::Kind::kProbe);
+  EXPECT_EQ(events[4].b, 1u);  // the second epoch's probe
+  EXPECT_EQ(events[5].t, 5u);  // one logical clock across both epochs
   std::remove(path.c_str());
 }
 
 std::size_t run_begins_in(const std::string& path) {
   std::ifstream in(path);
-  return events_of_kind(obs::read_recorder_log(in).events, RecorderEvent::Kind::kRunBegin)
+  return events_of_kind(obs::read_recorder_log(in), RecorderEvent::Kind::kRunBegin)
       .size();
 }
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "tmwia/io/args.hpp"
 #include "tmwia/io/table.hpp"
@@ -44,7 +46,7 @@ TEST(Table, CsvFormat) {
 TEST(Args, ParsesKeyValueAndFlags) {
   const char* argv[] = {"prog", "--n=128", "--alpha=0.5", "--verbose", "--name=test"};
   Args a(5, argv);
-  EXPECT_EQ(a.get_int("n", 0), 128);
+  EXPECT_EQ(a.get_u64("n", 0), 128u);
   EXPECT_DOUBLE_EQ(a.get_double("alpha", 0.0), 0.5);
   EXPECT_TRUE(a.get_flag("verbose"));
   EXPECT_FALSE(a.get_flag("quiet"));
@@ -55,9 +57,8 @@ TEST(Args, ParsesKeyValueAndFlags) {
 TEST(Args, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   Args a(1, argv);
-  EXPECT_EQ(a.get_int("n", 7), 7);
+  EXPECT_EQ(a.get_u64("n", 7), 7u);
   EXPECT_DOUBLE_EQ(a.get_double("x", 1.5), 1.5);
-  EXPECT_EQ(a.get_seed("seed", 99u), 99u);
   EXPECT_FALSE(a.get("missing").has_value());
 }
 
@@ -69,7 +70,33 @@ TEST(Args, RejectsPositional) {
 TEST(Args, SeedParsesLargeValues) {
   const char* argv[] = {"prog", "--seed=18446744073709551615"};
   Args a(2, argv);
-  EXPECT_EQ(a.get_seed("seed", 0), 18446744073709551615ull);
+  EXPECT_EQ(a.get_u64("seed", 0), 18446744073709551615ull);
+}
+
+/// Integer flags are counts, ids or seeds: digits only, whole, below
+/// 2^64. Doubles parse whole and finite. Each failure names its flag.
+TEST(Args, NumbersParseWholeOrNameTheFlag) {
+  const char* argv[] = {"prog",        "--n=8x",     "--seed=-1", "--big=99999999999999999999",
+                        "--plus=+3",   "--empty=",   "--flag",    "--alpha=0.5abc",
+                        "--nan=nan",   "--inf=inf",  "--huge=1e999", "--neg=-0.25"};
+  Args a(12, argv);
+  for (const std::string name : {"n", "seed", "big", "plus", "empty", "flag", "neg"}) {
+    try {
+      (void)a.get_u64(name, 0);
+      ADD_FAILURE() << "--" << name << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("--" + name + ": ", 0), 0u) << e.what();
+    }
+  }
+  for (const std::string name : {"alpha", "nan", "inf", "huge", "empty", "flag"}) {
+    try {
+      (void)a.get_double(name, 0.0);
+      ADD_FAILURE() << "--" << name << " parsed as a number";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("--" + name + ": ", 0), 0u) << e.what();
+    }
+  }
+  EXPECT_DOUBLE_EQ(a.get_double("neg", 0.0), -0.25);
 }
 
 }  // namespace

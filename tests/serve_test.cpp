@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -408,6 +409,23 @@ TEST(ServeService, HandlesErrorsWithoutThrowing) {
   // Duplicate tenant registration throws.
   EXPECT_THROW(service.add_tenant(make_config("t", 41), make_instance(41)),
                std::invalid_argument);
+}
+
+/// A tenant's alpha is checked once, at construction: add_tenant answers
+/// ok:false instead of registering a tenant whose every refine degrades.
+TEST(ServeService, AddTenantRejectsAlphaOutsideUnitInterval) {
+  serve::RecommendationService service;
+  for (const std::string alpha : {"0", "-0.25", "1.5"}) {
+    const auto r = service.handle(serve::parse_request(
+        R"({"op":"add_tenant","tenant":"z","kind":"uniform","n":8,"m":8,"alpha":)" + alpha +
+        "}"));
+    EXPECT_FALSE(r.ok) << alpha;
+    EXPECT_NE(r.error.find("alpha must be in (0, 1]"), std::string::npos) << r.error;
+  }
+  EXPECT_TRUE(service.tenant_names().empty());
+  auto cfg = make_config("nan", 41);
+  cfg.alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(serve::Tenant(cfg, make_instance(41)), std::invalid_argument);
 }
 
 TEST(ServeService, DegradedTenantMarksResponsesAndServiceFlag) {

@@ -15,7 +15,7 @@
 //
 // Observability: `run` takes --metrics=FILE (final MetricsRegistry
 // snapshot as one-line JSON), --record=FILE (flight-recorder event
-// log, JSONL or binary), --report=FILE (RunReport with the per-phase
+// log, JSONL), --report=FILE (RunReport with the per-phase
 // timeline as JSON) and --threads=N (global pool size; the artifacts
 // are byte-identical for any N under the same seed).
 //
@@ -59,6 +59,7 @@
 //   5  checkpoint file corrupt or unreadable
 //   6  serve completed but an SLO objective was breached
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -128,8 +129,6 @@ const io::FlagTable& flag_table() {
           {"faults", "SPEC", "fault plan, e.g. seed=S,crash=R@A-B,probe=R,kill=R", "run"},
           {"metrics", "FILE", "write final metrics snapshot JSON here", "run,resume,serve"},
           {"record", "FILE", "write the flight-recorder event log here", "run,resume"},
-          {"record-format", "F", "recorder wire format: jsonl|binary (default jsonl)",
-           "run,resume"},
           {"report", "FILE", "write the RunReport (phase timeline) as JSON here",
            "run,resume,serve"},
           {"threads", "N", "global thread-pool size (0 = hardware)", "run,resume,serve"},
@@ -236,14 +235,8 @@ std::unique_ptr<obs::RecordSink> open_record_sink(const io::Args& args,
                                                   billboard::ProbeOracle& oracle,
                                                   billboard::Billboard& board) {
   const auto path = args.get("record");
-  const auto fmt_name = args.get("record-format");
-  if (!path.has_value()) {
-    if (fmt_name.has_value()) throw std::invalid_argument("--record-format requires --record");
-    return nullptr;
-  }
-  const auto fmt = obs::parse_record_format(fmt_name.value_or("jsonl"));
-  if (!fmt.has_value()) throw std::invalid_argument("unknown --record-format=" + *fmt_name);
-  auto sink = std::make_unique<obs::RecordSink>(*path, *fmt);
+  if (!path.has_value()) return nullptr;
+  auto sink = std::make_unique<obs::RecordSink>(*path);
   sink->recorder().set_output_evaluator(make_truth_evaluator(inst.matrix));
   oracle.set_recorder(&sink->recorder());
   board.set_recorder(&sink->recorder());
@@ -263,13 +256,13 @@ void write_metrics_snapshot(const std::string& path, const billboard::ProbeOracl
 
 int cmd_gen(const io::Args& args) {
   const auto kind = require(args, "kind");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 256));
-  const auto m = static_cast<std::size_t>(args.get_int("m", 256));
+  const auto n = static_cast<std::size_t>(args.get_u64("n", 256));
+  const auto m = static_cast<std::size_t>(args.get_u64("m", 256));
   const double alpha = args.get_double("alpha", 0.5);
-  const auto radius = static_cast<std::size_t>(args.get_int("radius", 0));
-  const auto types = static_cast<std::size_t>(args.get_int("types", 4));
+  const auto radius = static_cast<std::size_t>(args.get_u64("radius", 0));
+  const auto types = static_cast<std::size_t>(args.get_u64("types", 4));
   const double noise = args.get_double("noise", 0.1);
-  rng::Rng rng(args.get_seed("seed", 1));
+  rng::Rng rng(args.get_u64("seed", 1));
 
   matrix::Instance inst;
   if (kind == "planted") {
@@ -330,7 +323,7 @@ int cmd_run(const io::Args& args) {
   const auto inst = io::load_instance_file(require(args, "in"));
   const auto algo = args.get("algo").value_or("unknown_d");
   const double alpha = args.get_double("alpha", 0.5);
-  const auto seed = args.get_seed("seed", 1);
+  const auto seed = args.get_u64("seed", 1);
   const auto profile = args.get("profile").value_or("practical");
   const auto params =
       profile == "paper" ? core::Params::paper() : core::Params::practical();
@@ -338,7 +331,7 @@ int cmd_run(const io::Args& args) {
   // Observability sinks. The thread count must be requested before the
   // first parallel phase constructs the global pool, and the kernel
   // backend before the first distance call.
-  engine::set_global_threads(static_cast<std::size_t>(args.get_int("threads", 0)));
+  engine::set_global_threads(static_cast<std::size_t>(args.get_u64("threads", 0)));
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
@@ -366,8 +359,7 @@ int cmd_run(const io::Args& args) {
     // stored in the file is everything `resume` needs besides the
     // instance itself (which travels by --in).
     const auto ckpt_path = args.get("checkpoint");
-    const auto ckpt_every =
-        static_cast<std::uint64_t>(args.get_int("checkpoint-every", 0));
+    const auto ckpt_every = args.get_u64("checkpoint-every", 0);
     if (ckpt_path.has_value() && ckpt_every == 0) {
       throw std::invalid_argument("--checkpoint requires --checkpoint-every");
     }
@@ -393,8 +385,8 @@ int cmd_run(const io::Args& args) {
     // round deadlines, strike/backoff/quarantine on throwing
     // strategies, and a degraded (never aborted) report.
     engine::SupervisorConfig scfg;
-    scfg.max_strikes = static_cast<std::size_t>(args.get_int("strikes", 3));
-    scfg.backoff_base = static_cast<std::size_t>(args.get_int("backoff", 1));
+    scfg.max_strikes = static_cast<std::size_t>(args.get_u64("strikes", 3));
+    scfg.backoff_base = static_cast<std::size_t>(args.get_u64("backoff", 1));
     const auto n = inst.matrix.players();
     const auto m = inst.matrix.objects();
 
@@ -403,13 +395,13 @@ int cmd_run(const io::Args& args) {
       std::istringstream ls(*list);
       std::string item;
       while (std::getline(ls, item, ',')) {
-        std::size_t pos = 0;
-        const auto budget = std::stoull(item, &pos);
-        if (pos != item.size() || budget == 0) {
+        std::size_t budget = 0;
+        const char* end = item.data() + item.size();
+        const auto [last, ec] = std::from_chars(item.data(), end, budget);
+        if (ec != std::errc{} || last != end || budget == 0) {
           throw std::invalid_argument("bad --phase-rounds entry '" + item + "'");
         }
-        phase_specs.push_back({"phase:" + std::to_string(phase_specs.size()),
-                               static_cast<std::size_t>(budget)});
+        phase_specs.push_back({"phase:" + std::to_string(phase_specs.size()), budget});
       }
     }
     if (phase_specs.empty()) phase_specs.push_back({"phase:0", m * 4});
@@ -426,7 +418,7 @@ int cmd_run(const io::Args& args) {
       strategies.push_back(std::move(s));
     }
     if (const auto sab = args.get("sabotage"); sab.has_value()) {
-      const auto p = static_cast<std::size_t>(args.get_int("sabotage", 0));
+      const auto p = static_cast<std::size_t>(args.get_u64("sabotage", 0));
       if (p >= n) throw std::invalid_argument("--sabotage player out of range");
       strategies[p] = std::make_unique<SabotagedStrategy>(std::move(strategies[p]));
     }
@@ -460,23 +452,22 @@ int cmd_run(const io::Args& args) {
               << sres.quarantined.size() << " quarantined\n";
     report = std::move(rep);
   } else if (algo == "zero" || algo == "small" || algo == "large") {
-    const auto d = static_cast<std::size_t>(args.get_int("d", algo == "zero" ? 0 : 8));
+    const auto d = static_cast<std::size_t>(args.get_u64("d", algo == "zero" ? 0 : 8));
     report = core::find_preferences(oracle, &board, alpha, d, params, rng::Rng(seed));
   } else if (algo == "anytime") {
-    const auto budget = static_cast<std::uint64_t>(
-        args.get_int("budget", static_cast<std::int64_t>(inst.matrix.objects()) * 4));
+    const auto budget = args.get_u64("budget", inst.matrix.objects() * 4);
     report = core::anytime(oracle, &board, budget, params, rng::Rng(seed));
   } else if (algo == "solo") {
     outputs = baselines::solo_probing(oracle).outputs;
   } else if (algo == "knn") {
     baselines::KnnParams kp;
-    kp.probes_per_player = static_cast<std::size_t>(
-        args.get_int("budget", static_cast<std::int64_t>(inst.matrix.objects() / 4)));
+    kp.probes_per_player =
+        static_cast<std::size_t>(args.get_u64("budget", inst.matrix.objects() / 4));
     outputs = baselines::sampled_knn(oracle, kp, rng::Rng(seed)).outputs;
   } else if (algo == "svd") {
     baselines::SvdParams sp;
     sp.sample_rate = args.get_double("rate", 0.25);
-    sp.rank = static_cast<std::size_t>(args.get_int("rank", 4));
+    sp.rank = static_cast<std::size_t>(args.get_u64("rank", 4));
     outputs = baselines::svd_recommender(oracle, sp, rng::Rng(seed)).outputs;
   } else {
     throw std::invalid_argument("unknown --algo=" + algo);
@@ -528,7 +519,7 @@ int cmd_resume(const io::Args& args) {
   const auto params =
       profile == "paper" ? core::Params::paper() : core::Params::practical();
 
-  engine::set_global_threads(static_cast<std::size_t>(args.get_int("threads", 0)));
+  engine::set_global_threads(static_cast<std::size_t>(args.get_u64("threads", 0)));
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
@@ -624,9 +615,9 @@ int cmd_eval(const io::Args& args) {
   return 0;
 }
 
-obs::RecorderLog load_log(const io::Args& args) {
+std::vector<obs::RecorderEvent> load_log(const io::Args& args) {
   const auto path = require(args, "log");
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open --log file '" + path + "'");
   return obs::read_recorder_log(in);
 }
@@ -639,10 +630,8 @@ struct PlayerLedger {
 };
 
 int cmd_inspect(const io::Args& args) {
-  const auto log = load_log(args);
-  std::cout << "events: " << log.events.size() << " ("
-            << (log.format == obs::RecordFormat::kBinary ? "binary" : "jsonl")
-            << ")\n\n";
+  const auto events = load_log(args);
+  std::cout << "events: " << events.size() << " (jsonl)\n\n";
 
   // Run/phase timeline: scope transitions plus every phase summary.
   io::Table timeline("run timeline",
@@ -666,7 +655,7 @@ int cmd_inspect(const io::Args& args) {
   };
 
   using Kind = obs::RecorderEvent::Kind;
-  for (const auto& ev : log.events) {
+  for (const auto& ev : events) {
     switch (ev.kind) {
       case Kind::kRunBegin:
       case Kind::kPhaseBegin:
@@ -800,7 +789,7 @@ int cmd_inspect(const io::Args& args) {
 }
 
 int cmd_replay(const io::Args& args) {
-  const auto log = load_log(args);
+  const auto events = load_log(args);
   using Kind = obs::RecorderEvent::Kind;
 
   // Depth-0 run scopes; nested phase markers stay inside their segment.
@@ -811,8 +800,8 @@ int cmd_replay(const io::Args& args) {
   std::vector<Segment> segments;
   std::size_t open_begin = 0;
   bool open = false;
-  for (std::size_t i = 0; i < log.events.size(); ++i) {
-    const auto kind = log.events[i].kind;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const auto kind = events[i].kind;
     if (kind == Kind::kRunBegin) {
       if (open) throw std::runtime_error("replay: nested run_begin");
       open_begin = i;
@@ -830,10 +819,43 @@ int cmd_replay(const io::Args& args) {
                              {"channels"}, {"violations"}});
   bool ok = true;
   for (const auto& seg : segments) {
-    const auto& begin = log.events[seg.begin];
-    const auto& end = log.events[seg.end];
-    const auto players = static_cast<std::size_t>(begin.a);
-    const auto objects = static_cast<std::size_t>(begin.b);
+    const auto& begin = events[seg.begin];
+    const auto& end = events[seg.end];
+
+    // The events replayed below must carry the ids they are replayed
+    // by, and every player and object an event names must lie inside
+    // the shape its run_begin declares. The shadow is sized from the
+    // largest ids the events use, so a header alone allocates nothing.
+    const auto reject = [](const obs::RecorderEvent& ev, const std::string& why) {
+      return std::runtime_error("replay: event t=" + std::to_string(ev.t) + " (" +
+                                obs::to_string(ev.kind) + ") " + why);
+    };
+    const auto id_bound = [&](const obs::RecorderEvent& ev, const std::string& what,
+                              std::uint64_t id, std::uint64_t declared) {
+      if (id >= declared) {
+        throw reject(ev, "names " + what + " " + std::to_string(id) + ", but its run declares " +
+                             std::to_string(declared) + " " + what + "s");
+      }
+      return static_cast<std::size_t>(id) + 1;
+    };
+    std::size_t players = 0;
+    std::size_t objects = 0;
+    for (std::size_t i = seg.begin + 1; i < seg.end; ++i) {
+      const auto& ev = events[i];
+      const bool needs_object = ev.kind == Kind::kProbe || ev.kind == Kind::kPost;
+      const bool needs_player = needs_object || ev.kind == Kind::kProbeFailed;
+      if ((needs_player && !ev.has(obs::RecorderEvent::kHasPlayer)) ||
+          (needs_object && !ev.has(obs::RecorderEvent::kHasObject))) {
+        throw reject(ev, "lacks the \"p\"/\"o\" replay reads");
+      }
+      // phase_summary's `p` counts outputs; it names no player.
+      if (ev.has(obs::RecorderEvent::kHasPlayer) && ev.kind != Kind::kPhaseSummary) {
+        players = std::max(players, id_bound(ev, "player", ev.player, begin.a));
+      }
+      if (ev.has(obs::RecorderEvent::kHasObject)) {
+        objects = std::max(objects, id_bound(ev, "object", ev.object, begin.b));
+      }
+    }
 
     // Re-drive a fresh billboard shadow and auditor from events alone:
     // posted results as per-player bitmaps, vector posts per channel,
@@ -841,13 +863,12 @@ int cmd_replay(const io::Args& args) {
     billboard::ProtocolAuditor auditor(players, objects);
     std::vector<bits::BitVector> posted(players, bits::BitVector(objects));
     std::map<std::string, std::uint64_t> channels;
-    std::vector<std::uint64_t> attempts(players, 0);
     std::uint64_t charged = 0;
     std::uint64_t result_posts = 0;
     bool in_round = false;
 
     for (std::size_t i = seg.begin + 1; i < seg.end; ++i) {
-      const auto& ev = log.events[i];
+      const auto& ev = events[i];
       switch (ev.kind) {
         case Kind::kRoundBegin:
           auditor.begin_round(ev.round);
@@ -860,17 +881,15 @@ int cmd_replay(const io::Args& args) {
         case Kind::kProbe:
           auditor.on_probe_attempt(ev.player);
           auditor.on_probe(ev.player, ev.object);
-          if (ev.player < players) ++attempts[ev.player];
           ++charged;
           break;
         case Kind::kProbeFailed:
           auditor.on_probe_attempt(ev.player);
-          if (ev.player < players) ++attempts[ev.player];
           ++charged;
           break;
         case Kind::kPost:
           auditor.on_post(ev.player, ev.object);
-          if (ev.player < players) posted[ev.player].set(ev.object, true);
+          posted[ev.player].set(ev.object, true);
           ++result_posts;
           break;
         case Kind::kVectorPost:
@@ -922,7 +941,7 @@ int cmd_replay(const io::Args& args) {
 int cmd_serve(const io::Args& args) {
   // Thread count before the first parallel phase, kernel backend
   // before the first distance call — same ordering contract as `run`.
-  engine::set_global_threads(static_cast<std::size_t>(args.get_int("threads", 0)));
+  engine::set_global_threads(static_cast<std::size_t>(args.get_u64("threads", 0)));
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
@@ -949,7 +968,7 @@ int cmd_serve(const io::Args& args) {
     obs::MetricsRegistry::global().set_enabled(true);
     obs::TelemetryConfig tcfg;
     tcfg.path = *telemetry_path;
-    tcfg.every = static_cast<std::size_t>(args.get_int("telemetry-every", 64));
+    tcfg.every = static_cast<std::size_t>(args.get_u64("telemetry-every", 64));
     if (tcfg.every == 0) throw std::invalid_argument("--telemetry-every must be >= 1");
     telemetry = std::make_unique<obs::TelemetryExporter>(
         tcfg, obs::MetricsRegistry::global(), &obs::Profiler::global(), watchdog.get());
@@ -976,7 +995,7 @@ int cmd_serve(const io::Args& args) {
   service.set_telemetry(telemetry.get());
   service.set_watchdog(watchdog.get());
   const bool background = args.get_flag("background");
-  const auto max_epochs = static_cast<std::uint64_t>(args.get_int("max-epochs", 4));
+  const auto max_epochs = args.get_u64("max-epochs", 4);
   bool any_failed = false;
   std::string line;
   while (std::getline(*in, line)) {
