@@ -39,7 +39,8 @@ void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits:
 }
 
 void Billboard::post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
-                          std::span<const bits::BitVector> rows) {
+                          std::span<const bits::BitVector> rows,
+                          std::optional<std::uint32_t> order) {
   if (players.size() != rows.size()) {
     throw std::invalid_argument("Billboard::post_many: players/rows size mismatch");
   }
@@ -53,7 +54,48 @@ void Billboard::post_many(const std::string& channel, std::span<const matrix::Pl
   }
   support::MutexLock lk(mu_);
   auto& ch = channels_[channel];
-  for (std::size_t i = 0; i < players.size(); ++i) put(ch, players[i], rows[i]);
+  if (!order.has_value()) {
+    for (std::size_t i = 0; i < players.size(); ++i) put(ch, players[i], rows[i]);
+    return;
+  }
+  if (!section_.has_value()) {
+    throw std::logic_error("Billboard::post_many: an ordered post needs an open section");
+  }
+  for (std::size_t i = 0; i < players.size(); ++i) put_ordered(ch, players[i], rows[i], *order);
+}
+
+void Billboard::put_ordered(Channel& ch, matrix::PlayerId p, const bits::BitVector& v,
+                            std::uint32_t order) {
+  const auto& shared = section_->shared;
+  const auto it = std::lower_bound(shared.begin(), shared.end(), p);
+  if (it == shared.end() || *it != p) {
+    put(ch, p, v);
+    return;
+  }
+  auto& orders = section_->orders[&ch];
+  if (orders.empty()) orders.assign(shared.size(), 0);
+  auto& mark = orders[static_cast<std::size_t>(it - shared.begin())];
+  const std::uint64_t rank = std::uint64_t{order} + 1;
+  if (mark > rank) return;  // a later task already owns this row
+  mark = rank;
+  put(ch, p, v);
+}
+
+Billboard::Section::Section(Billboard& board, std::vector<matrix::PlayerId> shared)
+    : board_(&board) {
+  std::sort(shared.begin(), shared.end());
+  shared.erase(std::unique(shared.begin(), shared.end()), shared.end());
+  support::MutexLock lk(board_->mu_);
+  if (board_->section_.has_value()) {
+    throw std::logic_error("Billboard::Section: a section is already open");
+  }
+  board_->section_.emplace();
+  board_->section_->shared = std::move(shared);
+}
+
+Billboard::Section::~Section() {
+  support::MutexLock lk(board_->mu_);
+  board_->section_.reset();
 }
 
 void Billboard::put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v) {
@@ -164,7 +206,10 @@ Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
 
 void Billboard::clear(const std::string& channel) {
   support::MutexLock lk(mu_);
-  channels_.erase(channel);
+  const auto it = channels_.find(channel);
+  if (it == channels_.end()) return;
+  if (section_.has_value()) section_->orders.erase(&it->second);
+  channels_.erase(it);
 }
 
 std::size_t Billboard::total_posts() const {
@@ -197,6 +242,7 @@ std::vector<Billboard::ChannelDump> Billboard::export_posts() const {
 
 void Billboard::restore_posts(const std::vector<ChannelDump>& dump) {
   support::MutexLock lk(mu_);
+  if (section_.has_value()) section_->orders.clear();
   channels_.clear();
   for (const auto& chd : dump) {
     auto& ch = channels_[chd.channel];

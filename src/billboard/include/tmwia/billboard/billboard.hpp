@@ -17,10 +17,14 @@
 // version-keyed tally cache instead of re-tallying.
 //
 // Thread safety: posts from concurrent players are serialized by a
-// mutex; aggregation reads take the same mutex.
+// mutex; aggregation reads take the same mutex. Concurrent tasks that
+// may post for the same player (Large Radius groups) post inside a
+// Section with their task order, so the board ends exactly as their
+// serial run in task order leaves it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -70,8 +74,35 @@ class Billboard {
   /// — same recorder events, same totals — but the channel name is
   /// resolved and the lock taken once per batch instead of once per
   /// row. Zero Radius publishes every node's outputs this way.
+  /// A post with an `order` comes from a task of the open Section (see
+  /// there; std::logic_error without one); without it the post is plain.
   void post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
-                 std::span<const bits::BitVector> rows);
+                 std::span<const bits::BitVector> rows,
+                 std::optional<std::uint32_t> order = std::nullopt);
+
+  /// An ordered-post section: tasks that post at once, but must leave
+  /// the board as their serial run in task order would. Large Radius
+  /// runs its object groups as tasks; the groups reuse Small Radius's
+  /// channel names and a player sits in several groups, so serially
+  /// the highest-order group that wrote a (channel, player) row owns it.
+  /// While a section is open, a post with an order for one of its
+  /// `shared` players (those more than one task may post for)
+  /// overwrites the row only if no higher-order post of the section
+  /// already did; for any other player it is a plain post. The order
+  /// state is the section's — keyed by (channel, shared player), gone
+  /// when it closes — so rows carry no tags and plain posts do no new
+  /// work. One section at a time; open and close it on the caller,
+  /// outside the tasks.
+  class Section {
+   public:
+    Section(Billboard& board, std::vector<matrix::PlayerId> shared);
+    ~Section();
+    Section(const Section&) = delete;
+    Section& operator=(const Section&) = delete;
+
+   private:
+    Billboard* board_;
+  };
 
   /// All distinct vectors on `channel` with >= min_votes posters,
   /// in deterministic (lexicographic) order. Cached per (channel
@@ -130,13 +161,26 @@ class Billboard {
     std::vector<VotedVector> tally_cache;
   };
 
+  /// The open Section's order state.
+  struct SectionState {
+    std::vector<matrix::PlayerId> shared;  ///< ascending, distinct
+    /// Per channel a shared player's row was posted on: 1 + the highest
+    /// order that wrote it (0: none yet), indexed like `shared`.
+    std::unordered_map<const Channel*, std::vector<std::uint64_t>> orders;
+  };
+
   /// The one write path: p's post on `ch` becomes v.
   static void put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v);
+  /// A section task's post: put() unless a higher order already wrote
+  /// a shared player's row.
+  void put_ordered(Channel& ch, matrix::PlayerId p, const bits::BitVector& v,
+                   std::uint32_t order) TMWIA_REQUIRES(mu_);
 
   obs::FlightRecorder* recorder_ = nullptr;  ///< set before the first post, then read-only
   mutable support::Mutex mu_;
   // mutable for the tally memo popular() fills.
   mutable std::unordered_map<std::string, Channel> channels_ TMWIA_GUARDED_BY(mu_);
+  std::optional<SectionState> section_ TMWIA_GUARDED_BY(mu_);
 };
 
 }  // namespace tmwia::billboard

@@ -13,11 +13,16 @@
 //
 // Thread safety: concurrent probes by *different* players are safe
 // (per-player ledgers, per-player memo rows). Player code runs
-// single-threaded per player.
+// single-threaded per player. Tasks that probe for the same player at
+// once — Large Radius groups share players — each probe through their
+// own fork(), a task-local ledger over the same truth; the caller
+// builds the forks, and joins them back in task order once the tasks
+// are done, which leaves every ledger exactly as the serial run would.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -106,9 +111,9 @@ class ProbeOracle {
     fast = fast && auditor_ == nullptr;
 #endif
     if (!fast) return probe_slow(p, o);
-    if (p >= players() || o >= objects()) {
-      throw std::out_of_range("ProbeOracle::probe: player/object out of range");
-    }
+    // A fork's non-members have zero-width rows, so this one test also
+    // rejects them.
+    if (p >= players() || o >= probed_[p].size()) reject_probe(p, o, "probe");
     const auto inv = bump(invocations_[p]);
     if (!probed_[p].get(o)) {
       bump(charged_[p]);
@@ -140,10 +145,9 @@ class ProbeOracle {
     if (p >= players()) {
       throw std::out_of_range("ProbeOracle::probe_block: player out of range");
     }
+    const auto width = probed_[p].size();
     for (const auto o : objs) {
-      if (o >= objects()) {
-        throw std::out_of_range("ProbeOracle::probe_block: object out of range");
-      }
+      if (o >= width) reject_probe(p, o, "probe_block");
     }
     const auto n = objs.size();
     const auto inv0 = invocations_[p].load(std::memory_order_relaxed);
@@ -244,7 +248,48 @@ class ProbeOracle {
   /// this oracle's (players, objects). Call only at quiescent points.
   void restore_ledger(const Ledger& ledger);
 
+  /// Can a fork of this oracle be joined back without changing what
+  /// the serial run observes? Not when a read, or what records it,
+  /// depends on the order probes land in: a fault injector (its state
+  /// moves with every attempt), a flight recorder (it logs each
+  /// player's invocation index) or fresh noise (a read depends on that
+  /// index). Sticky noise and an auditor are fine.
+  [[nodiscard]] bool forkable() const {
+    return injector_ == nullptr && recorder_ == nullptr &&
+           noise_.kind != NoiseModel::Kind::kFresh && !fork_order_.has_value();
+  }
+
+  /// A task-local ledger for one task's probes: a ProbeOracle over the
+  /// same truth, noise model and auditor, with zero ledgers and rows
+  /// only for `members` — a probe by anyone else throws
+  /// std::logic_error. `order` is the task's position in the serial
+  /// order; the fork's board posts carry it (fork_order()). Requires
+  /// forkable(). Build forks on the caller, probe each from one task,
+  /// then join() them.
+  [[nodiscard]] ProbeOracle fork(std::span<const PlayerId> members, std::uint32_t order) const;
+
+  /// Fold a finished fork of this oracle back in: for each member, add
+  /// its invocations, charge the objects it probed first, and take its
+  /// probed bits and values. Joining forks in task order equals running
+  /// the tasks serially here — forks that share a player probe disjoint
+  /// objects in Large Radius, and without fresh noise a read depends
+  /// on (p, o) alone. Call on the caller, never concurrently with probes.
+  void join(const ProbeOracle& fork);
+
+  /// A fork's position in the serial order (nullopt for an oracle that
+  /// is not a fork). BitSpace posts with it, so the board can keep the
+  /// serial outcome of concurrent tasks (Billboard::Section).
+  [[nodiscard]] std::optional<std::uint32_t> fork_order() const { return fork_order_; }
+
  private:
+  ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> members,
+              std::uint32_t order);
+
+  /// The out-of-line throw behind the probe paths' one bounds test: a
+  /// fork's non-member gets std::logic_error, anything else out of
+  /// range std::out_of_range.
+  [[noreturn]] void reject_probe(PlayerId p, ObjectId o, const char* where) const;
+
   /// Increment a per-player ledger counter, returning the old value.
   /// Player p's counters have a single writer (player code runs
   /// single-threaded per player), so a relaxed load+store pair suffices
@@ -302,9 +347,13 @@ class ProbeOracle {
   std::vector<std::atomic<std::uint64_t>> invocations_;
   std::vector<std::atomic<std::uint64_t>> charged_;
   // Per-player record of which objects were probed and the posted
-  // values (packed bitmaps).
+  // values (packed bitmaps). A fork's non-members have empty rows.
   std::vector<bits::BitVector> probed_;
   std::vector<bits::BitVector> values_;
+  // A fork's members (ascending, distinct) and its position in the
+  // serial order; empty and nullopt for an oracle that is not a fork.
+  std::vector<PlayerId> members_;
+  std::optional<std::uint32_t> fork_order_;
 };
 
 }  // namespace tmwia::billboard

@@ -25,11 +25,13 @@
 // so release builds pay nothing; with hooks compiled in but no auditor
 // attached the cost is one pointer test per probe.
 //
-// Thread safety mirrors ProbeOracle: per-player ledgers are owner-
-// written (the centralized phases parallelize OVER players), aggregate
-// counters are relaxed atomics, and the violation list takes a mutex
-// (violations are rare by construction). Round-mode state is only
-// touched by the single-threaded RoundScheduler.
+// Thread safety: the A4 ledger has several writers per player — the
+// forks of concurrent Large Radius groups share the auditor, and one
+// player sits in several groups — so each attempt is a relaxed
+// fetch_add; aggregate counters are relaxed atomics too, and the
+// violation list takes a mutex (violations are rare by construction).
+// Round-mode state is only touched by the single-threaded
+// RoundScheduler.
 #pragma once
 
 #include <atomic>
@@ -119,10 +121,9 @@ class ProtocolAuditor {
   std::size_t players_;
   std::size_t objects_;
 
-  // A4 ledgers: deliberately NOT guarded by mu_ — attempts_[p] is
-  // owner-written (only the thread running player p, relaxed — see
-  // ProbeOracle), the aggregates are relaxed atomics read at serial
-  // points.
+  // A4 ledgers: deliberately NOT guarded by mu_ — attempts_[p] takes
+  // relaxed fetch_adds from every fork probing for player p, the
+  // aggregates are relaxed atomics; all are read at serial points.
   std::vector<std::atomic<std::uint64_t>> attempts_;
   std::atomic<std::uint64_t> probes_{0};
   std::atomic<std::uint64_t> reads_{0};

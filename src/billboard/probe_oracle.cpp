@@ -1,5 +1,9 @@
 #include "tmwia/billboard/probe_oracle.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
 #include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/obs/metrics.hpp"
 
@@ -53,10 +57,73 @@ ProbeOracle::ProbeOracle(const matrix::PreferenceMatrix& truth, NoiseModel noise
       probed_(truth.players(), bits::BitVector(truth.objects())),
       values_(truth.players(), bits::BitVector(truth.objects())) {}
 
-bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
-  if (p >= players() || o >= objects()) {
-    throw std::out_of_range("ProbeOracle::probe: player/object out of range");
+ProbeOracle::ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> members,
+                         std::uint32_t order)
+    : truth_(parent.truth_),
+      noise_(parent.noise_),
+#if TMWIA_AUDIT
+      auditor_(parent.auditor_),
+#endif
+      invocations_(parent.players()),
+      charged_(parent.players()),
+      probed_(parent.players()),
+      values_(parent.players()),
+      members_(members.begin(), members.end()),
+      fork_order_(order) {
+  std::sort(members_.begin(), members_.end());
+  members_.erase(std::unique(members_.begin(), members_.end()), members_.end());
+  if (!members_.empty() && members_.back() >= players()) {
+    throw std::out_of_range("ProbeOracle::fork: member out of range");
   }
+  for (const PlayerId p : members_) {
+    probed_[p] = bits::BitVector(objects());
+    values_[p] = bits::BitVector(objects());
+  }
+}
+
+ProbeOracle ProbeOracle::fork(std::span<const PlayerId> members, std::uint32_t order) const {
+  if (!forkable()) {
+    throw std::logic_error(
+        "ProbeOracle::fork: reads or records on this oracle depend on probe order");
+  }
+  return ProbeOracle(*this, members, order);
+}
+
+void ProbeOracle::join(const ProbeOracle& fork) {
+  if (!fork.fork_order_.has_value() || fork.truth_ != truth_) {
+    throw std::invalid_argument("ProbeOracle::join: not a fork of this oracle");
+  }
+  for (const PlayerId p : fork.members_) {
+    invocations_[p].store(invocations_[p].load(std::memory_order_relaxed) +
+                              fork.invocations_[p].load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+    auto& probed = probed_[p];
+    auto& values = values_[p];
+    const auto theirs = fork.probed_[p].words();
+    const auto their_values = fork.values_[p].words();
+    std::uint64_t first_probes = 0;
+    for (std::size_t w = 0; w < theirs.size(); ++w) {
+      const auto mine = probed.words()[w];
+      first_probes += static_cast<std::uint64_t>(std::popcount(theirs[w] & ~mine));
+      probed.set_word(w, mine | theirs[w]);
+      values.set_word(w, (values.words()[w] & ~theirs[w]) | (their_values[w] & theirs[w]));
+    }
+    charged_[p].store(charged_[p].load(std::memory_order_relaxed) + first_probes,
+                      std::memory_order_relaxed);
+  }
+}
+
+void ProbeOracle::reject_probe(PlayerId p, ObjectId o, const char* where) const {
+  if (p < players() && o < objects()) {
+    throw std::logic_error(std::string("ProbeOracle::") + where + ": player " +
+                           std::to_string(p) + " is not a member of this fork");
+  }
+  throw std::out_of_range(std::string("ProbeOracle::") + where +
+                          ": player/object out of range");
+}
+
+bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
+  if (p >= players() || o >= probed_[p].size()) reject_probe(p, o, "probe");
   if (injector_ != nullptr) {
     switch (injector_->on_probe_attempt(p)) {
       case faults::FaultInjector::Attempt::kCrashed:

@@ -60,12 +60,14 @@ class BitSpace {
   /// index order. Without a fault injector this resolves the channel
   /// name and takes the board lock once for the whole node (Zero
   /// Radius posts every node's outputs); with one it falls back to the
-  /// per-player path so crash/post-loss bookkeeping is untouched.
+  /// per-player path so crash/post-loss bookkeeping is untouched. A
+  /// forked oracle's posts carry its fork order (Billboard::Section).
   void publish_rows(std::string_view channel, std::span<const PlayerId> players,
                     std::span<const bits::BitVector> rows) {
     if (oracle_->fault_injector() == nullptr) {
       if (board_ == nullptr) return;
-      board_->post_many(prefix_ + "/" + std::string(channel), players, rows);
+      board_->post_many(prefix_ + "/" + std::string(channel), players, rows,
+                        oracle_->fork_order());
       return;
     }
     for (std::size_t i = 0; i < players.size(); ++i) {

@@ -1,6 +1,8 @@
 #include "tmwia/core/large_radius.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 
 #include "tmwia/core/coalesce.hpp"
@@ -63,6 +65,23 @@ class VirtualSpace {
   std::size_t select_bound_;
 };
 
+/// The players of more than one of groups [lo, hi).
+std::vector<PlayerId> shared_players(const std::vector<std::vector<PlayerId>>& group_players,
+                                     std::size_t lo, std::size_t hi) {
+  std::vector<PlayerId> all;
+  for (std::size_t l = lo; l < hi; ++l) {
+    all.insert(all.end(), group_players[l].begin(), group_players[l].end());
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<PlayerId> shared;
+  for (std::size_t i = 1; i < all.size(); ++i) {
+    if (all[i] == all[i - 1] && (shared.empty() || shared.back() != all[i])) {
+      shared.push_back(all[i]);
+    }
+  }
+  return shared;
+}
+
 }  // namespace
 
 LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billboard* board,
@@ -103,36 +122,43 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
   for (std::size_t i = 0; i < n; ++i) player_positions[i] = static_cast<std::uint32_t>(i);
   const auto player_assignment = rng::assign_to_parts(player_positions, L, copies, part_rng);
 
-  // Steps 2+3 per group: Small Radius with alpha/2 and budget lambda,
-  // then Coalesce the group's outputs into candidates B_l.
+  // Every group's objects and players, built up front.
   std::vector<std::vector<std::uint32_t>> group_objects(L);
-  std::vector<std::vector<bits::TriVector>> group_candidates(L);
+  std::vector<std::vector<PlayerId>> group_players(L);
+  for (std::size_t l = 0; l < L; ++l) {
+    group_objects[l].reserve(obj_partition.parts[l].size());
+    for (std::uint32_t pos : obj_partition.parts[l]) group_objects[l].push_back(objects[pos]);
+    group_players[l].reserve(player_assignment.parts[l].size());
+    for (std::uint32_t pos : player_assignment.parts[l]) group_players[l].push_back(players[pos]);
+  }
+  const auto active = [&](std::size_t l) {
+    return !group_objects[l].empty() && !group_players[l].empty();
+  };
 
+  std::vector<std::vector<bits::TriVector>> group_candidates(L);
   const auto coalesce_D = static_cast<std::size_t>(
       std::ceil(params.lr_coalesce_mult * static_cast<double>(std::max<std::size_t>(lambda, 1))));
 
-  for (std::size_t l = 0; l < L; ++l) {
-    auto& objs = group_objects[l];
-    objs.reserve(obj_partition.parts[l].size());
-    for (std::uint32_t pos : obj_partition.parts[l]) objs.push_back(objects[pos]);
-    if (objs.empty()) continue;
+  // Step 2 for group l: Small Radius with alpha/2 and budget lambda,
+  // probing through `probes` (the oracle, or the group's fork of it).
+  const auto run_group = [&](std::size_t l, billboard::ProbeOracle& probes) {
+    return small_radius(probes, board, group_players[l], group_objects[l], alpha / 2.0, lambda,
+                        params, rng.split(0x5a11, l), n)
+        .outputs;
+  };
 
-    std::vector<PlayerId> group_players;
-    group_players.reserve(player_assignment.parts[l].size());
-    for (std::uint32_t pos : player_assignment.parts[l]) group_players.push_back(players[pos]);
-    if (group_players.empty()) continue;
-
-    const auto sr = small_radius(oracle, board, group_players, objs, alpha / 2.0, lambda,
-                                 params, rng.split(0x5a11, l), n);
-
+  // Step 3 for group l, on the caller in group order: publish the
+  // group's outputs, then Coalesce them into the candidates B_l.
+  const auto finish_group = [&](std::size_t l, const std::vector<bits::BitVector>& outputs) {
+    const auto& members = group_players[l];
     // Degradation: only survivors' outputs reach the billboard and the
     // Coalesce vote; the ball-size quorum is taken over them.
     auto* injector = oracle.fault_injector();
     std::vector<bits::BitVector> surviving;
-    surviving.reserve(group_players.size());
-    for (std::size_t i = 0; i < group_players.size(); ++i) {
-      if (injector == nullptr || !injector->is_failed(group_players[i])) {
-        surviving.push_back(sr.outputs[i]);
+    surviving.reserve(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (injector == nullptr || !injector->is_failed(members[i])) {
+        surviving.push_back(outputs[i]);
       }
     }
 
@@ -141,9 +167,9 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // player running it locally).
     if (board != nullptr) {
       const std::string channel = "lr/group/" + std::to_string(l);
-      for (std::size_t i = 0; i < group_players.size(); ++i) {
-        if (injector != nullptr && injector->is_failed(group_players[i])) continue;
-        board->post(channel, group_players[i], sr.outputs[i]);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (injector != nullptr && injector->is_failed(members[i])) continue;
+        board->post(channel, members[i], outputs[i]);
       }
     }
 
@@ -157,6 +183,49 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       rec->note("lr.group", surviving.size(), co.candidates.size());
     }
     group_candidates[l] = std::move(co.candidates);
+  };
+
+  // The paper runs the L groups at once. Here they run as pool tasks,
+  // in waves of one group per pool thread, each probing through its own
+  // fork of the oracle and posting in a board section with its group
+  // index as order; after a wave the caller joins the forks and
+  // finishes the groups in group order, so every ledger, post and
+  // candidate equals the serial loop's. The groups stay serial, on the
+  // oracle itself, when the order they run in is observable (a flight
+  // recorder, a fault injector or fresh noise) or when there are fewer
+  // groups than pool threads.
+  const bool board_records = board != nullptr && board->recorder() != nullptr;
+  const std::size_t wave = L > 1 && oracle.forkable() && !board_records
+                               ? engine::ThreadPool::global().thread_count()
+                               : 1;
+  if (wave == 1 || L < wave) {
+    for (std::size_t l = 0; l < L; ++l) {
+      if (active(l)) finish_group(l, run_group(l, oracle));
+    }
+  } else {
+    for (std::size_t lo = 0; lo < L; lo += wave) {
+      const std::size_t hi = std::min(L, lo + wave);
+      std::vector<billboard::ProbeOracle> forks;
+      forks.reserve(hi - lo);
+      for (std::size_t l = lo; l < hi; ++l) {
+        forks.push_back(oracle.fork(group_players[l], static_cast<std::uint32_t>(l)));
+      }
+      std::vector<std::vector<bits::BitVector>> outputs(hi - lo);
+      {
+        std::optional<billboard::Billboard::Section> section;
+        if (board != nullptr) section.emplace(*board, shared_players(group_players, lo, hi));
+        engine::parallel_for(
+            lo, hi,
+            [&](std::size_t l) {
+              if (active(l)) outputs[l - lo] = run_group(l, forks[l - lo]);
+            },
+            1);
+      }
+      for (std::size_t l = lo; l < hi; ++l) {
+        oracle.join(forks[l - lo]);
+        if (active(l)) finish_group(l, outputs[l - lo]);
+      }
+    }
   }
 
   // Step 4: Zero Radius over the L virtual objects.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/obs/profile.hpp"
@@ -15,7 +17,15 @@ std::atomic<std::size_t> g_desired_threads{0};
 // tmwia-lint: allow(nonconst-global) registered singleton: global pool latch
 std::atomic<bool> g_global_started{false};
 
+/// Set while this thread runs a parallel_for chunk: a loop issued from
+/// inside one runs inline. Dispatching it instead would park the worker
+/// on a join whose chunks queue behind the outer chunks, and once every
+/// worker held an outer chunk nothing would run.
+thread_local bool t_inside_chunk = false;
+
 }  // namespace
+
+bool detail::inside_chunk() { return t_inside_chunk; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -61,6 +71,11 @@ bool ThreadPool::global_started() {
 }
 
 bool set_global_threads(std::size_t threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("set_global_threads: " + std::to_string(threads) +
+                                " threads is above the maximum of " +
+                                std::to_string(kMaxThreads));
+  }
   if (ThreadPool::global_started()) return false;
   g_desired_threads.store(threads, std::memory_order_relaxed);
   return true;
@@ -117,6 +132,7 @@ void detail::parallel_for_chunks(std::size_t begin, std::size_t end,
     const std::size_t hi = std::min(end, lo + grain);
     pool.submit([&, lo, hi, ambient_zone] {
       const obs::Profiler::ZoneId prev_zone = obs::Profiler::swap_current_zone(ambient_zone);
+      t_inside_chunk = true;
       std::exception_ptr err;
       try {
         if (!failed.load(std::memory_order_relaxed)) {
@@ -126,6 +142,7 @@ void detail::parallel_for_chunks(std::size_t begin, std::size_t end,
         failed.store(true, std::memory_order_relaxed);
         err = std::current_exception();
       }
+      t_inside_chunk = false;
       obs::Profiler::swap_current_zone(prev_zone);
       MutexLock lk(join.mu);
       if (err && !join.first_error) join.first_error = err;

@@ -16,9 +16,9 @@
 //    and restore run one at a time, while two different tenants may
 //    refine at the same time (each records into its own oracle's
 //    recorder). The background refiner is a dedicated std::thread
-//    (never a pool task: pool tasks must not submit nested
-//    parallel_for) that round-robins one epoch per tenant until stopped
-//    or every tenant reaches its epoch cap.
+//    (never a pool task: the epoch's parallel_for loops would run
+//    inline on that one worker) that round-robins one epoch per tenant
+//    until stopped or every tenant reaches its epoch cap.
 //
 // Request metrics land in the global MetricsRegistry under "serve.*"
 // (request-latency and staleness histograms, request/degraded

@@ -331,7 +331,8 @@ void RecommendationService::start_refiner(std::uint64_t max_epochs_per_tenant) {
   }
   stop_refiner_.store(false, std::memory_order_release);
   // A dedicated thread, never a pool task: refinement epochs drive
-  // engine::parallel_for, which pool tasks must not nest.
+  // engine::parallel_for, whose loops would run inline on one worker
+  // if issued from inside a pool task.
   refiner_ = std::thread([this, max_epochs_per_tenant] { refiner_loop(max_epochs_per_tenant); });
 }
 

@@ -80,13 +80,102 @@ TEST(ProbeOracle, ConcurrentProbesByDistinctPlayers) {
   rng::Rng rng(1);
   const auto inst = matrix::uniform_random(64, 256, rng);
   ProbeOracle o(inst.matrix);
-  engine::parallel_for(0, 64, [&](std::size_t p) {
-    for (std::uint32_t j = 0; j < 256; ++j) {
-      (void)o.probe(static_cast<matrix::PlayerId>(p), j);
-    }
-  });
+  // Grain 1: a chunk per player, so the loop reaches the pool.
+  engine::parallel_for(
+      0, 64,
+      [&](std::size_t p) {
+        for (std::uint32_t j = 0; j < 256; ++j) {
+          (void)o.probe(static_cast<matrix::PlayerId>(p), j);
+        }
+      },
+      1);
   EXPECT_EQ(o.total_invocations(), 64u * 256u);
   EXPECT_EQ(o.max_invocations(), 256u);
+}
+
+// A fork is a task-local ledger: only its members may probe through it.
+TEST(ProbeOracle, ForkRejectsNonMembers) {
+  const auto m = small_matrix();
+  ProbeOracle o(m);
+  const std::vector<PlayerId> members{0, 2};
+  auto fork = o.fork(members, 0);
+  EXPECT_TRUE(fork.probe(2, 3));
+  EXPECT_THROW((void)fork.probe(1, 3), std::logic_error);
+  const std::vector<ObjectId> objs{0, 1};
+  bits::BitVector out(objs.size());
+  EXPECT_THROW(fork.probe_block(1, objs, out), std::logic_error);
+  EXPECT_THROW((void)fork.probe(3, 0), std::out_of_range);
+  EXPECT_THROW((void)fork.probe(0, 4), std::out_of_range);
+  // The fork charged only itself.
+  EXPECT_EQ(fork.invocations(2), 1u);
+  EXPECT_EQ(o.total_invocations(), 0u);
+}
+
+TEST(ProbeOracle, ForkNeedsOrderFreeReads) {
+  const auto m = small_matrix();
+  ProbeOracle fresh(m, NoiseModel::fresh(0.1, 3));
+  EXPECT_FALSE(fresh.forkable());
+  EXPECT_THROW((void)fresh.fork(std::vector<PlayerId>{0}, 0), std::logic_error);
+  ProbeOracle sticky(m, NoiseModel::sticky(0.1, 3));
+  EXPECT_TRUE(sticky.forkable());
+  const auto fork = sticky.fork(std::vector<PlayerId>{0}, 0);
+  EXPECT_FALSE(fork.forkable());
+  EXPECT_EQ(fork.fork_order(), 0u);
+  EXPECT_FALSE(sticky.fork_order().has_value());
+}
+
+void expect_same_ledger(const ProbeOracle& a, const ProbeOracle& b) {
+  const auto la = a.export_ledger();
+  const auto lb = b.export_ledger();
+  EXPECT_EQ(la.invocations, lb.invocations);
+  EXPECT_EQ(la.charged, lb.charged);
+  EXPECT_EQ(la.probed, lb.probed);
+  EXPECT_EQ(la.values, lb.values);
+}
+
+// Two tasks share player 1 and probe disjoint objects, as two Large
+// Radius groups do. Joined in task order, their forks leave the ledger
+// the serial run leaves, whichever task finished first.
+TEST(ProbeOracle, JoinedForksEqualTheSerialLedger) {
+  rng::Rng rng(5);
+  const auto inst = matrix::uniform_random(4, 64, rng);
+  const NoiseModel noise = NoiseModel::sticky(0.2, 9);
+  const std::vector<PlayerId> members_a{0, 1};
+  const std::vector<PlayerId> members_b{1, 2};
+  const std::vector<ObjectId> objs_a{0, 1, 2, 3, 40, 41};
+  const std::vector<ObjectId> objs_b{10, 11, 12, 50};
+  const auto task = [](ProbeOracle& o, const std::vector<PlayerId>& members,
+                       const std::vector<ObjectId>& objs) {
+    bits::BitVector row(objs.size());
+    for (const auto p : members) {
+      o.probe_block(p, objs, row);
+      (void)o.probe(p, objs.front());  // a re-probe charges no new object
+    }
+  };
+  // Player 1 probed object 0 before the tasks: the fork charges it
+  // again, the join must not.
+  ProbeOracle serial(inst.matrix, noise);
+  (void)serial.probe(1, 0);
+  task(serial, members_a, objs_a);
+  task(serial, members_b, objs_b);
+
+  for (const bool b_first : {false, true}) {
+    ProbeOracle o(inst.matrix, noise);
+    (void)o.probe(1, 0);
+    auto fork_a = o.fork(members_a, 0);
+    auto fork_b = o.fork(members_b, 1);
+    if (b_first) {
+      task(fork_b, members_b, objs_b);
+      task(fork_a, members_a, objs_a);
+    } else {
+      task(fork_a, members_a, objs_a);
+      task(fork_b, members_b, objs_b);
+    }
+    o.join(fork_a);
+    o.join(fork_b);
+    expect_same_ledger(serial, o);
+  }
+  EXPECT_THROW(serial.join(serial), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ Billboard
@@ -222,12 +311,65 @@ TEST(Tally, GroupsByEqualityAndThreshold) {
 
 TEST(Tally, EmptyPosts) { EXPECT_TRUE(tally({}, 1).empty()); }
 
+void post_ordered(Billboard& b, const std::string& channel, matrix::PlayerId p,
+                  const std::string& bits, std::uint32_t order) {
+  const std::vector<matrix::PlayerId> players{p};
+  const std::vector<bits::BitVector> rows{bits::BitVector::from_string(bits)};
+  b.post_many(channel, players, rows, order);
+}
+
+std::vector<std::string> popular_rows(const Billboard& b, const std::string& channel) {
+  std::vector<std::string> out;
+  for (const auto& vv : b.popular(channel, 1)) out.push_back(vv.vec.to_string());
+  return out;
+}
+
+// Inside a section, a shared player's row keeps the highest-order post
+// whatever order the posts land in; once the section closes, posts are
+// plain again. popular() sees every write that changed a row.
+TEST(Billboard, SectionKeepsTheHighestOrderPost) {
+  Billboard b;
+  b.post("ch", 4, bits::BitVector::from_string("0000"));
+  {
+    const Billboard::Section section(b, {4});
+    post_ordered(b, "ch", 4, "0011", 3);
+    EXPECT_EQ(popular_rows(b, "ch"), std::vector<std::string>{"0011"});
+    post_ordered(b, "ch", 4, "0001", 1);
+    post_ordered(b, "ch", 4, "0010", 2);
+    EXPECT_EQ(popular_rows(b, "ch"), std::vector<std::string>{"0011"});
+    // A player only one task posts for takes every post as it lands.
+    post_ordered(b, "ch", 7, "1100", 2);
+    post_ordered(b, "ch", 7, "1000", 0);
+    EXPECT_EQ(popular_rows(b, "ch"), (std::vector<std::string>{"0011", "1000"}));
+    EXPECT_THROW({ const Billboard::Section second(b, {}); }, std::logic_error);
+  }
+  EXPECT_EQ(b.snapshot("ch").rows,
+            (std::vector<bits::BitVector>{bits::BitVector::from_string("0011"),
+                                          bits::BitVector::from_string("1000")}));
+  b.post("ch", 4, bits::BitVector::from_string("0001"));
+  EXPECT_EQ(popular_rows(b, "ch"), (std::vector<std::string>{"0001", "1000"}));
+  EXPECT_THROW(post_ordered(b, "ch", 4, "1111", 9), std::logic_error);
+}
+
+TEST(Billboard, SectionOrdersArePerChannel) {
+  Billboard b;
+  const Billboard::Section section(b, {1});
+  post_ordered(b, "x", 1, "01", 5);
+  post_ordered(b, "y", 1, "10", 2);  // no order-5 post on y: this one lands
+  post_ordered(b, "x", 1, "11", 2);
+  EXPECT_EQ(popular_rows(b, "x"), std::vector<std::string>{"01"});
+  EXPECT_EQ(popular_rows(b, "y"), std::vector<std::string>{"10"});
+  // A cleared channel forgets its orders with its rows.
+  b.clear("x");
+  post_ordered(b, "x", 1, "11", 2);
+  EXPECT_EQ(popular_rows(b, "x"), std::vector<std::string>{"11"});
+}
+
 TEST(Billboard, ConcurrentPostsSafe) {
   Billboard b;
   const auto v = bits::BitVector::from_string("0101");
-  engine::parallel_for(0, 128, [&](std::size_t p) {
-    b.post("ch", static_cast<matrix::PlayerId>(p), v);
-  });
+  engine::parallel_for(
+      0, 128, [&](std::size_t p) { b.post("ch", static_cast<matrix::PlayerId>(p), v); }, 1);
   EXPECT_EQ(b.posters("ch"), 128u);
   const auto pop = b.popular("ch", 128);
   ASSERT_EQ(pop.size(), 1u);

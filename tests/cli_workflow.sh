@@ -144,6 +144,13 @@ expect_exit 2 "$CLI" gen --kind=planted --n=99999999999999999999 --out="$DIR/bad
 expect_exit 2 "$CLI" gen --kind=planted --seed=-1 --out="$DIR/bad.tmw"
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=0.5abc --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=-1 --out=/dev/null
+# --threads is at most 256 (engine::kMaxThreads). A larger count is a
+# usage error before any worker starts, not an allocation failure or
+# thousands of threads.
+expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=1099511627776 --out=/dev/null
+expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=18446744073709551615 --out=/dev/null
+expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=257 --out=/dev/null
+expect_exit 2 "$CLI" serve --requests=/dev/null --threads=257 --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=nan --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=zero --alpha=1.5 --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=0 --record="$DIR/alpha0.jsonl" \

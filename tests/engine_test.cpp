@@ -3,14 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "tmwia/engine/thread_pool.hpp"
 
 namespace tmwia::engine {
 namespace {
+
+// The global pool gets four workers in every test process, one core or
+// many, so the dispatch tests below run against a real pool.
+const bool kPoolSized = set_global_threads(4);
 
 TEST(ThreadPool, ConstructsWithRequestedThreads) {
   ThreadPool pool(3);
@@ -77,6 +85,63 @@ TEST(ParallelFor, ResultsIndependentOfGrain) {
   parallel_for(0, 512, [&](std::size_t i) { a[i] = static_cast<int>(i * i % 97); }, 1);
   parallel_for(0, 512, [&](std::size_t i) { b[i] = static_cast<int>(i * i % 97); }, 200);
   EXPECT_EQ(a, b);
+}
+
+TEST(ThreadPool, SetGlobalThreadsRejectsCountsAboveTheMaximum) {
+  EXPECT_THROW(set_global_threads(kMaxThreads + 1), std::invalid_argument);
+  EXPECT_THROW(set_global_threads(std::size_t{1} << 40), std::invalid_argument);
+  EXPECT_THROW(set_global_threads(std::numeric_limits<std::size_t>::max()),
+               std::invalid_argument);
+  // A count in range is only refused once the pool exists.
+  EXPECT_EQ(ThreadPool::global().thread_count(), 4u);
+  EXPECT_FALSE(set_global_threads(kMaxThreads));
+}
+
+// A loop goes to the pool only when it gives every worker one full
+// chunk; shorter loops run on the caller.
+TEST(ParallelFor, LoopsUnderAChunkPerThreadRunInline) {
+  ASSERT_TRUE(kPoolSized);
+  const std::size_t threads = ThreadPool::global().thread_count();
+  const auto caller = std::this_thread::get_id();
+  const auto on_caller = [&](std::size_t n, std::size_t grain) {
+    std::atomic<std::size_t> hits{0};
+    parallel_for(
+        0, n, [&](std::size_t) { hits.fetch_add(std::this_thread::get_id() == caller); },
+        grain);
+    return hits.load();
+  };
+  EXPECT_EQ(on_caller(threads * 16 - 1, 16), threads * 16 - 1);
+  EXPECT_EQ(on_caller(threads * 16, 16), 0u);  // the caller only waits
+}
+
+// A loop issued from inside a pool chunk runs inline on that worker.
+// Dispatching it would park the worker on a join whose chunks queue
+// behind the outer chunks; once every worker held an outer chunk (the
+// sleep makes sure they all do), nothing would run.
+TEST(ParallelFor, NestedCallRunsInline) {
+  ASSERT_TRUE(kPoolSized);
+  ASSERT_GE(ThreadPool::global().thread_count(), 2u);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 512;
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::size_t> moved{0};
+  parallel_for(
+      0, kOuter,
+      [&](std::size_t o) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        const auto worker = std::this_thread::get_id();
+        parallel_for(
+            0, kInner,
+            [&](std::size_t i) {
+              sum.fetch_add(o * kInner + i);
+              moved.fetch_add(std::this_thread::get_id() != worker);
+            },
+            16);
+      },
+      1);
+  constexpr std::uint64_t kTotal = kOuter * kInner;
+  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+  EXPECT_EQ(moved.load(), 0u);
 }
 
 TEST(ParallelFor, SmallRangeRunsSerial) {

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 
 #include "tmwia/billboard/billboard.hpp"
@@ -14,10 +15,17 @@
 #include "tmwia/core/session.hpp"
 #include "tmwia/core/small_radius.hpp"
 #include "tmwia/core/zero_radius.hpp"
+#include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "tmwia/obs/flight_recorder.hpp"
+#include "tmwia/obs/metrics.hpp"
 
 namespace tmwia::core {
 namespace {
+
+// Four pool workers in every test process, so the Large Radius guesses
+// with at least four groups run them as pool tasks.
+const bool kPoolSized = engine::set_global_threads(4);
 
 TEST(FindPreferences, DispatchZeroRadius) {
   rng::Rng gen(1);
@@ -228,6 +236,52 @@ TEST(FindPreferences, TinyAlphaClampsCountsAndCompletes) {
   billboard::ProbeOracle oracle(inst.matrix);
   const auto res = find_preferences_unknown_d(oracle, nullptr, kTiny, params, rng::Rng(22));
   EXPECT_EQ(res.outputs.size(), 64u);
+}
+
+// The unknown-D search at n = 256 runs Large Radius with 4, 8 and 16
+// groups (d = 32, 64, 128; up to 4 groups per player). Its groups run
+// as pool tasks, and the run leaves what the serial run leaves: a
+// flight recorder keeps the groups on the caller for the reference.
+TEST(ConcurrentGroups, UnknownDMatchesTheSerialRun) {
+  ASSERT_TRUE(kPoolSized);
+  rng::Rng gen(43);
+  const auto inst = matrix::planted_communities(256, 256, {{0.25, 8}, {0.25, 32}}, gen);
+  struct Run {
+    RunReport report;
+    billboard::ProbeOracle::Ledger ledger;
+    std::vector<billboard::Billboard::ChannelDump> posts;
+  };
+  const auto run = [&](bool serial) {
+    auto& reg = obs::MetricsRegistry::global();
+    reg.reset();
+    reg.set_enabled(true);
+    billboard::ProbeOracle oracle(inst.matrix);
+    billboard::Billboard board;
+    std::ostringstream log;
+    obs::FlightRecorder rec(log);
+    if (serial) oracle.set_recorder(&rec);
+    Run r;
+    r.report =
+        find_preferences_unknown_d(oracle, &board, 0.25, Params::practical(), rng::Rng(44));
+    r.ledger = oracle.export_ledger();
+    r.posts = board.export_posts();
+    reg.set_enabled(false);
+    return r;
+  };
+  const auto pooled = run(false);
+  const auto serial = run(true);
+  EXPECT_TRUE(pooled.report.outputs == serial.report.outputs);
+  EXPECT_EQ(pooled.report.to_json(), serial.report.to_json());
+  EXPECT_EQ(pooled.report.metrics.to_json(), serial.report.metrics.to_json());
+  EXPECT_TRUE(pooled.ledger.invocations == serial.ledger.invocations);
+  EXPECT_TRUE(pooled.ledger.charged == serial.ledger.charged);
+  EXPECT_TRUE(pooled.ledger.probed == serial.ledger.probed);
+  EXPECT_TRUE(pooled.ledger.values == serial.ledger.values);
+  ASSERT_EQ(pooled.posts.size(), serial.posts.size());
+  for (std::size_t i = 0; i < pooled.posts.size(); ++i) {
+    EXPECT_EQ(pooled.posts[i].channel, serial.posts[i].channel);
+    EXPECT_TRUE(pooled.posts[i].posts == serial.posts[i].posts) << pooled.posts[i].channel;
+  }
 }
 
 }  // namespace

@@ -4,14 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
+#include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/core/large_radius.hpp"
+#include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "tmwia/obs/flight_recorder.hpp"
+#include "tmwia/obs/metrics.hpp"
 
 namespace tmwia::core {
 namespace {
+
+// Four pool workers in every test process, so a Large Radius run with
+// at least four groups runs them as pool tasks.
+const bool kPoolSized = engine::set_global_threads(4);
 
 std::vector<PlayerId> iota_players(std::size_t n) {
   std::vector<PlayerId> p(n);
@@ -116,6 +125,100 @@ TEST(LargeRadius, DeterministicGivenSeed) {
                                Params::practical(), rng::Rng(96));
   EXPECT_EQ(r1.outputs, r2.outputs);
 }
+
+// ------------------------------------------------------ concurrent groups
+
+/// Everything a Large Radius run leaves behind.
+struct GroupsRun {
+  LargeRadiusResult res;
+  billboard::ProbeOracle::Ledger ledger;
+  std::vector<billboard::Billboard::ChannelDump> posts;
+  obs::Snapshot metrics;
+};
+
+/// L = 8 groups (D = 64 at n = 256) with every player in 2 of them.
+matrix::Instance groups_instance() {
+  rng::Rng gen(41);
+  return matrix::planted_community(256, 256, {0.25, 8}, gen);
+}
+
+/// One Large Radius run on a fresh oracle and board. `serial` attaches
+/// a flight recorder, which makes the group order observable and so
+/// keeps the groups on the caller: the reference for the pool run.
+GroupsRun run_groups(const matrix::Instance& inst, bool serial,
+                     billboard::ProtocolAuditor* auditor = nullptr) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  billboard::ProbeOracle oracle(inst.matrix);
+  billboard::Billboard board;
+  std::ostringstream log;
+  obs::FlightRecorder rec(log);
+  if (serial) oracle.set_recorder(&rec);
+#if TMWIA_AUDIT
+  oracle.set_auditor(auditor);
+#else
+  (void)auditor;
+#endif
+  GroupsRun run;
+  run.res = large_radius(oracle, &board, iota_players(inst.matrix.players()),
+                         iota_objects(inst.matrix.objects()), 0.25, 64, Params::practical(),
+                         rng::Rng(42));
+  run.ledger = oracle.export_ledger();
+  run.posts = board.export_posts();
+  run.metrics = reg.snapshot();
+  reg.set_enabled(false);
+  return run;
+}
+
+void expect_same_run(const GroupsRun& a, const GroupsRun& b) {
+  EXPECT_TRUE(a.res.outputs == b.res.outputs);
+  EXPECT_EQ(a.res.parts, b.res.parts);
+  EXPECT_EQ(a.res.lambda, b.res.lambda);
+  EXPECT_EQ(a.res.max_candidates, b.res.max_candidates);
+  EXPECT_EQ(a.res.player_copies, b.res.player_copies);
+  EXPECT_TRUE(a.ledger.invocations == b.ledger.invocations);
+  EXPECT_TRUE(a.ledger.charged == b.ledger.charged);
+  EXPECT_TRUE(a.ledger.probed == b.ledger.probed);
+  EXPECT_TRUE(a.ledger.values == b.ledger.values);
+  ASSERT_EQ(a.posts.size(), b.posts.size());
+  for (std::size_t i = 0; i < a.posts.size(); ++i) {
+    EXPECT_EQ(a.posts[i].channel, b.posts[i].channel);
+    EXPECT_TRUE(a.posts[i].posts == b.posts[i].posts) << a.posts[i].channel;
+  }
+  EXPECT_EQ(a.metrics.to_json(), b.metrics.to_json());
+}
+
+// The groups run as pool tasks through forked ledgers and ordered
+// board posts, and leave exactly what the serial group loop leaves —
+// in every run, whichever group of a wave finishes first.
+TEST(ConcurrentGroups, LargeRadiusMatchesTheSerialRun) {
+  ASSERT_TRUE(kPoolSized);
+  const auto inst = groups_instance();
+  const auto serial = run_groups(inst, true);
+  for (int rep = 0; rep < 4; ++rep) {
+    const auto pooled = run_groups(inst, false);
+    ASSERT_GE(pooled.res.parts, engine::ThreadPool::global().thread_count());
+    ASSERT_GE(pooled.res.player_copies, 2u);
+    expect_same_run(pooled, serial);
+  }
+}
+
+#if TMWIA_AUDIT
+// An attached auditor does not keep the groups serial: its A4 ledger
+// takes one player's attempts from several forks at once.
+TEST(ConcurrentGroups, AuditedRunIsClean) {
+  ASSERT_TRUE(kPoolSized);
+  const auto inst = groups_instance();
+  billboard::ProtocolAuditor auditor(inst.matrix.players(), inst.matrix.objects());
+  const auto audited = run_groups(inst, false, &auditor);
+  auditor.verify_invocations(audited.ledger.invocations);
+  const auto report = auditor.report();
+  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_GT(report.probes_audited, 0u);
+  expect_same_run(audited, run_groups(inst, true));
+}
+#endif
 
 }  // namespace
 }  // namespace tmwia::core

@@ -7,10 +7,12 @@
 #              via -DTMWIA_LINT=ON when a clang-tidy binary exists.
 #   plain      full suite, default flags            (build/)
 #   asan       full suite, ASan+UBSan               (build-asan/)
-#   tsan       obs/engine/scheduler/Zero Radius suites under
-#              ThreadSanitizer — exercises the sharded MetricsRegistry,
-#              the thread pool, and pool workers sharing one Zero Radius
-#              plan for data races                  (build-tsan/)
+#   tsan       obs/engine/scheduler/Zero Radius suites, the oracle and
+#              billboard suites and the concurrent Large Radius group
+#              tests under ThreadSanitizer — exercises the sharded
+#              MetricsRegistry, the thread pool, pool workers sharing one
+#              Zero Radius plan, and group tasks probing through forked
+#              ledgers and posting in one board section (build-tsan/)
 #   audit      opt-in: just the ProtocolAuditor suite (runtime
 #              billboard-invariant checks; also part of plain)
 #   bench-json opt-in: run every e* bench binary and jq-check that each
@@ -25,7 +27,11 @@
 #              drive one CLI run per backend this CPU supports and
 #              require byte-identical flight-recorder logs, estimate
 #              files, and RunReports (modulo the reports' "kernel"
-#              provenance field, which names the backend by design)
+#              provenance field, which names the backend by design);
+#              then unrecorded unknown_d and large runs on an instance
+#              with >= 4 Large Radius groups, whose groups run as pool
+#              tasks, at --threads 1, 2 and 4, requiring byte-identical
+#              estimates, reports, metrics, profiles and checkpoints
 #   thread-safety opt-in: the static concurrency gate — tmwia_lint.py
 #              --self-test, then the full lint with a jq check that the
 #              concurrency rules (naked-mutex, manual-lock,
@@ -142,14 +148,15 @@ if [[ $RUN_SAN -eq 1 ]]; then
 fi
 
 if [[ $RUN_TSAN -eq 1 ]]; then
-  echo "== TSan (obs + engine + scheduler + Zero Radius) =="
+  echo "== TSan (obs + engine + scheduler + Zero Radius + oracle/billboard + Large Radius groups) =="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DTMWIA_TSAN=ON
   cmake --build "$ROOT/build-tsan" -j "$JOBS" \
     --target test_obs test_profile test_engine test_round_scheduler test_thread_safety test_serve \
-    test_zero_radius test_zero_radius_strategy
+    test_zero_radius test_zero_radius_strategy test_billboard test_large_radius \
+    test_find_preferences
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry|ZeroRadius|DistributedEquivalence)'
+    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry|ZeroRadius|DistributedEquivalence|ProbeOracle|Billboard|ConcurrentGroups)'
 fi
 
 if [[ $RUN_AUDIT -eq 1 ]]; then
@@ -248,6 +255,33 @@ if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
     cmp "$PAR_DIR/$ref.txt" "$PAR_DIR/$k.txt"
     cmp "$PAR_DIR/$ref.normalized.json" "$PAR_DIR/$k.normalized.json"
     echo "-- $k: flight log, estimates, and report match $ref"
+  done
+
+  # A flight recorder keeps Large Radius groups serial, so the runs
+  # above never take the concurrent path. These do: no --record, and
+  # at n = 256 unknown_d reaches 4, 8 and 16 groups (d = 32, 64, 128)
+  # and --d=64 gives 8.
+  "$CLI" gen --kind=multi --n=256 --m=256 --alpha=0.25 --radius=8 --seed=3 \
+    --out="$PAR_DIR/groups.tmw" >/dev/null
+  for algo in unknown_d large; do
+    for t in 1 2 4; do
+      run="$PAR_DIR/$algo.t$t"
+      files=(txt normalized.json metrics.json prof.json stdout)
+      if [[ $algo == unknown_d ]]; then
+        extra=(--checkpoint="$run.ckpt" --checkpoint-every=2000)
+        files+=(ckpt)
+      else
+        extra=(--d=64)
+      fi
+      "$CLI" run --in="$PAR_DIR/groups.tmw" --algo="$algo" --alpha=0.25 --seed=5 \
+        --threads="$t" "${extra[@]}" --out="$run.txt" --report="$run.json" \
+        --metrics="$run.metrics.json" --prof="$run.prof.json" >"$run.stdout"
+      sed 's/"kernel":"[a-z0-9]*"/"kernel":"_"/' "$run.json" >"$run.normalized.json"
+      if [[ $t -ne 1 ]]; then
+        for f in "${files[@]}"; do cmp "$PAR_DIR/$algo.t1.$f" "$run.$f"; done
+        echo "-- $algo --threads=$t: every artifact matches --threads=1"
+      fi
+    done
   done
   rm -rf "$PAR_DIR"
 fi

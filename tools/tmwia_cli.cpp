@@ -131,7 +131,8 @@ const io::FlagTable& flag_table() {
           {"record", "FILE", "write the flight-recorder event log here", "run,resume"},
           {"report", "FILE", "write the RunReport (phase timeline) as JSON here",
            "run,resume,serve"},
-          {"threads", "N", "global thread-pool size (0 = hardware)", "run,resume,serve"},
+          {"threads", "N", "global thread-pool size (0 = hardware, at most 256)",
+           "run,resume,serve"},
           {"kernel", "B", "distance-kernel backend: scalar|avx2|avx512|auto "
            "(default auto; any choice computes identical results)", "run,resume,serve"},
           {"checkpoint", "FILE", "checkpoint file (written by run, read+rewritten by "
@@ -178,6 +179,18 @@ std::string require(const io::Args& args, const std::string& key) {
   const auto v = args.get(key);
   if (!v) throw std::invalid_argument("missing required --" + key);
   return *v;
+}
+
+/// Apply --threads=N (the global pool size) before the first parallel
+/// phase builds the pool. N above engine::kMaxThreads is a usage error.
+void apply_threads_flag(const io::Args& args) {
+  const auto threads = args.get_u64("threads", 0);
+  if (threads > engine::kMaxThreads) {
+    throw std::invalid_argument("--threads: expected at most " +
+                                std::to_string(engine::kMaxThreads) + ", got '" +
+                                std::to_string(threads) + "'");
+  }
+  engine::set_global_threads(static_cast<std::size_t>(threads));
 }
 
 /// Apply --kernel=B (if given) before any distance work runs. Unknown
@@ -331,7 +344,7 @@ int cmd_run(const io::Args& args) {
   // Observability sinks. The thread count must be requested before the
   // first parallel phase constructs the global pool, and the kernel
   // backend before the first distance call.
-  engine::set_global_threads(static_cast<std::size_t>(args.get_u64("threads", 0)));
+  apply_threads_flag(args);
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
@@ -519,7 +532,7 @@ int cmd_resume(const io::Args& args) {
   const auto params =
       profile == "paper" ? core::Params::paper() : core::Params::practical();
 
-  engine::set_global_threads(static_cast<std::size_t>(args.get_u64("threads", 0)));
+  apply_threads_flag(args);
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
@@ -941,7 +954,7 @@ int cmd_replay(const io::Args& args) {
 int cmd_serve(const io::Args& args) {
   // Thread count before the first parallel phase, kernel backend
   // before the first distance call — same ordering contract as `run`.
-  engine::set_global_threads(static_cast<std::size_t>(args.get_u64("threads", 0)));
+  apply_threads_flag(args);
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
