@@ -248,16 +248,23 @@ class ProbeOracle {
   /// this oracle's (players, objects). Call only at quiescent points.
   void restore_ledger(const Ledger& ledger);
 
-  /// Can a fork of this oracle be joined back without changing what
-  /// the serial run observes? Not when a read, or what records it,
-  /// depends on the order probes land in: a fault injector (its state
-  /// moves with every attempt), a flight recorder (it logs each
-  /// player's invocation index) or fresh noise (a read depends on that
-  /// index). Sticky noise and an auditor are fine.
-  [[nodiscard]] bool forkable() const {
+  /// Is the order of a player's probes unobservable? Not when a read,
+  /// or what records it, depends on the order probes land in: a fault
+  /// injector (its state moves with every attempt), a flight recorder
+  /// (it logs each player's invocation index) or fresh noise (a read
+  /// depends on that index). Sticky noise and an auditor are fine.
+  /// Then the ledgers, reads and values after a set of probes do not
+  /// depend on their order, so callers may reorder a player's probes
+  /// (Small Radius batches its leaves) or split them across forks.
+  [[nodiscard]] bool order_free() const {
     return injector_ == nullptr && recorder_ == nullptr &&
-           noise_.kind != NoiseModel::Kind::kFresh && !fork_order_.has_value();
+           noise_.kind != NoiseModel::Kind::kFresh;
   }
+
+  /// Can a fork of this oracle be joined back without changing what
+  /// the serial run observes? When the order is free (order_free())
+  /// and this oracle is not itself a fork.
+  [[nodiscard]] bool forkable() const { return order_free() && !fork_order_.has_value(); }
 
   /// A task-local ledger for one task's probes: a ProbeOracle over the
   /// same truth, noise model and auditor, with zero ledgers and rows

@@ -77,7 +77,7 @@ KernelBackend resolve_backend(KernelBackend b);
 void set_backend(KernelBackend b);
 
 /// RAII gate the execution engine opens around every pooled parallel
-/// phase (engine::detail::parallel_for_chunks); set_backend refuses
+/// phase (engine::ThreadPool::run); set_backend refuses
 /// with std::logic_error while any gate is open. Not for general use.
 class ParallelPhaseGuard {
  public:

@@ -11,6 +11,16 @@
 //
 // Theorem 4.4: outputs within 5D of the truth for every typical player,
 // in O(K * D^{3/2} (D + log n) / alpha) probing rounds.
+//
+// Schedule: the s Zero Radius runs of an iteration are independent
+// (disjoint objects, the same players). When every part is a single
+// Zero Radius leaf and no observer can see a player's probe order
+// (small_radius_order_free), the iteration runs as three pool passes
+// over all s parts: every player's leaf probes, then the s votes, then
+// every player's Selects. Otherwise — a part above the leaf threshold,
+// a flight recorder, a fault injector or fresh noise — it runs one part
+// at a time. Both schedules probe the same (player, object) pairs and
+// leave the same ledgers, posts and outputs (DESIGN §13.6).
 #pragma once
 
 #include <cstdint>
@@ -45,6 +55,12 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
                                const std::vector<std::uint32_t>& objects, double alpha,
                                std::size_t D, const Params& params, rng::Rng rng,
                                std::size_t n_total);
+
+/// May an all-leaf iteration run as three passes over all its parts?
+/// Only when the order of a player's probes is unobservable: the oracle
+/// is order_free() and the board, if any, records nothing.
+[[nodiscard]] bool small_radius_order_free(const billboard::ProbeOracle& oracle,
+                                           const billboard::Billboard* board);
 
 /// Number of object parts s for a given D (Lemma 4.1 scaling).
 std::size_t small_radius_parts(std::size_t D, const Params& params);

@@ -1,6 +1,9 @@
 #include "tmwia/core/small_radius.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <span>
 #include <string>
 
 #include "tmwia/core/bit_space.hpp"
@@ -10,11 +13,67 @@
 #include "tmwia/rng/partition.hpp"
 
 namespace tmwia::core {
+namespace {
+
+/// One part of an iteration's partition, and Step 1b's vote on it.
+struct Part {
+  const std::vector<std::uint32_t>* positions = nullptr;  ///< into the iteration's objects
+  std::vector<std::uint32_t> objects;                     ///< the part's object ids
+  /// The passes' leaf rows, row_words() words per player. Pass 1 holds
+  /// all s parts' rows at once; one buffer per part stores a row of up
+  /// to 64 objects in 8 bytes, where a BitVector takes 40.
+  std::vector<std::uint64_t> leaf_words;
+  std::size_t voters = 0;                   ///< surviving players who voted
+  std::vector<bits::BitVector> candidates;  ///< U_i, lexicographic
+  /// Every player scatters through the same position set: the part's
+  /// word mask, unless the part is so sparse that per-coordinate writes
+  /// touch fewer words.
+  bool use_mask = false;
+  bits::BitVector pos_mask;
+
+  [[nodiscard]] std::size_t row_words() const {
+    return bits::BitVector::word_count(objects.size());
+  }
+
+  /// Player pi's row in leaf_words.
+  [[nodiscard]] bits::BitVector leaf_row(std::size_t pi) const {
+    bits::BitVector row(objects.size());
+    const std::size_t nw = row_words();
+    for (std::size_t w = 0; w < nw; ++w) row.set_word(w, leaf_words[pi * nw + w]);
+    return row;
+  }
+
+  /// Every player's row in leaf_words (a non-empty part's).
+  [[nodiscard]] std::vector<bits::BitVector> leaf_rows() const {
+    const std::size_t n = leaf_words.size() / row_words();
+    std::vector<bits::BitVector> rows;
+    rows.reserve(n);
+    for (std::size_t pi = 0; pi < n; ++pi) rows.push_back(leaf_row(pi));
+    return rows;
+  }
+
+  /// Step 1c's stitch: write `piece`, the part's coordinates, into a
+  /// player's full row.
+  void scatter(bits::BitVector& row, const bits::BitVector& piece) const {
+    if (use_mask) {
+      row.scatter_masked(piece, pos_mask);
+    } else {
+      row.scatter(piece, *positions);
+    }
+  }
+};
+
+}  // namespace
 
 std::size_t small_radius_parts(std::size_t D, const Params& params) {
   if (D == 0) return 1;
   const double s = params.sr_s_mult * std::pow(static_cast<double>(D), 1.5);
   return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(s)));
+}
+
+bool small_radius_order_free(const billboard::ProbeOracle& oracle,
+                             const billboard::Billboard* board) {
+  return oracle.order_free() && (board == nullptr || board->recorder() == nullptr);
 }
 
 SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billboard* board,
@@ -26,6 +85,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
   if (players.empty()) return {};
 
   SmallRadiusResult res;
+  const std::size_t n = players.size();
   const std::size_t m = objects.size();
   const std::size_t K =
       params.sr_K != 0
@@ -38,6 +98,10 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
   res.iterations = K;
 
   const double alpha_zr = alpha / params.sr_vote_div;
+  // Zero Radius on a part is a single leaf when min(|P|, |part|) is
+  // below this (zero_radius_bits passes |P| as its n).
+  const std::size_t leaf = zero_radius_leaf_threshold(n, alpha_zr, params);
+  const bool order_free = small_radius_order_free(oracle, board);
 
   // Degradation: crashed/degraded players are excluded from votes and
   // skipped when probing; quorum thresholds are taken over survivors.
@@ -48,7 +112,54 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
 
   // u[t][i] = player i's stitched candidate from iteration t.
   std::vector<std::vector<bits::BitVector>> stitched(
-      K, std::vector<bits::BitVector>(players.size(), bits::BitVector(m)));
+      K, std::vector<bits::BitVector>(n, bits::BitVector(m)));
+
+  // Step 1b on one part, given every player's Zero Radius output on it:
+  // U_i is the vectors output by at least alpha/5 of the *surviving*
+  // players (quorum over survivors; identical to the paper's threshold
+  // when nobody failed).
+  const auto vote = [&](Part& part, std::span<const bits::BitVector> zr_out) {
+    std::vector<bits::BitVector> survivors;
+    std::span<const bits::BitVector> votable = zr_out;
+    if (injector != nullptr) {
+      survivors.reserve(n);
+      for (std::size_t pi = 0; pi < n; ++pi) {
+        if (!failed(players[pi])) survivors.push_back(zr_out[pi]);
+      }
+      votable = survivors;
+    }
+    part.voters = votable.size();
+    const auto min_votes = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(alpha * static_cast<double>(part.voters) /
+                                              params.sr_vote_div)));
+    for (auto& vv : billboard::tally(votable, static_cast<std::uint32_t>(min_votes))) {
+      part.candidates.push_back(std::move(vv.vec));
+    }
+    const auto& positions = *part.positions;
+    part.use_mask = positions.size() >= bits::BitVector::word_count(m) / 2;
+    if (part.use_mask) {
+      part.pos_mask = bits::BitVector(m);
+      for (std::uint32_t pos : positions) part.pos_mask.set(pos, true);
+    }
+  };
+
+  // Step 1c for players[pi] on one part: the closest popular vector
+  // within distance D, or nullptr when no vector met the popularity bar
+  // (that player is not typical in this part, keeps its own Zero Radius
+  // output and is corrected by step 2 anyway). Failed players stop
+  // probing; their stitched rows keep the Zero Radius best effort.
+  const auto adopt = [&](std::size_t pi, const Part& part) -> const bits::BitVector* {
+    const PlayerId p = players[pi];
+    if (part.candidates.empty() || failed(p)) return nullptr;
+    // A quorum vote usually leaves one popular vector; Select over a
+    // singleton probes nothing and picks it — skip the call (identical
+    // output and probe count).
+    if (part.candidates.size() == 1) return &part.candidates[0];
+    const auto sel = select_closest(part.candidates, D, [&](std::uint32_t j) {
+      return oracle.probe_resilient(p, part.objects[j]);
+    });
+    return &part.candidates[sel.index];
+  };
 
   for (std::size_t t = 0; t < K; ++t) {
     // Step 1a: random partition of object *positions* into s parts
@@ -56,85 +167,95 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     rng::Rng part_rng = rng.split(t, 0xA11);
     const auto partition = rng::random_partition(m, s, part_rng);
 
+    std::vector<Part> parts(s);
+    bool all_leaves = order_free;
     for (std::size_t i = 0; i < s; ++i) {
-      const auto& positions = partition.parts[i];
-      if (positions.empty()) continue;
-      std::vector<std::uint32_t> part_objects;
-      part_objects.reserve(positions.size());
-      for (std::uint32_t pos : positions) part_objects.push_back(objects[pos]);
-
-      // Step 1b: Zero Radius on this part with frequency alpha/5.
-      const std::string prefix = "sr/" + std::to_string(t) + "/" + std::to_string(i);
-      const auto zr_out = zero_radius_bits(oracle, board, players, part_objects, alpha_zr,
-                                           params, rng.split(t, 0xB0B, i), prefix);
-
-      // U_i: vectors output by at least alpha/5 of the *surviving*
-      // players (quorum over survivors; identical to the paper's
-      // threshold when nobody failed).
-      std::vector<bits::BitVector> votable;
-      votable.reserve(players.size());
-      for (std::size_t pi = 0; pi < players.size(); ++pi) {
-        if (!failed(players[pi])) votable.push_back(zr_out[pi]);
+      parts[i].positions = &partition.parts[i];
+      parts[i].objects.reserve(partition.parts[i].size());
+      for (std::uint32_t pos : partition.parts[i]) parts[i].objects.push_back(objects[pos]);
+      if (!parts[i].objects.empty() && std::min(n, parts[i].objects.size()) >= leaf) {
+        all_leaves = false;
       }
-      const auto min_votes = std::max<std::size_t>(
-          1, static_cast<std::size_t>(std::ceil(
-                 alpha * static_cast<double>(votable.size()) / params.sr_vote_div)));
-      const auto voted = billboard::tally(votable, static_cast<std::uint32_t>(min_votes));
-      std::vector<bits::BitVector> candidates;
-      candidates.reserve(voted.size());
-      for (const auto& vv : voted) candidates.push_back(vv.vec);
-      // Per-part community size; serial drain point for the recorder.
-      if (auto* rec = oracle.recorder()) {
-        rec->note("sr.part", votable.size(), candidates.size());
-      }
-
-      // Every player scatters through the same position set: build the
-      // part's mask once and use the word-parallel deposit, unless the
-      // part is so sparse that per-coordinate writes touch fewer words.
-      bits::BitVector pos_mask;
-      const bool use_mask = positions.size() >= bits::BitVector::word_count(m) / 2;
-      if (use_mask) {
-        pos_mask = bits::BitVector(m);
-        for (std::uint32_t pos : positions) pos_mask.set(pos, true);
-      }
-
-      // Step 1c: each player adopts the closest popular vector within
-      // distance D (falling back to its own Zero Radius output when no
-      // vector met the popularity bar — that player is not typical in
-      // this part and its pick is corrected by step 2 anyway). Failed
-      // players stop probing; their stitched rows keep the Zero Radius
-      // best effort.
-      engine::parallel_for(0, players.size(), [&](std::size_t pi) {
-        const PlayerId p = players[pi];
-        const bits::BitVector* chosen = &zr_out[pi];
-        if (!candidates.empty() && !failed(p)) {
-          if (candidates.size() == 1) {
-            // A quorum vote usually leaves one popular vector; Select
-            // over a singleton probes nothing and picks it — skip the
-            // call (identical output and probe count).
-            chosen = &candidates[0];
-          } else {
-            const auto sel = select_closest(candidates, D, [&](std::uint32_t j) {
-              return oracle.probe_resilient(p, part_objects[j]);
-            });
-            chosen = &candidates[sel.index];
-          }
-        }
-        if (use_mask) {
-          stitched[t][pi].scatter_masked(*chosen, pos_mask);
-        } else {
-          stitched[t][pi].scatter(*chosen, positions);
-        }
-      });
     }
+    const auto prefix = [t](std::size_t i) {
+      return "sr/" + std::to_string(t) + "/" + std::to_string(i);
+    };
+
+    if (!all_leaves) {
+      // One part at a time. Step 1b: Zero Radius on the part with
+      // frequency alpha/5, then the vote; Step 1c: every player's
+      // Select.
+      for (std::size_t i = 0; i < s; ++i) {
+        Part& part = parts[i];
+        if (part.objects.empty()) continue;
+        const auto zr_out = zero_radius_bits(oracle, board, players, part.objects, alpha_zr,
+                                             params, rng.split(t, 0xB0B, i), prefix(i));
+        vote(part, zr_out);
+        // Per-part community size; serial drain point for the recorder.
+        if (auto* rec = oracle.recorder()) {
+          rec->note("sr.part", part.voters, part.candidates.size());
+        }
+        engine::parallel_for(0, n, [&](std::size_t pi) {
+          const bits::BitVector* chosen = adopt(pi, part);
+          part.scatter(stitched[t][pi], chosen != nullptr ? *chosen : zr_out[pi]);
+        });
+      }
+      continue;
+    }
+
+    // Every part is one Zero Radius leaf, and nobody can see the order
+    // a player's probes land in: run the s parts at once, as three pool
+    // passes (DESIGN §13.6). Each player probes the same pairs as the
+    // per-part loop, its leaves first; every ledger, post and output is
+    // the per-part loop's.
+    //
+    // Pass 1: every player probes each part's objects, in part order
+    // (the leaf of Fig. 2 step 1). The rows' buffers are allocated
+    // here, on the caller.
+    for (auto& part : parts) part.leaf_words.assign(n * part.row_words(), 0);
+    engine::parallel_for(0, n, [&](std::size_t pi) {
+      for (auto& part : parts) {
+        if (part.objects.empty()) continue;
+        bits::BitVector row(part.objects.size());
+        oracle.probe_block(players[pi], part.objects, row);
+        std::copy(row.words().begin(), row.words().end(),
+                  part.leaf_words.begin() + static_cast<std::ptrdiff_t>(pi * part.row_words()));
+      }
+    });
+    // The leaves' posts, on the caller in part order: Zero Radius posts
+    // a node's outputs on zr/<tag>, and a root leaf has tag 1. Posting
+    // here keeps new board rows off the workers' malloc arenas.
+    for (std::size_t i = 0; i < s; ++i) {
+      if (!parts[i].objects.empty()) {
+        BitSpace(oracle, board, prefix(i)).publish_rows("zr/1", players, parts[i].leaf_rows());
+      }
+    }
+    // Pass 2: the s votes.
+    engine::parallel_for(
+        0, s,
+        [&](std::size_t i) {
+          if (!parts[i].objects.empty()) vote(parts[i], parts[i].leaf_rows());
+        },
+        1);
+    // Pass 3: every player's Selects, in part order.
+    engine::parallel_for(0, n, [&](std::size_t pi) {
+      for (const auto& part : parts) {
+        if (part.objects.empty()) continue;
+        if (const bits::BitVector* chosen = adopt(pi, part)) {
+          part.scatter(stitched[t][pi], *chosen);
+        } else {
+          part.scatter(stitched[t][pi], part.leaf_row(pi));
+        }
+      }
+    });
   }
 
   // Step 2: every player picks the best of its K stitched candidates
   // with Select bound 5D.
   const auto final_bound = static_cast<std::size_t>(
       std::ceil(params.sr_final_mult * static_cast<double>(D)));
-  res.outputs.assign(players.size(), bits::BitVector(m));
-  engine::parallel_for(0, players.size(), [&](std::size_t pi) {
+  res.outputs.assign(n, bits::BitVector(m));
+  engine::parallel_for(0, n, [&](std::size_t pi) {
     const PlayerId p = players[pi];
     if (failed(p)) {
       // Can't probe to compare iterations: keep the first iteration's

@@ -3,11 +3,12 @@
 // The paper's model is n players acting in lockstep rounds. Inside one
 // logical phase the players' computations are independent (they read
 // the billboard snapshot from the previous phase, probe, and post), so
-// we execute per-player work with a work-stealing-free static-chunked
-// parallel_for over a shared thread pool. Determinism: the work
-// function receives the player index and must draw randomness only from
-// streams split by that index, so results are independent of thread
-// scheduling.
+// we execute per-player work with a fork-join parallel_for: the loop's
+// fixed chunks are claimed from a shared cursor by the calling thread
+// and the pool's workers alike. Determinism: the work function receives
+// the player index, writes its results by that index and draws
+// randomness only from streams split by it, so results are independent
+// of which thread ran which chunk.
 //
 // Dispatch rule: a loop goes to the pool only when its range can give
 // every pool thread one full chunk (end - begin >= threads x grain);
@@ -15,11 +16,15 @@
 // the caller. A parallel_for issued from inside a pool chunk also runs
 // inline, so tasks may nest loops freely (Large Radius runs each object
 // group as one chunk, and the group's per-player loops inline).
+//
+// The caller runs chunks of its own loop, so a thread_local buffer
+// must not be live on the caller across a parallel_for call: a chunk
+// body that uses the same buffer would overwrite it.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <queue>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -31,23 +36,30 @@ using support::CondVar;
 using support::Mutex;
 using support::MutexLock;
 
-/// A fixed-size pool of worker threads executing submitted tasks.
+/// A fixed-size fork-join pool. A pool of `threads` runs each loop on
+/// the calling thread plus `threads - 1` worker threads.
 class ThreadPool {
  public:
   /// `threads == 0` selects std::thread::hardware_concurrency() (>= 1).
+  /// Starts threads - 1 workers: a one-thread pool starts none.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
+  /// Threads that run a loop, the calling thread included.
+  [[nodiscard]] std::size_t thread_count() const { return workers_.size() + 1; }
 
-  /// Submit a task.
-  void submit(std::function<void()> task);
-
-  /// Block until all submitted tasks have finished.
-  void wait_idle();
+  /// Run body(i) for every i in [begin, end) as one job of chunks of
+  /// `grain` elements (chunk c covers [begin + c·grain, begin +
+  /// (c+1)·grain) ∩ [begin, end)). The caller and every idle worker
+  /// claim chunks until none is left; then the caller waits for the
+  /// workers that joined. The first exception a chunk throws is
+  /// rethrown here, and no chunk starts after it. Several threads may
+  /// run jobs at once; each waits only for its own. Requires grain >= 1.
+  void run(std::size_t begin, std::size_t end, const std::function<void(std::size_t)>& body,
+           std::size_t grain);
 
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool& global();
@@ -56,15 +68,17 @@ class ThreadPool {
   static bool global_started();
 
  private:
-  void worker_loop();
+  struct Job;
 
-  std::vector<std::thread> workers_;  ///< written once in the ctor, then join-only
+  void worker_loop();
+  /// The first published job with an unclaimed chunk, or nullptr.
+  [[nodiscard]] Job* claimable_job() const TMWIA_REQUIRES(mu_);
+
   Mutex mu_;
-  CondVar cv_task_;
-  CondVar cv_idle_;
-  std::queue<std::function<void()>> tasks_ TMWIA_GUARDED_BY(mu_);
-  std::size_t in_flight_ TMWIA_GUARDED_BY(mu_) = 0;
+  CondVar cv_job_;  ///< a job was published, or the pool stops
+  std::vector<Job*> jobs_ TMWIA_GUARDED_BY(mu_);  ///< published, not yet withdrawn
   bool stop_ TMWIA_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> workers_;  ///< written once in the ctor, then join-only
 };
 
 /// The largest pool size set_global_threads accepts. Far above any
@@ -93,28 +107,26 @@ namespace detail {
   return threads > 1 && n / threads >= grain;
 }
 
-/// Chunked pool dispatch behind parallel_for; the type-erased body is
-/// constructed once per parallel_for call (not per element).
-void parallel_for_chunks(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& body, std::size_t grain);
-
 }  // namespace detail
 
-/// Run body(i) for i in [begin, end) across the pool in fixed chunks.
-/// Blocks until complete. Exceptions in body are rethrown (first one
-/// wins). Loops the dispatch rule keeps off the pool run serially on
-/// the caller — inlined here so the per-element calls carry no
-/// type-erasure cost on that path (per-player loops run tens of
-/// millions of elements).
+/// Run body(i) for i in [begin, end) across the global pool in fixed
+/// chunks. Blocks until complete. Exceptions in body are rethrown
+/// (first one wins). Loops the dispatch rule keeps off the pool run
+/// serially on the caller — inlined here so the per-element calls carry
+/// no type-erasure cost on that path (per-player loops run tens of
+/// millions of elements); a dispatched loop constructs its type-erased
+/// body once. Throws std::invalid_argument for grain 0, before any
+/// element runs.
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body,
                   std::size_t grain = 64) {
+  if (grain == 0) throw std::invalid_argument("parallel_for: grain must be at least 1");
   if (end <= begin) return;
   if (!detail::dispatches(end - begin, grain)) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  detail::parallel_for_chunks(begin, end, body, grain);
+  ThreadPool::global().run(begin, end, body, grain);
 }
 
 }  // namespace tmwia::engine

@@ -43,6 +43,16 @@
 
 namespace tmwia::serve {
 
+/// The largest instance add_tenant generates from "n" and "m". Per
+/// player a tenant keeps a matrix row and two oracle rows of m bits
+/// each, plus about 136 bytes of row headers and ledgers:
+/// kMaxTenantCells bounds the bits (n·m cells, 1.5 GiB) and
+/// kMaxTenantPlayers the per-player part (0.6 GiB). Every shape the
+/// tests, benches and perfbench use is far below both; a request above
+/// either fails before anything is allocated.
+inline constexpr std::uint64_t kMaxTenantPlayers = std::uint64_t{1} << 22;
+inline constexpr std::uint64_t kMaxTenantCells = std::uint64_t{1} << 32;
+
 class RecommendationService {
  public:
   RecommendationService();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "tmwia/io/serialize.hpp"
@@ -245,6 +246,14 @@ Response RecommendationService::add_tenant_request(const Request& req) {
   if (!req.in.empty()) {
     inst = io::load_instance_file(req.in);
   } else {
+    if (req.n > kMaxTenantPlayers) {
+      throw std::invalid_argument("serve: add_tenant field 'n' is above the maximum of " +
+                                  std::to_string(kMaxTenantPlayers) + " players");
+    }
+    if (req.n != 0 && req.m > kMaxTenantCells / req.n) {
+      throw std::invalid_argument("serve: add_tenant fields 'n' and 'm' ask for more than " +
+                                  std::to_string(kMaxTenantCells) + " matrix cells");
+    }
     rng::Rng gen = rng::Rng(req.seed).split(0x6e57, 0);
     if (req.kind == "planted") {
       inst = matrix::planted_community(req.n, req.m, {req.alpha, req.radius}, gen);

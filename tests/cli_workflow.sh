@@ -161,6 +161,20 @@ printf '{"op":"add_tenant","tenant":"z","kind":"uniform","n":8,"m":8,"alpha":0}\
 expect_exit 2 "$CLI" serve --requests="$DIR/alpha0_req.jsonl" --out="$DIR/alpha0_resp.jsonl"
 grep -q '"ok":false' "$DIR/alpha0_resp.jsonl"
 grep -q 'alpha must be in (0, 1\]' "$DIR/alpha0_resp.jsonl"
+# add_tenant checks the shape it would generate before allocating: an
+# "n" above 2^22 players (serve::kMaxTenantPlayers; 2^32 is no player
+# id at all), or n*m above 2^32 cells (serve::kMaxTenantCells), is
+# refused like a bad alpha.
+printf '{"op":"add_tenant","tenant":"z","kind":"uniform","n":4294967296,"m":1}\n' \
+  >"$DIR/n32_req.jsonl"
+expect_exit 2 "$CLI" serve --requests="$DIR/n32_req.jsonl" --out="$DIR/n32_resp.jsonl"
+grep -q '"ok":false' "$DIR/n32_resp.jsonl"
+grep -q "field 'n' is above the maximum of 4194304 players" "$DIR/n32_resp.jsonl"
+printf '{"op":"add_tenant","tenant":"z","kind":"planted","n":262144,"m":262144}\n' \
+  >"$DIR/cells_req.jsonl"
+expect_exit 2 "$CLI" serve --requests="$DIR/cells_req.jsonl" --out="$DIR/cells_resp.jsonl"
+grep -q '"ok":false' "$DIR/cells_resp.jsonl"
+grep -q "fields 'n' and 'm' ask for more than 4294967296 matrix cells" "$DIR/cells_resp.jsonl"
 
 # 1 also for malformed instance and outputs files: a community id that
 # is no player (out of range, or beyond 32 bits), a center of the wrong

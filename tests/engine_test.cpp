@@ -30,19 +30,23 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(pool.thread_count(), 1u);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 50);
+// A job's chunks cover its range once, whichever thread claims them.
+TEST(ThreadPool, RunsEveryChunkOfAJob) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(50);
+  pool.run(0, 50, [&](std::size_t i) { hits[i].fetch_add(1); }, 1);
+  pool.run(50, 50, [&](std::size_t) { FAIL() << "empty range ran"; }, 1);
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(ThreadPool, WaitIdleOnFreshPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
+// A one-thread pool starts no worker: the caller runs every chunk.
+TEST(ThreadPool, OneThreadPoolRunsJobsOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.thread_count(), 1u);
+  const auto caller = std::this_thread::get_id();
+  std::size_t on_caller = 0;
+  pool.run(0, 100, [&](std::size_t) { on_caller += std::this_thread::get_id() == caller; }, 7);
+  EXPECT_EQ(on_caller, 100u);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -97,27 +101,156 @@ TEST(ThreadPool, SetGlobalThreadsRejectsCountsAboveTheMaximum) {
   EXPECT_FALSE(set_global_threads(kMaxThreads));
 }
 
-// A loop goes to the pool only when it gives every worker one full
+/// Where the elements of one dispatched loop ran.
+struct Meeting {
+  std::size_t on_caller = 0;
+  std::size_t on_workers = 0;
+  bool timed_out = false;
+};
+
+/// parallel_for(0, n, ..., grain) where no element gets past its start
+/// before the calling thread and some worker have both started one: an
+/// element on the caller waits for one on a worker, and one on a worker
+/// waits for one on the caller. Then `after(on_caller, i)` runs. A pool
+/// whose caller runs chunks beside its workers always gets there when
+/// the loop has more chunks than workers: the waiting workers hold at
+/// most threads - 1 chunks, which leaves one for the caller, and while
+/// the caller waits in its chunk the workers take the others. The waits
+/// are bounded only so that a regression fails instead of hanging.
+template <typename After>
+Meeting meet(std::size_t n, std::size_t grain, const After& after) {
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> caller_started{false};
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> timed_out{false};
+  std::atomic<std::size_t> on_caller{0};
+  std::atomic<std::size_t> on_workers{0};
+  const auto wait_for = [&](const std::atomic<bool>& flag) {
+    // At least 30 s of polling before giving up.
+    for (int polls = 0; !flag.load() && !timed_out.load(); ++polls) {
+      if (polls == 300'000) timed_out.store(true);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
+  parallel_for(
+      0, n,
+      [&](std::size_t i) {
+        const bool mine = std::this_thread::get_id() == caller;
+        (mine ? caller_started : worker_started).store(true);
+        wait_for(mine ? worker_started : caller_started);
+        (mine ? on_caller : on_workers).fetch_add(1);
+        after(mine, i);
+      },
+      grain);
+  return {on_caller.load(), on_workers.load(), timed_out.load()};
+}
+
+// A loop goes to the pool only when it gives every thread one full
 // chunk; shorter loops run on the caller.
 TEST(ParallelFor, LoopsUnderAChunkPerThreadRunInline) {
   ASSERT_TRUE(kPoolSized);
   const std::size_t threads = ThreadPool::global().thread_count();
   const auto caller = std::this_thread::get_id();
-  const auto on_caller = [&](std::size_t n, std::size_t grain) {
-    std::atomic<std::size_t> hits{0};
-    parallel_for(
-        0, n, [&](std::size_t) { hits.fetch_add(std::this_thread::get_id() == caller); },
-        grain);
-    return hits.load();
-  };
-  EXPECT_EQ(on_caller(threads * 16 - 1, 16), threads * 16 - 1);
-  EXPECT_EQ(on_caller(threads * 16, 16), 0u);  // the caller only waits
+  std::atomic<std::size_t> hits{0};
+  parallel_for(
+      0, threads * 16 - 1,
+      [&](std::size_t) { hits.fetch_add(std::this_thread::get_id() == caller); }, 16);
+  EXPECT_EQ(hits.load(), threads * 16 - 1);
+  // One chunk per thread dispatches: workers run some of it.
+  const auto m = meet(threads * 16, 16, [](bool, std::size_t) {});
+  EXPECT_FALSE(m.timed_out);
+  EXPECT_GT(m.on_workers, 0u);
+  EXPECT_EQ(m.on_caller + m.on_workers, threads * 16);
 }
 
-// A loop issued from inside a pool chunk runs inline on that worker.
-// Dispatching it would park the worker on a join whose chunks queue
-// behind the outer chunks; once every worker held an outer chunk (the
-// sleep makes sure they all do), nothing would run.
+// The thread that dispatches a loop runs chunks of it beside the
+// workers, instead of only waiting for them.
+TEST(ParallelFor, CallerRunsChunksBesideTheWorkers) {
+  ASSERT_TRUE(kPoolSized);
+  const std::size_t threads = ThreadPool::global().thread_count();
+  ASSERT_GE(threads, 2u);
+  for (const std::size_t grain : {1u, 16u}) {
+    const auto m = meet(threads * grain, grain, [](bool, std::size_t) {});
+    EXPECT_FALSE(m.timed_out) << grain;
+    EXPECT_GE(m.on_caller, grain);
+    EXPECT_GE(m.on_workers, grain);
+    EXPECT_EQ(m.on_caller + m.on_workers, threads * grain);
+  }
+}
+
+// An exception propagates from a chunk on the caller and from one on a
+// worker; when both throw, exactly one of them reaches the caller.
+// After each, the pool runs the next loop whole.
+TEST(ParallelFor, ExceptionsFromCallerAndWorkerChunksPropagate) {
+  ASSERT_TRUE(kPoolSized);
+  const std::size_t threads = ThreadPool::global().thread_count();
+  ASSERT_GE(threads, 2u);
+  const auto thrower = [](bool on_caller_throws, bool on_worker_throws) {
+    return [=](bool on_caller, std::size_t) {
+      if (on_caller && on_caller_throws) throw std::logic_error("caller");
+      if (!on_caller && on_worker_throws) throw std::runtime_error("worker");
+    };
+  };
+  EXPECT_THROW(meet(threads, 1, thrower(true, false)), std::logic_error);
+  EXPECT_THROW(meet(threads, 1, thrower(false, true)), std::runtime_error);
+  for (int rep = 0; rep < 8; ++rep) {
+    int caught = 0;
+    try {
+      meet(threads, 1, thrower(true, true));
+    } catch (const std::logic_error&) {
+      ++caught;
+    } catch (const std::runtime_error&) {
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1);
+    std::vector<std::atomic<int>> hits(1000);
+    parallel_for(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, 16);
+    for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+  }
+}
+
+// Threads outside the pool may dispatch at once (serve refines two
+// tenants at a time); each loop covers its own range exactly once.
+TEST(ParallelFor, ConcurrentCallersEachCoverTheirRange) {
+  ASSERT_TRUE(kPoolSized);
+  constexpr std::size_t kCallers = 2;
+  constexpr std::size_t kN = 4096;
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<std::vector<std::atomic<int>>> hits;
+    for (std::size_t c = 0; c < kCallers; ++c) hits.emplace_back(kN);
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        ready.fetch_add(1);
+        while (ready.load() < kCallers) std::this_thread::yield();
+        parallel_for(0, kN, [&](std::size_t i) { hits[c][i].fetch_add(1); }, 16);
+      });
+    }
+    for (auto& t : callers) t.join();
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[c][i].load(), 1) << c << " " << i;
+    }
+  }
+}
+
+// Grain 0 is a caller error, not a division by zero: it throws before
+// any element runs, on the pool path, the inline path and an empty
+// range alike.
+TEST(ParallelFor, GrainZeroIsRejected) {
+  ASSERT_TRUE(kPoolSized);
+  std::atomic<int> calls{0};
+  const auto body = [&](std::size_t) { calls.fetch_add(1); };
+  EXPECT_THROW(parallel_for(0, 1000, body, 0), std::invalid_argument);
+  EXPECT_THROW(parallel_for(0, 10, body, 0), std::invalid_argument);
+  EXPECT_THROW(parallel_for(5, 5, body, 0), std::invalid_argument);
+  EXPECT_THROW(ThreadPool::global().run(0, 1000, body, 0), std::invalid_argument);
+  EXPECT_EQ(calls.load(), 0);
+}
+
+// A loop issued from inside a pool chunk runs inline on the thread that
+// runs the chunk, the caller or a worker: tasks nest their per-player
+// loops inside one chunk each.
 TEST(ParallelFor, NestedCallRunsInline) {
   ASSERT_TRUE(kPoolSized);
   ASSERT_GE(ThreadPool::global().thread_count(), 2u);
@@ -129,12 +262,12 @@ TEST(ParallelFor, NestedCallRunsInline) {
       0, kOuter,
       [&](std::size_t o) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        const auto worker = std::this_thread::get_id();
+        const auto runner = std::this_thread::get_id();
         parallel_for(
             0, kInner,
             [&](std::size_t i) {
               sum.fetch_add(o * kInner + i);
-              moved.fetch_add(std::this_thread::get_id() != worker);
+              moved.fetch_add(std::this_thread::get_id() != runner);
             },
             16);
       },

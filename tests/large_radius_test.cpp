@@ -144,9 +144,10 @@ matrix::Instance groups_instance() {
 
 /// One Large Radius run on a fresh oracle and board. `serial` attaches
 /// a flight recorder, which makes the group order observable and so
-/// keeps the groups on the caller: the reference for the pool run.
+/// keeps the groups on the caller, and their Small Radius iterations on
+/// the per-part schedule: the reference for the pool run.
 GroupsRun run_groups(const matrix::Instance& inst, bool serial,
-                     billboard::ProtocolAuditor* auditor = nullptr) {
+                     billboard::ProtocolAuditor* auditor = nullptr, std::size_t D = 64) {
   auto& reg = obs::MetricsRegistry::global();
   reg.reset();
   reg.set_enabled(true);
@@ -162,7 +163,7 @@ GroupsRun run_groups(const matrix::Instance& inst, bool serial,
 #endif
   GroupsRun run;
   run.res = large_radius(oracle, &board, iota_players(inst.matrix.players()),
-                         iota_objects(inst.matrix.objects()), 0.25, 64, Params::practical(),
+                         iota_objects(inst.matrix.objects()), 0.25, D, Params::practical(),
                          rng::Rng(42));
   run.ledger = oracle.export_ledger();
   run.posts = board.export_posts();
@@ -190,8 +191,9 @@ void expect_same_run(const GroupsRun& a, const GroupsRun& b) {
 }
 
 // The groups run as pool tasks through forked ledgers and ordered
-// board posts, and leave exactly what the serial group loop leaves —
-// in every run, whichever group of a wave finishes first.
+// board posts, each group's all-leaf Small Radius iterations as three
+// passes inline in its task, and leave exactly what the serial group
+// loop leaves — in every run, whichever group of a wave finishes first.
 TEST(ConcurrentGroups, LargeRadiusMatchesTheSerialRun) {
   ASSERT_TRUE(kPoolSized);
   const auto inst = groups_instance();
@@ -200,6 +202,21 @@ TEST(ConcurrentGroups, LargeRadiusMatchesTheSerialRun) {
     const auto pooled = run_groups(inst, false);
     ASSERT_GE(pooled.res.parts, engine::ThreadPool::global().thread_count());
     ASSERT_GE(pooled.res.player_copies, 2u);
+    expect_same_run(pooled, serial);
+  }
+}
+
+// With fewer groups than pool threads (L = 2 at D = 16) the groups stay
+// on the caller, where an unrecorded run takes the three passes in
+// their all-leaf Small Radius iterations.
+TEST(ConcurrentGroups, FewerGroupsThanThreadsMatchTheSerialRun) {
+  ASSERT_TRUE(kPoolSized);
+  const auto inst = groups_instance();
+  const auto serial = run_groups(inst, true, nullptr, 16);
+  for (int rep = 0; rep < 2; ++rep) {
+    const auto pooled = run_groups(inst, false, nullptr, 16);
+    ASSERT_LT(pooled.res.parts, engine::ThreadPool::global().thread_count());
+    ASSERT_GT(pooled.res.parts, 1u);
     expect_same_run(pooled, serial);
   }
 }

@@ -29,6 +29,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "tmwia/matrix/generators.hpp"
@@ -426,6 +427,40 @@ TEST(ServeService, AddTenantRejectsAlphaOutsideUnitInterval) {
   auto cfg = make_config("nan", 41);
   cfg.alpha = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(serve::Tenant(cfg, make_instance(41)), std::invalid_argument);
+}
+
+/// add_tenant checks the generated shape before allocating: an "n"
+/// above kMaxTenantPlayers (2^32, beyond every player id, included), or
+/// an n·m above kMaxTenantCells, answers ok:false naming the fields.
+/// None of these allocates the gigabytes it asks for.
+TEST(ServeService, AddTenantRejectsShapesAboveTheCaps) {
+  serve::RecommendationService service;
+  const auto add = [&](std::uint64_t n, std::uint64_t m) {
+    return service.handle(serve::parse_request(
+        R"({"op":"add_tenant","tenant":"big","kind":"uniform","n":)" + std::to_string(n) +
+        R"(,"m":)" + std::to_string(m) + "}"));
+  };
+  for (const std::uint64_t n : {serve::kMaxTenantPlayers + 1, std::uint64_t{1} << 32,
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    const auto r = add(n, 1);
+    EXPECT_FALSE(r.ok) << n;
+    EXPECT_NE(r.error.find("field 'n' is above the maximum of 4194304 players"),
+              std::string::npos)
+        << r.error;
+  }
+  for (const auto& [n, m] : {std::pair<std::uint64_t, std::uint64_t>{1u << 16, (1u << 16) + 1},
+                             {1u << 18, 1u << 18},
+                             {1, std::numeric_limits<std::uint64_t>::max()},
+                             {serve::kMaxTenantPlayers, 1u << 11}}) {
+    const auto r = add(n, m);
+    EXPECT_FALSE(r.ok) << n << "x" << m;
+    EXPECT_NE(r.error.find("fields 'n' and 'm' ask for more than 4294967296 matrix cells"),
+              std::string::npos)
+        << r.error;
+  }
+  EXPECT_TRUE(service.tenant_names().empty());
+  // A shape under the caps is still generated.
+  EXPECT_TRUE(add(16, 32).ok);
 }
 
 TEST(ServeService, DegradedTenantMarksResponsesAndServiceFlag) {

@@ -4,14 +4,24 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 
+#include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
+#include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/core/small_radius.hpp"
 #include "tmwia/core/zero_radius.hpp"
+#include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "tmwia/obs/flight_recorder.hpp"
+#include "tmwia/obs/metrics.hpp"
 
 namespace tmwia::core {
 namespace {
+
+// Four pool threads in every test process, so the passes of an all-leaf
+// iteration go to the pool.
+const bool kPoolSized = engine::set_global_threads(4);
 
 std::vector<PlayerId> iota_players(std::size_t n) {
   std::vector<PlayerId> p(n);
@@ -167,6 +177,141 @@ TEST(SmallRadius, WorksOnObjectSubset) {
     EXPECT_LE(res.outputs[p].hamming(truth), 10u);
   }
 }
+
+// ------------------------------------------------------------ schedules
+
+/// Everything a Small Radius run leaves behind.
+struct SrRun {
+  bool order_free = false;
+  SmallRadiusResult res;
+  billboard::ProbeOracle::Ledger ledger;
+  std::vector<billboard::Billboard::ChannelDump> posts;
+  obs::Snapshot metrics;
+};
+
+struct ScheduleCase {
+  std::size_t n;
+  std::size_t m;
+  double alpha;
+  std::size_t D;
+};
+
+matrix::Instance schedule_instance(const ScheduleCase& c) {
+  rng::Rng gen(c.n * 31 + c.D);
+  return matrix::planted_community(c.n, c.m, {c.alpha, 1}, gen);
+}
+
+/// One Small Radius run on a fresh oracle and board. `recorded`
+/// attaches a flight recorder, which makes a player's probe order
+/// observable and so keeps every iteration on the per-part schedule:
+/// the reference for the passes.
+SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
+             billboard::NoiseModel noise = billboard::NoiseModel::none(),
+             billboard::ProtocolAuditor* auditor = nullptr) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  billboard::ProbeOracle oracle(inst.matrix, noise);
+  billboard::Billboard board;
+  std::ostringstream log;
+  obs::FlightRecorder rec(log);
+  if (recorded) oracle.set_recorder(&rec);
+#if TMWIA_AUDIT
+  oracle.set_auditor(auditor);
+#else
+  (void)auditor;
+#endif
+  SrRun run;
+  run.order_free = small_radius_order_free(oracle, &board);
+  run.res = small_radius(oracle, &board, iota_players(c.n), iota_objects(c.m), c.alpha, c.D,
+                         Params::practical(), rng::Rng(c.n + c.D), c.n);
+  run.ledger = oracle.export_ledger();
+  run.posts = board.export_posts();
+  run.metrics = reg.snapshot();
+  reg.set_enabled(false);
+  return run;
+}
+
+void expect_same_run(const SrRun& a, const SrRun& b) {
+  EXPECT_TRUE(a.res.outputs == b.res.outputs);
+  EXPECT_EQ(a.res.parts, b.res.parts);
+  EXPECT_EQ(a.res.iterations, b.res.iterations);
+  EXPECT_TRUE(a.ledger.invocations == b.ledger.invocations);
+  EXPECT_TRUE(a.ledger.charged == b.ledger.charged);
+  EXPECT_TRUE(a.ledger.probed == b.ledger.probed);
+  EXPECT_TRUE(a.ledger.values == b.ledger.values);
+  ASSERT_EQ(a.posts.size(), b.posts.size());
+  for (std::size_t i = 0; i < a.posts.size(); ++i) {
+    EXPECT_EQ(a.posts[i].channel, b.posts[i].channel);
+    EXPECT_TRUE(a.posts[i].posts == b.posts[i].posts) << a.posts[i].channel;
+  }
+  EXPECT_EQ(a.metrics.to_json(), b.metrics.to_json());
+}
+
+class SmallRadiusSchedule : public ::testing::TestWithParam<ScheduleCase> {};
+
+// An order-free run of an all-leaf shape takes the three passes; a run
+// with a part above the leaf threshold keeps the per-part loop. Either
+// way it leaves exactly what the recorded per-part run leaves.
+TEST_P(SmallRadiusSchedule, MatchesThePerPartRun) {
+  ASSERT_TRUE(kPoolSized);
+  const auto c = GetParam();
+  const auto inst = schedule_instance(c);
+  const auto reference = run_sr(inst, c, true);
+  EXPECT_FALSE(reference.order_free);
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto run = run_sr(inst, c, false);
+    EXPECT_TRUE(run.order_free);
+    expect_same_run(run, reference);
+  }
+  // Sticky noise depends on (p, o) alone, so it does not pin the order.
+  const auto sticky = billboard::NoiseModel::sticky(0.05, 9);
+  const auto sticky_run = run_sr(inst, c, false, sticky);
+  EXPECT_TRUE(sticky_run.order_free);
+  expect_same_run(sticky_run, run_sr(inst, c, true, sticky));
+}
+
+// With the practical constants the leaf threshold is 444 at alpha 0.25
+// and 222 at alpha 0.5 (n = 256). So the first three shapes are all-leaf:
+// 256 players are below 444, and at alpha 0.5 with D = 3 the 11 parts
+// hold about 93 objects each. In the last, the two parts of about 256
+// objects are above 222.
+INSTANTIATE_TEST_SUITE_P(Shapes, SmallRadiusSchedule,
+                         ::testing::Values(ScheduleCase{256, 256, 0.25, 2},
+                                           ScheduleCase{256, 256, 0.25, 8},
+                                           ScheduleCase{256, 1024, 0.5, 3},
+                                           ScheduleCase{256, 512, 0.5, 1}));
+
+// Under fresh noise a read depends on the player's invocation index, so
+// a batched run would read different noise: the unrecorded run keeps
+// the per-part schedule and equals the recorded one.
+TEST(SmallRadiusSchedule, FreshNoiseKeepsThePerPartRun) {
+  ASSERT_TRUE(kPoolSized);
+  const ScheduleCase c{256, 256, 0.25, 8};
+  const auto inst = schedule_instance(c);
+  const auto fresh = billboard::NoiseModel::fresh(0.05, 9);
+  const auto run = run_sr(inst, c, false, fresh);
+  EXPECT_FALSE(run.order_free);
+  expect_same_run(run, run_sr(inst, c, true, fresh));
+}
+
+#if TMWIA_AUDIT
+// An attached auditor does not pin the order: the run takes the passes,
+// its audit is clean and its A4 ledger matches the oracle's.
+TEST(SmallRadiusSchedule, AuditedRunTakesThePassesAndIsClean) {
+  ASSERT_TRUE(kPoolSized);
+  const ScheduleCase c{256, 256, 0.25, 8};
+  const auto inst = schedule_instance(c);
+  billboard::ProtocolAuditor auditor(c.n, c.m);
+  const auto audited = run_sr(inst, c, false, billboard::NoiseModel::none(), &auditor);
+  EXPECT_TRUE(audited.order_free);
+  auditor.verify_invocations(audited.ledger.invocations);
+  const auto report = auditor.report();
+  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_GT(report.probes_audited, 0u);
+  expect_same_run(audited, run_sr(inst, c, true));
+}
+#endif
 
 }  // namespace
 }  // namespace tmwia::core

@@ -8,11 +8,14 @@
 #   plain      full suite, default flags            (build/)
 #   asan       full suite, ASan+UBSan               (build-asan/)
 #   tsan       obs/engine/scheduler/Zero Radius suites, the oracle and
-#              billboard suites and the concurrent Large Radius group
-#              tests under ThreadSanitizer — exercises the sharded
-#              MetricsRegistry, the thread pool, pool workers sharing one
-#              Zero Radius plan, and group tasks probing through forked
-#              ledgers and posting in one board section (build-tsan/)
+#              billboard suites, the concurrent Large Radius group tests
+#              and the Small Radius schedule tests under ThreadSanitizer —
+#              exercises the sharded MetricsRegistry, the fork-join pool
+#              (callers and workers claiming chunks of one job, two
+#              callers at once), pool workers sharing one Zero Radius
+#              plan, group tasks probing through forked ledgers and
+#              posting in one board section, and Small Radius's three
+#              passes (build-tsan/)
 #   audit      opt-in: just the ProtocolAuditor suite (runtime
 #              billboard-invariant checks; also part of plain)
 #   bench-json opt-in: run every e* bench binary and jq-check that each
@@ -30,8 +33,12 @@
 #              provenance field, which names the backend by design);
 #              then unrecorded unknown_d and large runs on an instance
 #              with >= 4 Large Radius groups, whose groups run as pool
-#              tasks, at --threads 1, 2 and 4, requiring byte-identical
-#              estimates, reports, metrics, profiles and checkpoints
+#              tasks, and unrecorded small --d=2/--d=8 runs, whose
+#              iterations run as three pool passes, at --threads 1, 2
+#              and 4, requiring byte-identical estimates, reports,
+#              metrics, profiles and checkpoints; a recorded small run
+#              (the per-part schedule) must match their estimates and
+#              metrics
 #   thread-safety opt-in: the static concurrency gate — tmwia_lint.py
 #              --self-test, then the full lint with a jq check that the
 #              concurrency rules (naked-mutex, manual-lock,
@@ -148,15 +155,15 @@ if [[ $RUN_SAN -eq 1 ]]; then
 fi
 
 if [[ $RUN_TSAN -eq 1 ]]; then
-  echo "== TSan (obs + engine + scheduler + Zero Radius + oracle/billboard + Large Radius groups) =="
+  echo "== TSan (obs + engine + scheduler + Zero Radius + oracle/billboard + Large Radius groups + Small Radius passes) =="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DTMWIA_TSAN=ON
   cmake --build "$ROOT/build-tsan" -j "$JOBS" \
     --target test_obs test_profile test_engine test_round_scheduler test_thread_safety test_serve \
     test_zero_radius test_zero_radius_strategy test_billboard test_large_radius \
-    test_find_preferences
+    test_find_preferences test_small_radius
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry|ZeroRadius|DistributedEquivalence|ProbeOracle|Billboard|ConcurrentGroups)'
+    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry|ZeroRadius|DistributedEquivalence|ProbeOracle|Billboard|ConcurrentGroups|SmallRadiusSchedule)'
 fi
 
 if [[ $RUN_AUDIT -eq 1 ]]; then
@@ -257,31 +264,46 @@ if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
     echo "-- $k: flight log, estimates, and report match $ref"
   done
 
-  # A flight recorder keeps Large Radius groups serial, so the runs
-  # above never take the concurrent path. These do: no --record, and
-  # at n = 256 unknown_d reaches 4, 8 and 16 groups (d = 32, 64, 128)
-  # and --d=64 gives 8.
+  # A flight recorder keeps Large Radius groups serial, and every Small
+  # Radius iteration on its per-part schedule, so the runs above never
+  # take the concurrent paths. These do: no --record, and at n = 256
+  # unknown_d reaches 4, 8 and 16 groups (d = 32, 64, 128), --d=64
+  # gives 8, and small --d=2 and --d=8 run every iteration as three
+  # pool passes (each part is one Zero Radius leaf).
   "$CLI" gen --kind=multi --n=256 --m=256 --alpha=0.25 --radius=8 --seed=3 \
     --out="$PAR_DIR/groups.tmw" >/dev/null
-  for algo in unknown_d large; do
+  for spec in unknown_d large:64 small:2 small:8; do
+    algo="${spec%%:*}"
+    name="${spec/:/.d}"
     for t in 1 2 4; do
-      run="$PAR_DIR/$algo.t$t"
+      run="$PAR_DIR/$name.t$t"
       files=(txt normalized.json metrics.json prof.json stdout)
       if [[ $algo == unknown_d ]]; then
         extra=(--checkpoint="$run.ckpt" --checkpoint-every=2000)
         files+=(ckpt)
       else
-        extra=(--d=64)
+        extra=(--d="${spec#*:}")
       fi
       "$CLI" run --in="$PAR_DIR/groups.tmw" --algo="$algo" --alpha=0.25 --seed=5 \
         --threads="$t" "${extra[@]}" --out="$run.txt" --report="$run.json" \
         --metrics="$run.metrics.json" --prof="$run.prof.json" >"$run.stdout"
       sed 's/"kernel":"[a-z0-9]*"/"kernel":"_"/' "$run.json" >"$run.normalized.json"
       if [[ $t -ne 1 ]]; then
-        for f in "${files[@]}"; do cmp "$PAR_DIR/$algo.t1.$f" "$run.$f"; done
-        echo "-- $algo --threads=$t: every artifact matches --threads=1"
+        for f in "${files[@]}"; do cmp "$PAR_DIR/$name.t1.$f" "$run.$f"; done
+        echo "-- $name --threads=$t: every artifact matches --threads=1"
       fi
     done
+    if [[ $algo == small ]]; then
+      # The recorded run takes the per-part schedule: the two schedules
+      # must give the same estimates and counters.
+      run="$PAR_DIR/$name.rec"
+      "$CLI" run --in="$PAR_DIR/groups.tmw" --algo=small --alpha=0.25 --seed=5 \
+        --threads=4 "${extra[@]}" --record="$run.jsonl" --out="$run.txt" \
+        --metrics="$run.metrics.json" >/dev/null
+      cmp "$PAR_DIR/$name.t4.txt" "$run.txt"
+      cmp "$PAR_DIR/$name.t4.metrics.json" "$run.metrics.json"
+      echo "-- $name --record: estimates and metrics match the unrecorded run"
+    fi
   done
   rm -rf "$PAR_DIR"
 fi
