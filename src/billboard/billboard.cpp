@@ -27,6 +27,17 @@ const BoardMetrics& board_metrics() {
 
 }  // namespace
 
+Billboard::Channel& Billboard::resolve(const std::string& name) {
+  support::MutexLock lk(mu_);
+  return channels_[name];
+}
+
+const Billboard::Channel* Billboard::find(const std::string& name) const {
+  support::MutexLock lk(mu_);
+  const auto it = channels_.find(name);
+  return it == channels_.end() ? nullptr : &it->second;
+}
+
 void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits::BitVector& v) {
   board_metrics().posts.inc();
   // Vector content is logged as (hash, size) — enough for the replayer
@@ -34,8 +45,9 @@ void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits:
   if (recorder_ != nullptr) {
     recorder_->vector_post(static_cast<std::uint32_t>(p), channel, v.hash(), v.size());
   }
-  support::MutexLock lk(mu_);
-  put(channels_[channel], p, v);
+  Channel& ch = resolve(channel);
+  support::MutexLock lk(ch.mu);
+  put(ch, p, v);
 }
 
 void Billboard::post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
@@ -52,29 +64,41 @@ void Billboard::post_many(const std::string& channel, std::span<const matrix::Pl
                              rows[i].size());
     }
   }
-  support::MutexLock lk(mu_);
-  auto& ch = channels_[channel];
-  if (!order.has_value()) {
-    for (std::size_t i = 0; i < players.size(); ++i) put(ch, players[i], rows[i]);
+  Channel* ch = nullptr;
+  const SectionState* section = nullptr;
+  {
+    support::MutexLock lk(mu_);
+    ch = &channels_[channel];
+    if (order.has_value()) {
+      if (!section_.has_value()) {
+        throw std::logic_error("Billboard::post_many: an ordered post needs an open section");
+      }
+      section = &*section_;
+    }
+  }
+  support::MutexLock lk(ch->mu);
+  if (section == nullptr) {
+    for (std::size_t i = 0; i < players.size(); ++i) put(*ch, players[i], rows[i]);
     return;
   }
-  if (!section_.has_value()) {
-    throw std::logic_error("Billboard::post_many: an ordered post needs an open section");
+  for (std::size_t i = 0; i < players.size(); ++i) {
+    put_ordered(*ch, *section, players[i], rows[i], *order);
   }
-  for (std::size_t i = 0; i < players.size(); ++i) put_ordered(ch, players[i], rows[i], *order);
 }
 
-void Billboard::put_ordered(Channel& ch, matrix::PlayerId p, const bits::BitVector& v,
-                            std::uint32_t order) {
-  const auto& shared = section_->shared;
+void Billboard::put_ordered(Channel& ch, const SectionState& section, matrix::PlayerId p,
+                            const bits::BitVector& v, std::uint32_t order) {
+  const auto& shared = section.shared;
   const auto it = std::lower_bound(shared.begin(), shared.end(), p);
   if (it == shared.end() || *it != p) {
     put(ch, p, v);
     return;
   }
-  auto& orders = section_->orders[&ch];
-  if (orders.empty()) orders.assign(shared.size(), 0);
-  auto& mark = orders[static_cast<std::size_t>(it - shared.begin())];
+  if (ch.marks_section != section.id) {
+    ch.marks.assign(shared.size(), 0);
+    ch.marks_section = section.id;
+  }
+  auto& mark = ch.marks[static_cast<std::size_t>(it - shared.begin())];
   const std::uint64_t rank = std::uint64_t{order} + 1;
   if (mark > rank) return;  // a later task already owns this row
   mark = rank;
@@ -90,6 +114,7 @@ Billboard::Section::Section(Billboard& board, std::vector<matrix::PlayerId> shar
     throw std::logic_error("Billboard::Section: a section is already open");
   }
   board_->section_.emplace();
+  board_->section_->id = ++board_->sections_opened_;
   board_->section_->shared = std::move(shared);
 }
 
@@ -110,16 +135,77 @@ void Billboard::put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v) {
   slot = static_cast<std::uint32_t>(ch.rows.size());
 }
 
-std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
-                               std::uint32_t min_votes) {
-  // Sort (hash, index) pairs — one content hash per post, then a cheap
-  // flat sort — and count runs. Full vector comparisons happen only
-  // inside a hash run (collision guard), and only the few distinct
-  // survivors pay the final lexicographic sort.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
-  order.reserve(posts.size());
-  for (std::size_t i = 0; i < posts.size(); ++i) {
-    order.emplace_back(posts[i].hash(), static_cast<std::uint32_t>(i));
+namespace {
+
+// The two row sets tally() groups: posted BitVectors, and packed rows.
+// Each gives the grouping a sort key per row and, for rows whose keys
+// tie, an equality test.
+
+class VectorRows {
+ public:
+  explicit VectorRows(std::span<const bits::BitVector> rows) : rows_(rows) {
+    one_word_ = !rows.empty() && rows[0].words().size() == 1;
+    for (const auto& r : rows) one_word_ = one_word_ && r.size() == rows[0].size();
+  }
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  /// Is every row one word of one width? Then its word is its content.
+  [[nodiscard]] bool one_word() const { return one_word_; }
+  [[nodiscard]] std::uint64_t word(std::size_t i) const { return rows_[i].words()[0]; }
+  [[nodiscard]] std::uint64_t hash(std::size_t i) const { return rows_[i].hash(); }
+  [[nodiscard]] bool equal(std::size_t i, std::size_t j) const { return rows_[i] == rows_[j]; }
+  [[nodiscard]] bits::BitVector vector(std::size_t i) const { return rows_[i]; }
+
+ private:
+  std::span<const bits::BitVector> rows_;
+  bool one_word_ = false;
+};
+
+class WordRows {
+ public:
+  explicit WordRows(PackedRows rows)
+      : rows_(rows), nw_(bits::BitVector::word_count(rows.width)) {}
+  [[nodiscard]] std::size_t size() const { return nw_ == 0 ? 0 : rows_.words.size() / nw_; }
+  [[nodiscard]] bool one_word() const { return nw_ == 1; }
+  [[nodiscard]] std::uint64_t word(std::size_t i) const { return rows_.words[i]; }
+  [[nodiscard]] std::uint64_t hash(std::size_t i) const {
+    return bits::BitVector::hash(row(i), rows_.width);
+  }
+  [[nodiscard]] bool equal(std::size_t i, std::size_t j) const {
+    return std::ranges::equal(row(i), row(j));
+  }
+  [[nodiscard]] bits::BitVector vector(std::size_t i) const {
+    bits::BitVector v(rows_.width);
+    for (std::size_t w = 0; w < nw_; ++w) v.set_word(w, rows_.words[i * nw_ + w]);
+    return v;
+  }
+
+ private:
+  [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const {
+    return rows_.words.subspan(i * nw_, nw_);
+  }
+
+  PackedRows rows_;
+  std::size_t nw_;
+};
+
+// Sort (key, index) pairs — the row's word when every row is one word,
+// else a content hash — and count runs. Equal words are equal rows;
+// within a hash run, full row comparisons tell distinct rows apart
+// (collision guard). Only the few distinct survivors pay the final
+// lexicographic sort: a word's numeric order is not lexicographic,
+// since coordinate 0 is its low bit. The sort buffer is per thread,
+// so the votes of a Small Radius iteration reuse one buffer.
+template <typename Rows>
+std::vector<VotedVector> group(const Rows& rows, std::uint32_t min_votes,
+                               std::vector<std::uint32_t>* distinct,
+                               std::span<std::uint32_t> group_of) {
+  thread_local std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+  const std::size_t n = rows.size();
+  const bool one_word = rows.one_word();
+  order.clear();
+  order.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order.emplace_back(one_word ? rows.word(i) : rows.hash(i), static_cast<std::uint32_t>(i));
   }
   std::sort(order.begin(), order.end());
 
@@ -127,25 +213,32 @@ std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
   struct Distinct {
     std::uint32_t idx;
     std::uint32_t votes;
+    std::uint32_t id;
   };
-  std::vector<Distinct> run;  // distinct vectors within one hash run
-  for (std::size_t i = 0; i < order.size();) {
+  std::vector<Distinct> run;  // distinct rows within one key run
+  std::uint32_t next_id = 0;
+  for (std::size_t i = 0; i < n;) {
     std::size_t j = i;
     run.clear();
-    for (; j < order.size() && order[j].first == order[i].first; ++j) {
+    for (; j < n && order[j].first == order[i].first; ++j) {
       const auto idx = order[j].second;
-      bool found = false;
-      for (auto& d : run) {
-        if (posts[d.idx] == posts[idx]) {
-          ++d.votes;
-          found = true;
+      Distinct* d = nullptr;
+      for (auto& r : run) {
+        if (one_word || rows.equal(r.idx, idx)) {
+          d = &r;
           break;
         }
       }
-      if (!found) run.push_back({idx, 1});
+      if (d == nullptr) {
+        run.push_back({idx, 0, next_id++});
+        if (distinct != nullptr) distinct->push_back(idx);
+        d = &run.back();
+      }
+      ++d->votes;
+      if (!group_of.empty()) group_of[idx] = d->id;
     }
     for (const auto& d : run) {
-      if (d.votes >= min_votes) out.push_back({posts[d.idx], d.votes});
+      if (d.votes >= min_votes) out.push_back({rows.vector(d.idx), d.votes});
     }
     i = j;
   }
@@ -155,67 +248,80 @@ std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
   return out;
 }
 
+}  // namespace
+
+std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
+                               std::uint32_t min_votes) {
+  return group(VectorRows(posts), min_votes, nullptr, {});
+}
+
+std::vector<VotedVector> tally(PackedRows rows, std::uint32_t min_votes,
+                               std::vector<std::uint32_t>& distinct,
+                               std::span<std::uint32_t> group_of) {
+  const WordRows packed(rows);
+  if (group_of.size() != packed.size()) {
+    throw std::invalid_argument("tally: group_of needs one entry per row");
+  }
+  distinct.clear();
+  return group(packed, min_votes, &distinct, group_of);
+}
+
 std::vector<VotedVector> Billboard::popular(const std::string& channel,
                                             std::uint32_t min_votes) const {
   board_metrics().reads.inc();
   obs::profile_cost(obs::Cost::kRankQueries, 1);
-  support::MutexLock lk(mu_);
-  const auto it = channels_.find(channel);
-  if (it == channels_.end()) return {};
-  auto& ch = it->second;
-  if (ch.tally_valid && ch.tally_version == ch.version && ch.tally_min_votes == min_votes) {
+  const Channel* ch = find(channel);
+  if (ch == nullptr) return {};
+  support::MutexLock lk(ch->mu);
+  if (ch->tally_valid && ch->tally_version == ch->version &&
+      ch->tally_min_votes == min_votes) {
     board_metrics().tally_hits.inc();
-    return ch.tally_cache;
+    return ch->tally_cache;
   }
-  ch.tally_cache = tally(ch.rows, min_votes);
-  ch.tally_version = ch.version;
-  ch.tally_min_votes = min_votes;
-  ch.tally_valid = true;
-  return ch.tally_cache;
+  ch->tally_cache = tally(ch->rows, min_votes);
+  ch->tally_version = ch->version;
+  ch->tally_min_votes = min_votes;
+  ch->tally_valid = true;
+  return ch->tally_cache;
 }
 
 std::size_t Billboard::posters(const std::string& channel) const {
-  support::MutexLock lk(mu_);
-  const auto it = channels_.find(channel);
-  return it == channels_.end() ? 0 : it->second.rows.size();
+  const Channel* ch = find(channel);
+  if (ch == nullptr) return 0;
+  support::MutexLock lk(ch->mu);
+  return ch->rows.size();
 }
 
 bool Billboard::has_posted(const std::string& channel, matrix::PlayerId p) const {
-  support::MutexLock lk(mu_);
-  const auto it = channels_.find(channel);
-  if (it == channels_.end()) return false;
-  const auto& slot = it->second.slot;
-  return p < slot.size() && slot[p] != 0;
+  const Channel* ch = find(channel);
+  if (ch == nullptr) return false;
+  support::MutexLock lk(ch->mu);
+  return p < ch->slot.size() && ch->slot[p] != 0;
 }
 
 Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
-  support::MutexLock lk(mu_);
   ChannelView view;
-  const auto it = channels_.find(channel);
-  if (it == channels_.end()) return view;
-  const auto& ch = it->second;
-  view.players.reserve(ch.rows.size());
-  view.rows.reserve(ch.rows.size());
-  for (std::size_t p = 0; p < ch.slot.size(); ++p) {
-    if (ch.slot[p] == 0) continue;
+  const Channel* ch = find(channel);
+  if (ch == nullptr) return view;
+  support::MutexLock lk(ch->mu);
+  view.players.reserve(ch->rows.size());
+  view.rows.reserve(ch->rows.size());
+  for (std::size_t p = 0; p < ch->slot.size(); ++p) {
+    if (ch->slot[p] == 0) continue;
     view.players.push_back(static_cast<matrix::PlayerId>(p));
-    view.rows.push_back(ch.rows[ch.slot[p] - 1]);
+    view.rows.push_back(ch->rows[ch->slot[p] - 1]);
   }
   return view;
-}
-
-void Billboard::clear(const std::string& channel) {
-  support::MutexLock lk(mu_);
-  const auto it = channels_.find(channel);
-  if (it == channels_.end()) return;
-  if (section_.has_value()) section_->orders.erase(&it->second);
-  channels_.erase(it);
 }
 
 std::size_t Billboard::total_posts() const {
   support::MutexLock lk(mu_);
   std::size_t t = 0;
-  for (const auto& [name, ch] : channels_) t += ch.rows.size();
+  for (const auto& entry : channels_) {
+    const Channel& ch = entry.second;
+    support::MutexLock cl(ch.mu);
+    t += ch.rows.size();
+  }
   return t;
 }
 
@@ -223,10 +329,12 @@ std::vector<Billboard::ChannelDump> Billboard::export_posts() const {
   support::MutexLock lk(mu_);
   std::vector<ChannelDump> out;
   out.reserve(channels_.size());
-  for (const auto& [name, ch] : channels_) {
+  for (const auto& entry : channels_) {
+    const Channel& ch = entry.second;
+    support::MutexLock cl(ch.mu);
     if (ch.rows.empty()) continue;  // a restored empty channel has nothing to dump
     ChannelDump dump;
-    dump.channel = name;
+    dump.channel = entry.first;
     dump.posts.reserve(ch.rows.size());
     for (std::size_t p = 0; p < ch.slot.size(); ++p) {
       if (ch.slot[p] != 0) {
@@ -242,10 +350,10 @@ std::vector<Billboard::ChannelDump> Billboard::export_posts() const {
 
 void Billboard::restore_posts(const std::vector<ChannelDump>& dump) {
   support::MutexLock lk(mu_);
-  if (section_.has_value()) section_->orders.clear();
   channels_.clear();
   for (const auto& chd : dump) {
     auto& ch = channels_[chd.channel];
+    support::MutexLock cl(ch.mu);
     for (const auto& [p, v] : chd.posts) put(ch, p, v);
   }
 }

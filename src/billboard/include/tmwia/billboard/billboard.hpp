@@ -16,11 +16,17 @@
 // posters()/popular() every round while a vote fills — hit the
 // version-keyed tally cache instead of re-tallying.
 //
-// Thread safety: posts from concurrent players are serialized by a
-// mutex; aggregation reads take the same mutex. Concurrent tasks that
-// may post for the same player (Large Radius groups) post inside a
-// Section with their task order, so the board ends exactly as their
-// serial run in task order leaves it.
+// Thread safety: every channel has its own mutex, which serializes the
+// posts and reads of that channel; posts to different channels run at
+// once. The board's mutex guards only the channel map and the open
+// Section: a post or read looks its channel up under the board's mutex,
+// releases it, and then takes the channel's. A thread never takes the
+// board's mutex while it holds a channel's. Channels live as long as
+// the board (restore_posts, a quiescent-point call, replaces them), so
+// a looked-up channel stays valid after the board's mutex is released.
+// Concurrent tasks that may post for the same player (Large Radius
+// groups) post inside a Section with their task order, so the board
+// ends exactly as their serial run in task order leaves it.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +59,24 @@ struct VotedVector {
 std::vector<VotedVector> tally(std::span<const bits::BitVector> posts,
                                std::uint32_t min_votes);
 
+/// Rows of one width, packed word by word: row i is the
+/// BitVector::word_count(width) words from words[i * word_count(width)],
+/// with BitVector's zero tail bits.
+struct PackedRows {
+  std::span<const std::uint64_t> words;
+  std::size_t width = 0;
+};
+
+/// tally() over packed rows, from the same grouping, which also names
+/// each row's distinct content: `distinct` is cleared and gets one row
+/// index per distinct content (a row holding it), and `group_of[i]`
+/// (one entry per row) becomes row i's position in `distinct`. Small
+/// Radius takes a part's vote and its per-row Select memo from one
+/// grouping of the part's leaf rows.
+std::vector<VotedVector> tally(PackedRows rows, std::uint32_t min_votes,
+                               std::vector<std::uint32_t>& distinct,
+                               std::span<std::uint32_t> group_of);
+
 class Billboard {
  public:
   /// Attach the flight recorder that logs this board's vector posts
@@ -72,8 +96,8 @@ class Billboard {
   /// Batched post: players[i] posts rows[i] (spans must be equal
   /// length). Observably identical to posting each pair in index order
   /// — same recorder events, same totals — but the channel name is
-  /// resolved and the lock taken once per batch instead of once per
-  /// row. Zero Radius publishes every node's outputs this way.
+  /// resolved and the channel's lock taken once per batch instead of
+  /// once per row. Zero Radius publishes every node's outputs this way.
   /// A post with an `order` comes from a task of the open Section (see
   /// there; std::logic_error without one); without it the post is plain.
   void post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
@@ -89,10 +113,12 @@ class Billboard {
   /// `shared` players (those more than one task may post for)
   /// overwrites the row only if no higher-order post of the section
   /// already did; for any other player it is a plain post. The order
-  /// state is the section's — keyed by (channel, shared player), gone
-  /// when it closes — so rows carry no tags and plain posts do no new
-  /// work. One section at a time; open and close it on the caller,
-  /// outside the tasks.
+  /// state is kept per channel, one mark per shared player, and belongs
+  /// to one section: the next section's first ordered post on the
+  /// channel resets it. So rows carry no tags and plain posts do no
+  /// new work. One section at a time; open and close it on the caller,
+  /// outside the tasks, so its shared list stays fixed while tasks
+  /// post.
   class Section {
    public:
     Section(Billboard& board, std::vector<matrix::PlayerId> shared);
@@ -126,10 +152,6 @@ class Billboard {
   };
   [[nodiscard]] ChannelView snapshot(const std::string& channel) const;
 
-  /// Drop a channel and its posts (phases recycle channel names): a
-  /// later post under the same name starts a fresh channel.
-  void clear(const std::string& channel);
-
   /// Total posts across all channels (diagnostics).
   [[nodiscard]] std::size_t total_posts() const;
 
@@ -142,45 +164,62 @@ class Billboard {
   [[nodiscard]] std::vector<ChannelDump> export_posts() const;
   /// Replace the board contents with `dump`. Unlike post(), restoring
   /// does not notify the flight recorder — the events were already in
-  /// the log when the checkpoint was cut.
+  /// the log when the checkpoint was cut. Call only at quiescent
+  /// points: it destroys every channel, and a concurrent post or read
+  /// may hold one it looked up.
   void restore_posts(const std::vector<ChannelDump>& dump);
 
  private:
   struct Channel {
-    std::uint64_t version = 0;  ///< bumped on every post
+    /// Serializes this channel's posts and reads; popular() fills the
+    /// tally memo under it, hence mutable.
+    mutable support::Mutex mu;
+    std::uint64_t version TMWIA_GUARDED_BY(mu) = 0;  ///< bumped on every post
 
     // slot[p] is 1 + the index of p's row in `rows` (0: p never
     // posted); rows holds each poster's current post in first-post order.
-    std::vector<std::uint32_t> slot;
-    std::vector<bits::BitVector> rows;
+    std::vector<std::uint32_t> slot TMWIA_GUARDED_BY(mu);
+    std::vector<bits::BitVector> rows TMWIA_GUARDED_BY(mu);
 
     // popular() result memo for the polling pattern.
-    std::uint64_t tally_version = 0;
-    std::uint32_t tally_min_votes = 0;
-    bool tally_valid = false;
-    std::vector<VotedVector> tally_cache;
+    mutable std::uint64_t tally_version TMWIA_GUARDED_BY(mu) = 0;
+    mutable std::uint32_t tally_min_votes TMWIA_GUARDED_BY(mu) = 0;
+    mutable bool tally_valid TMWIA_GUARDED_BY(mu) = false;
+    mutable std::vector<VotedVector> tally_cache TMWIA_GUARDED_BY(mu);
+
+    // Section order marks: for the section numbered `marks_section`,
+    // marks[k] is 1 + the highest order that wrote the row of the
+    // section's k-th shared player (0: none yet).
+    std::uint64_t marks_section TMWIA_GUARDED_BY(mu) = 0;
+    std::vector<std::uint64_t> marks TMWIA_GUARDED_BY(mu);
   };
 
-  /// The open Section's order state.
+  /// The open Section. Fixed while it is open, so a post may read it
+  /// after releasing the board's mutex.
   struct SectionState {
+    std::uint64_t id = 0;                  ///< 1 + sections opened before it
     std::vector<matrix::PlayerId> shared;  ///< ascending, distinct
-    /// Per channel a shared player's row was posted on: 1 + the highest
-    /// order that wrote it (0: none yet), indexed like `shared`.
-    std::unordered_map<const Channel*, std::vector<std::uint64_t>> orders;
   };
+
+  /// The channel named `name`, created empty if new.
+  Channel& resolve(const std::string& name) TMWIA_EXCLUDES(mu_);
+  /// The channel named `name`, or nullptr if nobody posted on it.
+  const Channel* find(const std::string& name) const TMWIA_EXCLUDES(mu_);
 
   /// The one write path: p's post on `ch` becomes v.
-  static void put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v);
+  static void put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v)
+      TMWIA_REQUIRES(ch.mu);
   /// A section task's post: put() unless a higher order already wrote
   /// a shared player's row.
-  void put_ordered(Channel& ch, matrix::PlayerId p, const bits::BitVector& v,
-                   std::uint32_t order) TMWIA_REQUIRES(mu_);
+  static void put_ordered(Channel& ch, const SectionState& section, matrix::PlayerId p,
+                          const bits::BitVector& v, std::uint32_t order)
+      TMWIA_REQUIRES(ch.mu);
 
   obs::FlightRecorder* recorder_ = nullptr;  ///< set before the first post, then read-only
   mutable support::Mutex mu_;
-  // mutable for the tally memo popular() fills.
-  mutable std::unordered_map<std::string, Channel> channels_ TMWIA_GUARDED_BY(mu_);
+  std::unordered_map<std::string, Channel> channels_ TMWIA_GUARDED_BY(mu_);
   std::optional<SectionState> section_ TMWIA_GUARDED_BY(mu_);
+  std::uint64_t sections_opened_ TMWIA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace tmwia::billboard

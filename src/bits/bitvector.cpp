@@ -205,10 +205,10 @@ std::vector<std::uint32_t> BitVector::one_positions() const {
   return out;
 }
 
-std::uint64_t BitVector::hash() const {
-  std::uint64_t h = 1469598103934665603ull ^ (size_ * 0x9e3779b97f4a7c15ull);
-  for (std::size_t i = 0; i < nwords_; ++i) {
-    h ^= data_[i];
+std::uint64_t BitVector::hash(std::span<const Word> words, std::size_t size) {
+  std::uint64_t h = 1469598103934665603ull ^ (size * 0x9e3779b97f4a7c15ull);
+  for (const Word w : words) {
+    h ^= w;
     h *= 1099511628211ull;
   }
   return h;

@@ -200,7 +200,9 @@ class BitVector {
   [[nodiscard]] std::span<const Word> words() const { return {data_, nwords_}; }
 
   /// A 64-bit content hash (FNV-1a over words, mixed with the size).
-  [[nodiscard]] std::uint64_t hash() const;
+  [[nodiscard]] std::uint64_t hash() const { return hash(words(), size_); }
+  /// hash() of the `size`-bit vector whose words are `words`.
+  [[nodiscard]] static std::uint64_t hash(std::span<const Word> words, std::size_t size);
 
   static std::size_t word_count(std::size_t n) { return (n + kWordBits - 1) / kWordBits; }
 

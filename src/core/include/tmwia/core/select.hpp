@@ -18,6 +18,13 @@
 // execution: it tracks its own probed set and *re-invokes* Probe even
 // for coordinates the player probed earlier (the oracle charges
 // invocations; see ProbeOracle).
+//
+// Select probes distinguishing coordinates in ascending order, each at
+// most once, and reads nothing but the probe results. A caller that
+// already knows a player's bits may therefore decide once for every
+// player with those bits and replay the probed coordinates per player:
+// select_uncharged decides, and charge_select charges each replay as
+// the player's own Select (Small Radius, DESIGN §13.6).
 #pragma once
 
 #include <cstdint>
@@ -80,5 +87,20 @@ SelectResult select_closest(const std::vector<bits::TriVector>& candidates, std:
 /// Convenience overload for fully-known candidates.
 SelectResult select_closest(const std::vector<bits::BitVector>& candidates, std::size_t D,
                             const ProbeFn& probe);
+
+/// select_closest without its accounting: the same decision and the
+/// same probe sequence, charged to nothing. Small Radius runs it once
+/// per distinct leaf row, probing the row's own bits, and charges each
+/// player that replays the row's probes with charge_select.
+SelectResult select_uncharged(const std::vector<bits::BitVector>& candidates, std::size_t D,
+                              const ProbeFn& probe);
+
+/// Select's accounting, for one execution over `candidates` candidates
+/// that made `probes` probes: core.select.calls, the
+/// core.select.candidates histogram, core.select.probes and the
+/// profiler's kProbes on the calling thread's zone (a singleton
+/// charges the call only). Every select_closest call charges through
+/// it.
+void charge_select(std::size_t candidates, std::size_t probes);
 
 }  // namespace tmwia::core

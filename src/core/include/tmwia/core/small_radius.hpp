@@ -17,10 +17,16 @@
 // Zero Radius leaf and no observer can see a player's probe order
 // (small_radius_order_free), the iteration runs as three pool passes
 // over all s parts: every player's leaf probes, then the s votes, then
-// every player's Selects. Otherwise — a part above the leaf threshold,
-// a flight recorder, a fault injector or fresh noise — it runs one part
-// at a time. Both schedules probe the same (player, object) pairs and
-// leave the same ledgers, posts and outputs (DESIGN §13.6).
+// the Selects. A player has then probed every object of each part, so
+// a Select's probes return the player's own leaf bits and its decision
+// depends only on the leaf row: pass 3 runs one Select per distinct
+// leaf row of each part, and every player replays its row's probes
+// through the oracle, charged as its own Select, and adopts the
+// winner. Otherwise — a part above the leaf threshold, a flight
+// recorder, a fault injector or fresh noise — it runs one part at a
+// time, each player running its own Selects. Both schedules probe the
+// same (player, object) pairs and leave the same ledgers, posts,
+// metrics and outputs (DESIGN §13.6).
 #pragma once
 
 #include <cstdint>

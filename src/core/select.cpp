@@ -209,20 +209,29 @@ SelectResult select_pair(const bits::BitVector& a, const bits::BitVector& b,
 
 }  // namespace
 
+void charge_select(std::size_t candidates, std::size_t probes) {
+  const auto& metrics = select_metrics();
+  metrics.calls.inc();
+  metrics.candidates.observe(candidates);
+  if (candidates == 1) return;  // a singleton probes nothing
+  metrics.probes.add(probes);
+  obs::profile_cost(obs::Cost::kProbes, probes);
+}
+
 SelectResult select_closest(const std::vector<bits::TriVector>& candidates, std::size_t D,
                             const ProbeFn& probe) {
   if (candidates.empty()) {
     throw std::invalid_argument("select_closest: empty candidate set");
   }
   const std::size_t k = candidates.size();
-  const auto& metrics = select_metrics();
-  metrics.calls.inc();
-  metrics.candidates.observe(k);
   const std::size_t m = candidates[0].size();
   for (const auto& c : candidates) {
     if (c.size() != m) throw std::invalid_argument("select_closest: ragged candidates");
   }
-  if (k == 1) return {};  // no distinguishing coordinates, no probes
+  if (k == 1) {  // no distinguishing coordinates, no probes
+    charge_select(1, 0);
+    return {};
+  }
 
   auto& views = select_scratch().views;
   views.clear();
@@ -235,31 +244,22 @@ SelectResult select_closest(const std::vector<bits::TriVector>& candidates, std:
       [&](std::size_t a, std::size_t b) {
         return candidates[a].lex_compare(candidates[b]);
       });
-  metrics.probes.add(res.probes);
-  obs::profile_cost(obs::Cost::kProbes, res.probes);
+  charge_select(k, res.probes);
   return res;
 }
 
-SelectResult select_closest(const std::vector<bits::BitVector>& candidates, std::size_t D,
-                            const ProbeFn& probe) {
+SelectResult select_uncharged(const std::vector<bits::BitVector>& candidates, std::size_t D,
+                              const ProbeFn& probe) {
   if (candidates.empty()) {
     throw std::invalid_argument("select_closest: empty candidate set");
   }
   const std::size_t k = candidates.size();
-  const auto& metrics = select_metrics();
-  metrics.calls.inc();
-  metrics.candidates.observe(k);
   const std::size_t m = candidates[0].size();
   for (const auto& c : candidates) {
     if (c.size() != m) throw std::invalid_argument("select_closest: ragged candidates");
   }
   if (k == 1) return {};  // no distinguishing coordinates, no probes
-  if (k == 2) {
-    auto res = select_pair(candidates[0], candidates[1], D, probe);
-    metrics.probes.add(res.probes);
-    obs::profile_cost(obs::Cost::kProbes, res.probes);
-    return res;
-  }
+  if (k == 2) return select_pair(candidates[0], candidates[1], D, probe);
 
   auto& views = select_scratch().views;
   views.clear();
@@ -267,12 +267,16 @@ SelectResult select_closest(const std::vector<bits::BitVector>& candidates, std:
   for (const auto& c : candidates) {
     views.push_back({c.words().data(), nullptr});
   }
-  auto res = select_engine(views, m, candidates[0].words().size(), D, probe,
-                           [&](std::size_t a, std::size_t b) {
-                             return candidates[a].lex_compare(candidates[b]);
-                           });
-  metrics.probes.add(res.probes);
-  obs::profile_cost(obs::Cost::kProbes, res.probes);
+  return select_engine(views, m, candidates[0].words().size(), D, probe,
+                       [&](std::size_t a, std::size_t b) {
+                         return candidates[a].lex_compare(candidates[b]);
+                       });
+}
+
+SelectResult select_closest(const std::vector<bits::BitVector>& candidates, std::size_t D,
+                            const ProbeFn& probe) {
+  const auto res = select_uncharged(candidates, D, probe);
+  charge_select(candidates.size(), res.probes);
   return res;
 }
 

@@ -1,6 +1,7 @@
 #include "tmwia/core/small_radius.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -19,10 +20,6 @@ namespace {
 struct Part {
   const std::vector<std::uint32_t>* positions = nullptr;  ///< into the iteration's objects
   std::vector<std::uint32_t> objects;                     ///< the part's object ids
-  /// The passes' leaf rows, row_words() words per player. Pass 1 holds
-  /// all s parts' rows at once; one buffer per part stores a row of up
-  /// to 64 objects in 8 bytes, where a BitVector takes 40.
-  std::vector<std::uint64_t> leaf_words;
   std::size_t voters = 0;                   ///< surviving players who voted
   std::vector<bits::BitVector> candidates;  ///< U_i, lexicographic
   /// Every player scatters through the same position set: the part's
@@ -30,6 +27,21 @@ struct Part {
   /// touch fewer words.
   bool use_mask = false;
   bits::BitVector pos_mask;
+
+  // The passes' state (DESIGN §13.6).
+  /// The leaf rows, row_words() words per player. Pass 1 holds all s
+  /// parts' rows at once; one buffer per part stores a row of up to 64
+  /// objects in 8 bytes, where a BitVector takes 40.
+  std::vector<std::uint64_t> leaf_words;
+  /// The vote's grouping of the leaf rows: distinct[r] is a player
+  /// holding the r-th distinct row, and row_of[pi] is player pi's r.
+  std::vector<std::uint32_t> distinct;
+  std::vector<std::uint32_t> row_of;
+  /// The Select memo, one entry per distinct row (parts with >= 2
+  /// candidates): the winner, and the probed coordinates as a mask of
+  /// row_words() words.
+  std::vector<std::uint32_t> winner;
+  std::vector<std::uint64_t> probed;
 
   [[nodiscard]] std::size_t row_words() const {
     return bits::BitVector::word_count(objects.size());
@@ -50,6 +62,13 @@ struct Part {
     rows.reserve(n);
     for (std::size_t pi = 0; pi < n; ++pi) rows.push_back(leaf_row(pi));
     return rows;
+  }
+
+  /// Step 1b's outcome: `popular` (a tally over `voters` players)
+  /// becomes the candidates.
+  void take_vote(std::size_t n_voters, std::vector<billboard::VotedVector> popular) {
+    voters = n_voters;
+    for (auto& vv : popular) candidates.push_back(std::move(vv.vec));
   }
 
   /// Step 1c's stitch: write `piece`, the part's coordinates, into a
@@ -114,10 +133,15 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
   std::vector<std::vector<bits::BitVector>> stitched(
       K, std::vector<bits::BitVector>(n, bits::BitVector(m)));
 
-  // Step 1b on one part, given every player's Zero Radius output on it:
-  // U_i is the vectors output by at least alpha/5 of the *surviving*
-  // players (quorum over survivors; identical to the paper's threshold
-  // when nobody failed).
+  // Step 1b's popularity bar: U_i is the vectors output by at least
+  // alpha/5 of the *surviving* players (quorum over survivors;
+  // identical to the paper's threshold when nobody failed).
+  const auto quorum = [&](std::size_t voters) {
+    return static_cast<std::uint32_t>(std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(alpha * static_cast<double>(voters) / params.sr_vote_div))));
+  };
+  // Step 1b on one part, given every player's Zero Radius output on it.
   const auto vote = [&](Part& part, std::span<const bits::BitVector> zr_out) {
     std::vector<bits::BitVector> survivors;
     std::span<const bits::BitVector> votable = zr_out;
@@ -128,19 +152,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       }
       votable = survivors;
     }
-    part.voters = votable.size();
-    const auto min_votes = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(alpha * static_cast<double>(part.voters) /
-                                              params.sr_vote_div)));
-    for (auto& vv : billboard::tally(votable, static_cast<std::uint32_t>(min_votes))) {
-      part.candidates.push_back(std::move(vv.vec));
-    }
-    const auto& positions = *part.positions;
-    part.use_mask = positions.size() >= bits::BitVector::word_count(m) / 2;
-    if (part.use_mask) {
-      part.pos_mask = bits::BitVector(m);
-      for (std::uint32_t pos : positions) part.pos_mask.set(pos, true);
-    }
+    part.take_vote(votable.size(), billboard::tally(votable, quorum(votable.size())));
   };
 
   // Step 1c for players[pi] on one part: the closest popular vector
@@ -170,11 +182,18 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     std::vector<Part> parts(s);
     bool all_leaves = order_free;
     for (std::size_t i = 0; i < s; ++i) {
-      parts[i].positions = &partition.parts[i];
-      parts[i].objects.reserve(partition.parts[i].size());
-      for (std::uint32_t pos : partition.parts[i]) parts[i].objects.push_back(objects[pos]);
-      if (!parts[i].objects.empty() && std::min(n, parts[i].objects.size()) >= leaf) {
+      Part& part = parts[i];
+      const auto& positions = partition.parts[i];
+      part.positions = &positions;
+      part.objects.reserve(positions.size());
+      for (std::uint32_t pos : positions) part.objects.push_back(objects[pos]);
+      if (!part.objects.empty() && std::min(n, part.objects.size()) >= leaf) {
         all_leaves = false;
+      }
+      part.use_mask = positions.size() >= bits::BitVector::word_count(m) / 2;
+      if (part.use_mask) {
+        part.pos_mask = bits::BitVector(m);
+        for (std::uint32_t pos : positions) part.pos_mask.set(pos, true);
       }
     }
     const auto prefix = [t](std::size_t i) {
@@ -212,7 +231,10 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // Pass 1: every player probes each part's objects, in part order
     // (the leaf of Fig. 2 step 1). The rows' buffers are allocated
     // here, on the caller.
-    for (auto& part : parts) part.leaf_words.assign(n * part.row_words(), 0);
+    for (auto& part : parts) {
+      part.leaf_words.assign(n * part.row_words(), 0);
+      part.row_of.assign(part.objects.empty() ? 0 : n, 0);
+    }
     engine::parallel_for(0, n, [&](std::size_t pi) {
       for (auto& part : parts) {
         if (part.objects.empty()) continue;
@@ -230,22 +252,74 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
         BitSpace(oracle, board, prefix(i)).publish_rows("zr/1", players, parts[i].leaf_rows());
       }
     }
-    // Pass 2: the s votes.
+    // Pass 2: the s votes, each grouping its part's leaf rows once.
     engine::parallel_for(
         0, s,
         [&](std::size_t i) {
-          if (!parts[i].objects.empty()) vote(parts[i], parts[i].leaf_rows());
+          Part& part = parts[i];
+          if (part.objects.empty()) return;
+          part.take_vote(n, billboard::tally({part.leaf_words, part.objects.size()}, quorum(n),
+                                             part.distinct, part.row_of));
         },
         1);
-    // Pass 3: every player's Selects, in part order.
+    // Pass 3, the Selects, in two loops. First one Select per distinct
+    // leaf row of every part with a choice to make: a player has probed
+    // every object of the part, so a re-probe returns the row's own bit,
+    // and Select reads nothing else. Players with equal rows decide
+    // alike, and the coordinates Select probes (ascending, each at most
+    // once) fit a mask.
+    std::vector<std::size_t> first_select(s + 1, 0);
+    for (std::size_t i = 0; i < s; ++i) {
+      Part& part = parts[i];
+      const std::size_t rows = part.candidates.size() >= 2 ? part.distinct.size() : 0;
+      part.winner.assign(rows, 0);
+      part.probed.assign(rows * part.row_words(), 0);
+      first_select[i + 1] = first_select[i] + rows;
+    }
+    engine::parallel_for(0, first_select[s], [&](std::size_t k) {
+      const auto i = static_cast<std::size_t>(
+          std::upper_bound(first_select.begin(), first_select.end(), k) -
+          first_select.begin() - 1);
+      Part& part = parts[i];
+      const std::size_t r = k - first_select[i];
+      const std::size_t nw = part.row_words();
+      const std::uint64_t* row = &part.leaf_words[part.distinct[r] * nw];
+      std::uint64_t* probed = &part.probed[r * nw];
+      const auto sel = select_uncharged(part.candidates, D, [&](std::uint32_t j) {
+        probed[j / 64] |= std::uint64_t{1} << (j % 64);
+        return ((row[j / 64] >> (j % 64)) & 1U) != 0;
+      });
+      part.winner[r] = static_cast<std::uint32_t>(sel.index);
+    });
+    // Then every player replays its rows' Selects, in part order — the
+    // same probes through the oracle and the same charges as its own
+    // Select — and stitches the winners; a player keeps its own row
+    // where no vector reached the quorum.
     engine::parallel_for(0, n, [&](std::size_t pi) {
+      const PlayerId p = players[pi];
       for (const auto& part : parts) {
         if (part.objects.empty()) continue;
-        if (const bits::BitVector* chosen = adopt(pi, part)) {
-          part.scatter(stitched[t][pi], *chosen);
-        } else {
+        const std::size_t k = part.candidates.size();
+        if (k == 0) {
           part.scatter(stitched[t][pi], part.leaf_row(pi));
+          continue;
         }
+        std::size_t chosen = 0;
+        if (k >= 2) {
+          const std::size_t r = part.row_of[pi];
+          const std::size_t nw = part.row_words();
+          std::size_t probes = 0;
+          for (std::size_t w = 0; w < nw; ++w) {
+            for (std::uint64_t left = part.probed[r * nw + w]; left != 0; left &= left - 1) {
+              const auto j = w * 64 + static_cast<std::size_t>(std::countr_zero(left));
+              oracle.probe_resilient(p, part.objects[j]);
+              ++probes;
+            }
+          }
+          charge_select(k, probes);
+          chosen = part.winner[r];
+        }
+        part.scatter(stitched[t][pi], part.candidates[chosen]);
       }
     });
   }

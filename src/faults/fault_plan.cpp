@@ -26,7 +26,8 @@ double parse_rate(std::string_view s, const std::string& clause) {
   double v = 0.0;
   const auto* end = s.data() + s.size();
   const auto res = std::from_chars(s.data(), end, v);
-  if (res.ec != std::errc{} || res.ptr != end || v < 0.0 || v > 1.0) {
+  // Written so that NaN, which fails every comparison, is refused too.
+  if (res.ec != std::errc{} || res.ptr != end || !(v >= 0.0 && v <= 1.0)) {
     bad("rate out of [0,1] in '" + clause + "'");
   }
   return v;

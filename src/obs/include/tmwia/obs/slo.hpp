@@ -38,6 +38,10 @@
 
 namespace tmwia::obs {
 
+/// The largest rolling window, in requests: the watchdog allocates its
+/// ring up front, 24 bytes a request, so 2^20 requests take 24 MiB.
+inline constexpr std::size_t kMaxSloWindow = std::size_t{1} << 20;
+
 /// Parsed objective spec. Negative threshold = objective disabled.
 struct SloSpec {
   double p99_us = -1.0;       ///< max p99 request latency, microseconds
@@ -47,8 +51,11 @@ struct SloSpec {
   std::size_t window = 256;     ///< rolling window, in requests
 
   /// Parse "key=value,..." with keys p99_us, staleness, degraded,
-  /// audit, window. Absent keys keep the objective disabled. Throws
-  /// std::invalid_argument on unknown keys or malformed values.
+  /// audit, window. Absent keys keep the objective disabled. Each value
+  /// must parse whole: p99_us a finite number >= 0; staleness,
+  /// degraded and audit whole numbers below 2^63; window a whole
+  /// number in [1, kMaxSloWindow]. Throws std::invalid_argument, naming
+  /// the key, on unknown keys or bad values.
   static SloSpec parse(std::string_view spec);
 
   /// True when at least one objective is enabled.

@@ -1,6 +1,10 @@
 #include "tmwia/obs/slo.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "tmwia/support/json.hpp"
@@ -8,21 +12,41 @@
 namespace tmwia::obs {
 namespace {
 
-double parse_number(std::string_view key, std::string_view value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(value), &used);
-    if (used != value.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("SloSpec: bad value for '" + std::string(key) +
-                                "': '" + std::string(value) + "'");
+[[noreturn]] void bad_value(std::string_view key, std::string_view value,
+                            const std::string& want) {
+  throw std::invalid_argument("SloSpec: '" + std::string(key) + "' needs " + want + ", got '" +
+                              std::string(value) + "'");
+}
+
+/// A latency bound: a finite number >= 0, the whole value parsed.
+double parse_bound(std::string_view key, std::string_view value) {
+  double v = 0.0;
+  const auto* end = value.data() + value.size();
+  const auto res = std::from_chars(value.data(), end, v);
+  if (res.ec != std::errc{} || res.ptr != end || !std::isfinite(v) || v < 0.0) {
+    bad_value(key, value, "a finite number >= 0");
   }
+  return v;
+}
+
+/// A count: a whole number in [lo, hi], digits only.
+std::uint64_t parse_count(std::string_view key, std::string_view value, std::uint64_t lo,
+                          std::uint64_t hi, const std::string& want) {
+  std::uint64_t v = 0;
+  const auto* end = value.data() + value.size();
+  const auto res = std::from_chars(value.data(), end, v);
+  if (res.ec != std::errc{} || res.ptr != end || v < lo || v > hi) bad_value(key, value, want);
+  return v;
 }
 
 }  // namespace
 
 SloSpec SloSpec::parse(std::string_view spec) {
+  constexpr auto kMaxCount = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  const auto threshold = [](std::string_view key, std::string_view value) {
+    return static_cast<std::int64_t>(
+        parse_count(key, value, 0, kMaxCount, "a whole number below 2^63"));
+  };
   SloSpec out;
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -37,19 +61,18 @@ SloSpec SloSpec::parse(std::string_view spec) {
     }
     const std::string_view key = item.substr(0, eq);
     const std::string_view value = item.substr(eq + 1);
-    const double v = parse_number(key, value);
-    if (v < 0) throw std::invalid_argument("SloSpec: negative threshold for '" + std::string(key) + "'");
     if (key == "p99_us") {
-      out.p99_us = v;
+      out.p99_us = parse_bound(key, value);
     } else if (key == "staleness") {
-      out.staleness = static_cast<std::int64_t>(v);
+      out.staleness = threshold(key, value);
     } else if (key == "degraded") {
-      out.degraded = static_cast<std::int64_t>(v);
+      out.degraded = threshold(key, value);
     } else if (key == "audit") {
-      out.audit = static_cast<std::int64_t>(v);
+      out.audit = threshold(key, value);
     } else if (key == "window") {
-      if (v < 1) throw std::invalid_argument("SloSpec: window must be >= 1");
-      out.window = static_cast<std::size_t>(v);
+      out.window = static_cast<std::size_t>(
+          parse_count(key, value, 1, kMaxSloWindow,
+                      "a whole number in [1, " + std::to_string(kMaxSloWindow) + "]"));
     } else {
       throw std::invalid_argument("SloSpec: unknown key '" + std::string(key) + "'");
     }

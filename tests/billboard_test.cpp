@@ -2,10 +2,15 @@
 // model of Section 1.1) and channel/vote aggregation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
 #include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "tmwia/rng/rng.hpp"
 
 namespace tmwia::billboard {
 namespace {
@@ -275,14 +280,6 @@ TEST(Billboard, MissingChannelEmpty) {
   EXPECT_EQ(b.posters("nope"), 0u);
 }
 
-TEST(Billboard, ClearRemovesChannel) {
-  Billboard b;
-  b.post("ch", 0, bits::BitVector(4));
-  b.clear("ch");
-  EXPECT_EQ(b.posters("ch"), 0u);
-  EXPECT_EQ(b.total_posts(), 0u);
-}
-
 TEST(Billboard, ChannelsIndependent) {
   Billboard b;
   b.post("a", 0, bits::BitVector(4));
@@ -310,6 +307,65 @@ TEST(Tally, GroupsByEqualityAndThreshold) {
 }
 
 TEST(Tally, EmptyPosts) { EXPECT_TRUE(tally({}, 1).empty()); }
+
+/// A 128-bit row other than `a` with a.hash() (FNV-1a over the words,
+/// seeded by the size): the second word cancels the first's difference.
+bits::BitVector hash_twin(const bits::BitVector& a) {
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  const std::uint64_t h0 = 1469598103934665603ull ^ (128 * 0x9e3779b97f4a7c15ull);
+  const std::uint64_t w0 = a.words()[0] ^ 0x5a5aull;
+  bits::BitVector b(128);
+  b.set_word(0, w0);
+  b.set_word(1, a.words()[1] ^ ((h0 ^ a.words()[0]) * kPrime) ^ ((h0 ^ w0) * kPrime));
+  return b;
+}
+
+// The packed tally groups rows as tally() does, and its map sends each
+// row to a distinct row equal to it: on one-word rows (grouped by their
+// word), on wider rows (grouped by hash), and on distinct rows that
+// share a hash run.
+TEST(Tally, PackedRowsGroupAsTally) {
+  rng::Rng gen(77);
+  for (const std::size_t width : {1, 5, 63, 64, 65, 128, 200}) {
+    std::vector<bits::BitVector> pool;
+    for (int i = 0; i < 6; ++i) pool.push_back(matrix::random_vector(width, gen));
+    if (width == 128) {
+      pool.push_back(hash_twin(pool[0]));
+      ASSERT_EQ(pool.back().hash(), pool[0].hash());
+      ASSERT_FALSE(pool.back() == pool[0]);
+    }
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::size_t n = 1 + gen.uniform(40);
+      std::vector<bits::BitVector> rows;
+      std::vector<std::uint64_t> words;
+      for (std::size_t i = 0; i < n; ++i) {
+        rows.push_back(pool[gen.uniform(pool.size())]);
+        words.insert(words.end(), rows.back().words().begin(), rows.back().words().end());
+      }
+      const auto min_votes = static_cast<std::uint32_t>(1 + gen.uniform(4));
+      std::vector<std::uint32_t> distinct;
+      std::vector<std::uint32_t> group_of(n, 99);
+      const auto packed = tally(PackedRows{words, width}, min_votes, distinct, group_of);
+      const auto want = tally(rows, min_votes);
+      ASSERT_EQ(packed.size(), want.size()) << "width " << width;
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(packed[k].vec, want[k].vec);
+        EXPECT_EQ(packed[k].votes, want[k].votes);
+      }
+      // distinct holds one row per content, and every row maps to its own.
+      for (std::size_t a = 0; a < distinct.size(); ++a) {
+        for (std::size_t b = a + 1; b < distinct.size(); ++b) {
+          EXPECT_FALSE(rows[distinct[a]] == rows[distinct[b]]);
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_LT(group_of[i], distinct.size());
+        EXPECT_EQ(rows[distinct[group_of[i]]], rows[i]);
+      }
+      EXPECT_EQ(tally(rows, 1).size(), distinct.size());
+    }
+  }
+}
 
 void post_ordered(Billboard& b, const std::string& channel, matrix::PlayerId p,
                   const std::string& bits, std::uint32_t order) {
@@ -359,10 +415,6 @@ TEST(Billboard, SectionOrdersArePerChannel) {
   post_ordered(b, "x", 1, "11", 2);
   EXPECT_EQ(popular_rows(b, "x"), std::vector<std::string>{"01"});
   EXPECT_EQ(popular_rows(b, "y"), std::vector<std::string>{"10"});
-  // A cleared channel forgets its orders with its rows.
-  b.clear("x");
-  post_ordered(b, "x", 1, "11", 2);
-  EXPECT_EQ(popular_rows(b, "x"), std::vector<std::string>{"11"});
 }
 
 TEST(Billboard, ConcurrentPostsSafe) {

@@ -152,6 +152,18 @@ expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=18446744073709551615 --o
 expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=257 --out=/dev/null
 expect_exit 2 "$CLI" serve --requests=/dev/null --threads=257 --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=nan --out=/dev/null
+# The same for the numbers inside --faults and --slo specs: a NaN rate
+# is out of [0,1], and an SLO count must be a whole number (a NaN
+# window once reached an integer cast and sized the watchdog's ring).
+expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=solo --faults=seed=1,probe=nan \
+       --out=/dev/null
+"$CLI" run --in="$DIR/world.tmw" --algo=solo --faults=seed=1,probe=nan --out=/dev/null \
+       >/dev/null 2>"$DIR/nan_rate.err" || true
+grep -q "rate out of \[0,1\] in 'probe=nan'" "$DIR/nan_rate.err"
+expect_exit 2 "$CLI" serve --requests=/dev/null --slo=p99_us=5000,window=nan --out=/dev/null
+"$CLI" serve --requests=/dev/null --slo=p99_us=5000,window=nan --out=/dev/null \
+       >/dev/null 2>"$DIR/nan_window.err" || true
+grep -q "'window' needs a whole number" "$DIR/nan_window.err"
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --algo=zero --alpha=1.5 --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=0 --record="$DIR/alpha0.jsonl" \
        --out=/dev/null

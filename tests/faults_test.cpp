@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
@@ -44,6 +46,16 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("crash=1.5"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("crash=0.1@9-3"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("probe=-0.1"), std::invalid_argument);
+  // NaN fails every comparison, so the range check must refuse it too.
+  for (const char* spec : {"probe=nan", "drop=nan", "crash=nan@1-2", "delay=nan@3",
+                           "probe=-nan", "drop=inf"}) {
+    try {
+      (void)FaultPlan::parse(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rate out of [0,1]"), std::string::npos) << spec;
+    }
+  }
   EXPECT_THROW(FaultPlan::parse("delay=0.5"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("warp=0.5"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("seed=x"), std::invalid_argument);

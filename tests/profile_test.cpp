@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -252,6 +253,43 @@ TEST(Slo, SpecParsesDeclaredObjectivesAndRejectsJunk) {
   EXPECT_THROW((void)obs::SloSpec::parse("p99_us"), std::invalid_argument);
   EXPECT_THROW((void)obs::SloSpec::parse("window=0"), std::invalid_argument);
   EXPECT_THROW((void)obs::SloSpec::parse("degraded=-1"), std::invalid_argument);
+}
+
+/// The message SloSpec::parse throws for `spec` ("" if it parses).
+std::string slo_error(const std::string& spec) {
+  try {
+    (void)obs::SloSpec::parse(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Values parse whole or not at all: no NaN, infinity or fraction
+// reaches a cast to an integer, and no window allocates past the cap.
+TEST(Slo, SpecRefusesValuesNoCastCanHold) {
+  for (const char* bound : {"nan", "inf", "-inf", "1e400", "5000x", " 5000", "-1"}) {
+    EXPECT_NE(slo_error(std::string("p99_us=") + bound).find("'p99_us' needs"),
+              std::string::npos)
+        << bound;
+  }
+  for (const char* key : {"staleness", "degraded", "audit", "window"}) {
+    for (const char* count : {"nan", "inf", "1e30", "0.5", "2.0", "+3", "-1",
+                              "9223372036854775808", "18446744073709551616"}) {
+      const auto what = slo_error(std::string(key) + "=" + count);
+      EXPECT_NE(what.find("'" + std::string(key) + "' needs a whole number"),
+                std::string::npos)
+          << key << "=" << count << ": " << what;
+    }
+  }
+  EXPECT_EQ(obs::SloSpec::parse("staleness=9223372036854775807").staleness,
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(obs::SloSpec::parse("p99_us=0.5").p99_us, 0.5);
+  // The window is capped, so its ring's up-front allocation is bounded.
+  EXPECT_EQ(obs::SloSpec::parse("window=1048576").window, obs::kMaxSloWindow);
+  EXPECT_NE(slo_error("window=1048577").find("'window' needs a whole number in [1, 1048576]"),
+            std::string::npos);
+  EXPECT_NE(slo_error("window=0").find("'window'"), std::string::npos);
 }
 
 TEST(Slo, DegradedObjectiveAlertsAndBreachIsSticky) {

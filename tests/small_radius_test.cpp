@@ -3,8 +3,11 @@
 // sublinearity of the probing cost.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <sstream>
+#include <vector>
 
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
@@ -281,6 +284,54 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SmallRadiusSchedule,
                                            ScheduleCase{256, 256, 0.25, 8},
                                            ScheduleCase{256, 1024, 0.5, 3},
                                            ScheduleCase{256, 512, 0.5, 1}));
+
+// Shapes where Select has a choice to make. Four planted communities,
+// each a fifth of the players, give most parts four popular vectors
+// (the quorum is ceil(0.2 * 256 / 5) = 11 voters), and with D >= 2 a
+// Select probes several coordinates before it decides. The first shape's
+// parts hold about 85 objects (two words), the second's about 16 (one
+// word), the third's about 93. Every shape is all-leaf (the threshold is
+// 555 at alpha 0.2), so the unrecorded runs take the passes and their
+// Select memo.
+class SmallRadiusScheduleChoices : public ::testing::TestWithParam<ScheduleCase> {};
+
+TEST_P(SmallRadiusScheduleChoices, MatchesThePerPartRun) {
+  ASSERT_TRUE(kPoolSized);
+  const auto c = GetParam();
+  rng::Rng gen(c.n * 37 + c.D);
+  const auto inst = matrix::planted_communities(c.n, c.m, std::vector<matrix::CommunitySpec>(
+                                                              4, {c.alpha, 1}),
+                                                gen);
+  const auto reference = run_sr(inst, c, true);
+  EXPECT_FALSE(reference.order_free);
+  // The vote of some part leaves at least three candidates...
+  const auto quorum = static_cast<std::uint32_t>(
+      std::ceil(c.alpha * static_cast<double>(c.n) / Params::practical().sr_vote_div));
+  std::size_t most = 0;
+  for (const auto& dump : reference.posts) {
+    std::vector<bits::BitVector> rows;
+    for (const auto& post : dump.posts) rows.push_back(post.second);
+    most = std::max(most, billboard::tally(rows, quorum).size());
+  }
+  EXPECT_GE(most, 3u);
+  // ...and some Select probes more than one coordinate.
+  EXPECT_GT(reference.metrics.counter("core.select.probes"),
+            reference.metrics.counter("core.select.calls"));
+  for (int rep = 0; rep < 2; ++rep) {
+    const auto run = run_sr(inst, c, false);
+    EXPECT_TRUE(run.order_free);
+    expect_same_run(run, reference);
+  }
+  const auto sticky = billboard::NoiseModel::sticky(0.05, 9);
+  const auto sticky_run = run_sr(inst, c, false, sticky);
+  EXPECT_TRUE(sticky_run.order_free);
+  expect_same_run(sticky_run, run_sr(inst, c, true, sticky));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SmallRadiusScheduleChoices,
+                         ::testing::Values(ScheduleCase{256, 512, 0.2, 2},
+                                           ScheduleCase{256, 256, 0.2, 4},
+                                           ScheduleCase{256, 1024, 0.2, 3}));
 
 // Under fresh noise a read depends on the player's invocation index, so
 // a batched run would read different noise: the unrecorded run keeps

@@ -36,9 +36,10 @@
 #              tasks, and unrecorded small --d=2/--d=8 runs, whose
 #              iterations run as three pool passes, at --threads 1, 2
 #              and 4, requiring byte-identical estimates, reports,
-#              metrics, profiles and checkpoints; a recorded small run
-#              (the per-part schedule) must match their estimates and
-#              metrics
+#              metrics, profiles and checkpoints; a recorded copy of
+#              each run at --threads 4 (serial groups, the per-part
+#              schedule) must match their estimates, metrics and
+#              profiles
 #   thread-safety opt-in: the static concurrency gate — tmwia_lint.py
 #              --self-test, then the full lint with a jq check that the
 #              concurrency rules (naked-mutex, manual-lock,
@@ -293,17 +294,19 @@ if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
         echo "-- $name --threads=$t: every artifact matches --threads=1"
       fi
     done
-    if [[ $algo == small ]]; then
-      # The recorded run takes the per-part schedule: the two schedules
-      # must give the same estimates and counters.
-      run="$PAR_DIR/$name.rec"
-      "$CLI" run --in="$PAR_DIR/groups.tmw" --algo=small --alpha=0.25 --seed=5 \
-        --threads=4 "${extra[@]}" --record="$run.jsonl" --out="$run.txt" \
-        --metrics="$run.metrics.json" >/dev/null
-      cmp "$PAR_DIR/$name.t4.txt" "$run.txt"
-      cmp "$PAR_DIR/$name.t4.metrics.json" "$run.metrics.json"
-      echo "-- $name --record: estimates and metrics match the unrecorded run"
+    # The recorded run keeps the groups serial and every Small Radius
+    # iteration on the per-part schedule, where each player runs its own
+    # Selects: the schedules must give the same estimates, counters and
+    # cost-attribution tree.
+    run="$PAR_DIR/$name.rec"
+    if [[ $algo == unknown_d ]]; then
+      extra=(--checkpoint="$run.ckpt" --checkpoint-every=2000)
     fi
+    "$CLI" run --in="$PAR_DIR/groups.tmw" --algo="$algo" --alpha=0.25 --seed=5 \
+      --threads=4 "${extra[@]}" --record="$run.jsonl" --out="$run.txt" \
+      --metrics="$run.metrics.json" --prof="$run.prof.json" >/dev/null
+    for f in txt metrics.json prof.json; do cmp "$PAR_DIR/$name.t4.$f" "$run.$f"; done
+    echo "-- $name --record: estimates, metrics and profile match the unrecorded run"
   done
   rm -rf "$PAR_DIR"
 fi
