@@ -2,7 +2,7 @@
 // E18 — observability overhead gate for the serving path.
 //
 // Runs the same foreground serve workload twice per trial — telemetry
-// OFF (no exporter, profiler disabled) and telemetry ON (profiler +
+// OFF (no exporter, no profiler) and telemetry ON (profiler +
 // TelemetryExporter + SLO watchdog, the full `tmwia_cli serve
 // --telemetry --slo` stack) — and gates the relative slowdown:
 //
@@ -72,11 +72,14 @@ struct ArmResult {
 };
 
 // One arm: fresh service + tenants, foreground refinement, then the
-// timed request loop. `telemetry` is null for the OFF arm.
-ArmResult run_arm(const WorkloadConfig& w, obs::TelemetryExporter* telemetry) {
+// timed request loop. `telemetry` and `profiler` are null for the OFF
+// arm.
+ArmResult run_arm(const WorkloadConfig& w, obs::TelemetryExporter* telemetry,
+                  obs::Profiler* profiler) {
   const auto start = std::chrono::steady_clock::now();
   serve::RecommendationService service;
   service.set_telemetry(telemetry);
+  service.set_profiler(profiler);
   for (std::size_t t = 0; t < w.tenants; ++t) {
     serve::TenantConfig cfg;
     cfg.name = "t" + std::to_string(t);
@@ -139,21 +142,21 @@ int main(int argc, char** argv) {
   // exporter + watchdog on top.
   obs::MetricsRegistry::global().set_enabled(true);
 
-  // Warmup (untimed): a small ON arm interns every dynamic profile
-  // zone and grows the exporter's buffers once, off the clock.
+  // The ON arms' profiler. Warmup (untimed): a small ON arm interns
+  // every dynamic profile zone and grows the exporter's buffers once,
+  // off the clock.
+  obs::Profiler profiler;
   {
-    obs::Profiler::global().set_enabled(true);
     obs::SloWatchdog warm_watchdog(obs::SloSpec::parse("degraded=0,window=256"));
     obs::TelemetryConfig warm_cfg;
     warm_cfg.path = stream_path;
     warm_cfg.every = every;
-    obs::TelemetryExporter warm_exporter(warm_cfg, obs::MetricsRegistry::global(),
-                                         &obs::Profiler::global(), &warm_watchdog);
+    obs::TelemetryExporter warm_exporter(warm_cfg, obs::MetricsRegistry::global(), &profiler,
+                                         &warm_watchdog);
     WorkloadConfig warm = w;
     warm.requests = w.requests / 4;
     warm.epochs = 1;
-    (void)run_arm(warm, &warm_exporter);
-    obs::Profiler::global().set_enabled(false);
+    (void)run_arm(warm, &warm_exporter, &profiler);
   }
 
   double min_off = 0.0;
@@ -165,13 +168,11 @@ int main(int argc, char** argv) {
   std::uint64_t alerts = 0;
   for (std::size_t trial = 0; trial < trials; ++trial) {
     // OFF arm.
-    obs::Profiler::global().set_enabled(false);
-    const ArmResult off = run_arm(w, nullptr);
+    const ArmResult off = run_arm(w, nullptr, nullptr);
     failed += off.failed;
 
     // ON arm: full serve observability stack, fresh stream each trial.
-    obs::Profiler::global().reset();
-    obs::Profiler::global().set_enabled(true);
+    profiler.reset();
     obs::SloWatchdog watchdog(
         obs::SloSpec::parse("p99_us=60000000,staleness=64,degraded=0,window=256"));
     obs::TelemetryConfig tcfg;
@@ -179,15 +180,14 @@ int main(int argc, char** argv) {
     tcfg.every = every;
     ArmResult on;
     {
-      obs::TelemetryExporter exporter(tcfg, obs::MetricsRegistry::global(),
-                                      &obs::Profiler::global(), &watchdog);
-      on = run_arm(w, &exporter);
+      obs::TelemetryExporter exporter(tcfg, obs::MetricsRegistry::global(), &profiler,
+                                      &watchdog);
+      on = run_arm(w, &exporter, &profiler);
       exporter.finish();
       on.records = exporter.records_written();
       on.ticks = exporter.ticks();
       on.alerts = exporter.alerts_written();
     }
-    obs::Profiler::global().set_enabled(false);
     failed += on.failed;
     records = on.records;  // per-trial stream; keep the last
     ticks = on.ticks;

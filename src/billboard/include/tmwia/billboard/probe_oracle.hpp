@@ -86,15 +86,13 @@ class ProbeOracle {
   void set_recorder(obs::FlightRecorder* recorder) { recorder_ = recorder; }
   [[nodiscard]] obs::FlightRecorder* recorder() const { return recorder_; }
 
-#if TMWIA_AUDIT
   /// Attach a ProtocolAuditor: probes, result reads and (through the
   /// RoundScheduler) posts are reported to it so the paper's billboard
   /// model can be checked at runtime. Attach before the first probe so
   /// the cost ledgers line up. The auditor must outlive the oracle's
-  /// use; nullptr detaches. Compiled out when TMWIA_AUDIT is 0.
+  /// use; nullptr detaches.
   void set_auditor(ProtocolAuditor* auditor) { auditor_ = auditor; }
   [[nodiscard]] ProtocolAuditor* auditor() const { return auditor_; }
-#endif
 
   /// Player p probes object o: returns v(p)[o], charges cost, records
   /// the result on the probe record (billboard side). With a fault
@@ -106,11 +104,7 @@ class ProbeOracle {
   /// system, and out-of-line it costs more in call overhead than in
   /// work.
   bool probe(PlayerId p, ObjectId o) {
-    bool fast = injector_ == nullptr;
-#if TMWIA_AUDIT
-    fast = fast && auditor_ == nullptr;
-#endif
-    if (!fast) return probe_slow(p, o);
+    if (injector_ != nullptr || auditor_ != nullptr) return probe_slow(p, o);
     // A fork's non-members have zero-width rows, so this one test also
     // rejects them.
     if (p >= players() || o >= probed_[p].size()) reject_probe(p, o, "probe");
@@ -134,11 +128,7 @@ class ProbeOracle {
   /// the Zero Radius leaf's probe path: every player reads its full
   /// object subset, tens of millions of bits per run.
   void probe_block(PlayerId p, std::span<const ObjectId> objs, bits::BitVector& out) {
-    bool fast = injector_ == nullptr;
-#if TMWIA_AUDIT
-    fast = fast && auditor_ == nullptr;
-#endif
-    if (!fast) {
+    if (injector_ != nullptr || auditor_ != nullptr) {
       for (std::size_t j = 0; j < objs.size(); ++j) out.set(j, probe_resilient(p, objs[j]));
       return;
     }
@@ -348,9 +338,7 @@ class ProbeOracle {
   NoiseModel noise_;
   faults::FaultInjector* injector_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
-#if TMWIA_AUDIT
   ProtocolAuditor* auditor_ = nullptr;
-#endif
   std::vector<std::atomic<std::uint64_t>> invocations_;
   std::vector<std::atomic<std::uint64_t>> charged_;
   // Per-player record of which objects were probed and the posted

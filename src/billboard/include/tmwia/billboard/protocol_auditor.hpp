@@ -20,10 +20,9 @@
 //      counters and against RunReport totals.
 //
 // Violations are recorded (never thrown) in a structured AuditReport;
-// tests assert report.clean(). Hooks in ProbeOracle/RoundScheduler are
-// compiled out entirely when TMWIA_AUDIT is 0 (CMake -DTMWIA_AUDIT=OFF)
-// so release builds pay nothing; with hooks compiled in but no auditor
-// attached the cost is one pointer test per probe.
+// tests assert report.clean(). The hooks in ProbeOracle/RoundScheduler
+// are always compiled in; with no auditor attached their cost is one
+// pointer test per probe.
 //
 // Thread safety: the A4 ledger has several writers per player — the
 // forks of concurrent Large Radius groups share the auditor, and one

@@ -7,19 +7,6 @@
 #include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/obs/metrics.hpp"
 
-// Audit hooks compile to nothing when TMWIA_AUDIT is 0; with hooks
-// compiled in but no auditor attached the cost is one pointer test.
-#if TMWIA_AUDIT
-#define TMWIA_AUDIT_HOOK(call)                      \
-  do {                                              \
-    if (auditor_ != nullptr) auditor_->call;        \
-  } while (0)
-#else
-#define TMWIA_AUDIT_HOOK(call) \
-  do {                         \
-  } while (0)
-#endif
-
 namespace tmwia::billboard {
 namespace {
 
@@ -61,9 +48,7 @@ ProbeOracle::ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> me
                          std::uint32_t order)
     : truth_(parent.truth_),
       noise_(parent.noise_),
-#if TMWIA_AUDIT
       auditor_(parent.auditor_),
-#endif
       invocations_(parent.players()),
       charged_(parent.players()),
       probed_(parent.players()),
@@ -134,7 +119,7 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
         // The probe was sent and the round spent; only the result is
         // lost, so the retry shows up in the invocation accounting.
         const auto failed_inv = bump(invocations_[p]);
-        TMWIA_AUDIT_HOOK(on_probe_attempt(p));
+        if (auditor_ != nullptr) auditor_->on_probe_attempt(p);
         oracle_metrics().failures.inc();
         if (recorder_ != nullptr) recorder_->probe_failed(p, o, failed_inv);
         throw faults::ProbeFailedError(p, o);
@@ -144,14 +129,14 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
     }
   }
   const auto inv = bump(invocations_[p]);
-  TMWIA_AUDIT_HOOK(on_probe_attempt(p));
+  if (auditor_ != nullptr) auditor_->on_probe_attempt(p);
   if (!probed_[p].get(o)) {
     bump(charged_[p]);
     probed_[p].set(o, true);
   }
   const bool value = noisy_read(p, o, inv);
   values_[p].set(o, value);
-  TMWIA_AUDIT_HOOK(on_probe(p, o));
+  if (auditor_ != nullptr) auditor_->on_probe(p, o);
   if (recorder_ != nullptr) recorder_->probe(p, o, value, inv);
   return value;
 }
@@ -194,7 +179,7 @@ bool ProbeOracle::probed_value(PlayerId p, ObjectId o) const {
   if (!probed_[p].get(o)) {
     throw std::logic_error("ProbeOracle::probed_value: entry was never probed");
   }
-  TMWIA_AUDIT_HOOK(on_read(p, o));
+  if (auditor_ != nullptr) auditor_->on_read(p, o);
   return values_[p].get(o);
 }
 

@@ -45,9 +45,7 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
   }
 
   auto* injector = oracle_->fault_injector();
-#if TMWIA_AUDIT
   auto* auditor = oracle_->auditor();
-#endif
   const auto& metrics = scheduler_metrics();
   // The board this scheduler owns logs its vector posts to the same
   // recorder as the oracle it drives.
@@ -83,11 +81,9 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
   const std::size_t start = start_round_;
   std::size_t round = start;
   for (; round < start + max_rounds; ++round) {
-#if TMWIA_AUDIT
     // The auditor's round clock brackets everything players do this
     // round (probes, billboard reads, result posts).
     if (auditor != nullptr) auditor->begin_round(round);
-#endif
     if (rec != nullptr) rec->round_begin(round);
     if (injector != nullptr) {
       injector->begin_round(round);
@@ -198,9 +194,7 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
 
     if (!any_active) {
       res.rounds = round - start;
-#if TMWIA_AUDIT
       if (auditor != nullptr) auditor->end_round();
-#endif
       if (rec != nullptr) rec->round_end(round, 0, 0);
       ++round;  // this round was touched (auditor/recorder brackets ran)
       break;
@@ -212,9 +206,7 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
 
     for (const auto& [p, o] : this_round) {
       posted_[p].set(o, true);
-#if TMWIA_AUDIT
       if (auditor != nullptr) auditor->on_post(p, o);
-#endif
       if (rec != nullptr) {
         rec->post(round, static_cast<std::uint32_t>(p), static_cast<std::uint32_t>(o));
       }
@@ -222,9 +214,7 @@ ScheduleResult RoundScheduler::run(std::vector<std::unique_ptr<PlayerStrategy>>&
     for (auto& [p, post] : vector_posts) {
       board_.post(post.channel, p, post.vec);
     }
-#if TMWIA_AUDIT
     if (auditor != nullptr) auditor->end_round();
-#endif
     if (rec != nullptr) rec->round_end(round, active_players, this_round.size());
   }
 

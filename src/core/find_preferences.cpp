@@ -11,6 +11,7 @@
 #include "tmwia/core/large_radius.hpp"
 #include "tmwia/core/rselect.hpp"
 #include "tmwia/core/small_radius.hpp"
+#include "tmwia/core/zero_radius.hpp"
 #include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/profile.hpp"
@@ -43,8 +44,6 @@ const char* branch_name(Branch b) {
 /// Called at the serial tail of every top-level entry point, so gauge
 /// values (and hence snapshots) do not depend on thread interleaving.
 void finalize_report(RunReport& res, const billboard::ProbeOracle& oracle) {
-  auto& prof = obs::Profiler::global();
-  if (prof.enabled()) res.profile_json = prof.report().to_json(prof.wall_sampling());
   auto& reg = obs::MetricsRegistry::global();
   if (!reg.enabled()) return;
   reg.set_gauge("oracle.total_invocations",
@@ -100,15 +99,7 @@ void rescue_orphans(billboard::ProbeOracle& oracle, std::vector<bits::BitVector>
 
   // Candidate pool: the most-supported surviving outputs (ties broken
   // lexicographically), capped like node-level orphan adoption.
-  auto voted = billboard::tally(surviving, 1);
-  std::sort(voted.begin(), voted.end(), [](const auto& a, const auto& b) {
-    if (a.votes != b.votes) return a.votes > b.votes;
-    return a.vec.lex_compare(b.vec) < 0;
-  });
-  if (voted.size() > params.ft_orphan_candidates) voted.resize(params.ft_orphan_candidates);
-  std::vector<bits::BitVector> candidates;
-  candidates.reserve(voted.size() + 1);
-  for (auto& vv : voted) candidates.push_back(std::move(vv.vec));
+  const auto candidates = detail::top_vectors(surviving, params.ft_orphan_candidates);
 
   engine::parallel_for(0, orphans.size(), [&](std::size_t k) {
     const std::size_t i = orphans[k];

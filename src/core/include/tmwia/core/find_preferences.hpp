@@ -103,9 +103,11 @@ struct RunReport {
   /// engine::Supervisor degraded the run instead of aborting it).
   DegradedInfo degraded;
 
-  /// Cost-attribution tree (obs::ProfileReport::to_json) captured at
-  /// the end of the run when the global Profiler is enabled; empty
-  /// otherwise. Pre-rendered JSON, spliced verbatim into to_json().
+  /// Cost-attribution tree (obs::ProfileReport::to_json). The library
+  /// leaves it empty: the caller that profiled the run renders its own
+  /// obs::Profiler once the call has returned and every zone is closed
+  /// (tmwia_cli sets it from the same tree as --prof). Pre-rendered
+  /// JSON, spliced verbatim into to_json().
   std::string profile_json;
   /// SLO verdict (obs::SloReport::to_json) when a serve session ran
   /// under a watchdog; empty otherwise.

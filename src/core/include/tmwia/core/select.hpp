@@ -91,7 +91,8 @@ SelectResult select_closest(const std::vector<bits::BitVector>& candidates, std:
 /// select_closest without its accounting: the same decision and the
 /// same probe sequence, charged to nothing. Small Radius runs it once
 /// per distinct leaf row, probing the row's own bits, and charges each
-/// player that replays the row's probes with charge_select.
+/// player that replays the row's probes with charge_select; Zero
+/// Radius adoption runs it with D = 0 (select_zero), uncharged.
 SelectResult select_uncharged(const std::vector<bits::BitVector>& candidates, std::size_t D,
                               const ProbeFn& probe);
 

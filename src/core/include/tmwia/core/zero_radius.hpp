@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -52,6 +51,7 @@
 
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/core/params.hpp"
+#include "tmwia/core/select.hpp"
 #include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/ids.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
@@ -265,8 +265,8 @@ obs::FlightRecorder* space_recorder(Space& space) {
 
 /// The winner of Select with distance bound 0: an alive candidate
 /// first, then fewest mismatches, then the lexicographically smallest
-/// row. select_zero below and the per-player ZeroRadiusStrategy both
-/// decide with it.
+/// row. select_zero's generic-row scan below and the per-player
+/// ZeroRadiusStrategy both decide with it.
 template <typename Row>
 std::size_t select_zero_winner(const std::vector<Row>& cands, const std::vector<bool>& alive,
                                const std::vector<std::size_t>& mismatches) {
@@ -283,72 +283,34 @@ std::size_t select_zero_winner(const std::vector<Row>& cands, const std::vector<
   return best;
 }
 
-/// Select with distance bound 0 over generic value-rows: probe
-/// distinguishing positions in order, drop candidates on their first
-/// mismatch. Returns the winner's index (select_zero_winner). The
-/// packed variant aggregates alive
-/// candidates into word-parallel any0/any1 masks whose AND marks every
-/// distinguishing coordinate at once — the probe sequence is identical
-/// to the per-coordinate scan it replaces.
+/// Select with distance bound 0: probe distinguishing positions in
+/// ascending order, drop candidates on their first mismatch, and return
+/// the winner's index (select_zero_winner). Packed rows run Select
+/// itself with bound 0, uncharged: adoption is not a Select call in the
+/// metrics, and the space charges its probes. Alive means no mismatch,
+/// so Select's "fewest disagreements, then lexicographic" winner is
+/// select_zero_winner's. Generic value-rows scan coordinate by
+/// coordinate.
 template <typename Space, typename Row>
 std::size_t select_zero(Space& space, PlayerId p, const std::vector<Row>& cands,
                         std::span<const std::uint32_t> object_ids) {
-  const std::size_t k = cands.size();
-  if (k == 1) return 0;
-  // Per-thread scratch: this runs once per adopter per recursion node
-  // (millions of calls), and BitSpace probes never re-enter it.
-  thread_local std::vector<bool> alive;
-  thread_local std::vector<std::size_t> mismatches;
-  alive.assign(k, true);
-  mismatches.assign(k, 0);
-  std::size_t alive_count = k;
-
   if constexpr (RowTraits<Space>::packed) {
-    const std::size_t m = object_ids.size();
-    const std::size_t nw = cands[0].words().size();
-    thread_local std::vector<std::uint64_t> any0;
-    thread_local std::vector<std::uint64_t> any1;
-    any0.resize(nw);
-    any1.resize(nw);
-    const auto rebuild = [&] {
-      std::fill(any0.begin(), any0.end(), 0);
-      std::fill(any1.begin(), any1.end(), 0);
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!alive[i]) continue;
-        const auto words = cands[i].words();
-        for (std::size_t w = 0; w < nw; ++w) {
-          any0[w] |= ~words[w];
-          any1[w] |= words[w];
-        }
-      }
-      const std::size_t rem = m % 64;
-      if (rem != 0 && nw > 0) any0[nw - 1] &= (std::uint64_t{1} << rem) - 1;
-    };
-    rebuild();
-    for (std::size_t w = 0; w < nw && alive_count > 1; ++w) {
-      std::uint64_t dmask = any0[w] & any1[w];
-      while (dmask != 0 && alive_count > 1) {
-        const int bit_pos = std::countr_zero(dmask);
-        const std::size_t j = w * 64 + static_cast<std::size_t>(bit_pos);
-        const bool bit = space.probe(p, object_ids[j]) != typename Space::Value{0};
-        const std::uint64_t jbit = std::uint64_t{1} << bit_pos;
-        for (std::size_t i = 0; i < k; ++i) {
-          if (!alive[i]) continue;
-          if (((cands[i].words()[w] & jbit) != 0) != bit) {
-            ++mismatches[i];
-            alive[i] = false;
-            --alive_count;
-          }
-        }
-        // A probe at a distinguishing coordinate always eliminates
-        // someone, so refresh the masks before the next coordinate.
-        const std::uint64_t done =
-            bit_pos == 63 ? ~std::uint64_t{0} : ((jbit << 1) - 1);
-        rebuild();
-        dmask = any0[w] & any1[w] & ~done;
-      }
-    }
+    return select_uncharged(cands, 0,
+                            [&](std::uint32_t j) {
+                              return space.probe(p, object_ids[j]) !=
+                                     typename Space::Value{0};
+                            })
+        .index;
   } else {
+    const std::size_t k = cands.size();
+    if (k == 1) return 0;
+    // Per-thread scratch: this runs once per adopter per recursion node
+    // (millions of calls), and probes never re-enter it.
+    thread_local std::vector<bool> alive;
+    thread_local std::vector<std::size_t> mismatches;
+    alive.assign(k, true);
+    mismatches.assign(k, 0);
+    std::size_t alive_count = k;
     for (std::size_t j = 0; j < object_ids.size() && alive_count > 1; ++j) {
       bool differs = false;
       std::size_t first_alive = k;
@@ -370,9 +332,8 @@ std::size_t select_zero(Space& space, PlayerId p, const std::vector<Row>& cands,
         }
       }
     }
+    return select_zero_winner(cands, alive, mismatches);
   }
-
-  return select_zero_winner(cands, alive, mismatches);
 }
 
 /// Sort row pointers lexicographically and visit each run of equal

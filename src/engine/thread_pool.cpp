@@ -38,10 +38,10 @@ struct ThreadPool::Job {
   const std::size_t grain;
   const std::size_t chunks;
   const std::function<void(std::size_t)>* const body;
-  // Ambient profile zone: costs deposited inside parallelized player
-  // loops attribute to the phase that spawned them, not to an
-  // anonymous worker root.
-  const obs::Profiler::ZoneId zone = obs::Profiler::current_zone();
+  // The caller's (profiler, zone): costs deposited inside parallelized
+  // player loops attribute to the phase that spawned them, in the
+  // caller's profiler, not to an anonymous worker root.
+  const obs::Profiler::Current profile = obs::Profiler::current();
   /// The next unclaimed chunk. Claims only need distinct indexes: the
   /// chunks' results reach the caller through `mu` below.
   std::atomic<std::size_t> next{0};
@@ -59,7 +59,7 @@ struct ThreadPool::Job {
   /// joined worker run this). A throwing chunk records the job's first
   /// error and exhausts the cursor, so no further chunk starts.
   void run_chunks() {
-    const obs::Profiler::ZoneId prev_zone = obs::Profiler::swap_current_zone(zone);
+    const obs::Profiler::Current prev_profile = obs::Profiler::swap_current(profile);
     const bool was_inside = std::exchange(t_inside_chunk, true);
     for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed); c < chunks;
          c = next.fetch_add(1, std::memory_order_relaxed)) {
@@ -74,7 +74,7 @@ struct ThreadPool::Job {
       }
     }
     t_inside_chunk = was_inside;
-    obs::Profiler::swap_current_zone(prev_zone);
+    obs::Profiler::swap_current(prev_profile);
   }
 };
 

@@ -23,7 +23,8 @@ namespace tmwia::io {
 // --- preference matrices -------------------------------------------------
 
 void save_matrix_text(const matrix::PreferenceMatrix& m, std::ostream& os);
-/// Rejects more than 2^32-1 players (player ids are 32-bit).
+/// Rejects a header with 0 players or 0 objects, and more than 2^32-1
+/// players (player ids are 32-bit).
 matrix::PreferenceMatrix load_matrix_text(std::istream& is);
 
 // --- generated instances (matrix + community structure) ------------------

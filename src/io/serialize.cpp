@@ -47,6 +47,8 @@ matrix::PreferenceMatrix load_matrix_text(std::istream& is) {
   std::istringstream dims(read_line(is, "dimensions"));
   std::size_t n = 0, m = 0;
   if (!(dims >> n >> m)) throw std::runtime_error("serialize: bad dimensions");
+  if (n == 0) throw std::runtime_error("serialize: matrix has 0 players");
+  if (m == 0) throw std::runtime_error("serialize: matrix has 0 objects");
   if (n > std::numeric_limits<matrix::PlayerId>::max()) {
     throw std::runtime_error("serialize: more players than 32-bit player ids address");
   }

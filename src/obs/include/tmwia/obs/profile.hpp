@@ -1,10 +1,20 @@
 // Deterministic cost-attribution profiler.
 //
 // A ProfileZone marks a scoped phase ("find_preferences", "select",
-// "tenant:alpha"); zones nest into a tree via a thread-local current
-// zone, and every logical cost deposited while a zone is current —
-// probes charged, kernel bytes scanned, billboard rank queries, lock
-// acquisitions, scheduler rounds — lands on that zone's node.
+// "tenant:alpha"); zones nest into a tree, and every logical cost
+// deposited while a zone is current — probes charged, kernel bytes
+// scanned, billboard rank queries, lock acquisitions, scheduler rounds
+// — lands on that zone's node.
+//
+// Ownership: there is no process-wide profiler. A caller that wants a
+// profile constructs a Profiler, makes it current on its thread for
+// the run (ProfileScope, or a ProfileZone handed the profiler) and
+// renders report() once the run is over. A thread's place in a profile
+// is one (profiler, zone) pair, Profiler::Current: the library's zones
+// open children in the thread's profiler and profile_cost deposits on
+// the thread's zone; on a thread with no profiler both do nothing.
+// Because the pair names its profiler, a cost can never land on a
+// same-numbered zone of some other profiler.
 //
 // Determinism contract (the reason this exists next to wall-clock
 // profilers): all *logical* costs are pure functions of the workload,
@@ -23,16 +33,14 @@
 // ProfileReport::to_json() omits them unless asked — determinism
 // checks diff the default export.
 //
-// Cross-thread attribution: engine::parallel_for propagates the
-// caller's current zone to pool workers (swap_current_zone), so costs
-// from parallelized player loops attribute to the phase that spawned
-// them, not to an anonymous worker root.
+// Cross-thread attribution: engine::parallel_for hands the caller's
+// pair to pool workers (swap_current), so costs from parallelized
+// player loops attribute to the phase that spawned them, in the
+// caller's profiler.
 //
-// The global() profiler starts DISABLED; a disabled profiler's
-// deposit path is one relaxed load. Profiler state is process-local
-// and NOT checkpointed: a resumed run's tree covers the resumed
-// session only (metrics, by contrast, are spliced via
-// MetricsRegistry::restore).
+// Profiler state is process-local and NOT checkpointed: a resumed
+// run's tree covers the resumed session only (metrics, by contrast,
+// are spliced via MetricsRegistry::restore).
 #pragma once
 
 #include <array>
@@ -102,14 +110,18 @@ class Profiler {
   using ZoneId = std::uint32_t;
   static constexpr ZoneId kRoot = 0;
 
-  explicit Profiler(bool enabled = true);
+  /// A thread's place in a profile: the profiler its costs go to and
+  /// the zone current there. A null profiler records nothing.
+  struct Current {
+    Profiler* prof = nullptr;
+    ZoneId zone = kRoot;
+  };
+
+  Profiler();
   ~Profiler();
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
-
-  [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   /// Opt-in wall-time sampling: every ProfileZone also deposits its
   /// elapsed microseconds (Cost::kWallUs). Off by default — wall costs
@@ -123,9 +135,8 @@ class Profiler {
   ZoneId intern(ZoneId parent, std::string_view name) TMWIA_EXCLUDES(mu_);
 
   /// Deposit `v` of axis `c` on `zone` (owner-write shard; no
-  /// cross-thread contention). No-op while disabled.
+  /// cross-thread contention).
   void add(ZoneId zone, Cost c, std::uint64_t v) {
-    if (!enabled()) return;
     shards_.add(zone * kCostCount + static_cast<std::size_t>(c), v);
   }
 
@@ -137,18 +148,14 @@ class Profiler {
   /// at quiescent points only.
   void reset() TMWIA_EXCLUDES(mu_);
 
-  /// The calling thread's current zone (kRoot when none is open).
-  [[nodiscard]] static ZoneId current_zone();
+  /// The calling thread's profiler and zone ({nullptr, kRoot} on a
+  /// thread with no profiler).
+  [[nodiscard]] static Current current();
 
-  /// Install `zone` as the calling thread's current zone, returning
-  /// the previous one. Used by ProfileZone and by parallel_for's
-  /// ambient-zone propagation onto pool workers; always restore.
-  static ZoneId swap_current_zone(ZoneId zone);
-
-  /// Process-global profiler used by the library's built-in zones.
-  /// Starts DISABLED; sinks (tmwia_cli --prof=/--flame=, serve
-  /// telemetry) enable it.
-  static Profiler& global();
+  /// Install `next` as the calling thread's pair, returning the
+  /// previous one. Used by ProfileScope, ProfileZone and parallel_for's
+  /// hand-off onto pool workers; always restore.
+  static Current swap_current(Current next);
 
   /// Shards attached so far: one per thread that ever deposited.
   [[nodiscard]] std::size_t shard_count() const { return shards_.shard_count(); }
@@ -159,7 +166,6 @@ class Profiler {
     ZoneId parent = kRoot;
   };
 
-  std::atomic<bool> enabled_;
   std::atomic<bool> wall_{false};
   ShardSet shards_;  ///< slot zone * kCostCount + cost (synchronizes itself)
   /// Guards profiler *structure* (the zone table).
@@ -168,19 +174,43 @@ class Profiler {
   std::map<std::pair<ZoneId, std::string>, ZoneId, std::less<>> ids_ TMWIA_GUARDED_BY(mu_);
 };
 
-/// RAII scope marking `name` as the current zone on this thread.
-/// Deposits Cost::kCalls 1 on exit (plus kWallUs when the profiler
-/// samples wall time). The name-interning constructor takes the zone
-/// lock once per *new* (parent, name) pair and a map lookup otherwise;
-/// hot paths (serve requests) should pre-intern and use the ZoneId
-/// constructor, which touches no lock at all.
+/// RAII scope making `prof` the calling thread's profiler, at its
+/// root. It deposits nothing, so costs made outside any zone land on
+/// the root. A null profiler, or the one the thread already has,
+/// leaves the thread as it is.
+class ProfileScope {
+ public:
+  explicit ProfileScope(Profiler* prof);
+  ~ProfileScope();
+
+  ProfileScope(const ProfileScope&) = delete;
+  ProfileScope& operator=(const ProfileScope&) = delete;
+
+ private:
+  Profiler::Current saved_;  ///< the thread's pair at entry
+};
+
+/// RAII scope marking a zone current on this thread. Deposits
+/// Cost::kCalls 1 on exit (plus kWallUs when the profiler samples wall
+/// time). The name-interning constructors take the zone lock once per
+/// *new* (parent, name) pair and a map lookup otherwise; hot paths
+/// (serve requests) should pre-intern and use the ZoneId constructor,
+/// which touches no lock at all.
 class ProfileZone {
  public:
-  /// Open the child zone `name` under the thread's current zone.
-  explicit ProfileZone(std::string_view name, Profiler& prof = Profiler::global());
+  /// Open the child zone `name` under the thread's current zone, in
+  /// the thread's profiler. No-op on a thread with no profiler.
+  explicit ProfileZone(std::string_view name);
 
-  /// Open a pre-interned zone (lock-free fast path).
-  explicit ProfileZone(Profiler::ZoneId zone, Profiler& prof = Profiler::global());
+  /// Open `name` in `prof`, which becomes the thread's profiler for
+  /// the scope: under the current zone when `prof` already is the
+  /// thread's profiler, else under its root. No-op when `prof` is null.
+  ProfileZone(std::string_view name, Profiler* prof);
+
+  /// Open `prof`'s pre-interned `zone` (lock-free fast path), making
+  /// `prof` the thread's profiler for the scope. No-op when `prof` is
+  /// null.
+  ProfileZone(Profiler::ZoneId zone, Profiler* prof);
 
   ~ProfileZone();
 
@@ -188,24 +218,28 @@ class ProfileZone {
   ProfileZone& operator=(const ProfileZone&) = delete;
 
   /// Deposit on this zone explicitly (normally profile_cost suffices).
-  void add(Cost c, std::uint64_t v) const { prof_.add(zone_, c, v); }
+  void add(Cost c, std::uint64_t v) const {
+    if (prof_ != nullptr) prof_->add(zone_, c, v);
+  }
 
+  /// The zone's id in its profiler (kRoot for a no-op zone).
   [[nodiscard]] Profiler::ZoneId id() const { return zone_; }
 
  private:
-  Profiler& prof_;
+  void enter();
+
+  Profiler* prof_;           ///< null: the scope records nothing
   Profiler::ZoneId zone_;
-  Profiler::ZoneId parent_;
-  bool active_;            ///< profiler was enabled at entry
-  std::int64_t start_us_;  ///< wall-sampling start, -1 when off
+  Profiler::Current saved_;  ///< the thread's pair at entry, restored on exit
+  std::int64_t start_us_;    ///< wall-sampling start, -1 when off
 };
 
-/// Deposit `v` of axis `c` on the calling thread's current zone of the
-/// global profiler. The library's instrumentation points call this;
-/// with the profiler disabled it is one relaxed load.
+/// Deposit `v` of axis `c` on the calling thread's current zone, in the
+/// thread's profiler; nothing on a thread with none. The library's
+/// instrumentation points call this.
 inline void profile_cost(Cost c, std::uint64_t v) {
-  Profiler& p = Profiler::global();
-  if (p.enabled()) p.add(Profiler::current_zone(), c, v);
+  const Profiler::Current cur = Profiler::current();
+  if (cur.prof != nullptr) cur.prof->add(cur.zone, c, v);
 }
 
 }  // namespace tmwia::obs

@@ -45,13 +45,15 @@ struct TelemetryConfig {
   std::size_t every = 64;         ///< requests per tick (>= 1)
   std::size_t exemplars = 4;      ///< slowest requests exported per tick
   bool write_exposition = true;   ///< rewrite path.prom each tick
-  bool include_profile = true;    ///< embed profiler tree in snapshots (when enabled)
+  bool include_profile = true;    ///< embed the profiler's tree in snapshots (when given one)
 };
 
 class TelemetryExporter {
  public:
   /// `registry` must outlive the exporter; `profiler` and `watchdog`
-  /// are optional (nullptr = that facet off). Opens the stream
+  /// are optional (nullptr = that facet off). Given the profiler the
+  /// service deposits into (RecommendationService::set_profiler), each
+  /// snapshot embeds the session's tree so far. Opens the stream
   /// immediately; throws std::runtime_error when the path cannot be
   /// opened.
   TelemetryExporter(TelemetryConfig cfg, MetricsRegistry& registry,

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "tmwia/support/json.hpp"
 
 namespace tmwia::obs {
 namespace {
 
-thread_local Profiler::ZoneId t_current_zone = Profiler::kRoot;
+/// The calling thread's (profiler, zone); no profiler by default.
+constinit thread_local Profiler::Current t_current;
 
 std::int64_t wall_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -98,7 +100,7 @@ std::string ProfileReport::flamegraph_json(Cost axis) const {
 // ---------------------------------------------------------------------------
 // Profiler
 
-Profiler::Profiler(bool enabled) : enabled_(enabled) {
+Profiler::Profiler() {
   support::MutexLock lk(mu_);
   zones_.push_back(ZoneInfo{"root", kRoot});  // kRoot names itself
 }
@@ -152,55 +154,46 @@ ProfileReport Profiler::report() const {
 
 void Profiler::reset() { shards_.reset(); }
 
-Profiler::ZoneId Profiler::current_zone() { return t_current_zone; }
+Profiler::Current Profiler::current() { return t_current; }
 
-Profiler::ZoneId Profiler::swap_current_zone(ZoneId zone) {
-  const ZoneId prev = t_current_zone;
-  t_current_zone = zone;
-  return prev;
-}
-
-Profiler& Profiler::global() {
-  // Starts disabled: always-on zone scopes in library code cost one
-  // relaxed load until a sink (tmwia_cli --prof=, serve telemetry)
-  // flips the switch.
-  static Profiler prof(/*enabled=*/false);
-  return prof;
-}
+Profiler::Current Profiler::swap_current(Current next) { return std::exchange(t_current, next); }
 
 // ---------------------------------------------------------------------------
-// ProfileZone
+// ProfileScope / ProfileZone
 
-ProfileZone::ProfileZone(std::string_view name, Profiler& prof)
-    : prof_(prof), active_(prof.enabled()), start_us_(-1) {
-  if (!active_) {
-    zone_ = parent_ = Profiler::current_zone();
-    return;
-  }
-  parent_ = Profiler::current_zone();
-  zone_ = prof_.intern(parent_, name);
-  Profiler::swap_current_zone(zone_);
-  if (prof_.wall_sampling()) start_us_ = wall_now_us();
+ProfileScope::ProfileScope(Profiler* prof) : saved_(Profiler::current()) {
+  if (prof != nullptr && prof != saved_.prof) Profiler::swap_current({prof, Profiler::kRoot});
 }
 
-ProfileZone::ProfileZone(Profiler::ZoneId zone, Profiler& prof)
-    : prof_(prof), zone_(zone), active_(prof.enabled()), start_us_(-1) {
-  if (!active_) {
-    parent_ = Profiler::current_zone();
-    return;
-  }
-  parent_ = Profiler::swap_current_zone(zone_);
-  if (prof_.wall_sampling()) start_us_ = wall_now_us();
+ProfileScope::~ProfileScope() { Profiler::swap_current(saved_); }
+
+ProfileZone::ProfileZone(std::string_view name) : ProfileZone(name, Profiler::current().prof) {}
+
+ProfileZone::ProfileZone(std::string_view name, Profiler* prof)
+    : prof_(prof), zone_(Profiler::kRoot), saved_(Profiler::current()), start_us_(-1) {
+  if (prof_ == nullptr) return;
+  zone_ = prof_->intern(saved_.prof == prof_ ? saved_.zone : Profiler::kRoot, name);
+  enter();
+}
+
+ProfileZone::ProfileZone(Profiler::ZoneId zone, Profiler* prof)
+    : prof_(prof), zone_(zone), saved_(Profiler::current()), start_us_(-1) {
+  if (prof_ != nullptr) enter();
+}
+
+void ProfileZone::enter() {
+  Profiler::swap_current({prof_, zone_});
+  if (prof_->wall_sampling()) start_us_ = wall_now_us();
 }
 
 ProfileZone::~ProfileZone() {
-  if (!active_) return;
-  prof_.add(zone_, Cost::kCalls, 1);
+  if (prof_ == nullptr) return;
+  prof_->add(zone_, Cost::kCalls, 1);
   if (start_us_ >= 0) {
     const std::int64_t elapsed = wall_now_us() - start_us_;
-    prof_.add(zone_, Cost::kWallUs, elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 0);
+    prof_->add(zone_, Cost::kWallUs, elapsed > 0 ? static_cast<std::uint64_t>(elapsed) : 0);
   }
-  Profiler::swap_current_zone(parent_);
+  Profiler::swap_current(saved_);
 }
 
 }  // namespace tmwia::obs

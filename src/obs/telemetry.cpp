@@ -95,7 +95,7 @@ void TelemetryExporter::tick_locked() {
   line += std::to_string(total_requests_);
   line += ",\"metrics\":";
   line += snap.to_json();
-  if (cfg_.include_profile && profiler_ != nullptr && profiler_->enabled()) {
+  if (cfg_.include_profile && profiler_ != nullptr) {
     line += ",\"profile\":";
     line += profiler_->report().to_json(profiler_->wall_sampling());
   }

@@ -22,7 +22,10 @@
 //
 // Request metrics land in the global MetricsRegistry under "serve.*"
 // (request-latency and staleness histograms, request/degraded
-// counters), plus per-tenant namespaced "serve.<name>.*" series.
+// counters), plus per-tenant namespaced "serve.<name>.*" series. Costs
+// go to the profiler installed with set_profiler, on whichever thread
+// the work runs (request threads, refine() callers, the background
+// refiner); a service without one profiles nothing of its own.
 #pragma once
 
 #include <atomic>
@@ -124,6 +127,16 @@ class RecommendationService {
   /// set_telemetry.
   void set_watchdog(obs::SloWatchdog* watchdog) { watchdog_ = watchdog; }
 
+  /// Attach the cost-attribution profiler every entry point and the
+  /// background refiner deposit into: the request zones
+  /// serve.recommend/serve.estimate/serve.stats (interned here), one
+  /// "tenant:<name>" zone around each epoch, and the service lock's
+  /// acquisitions on the calling thread's zone (the profiler's root
+  /// when that thread profiles elsewhere or not at all). Non-owning;
+  /// nullptr detaches. Same install-before-serving contract as
+  /// set_telemetry.
+  void set_profiler(obs::Profiler* profiler);
+
  private:
   struct Entry {
     std::unique_ptr<Tenant> tenant;
@@ -150,14 +163,14 @@ class RecommendationService {
   obs::MetricsRegistry::Histogram request_us_;
   obs::MetricsRegistry::Histogram staleness_;
 
-  /// Pre-interned profile zones for the request hot path (the ZoneId
-  /// ProfileZone constructor takes no lock).
-  obs::Profiler::ZoneId zone_recommend_;
-  obs::Profiler::ZoneId zone_estimate_;
-  obs::Profiler::ZoneId zone_stats_;
-
   obs::TelemetryExporter* telemetry_ = nullptr;  ///< non-owning, see set_telemetry
   obs::SloWatchdog* watchdog_ = nullptr;         ///< non-owning, see set_watchdog
+  obs::Profiler* profiler_ = nullptr;            ///< non-owning, see set_profiler
+  /// profiler_'s request zones, pre-interned for the request hot path
+  /// (the ZoneId ProfileZone constructor takes no lock).
+  obs::Profiler::ZoneId zone_recommend_ = obs::Profiler::kRoot;
+  obs::Profiler::ZoneId zone_estimate_ = obs::Profiler::kRoot;
+  obs::Profiler::ZoneId zone_stats_ = obs::Profiler::kRoot;
 
   std::thread refiner_;
   std::atomic<bool> stop_refiner_{false};

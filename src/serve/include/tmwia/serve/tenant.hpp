@@ -126,8 +126,7 @@ class Tenant {
   [[nodiscard]] std::uint64_t rounds() const { return oracle_->max_invocations(); }
 
   /// Verify the auditor's cost ledger against the oracle (A4) and
-  /// return the audit report accumulated over every epoch so far. With
-  /// TMWIA_AUDIT compiled out the report is trivially clean.
+  /// return the audit report accumulated over every epoch so far.
   [[nodiscard]] billboard::AuditReport audit();
 
   /// Freeze the tenant (oracle ledgers, billboard, estimates, fault
@@ -151,9 +150,7 @@ class Tenant {
   std::unique_ptr<faults::FaultInjector> injector_;
   std::unique_ptr<billboard::ProbeOracle> oracle_;
   std::unique_ptr<billboard::Billboard> board_;
-#if TMWIA_AUDIT
   std::unique_ptr<billboard::ProtocolAuditor> auditor_;
-#endif
   rng::Rng root_;
 
   /// Serializes refinement/snapshot/audit; the request path never takes

@@ -18,13 +18,17 @@ RecommendationService::RecommendationService() {
   degraded_responses_ = reg.counter("serve.degraded_responses");
   request_us_ = reg.histogram("serve.request_us", obs::MetricsRegistry::pow2_bounds(20));
   staleness_ = reg.histogram("serve.staleness_epochs", obs::MetricsRegistry::pow2_bounds(8));
-  auto& prof = obs::Profiler::global();
-  zone_recommend_ = prof.intern(obs::Profiler::kRoot, "serve.recommend");
-  zone_estimate_ = prof.intern(obs::Profiler::kRoot, "serve.estimate");
-  zone_stats_ = prof.intern(obs::Profiler::kRoot, "serve.stats");
 }
 
 RecommendationService::~RecommendationService() { stop_refiner(); }
+
+void RecommendationService::set_profiler(obs::Profiler* profiler) {
+  profiler_ = profiler;
+  if (profiler == nullptr) return;
+  zone_recommend_ = profiler->intern(obs::Profiler::kRoot, "serve.recommend");
+  zone_estimate_ = profiler->intern(obs::Profiler::kRoot, "serve.estimate");
+  zone_stats_ = profiler->intern(obs::Profiler::kRoot, "serve.stats");
+}
 
 Tenant& RecommendationService::add_tenant(TenantConfig cfg, matrix::Instance inst) {
   const std::string name = cfg.name;
@@ -74,6 +78,7 @@ Tenant* RecommendationService::tenant(const std::string& name) {
 }
 
 RecommendationService::Entry* RecommendationService::find(const std::string& name) {
+  const obs::ProfileScope scope(profiler_);
   obs::profile_cost(obs::Cost::kLocks, 1);
   support::MutexLock lock(mu_);
   const auto it = tenants_.find(name);
@@ -81,6 +86,7 @@ RecommendationService::Entry* RecommendationService::find(const std::string& nam
 }
 
 void RecommendationService::record_publish(Entry& entry, const CacheVersion& version) {
+  const obs::ProfileScope scope(profiler_);
   obs::profile_cost(obs::Cost::kLocks, 1);
   support::MutexLock lock(mu_);
   if (entry.hashes.size() <= version.epoch) entry.hashes.resize(version.epoch + 1, 0);
@@ -121,7 +127,7 @@ void RecommendationService::observe(Entry& entry, const Response& r) {
 
 Response RecommendationService::recommend(const std::string& tenant, std::uint32_t player,
                                           std::size_t k) {
-  obs::ProfileZone zone(zone_recommend_);
+  obs::ProfileZone zone(zone_recommend_, profiler_);
   obs::WallTimer timer;
   Response r;
   r.op = "recommend";
@@ -157,7 +163,7 @@ Response RecommendationService::recommend(const std::string& tenant, std::uint32
 }
 
 Response RecommendationService::estimate(const std::string& tenant, std::uint32_t player) {
-  obs::ProfileZone zone(zone_estimate_);
+  obs::ProfileZone zone(zone_estimate_, profiler_);
   obs::WallTimer timer;
   Response r;
   r.op = "estimate";
@@ -191,7 +197,7 @@ Response RecommendationService::estimate(const std::string& tenant, std::uint32_
 }
 
 Response RecommendationService::stats(const std::string& tenant) {
-  obs::ProfileZone zone(zone_stats_);
+  obs::ProfileZone zone(zone_stats_, profiler_);
   obs::WallTimer timer;
   Response r;
   r.op = "stats";
@@ -224,7 +230,7 @@ std::shared_ptr<const CacheVersion> RecommendationService::refine(const std::str
 
 std::shared_ptr<const CacheVersion> RecommendationService::refine_entry(Entry& entry) {
   // tmwia-lint: allow(metric-name-registry) per-tenant zone: "tenant:<name>"
-  obs::ProfileZone zone("tenant:" + entry.tenant->name());
+  obs::ProfileZone zone("tenant:" + entry.tenant->name(), profiler_);
   obs::profile_cost(obs::Cost::kLocks, 1);  // the epoch takes the tenant's lock
   // The publish hook installed at add_tenant records (epoch, hash)
   // before the version is visible; nothing to record here.

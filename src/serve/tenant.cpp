@@ -45,11 +45,9 @@ Tenant::Tenant(TenantConfig cfg, matrix::Instance inst)
   oracle_ = std::make_unique<billboard::ProbeOracle>(inst_.matrix, cfg_.noise);
   if (injector_ != nullptr) oracle_->set_fault_injector(injector_.get());
   board_ = std::make_unique<billboard::Billboard>();
-#if TMWIA_AUDIT
   // Attach before the first probe so the A4 cost ledgers line up.
   auditor_ = std::make_unique<billboard::ProtocolAuditor>(n, m);
   oracle_->set_auditor(auditor_.get());
-#endif
   if (!cfg_.record_path.empty()) {
     // The tenant's log records its own oracle and board, every epoch.
     record_ = std::make_unique<obs::RecordSink>(cfg_.record_path);
@@ -171,14 +169,10 @@ void Tenant::publish_current_locked(std::uint64_t epoch,
 
 billboard::AuditReport Tenant::audit() {
   support::MutexLock lock(refine_mu_);
-#if TMWIA_AUDIT
   auto expected = oracle_->snapshot();
   for (std::size_t p = 0; p < expected.size(); ++p) expected[p] -= audit_base_[p];
   auditor_->verify_invocations(expected);
   return auditor_->report();
-#else
-  return {};
-#endif
 }
 
 void Tenant::save_snapshot(const std::string& path) {

@@ -142,6 +142,16 @@ expect_exit 1 "$CLI" info --in="$DIR/missing.tmw"
 expect_exit 2 "$CLI" gen --kind=planted --n=8x --out="$DIR/bad.tmw"
 expect_exit 2 "$CLI" gen --kind=planted --n=99999999999999999999 --out="$DIR/bad.tmw"
 expect_exit 2 "$CLI" gen --kind=planted --seed=-1 --out="$DIR/bad.tmw"
+# An instance without players or objects is refused before anything is
+# generated or written: no command could load it.
+for kind in planted multi adversarial markov lowrank uniform; do
+  for flag in n m; do
+    expect_exit 2 "$CLI" gen --kind="$kind" --"$flag"=0 --out="$DIR/empty.tmw"
+    test ! -e "$DIR/empty.tmw"
+  done
+done
+"$CLI" gen --kind=uniform --m=0 --out="$DIR/empty.tmw" >/dev/null 2>"$DIR/empty.err" || true
+grep -q -- "--m must be at least 1" "$DIR/empty.err"
 expect_exit 2 "$CLI" run --in="$DIR/world.tmw" --alpha=0.5abc --out=/dev/null
 expect_exit 2 "$CLI" run --in="$DIR/w256.tmw" --threads=-1 --out=/dev/null
 # --threads is at most 256 (engine::kMaxThreads). A larger count is a

@@ -156,11 +156,7 @@ GroupsRun run_groups(const matrix::Instance& inst, bool serial,
   std::ostringstream log;
   obs::FlightRecorder rec(log);
   if (serial) oracle.set_recorder(&rec);
-#if TMWIA_AUDIT
   oracle.set_auditor(auditor);
-#else
-  (void)auditor;
-#endif
   GroupsRun run;
   run.res = large_radius(oracle, &board, iota_players(inst.matrix.players()),
                          iota_objects(inst.matrix.objects()), 0.25, D, Params::practical(),
@@ -221,7 +217,6 @@ TEST(ConcurrentGroups, FewerGroupsThanThreadsMatchTheSerialRun) {
   }
 }
 
-#if TMWIA_AUDIT
 // An attached auditor does not keep the groups serial: its A4 ledger
 // takes one player's attempts from several forks at once.
 TEST(ConcurrentGroups, AuditedRunIsClean) {
@@ -235,7 +230,6 @@ TEST(ConcurrentGroups, AuditedRunIsClean) {
   EXPECT_GT(report.probes_audited, 0u);
   expect_same_run(audited, run_groups(inst, true));
 }
-#endif
 
 }  // namespace
 }  // namespace tmwia::core

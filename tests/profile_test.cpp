@@ -6,8 +6,10 @@
 //   * byte-determinism: the same logical workload run serially and
 //     across writer threads produces byte-identical attribution JSON
 //     (the owner-write shard merge commutes, report() re-keys by name);
-//   * ambient-zone propagation: a worker thread handed the caller's
-//     zone via swap_current_zone attributes into the caller's subtree;
+//   * the (profiler, zone) pair: a cost lands in the profiler whose
+//     zone is current and in no other; a thread with no profiler
+//     records nothing; engine::ThreadPool hands the caller's pair to
+//     its workers, so their deposits land in the caller's subtree;
 //   * wall sampling: opt-in, and omitted from the default export;
 //   * SloSpec parsing, the watchdog's rolling-window objectives
 //     (exact-order-statistic p99, degraded count, cumulative audit),
@@ -17,6 +19,7 @@
 //     records, finish() idempotence.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -28,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/obs/profile.hpp"
 #include "tmwia/obs/slo.hpp"
@@ -69,12 +73,12 @@ TEST(Profile, CostNamesAreStableJsonKeys) {
 }
 
 TEST(Profile, ZoneTreeNestsAndRendersExactJson) {
-  obs::Profiler prof(true);
+  obs::Profiler prof;
   {
-    obs::ProfileZone outer("outer", prof);
+    obs::ProfileZone outer("outer", &prof);
     outer.add(obs::Cost::kProbes, 5);
     {
-      obs::ProfileZone inner("inner", prof);
+      obs::ProfileZone inner("inner", &prof);
       inner.add(obs::Cost::kRounds, 2);
     }
   }
@@ -107,9 +111,9 @@ TEST(Profile, ZoneTreeNestsAndRendersExactJson) {
 /// Interning order must not leak into exports: zones opened b-then-a
 /// still render a-then-b (children sorted by name).
 TEST(Profile, ChildrenSortedByNameNotInterningOrder) {
-  obs::Profiler prof(true);
-  { obs::ProfileZone z("b", prof); }
-  { obs::ProfileZone z("a", prof); }
+  obs::Profiler prof;
+  { obs::ProfileZone z("b", &prof); }
+  { obs::ProfileZone z("a", &prof); }
   const auto json = prof.report().to_json();
   const auto pos_a = json.find("\"name\":\"a\"");
   const auto pos_b = json.find("\"name\":\"b\"");
@@ -123,16 +127,16 @@ TEST(Profile, ChildrenSortedByNameNotInterningOrder) {
 /// carried it (shard merge is a sum; report() re-keys by name).
 TEST(Profile, ByteIdenticalAcrossWriterThreadCounts) {
   const auto work = [](obs::Profiler& prof, std::uint64_t salt) {
-    obs::ProfileZone phase("phase", prof);
+    obs::ProfileZone phase("phase", &prof);
     phase.add(obs::Cost::kProbes, 100 + salt);
-    obs::ProfileZone kernel("kernel", prof);
+    obs::ProfileZone kernel("kernel", &prof);
     kernel.add(obs::Cost::kKernelBytes, 64 * (salt + 1));
   };
 
-  obs::Profiler serial(true);
+  obs::Profiler serial;
   for (std::uint64_t t = 0; t < 4; ++t) work(serial, t);
 
-  obs::Profiler threaded(true);
+  obs::Profiler threaded;
   std::vector<std::thread> pool;
   for (std::uint64_t t = 0; t < 4; ++t) {
     pool.emplace_back([&threaded, t, &work] { work(threaded, t); });
@@ -143,51 +147,144 @@ TEST(Profile, ByteIdenticalAcrossWriterThreadCounts) {
   EXPECT_NE(serial.report().to_json().find("\"probes\":406"), std::string::npos);
 }
 
-/// What engine::parallel_for does for pool workers: install the
-/// caller's zone with swap_current_zone, and the worker's deposits
-/// land in the caller's subtree instead of under root.
+/// engine::ThreadPool hands the caller's (profiler, zone) pair to every
+/// thread that runs a chunk: the workers' zones and costs land in the
+/// caller's subtree of the caller's profiler, and the workers go back
+/// to having no profiler afterwards.
 TEST(Profile, AmbientZonePropagatesToWorkerThreads) {
-  obs::Profiler prof(true);
+  constexpr std::size_t kItems = 64;
+  engine::ThreadPool pool(4);
+  obs::Profiler prof;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_ran{false};
   {
-    obs::ProfileZone parent("parent", prof);
-    const auto parent_id = parent.id();
-    std::thread worker([&prof, parent_id] {
-      const auto prev = obs::Profiler::swap_current_zone(parent_id);
-      {
-        obs::ProfileZone child("child", prof);
-        child.add(obs::Cost::kRankQueries, 3);
-      }
-      obs::Profiler::swap_current_zone(prev);
-    });
-    worker.join();
+    obs::ProfileZone parent("parent", &prof);
+    pool.run(
+        0, kItems,
+        [&](std::size_t) {
+          if (std::this_thread::get_id() != caller) {
+            worker_ran.store(true, std::memory_order_release);
+          } else {
+            // The caller runs chunks too: hold it (for at most 5 s)
+            // until a worker has run one, so the hand-off is exercised.
+            for (int i = 0; i < 5000 && !worker_ran.load(std::memory_order_acquire); ++i) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+          }
+          obs::ProfileZone child("child");
+          obs::profile_cost(obs::Cost::kRankQueries, 3);
+        },
+        1);
   }
+  ASSERT_TRUE(worker_ran.load(std::memory_order_acquire));
+  // Outside the zone the caller has no profiler, and neither has any
+  // thread that runs the next job's chunks.
+  std::atomic<std::size_t> unprofiled{0};
+  pool.run(
+      0, kItems,
+      [&unprofiled](std::size_t) {
+        if (obs::Profiler::current().prof == nullptr) {
+          unprofiled.fetch_add(1, std::memory_order_relaxed);
+        }
+      },
+      1);
+  EXPECT_EQ(unprofiled.load(std::memory_order_relaxed), kItems);
+
   const auto rep = prof.report();
   const auto* parent = find_child(rep.root, "parent");
   ASSERT_NE(parent, nullptr);
   const auto* child = find_child(*parent, "child");
   ASSERT_NE(child, nullptr);
-  EXPECT_EQ(child->cost(obs::Cost::kRankQueries), 3u);
+  EXPECT_EQ(child->cost(obs::Cost::kRankQueries), 3 * kItems);
+  EXPECT_EQ(child->cost(obs::Cost::kCalls), kItems);
   EXPECT_EQ(find_child(rep.root, "child"), nullptr);
 }
 
-TEST(Profile, DisabledProfilerIsANoOp) {
-  obs::Profiler prof(false);
+/// A thread's current zone names its profiler. Zone ids are only
+/// meaningful in their own profiler's table: here `mine_y` and
+/// `other_b` share an id, and the cost deposited while `mine_y` is
+/// current must land on `mine_y`, not on `other_b`.
+TEST(Profile, CostLandsInTheCurrentZonesProfilerOnly) {
+  obs::Profiler other;
+  obs::Profiler mine;
+  const obs::ProfileScope scope(&other);
+  { obs::ProfileZone a("other_a"); }
+  obs::Profiler::ZoneId b_id = 0;
   {
-    obs::ProfileZone z("ghost", prof);
-    z.add(obs::Cost::kProbes, 99);
+    obs::ProfileZone b("other_b");
+    b_id = b.id();
   }
-  obs::profile_cost(obs::Cost::kProbes, 1);  // global() is disabled by default too
-  EXPECT_TRUE(prof.report().root.children.empty());
-  EXPECT_FALSE(obs::Profiler::global().enabled());
+  {
+    obs::ProfileZone x("mine_x", &mine);
+    obs::ProfileZone y("mine_y", &mine);
+    ASSERT_EQ(y.id(), b_id);
+    obs::profile_cost(obs::Cost::kProbes, 7);
+  }
+  // Leaving mine's zones makes `other` current again, at its root.
+  obs::profile_cost(obs::Cost::kProbes, 1);
+
+  const auto mine_rep = mine.report();
+  const auto* x = find_child(mine_rep.root, "mine_x");
+  ASSERT_NE(x, nullptr);
+  const auto* y = find_child(*x, "mine_y");
+  ASSERT_NE(y, nullptr);
+  EXPECT_EQ(y->cost(obs::Cost::kProbes), 7u);
+  EXPECT_EQ(mine_rep.root.total(obs::Cost::kProbes), 7u);
+
+  const auto other_rep = other.report();
+  EXPECT_EQ(other_rep.root.cost(obs::Cost::kProbes), 1u);
+  EXPECT_EQ(other_rep.root.total(obs::Cost::kProbes), 1u);
+}
+
+/// On a thread with no profiler installed, zones and costs record
+/// nothing anywhere, and a zone or scope handed a null profiler is a
+/// no-op.
+TEST(Profile, NoProfilerInstalledRecordsNothing) {
+  obs::Profiler bystander;
+  ASSERT_EQ(obs::Profiler::current().prof, nullptr);
+  {
+    obs::ProfileZone z("ghost");
+    z.add(obs::Cost::kProbes, 99);
+    obs::profile_cost(obs::Cost::kProbes, 1);
+    obs::ProfileZone n("null", nullptr);
+    const obs::ProfileScope none(nullptr);
+    obs::profile_cost(obs::Cost::kProbes, 1);
+    EXPECT_EQ(obs::Profiler::current().prof, nullptr);
+  }
+  EXPECT_EQ(obs::Profiler::current().prof, nullptr);
+  const auto rep = bystander.report();
+  EXPECT_TRUE(rep.root.children.empty());
+  EXPECT_EQ(rep.root.total(obs::Cost::kProbes), 0u);
+}
+
+/// A ProfileScope installs its profiler at the root and deposits
+/// nothing itself: costs made outside any zone land on the root (the
+/// serve session's lock counts), a scope over the profiler already
+/// current changes nothing, and the thread's previous pair comes back
+/// when the scope ends.
+TEST(Profile, ScopeInstallsAtTheRootAndRestores) {
+  obs::Profiler prof;
+  {
+    const obs::ProfileScope scope(&prof);
+    EXPECT_EQ(obs::Profiler::current().prof, &prof);
+    obs::profile_cost(obs::Cost::kLocks, 4);
+    obs::ProfileZone z("inner");
+    const obs::ProfileScope same(&prof);
+    obs::profile_cost(obs::Cost::kLocks, 1);
+  }
+  EXPECT_EQ(obs::Profiler::current().prof, nullptr);
+  EXPECT_EQ(prof.report().to_json(),
+            "{\"name\":\"root\",\"costs\":{\"locks\":4},\"children\":["
+            "{\"name\":\"inner\",\"costs\":{\"locks\":1,\"calls\":1},\"children\":[]}]}");
 }
 
 /// reset() zeroes the slots but keeps interned ids valid — the
 /// pre-interned hot-path handles (serve request zones) survive.
 TEST(Profile, ResetKeepsInternedZoneIdsValid) {
-  obs::Profiler prof(true);
+  obs::Profiler prof;
   const auto id = prof.intern(obs::Profiler::kRoot, "hot");
   {
-    obs::ProfileZone z(id, prof);
+    obs::ProfileZone z(id, &prof);
     z.add(obs::Cost::kLocks, 7);
   }
   const auto rep_before = prof.report();
@@ -202,7 +299,7 @@ TEST(Profile, ResetKeepsInternedZoneIdsValid) {
   EXPECT_EQ(zeroed->cost(obs::Cost::kLocks), 0u);
 
   {
-    obs::ProfileZone z(id, prof);  // the cached id still deposits correctly
+    obs::ProfileZone z(id, &prof);  // the cached id still deposits correctly
     z.add(obs::Cost::kLocks, 2);
   }
   const auto rep_after = prof.report();
@@ -215,10 +312,10 @@ TEST(Profile, ResetKeepsInternedZoneIdsValid) {
 /// Wall sampling is opt-in and quarantined from the deterministic
 /// export: deposits appear under include_wall=true only.
 TEST(Profile, WallSamplingIsOptInAndOmittedByDefault) {
-  obs::Profiler prof(true);
+  obs::Profiler prof;
   prof.set_wall_sampling(true);
   {
-    obs::ProfileZone z("timed", prof);
+    obs::ProfileZone z("timed", &prof);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const auto rep = prof.report();
@@ -377,9 +474,9 @@ TEST(Telemetry, CountBasedCadenceAndRecordKinds) {
   const std::string path = temp_path("stream");
   obs::MetricsRegistry reg;
   reg.counter("req.count").inc();
-  obs::Profiler prof(true);
+  obs::Profiler prof;
   {
-    obs::ProfileZone z("phase", prof);
+    obs::ProfileZone z("phase", &prof);
     z.add(obs::Cost::kProbes, 11);
   }
   obs::SloWatchdog dog(obs::SloSpec::parse("degraded=0,window=8"));

@@ -60,6 +60,28 @@ TEST(SerializeText, RejectsMorePlayersThanIds) {
   }
 }
 
+/// No command can use an instance without players or objects, so the
+/// reader refuses both shapes at the header.
+TEST(SerializeInstance, RejectsZeroPlayers) {
+  std::stringstream ss("TMWIA/1 text\n0 4\ncommunities 0\n");
+  try {
+    (void)load_instance(ss);
+    FAIL() << "expected a serialize error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("0 players"), std::string::npos) << e.what();
+  }
+}
+
+TEST(SerializeInstance, RejectsZeroObjects) {
+  std::stringstream ss("TMWIA/1 text\n2 0\n\n\ncommunities 0\n");
+  try {
+    (void)load_instance(ss);
+    FAIL() << "expected a serialize error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("0 objects"), std::string::npos) << e.what();
+  }
+}
+
 TEST(SerializeInstance, RoundTripWithCommunities) {
   rng::Rng rng(3);
   const auto inst = matrix::planted_communities(40, 64, {{0.3, 1}, {0.3, 2}}, rng);

@@ -219,11 +219,7 @@ SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
   std::ostringstream log;
   obs::FlightRecorder rec(log);
   if (recorded) oracle.set_recorder(&rec);
-#if TMWIA_AUDIT
   oracle.set_auditor(auditor);
-#else
-  (void)auditor;
-#endif
   SrRun run;
   run.order_free = small_radius_order_free(oracle, &board);
   run.res = small_radius(oracle, &board, iota_players(c.n), iota_objects(c.m), c.alpha, c.D,
@@ -346,7 +342,6 @@ TEST(SmallRadiusSchedule, FreshNoiseKeepsThePerPartRun) {
   expect_same_run(run, run_sr(inst, c, true, fresh));
 }
 
-#if TMWIA_AUDIT
 // An attached auditor does not pin the order: the run takes the passes,
 // its audit is clean and its A4 ledger matches the oracle's.
 TEST(SmallRadiusSchedule, AuditedRunTakesThePassesAndIsClean) {
@@ -362,7 +357,6 @@ TEST(SmallRadiusSchedule, AuditedRunTakesThePassesAndIsClean) {
   EXPECT_GT(report.probes_audited, 0u);
   expect_same_run(audited, run_sr(inst, c, true));
 }
-#endif
 
 }  // namespace
 }  // namespace tmwia::core

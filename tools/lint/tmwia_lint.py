@@ -929,7 +929,7 @@ def compile_check_headers(root: str, quiet: bool):
          for d in os.listdir(os.path.join(root, "src"))
          if os.path.isdir(os.path.join(root, "src", d, "include"))}
     )
-    args_base = [gxx, "-std=c++20", "-fsyntax-only", "-DTMWIA_AUDIT=1", "-x", "c++", "-"]
+    args_base = [gxx, "-std=c++20", "-fsyntax-only", "-x", "c++", "-"]
     for d in include_dirs:
         args_base.insert(2, "-I" + d)
     findings = []

@@ -36,8 +36,9 @@
 #              tasks, and unrecorded small --d=2/--d=8 runs, whose
 #              iterations run as three pool passes, at --threads 1, 2
 #              and 4, requiring byte-identical estimates, reports,
-#              metrics, profiles and checkpoints; a recorded copy of
-#              each run at --threads 4 (serial groups, the per-part
+#              metrics, profiles and checkpoints, each report's
+#              profile equal to its run's --prof tree; a recorded copy
+#              of each run at --threads 4 (serial groups, the per-part
 #              schedule) must match their estimates, metrics and
 #              profiles
 #   thread-safety opt-in: the static concurrency gate — tmwia_lint.py
@@ -58,9 +59,11 @@
 #              serve stream with --telemetry/--slo/--prof and jq-check
 #              the JSONL record kinds, the Prometheus exposition, the
 #              RunReport profile/slo sections, and the stats summary;
-#              force an SLO breach with a sabotaged tenant (exit 6,
-#              structured alert record); and require the --prof
-#              attribution tree to be byte-identical across
+#              require the report's profile to be the --prof tree and
+#              the sample's --prof to be byte-identical at --threads 1
+#              and 4; force an SLO breach with a sabotaged tenant (exit
+#              6, structured alert record); and require the --prof
+#              attribution tree of a run to be byte-identical across
 #              --threads 1/4 and across kernel backends
 #   kill-resume opt-in: durability drill — checkpoint an e8-scale
 #              unknown_d run, SIGKILL it mid-phase via the kill-at-round
@@ -169,7 +172,7 @@ fi
 
 if [[ $RUN_AUDIT -eq 1 ]]; then
   echo "== audit (ProtocolAuditor invariants) =="
-  cmake -B "$ROOT/build" -S "$ROOT" -DTMWIA_AUDIT=ON
+  cmake -B "$ROOT/build" -S "$ROOT"
   cmake --build "$ROOT/build" -j "$JOBS" --target test_protocol_auditor
   ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS" -R 'ProtocolAuditor'
 fi
@@ -219,6 +222,7 @@ fi
 
 if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
   echo "== kernel parity =="
+  command -v jq >/dev/null || { echo "jq required for --kernel-parity" >&2; exit 2; }
   # The determinism contract (bits/kernels.hpp): every backend computes
   # the same integers, so switching backends must not change a single
   # observable byte of a run. First the randomized parity suite under
@@ -289,6 +293,9 @@ if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
         --threads="$t" "${extra[@]}" --out="$run.txt" --report="$run.json" \
         --metrics="$run.metrics.json" --prof="$run.prof.json" >"$run.stdout"
       sed 's/"kernel":"[a-z0-9]*"/"kernel":"_"/' "$run.json" >"$run.normalized.json"
+      # The report's profile is the --prof tree, rendered once the run
+      # is over (unknown_d's own zones included).
+      cmp <(jq -cS .profile "$run.json") <(jq -cS . "$run.prof.json")
       if [[ $t -ne 1 ]]; then
         for f in "${files[@]}"; do cmp "$PAR_DIR/$name.t1.$f" "$run.$f"; done
         echo "-- $name --threads=$t: every artifact matches --threads=1"
@@ -431,6 +438,17 @@ if [[ $RUN_TELEMETRY -eq 1 ]]; then
     || { echo "telemetry: RunReport missing profile/slo sections" >&2; exit 1; }
   jq -e '.name == "root" and (.children | length >= 1)' "$TEL_DIR/prof.json" >/dev/null \
     || { echo "telemetry: --prof artifact malformed" >&2; exit 1; }
+
+  jq -cS .profile "$TEL_DIR/report.json" | cmp - <(jq -cS . "$TEL_DIR/prof.json") \
+    || { echo "telemetry: RunReport profile differs from --prof" >&2; exit 1; }
+  # The service deposits into the session's profiler from whichever
+  # thread runs the work; the tree must not depend on the pool size.
+  for t in 1 4; do
+    "$CLI" serve --requests="$ROOT/tools/serve_requests.sample.jsonl" --threads="$t" \
+      --out=/dev/null --prof="$TEL_DIR/serve_prof_t$t.json"
+  done
+  cmp "$TEL_DIR/serve_prof_t1.json" "$TEL_DIR/serve_prof_t4.json"
+  echo "-- serve --threads 1/4: attribution trees match"
 
   echo "-- stats: per-kind summary over the stream"
   "$CLI" stats --telemetry="$TEL_DIR/stream.jsonl" | grep -q 'slo_report=1' \

@@ -42,9 +42,10 @@
 // with --sabotage=P it demonstrates a degraded-but-complete run.
 //
 // Observability: `run/resume/serve --prof=FILE` writes the
-// deterministic cost-attribution tree (--flame=FILE the flamegraph
-// form; --prof-wall opts into wall-time sampling, breaking byte
-// stability). `serve --telemetry=FILE --telemetry-every=N` streams
+// deterministic cost-attribution tree of the command's own profiler
+// (--flame=FILE the flamegraph form; --prof-wall opts into wall-time
+// sampling, breaking byte stability); --report's profile section is
+// the same tree. `serve --telemetry=FILE --telemetry-every=N` streams
 // periodic metrics/profiler snapshots as JSONL (with a Prometheus
 // text exposition at FILE.prom) and `serve --slo=SPEC` arms the SLO
 // watchdog (alerts land in the stream; a breach sets the exit code).
@@ -214,29 +215,32 @@ void write_text_artifact(const std::string& path, std::string text) {
   io::atomic_write_file(path, text);
 }
 
-/// Arm the global cost-attribution profiler when --prof/--flame ask
-/// for an artifact. Wall sampling is opt-in on top (it breaks the
+/// The run's cost-attribution profiler when --prof/--flame ask for an
+/// artifact, else null. Wall sampling is opt-in on top (it breaks the
 /// byte-stability contract the determinism drills compare).
-void apply_profiler_flags(const io::Args& args) {
+std::unique_ptr<obs::Profiler> make_profiler(const io::Args& args) {
   const bool want = args.get("prof").has_value() || args.get("flame").has_value();
   if (args.get_flag("prof-wall") && !want) {
     throw std::invalid_argument("--prof-wall requires --prof or --flame");
   }
-  if (!want) return;
-  auto& prof = obs::Profiler::global();
-  prof.set_enabled(true);
-  if (args.get_flag("prof-wall")) prof.set_wall_sampling(true);
+  if (!want) return nullptr;
+  auto prof = std::make_unique<obs::Profiler>();
+  prof->set_wall_sampling(args.get_flag("prof-wall"));
+  return prof;
 }
 
-/// Serial-point profiler export shared by run/resume/serve.
-void write_profiler_artifacts(const io::Args& args) {
-  auto& prof = obs::Profiler::global();
-  if (const auto path = args.get("prof"); path.has_value()) {
-    write_text_artifact(*path, prof.report().to_json(prof.wall_sampling()));
-  }
+/// Render the profile once the run is over, write --prof/--flame from
+/// it, and return the --prof JSON ("" without a profiler): run, resume
+/// and serve put that same string in their RunReport.
+std::string write_profiler_artifacts(const io::Args& args, const obs::Profiler* prof) {
+  if (prof == nullptr) return {};
+  const auto tree = prof->report();
+  const std::string json = tree.to_json(prof->wall_sampling());
+  if (const auto path = args.get("prof"); path.has_value()) write_text_artifact(*path, json);
   if (const auto path = args.get("flame"); path.has_value()) {
-    write_text_artifact(*path, prof.report().flamegraph_json(obs::Cost::kProbes));
+    write_text_artifact(*path, tree.flamegraph_json(obs::Cost::kProbes));
   }
+  return json;
 }
 
 /// The --record sink `run` and `resume` both open (null without
@@ -271,6 +275,9 @@ int cmd_gen(const io::Args& args) {
   const auto kind = require(args, "kind");
   const auto n = static_cast<std::size_t>(args.get_u64("n", 256));
   const auto m = static_cast<std::size_t>(args.get_u64("m", 256));
+  // No command can load an instance without players or objects.
+  if (n == 0) throw std::invalid_argument("--n must be at least 1");
+  if (m == 0) throw std::invalid_argument("--m must be at least 1");
   const double alpha = args.get_double("alpha", 0.5);
   const auto radius = static_cast<std::size_t>(args.get_u64("radius", 0));
   const auto types = static_cast<std::size_t>(args.get_u64("types", 4));
@@ -348,7 +355,8 @@ int cmd_run(const io::Args& args) {
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
-  apply_profiler_flags(args);
+  const auto profiler = make_profiler(args);
+  const obs::ProfileScope profile_scope(profiler.get());
 
   billboard::ProbeOracle oracle(inst.matrix);
   billboard::Billboard board;
@@ -485,14 +493,15 @@ int cmd_run(const io::Args& args) {
   } else {
     throw std::invalid_argument("unknown --algo=" + algo);
   }
-  if (const auto report_path = args.get("report"); report_path.has_value()) {
-    if (!report.has_value()) {
-      throw std::invalid_argument("--report: --algo=" + algo + " produces no RunReport");
-    }
-    write_text_artifact(*report_path, report->to_json());
+  const auto report_path = args.get("report");
+  if (report_path.has_value() && !report.has_value()) {
+    throw std::invalid_argument("--report: --algo=" + algo + " produces no RunReport");
   }
+  const std::string profile_json = write_profiler_artifacts(args, profiler.get());
   bool degraded = false;
   if (report.has_value()) {
+    report->profile_json = profile_json;
+    if (report_path.has_value()) write_text_artifact(*report_path, report->to_json());
     degraded = !report->degraded.empty();
     // The report JSON is already on disk; it never embeds the
     // estimates, so the remaining consumer is save_outputs below.
@@ -510,7 +519,6 @@ int cmd_run(const io::Args& args) {
     // algos (which bypass the core entry points) are covered too.
     write_metrics_snapshot(*metrics_path, oracle);
   }
-  write_profiler_artifacts(args);
 
   std::cout << "algo: " << algo << "\nrounds (max probes/player): "
             << oracle.max_invocations() << "\ntotal probes: " << oracle.total_invocations()
@@ -536,7 +544,8 @@ int cmd_resume(const io::Args& args) {
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
-  apply_profiler_flags(args);
+  const auto profiler = make_profiler(args);
+  const obs::ProfileScope profile_scope(profiler.get());
 
   billboard::ProbeOracle oracle(inst.matrix);
   billboard::Billboard board;
@@ -568,6 +577,7 @@ int cmd_resume(const io::Args& args) {
 
   auto report = core::resume_unknown_d(oracle, &board, params, ckpt, policy);
   const bool degraded = !report.degraded.empty();
+  report.profile_json = write_profiler_artifacts(args, profiler.get());
 
   if (const auto report_path = args.get("report"); report_path.has_value()) {
     write_text_artifact(*report_path, report.to_json());
@@ -578,7 +588,6 @@ int cmd_resume(const io::Args& args) {
     io::atomic_write_file(require(args, "out"), os.str());
   }
   if (metrics_path.has_value()) write_metrics_snapshot(*metrics_path, oracle);
-  write_profiler_artifacts(args);
 
   std::cout << "resumed from checkpoint seq " << ckpt.seq << " (cut at "
             << ckpt.cum_rounds << " rounds)\nrounds (max probes/player): "
@@ -958,7 +967,8 @@ int cmd_serve(const io::Args& args) {
   apply_kernel_flag(args);
   const auto metrics_path = args.get("metrics");
   if (metrics_path.has_value()) obs::MetricsRegistry::global().set_enabled(true);
-  apply_profiler_flags(args);
+  const auto profiler = make_profiler(args);
+  const obs::ProfileScope profile_scope(profiler.get());
 
   // Live-observability stack, outermost first: optional SLO watchdog,
   // optional telemetry exporter over it. The exporter snapshots the
@@ -984,7 +994,7 @@ int cmd_serve(const io::Args& args) {
     tcfg.every = static_cast<std::size_t>(args.get_u64("telemetry-every", 64));
     if (tcfg.every == 0) throw std::invalid_argument("--telemetry-every must be >= 1");
     telemetry = std::make_unique<obs::TelemetryExporter>(
-        tcfg, obs::MetricsRegistry::global(), &obs::Profiler::global(), watchdog.get());
+        tcfg, obs::MetricsRegistry::global(), profiler.get(), watchdog.get());
   }
 
   const auto req_path = require(args, "requests");
@@ -1007,6 +1017,7 @@ int cmd_serve(const io::Args& args) {
   serve::RecommendationService service;
   service.set_telemetry(telemetry.get());
   service.set_watchdog(watchdog.get());
+  service.set_profiler(profiler.get());
   const bool background = args.get_flag("background");
   const auto max_epochs = args.get_u64("max-epochs", 4);
   bool any_failed = false;
@@ -1054,7 +1065,7 @@ int cmd_serve(const io::Args& args) {
   if (metrics_path.has_value()) {
     write_text_artifact(*metrics_path, obs::MetricsRegistry::global().snapshot().to_json());
   }
-  write_profiler_artifacts(args);
+  const std::string profile_json = write_profiler_artifacts(args, profiler.get());
   if (const auto report_path = args.get("report"); report_path.has_value()) {
     core::RunReport rep;
     rep.algo = core::RunReport::Algo::kServe;
@@ -1063,8 +1074,7 @@ int cmd_serve(const io::Args& args) {
       rep.total_probes += t->total_probes();
       rep.rounds = std::max(rep.rounds, t->rounds());
     }
-    auto& prof = obs::Profiler::global();
-    if (prof.enabled()) rep.profile_json = prof.report().to_json(prof.wall_sampling());
+    rep.profile_json = profile_json;
     if (watchdog != nullptr) rep.slo_json = watchdog->report().to_json();
     if (obs::MetricsRegistry::global().enabled()) {
       rep.metrics = obs::MetricsRegistry::global().snapshot();
