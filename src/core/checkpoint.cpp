@@ -12,12 +12,20 @@ using io::BinWriter;
 // Section names inside the io::Checkpoint container.
 constexpr const char* kSecMeta = "meta";
 constexpr const char* kSecTower = "tower";
-constexpr const char* kSecReport = "report";
 constexpr const char* kSecOracle = "oracle";
 constexpr const char* kSecBoard = "board";
 constexpr const char* kSecInjector = "injector";
 constexpr const char* kSecMetrics = "metrics";
 constexpr const char* kSecHarness = "harness";
+
+// Least wire size of one element, for BinReader::count: a u64, a
+// length-prefixed string or bit vector (the prefix alone), a timeline
+// entry (label prefix, two u64, two f64) and a histogram (name and two
+// vector prefixes, sum, count).
+constexpr std::size_t kU64Bytes = 8;
+constexpr std::size_t kPairBytes = 16;
+constexpr std::size_t kTimelineBytes = 40;
+constexpr std::size_t kHistogramBytes = 40;
 
 void write_u64_vec(BinWriter& w, const std::vector<std::uint64_t>& v) {
   w.u64(v.size());
@@ -25,23 +33,8 @@ void write_u64_vec(BinWriter& w, const std::vector<std::uint64_t>& v) {
 }
 
 std::vector<std::uint64_t> read_u64_vec(BinReader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<std::uint64_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u64());
-  return v;
-}
-
-void write_size_vec(BinWriter& w, const std::vector<std::size_t>& v) {
-  w.u64(v.size());
-  for (const auto x : v) w.u64(x);
-}
-
-std::vector<std::size_t> read_size_vec(BinReader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<std::size_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(static_cast<std::size_t>(r.u64()));
+  std::vector<std::uint64_t> v(r.count(kU64Bytes));
+  for (auto& x : v) x = r.u64();
   return v;
 }
 
@@ -51,10 +44,8 @@ void write_u8_vec(BinWriter& w, const std::vector<std::uint8_t>& v) {
 }
 
 std::vector<std::uint8_t> read_u8_vec(BinReader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<std::uint8_t> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u8());
+  std::vector<std::uint8_t> v(r.count(1));
+  for (auto& x : v) x = r.u8();
   return v;
 }
 
@@ -74,21 +65,19 @@ void write_bitvec_vec(BinWriter& w, const std::vector<bits::BitVector>& v) {
   for (const auto& x : v) w.bitvec(x);
 }
 
-std::vector<bits::BitVector> read_bitvec_vec(BinReader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<bits::BitVector> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.bitvec());
-  return v;
-}
-
-}  // namespace
-
-std::string RunCheckpoint::harness_value(const std::string& key) const {
-  for (const auto& [k, v] : harness) {
-    if (k == key) return v;
+/// Rows of one bit per object: candidate versions and the oracle's
+/// probe records. A row of any other width is corrupt — the tower and
+/// the oracle index it by object id.
+std::vector<bits::BitVector> read_rows(BinReader& r, std::uint64_t objects) {
+  std::vector<bits::BitVector> v(r.count(kU64Bytes));
+  for (auto& x : v) {
+    x = r.bitvec();
+    if (x.size() != objects) {
+      throw io::CheckpointError("checkpoint: row of " + std::to_string(x.size()) +
+                                " bits for " + std::to_string(objects) + " objects");
+    }
   }
-  return {};
+  return v;
 }
 
 void write_snapshot(BinWriter& w, const obs::Snapshot& snap) {
@@ -114,15 +103,15 @@ void write_snapshot(BinWriter& w, const obs::Snapshot& snap) {
 
 obs::Snapshot read_snapshot(BinReader& r) {
   obs::Snapshot snap;
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+  for (std::size_t i = 0, n = r.count(kPairBytes); i < n; ++i) {
     std::string name = r.str();
     snap.counters.emplace(std::move(name), r.u64());
   }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+  for (std::size_t i = 0, n = r.count(kPairBytes); i < n; ++i) {
     std::string name = r.str();
     snap.gauges.emplace(std::move(name), r.i64());
   }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+  for (std::size_t i = 0, n = r.count(kHistogramBytes); i < n; ++i) {
     std::string name = r.str();
     obs::HistogramData h;
     h.bounds = read_u64_vec(r);
@@ -134,68 +123,13 @@ obs::Snapshot read_snapshot(BinReader& r) {
   return snap;
 }
 
-void write_run_report(BinWriter& w, const RunReport& report) {
-  w.u8(static_cast<std::uint8_t>(report.algo));
-  write_bitvec_vec(w, report.outputs);
-  w.u64(report.rounds);
-  w.u64(report.total_probes);
-  w.u8(static_cast<std::uint8_t>(report.branch));
-  write_size_vec(w, report.chosen_d);
-  write_size_vec(w, report.guesses);
-  w.u64(report.phases.size());
-  for (const auto& ph : report.phases) {
-    w.f64(ph.alpha);
-    w.u64(ph.rounds);
-    w.u64(ph.total_probes);
-  }
-  w.u64(report.timeline.size());
-  for (const auto& cp : report.timeline) {
-    w.str(cp.label);
-    w.u64(cp.rounds);
-    w.u64(cp.total_probes);
-    w.f64(cp.max_disc);
-    w.f64(cp.mean_disc);
-  }
-  write_snapshot(w, report.metrics);
-  w.u64(report.degraded.quarantined.size());
-  for (const auto p : report.degraded.quarantined) w.u64(p);
-  w.u64(report.degraded.unmet_phases.size());
-  for (const auto& ph : report.degraded.unmet_phases) w.str(ph);
-}
+}  // namespace
 
-RunReport read_run_report(BinReader& r, std::uint64_t players) {
-  RunReport report;
-  report.algo = static_cast<RunReport::Algo>(r.u8());
-  report.outputs = read_bitvec_vec(r);
-  report.rounds = r.u64();
-  report.total_probes = r.u64();
-  report.branch = static_cast<Branch>(r.u8());
-  report.chosen_d = read_size_vec(r);
-  report.guesses = read_size_vec(r);
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    AnytimePhase ph;
-    ph.alpha = r.f64();
-    ph.rounds = r.u64();
-    ph.total_probes = r.u64();
-    report.phases.push_back(ph);
+std::string RunCheckpoint::harness_value(const std::string& key) const {
+  for (const auto& [k, v] : harness) {
+    if (k == key) return v;
   }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    PhaseCheckpoint cp;
-    cp.label = r.str();
-    cp.rounds = r.u64();
-    cp.total_probes = r.u64();
-    cp.max_disc = r.f64();
-    cp.mean_disc = r.f64();
-    report.timeline.push_back(std::move(cp));
-  }
-  report.metrics = read_snapshot(r);
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    report.degraded.quarantined.push_back(read_player(r, players));
-  }
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    report.degraded.unmet_phases.push_back(r.str());
-  }
-  return report;
+  return {};
 }
 
 std::string encode_run_checkpoint(const RunCheckpoint& ckpt) {
@@ -213,18 +147,20 @@ std::string encode_run_checkpoint(const RunCheckpoint& ckpt) {
   }
   {
     BinWriter w;
-    w.u64(ckpt.next_guess);
     w.u64(ckpt.versions.size());
     for (const auto& v : ckpt.versions) write_bitvec_vec(w, v);
+    w.u64(ckpt.timeline.size());
+    for (const auto& entry : ckpt.timeline) {
+      w.str(entry.label);
+      w.u64(entry.rounds);
+      w.u64(entry.total_probes);
+      w.f64(entry.max_disc);
+      w.f64(entry.mean_disc);
+    }
     write_u64_vec(w, ckpt.before);
     w.u64(ckpt.probes_before);
     for (const auto s : ckpt.rng_state) w.u64(s);
     cp.set(kSecTower, w.take());
-  }
-  {
-    BinWriter w;
-    write_run_report(w, ckpt.partial);
-    cp.set(kSecReport, w.take());
   }
   {
     BinWriter w;
@@ -282,8 +218,9 @@ std::string encode_run_checkpoint(const RunCheckpoint& ckpt) {
   return cp.encode();
 }
 
-RunCheckpoint decode_run_checkpoint(std::string_view bytes) {
-  const io::Checkpoint cp = io::Checkpoint::decode(bytes);
+namespace {
+
+RunCheckpoint from_container(const io::Checkpoint& cp) {
   RunCheckpoint ckpt;
   {
     BinReader r(cp.require(kSecMeta), "checkpoint meta");
@@ -294,39 +231,44 @@ RunCheckpoint decode_run_checkpoint(std::string_view bytes) {
     ckpt.seq = r.u64();
     ckpt.cum_rounds = r.u64();
     ckpt.recorder_clock = r.u64();
+    r.expect_end();
   }
   {
     BinReader r(cp.require(kSecTower), "checkpoint tower");
-    ckpt.next_guess = static_cast<std::size_t>(r.u64());
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-      ckpt.versions.push_back(read_bitvec_vec(r));
+    ckpt.versions.resize(r.count(kU64Bytes));
+    for (auto& version : ckpt.versions) version = read_rows(r, ckpt.objects);
+    ckpt.timeline.resize(r.count(kTimelineBytes));
+    for (auto& entry : ckpt.timeline) {
+      entry.label = r.str();
+      entry.rounds = r.u64();
+      entry.total_probes = r.u64();
+      entry.max_disc = r.f64();
+      entry.mean_disc = r.f64();
     }
     ckpt.before = read_u64_vec(r);
     ckpt.probes_before = r.u64();
     for (auto& s : ckpt.rng_state) s = r.u64();
-  }
-  {
-    BinReader r(cp.require(kSecReport), "checkpoint report");
-    ckpt.partial = read_run_report(r, ckpt.players);
+    r.expect_end();
   }
   {
     BinReader r(cp.require(kSecOracle), "checkpoint oracle");
     ckpt.oracle.invocations = read_u64_vec(r);
     ckpt.oracle.charged = read_u64_vec(r);
-    ckpt.oracle.probed = read_bitvec_vec(r);
-    ckpt.oracle.values = read_bitvec_vec(r);
+    ckpt.oracle.probed = read_rows(r, ckpt.objects);
+    ckpt.oracle.values = read_rows(r, ckpt.objects);
+    r.expect_end();
   }
   {
     BinReader r(cp.require(kSecBoard), "checkpoint board");
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-      billboard::Billboard::ChannelDump ch;
+    ckpt.board.resize(r.count(kPairBytes));
+    for (auto& ch : ckpt.board) {
       ch.channel = r.str();
-      for (std::uint64_t k = 0, np = r.u64(); k < np; ++k) {
+      for (std::size_t k = 0, np = r.count(kPairBytes); k < np; ++k) {
         const auto p = read_player(r, ckpt.players);
         ch.posts.emplace_back(p, r.bitvec());
       }
-      ckpt.board.push_back(std::move(ch));
     }
+    r.expect_end();
   }
   if (cp.has(kSecInjector)) {
     ckpt.has_injector = true;
@@ -343,21 +285,30 @@ RunCheckpoint decode_run_checkpoint(std::string_view bytes) {
     ckpt.injector.fallback_reads = r.u64();
     ckpt.injector.posts_dropped = r.u64();
     ckpt.injector.posts_delayed = r.u64();
+    r.expect_end();
   }
   if (cp.has(kSecMetrics)) {
     ckpt.metrics_enabled = true;
     BinReader r(cp.require(kSecMetrics), "checkpoint metrics");
     ckpt.metrics = read_snapshot(r);
+    r.expect_end();
   }
   {
     BinReader r(cp.require(kSecHarness), "checkpoint harness");
-    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-      std::string k = r.str();
-      std::string v = r.str();
-      ckpt.harness.emplace_back(std::move(k), std::move(v));
+    ckpt.harness.resize(r.count(kPairBytes));
+    for (auto& [k, v] : ckpt.harness) {
+      k = r.str();
+      v = r.str();
     }
+    r.expect_end();
   }
   return ckpt;
+}
+
+}  // namespace
+
+RunCheckpoint decode_run_checkpoint(std::string_view bytes) {
+  return from_container(io::Checkpoint::decode(bytes));
 }
 
 void save_run_checkpoint(const std::string& path, const RunCheckpoint& ckpt) {
@@ -365,17 +316,9 @@ void save_run_checkpoint(const std::string& path, const RunCheckpoint& ckpt) {
 }
 
 RunCheckpoint load_run_checkpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw io::CheckpointError("checkpoint: cannot open " + path);
-  std::string bytes;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  const bool read_err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_err) throw io::CheckpointError("checkpoint: read error on " + path);
+  const io::Checkpoint cp = io::Checkpoint::load(path);  // its errors name the path
   try {
-    return decode_run_checkpoint(bytes);
+    return from_container(cp);
   } catch (const io::CheckpointError& e) {
     throw io::CheckpointError(std::string(e.what()) + " [" + path + "]");
   }

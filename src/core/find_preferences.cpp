@@ -13,7 +13,9 @@
 #include "tmwia/core/small_radius.hpp"
 #include "tmwia/core/zero_radius.hpp"
 #include "tmwia/engine/thread_pool.hpp"
+#include "tmwia/io/checkpoint.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
+#include "tmwia/obs/metrics.hpp"
 #include "tmwia/obs/profile.hpp"
 
 namespace tmwia::core {
@@ -38,20 +40,6 @@ const char* branch_name(Branch b) {
     case Branch::kLargeRadius: return "large";
   }
   return "?";
-}
-
-/// Export the oracle ledgers as gauges and attach a registry snapshot.
-/// Called at the serial tail of every top-level entry point, so gauge
-/// values (and hence snapshots) do not depend on thread interleaving.
-void finalize_report(RunReport& res, const billboard::ProbeOracle& oracle) {
-  auto& reg = obs::MetricsRegistry::global();
-  if (!reg.enabled()) return;
-  reg.set_gauge("oracle.total_invocations",
-                static_cast<std::int64_t>(oracle.total_invocations()));
-  reg.set_gauge("oracle.total_charged", static_cast<std::int64_t>(oracle.total_charged()));
-  reg.set_gauge("oracle.max_invocations",
-                static_cast<std::int64_t>(oracle.max_invocations()));
-  res.metrics = reg.snapshot();
 }
 
 /// Append a timeline checkpoint to the report and, when a recorder is
@@ -170,11 +158,17 @@ RunReport find_preferences(billboard::ProbeOracle& oracle, billboard::Billboard*
   res.total_probes = oracle.total_invocations() - probes_before;
   record_checkpoint(res, rec, phase_label, res.outputs, res.rounds, res.total_probes);
   if (rec != nullptr) rec->run_end(phase_label, res.rounds, res.total_probes);
-  finalize_report(res, oracle);
   return res;
 }
 
 namespace {
+
+/// Section 6.1's guesses D = 0, 1, 2, 4, ... below m.
+std::vector<std::size_t> guesses_for(std::size_t m) {
+  std::vector<std::size_t> guesses{0};
+  for (std::size_t d = 1; d < m; d *= 2) guesses.push_back(d);
+  return guesses;
+}
 
 /// Shared body of the three unknown-D entry points. `policy` (optional)
 /// cuts checkpoints at guess boundaries; `resume` (optional) continues
@@ -195,30 +189,27 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
   auto* rec = oracle.recorder();
 
   RunReport res;
+  res.algo = RunReport::Algo::kUnknownD;
+  res.guesses = guesses_for(m);
   std::vector<std::vector<bits::BitVector>> versions;
   std::vector<std::uint64_t> before;
   std::uint64_t probes_before = 0;
-  std::size_t start_gi = 0;
   std::uint64_t ckpt_seq = 0;
   std::uint64_t last_ckpt_rounds = 0;
 
   if (resume != nullptr) {
-    res = resume->partial;
     versions = resume->versions;
+    res.timeline = resume->timeline;
     before = resume->before;
     probes_before = resume->probes_before;
-    start_gi = resume->next_guess;
     ckpt_seq = resume->seq;
     last_ckpt_rounds = resume->cum_rounds;
   } else {
     before = oracle.snapshot();
     probes_before = oracle.total_invocations();
     if (rec != nullptr) rec->run_begin("unknown_d", alpha, players.size(), objects.size());
-    res.algo = RunReport::Algo::kUnknownD;
-    res.guesses.push_back(0);
-    for (std::size_t d = 1; d < m; d *= 2) res.guesses.push_back(d);
-    versions.reserve(res.guesses.size());
   }
+  versions.reserve(res.guesses.size());
 
   static const auto h_guess_probes = obs::MetricsRegistry::global().histogram(
       "core.unknown_d.guess_probes", obs::MetricsRegistry::pow2_bounds(32));
@@ -228,7 +219,7 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
   // must always find a fresh file to resume from, and the ckpt note is
   // emitted *before* the sink runs so the stored recorder clock points
   // just past it (the splice point).
-  const auto maybe_checkpoint = [&](std::size_t next_gi) {
+  const auto maybe_checkpoint = [&] {
     const std::uint64_t cum = oracle.rounds_since(before);
     if (policy != nullptr && policy->every_rounds > 0 &&
         cum - last_ckpt_rounds >= policy->every_rounds) {
@@ -243,9 +234,8 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
         ck.seq = ckpt_seq;
         ck.cum_rounds = cum;
         ck.recorder_clock = rec != nullptr ? rec->clock() : 0;
-        ck.next_guess = next_gi;
         ck.versions = versions;
-        ck.partial = res;
+        ck.timeline = res.timeline;
         ck.before = before;
         ck.probes_before = probes_before;
         ck.rng_state = rng.state();
@@ -271,7 +261,7 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
   // the per-run channels), then each player privately picks the
   // candidate closest to its own vector with RSelect — no distance
   // bound is needed (Section 6.1).
-  for (std::size_t gi = start_gi; gi < res.guesses.size(); ++gi) {
+  for (std::size_t gi = versions.size(); gi < res.guesses.size(); ++gi) {
     const auto guess_probes_before = oracle.total_invocations();
     {
       // tmwia-lint: allow(metric-name-registry) guess zones are parameterized by d
@@ -285,7 +275,7 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
     record_checkpoint(res, rec, "guess:d=" + std::to_string(res.guesses[gi]), versions.back(),
                       oracle.rounds_since(before),
                       oracle.total_invocations() - probes_before);
-    maybe_checkpoint(gi + 1);
+    maybe_checkpoint();
   }
 
   res.outputs.assign(players.size(), bits::BitVector(m));
@@ -328,7 +318,6 @@ RunReport unknown_d_impl(billboard::ProbeOracle& oracle, billboard::Billboard* b
   res.total_probes = oracle.total_invocations() - probes_before;
   record_checkpoint(res, rec, "select", res.outputs, res.rounds, res.total_probes);
   if (rec != nullptr) rec->run_end("unknown_d", res.rounds, res.total_probes);
-  finalize_report(res, oracle);
   return res;
 }
 
@@ -361,9 +350,26 @@ RunReport resume_unknown_d(billboard::ProbeOracle& oracle, billboard::Billboard*
         std::to_string(oracle.players()) + "x" + std::to_string(oracle.objects()) + ")");
   }
 
+  // The cursor must fit the shape before any state is touched: the
+  // final RSelect reads row i of every version, and rounds_since reads
+  // `before` per player.
+  const std::size_t guesses = guesses_for(ckpt.objects).size();
+  const bool rows_fit = std::all_of(ckpt.versions.begin(), ckpt.versions.end(),
+                                    [&](const auto& v) { return v.size() == ckpt.players; });
+  if (ckpt.versions.size() > guesses || !rows_fit ||
+      ckpt.timeline.size() != ckpt.versions.size() || ckpt.before.size() != ckpt.players) {
+    throw io::CheckpointError(
+        "checkpoint tower: cursor does not fit " + std::to_string(ckpt.players) +
+        " players (" + std::to_string(ckpt.versions.size()) + " versions for " +
+        std::to_string(guesses) + " guesses, rows per player " +
+        (rows_fit ? "ok" : "wrong") + ", " + std::to_string(ckpt.timeline.size()) +
+        " timeline entries, " + std::to_string(ckpt.before.size()) + " 'before' entries)");
+  }
+
   // Splice the world back together: cost ledgers and probe records,
-  // billboard posts, fault cursors, the metrics stream, and the flight
-  // recorder's logical clock (re-entering the still-open run scope).
+  // billboard posts, fault cursors, the metrics stream (into a registry
+  // the caller enabled), and the flight recorder's logical clock
+  // (re-entering the still-open run scope).
   oracle.restore_ledger(ckpt.oracle);
   if (board != nullptr) board->restore_posts(ckpt.board);
   auto* injector = oracle.fault_injector();
@@ -374,11 +380,8 @@ RunReport resume_unknown_d(billboard::ProbeOracle& oracle, billboard::Billboard*
     }
     injector->restore_state(ckpt.injector);
   }
-  if (ckpt.metrics_enabled) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.set_enabled(true);
-    reg.restore(ckpt.metrics);
-  }
+  auto& reg = obs::MetricsRegistry::global();
+  if (ckpt.metrics_enabled && reg.enabled()) reg.restore(ckpt.metrics);
   if (auto* rec = oracle.recorder()) rec->resume_run(oracle.players(), ckpt.recorder_clock);
 
   return unknown_d_impl(oracle, board, ckpt.alpha, params,
@@ -446,7 +449,6 @@ RunReport anytime(billboard::ProbeOracle& oracle, billboard::Billboard* board,
   res.rounds = oracle.rounds_since(before);
   res.total_probes = oracle.total_invocations() - probes_before;
   if (rec != nullptr) rec->run_end("anytime", res.rounds, res.total_probes);
-  finalize_report(res, oracle);
   return res;
 }
 

@@ -1,8 +1,9 @@
 // Crash-consistent checkpoint/resume for the algorithm tower.
 //
 // A RunCheckpoint freezes everything a killed unknown-D run needs to
-// continue byte-identically: the tower cursor (next guess, candidate
-// versions, the partial report), the root RNG state (splits are pure in
+// continue byte-identically: the tower cursor (the candidate versions
+// of the guesses finished so far and their timeline entries; the next
+// guess is the next version), the root RNG state (splits are pure in
 // (state, structural tags), so restoring the root replays the remaining
 // splits exactly), the oracle cost ledgers and probe records, the
 // billboard posts, the fault-injector cursors, the metrics snapshot,
@@ -52,11 +53,11 @@ struct RunCheckpoint {
   std::uint64_t cum_rounds = 0;      ///< rounds consumed at the cut
   std::uint64_t recorder_clock = 0;  ///< logical clock just after the ckpt note
 
-  // Tower cursor.
-  std::size_t next_guess = 0;  ///< index into guesses of the next run
+  // Tower cursor. The guesses follow from `objects`, and the next one
+  // to run is guesses[versions.size()].
   std::vector<std::vector<bits::BitVector>> versions;  ///< outputs per finished guess
-  RunReport partial;           ///< guesses + timeline accumulated so far
-  std::vector<std::uint64_t> before;  ///< oracle snapshot at run entry
+  std::vector<PhaseCheckpoint> timeline;  ///< one entry per finished guess
+  std::vector<std::uint64_t> before;      ///< oracle snapshot at run entry
   std::uint64_t probes_before = 0;
   std::array<std::uint64_t, 4> rng_state{};  ///< root stream (splits are pure)
 
@@ -88,18 +89,14 @@ struct CheckpointPolicy {
 };
 
 // ---------------------------------------------------------------------------
-// Serialization (io::Checkpoint container; all wire helpers throw
-// io::CheckpointError on corrupt input)
+// Serialization (io::Checkpoint container)
 // ---------------------------------------------------------------------------
 
-void write_run_report(io::BinWriter& w, const RunReport& report);
-/// Quarantined player ids at or past `players` are corrupt.
-RunReport read_run_report(io::BinReader& r, std::uint64_t players);
-
-void write_snapshot(io::BinWriter& w, const obs::Snapshot& snap);
-obs::Snapshot read_snapshot(io::BinReader& r);
-
 /// Encode/decode the full checkpoint through the sectioned container.
+/// Decoding throws io::CheckpointError on corrupt input: a truncated or
+/// over-long section, a count its section cannot hold, a version or
+/// oracle row that is not `objects` bits wide, or a board player id at
+/// or past `players`.
 std::string encode_run_checkpoint(const RunCheckpoint& ckpt);
 RunCheckpoint decode_run_checkpoint(std::string_view bytes);
 
@@ -122,11 +119,15 @@ RunReport find_preferences_unknown_d(billboard::ProbeOracle& oracle,
 
 /// Continue a checkpointed unknown-D run to completion. Restores the
 /// world state into the caller's freshly-constructed oracle/board/
-/// injector (shapes validated), splices the global metrics registry and
-/// the installed flight recorder's clock, then resumes at
-/// ckpt.next_guess. The returned report is byte-identical (to_json) to
-/// the uninterrupted run's. Throws std::invalid_argument on a
-/// shape/algo mismatch.
+/// injector (shapes validated), the checkpoint's metrics stream into the
+/// global registry when the caller enabled it, and the installed flight
+/// recorder's clock, then runs the guesses after the stored versions.
+/// The returned report is byte-identical (to_json) to the uninterrupted
+/// run's. Throws std::invalid_argument on a shape/algo mismatch and
+/// io::CheckpointError on a cursor that does not fit the shape (more
+/// versions than guesses, a version or `before` without one entry per
+/// player, or a timeline not one entry per version), before any state
+/// is touched.
 RunReport resume_unknown_d(billboard::ProbeOracle& oracle, billboard::Billboard* board,
                            const Params& params, const RunCheckpoint& ckpt,
                            const CheckpointPolicy& policy);

@@ -14,7 +14,9 @@
 //
 // All three return a RunReport — one result type for the whole tower
 // (outputs + cost accounting + the variant-specific detail for the
-// algorithm that ran + an optional metrics snapshot).
+// algorithm that ran). None of them snapshots the metrics registry or
+// writes a gauge: the caller that writes a metrics artifact does
+// (tmwia::snapshot_with_oracle_totals, session.hpp).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,6 @@
 #include "tmwia/billboard/probe_oracle.hpp"
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/core/params.hpp"
-#include "tmwia/obs/metrics.hpp"
 #include "tmwia/rng/rng.hpp"
 
 namespace tmwia::core {
@@ -73,8 +74,6 @@ struct DegradedInfo {
 ///    `chosen_d[i]` the guess player i adopted;
 ///  * kAnytime  — `phases` holds the per-phase cost/quality
 ///    checkpoints (rounds/total_probes mirror the last entry).
-/// `metrics` is a snapshot of the global MetricsRegistry taken at the
-/// end of the call when the registry is enabled (empty otherwise).
 struct RunReport {
   enum class Algo : std::uint8_t { kFixedD, kUnknownD, kAnytime, kSupervised, kServe };
 
@@ -97,8 +96,6 @@ struct RunReport {
   /// disc fields need an installed FlightRecorder evaluator).
   std::vector<PhaseCheckpoint> timeline;
 
-  obs::Snapshot metrics;  ///< global-registry snapshot when enabled
-
   /// What a supervised run quarantined or left unmet (empty unless an
   /// engine::Supervisor degraded the run instead of aborting it).
   DegradedInfo degraded;
@@ -115,8 +112,8 @@ struct RunReport {
 
   /// One-line JSON object with the scalar results, the timeline, the
   /// variant detail (chosen_d/guesses/phases), and — when non-empty —
-  /// the degraded, profile and slo sections. Outputs and the metrics
-  /// snapshot are *not* embedded — they have their own sinks.
+  /// the degraded, profile and slo sections. Outputs are *not*
+  /// embedded — they have their own sink.
   [[nodiscard]] std::string to_json() const;
 };
 

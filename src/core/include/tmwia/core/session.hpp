@@ -6,8 +6,9 @@
 //
 // A Session owns the ProbeOracle / Billboard / FaultInjector plumbing
 // that the lower-level API makes the caller wire by hand, plus the
-// observability sinks: `.metrics_sink(path)` writes the final
-// MetricsRegistry snapshot as JSON after each run, `.record_sink(path)`
+// observability sinks: `.metrics_sink(path)` writes the global
+// MetricsRegistry snapshot as JSON after each run, with this session's
+// oracle totals as the `oracle.*` gauges, `.record_sink(path)`
 // streams the flight log of this session's runs — its recorder is
 // attached to this session's oracle and billboard only, so Sessions
 // alive side by side never write into each other's logs.
@@ -36,6 +37,7 @@
 #include "tmwia/core/params.hpp"
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
+#include "tmwia/obs/metrics.hpp"
 
 namespace tmwia {
 
@@ -45,6 +47,16 @@ namespace tmwia {
 /// this opaque std::function. `truth` must outlive the recorder.
 obs::FlightRecorder::OutputEvaluator make_truth_evaluator(
     const matrix::PreferenceMatrix& truth);
+
+/// Set the global MetricsRegistry's `oracle.total_invocations`,
+/// `oracle.total_charged` and `oracle.max_invocations` gauges, then
+/// return its snapshot. The caller that writes a metrics artifact calls
+/// this once, at a quiescent point, with the totals of the oracles it
+/// owns (a serve session passes its tenants' sums and the largest
+/// max_invocations); no algorithm entry point writes these gauges.
+[[nodiscard]] obs::Snapshot snapshot_with_oracle_totals(std::uint64_t total_invocations,
+                                                        std::uint64_t total_charged,
+                                                        std::uint64_t max_invocations);
 
 class Session {
  public:
@@ -78,8 +90,9 @@ class Session {
   /// Forwarded to engine::set_global_threads, so it only sticks if no
   /// parallel phase has run yet anywhere in the process.
   Session& threads(std::size_t n);
-  /// After every run, write the metrics snapshot (JSON) here. Enables
-  /// the global MetricsRegistry.
+  /// After every run, write the metrics snapshot (JSON) here, its
+  /// `oracle.*` gauges set from this session's oracle. Enables the
+  /// global MetricsRegistry.
   Session& metrics_sink(std::string path);
   /// Stream the flight-recorder event log here (see
   /// obs::FlightRecorder). The session installs a truth-closing output

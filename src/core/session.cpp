@@ -2,7 +2,6 @@
 #include "tmwia/core/session.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "tmwia/engine/thread_pool.hpp"
@@ -29,6 +28,16 @@ obs::FlightRecorder::OutputEvaluator make_truth_evaluator(
     eval.mean_disc = static_cast<double>(total) / static_cast<double>(n);
     return eval;
   };
+}
+
+obs::Snapshot snapshot_with_oracle_totals(std::uint64_t total_invocations,
+                                          std::uint64_t total_charged,
+                                          std::uint64_t max_invocations) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.set_gauge("oracle.total_invocations", static_cast<std::int64_t>(total_invocations));
+  reg.set_gauge("oracle.total_charged", static_cast<std::int64_t>(total_charged));
+  reg.set_gauge("oracle.max_invocations", static_cast<std::int64_t>(max_invocations));
+  return reg.snapshot();
 }
 
 Session::Session(const matrix::PreferenceMatrix& truth)
@@ -129,9 +138,9 @@ void Session::build() {
 core::RunReport Session::finish(core::RunReport report) {
   if (!metrics_path_.empty()) {
     // One-shot artifact: a reader never sees a torn metrics file.
-    std::ostringstream out;
-    out << report.metrics.to_json() << '\n';
-    io::atomic_write_file(metrics_path_, out.str());
+    const auto snap = snapshot_with_oracle_totals(
+        oracle_->total_invocations(), oracle_->total_charged(), oracle_->max_invocations());
+    io::atomic_write_file(metrics_path_, snap.to_json() + '\n');
   }
   if (record_ != nullptr) record_->recorder().flush();
   ++run_index_;

@@ -104,19 +104,28 @@ std::string BinReader::str() {
   return std::string(need(static_cast<std::size_t>(n)), static_cast<std::size_t>(n));
 }
 
+std::size_t BinReader::count(std::size_t min_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_bytes) {
+    fail(context_ + ": count " + std::to_string(n) + " exceeds the " +
+         std::to_string(remaining()) + " bytes left");
+  }
+  return static_cast<std::size_t>(n);
+}
+
+void BinReader::expect_end() const {
+  if (!at_end()) fail(context_ + ": " + std::to_string(remaining()) + " trailing bytes");
+}
+
 bits::BitVector BinReader::bitvec() {
   const std::uint64_t n = u64();
-  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-  if (words * 8 > remaining()) fail(context_ + ": truncated bit vector of size " + std::to_string(n));
-  bits::BitVector v(static_cast<std::size_t>(n));
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t word = u64();
-    for (std::size_t b = 0; b < 64; ++b) {
-      const std::size_t i = w * 64 + b;
-      if (i >= v.size()) break;
-      if ((word >> b) & 1u) v.set(i, true);
-    }
+  // n / 64 rounded up without the wrap of (n + 63) near 2^64.
+  const std::uint64_t words = n / 64 + (n % 64 != 0 ? 1 : 0);
+  if (words > remaining() / 8) {
+    fail(context_ + ": truncated bit vector of size " + std::to_string(n));
   }
+  bits::BitVector v(static_cast<std::size_t>(n));
+  v.fill_words([this] { return u64(); });  // bits past n are masked off
   return v;
 }
 

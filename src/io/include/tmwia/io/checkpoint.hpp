@@ -14,7 +14,7 @@
 //
 //   offset  size  field
 //   0       8     magic "TMWIACP1"
-//   8       4     format version (u32, currently 1)
+//   8       4     format version (u32, currently 2)
 //   12      4     section count (u32)
 //   --- per section ---
 //           4     name length (u32)
@@ -42,7 +42,9 @@ namespace tmwia::io {
 
 // Thrown on any structural problem with a checkpoint artifact:
 // truncation, bad magic, unsupported version, CRC mismatch, missing
-// section, or a reader running past the end of a section payload.
+// section, a reader running past the end of a section payload, a count
+// the payload cannot hold, or bytes left over after a section's last
+// field.
 class CheckpointError : public std::runtime_error {
  public:
   explicit CheckpointError(const std::string& what) : std::runtime_error(what) {}
@@ -86,6 +88,13 @@ class BinReader {
   std::string str();
   bits::BitVector bitvec();
 
+  // An element count (u64), checked against what the rest of the
+  // payload can hold at `min_bytes` (>= 1) per element, so a corrupt
+  // count never sizes an allocation.
+  std::size_t count(std::size_t min_bytes);
+  // Throws unless every byte of the payload was read.
+  void expect_end() const;
+
   bool at_end() const { return pos_ == buf_.size(); }
   std::size_t remaining() const { return buf_.size() - pos_; }
 
@@ -114,7 +123,7 @@ void atomic_write_file(const std::string& path, std::string_view bytes);
 
 class Checkpoint {
  public:
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   void set(const std::string& name, std::string bytes);
   bool has(const std::string& name) const;

@@ -136,7 +136,6 @@ class MetricsRegistry {
   /// Gauges: registry-level last-write-wins cells. Only call from
   /// serial code if snapshot determinism matters.
   void set_gauge(std::string_view name, std::int64_t value);
-  void add_gauge(std::string_view name, std::int64_t delta);
 
   /// Merge every shard into a Snapshot (call at quiescent points).
   [[nodiscard]] Snapshot snapshot() const;

@@ -90,16 +90,6 @@ void MetricsRegistry::set_gauge(std::string_view name, std::int64_t value) {
   it->second->store(value, std::memory_order_relaxed);
 }
 
-void MetricsRegistry::add_gauge(std::string_view name, std::int64_t delta) {
-  support::MutexLock lk(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<std::atomic<std::int64_t>>(0))
-             .first;
-  }
-  it->second->fetch_add(delta, std::memory_order_relaxed);
-}
-
 Snapshot MetricsRegistry::snapshot() const {
   support::MutexLock lk(mu_);
   Snapshot snap;

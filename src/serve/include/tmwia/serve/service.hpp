@@ -112,6 +112,17 @@ class RecommendationService {
   /// Any tenant currently serving degraded (stale-marked) answers?
   [[nodiscard]] bool any_degraded() const;
 
+  /// Oracle cost over every tenant: summed invocations and charged
+  /// probes, and the largest max_invocations (the session's rounds).
+  /// serve's --report and its `oracle.*` gauges both carry these. Call
+  /// at a quiescent point; unlike tenant(), it charges no profile cost.
+  struct OracleTotals {
+    std::uint64_t invocations = 0;
+    std::uint64_t charged = 0;
+    std::uint64_t max_invocations = 0;
+  };
+  [[nodiscard]] OracleTotals oracle_totals() const;
+
   // ---- observability hooks (install before serving) ----------------
 
   /// Attach a telemetry exporter: every answered request is forwarded

@@ -121,8 +121,10 @@ class Tenant {
     publish_hook_ = std::move(hook);
   }
 
-  /// Cumulative oracle cost, for stats responses.
+  /// Cumulative oracle cost, for stats responses and the session's
+  /// `oracle.*` gauges.
   [[nodiscard]] std::uint64_t total_probes() const { return oracle_->total_invocations(); }
+  [[nodiscard]] std::uint64_t total_charged() const { return oracle_->total_charged(); }
   [[nodiscard]] std::uint64_t rounds() const { return oracle_->max_invocations(); }
 
   /// Verify the auditor's cost ledger against the oracle (A4) and
@@ -136,7 +138,9 @@ class Tenant {
 
   /// Restore a snapshot cut by save_snapshot into this freshly
   /// constructed tenant (same shape, no epochs run yet). Throws
-  /// std::invalid_argument on an algo/shape mismatch.
+  /// std::invalid_argument on an algo/shape mismatch and
+  /// io::CheckpointError on a corrupt file or malformed estimate
+  /// sections, before any state is touched.
   void restore_snapshot(const std::string& path);
 
  private:

@@ -110,6 +110,17 @@ bool RecommendationService::any_degraded() const {
   return false;
 }
 
+RecommendationService::OracleTotals RecommendationService::oracle_totals() const {
+  support::MutexLock lock(mu_);
+  OracleTotals totals;
+  for (const auto& [name, entry] : tenants_) {
+    totals.invocations += entry->tenant->total_probes();
+    totals.charged += entry->tenant->total_charged();
+    totals.max_invocations = std::max(totals.max_invocations, entry->tenant->rounds());
+  }
+  return totals;
+}
+
 void RecommendationService::observe(Entry& entry, const Response& r) {
   requests_.inc();
   entry.requests.inc();

@@ -11,6 +11,7 @@
 #include "tmwia/core/find_preferences.hpp"
 #include "tmwia/core/session.hpp"
 #include "tmwia/engine/supervisor.hpp"
+#include "tmwia/io/checkpoint.hpp"
 #include "tmwia/support/thread_annotations.hpp"
 
 namespace tmwia::serve {
@@ -222,9 +223,10 @@ void Tenant::restore_snapshot(const std::string& path) {
   if (ckpt.players != players() || ckpt.objects != objects()) {
     throw std::invalid_argument("Tenant::restore_snapshot: instance shape mismatch");
   }
+  // decode_run_checkpoint already holds every row to objects() bits.
   if (ckpt.versions.size() != 3 || ckpt.versions[0].size() != players() ||
       ckpt.versions[1].size() != ckpt.versions[2].size()) {
-    throw std::invalid_argument("Tenant::restore_snapshot: malformed estimate sections");
+    throw io::CheckpointError("Tenant::restore_snapshot: malformed estimate sections");
   }
 
   oracle_->restore_ledger(ckpt.oracle);

@@ -68,7 +68,7 @@ TEST(ProbeOracle, ProbedRecordIsPublic) {
   const auto m = small_matrix();
   ProbeOracle o(m);
   EXPECT_FALSE(o.is_probed(1, 2));
-  EXPECT_THROW(o.probed_value(1, 2), std::logic_error);
+  EXPECT_THROW((void)o.probed_value(1, 2), std::logic_error);
   o.probe(1, 2);
   EXPECT_TRUE(o.is_probed(1, 2));
   EXPECT_TRUE(o.probed_value(1, 2));

@@ -1,8 +1,10 @@
 // Tests for the durability layer: wire helpers, the CRC-guarded
 // sectioned container (corruption must reject the whole file, never
-// load partially), atomic file replacement, RunReport/RunCheckpoint
-// serialization round-trips, and the tentpole property — a run resumed
-// from a mid-run checkpoint is byte-identical to the uninterrupted run.
+// load partially), atomic file replacement, RunCheckpoint serialization
+// round-trips, typed rejection of malformed checkpoints (format version,
+// counts, trailing bytes, row widths, a cursor that does not fit the
+// shape), and the tentpole property — a run resumed from a mid-run
+// checkpoint is byte-identical to the uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -52,6 +54,18 @@ TEST(BinWire, RoundTripsEveryType) {
   EXPECT_TRUE(back.get(130));
   EXPECT_FALSE(back.get(1));
   EXPECT_TRUE(r.at_end());
+}
+
+// A size within 63 of 2^64 must not wrap the word count to 0: the reader
+// would return a vector that claims 2^64 - 1 bits and has no storage.
+TEST(BinWire, RejectsABitVectorSizeThatWrapsTheWordCount) {
+  for (const std::uint64_t n : {~std::uint64_t{0}, ~std::uint64_t{0} - 62}) {
+    io::BinWriter w;
+    w.u64(n);
+    w.u64(0);
+    io::BinReader r(w.bytes(), "wrap");
+    EXPECT_THROW(r.bitvec(), io::CheckpointError) << n;
+  }
 }
 
 TEST(BinWire, ReaderThrowsOnTruncation) {
@@ -142,59 +156,6 @@ TEST(CheckpointContainer, SaveLoadRoundTripsThroughDisk) {
   std::remove(path.c_str());
 }
 
-core::RunReport sample_report() {
-  core::RunReport rep;
-  rep.algo = core::RunReport::Algo::kUnknownD;
-  rep.outputs = {bits::BitVector(17), bits::BitVector(17)};
-  rep.outputs[0].set(3, true);
-  rep.outputs[1].set(16, true);
-  rep.rounds = 123;
-  rep.total_probes = 456;
-  rep.chosen_d = {0, 2};
-  rep.guesses = {0, 1, 2, 4};
-  rep.timeline.push_back({"guess:d=0", 10, 20, -1.0, -1.0});
-  rep.timeline.push_back({"guess:d=1", 30, 60, 2.0, 0.5});
-  rep.degraded.quarantined = {1};
-  rep.degraded.unmet_phases = {"phase:0"};
-  rep.metrics.counters["core.probes"] = 456;
-  obs::HistogramData h;
-  h.bounds = {1, 2, 4};
-  h.buckets = {3, 2, 1, 0};
-  h.count = 6;
-  h.sum = 9;
-  rep.metrics.histograms["core.guess_rounds"] = h;
-  rep.metrics.gauges["oracle.total"] = -5;
-  return rep;
-}
-
-TEST(RunReportWire, RoundTripsIncludingHistogramsAndDegraded) {
-  const auto rep = sample_report();
-  io::BinWriter w;
-  core::write_run_report(w, rep);
-  io::BinReader r(w.bytes(), "report");
-  const auto back = core::read_run_report(r, 2);
-  EXPECT_TRUE(r.at_end());
-
-  EXPECT_EQ(back.algo, rep.algo);
-  ASSERT_EQ(back.outputs.size(), 2u);
-  EXPECT_TRUE(back.outputs[0].get(3));
-  EXPECT_TRUE(back.outputs[1].get(16));
-  EXPECT_EQ(back.rounds, rep.rounds);
-  EXPECT_EQ(back.total_probes, rep.total_probes);
-  EXPECT_EQ(back.chosen_d, rep.chosen_d);
-  EXPECT_EQ(back.guesses, rep.guesses);
-  EXPECT_EQ(back.degraded, rep.degraded);
-  EXPECT_EQ(back.metrics.counters.at("core.probes"), 456u);
-  const auto& hb = back.metrics.histograms.at("core.guess_rounds");
-  EXPECT_EQ(hb.bounds, (std::vector<std::uint64_t>{1, 2, 4}));
-  EXPECT_EQ(hb.buckets, (std::vector<std::uint64_t>{3, 2, 1, 0}));
-  EXPECT_EQ(hb.sum, 9u);
-  EXPECT_EQ(back.metrics.gauges.at("oracle.total"), -5);
-  // The JSON projection agrees too (includes the degraded section).
-  EXPECT_EQ(back.to_json(), rep.to_json());
-  EXPECT_NE(rep.to_json().find("\"degraded\""), std::string::npos);
-}
-
 TEST(RunCheckpointWire, RoundTripsFullState) {
   core::RunCheckpoint ck;
   ck.alpha = 0.25;
@@ -203,10 +164,9 @@ TEST(RunCheckpointWire, RoundTripsFullState) {
   ck.seq = 3;
   ck.cum_rounds = 99;
   ck.recorder_clock = 12345;
-  ck.next_guess = 2;
   ck.versions = {{bits::BitVector(17), bits::BitVector(17)}};
   ck.versions[0][1].set(5, true);
-  ck.partial = sample_report();
+  ck.timeline.push_back({"guess:d=0", 10, 20, 2.0, 0.5});
   ck.before = {7, 8};
   ck.probes_before = 15;
   ck.rng_state = {1, 2, 3, 4};
@@ -238,10 +198,14 @@ TEST(RunCheckpointWire, RoundTripsFullState) {
   EXPECT_EQ(back.seq, 3u);
   EXPECT_EQ(back.cum_rounds, 99u);
   EXPECT_EQ(back.recorder_clock, 12345u);
-  EXPECT_EQ(back.next_guess, 2u);
   ASSERT_EQ(back.versions.size(), 1u);
   EXPECT_TRUE(back.versions[0][1].get(5));
-  EXPECT_EQ(back.partial.to_json(), ck.partial.to_json());
+  ASSERT_EQ(back.timeline.size(), 1u);
+  EXPECT_EQ(back.timeline[0].label, "guess:d=0");
+  EXPECT_EQ(back.timeline[0].rounds, 10u);
+  EXPECT_EQ(back.timeline[0].total_probes, 20u);
+  EXPECT_DOUBLE_EQ(back.timeline[0].max_disc, 2.0);
+  EXPECT_DOUBLE_EQ(back.timeline[0].mean_disc, 0.5);
   EXPECT_EQ(back.before, (std::vector<std::uint64_t>{7, 8}));
   EXPECT_EQ(back.probes_before, 15u);
   EXPECT_EQ(back.rng_state, (std::array<std::uint64_t, 4>{1, 2, 3, 4}));
@@ -263,9 +227,9 @@ TEST(RunCheckpointWire, RoundTripsFullState) {
   EXPECT_THROW(core::decode_run_checkpoint(bad), io::CheckpointError);
 }
 
-// A board or quarantine player id at or past the checkpoint's player
-// count is corrupt: restoring it would size a channel by that id, and
-// an id past 2^32 must not wrap onto a real player.
+// A board player id at or past the checkpoint's player count is
+// corrupt: restoring it would size a channel by that id, and an id past
+// 2^32 must not wrap onto a real player.
 TEST(RunCheckpointWire, RejectsOutOfRangePlayerIds) {
   core::RunCheckpoint ck;
   ck.players = 4;
@@ -285,14 +249,122 @@ TEST(RunCheckpointWire, RejectsOutOfRangePlayerIds) {
     cp.set("board", w.take());
     EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << bad_id;
   }
+}
 
-  core::RunReport quarantined;
-  quarantined.degraded.quarantined = {4};
+/// A well-formed 4-player, 8-object checkpoint with one version, as the
+/// container its sections are swapped in and out of.
+core::RunCheckpoint small_checkpoint() {
+  core::RunCheckpoint ck;
+  ck.players = 4;
+  ck.objects = 8;
+  ck.versions = {std::vector<bits::BitVector>(4, bits::BitVector(8))};
+  ck.timeline.push_back({"guess:d=0", 3, 12, -1.0, -1.0});
+  ck.before = {0, 0, 0, 0};
+  ck.oracle.invocations = {3, 3, 3, 3};
+  ck.oracle.charged = {3, 3, 3, 3};
+  ck.oracle.probed = std::vector<bits::BitVector>(4, bits::BitVector(8));
+  ck.oracle.values = std::vector<bits::BitVector>(4, bits::BitVector(8));
+  return ck;
+}
+
+/// The tower section as encode_run_checkpoint writes it, with `rows`
+/// as the only version.
+std::string tower_with_rows(const std::vector<bits::BitVector>& rows) {
   io::BinWriter w;
-  core::write_run_report(w, quarantined);
+  w.u64(1);  // one version
+  w.u64(rows.size());
+  for (const auto& row : rows) w.bitvec(row);
+  w.u64(1);  // one timeline entry
+  w.str("guess:d=0");
+  w.u64(3);
+  w.u64(12);
+  w.f64(-1.0);
+  w.f64(-1.0);
+  w.u64(4);  // before
+  for (int p = 0; p < 4; ++p) w.u64(0);
+  w.u64(0);  // probes_before
+  for (int i = 0; i < 4; ++i) w.u64(0);  // rng state
+  return w.take();
+}
+
+// Checkpoints are format version 2 (no serialized report section): a
+// version-1 file fails typed at the header instead of being misread.
+TEST(RunCheckpointWire, RefusesAVersionOneContainer) {
+  auto bytes = core::encode_run_checkpoint(small_checkpoint());
+  bytes[8] = 1;  // the u32 format version, little-endian, after the magic
+  const std::string_view body(bytes.data(), bytes.size() - 4);
+  const std::uint32_t crc = io::crc32(body.data(), body.size());
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
+  }
+  try {
+    (void)core::decode_run_checkpoint(bytes);
+    FAIL() << "a version-1 container decoded";
+  } catch (const io::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
+// Every version row and oracle row must be `objects` bits wide: the
+// final RSelect and a serve restore read version rows as estimates, and
+// the oracle sets and reads its rows by object id.
+TEST(RunCheckpointWire, RejectsARowOfTheWrongWidth) {
+  const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(small_checkpoint()));
+  auto same = good;
+  same.set("tower", tower_with_rows(std::vector<bits::BitVector>(4, bits::BitVector(8))));
+  EXPECT_EQ(core::decode_run_checkpoint(same.encode()).versions[0].size(), 4u);
+
+  for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{9}}) {
+    auto cp = good;
+    cp.set("tower", tower_with_rows(std::vector<bits::BitVector>(4, bits::BitVector(width))));
+    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << width;
+
+    auto ck = small_checkpoint();
+    ck.oracle.values[0] = bits::BitVector(width);
+    EXPECT_THROW(core::decode_run_checkpoint(core::encode_run_checkpoint(ck)),
+                 io::CheckpointError)
+        << width;
+  }
+}
+
+// A count no section could hold fails typed before anything is
+// allocated for it, not as a length_error from a reserve of 2^61.
+TEST(RunCheckpointWire, RejectsCountsTheSectionCannotHold) {
+  const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(small_checkpoint()));
+  io::BinWriter w;
+  w.u64(std::uint64_t{1} << 61);  // invocations
   auto cp = good;
-  cp.set("report", w.take());
+  cp.set("oracle", w.take());
   EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError);
+
+  io::BinWriter h;
+  h.u64(std::uint64_t{1} << 40);  // harness entries, with 0 bytes left
+  cp = good;
+  cp.set("harness", h.take());
+  EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError);
+}
+
+// Each section is read to its end: bytes after its last field are
+// corruption, not padding.
+TEST(RunCheckpointWire, RejectsTrailingBytesInASection) {
+  auto ck = small_checkpoint();
+  ck.has_injector = true;
+  ck.injector.attempts = {0, 0, 0, 0};
+  ck.injector.post_seq = {0, 0, 0, 0};
+  ck.injector.down = {0, 0, 0, 0};
+  ck.injector.degraded = {0, 0, 0, 0};
+  ck.injector.orphaned = {0, 0, 0, 0};
+  ck.injector.was_crashed = {0, 0, 0, 0};
+  ck.injector.was_recovered = {0, 0, 0, 0};
+  ck.metrics_enabled = true;
+  const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(ck));
+  ASSERT_EQ(good.names().size(), 7u);
+  for (const auto& name : good.names()) {
+    auto cp = good;
+    cp.set(name, good.require(name) + std::string(16, '\0'));
+    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << name;
+  }
 }
 
 // The tentpole: cut checkpoints mid-run, then resume each one in a
@@ -394,6 +466,43 @@ TEST(CheckpointResume, RejectsShapeMismatch) {
   tampered.algo = "anytime";
   EXPECT_THROW(core::resume_unknown_d(oracle, &board, params, tampered, policy),
                std::invalid_argument);
+}
+
+// The cursor must fit the shape before resume touches any state: the
+// final RSelect reads row i of every version, so a version with one row
+// instead of one per player would send it past the end.
+TEST(CheckpointResume, RejectsACursorThatDoesNotFitTheShape) {
+  rng::Rng gen(26);
+  const auto inst = matrix::planted_community(16, 32, {0.5, 0}, gen);
+  const auto params = core::Params::practical();
+  billboard::ProbeOracle oracle(inst.matrix);
+  billboard::Billboard board;
+  std::vector<core::RunCheckpoint> cuts;
+  core::CheckpointPolicy policy;
+  policy.every_rounds = 20;
+  policy.sink = [&cuts](const core::RunCheckpoint& ck) { cuts.push_back(ck); };
+  (void)core::find_preferences_unknown_d(oracle, &board, 0.5, params, rng::Rng(61), policy);
+  ASSERT_GE(cuts.size(), 1u);
+  const auto& cut = cuts[0];
+  ASSERT_GE(cut.versions.size(), 1u);
+
+  // m = 32 runs the 6 guesses 0, 1, 2, 4, 8, 16.
+  std::vector<core::RunCheckpoint> bad(4, cut);
+  bad[0].versions.resize(7, cut.versions[0]);
+  bad[0].timeline.resize(7, cut.timeline[0]);
+  bad[1].versions[0].resize(1);
+  bad[2].timeline.pop_back();
+  bad[3].before.pop_back();
+  const core::CheckpointPolicy no_cuts;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const auto decoded = core::decode_run_checkpoint(core::encode_run_checkpoint(bad[i]));
+    billboard::ProbeOracle fresh(inst.matrix);
+    billboard::Billboard fresh_board;
+    EXPECT_THROW(core::resume_unknown_d(fresh, &fresh_board, params, decoded, no_cuts),
+                 io::CheckpointError)
+        << "case " << i;
+    EXPECT_EQ(fresh.total_invocations(), 0u) << "case " << i << ": ledger restored";
+  }
 }
 
 TEST(CheckpointResume, FileRoundTripPreservesResume) {

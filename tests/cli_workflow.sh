@@ -327,6 +327,19 @@ data[len(data) // 2] ^= 0xFF
 open(sys.argv[2], 'wb').write(bytes(data))
 EOF
   expect_exit 5 "$CLI" resume --checkpoint="$DIR/ck_flip.tmw" --in="$DIR/w2.tmw" --out=/dev/null
+  # A container of another format version fails typed at its header
+  # (format 1 carried a serialized report this reader would misread).
+  python3 - "$DIR/ck.tmw" "$DIR/ck_v1.tmw" <<'EOF'
+import sys, zlib
+data = bytearray(open(sys.argv[1], 'rb').read())
+data[8:12] = (1).to_bytes(4, 'little')
+data[-4:] = zlib.crc32(bytes(data[:-4])).to_bytes(4, 'little')
+open(sys.argv[2], 'wb').write(bytes(data))
+EOF
+  expect_exit 5 "$CLI" resume --checkpoint="$DIR/ck_v1.tmw" --in="$DIR/w2.tmw" --out=/dev/null
+  "$CLI" resume --checkpoint="$DIR/ck_v1.tmw" --in="$DIR/w2.tmw" --out=/dev/null \
+         >/dev/null 2>"$DIR/ck_v1.err" || true
+  grep -q "unsupported version 1" "$DIR/ck_v1.err"
 fi
 # --checkpoint without a cadence is a usage error, not a silent no-op.
 expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo=unknown_d --alpha=0.5 --seed=11 \
@@ -340,6 +353,24 @@ expect_exit 4 "$CLI" run --in="$DIR/w2.tmw" --algo=mimic --seed=5 --faults=seed=
        --sabotage=3 --phase-rounds=200 --report="$DIR/mimic_deg.json" --out=/dev/null
 if command -v jq >/dev/null 2>&1; then
   jq -e '.degraded.quarantined == [3]' "$DIR/mimic_deg.json" >/dev/null
+fi
+
+# --- serve: the oracle gauges are the session's, summed over tenants. ---
+# --metrics and --report must agree on probes and rounds, not show one
+# tenant's totals beside the sum.
+printf '%s\n' \
+  '{"op":"add_tenant","tenant":"a","n":64,"m":96,"kind":"planted","seed":7}' \
+  '{"op":"add_tenant","tenant":"b","n":32,"m":48,"kind":"planted","seed":9}' \
+  '{"op":"refine","tenant":"a","epochs":1}' \
+  '{"op":"refine","tenant":"b","epochs":1}' \
+  >"$DIR/two_req.jsonl"
+"$CLI" serve --requests="$DIR/two_req.jsonl" --out="$DIR/two_resp.jsonl" \
+       --metrics="$DIR/two_metrics.json" --report="$DIR/two_report.json"
+if command -v jq >/dev/null 2>&1; then
+  jq -e -n --slurpfile m "$DIR/two_metrics.json" --slurpfile r "$DIR/two_report.json" \
+    '$m[0].gauges["oracle.total_invocations"] == $r[0].total_probes
+     and $m[0].gauges["oracle.max_invocations"] == $r[0].rounds
+     and $r[0].total_probes > 0' >/dev/null
 fi
 
 echo "cli workflow OK"

@@ -248,6 +248,7 @@ TEST(ConcurrentGroups, UnknownDMatchesTheSerialRun) {
   const auto inst = matrix::planted_communities(256, 256, {{0.25, 8}, {0.25, 32}}, gen);
   struct Run {
     RunReport report;
+    obs::Snapshot metrics;
     billboard::ProbeOracle::Ledger ledger;
     std::vector<billboard::Billboard::ChannelDump> posts;
   };
@@ -263,6 +264,7 @@ TEST(ConcurrentGroups, UnknownDMatchesTheSerialRun) {
     Run r;
     r.report =
         find_preferences_unknown_d(oracle, &board, 0.25, Params::practical(), rng::Rng(44));
+    r.metrics = reg.snapshot();
     r.ledger = oracle.export_ledger();
     r.posts = board.export_posts();
     reg.set_enabled(false);
@@ -272,7 +274,7 @@ TEST(ConcurrentGroups, UnknownDMatchesTheSerialRun) {
   const auto serial = run(true);
   EXPECT_TRUE(pooled.report.outputs == serial.report.outputs);
   EXPECT_EQ(pooled.report.to_json(), serial.report.to_json());
-  EXPECT_EQ(pooled.report.metrics.to_json(), serial.report.metrics.to_json());
+  EXPECT_EQ(pooled.metrics.to_json(), serial.metrics.to_json());
   EXPECT_TRUE(pooled.ledger.invocations == serial.ledger.invocations);
   EXPECT_TRUE(pooled.ledger.charged == serial.ledger.charged);
   EXPECT_TRUE(pooled.ledger.probed == serial.ledger.probed);

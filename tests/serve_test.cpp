@@ -18,7 +18,8 @@
 //     service's observe hook into an attached SloWatchdog (the exit-6
 //     contract's trigger) and every request into a TelemetryExporter;
 //   * snapshot/restore: the restored tenant serves the byte-identical
-//     (epoch, hash) version and its post-restore audit stays clean.
+//     (epoch, hash) version and its post-restore audit stays clean; a
+//     malformed snapshot fails typed and leaves the tenant untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,6 +33,8 @@
 #include <utility>
 #include <vector>
 
+#include "tmwia/core/checkpoint.hpp"
+#include "tmwia/io/checkpoint.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/obs/slo.hpp"
@@ -580,6 +583,41 @@ TEST(ServeSnapshot, RoundTripServesIdenticalVersionAndStaysAuditable) {
   serve::Tenant busy(make_config("snap", 61), make_instance(61));
   busy.refine_epoch();
   EXPECT_THROW(busy.restore_snapshot(path), std::logic_error);
+
+  std::remove(path.c_str());
+}
+
+// A request line can restore any file, so a snapshot whose estimate
+// rows are narrower than the instance (which corrupted the heap when
+// published) fails typed before any state is touched, as does a
+// candidate set with more known planes than value planes.
+TEST(ServeSnapshot, RestoreRejectsMalformedEstimates) {
+  const std::string path = temp_path("malformed");
+  {
+    serve::Tenant t(make_config("snap", 62), make_instance(62));
+    t.refine_epoch();
+    t.save_snapshot(path);
+  }
+  const auto ckpt = core::load_run_checkpoint(path);
+
+  auto narrow = ckpt;
+  for (auto& row : narrow.versions[0]) row = bits::BitVector(1);
+  core::save_run_checkpoint(path, narrow);
+  serve::RecommendationService service;
+  service.add_tenant(make_config("snap", 62), make_instance(62));
+  const auto resp = service.handle(
+      serve::parse_request(R"({"op":"restore","tenant":"snap","path":")" + path + "\"}"));
+  EXPECT_FALSE(resp.ok);
+  EXPECT_NE(resp.error.find("bits"), std::string::npos) << resp.error;
+  EXPECT_EQ(service.tenant("snap")->cache().current()->epoch, 0u);
+  EXPECT_EQ(service.tenant("snap")->total_probes(), 0u);
+
+  auto uneven = ckpt;
+  uneven.versions[2].emplace_back(ckpt.objects);
+  core::save_run_checkpoint(path, uneven);
+  serve::Tenant fresh(make_config("snap", 62), make_instance(62));
+  EXPECT_THROW(fresh.restore_snapshot(path), io::CheckpointError);
+  EXPECT_EQ(fresh.total_probes(), 0u);
 
   std::remove(path.c_str());
 }

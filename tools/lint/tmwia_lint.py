@@ -66,8 +66,8 @@ literals stripped) for constructs that would let those invariants rot:
                            holds if writers go through the Counter/
                            Histogram handles.
   metric-name-registry     a metric or profile-zone name literal
-                           (counter/histogram/set_gauge/add_gauge/
-                           ProfileZone/intern call site in src/) that is
+                           (counter/histogram/set_gauge/ProfileZone/
+                           intern call site in src/) that is
                            not in the generated registry header
                            (src/obs/.../metric_names.gen.hpp, regenerate
                            with --write-metric-registry), or a registry
@@ -720,7 +720,7 @@ def scan_atomic_orderings(stripped_lines, raw_lines, relpath):
 # raw line at the same offsets (the stripper is offset-preserving).
 _METRIC_SITES = (
     # Registry handles: name is the first argument.
-    re.compile(r'\b(?:counter|histogram|set_gauge|add_gauge)\s*\(\s*"'),
+    re.compile(r'\b(?:counter|histogram|set_gauge)\s*\(\s*"'),
     # Scoped profile zone with a literal name.
     re.compile(r'\bProfileZone\s+\w+\s*[({]\s*"'),
     # Pre-interned zone id: name is the second argument.

@@ -5,7 +5,7 @@
 #              per-header self-containment compile checks; writes
 #              build/LINT_REPORT.json and jq-checks it. Adds clang-tidy
 #              via -DTMWIA_LINT=ON when a clang-tidy binary exists.
-#   plain      full suite, default flags            (build/)
+#   plain      full suite, default flags plus -Werror (build/)
 #   asan       full suite, ASan+UBSan               (build-asan/)
 #   tsan       obs/engine/scheduler/Zero Radius suites, the oracle and
 #              billboard suites, the concurrent Large Radius group tests
@@ -148,7 +148,11 @@ fi
 
 if [[ $RUN_PLAIN -eq 1 ]]; then
   echo "== plain =="
-  run_suite "$ROOT/build"
+  # Warnings fail the default (RelWithDebInfo, -O2) build, so a new one
+  # cannot hide among old ones. -Werror stays off for Release builds:
+  # at -O3, GCC 12 reports -Wrestrict false positives on
+  # `"literal" + std::string&&` in code that is correct.
+  run_suite "$ROOT/build" -DTMWIA_WERROR=ON
 fi
 
 if [[ $RUN_SAN -eq 1 ]]; then

@@ -1,9 +1,9 @@
 // tmwia_cli — command-line driver for the library.
 //
-//   tmwia_cli gen  --kind=planted --n=256 --m=256 --alpha=0.5 --radius=2 \
+//   tmwia_cli gen  --kind=planted --n=256 --m=256 --alpha=0.5 --radius=2
 //                  --seed=1 --out=world.tmw
 //   tmwia_cli info --in=world.tmw
-//   tmwia_cli run  --in=world.tmw --algo=unknown_d --alpha=0.5 \
+//   tmwia_cli run  --in=world.tmw --algo=unknown_d --alpha=0.5
 //                  --seed=2 --out=estimates.txt
 //   tmwia_cli eval --in=world.tmw --outputs=estimates.txt
 //
@@ -260,15 +260,13 @@ std::unique_ptr<obs::RecordSink> open_record_sink(const io::Args& args,
   return sink;
 }
 
-/// Serial-point metrics export shared by `run` and `resume`.
+/// Serial-point metrics export shared by `run` and `resume`: the
+/// run's oracle totals become the `oracle.*` gauges.
 void write_metrics_snapshot(const std::string& path, const billboard::ProbeOracle& oracle) {
-  auto& reg = obs::MetricsRegistry::global();
-  reg.set_gauge("oracle.total_invocations",
-                static_cast<std::int64_t>(oracle.total_invocations()));
-  reg.set_gauge("oracle.total_charged", static_cast<std::int64_t>(oracle.total_charged()));
-  reg.set_gauge("oracle.max_invocations",
-                static_cast<std::int64_t>(oracle.max_invocations()));
-  write_text_artifact(path, reg.snapshot().to_json());
+  write_text_artifact(path, snapshot_with_oracle_totals(oracle.total_invocations(),
+                                                        oracle.total_charged(),
+                                                        oracle.max_invocations())
+                                .to_json());
 }
 
 int cmd_gen(const io::Args& args) {
@@ -465,9 +463,6 @@ int cmd_run(const io::Args& args) {
       for (matrix::PlayerId p = 0; p < n; ++p) ids[p] = p;
       core::rescue_orphans(oracle, rep.outputs, ids, params, root.split(0x0FA9));
     }
-    if (obs::MetricsRegistry::global().enabled()) {
-      rep.metrics = obs::MetricsRegistry::global().snapshot();
-    }
     std::cout << "supervisor: " << sres.phases.size() << " phases, " << sres.strikes
               << " strikes, " << sres.benched_rounds << " benched rounds, "
               << sres.quarantined.size() << " quarantined\n";
@@ -514,11 +509,7 @@ int cmd_run(const io::Args& args) {
     io::atomic_write_file(require(args, "out"), os.str());
   }
 
-  if (metrics_path.has_value()) {
-    // Serial point: export the oracle ledgers as gauges so baseline
-    // algos (which bypass the core entry points) are covered too.
-    write_metrics_snapshot(*metrics_path, oracle);
-  }
+  if (metrics_path.has_value()) write_metrics_snapshot(*metrics_path, oracle);
 
   std::cout << "algo: " << algo << "\nrounds (max probes/player): "
             << oracle.max_invocations() << "\ntotal probes: " << oracle.total_invocations()
@@ -1046,7 +1037,8 @@ int cmd_serve(const io::Args& args) {
   service.stop_refiner();
 
   // Quiescent tail: feed the cumulative audit ledgers to the watchdog
-  // (the audit objective is end-of-session by nature), close the
+  // (the audit objective is end-of-session by nature), export the
+  // tenants' summed oracle totals as the `oracle.*` gauges, close the
   // telemetry stream (final tick + slo_report record), then write the
   // one-shot artifacts.
   if (watchdog != nullptr) {
@@ -1055,6 +1047,12 @@ int cmd_serve(const io::Args& args) {
       watchdog->observe_audit_violations(audit.violations.size());
     }
   }
+  const auto totals = service.oracle_totals();
+  obs::Snapshot metrics;
+  if (obs::MetricsRegistry::global().enabled()) {
+    metrics = snapshot_with_oracle_totals(totals.invocations, totals.charged,
+                                          totals.max_invocations);
+  }
   if (telemetry != nullptr) {
     telemetry->finish();
   } else if (watchdog != nullptr) {
@@ -1062,23 +1060,15 @@ int cmd_serve(const io::Args& args) {
     // so --slo still judges the session.
     (void)watchdog->evaluate(0);
   }
-  if (metrics_path.has_value()) {
-    write_text_artifact(*metrics_path, obs::MetricsRegistry::global().snapshot().to_json());
-  }
+  if (metrics_path.has_value()) write_text_artifact(*metrics_path, metrics.to_json());
   const std::string profile_json = write_profiler_artifacts(args, profiler.get());
   if (const auto report_path = args.get("report"); report_path.has_value()) {
     core::RunReport rep;
     rep.algo = core::RunReport::Algo::kServe;
-    for (const auto& name : service.tenant_names()) {
-      auto* t = service.tenant(name);
-      rep.total_probes += t->total_probes();
-      rep.rounds = std::max(rep.rounds, t->rounds());
-    }
+    rep.total_probes = totals.invocations;
+    rep.rounds = totals.max_invocations;
     rep.profile_json = profile_json;
     if (watchdog != nullptr) rep.slo_json = watchdog->report().to_json();
-    if (obs::MetricsRegistry::global().enabled()) {
-      rep.metrics = obs::MetricsRegistry::global().snapshot();
-    }
     write_text_artifact(*report_path, rep.to_json());
   }
 
