@@ -1,6 +1,7 @@
 #include "tmwia/billboard/billboard.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -25,121 +26,10 @@ const BoardMetrics& board_metrics() {
   return m;
 }
 
-}  // namespace
-
-Billboard::Channel& Billboard::resolve(const std::string& name) {
-  support::MutexLock lk(mu_);
-  return channels_[name];
-}
-
-const Billboard::Channel* Billboard::find(const std::string& name) const {
-  support::MutexLock lk(mu_);
-  const auto it = channels_.find(name);
-  return it == channels_.end() ? nullptr : &it->second;
-}
-
-void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits::BitVector& v) {
-  board_metrics().posts.inc();
-  // Vector content is logged as (hash, size) — enough for the replayer
-  // to distinguish posts without storing whole rows in the flight log.
-  if (recorder_ != nullptr) {
-    recorder_->vector_post(static_cast<std::uint32_t>(p), channel, v.hash(), v.size());
-  }
-  Channel& ch = resolve(channel);
-  support::MutexLock lk(ch.mu);
-  put(ch, p, v);
-}
-
-void Billboard::post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
-                          std::span<const bits::BitVector> rows,
-                          std::optional<std::uint32_t> order) {
-  if (players.size() != rows.size()) {
-    throw std::invalid_argument("Billboard::post_many: players/rows size mismatch");
-  }
-  if (players.empty()) return;
-  board_metrics().posts.add(players.size());
-  if (recorder_ != nullptr) {
-    for (std::size_t i = 0; i < players.size(); ++i) {
-      recorder_->vector_post(static_cast<std::uint32_t>(players[i]), channel, rows[i].hash(),
-                             rows[i].size());
-    }
-  }
-  Channel* ch = nullptr;
-  const SectionState* section = nullptr;
-  {
-    support::MutexLock lk(mu_);
-    ch = &channels_[channel];
-    if (order.has_value()) {
-      if (!section_.has_value()) {
-        throw std::logic_error("Billboard::post_many: an ordered post needs an open section");
-      }
-      section = &*section_;
-    }
-  }
-  support::MutexLock lk(ch->mu);
-  if (section == nullptr) {
-    for (std::size_t i = 0; i < players.size(); ++i) put(*ch, players[i], rows[i]);
-    return;
-  }
-  for (std::size_t i = 0; i < players.size(); ++i) {
-    put_ordered(*ch, *section, players[i], rows[i], *order);
-  }
-}
-
-void Billboard::put_ordered(Channel& ch, const SectionState& section, matrix::PlayerId p,
-                            const bits::BitVector& v, std::uint32_t order) {
-  const auto& shared = section.shared;
-  const auto it = std::lower_bound(shared.begin(), shared.end(), p);
-  if (it == shared.end() || *it != p) {
-    put(ch, p, v);
-    return;
-  }
-  if (ch.marks_section != section.id) {
-    ch.marks.assign(shared.size(), 0);
-    ch.marks_section = section.id;
-  }
-  auto& mark = ch.marks[static_cast<std::size_t>(it - shared.begin())];
-  const std::uint64_t rank = std::uint64_t{order} + 1;
-  if (mark > rank) return;  // a later task already owns this row
-  mark = rank;
-  put(ch, p, v);
-}
-
-Billboard::Section::Section(Billboard& board, std::vector<matrix::PlayerId> shared)
-    : board_(&board) {
-  std::sort(shared.begin(), shared.end());
-  shared.erase(std::unique(shared.begin(), shared.end()), shared.end());
-  support::MutexLock lk(board_->mu_);
-  if (board_->section_.has_value()) {
-    throw std::logic_error("Billboard::Section: a section is already open");
-  }
-  board_->section_.emplace();
-  board_->section_->id = ++board_->sections_opened_;
-  board_->section_->shared = std::move(shared);
-}
-
-Billboard::Section::~Section() {
-  support::MutexLock lk(board_->mu_);
-  board_->section_.reset();
-}
-
-void Billboard::put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v) {
-  ++ch.version;
-  if (p >= ch.slot.size()) ch.slot.resize(static_cast<std::size_t>(p) + 1, 0);
-  std::uint32_t& slot = ch.slot[p];
-  if (slot != 0) {
-    ch.rows[slot - 1] = v;  // reuses the row's storage (same width: no allocation)
-    return;
-  }
-  ch.rows.push_back(v);
-  slot = static_cast<std::uint32_t>(ch.rows.size());
-}
-
-namespace {
-
-// The two row sets tally() groups: posted BitVectors, and packed rows.
-// Each gives the grouping a sort key per row and, for rows whose keys
-// tie, an equality test.
+// The two row sets tally() groups: posted BitVectors, and packed rows
+// (a vote's rows of one width, or a channel's rows). Each gives the
+// grouping a sort key per row and, for rows whose keys tie, an
+// equality test.
 
 class VectorRows {
  public:
@@ -160,32 +50,53 @@ class VectorRows {
   bool one_word_ = false;
 };
 
+/// Rows `stride` words apart: row i holds width(i) bits in its first
+/// word_count(width(i)) words. One width for every row (PackedRows), or
+/// one per row (a channel's).
 class WordRows {
  public:
   explicit WordRows(PackedRows rows)
-      : rows_(rows), nw_(bits::BitVector::word_count(rows.width)) {}
-  [[nodiscard]] std::size_t size() const { return nw_ == 0 ? 0 : rows_.words.size() / nw_; }
-  [[nodiscard]] bool one_word() const { return nw_ == 1; }
-  [[nodiscard]] std::uint64_t word(std::size_t i) const { return rows_.words[i]; }
-  [[nodiscard]] std::uint64_t hash(std::size_t i) const {
-    return bits::BitVector::hash(row(i), rows_.width);
+      : words_(rows.words), stride_(bits::BitVector::word_count(rows.width)), width_(rows.width) {
+    n_ = stride_ == 0 ? 0 : words_.size() / stride_;
+    one_word_ = stride_ == 1;
   }
+  WordRows(std::span<const std::uint64_t> words, std::size_t stride,
+           std::span<const std::uint32_t> widths)
+      : words_(words), stride_(stride), widths_(widths), n_(widths.size()) {
+    one_word_ = n_ != 0 && bits::BitVector::word_count(widths[0]) == 1 &&
+                std::ranges::all_of(widths, [&](std::uint32_t w) { return w == widths[0]; });
+  }
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] bool one_word() const { return one_word_; }
+  [[nodiscard]] std::uint64_t word(std::size_t i) const { return words_[i * stride_]; }
+  [[nodiscard]] std::uint64_t hash(std::size_t i) const {
+    return bits::BitVector::hash(row(i), width(i));
+  }
+  /// Rows are equal when their widths and words are.
   [[nodiscard]] bool equal(std::size_t i, std::size_t j) const {
-    return std::ranges::equal(row(i), row(j));
+    return width(i) == width(j) && std::ranges::equal(row(i), row(j));
   }
   [[nodiscard]] bits::BitVector vector(std::size_t i) const {
-    bits::BitVector v(rows_.width);
-    for (std::size_t w = 0; w < nw_; ++w) v.set_word(w, rows_.words[i * nw_ + w]);
+    const auto words = row(i);
+    bits::BitVector v(width(i));
+    for (std::size_t w = 0; w < words.size(); ++w) v.set_word(w, words[w]);
     return v;
   }
 
  private:
+  [[nodiscard]] std::size_t width(std::size_t i) const {
+    return widths_.empty() ? width_ : widths_[i];
+  }
   [[nodiscard]] std::span<const std::uint64_t> row(std::size_t i) const {
-    return rows_.words.subspan(i * nw_, nw_);
+    return words_.subspan(i * stride_, bits::BitVector::word_count(width(i)));
   }
 
-  PackedRows rows_;
-  std::size_t nw_;
+  std::span<const std::uint64_t> words_;
+  std::size_t stride_;
+  std::size_t width_ = 0;                    ///< every row's, when widths_ is empty
+  std::span<const std::uint32_t> widths_;
+  std::size_t n_ = 0;
+  bool one_word_ = false;
 };
 
 // Sort (key, index) pairs — the row's word when every row is one word,
@@ -266,6 +177,147 @@ std::vector<VotedVector> tally(PackedRows rows, std::uint32_t min_votes,
   return group(packed, min_votes, &distinct, group_of);
 }
 
+Billboard::Channel& Billboard::resolve(const std::string& name) {
+  support::MutexLock lk(mu_);
+  return channels_[name];
+}
+
+const Billboard::Channel* Billboard::find(const std::string& name) const {
+  support::MutexLock lk(mu_);
+  const auto it = channels_.find(name);
+  return it == channels_.end() ? nullptr : &it->second;
+}
+
+template <typename RowAt>
+void Billboard::post_rows(const std::string& channel, std::span<const matrix::PlayerId> players,
+                          RowAt row_at, std::optional<std::uint32_t> order) {
+  if (players.empty()) return;
+  board_metrics().posts.add(players.size());
+  // Vector content is logged as (hash, size) — enough for the replayer
+  // to distinguish posts without storing whole rows in the flight log.
+  if (recorder_ != nullptr) {
+    for (std::size_t i = 0; i < players.size(); ++i) {
+      const PackedRows row = row_at(i);
+      recorder_->vector_post(static_cast<std::uint32_t>(players[i]), channel,
+                             bits::BitVector::hash(row.words, row.width), row.width);
+    }
+  }
+  Channel* ch = nullptr;
+  const SectionState* section = nullptr;
+  {
+    support::MutexLock lk(mu_);
+    ch = &channels_[channel];
+    if (order.has_value()) {
+      if (!section_.has_value()) {
+        throw std::logic_error("Billboard: an ordered post needs an open section");
+      }
+      section = &*section_;
+    }
+  }
+  support::MutexLock lk(ch->mu);
+  if (section == nullptr) {
+    for (std::size_t i = 0; i < players.size(); ++i) put(*ch, players[i], row_at(i));
+    return;
+  }
+  for (std::size_t i = 0; i < players.size(); ++i) {
+    put_ordered(*ch, *section, players[i], row_at(i), *order);
+  }
+}
+
+void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits::BitVector& v) {
+  post_many(channel, {&p, 1}, {&v, 1});
+}
+
+void Billboard::post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
+                          std::span<const bits::BitVector> rows,
+                          std::optional<std::uint32_t> order) {
+  if (players.size() != rows.size()) {
+    throw std::invalid_argument("Billboard::post_many: players/rows size mismatch");
+  }
+  post_rows(
+      channel, players, [rows](std::size_t i) { return PackedRows{rows[i].words(), rows[i].size()}; },
+      order);
+}
+
+void Billboard::post_packed(const std::string& channel, std::span<const matrix::PlayerId> players,
+                            PackedRows rows, std::optional<std::uint32_t> order) {
+  const std::size_t nw = bits::BitVector::word_count(rows.width);
+  if (rows.words.size() != players.size() * nw) {
+    throw std::invalid_argument("Billboard::post_packed: players/rows size mismatch");
+  }
+  post_rows(
+      channel, players,
+      [rows, nw](std::size_t i) { return PackedRows{rows.words.subspan(i * nw, nw), rows.width}; },
+      order);
+}
+
+void Billboard::put_ordered(Channel& ch, const SectionState& section, matrix::PlayerId p,
+                            PackedRows row, std::uint32_t order) {
+  const auto& shared = section.shared;
+  const auto it = std::lower_bound(shared.begin(), shared.end(), p);
+  if (it == shared.end() || *it != p) {
+    put(ch, p, row);
+    return;
+  }
+  if (ch.marks_section != section.id) {
+    ch.marks.assign(shared.size(), 0);
+    ch.marks_section = section.id;
+  }
+  auto& mark = ch.marks[static_cast<std::size_t>(it - shared.begin())];
+  const std::uint64_t rank = std::uint64_t{order} + 1;
+  if (mark > rank) return;  // a later task already owns this row
+  mark = rank;
+  put(ch, p, row);
+}
+
+Billboard::Section::Section(Billboard& board, std::vector<matrix::PlayerId> shared)
+    : board_(&board) {
+  std::sort(shared.begin(), shared.end());
+  shared.erase(std::unique(shared.begin(), shared.end()), shared.end());
+  support::MutexLock lk(board_->mu_);
+  if (board_->section_.has_value()) {
+    throw std::logic_error("Billboard::Section: a section is already open");
+  }
+  board_->section_.emplace();
+  board_->section_->id = ++board_->sections_opened_;
+  board_->section_->shared = std::move(shared);
+}
+
+Billboard::Section::~Section() {
+  support::MutexLock lk(board_->mu_);
+  board_->section_.reset();
+}
+
+void Billboard::put(Channel& ch, matrix::PlayerId p, PackedRows row) {
+  if (row.width > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Billboard: a row of more than 2^32 - 1 bits");
+  }
+  ++ch.version;
+  const std::size_t nw = row.words.size();
+  if (nw > ch.stride) {
+    // The widest row yet: re-lay every row at the new stride, once.
+    std::vector<std::uint64_t> words(ch.width.size() * nw, 0);
+    for (std::size_t r = 0; r < ch.width.size(); ++r) {
+      std::copy_n(ch.words.begin() + static_cast<std::ptrdiff_t>(r * ch.stride), ch.stride,
+                  words.begin() + static_cast<std::ptrdiff_t>(r * nw));
+    }
+    ch.words = std::move(words);
+    ch.stride = nw;
+  }
+  if (p >= ch.slot.size()) ch.slot.resize(static_cast<std::size_t>(p) + 1, 0);
+  std::uint32_t& slot = ch.slot[p];
+  if (slot == 0) {
+    ch.width.push_back(0);
+    ch.words.resize(ch.words.size() + ch.stride, 0);
+    slot = static_cast<std::uint32_t>(ch.width.size());
+  }
+  ch.width[slot - 1] = static_cast<std::uint32_t>(row.width);
+  // Overwrite the row and zero the rest of its stride.
+  const auto dst = ch.words.begin() + static_cast<std::ptrdiff_t>((slot - 1) * ch.stride);
+  std::fill(std::copy(row.words.begin(), row.words.end(), dst),
+            dst + static_cast<std::ptrdiff_t>(ch.stride), 0);
+}
+
 std::vector<VotedVector> Billboard::popular(const std::string& channel,
                                             std::uint32_t min_votes) const {
   board_metrics().reads.inc();
@@ -278,7 +330,7 @@ std::vector<VotedVector> Billboard::popular(const std::string& channel,
     board_metrics().tally_hits.inc();
     return ch->tally_cache;
   }
-  ch->tally_cache = tally(ch->rows, min_votes);
+  ch->tally_cache = group(WordRows(ch->words, ch->stride, ch->width), min_votes, nullptr, {});
   ch->tally_version = ch->version;
   ch->tally_min_votes = min_votes;
   ch->tally_valid = true;
@@ -289,7 +341,7 @@ std::size_t Billboard::posters(const std::string& channel) const {
   const Channel* ch = find(channel);
   if (ch == nullptr) return 0;
   support::MutexLock lk(ch->mu);
-  return ch->rows.size();
+  return ch->width.size();
 }
 
 bool Billboard::has_posted(const std::string& channel, matrix::PlayerId p) const {
@@ -304,12 +356,13 @@ Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
   const Channel* ch = find(channel);
   if (ch == nullptr) return view;
   support::MutexLock lk(ch->mu);
-  view.players.reserve(ch->rows.size());
-  view.rows.reserve(ch->rows.size());
+  const WordRows rows(ch->words, ch->stride, ch->width);
+  view.players.reserve(rows.size());
+  view.rows.reserve(rows.size());
   for (std::size_t p = 0; p < ch->slot.size(); ++p) {
     if (ch->slot[p] == 0) continue;
     view.players.push_back(static_cast<matrix::PlayerId>(p));
-    view.rows.push_back(ch->rows[ch->slot[p] - 1]);
+    view.rows.push_back(rows.vector(ch->slot[p] - 1));
   }
   return view;
 }
@@ -320,7 +373,7 @@ std::size_t Billboard::total_posts() const {
   for (const auto& entry : channels_) {
     const Channel& ch = entry.second;
     support::MutexLock cl(ch.mu);
-    t += ch.rows.size();
+    t += ch.width.size();
   }
   return t;
 }
@@ -332,13 +385,14 @@ std::vector<Billboard::ChannelDump> Billboard::export_posts() const {
   for (const auto& entry : channels_) {
     const Channel& ch = entry.second;
     support::MutexLock cl(ch.mu);
-    if (ch.rows.empty()) continue;  // a restored empty channel has nothing to dump
+    if (ch.width.empty()) continue;  // a restored empty channel has nothing to dump
+    const WordRows rows(ch.words, ch.stride, ch.width);
     ChannelDump dump;
     dump.channel = entry.first;
-    dump.posts.reserve(ch.rows.size());
+    dump.posts.reserve(rows.size());
     for (std::size_t p = 0; p < ch.slot.size(); ++p) {
       if (ch.slot[p] != 0) {
-        dump.posts.emplace_back(static_cast<matrix::PlayerId>(p), ch.rows[ch.slot[p] - 1]);
+        dump.posts.emplace_back(static_cast<matrix::PlayerId>(p), rows.vector(ch.slot[p] - 1));
       }
     }
     out.push_back(std::move(dump));
@@ -354,7 +408,7 @@ void Billboard::restore_posts(const std::vector<ChannelDump>& dump) {
   for (const auto& chd : dump) {
     auto& ch = channels_[chd.channel];
     support::MutexLock cl(ch.mu);
-    for (const auto& [p, v] : chd.posts) put(ch, p, v);
+    for (const auto& [p, v] : chd.posts) put(ch, p, {v.words(), v.size()});
   }
 }
 

@@ -9,12 +9,13 @@
 //
 // A player has one current post per channel (the paper's billboard
 // model, §1.1), so a channel stores exactly that: one row slot per
-// poster. A repost overwrites the poster's row in place, so a channel's
-// storage and the cost of reading it follow its live posts, not its
-// history. Reads that arrive at the same channel version — the
-// await-polling pattern of the distributed strategies, which asks
-// posters()/popular() every round while a vote fills — hit the
-// version-keyed tally cache instead of re-tallying.
+// poster. The rows are packed into one word buffer, one stride of words
+// per row, with each row's bit width beside it. A repost overwrites the
+// poster's row in place, so a channel's storage and the cost of reading
+// it follow its live posts, not its history. Reads that arrive at the
+// same channel version — the await-polling pattern of the distributed
+// strategies, which asks posters()/popular() every round while a vote
+// fills — hit the version-keyed tally cache instead of re-tallying.
 //
 // Thread safety: every channel has its own mutex, which serializes the
 // posts and reads of that channel; posts to different channels run at
@@ -104,6 +105,13 @@ class Billboard {
                  std::span<const bits::BitVector> rows,
                  std::optional<std::uint32_t> order = std::nullopt);
 
+  /// post_many() of packed rows: players[i] posts row i of `rows`
+  /// (rows.words holds players.size() rows). Same posts, recorder
+  /// events and totals as post_many() of the rows as BitVectors, with
+  /// no BitVector built: Small Radius posts a part's leaf rows this way.
+  void post_packed(const std::string& channel, std::span<const matrix::PlayerId> players,
+                   PackedRows rows, std::optional<std::uint32_t> order = std::nullopt);
+
   /// An ordered-post section: tasks that post at once, but must leave
   /// the board as their serial run in task order would. Large Radius
   /// runs its object groups as tasks; the groups reuse Small Radius's
@@ -159,6 +167,7 @@ class Billboard {
   struct ChannelDump {
     std::string channel;
     std::vector<std::pair<matrix::PlayerId, bits::BitVector>> posts;  ///< sorted by player
+    bool operator==(const ChannelDump&) const = default;
   };
   /// Every channel (sorted by name) with its posts (sorted by player).
   [[nodiscard]] std::vector<ChannelDump> export_posts() const;
@@ -176,10 +185,15 @@ class Billboard {
     mutable support::Mutex mu;
     std::uint64_t version TMWIA_GUARDED_BY(mu) = 0;  ///< bumped on every post
 
-    // slot[p] is 1 + the index of p's row in `rows` (0: p never
-    // posted); rows holds each poster's current post in first-post order.
+    // slot[p] is 1 + the index of p's row (0: p never posted); rows are
+    // each poster's current post, in first-post order. Row r holds
+    // width[r] bits in the word_count(width[r]) words from
+    // words[r * stride], and the rest of its stride is zero. The stride
+    // is the word count of the widest row the channel has held.
     std::vector<std::uint32_t> slot TMWIA_GUARDED_BY(mu);
-    std::vector<bits::BitVector> rows TMWIA_GUARDED_BY(mu);
+    std::vector<std::uint32_t> width TMWIA_GUARDED_BY(mu);
+    std::vector<std::uint64_t> words TMWIA_GUARDED_BY(mu);
+    std::size_t stride TMWIA_GUARDED_BY(mu) = 0;
 
     // popular() result memo for the polling pattern.
     mutable std::uint64_t tally_version TMWIA_GUARDED_BY(mu) = 0;
@@ -206,14 +220,21 @@ class Billboard {
   /// The channel named `name`, or nullptr if nobody posted on it.
   const Channel* find(const std::string& name) const TMWIA_EXCLUDES(mu_);
 
-  /// The one write path: p's post on `ch` becomes v.
-  static void put(Channel& ch, matrix::PlayerId p, const bits::BitVector& v)
-      TMWIA_REQUIRES(ch.mu);
+  /// The posts of post(), post_many() and post_packed(): players[i]
+  /// posts row_at(i), a PackedRows of one row. Counts and records the
+  /// posts, resolves the channel, then puts every row under one
+  /// acquisition of its lock.
+  template <typename RowAt>
+  void post_rows(const std::string& channel, std::span<const matrix::PlayerId> players,
+                 RowAt row_at, std::optional<std::uint32_t> order) TMWIA_EXCLUDES(mu_);
+
+  /// The one write path: p's post on `ch` becomes `row`, a PackedRows
+  /// of one row.
+  static void put(Channel& ch, matrix::PlayerId p, PackedRows row) TMWIA_REQUIRES(ch.mu);
   /// A section task's post: put() unless a higher order already wrote
   /// a shared player's row.
   static void put_ordered(Channel& ch, const SectionState& section, matrix::PlayerId p,
-                          const bits::BitVector& v, std::uint32_t order)
-      TMWIA_REQUIRES(ch.mu);
+                          PackedRows row, std::uint32_t order) TMWIA_REQUIRES(ch.mu);
 
   obs::FlightRecorder* recorder_ = nullptr;  ///< set before the first post, then read-only
   mutable support::Mutex mu_;

@@ -60,6 +60,17 @@ PlayerId read_player(BinReader& r, std::uint64_t players) {
   return static_cast<PlayerId>(p);
 }
 
+/// One entry per player: the oracle and the fault injector restore
+/// their per-player state by player id, so any other count is corrupt.
+template <typename T>
+void require_per_player(const std::vector<T>& v, std::uint64_t players, const char* what) {
+  if (v.size() != players) {
+    throw io::CheckpointError("checkpoint: " + std::string(what) + " holds " +
+                              std::to_string(v.size()) + " entries for " +
+                              std::to_string(players) + " players");
+  }
+}
+
 void write_bitvec_vec(BinWriter& w, const std::vector<bits::BitVector>& v) {
   w.u64(v.size());
   for (const auto& x : v) w.bitvec(x);
@@ -257,6 +268,10 @@ RunCheckpoint from_container(const io::Checkpoint& cp) {
     ckpt.oracle.probed = read_rows(r, ckpt.objects);
     ckpt.oracle.values = read_rows(r, ckpt.objects);
     r.expect_end();
+    require_per_player(ckpt.oracle.invocations, ckpt.players, "oracle invocations");
+    require_per_player(ckpt.oracle.charged, ckpt.players, "oracle charged");
+    require_per_player(ckpt.oracle.probed, ckpt.players, "oracle probed");
+    require_per_player(ckpt.oracle.values, ckpt.players, "oracle values");
   }
   {
     BinReader r(cp.require(kSecBoard), "checkpoint board");
@@ -265,7 +280,14 @@ RunCheckpoint from_container(const io::Checkpoint& cp) {
       ch.channel = r.str();
       for (std::size_t k = 0, np = r.count(kPairBytes); k < np; ++k) {
         const auto p = read_player(r, ckpt.players);
-        ch.posts.emplace_back(p, r.bitvec());
+        auto row = r.bitvec();
+        // No algorithm posts a row wider than the instance, and a
+        // restored channel lays every row out at its widest row's stride.
+        if (row.size() > ckpt.objects) {
+          throw io::CheckpointError("checkpoint: board row of " + std::to_string(row.size()) +
+                                    " bits for " + std::to_string(ckpt.objects) + " objects");
+        }
+        ch.posts.emplace_back(p, std::move(row));
       }
     }
     r.expect_end();
@@ -286,6 +308,13 @@ RunCheckpoint from_container(const io::Checkpoint& cp) {
     ckpt.injector.posts_dropped = r.u64();
     ckpt.injector.posts_delayed = r.u64();
     r.expect_end();
+    require_per_player(ckpt.injector.attempts, ckpt.players, "injector attempts");
+    require_per_player(ckpt.injector.post_seq, ckpt.players, "injector post_seq");
+    require_per_player(ckpt.injector.down, ckpt.players, "injector down");
+    require_per_player(ckpt.injector.degraded, ckpt.players, "injector degraded");
+    require_per_player(ckpt.injector.orphaned, ckpt.players, "injector orphaned");
+    require_per_player(ckpt.injector.was_crashed, ckpt.players, "injector was_crashed");
+    require_per_player(ckpt.injector.was_recovered, ckpt.players, "injector was_recovered");
   }
   if (cp.has(kSecMetrics)) {
     ckpt.metrics_enabled = true;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +75,21 @@ class BitSpace {
       if (is_failed(players[i])) continue;
       publish(channel, players[i], rows[i]);
     }
+  }
+
+  /// publish_rows() of packed rows (players[i] publishes row i of
+  /// `rows`), which the board takes as they are
+  /// (Billboard::post_packed), with no BitVector per row. Only without
+  /// a fault injector, whose post-loss path is publish_rows(): Small
+  /// Radius posts packed leaf rows only when the oracle is order_free().
+  void publish_packed(std::string_view channel, std::span<const PlayerId> players,
+                      billboard::PackedRows rows) {
+    if (oracle_->fault_injector() != nullptr) {
+      throw std::logic_error("BitSpace::publish_packed: use publish_rows under a fault injector");
+    }
+    if (board_ == nullptr) return;
+    board_->post_packed(prefix_ + "/" + std::string(channel), players, rows,
+                        oracle_->fork_order());
   }
 
   // Degradation hooks of the Zero Radius Space concept (all no-ops

@@ -55,15 +55,6 @@ struct Part {
     return row;
   }
 
-  /// Every player's row in leaf_words (a non-empty part's).
-  [[nodiscard]] std::vector<bits::BitVector> leaf_rows() const {
-    const std::size_t n = leaf_words.size() / row_words();
-    std::vector<bits::BitVector> rows;
-    rows.reserve(n);
-    for (std::size_t pi = 0; pi < n; ++pi) rows.push_back(leaf_row(pi));
-    return rows;
-  }
-
   /// Step 1b's outcome: `popular` (a tally over `voters` players)
   /// becomes the candidates.
   void take_vote(std::size_t n_voters, std::vector<billboard::VotedVector> popular) {
@@ -248,8 +239,10 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // a node's outputs on zr/<tag>, and a root leaf has tag 1. Posting
     // here keeps new board rows off the workers' malloc arenas.
     for (std::size_t i = 0; i < s; ++i) {
-      if (!parts[i].objects.empty()) {
-        BitSpace(oracle, board, prefix(i)).publish_rows("zr/1", players, parts[i].leaf_rows());
+      const Part& part = parts[i];
+      if (!part.objects.empty()) {
+        BitSpace(oracle, board, prefix(i))
+            .publish_packed("zr/1", players, {part.leaf_words, part.objects.size()});
       }
     }
     // Pass 2: the s votes, each grouping its part's leaf rows once.

@@ -14,14 +14,30 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'M', 'W', 'I', 'A', 'C', 'P', '1'};
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: table[0] is the bytewise CRC table, and
+/// table[k][b] is the CRC of byte b followed by k zero bytes, so one
+/// step folds eight input bytes with eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-    table[i] = c;
+    table[0][i] = c;
+  }
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      table[k][i] = (table[k - 1][i] >> 8) ^ table[0][table[k - 1][i] & 0xFFu];
+    }
   }
   return table;
+}
+
+/// The little-endian u32 at p.
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 [[noreturn]] void fail(const std::string& what) { throw CheckpointError(what); }
@@ -29,10 +45,17 @@ std::array<std::uint32_t, 256> make_crc_table() {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables table = make_crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^ table[5][(lo >> 16) & 0xFFu] ^
+        table[4][lo >> 24] ^ table[3][hi & 0xFFu] ^ table[2][(hi >> 8) & 0xFFu] ^
+        table[1][(hi >> 16) & 0xFFu] ^ table[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) c = table[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -98,10 +121,12 @@ double BinReader::f64() {
   return v;
 }
 
+std::string_view BinReader::bytes(std::size_t n) { return {need(n), n}; }
+
 std::string BinReader::str() {
   const std::uint64_t n = u64();
   if (n > remaining()) fail(context_ + ": truncated string of length " + std::to_string(n));
-  return std::string(need(static_cast<std::size_t>(n)), static_cast<std::size_t>(n));
+  return std::string(bytes(static_cast<std::size_t>(n)));
 }
 
 std::size_t BinReader::count(std::size_t min_bytes) {
@@ -248,20 +273,17 @@ Checkpoint Checkpoint::decode(std::string_view bytes) {
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t name_len = r.u32();
     if (name_len > r.remaining()) fail("checkpoint: truncated section name");
-    std::string name;
-    for (std::uint32_t k = 0; k < name_len; ++k) name.push_back(static_cast<char>(r.u8()));
+    std::string name(r.bytes(name_len));
     const std::uint64_t payload_len = r.u64();
     const std::uint32_t payload_crc = r.u32();
     if (payload_len > r.remaining()) {
       fail("checkpoint: truncated section '" + name + "'");
     }
-    std::string payload;
-    payload.reserve(static_cast<std::size_t>(payload_len));
-    for (std::uint64_t k = 0; k < payload_len; ++k) payload.push_back(static_cast<char>(r.u8()));
+    const std::string_view payload = r.bytes(static_cast<std::size_t>(payload_len));
     if (crc32(payload.data(), payload.size()) != payload_crc) {
       fail("checkpoint: section '" + name + "' CRC mismatch");
     }
-    cp.sections_[name] = std::move(payload);
+    cp.sections_[name] = std::string(payload);
   }
   if (!r.at_end()) fail("checkpoint: trailing garbage after sections");
   return cp;

@@ -50,7 +50,8 @@ class CheckpointError : public std::runtime_error {
   explicit CheckpointError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven,
+// eight bytes per step (slicing-by-8).
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
 // ---------------------------------------------------------------------------
@@ -87,6 +88,8 @@ class BinReader {
   double f64();
   std::string str();
   bits::BitVector bitvec();
+  // The next n bytes, as a view into the borrowed buffer.
+  std::string_view bytes(std::size_t n);
 
   // An element count (u64), checked against what the rest of the
   // payload can hold at `min_bytes` (>= 1) per element, so a corrupt

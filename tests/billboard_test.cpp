@@ -2,7 +2,10 @@
 // model of Section 1.1) and channel/vote aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "tmwia/billboard/probe_oracle.hpp"
 #include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/rng/rng.hpp"
 
 namespace tmwia::billboard {
@@ -415,6 +419,255 @@ TEST(Billboard, SectionOrdersArePerChannel) {
   post_ordered(b, "x", 1, "11", 2);
   EXPECT_EQ(popular_rows(b, "x"), std::vector<std::string>{"01"});
   EXPECT_EQ(popular_rows(b, "y"), std::vector<std::string>{"10"});
+}
+
+// ------------------------------------------------- packed channels vs a model
+
+/// What a board must hold: each channel's current post per player.
+using Model = std::map<std::string, std::map<matrix::PlayerId, bits::BitVector>>;
+
+/// popular() computed from the model: equal rows grouped by ==, those
+/// with min_votes votes, in lex_compare order.
+std::vector<VotedVector> model_popular(const std::map<matrix::PlayerId, bits::BitVector>& posts,
+                                       std::uint32_t min_votes) {
+  std::vector<VotedVector> groups;
+  for (const auto& [p, v] : posts) {
+    auto it = std::find_if(groups.begin(), groups.end(),
+                           [&](const VotedVector& g) { return g.vec == v; });
+    if (it == groups.end()) {
+      groups.push_back({v, 1});
+    } else {
+      ++it->votes;
+    }
+  }
+  std::erase_if(groups, [&](const VotedVector& g) { return g.votes < min_votes; });
+  std::sort(groups.begin(), groups.end(), [](const VotedVector& a, const VotedVector& b) {
+    return a.vec.lex_compare(b.vec) < 0;
+  });
+  return groups;
+}
+
+void expect_same_popular(const std::vector<VotedVector>& got,
+                         const std::vector<VotedVector>& want, const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].vec, want[k].vec) << where;
+    EXPECT_EQ(got[k].votes, want[k].votes) << where;
+  }
+}
+
+constexpr std::size_t kModelPlayers = 12;
+const std::vector<std::string> kModelChannels{"a", "b", "c"};
+
+/// Every read of the board against the model.
+void expect_matches(const Billboard& b, const Model& model, const std::string& where) {
+  std::size_t total = 0;
+  std::vector<Billboard::ChannelDump> dumps;
+  for (const auto& [name, posts] : model) {
+    total += posts.size();
+    if (!posts.empty()) dumps.push_back({name, {posts.begin(), posts.end()}});
+  }
+  EXPECT_EQ(b.total_posts(), total) << where;
+  EXPECT_TRUE(b.export_posts() == dumps) << where;
+  for (const auto& name : kModelChannels) {
+    const auto it = model.find(name);
+    const std::map<matrix::PlayerId, bits::BitVector> none;
+    const auto& posts = it == model.end() ? none : it->second;
+    EXPECT_EQ(b.posters(name), posts.size()) << where << " " << name;
+    for (matrix::PlayerId p = 0; p < kModelPlayers; ++p) {
+      EXPECT_EQ(b.has_posted(name, p), posts.count(p) == 1) << where << " " << name << " " << p;
+    }
+    const auto view = b.snapshot(name);
+    std::vector<matrix::PlayerId> players;
+    std::vector<bits::BitVector> rows;
+    for (const auto& [p, v] : posts) {
+      players.push_back(p);
+      rows.push_back(v);
+    }
+    EXPECT_EQ(view.players, players) << where << " " << name;
+    EXPECT_EQ(view.rows, rows) << where << " " << name;
+    // A miss, a memo hit, and a miss at another bar.
+    for (const std::uint32_t min_votes : {1u, 1u, 2u}) {
+      expect_same_popular(b.popular(name, min_votes), model_popular(posts, min_votes),
+                          where + " " + name + " min_votes " + std::to_string(min_votes));
+    }
+  }
+}
+
+/// Rows drawn from a few per-width vectors, one of them all zeros, so
+/// channels hold equal rows, and equal words at different widths.
+class RowPool {
+ public:
+  explicit RowPool(rng::Rng& gen) : gen_(&gen) {}
+  bits::BitVector row(std::size_t width) {
+    auto& pool = pools_[width];
+    if (pool.empty()) {
+      pool.emplace_back(width);
+      for (int i = 0; i < 2; ++i) pool.push_back(matrix::random_vector(width, *gen_));
+    }
+    return pool[gen_->uniform(pool.size())];
+  }
+
+ private:
+  rng::Rng* gen_;
+  std::map<std::size_t, std::vector<bits::BitVector>> pools_;
+};
+
+/// The words of `rows`, all of one width, as one block.
+std::vector<std::uint64_t> packed_words(const std::vector<bits::BitVector>& rows) {
+  std::vector<std::uint64_t> words;
+  for (const auto& r : rows) words.insert(words.end(), r.words().begin(), r.words().end());
+  return words;
+}
+
+// Random post, post_many, post_packed and ordered section posts, over
+// widths of 1 to 300 bits: after each step every read of the board
+// agrees with a model that keeps each player's current post.
+TEST(Billboard, PackedChannelsMatchAModel) {
+  rng::Rng gen(2024);
+  RowPool pool(gen);
+  const std::vector<std::size_t> widths{1, 3, 5, 63, 64, 65, 128, 129, 200, 300};
+  Billboard b;
+  Model model;
+
+  // A repost that widens a channel's stride, then a narrower one.
+  for (const matrix::PlayerId p : {3, 7}) {
+    const auto row = pool.row(5);
+    b.post("a", p, row);
+    model["a"][p] = row;
+  }
+  for (const std::size_t width : {300, 64, 1}) {
+    const auto row = pool.row(width);
+    b.post("a", 3, row);
+    model["a"][3] = row;
+    expect_matches(b, model, "repost of width " + std::to_string(width));
+  }
+  // Every row one word of one width again, at a stride of five words.
+  for (const matrix::PlayerId p : {3, 7}) {
+    const auto row = bits::BitVector::from_string(p == 3 ? "0" : "1");
+    b.post("a", p, row);
+    model["a"][p] = row;
+  }
+  expect_matches(b, model, "one-bit rows at a wide stride");
+
+  const auto some_players = [&] {
+    std::vector<matrix::PlayerId> players;
+    for (matrix::PlayerId p = 0; p < kModelPlayers; ++p) {
+      if (gen.uniform(2) == 0) players.push_back(p);
+    }
+    std::shuffle(players.begin(), players.end(), gen);
+    return players;
+  };
+  for (int step = 0; step < 120; ++step) {
+    const std::string& channel = kModelChannels[gen.uniform(kModelChannels.size())];
+    const std::size_t width = gen.uniform(4) == 0 ? 1 + gen.uniform(300)
+                                                  : widths[gen.uniform(widths.size())];
+    const auto players = some_players();
+    std::vector<bits::BitVector> rows;
+    for (std::size_t i = 0; i < players.size(); ++i) {
+      // post_packed takes rows of one width; post_many mixes them.
+      rows.push_back(pool.row(gen.uniform(2) == 0 ? width : widths[gen.uniform(widths.size())]));
+    }
+    const std::uint64_t kind = gen.uniform(4);
+    std::string what;
+    if (kind == 0) {
+      what = "post";
+      if (players.empty()) continue;
+      b.post(channel, players[0], rows[0]);
+      model[channel][players[0]] = rows[0];
+    } else if (kind == 1) {
+      what = "post_many";
+      b.post_many(channel, players, rows);
+      for (std::size_t i = 0; i < players.size(); ++i) model[channel][players[i]] = rows[i];
+    } else if (kind == 2) {
+      what = "post_packed";
+      for (auto& r : rows) r = pool.row(width);
+      const auto words = packed_words(rows);
+      b.post_packed(channel, players, {words, width});
+      for (std::size_t i = 0; i < players.size(); ++i) model[channel][players[i]] = rows[i];
+    } else {
+      // A section: three tasks post the same players in a random order;
+      // a shared player keeps the highest order's row.
+      what = "section";
+      const auto shared = some_players();
+      std::map<matrix::PlayerId, std::uint32_t> owner;  // shared player -> highest order
+      const Billboard::Section section(b, shared);
+      std::vector<std::uint32_t> orders{0, 1, 2};
+      std::shuffle(orders.begin(), orders.end(), gen);
+      for (const std::uint32_t order : orders) {
+        for (auto& r : rows) r = pool.row(width);
+        if (order == 1) {
+          const auto words = packed_words(rows);
+          b.post_packed(channel, players, {words, width}, order);
+        } else {
+          b.post_many(channel, players, rows, order);
+        }
+        for (std::size_t i = 0; i < players.size(); ++i) {
+          const matrix::PlayerId p = players[i];
+          const bool is_shared = std::find(shared.begin(), shared.end(), p) != shared.end();
+          if (is_shared) {
+            const auto it = owner.find(p);
+            if (it != owner.end() && it->second > order) continue;
+            owner[p] = order;
+          }
+          model[channel][p] = rows[i];
+        }
+      }
+    }
+    expect_matches(b, model, "step " + std::to_string(step) + " " + what);
+    if (testing::Test::HasFailure()) return;
+  }
+
+  // A restored board holds the same posts, and keeps taking posts.
+  Billboard restored;
+  restored.restore_posts(b.export_posts());
+  expect_matches(restored, model, "restored");
+  const auto row = pool.row(300);
+  restored.post("b", 0, row);
+  model["b"][0] = row;
+  expect_matches(restored, model, "restored, then reposted");
+}
+
+// post_packed and post_many log the same vector_post records for the
+// same rows: one per post, with the row's BitVector hash and width.
+TEST(Billboard, PackedPostsRecordAsPostMany) {
+  rng::Rng gen(7);
+  std::vector<matrix::PlayerId> players{4, 0, 2, 3};
+  std::vector<bits::BitVector> rows;
+  for (std::size_t i = 0; i < players.size(); ++i) rows.push_back(matrix::random_vector(130, gen));
+  const auto words = packed_words(rows);
+  const std::string channel = "sr/0/0/zr/1";
+  enum class Post { kRecordedByHand, kMany, kPacked };
+  const auto record = [&](Post how) {
+    std::ostringstream out;
+    obs::FlightRecorder rec(out);
+    rec.run_begin("posts", 0.5, 5, 130);
+    Billboard b;
+    b.set_recorder(&rec);
+    if (how == Post::kRecordedByHand) {
+      for (std::size_t i = 0; i < players.size(); ++i) {
+        rec.vector_post(players[i], channel, rows[i].hash(), rows[i].size());
+      }
+    } else if (how == Post::kMany) {
+      b.post_many(channel, players, rows);
+    } else {
+      b.post_packed(channel, players, {words, 130});
+    }
+    rec.flush();
+    return out.str();
+  };
+  const std::string want = record(Post::kRecordedByHand);
+  EXPECT_NE(want.find("vector_post"), std::string::npos);
+  EXPECT_EQ(record(Post::kMany), want);
+  EXPECT_EQ(record(Post::kPacked), want);
+}
+
+TEST(Billboard, PackedPostNeedsOneRowPerPlayer) {
+  Billboard b;
+  const std::vector<matrix::PlayerId> players{0, 1};
+  const std::vector<std::uint64_t> words{1, 2, 3};
+  EXPECT_THROW(b.post_packed("ch", players, {words, 64}), std::invalid_argument);
+  EXPECT_EQ(b.posters("ch"), 0u);
 }
 
 TEST(Billboard, ConcurrentPostsSafe) {

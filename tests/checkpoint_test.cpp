@@ -22,6 +22,7 @@
 #include "tmwia/io/checkpoint.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/metrics.hpp"
+#include "tmwia/rng/rng.hpp"
 
 namespace tmwia {
 namespace {
@@ -80,6 +81,37 @@ TEST(Crc32, MatchesKnownVector) {
   // IEEE CRC-32 of "123456789" is the classic check value.
   EXPECT_EQ(io::crc32("123456789", 9), 0xCBF43926u);
   EXPECT_NE(io::crc32("123456788", 9), io::crc32("123456789", 9));
+}
+
+/// CRC-32 one bit at a time, straight from the polynomial.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t size, std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// The eight-bytes-per-step CRC equals the bitwise one on every length
+// up to 64, at every alignment, chained through a seed or not.
+TEST(Crc32, MatchesABitwiseReference) {
+  rng::Rng gen(91);
+  std::vector<unsigned char> buf(64 + 8);
+  for (std::size_t len = 0; len <= 64; ++len) {
+    for (auto& b : buf) b = static_cast<unsigned char>(gen.next());
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::size_t off = gen.uniform(8);
+      const auto seed = trial == 0 ? 0u : static_cast<std::uint32_t>(gen.next());
+      EXPECT_EQ(io::crc32(buf.data() + off, len, seed),
+                crc32_bitwise(buf.data() + off, len, seed))
+          << "length " << len << " offset " << off;
+    }
+  }
+  // Chained: the CRC of a whole buffer is the CRC of its tail seeded
+  // with the CRC of its head.
+  const std::uint32_t head = io::crc32(buf.data(), 13);
+  EXPECT_EQ(io::crc32(buf.data() + 13, buf.size() - 13, head), io::crc32(buf.data(), buf.size()));
 }
 
 TEST(AtomicWrite, ReplacesFileAndLeavesNoTmp) {
@@ -227,13 +259,27 @@ TEST(RunCheckpointWire, RoundTripsFullState) {
   EXPECT_THROW(core::decode_run_checkpoint(bad), io::CheckpointError);
 }
 
+/// A well-formed 4-player, 8-object checkpoint with one version, as the
+/// container its sections are swapped in and out of.
+core::RunCheckpoint small_checkpoint() {
+  core::RunCheckpoint ck;
+  ck.players = 4;
+  ck.objects = 8;
+  ck.versions = {std::vector<bits::BitVector>(4, bits::BitVector(8))};
+  ck.timeline.push_back({"guess:d=0", 3, 12, -1.0, -1.0});
+  ck.before = {0, 0, 0, 0};
+  ck.oracle.invocations = {3, 3, 3, 3};
+  ck.oracle.charged = {3, 3, 3, 3};
+  ck.oracle.probed = std::vector<bits::BitVector>(4, bits::BitVector(8));
+  ck.oracle.values = std::vector<bits::BitVector>(4, bits::BitVector(8));
+  return ck;
+}
+
 // A board player id at or past the checkpoint's player count is
 // corrupt: restoring it would size a channel by that id, and an id past
 // 2^32 must not wrap onto a real player.
 TEST(RunCheckpointWire, RejectsOutOfRangePlayerIds) {
-  core::RunCheckpoint ck;
-  ck.players = 4;
-  ck.objects = 8;
+  auto ck = small_checkpoint();
   ck.board.push_back({"votes", {{1, bits::BitVector(8)}, {3, bits::BitVector(8)}}});
   const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(ck));
   EXPECT_EQ(core::decode_run_checkpoint(good.encode()).board[0].posts[1].first, 3u);
@@ -251,20 +297,87 @@ TEST(RunCheckpointWire, RejectsOutOfRangePlayerIds) {
   }
 }
 
-/// A well-formed 4-player, 8-object checkpoint with one version, as the
-/// container its sections are swapped in and out of.
-core::RunCheckpoint small_checkpoint() {
-  core::RunCheckpoint ck;
-  ck.players = 4;
-  ck.objects = 8;
-  ck.versions = {std::vector<bits::BitVector>(4, bits::BitVector(8))};
-  ck.timeline.push_back({"guess:d=0", 3, 12, -1.0, -1.0});
-  ck.before = {0, 0, 0, 0};
-  ck.oracle.invocations = {3, 3, 3, 3};
-  ck.oracle.charged = {3, 3, 3, 3};
-  ck.oracle.probed = std::vector<bits::BitVector>(4, bits::BitVector(8));
-  ck.oracle.values = std::vector<bits::BitVector>(4, bits::BitVector(8));
-  return ck;
+// A board row wider than the instance is corrupt: no algorithm posts
+// one, and a restored channel lays every row out at its widest row's
+// width, so one such row would inflate the whole channel.
+TEST(RunCheckpointWire, RejectsABoardRowWiderThanTheObjects) {
+  const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(small_checkpoint()));
+  const auto board_with_row = [](std::size_t width) {
+    io::BinWriter w;
+    w.u64(1);  // one channel
+    w.str("votes");
+    w.u64(2);  // two posts
+    w.u64(0);
+    w.bitvec(bits::BitVector(1));
+    w.u64(2);
+    w.bitvec(bits::BitVector(width));
+    return w.take();
+  };
+  auto cp = good;
+  cp.set("board", board_with_row(8));
+  EXPECT_EQ(core::decode_run_checkpoint(cp.encode()).board[0].posts[1].second.size(), 8u);
+  for (const std::size_t width : {std::size_t{9}, std::size_t{4096}}) {
+    cp.set("board", board_with_row(width));
+    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << width;
+  }
+}
+
+// The oracle ledger and the injector cursor hold one entry per player;
+// a section with another count fails typed at decode, before resume or
+// a serve restore touches any state.
+TEST(RunCheckpointWire, RejectsPerPlayerStateOfTheWrongLength) {
+  auto ck = small_checkpoint();
+  ck.has_injector = true;
+  ck.injector.attempts = {0, 0, 0, 0};
+  ck.injector.post_seq = {0, 0, 0, 0};
+  ck.injector.down = {0, 0, 0, 0};
+  ck.injector.degraded = {0, 0, 0, 0};
+  ck.injector.orphaned = {0, 0, 0, 0};
+  ck.injector.was_crashed = {0, 0, 0, 0};
+  ck.injector.was_recovered = {0, 0, 0, 0};
+  const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(ck));
+  // The oracle section as encode_run_checkpoint writes it, with
+  // `invocations` entries in its first vector.
+  const auto oracle_section = [](std::uint64_t invocations) {
+    io::BinWriter w;
+    w.u64(invocations);
+    for (std::uint64_t p = 0; p < invocations; ++p) w.u64(3);
+    w.u64(4);  // charged
+    for (int p = 0; p < 4; ++p) w.u64(3);
+    for (int plane = 0; plane < 2; ++plane) {  // probed, values
+      w.u64(4);
+      for (int p = 0; p < 4; ++p) w.bitvec(bits::BitVector(8));
+    }
+    return w.take();
+  };
+  // The injector section, with `down` entries in its `down` flags.
+  const auto injector_section = [](std::uint64_t down) {
+    io::BinWriter w;
+    for (int vec = 0; vec < 2; ++vec) {  // attempts, post_seq
+      w.u64(4);
+      for (int p = 0; p < 4; ++p) w.u64(0);
+    }
+    for (int flags = 0; flags < 5; ++flags) {  // down first, then the other four
+      const std::uint64_t entries = flags == 0 ? down : 4;
+      w.u64(entries);
+      for (std::uint64_t p = 0; p < entries; ++p) w.u8(0);
+    }
+    for (int total = 0; total < 5; ++total) w.u64(0);
+    return w.take();
+  };
+  for (const std::uint64_t entries : {4, 3}) {
+    auto cp = good;
+    cp.set("oracle", oracle_section(entries));
+    auto ci = good;
+    ci.set("injector", injector_section(entries));
+    if (entries == 4) {
+      EXPECT_EQ(core::decode_run_checkpoint(cp.encode()).oracle.invocations.size(), 4u);
+      EXPECT_EQ(core::decode_run_checkpoint(ci.encode()).injector.down.size(), 4u);
+    } else {
+      EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError);
+      EXPECT_THROW(core::decode_run_checkpoint(ci.encode()), io::CheckpointError);
+    }
+  }
 }
 
 /// The tower section as encode_run_checkpoint writes it, with `rows`
@@ -401,6 +514,7 @@ TEST(CheckpointResume, ResumedRunIsByteIdentical) {
     }
     EXPECT_EQ(oracle2.total_invocations(), oracle.total_invocations());
     EXPECT_EQ(oracle2.max_invocations(), oracle.max_invocations());
+    EXPECT_TRUE(board2.export_posts() == board.export_posts()) << "cut seq " << cut.seq;
   }
 }
 
@@ -434,6 +548,7 @@ TEST(CheckpointResume, ResumesUnderFaults) {
   resume_policy.every_rounds = policy.every_rounds;
   const auto resumed = core::resume_unknown_d(oracle2, &board2, params, cut, resume_policy);
   EXPECT_EQ(resumed.to_json(), reference.to_json());
+  EXPECT_TRUE(board2.export_posts() == board.export_posts());
 
   // Resuming without the injector the checkpoint expects is an error.
   billboard::ProbeOracle oracle3(inst.matrix);

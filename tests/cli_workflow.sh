@@ -340,6 +340,31 @@ EOF
   "$CLI" resume --checkpoint="$DIR/ck_v1.tmw" --in="$DIR/w2.tmw" --out=/dev/null \
          >/dev/null 2>"$DIR/ck_v1.err" || true
   grep -q "unsupported version 1" "$DIR/ck_v1.err"
+  # An oracle ledger with one entry fewer than the run's players is
+  # corrupt too: rewrite the section (and both CRCs) without it.
+  python3 - "$DIR/ck.tmw" "$DIR/ck_players.tmw" <<'EOF'
+import struct, sys, zlib
+body = open(sys.argv[1], 'rb').read()[:-4]
+out = bytearray(body[:16])
+pos = 16
+for _ in range(struct.unpack_from('<I', body, 12)[0]):
+    nlen = struct.unpack_from('<I', body, pos)[0]
+    name = body[pos + 4:pos + 4 + nlen]
+    plen = struct.unpack_from('<Q', body, pos + 4 + nlen)[0]
+    pos += 4 + nlen + 12
+    payload = body[pos:pos + plen]
+    pos += plen
+    if name == b'oracle':  # invocations: a u64 count, then one u64 per player
+        payload = struct.pack('<Q', struct.unpack_from('<Q', payload)[0] - 1) + payload[16:]
+    out += struct.pack('<I', nlen) + name + struct.pack('<QI', len(payload), zlib.crc32(payload))
+    out += payload
+out += struct.pack('<I', zlib.crc32(bytes(out)))
+open(sys.argv[2], 'wb').write(bytes(out))
+EOF
+  expect_exit 5 "$CLI" resume --checkpoint="$DIR/ck_players.tmw" --in="$DIR/w2.tmw" --out=/dev/null
+  "$CLI" resume --checkpoint="$DIR/ck_players.tmw" --in="$DIR/w2.tmw" --out=/dev/null \
+         >/dev/null 2>"$DIR/ck_players.err" || true
+  grep -q "oracle invocations" "$DIR/ck_players.err"
 fi
 # --checkpoint without a cadence is a usage error, not a silent no-op.
 expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo=unknown_d --alpha=0.5 --seed=11 \

@@ -571,6 +571,12 @@ TEST(ServeSnapshot, RoundTripServesIdenticalVersionAndStaysAuditable) {
   EXPECT_EQ(v->content_hash, hash);  // byte-identical serving state
   EXPECT_EQ(back.epochs_started(), epoch);
   EXPECT_EQ(back.total_probes(), probes);
+  // The restored board: a snapshot of it has the original's board bytes.
+  const std::string again = temp_path("ckpt_again");
+  back.save_snapshot(again);
+  EXPECT_EQ(io::Checkpoint::load(again).require("board"),
+            io::Checkpoint::load(path).require("board"));
+  std::remove(again.c_str());
 
   // The restored tenant keeps refining and keeps a clean audit (the
   // auditor baseline excludes pre-snapshot traffic).
