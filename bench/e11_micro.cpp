@@ -1,8 +1,9 @@
 // tmwia-lint: allow-file(raw-io) bench main: prints its experiment table to stdout.
 // E11 — google-benchmark microbenchmarks of the substrates: the
 // popcount Hamming kernels, vote tallying, random partitions, Coalesce,
-// the truncated SVD and the parallel_for engine. These quantify the
-// constant factors behind the experiment harnesses.
+// the truncated SVD, the parallel_for engine and the oracle's probe
+// paths, audited and not. These quantify the constant factors behind
+// the experiment harnesses.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
+#include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/core/coalesce.hpp"
 #include "tmwia/core/select.hpp"
 #include "tmwia/engine/thread_pool.hpp"
@@ -242,6 +244,58 @@ void BM_ProbeOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbeOracle);
+
+/// The Small Radius leaf shape of the n = m = 2048 reference run: a
+/// d = 2 iteration cuts the objects into 6 parts of about 341, and each
+/// player probes its part's objects as one probe_block. One oracle and
+/// one auditor serve every thread and both Args.
+struct LeafProbes {
+  static constexpr std::size_t kPlayers = 2048;
+  static constexpr std::size_t kParts = 6;
+
+  matrix::Instance inst;
+  std::vector<std::uint32_t> part;
+  billboard::ProbeOracle oracle;
+  billboard::ProtocolAuditor auditor;
+
+  LeafProbes()
+      : inst(make_instance()),
+        part(first_part()),
+        oracle(inst.matrix),
+        auditor(kPlayers, kPlayers) {}
+
+  static matrix::Instance make_instance() {
+    rng::Rng rng(23);
+    return matrix::uniform_random(kPlayers, kPlayers, rng);
+  }
+  static std::vector<std::uint32_t> first_part() {
+    rng::Rng rng(29);
+    return rng::random_partition(kPlayers, kParts, rng).parts[0];
+  }
+};
+
+// One leaf block per iteration, without (Arg 0) and with (Arg 1) an
+// attached ProtocolAuditor, at 1 and 4 threads; each thread probes its
+// own players, as Small Radius's pass 1 does. Items are probed bits.
+// Ungated: it keeps the price of auditing visible.
+void BM_ProbeBlock(benchmark::State& state) {
+  static LeafProbes leaf;
+  if (state.thread_index() == 0) {
+    leaf.oracle.set_auditor(state.range(0) != 0 ? &leaf.auditor : nullptr);
+  }
+  const auto share = LeafProbes::kPlayers / static_cast<std::size_t>(state.threads());
+  const auto first = share * static_cast<std::size_t>(state.thread_index());
+  bits::BitVector row(leaf.part.size());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    leaf.oracle.probe_block(static_cast<matrix::PlayerId>(first + i), leaf.part, row);
+    benchmark::DoNotOptimize(row.words().data());
+    benchmark::ClobberMemory();
+    i = i + 1 == share ? 0 : i + 1;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(leaf.part.size()));
+}
+BENCHMARK(BM_ProbeBlock)->Arg(0)->Arg(1)->Threads(1)->Threads(4)->UseRealTime();
 
 // The raw cost of one flight-recorder probe record point: Arg 0 is the
 // disabled fast path (a null FlightRecorder* test, as ProbeOracle's

@@ -123,12 +123,16 @@ class ProbeOracle {
   /// into the low n bits of `out` (bit j = probe of objs[j]).
   /// Observably identical to `for j: probe_resilient(p, objs[j])` —
   /// same ledger totals, same per-invocation noise stream, same
-  /// recorder events — but the bookkeeping (counter bumps, recorder
-  /// lookup, bounds checks) is amortized over the whole block. This is
-  /// the Zero Radius leaf's probe path: every player reads its full
-  /// object subset, tens of millions of bits per run.
+  /// recorder events, and with an auditor attached the same auditor
+  /// ledgers, violations and report — but the bookkeeping (counter
+  /// bumps, recorder lookup, bounds checks, the audit hook) is
+  /// amortized over the whole block: the auditor hears of it once,
+  /// through ProtocolAuditor::on_probe_block. This is the Zero Radius
+  /// leaf's probe path: every player reads its full object subset,
+  /// tens of millions of bits per run. Only a fault injector takes the
+  /// bits one probe at a time, because it draws a fault per attempt.
   void probe_block(PlayerId p, std::span<const ObjectId> objs, bits::BitVector& out) {
-    if (injector_ != nullptr || auditor_ != nullptr) {
+    if (injector_ != nullptr) {
       for (std::size_t j = 0; j < objs.size(); ++j) out.set(j, probe_resilient(p, objs[j]));
       return;
     }
@@ -171,6 +175,7 @@ class ProbeOracle {
       const auto c = charged_[p].load(std::memory_order_relaxed);
       charged_[p].store(c + newly_charged, std::memory_order_relaxed);
     }
+    if (auditor_ != nullptr) audit_block(p, objs);
   }
 
   /// Fault-tolerant probe used by the centrally-simulated phases:
@@ -331,6 +336,8 @@ class ProbeOracle {
   }
   /// Full probe path with fault-injection and audit hooks.
   bool probe_slow(PlayerId p, ObjectId o);
+  /// probe_block's one audit hook (ProtocolAuditor is incomplete here).
+  void audit_block(PlayerId p, std::span<const ObjectId> objs);
   bool probe_resilient_slow(PlayerId p, ObjectId o);
   [[nodiscard]] bool fallback_read(PlayerId p, ObjectId o) const;
 

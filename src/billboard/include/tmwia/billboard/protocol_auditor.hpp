@@ -16,8 +16,12 @@
 //      private to the prober until the round ends; any billboard read
 //      of it during round r is an information leak;
 //  A4  cost accounting — the auditor keeps its own per-player
-//      invocation ledger and cross-checks it against the oracle's
-//      counters and against RunReport totals.
+//      ledger of invocations (attempts) and successful probes, and
+//      cross-checks the attempts against the oracle's counters and
+//      against RunReport totals. Both counts of a player share one
+//      cache line that only that player's probes write; no counter
+//      shared by all players sits on the probe path, so an attached
+//      auditor costs the probe path about what a detached one does.
 //
 // Violations are recorded (never thrown) in a structured AuditReport;
 // tests assert report.clean(). The hooks in ProbeOracle/RoundScheduler
@@ -26,15 +30,16 @@
 //
 // Thread safety: the A4 ledger has several writers per player — the
 // forks of concurrent Large Radius groups share the auditor, and one
-// player sits in several groups — so each attempt is a relaxed
-// fetch_add; aggregate counters are relaxed atomics too, and the
-// violation list takes a mutex (violations are rare by construction).
-// Round-mode state is only touched by the single-threaded
-// RoundScheduler.
+// player sits in several groups — so each count is a relaxed
+// fetch_add; the read/post/round counters are relaxed atomics written
+// only at serial hook points, and the violation list takes a mutex
+// (violations are rare by construction). Round-mode state is only
+// touched by the single-threaded RoundScheduler.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +70,7 @@ struct AuditViolation {
 struct AuditReport {
   std::vector<AuditViolation> violations;
   std::uint64_t rounds_audited = 0;
-  std::uint64_t probes_audited = 0;  ///< successful probes seen
+  std::uint64_t probes_audited = 0;  ///< successful probes seen, summed over players
   std::uint64_t reads_audited = 0;   ///< billboard result reads seen
   std::uint64_t posts_audited = 0;   ///< result publications seen
 
@@ -90,6 +95,11 @@ class ProtocolAuditor {
   void on_probe_attempt(matrix::PlayerId p);
   /// Player p successfully probed object o.
   void on_probe(matrix::PlayerId p, matrix::ObjectId o);
+  /// Player p probed objs[0..n) in order, each at its first attempt:
+  /// one hook for the whole block, which leaves every ledger, check
+  /// and violation as n pairs of on_probe_attempt(p) + on_probe(p, o)
+  /// would (ProbeOracle::probe_block's audit hook).
+  void on_probe_block(matrix::PlayerId p, std::span<const matrix::ObjectId> objs);
   /// The scheduler published p's result for o at the end of this round.
   void on_post(matrix::PlayerId p, matrix::ObjectId o);
   /// Someone read the posted result of (p, o) off the billboard.
@@ -116,15 +126,23 @@ class ProtocolAuditor {
 
  private:
   void record(AuditViolation v);
+  /// A1 and the round shadow for one successful probe (round mode).
+  void check_round_probe(matrix::PlayerId p, matrix::ObjectId o);
+
+  /// One player's A4 counts, alone on a cache line: a probe touches
+  /// one line, and only the tasks probing for that player write it.
+  struct alignas(64) PlayerLedger {
+    std::atomic<std::uint64_t> attempts{0};   ///< invocations, failed ones included
+    std::atomic<std::uint64_t> successes{0};  ///< successful probes
+  };
 
   std::size_t players_;
   std::size_t objects_;
 
-  // A4 ledgers: deliberately NOT guarded by mu_ — attempts_[p] takes
+  // A4 ledgers: deliberately NOT guarded by mu_ — ledgers_[p] takes
   // relaxed fetch_adds from every fork probing for player p, the
   // aggregates are relaxed atomics; all are read at serial points.
-  std::vector<std::atomic<std::uint64_t>> attempts_;
-  std::atomic<std::uint64_t> probes_{0};
+  std::vector<PlayerLedger> ledgers_;
   std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> posts_{0};
   std::atomic<std::uint64_t> rounds_{0};

@@ -141,6 +141,10 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
   return value;
 }
 
+void ProbeOracle::audit_block(PlayerId p, std::span<const ObjectId> objs) {
+  auditor_->on_probe_block(p, objs);
+}
+
 bool ProbeOracle::fallback_read(PlayerId p, ObjectId o) const {
   return probed_[p].get(o) ? values_[p].get(o) : false;
 }

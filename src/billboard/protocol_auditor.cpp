@@ -40,7 +40,7 @@ std::string AuditReport::to_json() const {
 ProtocolAuditor::ProtocolAuditor(std::size_t players, std::size_t objects)
     : players_(players),
       objects_(objects),
-      attempts_(players),
+      ledgers_(players),
       round_probe_count_(players, 0),
       probed_this_round_(players, bits::BitVector(objects)),
       posted_(players, bits::BitVector(objects)) {}
@@ -77,12 +77,27 @@ void ProtocolAuditor::end_round() {
 }
 
 void ProtocolAuditor::on_probe_attempt(matrix::PlayerId p) {
-  if (p < players_) attempts_[p].fetch_add(1, std::memory_order_relaxed);
+  if (p < players_) ledgers_[p].attempts.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ProtocolAuditor::on_probe(matrix::PlayerId p, matrix::ObjectId o) {
-  probes_.fetch_add(1, std::memory_order_relaxed);
-  if (!round_active_ || p >= players_ || o >= objects_) return;
+  if (p < players_) ledgers_[p].successes.fetch_add(1, std::memory_order_relaxed);
+  if (round_active_) check_round_probe(p, o);
+}
+
+void ProtocolAuditor::on_probe_block(matrix::PlayerId p,
+                                     std::span<const matrix::ObjectId> objs) {
+  if (p < players_) {
+    auto& ledger = ledgers_[p];
+    ledger.attempts.fetch_add(objs.size(), std::memory_order_relaxed);
+    ledger.successes.fetch_add(objs.size(), std::memory_order_relaxed);
+  }
+  if (!round_active_) return;
+  for (const auto o : objs) check_round_probe(p, o);
+}
+
+void ProtocolAuditor::check_round_probe(matrix::PlayerId p, matrix::ObjectId o) {
+  if (p >= players_ || o >= objects_) return;
   // A1: one successful probe per player per round. Transient failures
   // retried within the round are the same probe resent (they land in
   // the attempt ledger, not here).
@@ -112,9 +127,9 @@ void ProtocolAuditor::on_read(matrix::PlayerId p, matrix::ObjectId o) {
 }
 
 void ProtocolAuditor::verify_invocations(const std::vector<std::uint64_t>& expected) {
-  const std::size_t n = std::min(expected.size(), attempts_.size());
+  const std::size_t n = std::min(expected.size(), ledgers_.size());
   for (std::size_t p = 0; p < n; ++p) {
-    const auto audited = attempts_[p].load(std::memory_order_relaxed);
+    const auto audited = ledgers_[p].attempts.load(std::memory_order_relaxed);
     if (audited != expected[p]) {
       record({AuditViolation::Kind::kCostMismatch, static_cast<matrix::PlayerId>(p), 0,
               round_,
@@ -122,9 +137,9 @@ void ProtocolAuditor::verify_invocations(const std::vector<std::uint64_t>& expec
                   std::to_string(expected[p])});
     }
   }
-  if (expected.size() != attempts_.size()) {
+  if (expected.size() != ledgers_.size()) {
     record({AuditViolation::Kind::kCostMismatch, 0, 0, round_,
-            "ledger size mismatch: audited " + std::to_string(attempts_.size()) +
+            "ledger size mismatch: audited " + std::to_string(ledgers_.size()) +
                 " players, expected " + std::to_string(expected.size())});
   }
 }
@@ -132,8 +147,8 @@ void ProtocolAuditor::verify_invocations(const std::vector<std::uint64_t>& expec
 void ProtocolAuditor::verify_totals(std::uint64_t total_probes, std::uint64_t rounds) {
   std::uint64_t total = 0;
   std::uint64_t mx = 0;
-  for (const auto& a : attempts_) {
-    const auto v = a.load(std::memory_order_relaxed);
+  for (const auto& ledger : ledgers_) {
+    const auto v = ledger.attempts.load(std::memory_order_relaxed);
     total += v;
     mx = std::max(mx, v);
   }
@@ -152,7 +167,9 @@ void ProtocolAuditor::verify_totals(std::uint64_t total_probes, std::uint64_t ro
 AuditReport ProtocolAuditor::report() const {
   AuditReport r;
   r.rounds_audited = rounds_.load(std::memory_order_relaxed);
-  r.probes_audited = probes_.load(std::memory_order_relaxed);
+  for (const auto& ledger : ledgers_) {
+    r.probes_audited += ledger.successes.load(std::memory_order_relaxed);
+  }
   r.reads_audited = reads_.load(std::memory_order_relaxed);
   r.posts_audited = posts_.load(std::memory_order_relaxed);
   const support::MutexLock lock(mu_);
@@ -161,8 +178,10 @@ AuditReport ProtocolAuditor::report() const {
 }
 
 void ProtocolAuditor::reset() {
-  for (auto& a : attempts_) a.store(0, std::memory_order_relaxed);
-  probes_.store(0, std::memory_order_relaxed);
+  for (auto& ledger : ledgers_) {
+    ledger.attempts.store(0, std::memory_order_relaxed);
+    ledger.successes.store(0, std::memory_order_relaxed);
+  }
   reads_.store(0, std::memory_order_relaxed);
   posts_.store(0, std::memory_order_relaxed);
   rounds_.store(0, std::memory_order_relaxed);

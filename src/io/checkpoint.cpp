@@ -1,6 +1,7 @@
 #include "tmwia/io/checkpoint.hpp"
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -40,6 +41,20 @@ std::uint32_t load_le32(const unsigned char* p) {
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+/// The little-endian u64 at p (one load where the host is little-endian).
+std::uint64_t load_le64(const unsigned char* p) {
+  return static_cast<std::uint64_t>(load_le32(p)) |
+         static_cast<std::uint64_t>(load_le32(p + 4)) << 32;
+}
+
+/// Append the N little-endian bytes of v to buf in one append.
+template <std::size_t N, typename U>
+void append_le(std::string& buf, U v) {
+  std::array<char, N> bytes{};
+  for (std::size_t i = 0; i < N; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  buf.append(bytes.data(), N);
+}
+
 [[noreturn]] void fail(const std::string& what) { throw CheckpointError(what); }
 
 }  // namespace
@@ -63,13 +78,9 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
 // BinWriter / BinReader
 // ---------------------------------------------------------------------------
 
-void BinWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-}
+void BinWriter::u32(std::uint32_t v) { append_le<4>(buf_, v); }
 
-void BinWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-}
+void BinWriter::u64(std::uint64_t v) { append_le<8>(buf_, v); }
 
 void BinWriter::f64(double v) {
   std::uint64_t bits = 0;
@@ -85,7 +96,13 @@ void BinWriter::str(std::string_view s) {
 
 void BinWriter::bitvec(const bits::BitVector& v) {
   u64(v.size());
-  for (const auto w : v.words()) u64(w);
+  const auto words = v.words();
+  if constexpr (std::endian::native == std::endian::little) {
+    // The words' own bytes are the wire's: one append for the row.
+    buf_.append(reinterpret_cast<const char*>(words.data()), words.size_bytes());
+  } else {
+    for (const auto w : words) u64(w);
+  }
 }
 
 const char* BinReader::need(std::size_t n) {
@@ -101,17 +118,11 @@ const char* BinReader::need(std::size_t n) {
 std::uint8_t BinReader::u8() { return static_cast<std::uint8_t>(*need(1)); }
 
 std::uint32_t BinReader::u32() {
-  const auto* p = reinterpret_cast<const unsigned char*>(need(4));
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
+  return load_le32(reinterpret_cast<const unsigned char*>(need(4)));
 }
 
 std::uint64_t BinReader::u64() {
-  const auto* p = reinterpret_cast<const unsigned char*>(need(8));
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
+  return load_le64(reinterpret_cast<const unsigned char*>(need(8)));
 }
 
 double BinReader::f64() {
@@ -149,8 +160,15 @@ bits::BitVector BinReader::bitvec() {
   if (words > remaining() / 8) {
     fail(context_ + ": truncated bit vector of size " + std::to_string(n));
   }
+  // One bounds check for the whole row, then the words from that block.
+  const auto* p =
+      reinterpret_cast<const unsigned char*>(need(static_cast<std::size_t>(words) * 8));
   bits::BitVector v(static_cast<std::size_t>(n));
-  v.fill_words([this] { return u64(); });  // bits past n are masked off
+  v.fill_words([&p] {  // bits past n are masked off
+    const std::uint64_t w = load_le64(p);
+    p += 8;
+    return w;
+  });
   return v;
 }
 

@@ -1,8 +1,10 @@
 #include "tmwia/rng/partition.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace tmwia::rng {
 
@@ -57,29 +59,36 @@ Partition assign_to_parts(const std::vector<std::uint32_t>& ids, std::size_t s,
 
 std::vector<std::uint32_t> sample_without_replacement(std::size_t n, std::size_t k, Rng& rng) {
   if (k > n) throw std::invalid_argument("sample_without_replacement: k > n");
-  // Floyd's algorithm: k uniform draws. Membership is checked against a
-  // packed bitmap rather than a linear scan of the output — the draw
-  // sequence (and therefore the sample) is unchanged, but the loop is
-  // O(k) instead of O(k^2); RSelect calls this once per candidate pair.
+  // Floyd's algorithm: k uniform draws, each marked in a packed bitmap
+  // (a draw already marked takes j instead), so the loop is O(k).
+  // RSelect calls this once per candidate pair. The marks are the
+  // sample: walking them emits it in ascending order with no sort. A
+  // second bitmap keeps one bit per word of marks, so the walk visits
+  // only marked words (a few flips in a long row stay cheap), and it
+  // clears both bitmaps for this thread's next call.
   std::vector<std::uint32_t> out;
-  out.reserve(k);
-  // Generation-stamped membership: stamp[t] == gen means "t already
-  // chosen this call", so successive calls share the scratch without
-  // clearing it.
-  static thread_local std::vector<std::uint32_t> stamp;
-  static thread_local std::uint32_t gen = 0;
-  if (stamp.size() < n) stamp.resize(n, 0);
-  if (++gen == 0) {
-    std::fill(stamp.begin(), stamp.end(), 0);
-    gen = 1;
+  out.reserve(k);  // before any mark: nothing below throws
+  static thread_local std::vector<std::uint64_t> marks;
+  static thread_local std::vector<std::uint64_t> marked_words;
+  const std::size_t words = n / 64 + (n % 64 != 0 ? 1 : 0);
+  if (marks.size() < words) {
+    marked_words.resize(words / 64 + 1, 0);  // grown first: marks never outsize it
+    marks.resize(words, 0);
   }
   for (std::size_t j = n - k; j < n; ++j) {
-    auto t = static_cast<std::uint32_t>(rng.uniform(j + 1));
-    if (stamp[t] == gen) t = static_cast<std::uint32_t>(j);
-    stamp[t] = gen;
-    out.push_back(t);
+    std::size_t t = rng.uniform(j + 1);
+    if (((marks[t / 64] >> (t % 64)) & 1u) != 0) t = j;
+    marks[t / 64] |= std::uint64_t{1} << (t % 64);
+    marked_words[t / 4096] |= std::uint64_t{1} << (t / 64 % 64);
   }
-  std::sort(out.begin(), out.end());
+  for (std::size_t s = 0; out.size() < k; ++s) {
+    for (std::uint64_t ws = std::exchange(marked_words[s], 0); ws != 0; ws &= ws - 1) {
+      const std::size_t w = s * 64 + static_cast<std::size_t>(std::countr_zero(ws));
+      for (std::uint64_t bits = std::exchange(marks[w], 0); bits != 0; bits &= bits - 1) {
+        out.push_back(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
   return out;
 }
 

@@ -57,6 +57,57 @@ TEST(BinWire, RoundTripsEveryType) {
   EXPECT_TRUE(r.at_end());
 }
 
+/// The wire bytes of a little-endian u64, one byte at a time.
+std::string le_bytes(std::uint64_t v) {
+  std::string out;
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+  return out;
+}
+
+// A row is its size and then its words, each little-endian. A stream
+// whose last word carries set bits past the size decodes to the masked
+// row and leaves the reader just past the row; the writer puts the
+// masked row's bytes back.
+TEST(BinWire, RowWithBitsPastItsSizeDecodesMasked) {
+  constexpr std::size_t kWidths[] = {0, 1, 63, 64, 65, 2048};
+  rng::Rng gen(17);
+  for (const std::size_t n : kWidths) {
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> stream(words);
+    for (auto& w : stream) w = gen.next();
+    if (words != 0) stream.back() |= ~std::uint64_t{0} << (n % 64 == 0 ? 63 : n % 64);
+    std::string bytes = le_bytes(n);
+    for (const auto w : stream) bytes += le_bytes(w);
+    bytes += le_bytes(0x5E47);
+
+    io::BinReader r(bytes, "row");
+    const auto row = r.bitvec();
+    ASSERT_EQ(row.size(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(row.get(j), ((stream[j / 64] >> (j % 64)) & 1u) != 0) << n << " bit " << j;
+    }
+    if (n % 64 != 0) {
+      EXPECT_EQ(row.words().back() >> (n % 64), 0u) << n;
+    }
+    EXPECT_EQ(r.u64(), 0x5E47u) << n;
+    EXPECT_TRUE(r.at_end()) << n;
+
+    io::BinWriter w;
+    w.bitvec(row);
+    std::string want = le_bytes(n);
+    for (const auto word : row.words()) want += le_bytes(word);
+    EXPECT_EQ(w.bytes(), want) << n;
+  }
+}
+
+// u32 and u64 put their bytes little-endian first, as they always have.
+TEST(BinWire, IntegersAreLittleEndianOnTheWire) {
+  io::BinWriter w;
+  w.u32(0x01020304u);
+  w.u64(0x0807060504030201ull);
+  EXPECT_EQ(w.bytes(), std::string("\x04\x03\x02\x01", 4) + le_bytes(0x0807060504030201ull));
+}
+
 // A size within 63 of 2^64 must not wrap the word count to 0: the reader
 // would return a vector that claims 2^64 - 1 bits and has no storage.
 TEST(BinWire, RejectsABitVectorSizeThatWrapsTheWordCount) {

@@ -218,7 +218,9 @@ TEST(ConcurrentGroups, FewerGroupsThanThreadsMatchTheSerialRun) {
 }
 
 // An attached auditor does not keep the groups serial: its A4 ledger
-// takes one player's attempts from several forks at once.
+// takes one player's attempts and successes from several forks at
+// once. Without faults every attempt succeeds, so the audited
+// successes are the oracle's invocations.
 TEST(ConcurrentGroups, AuditedRunIsClean) {
   ASSERT_TRUE(kPoolSized);
   const auto inst = groups_instance();
@@ -227,7 +229,9 @@ TEST(ConcurrentGroups, AuditedRunIsClean) {
   auditor.verify_invocations(audited.ledger.invocations);
   const auto report = auditor.report();
   EXPECT_TRUE(report.clean()) << report.to_json();
-  EXPECT_GT(report.probes_audited, 0u);
+  EXPECT_EQ(report.probes_audited,
+            std::accumulate(audited.ledger.invocations.begin(),
+                            audited.ledger.invocations.end(), std::uint64_t{0}));
   expect_same_run(audited, run_groups(inst, true));
 }
 

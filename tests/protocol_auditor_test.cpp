@@ -171,6 +171,67 @@ TEST(ProtocolAuditor, ReportJsonIsStructured) {
   EXPECT_NE(json.find("\"violations\":["), std::string::npos);
 }
 
+// One player's probes, some of them re-probes, as blocks and singles.
+const std::vector<std::vector<matrix::ObjectId>> kBlocks = {
+    {0, 1, 2}, {5, 3}, {}, {1, 7, 6, 0}, {63, 64, 65, 127}, {2}};
+
+/// Audited probes of kBlocks for players 0..3, through probe_block when
+/// `blocks`, else one probe() per object; returns the outputs.
+std::vector<bits::BitVector> probe_all(billboard::ProbeOracle& oracle, bool blocks) {
+  std::vector<bits::BitVector> outs;
+  for (matrix::PlayerId p = 0; p < 4; ++p) {
+    for (const auto& objs : kBlocks) {
+      bits::BitVector out(objs.size());
+      if (blocks) {
+        oracle.probe_block(p, objs, out);
+      } else {
+        for (std::size_t j = 0; j < objs.size(); ++j) out.set(j, oracle.probe(p, objs[j]));
+      }
+      outs.push_back(out);
+    }
+  }
+  return outs;
+}
+
+// probe_block reports a block with one hook; its ledgers, checks and
+// report equal those of the same probes made one at a time, outside a
+// round and inside one (where a block of three probes is two A1
+// violations, as three single probes are).
+TEST(ProtocolAuditor, BlockHookMatchesPerProbeHooks) {
+  auto inst = small_instance(128, 12);
+  billboard::ProbeOracle by_block(inst.matrix);
+  billboard::ProbeOracle by_probe(inst.matrix);
+  ProtocolAuditor block_auditor(by_block.players(), by_block.objects());
+  ProtocolAuditor probe_auditor(by_probe.players(), by_probe.objects());
+  by_block.set_auditor(&block_auditor);
+  by_probe.set_auditor(&probe_auditor);
+
+  EXPECT_TRUE(probe_all(by_block, true) == probe_all(by_probe, false));
+  block_auditor.verify_invocations(by_block.snapshot());
+  probe_auditor.verify_invocations(by_probe.snapshot());
+  EXPECT_TRUE(block_auditor.report().clean()) << block_auditor.report().to_json();
+  EXPECT_EQ(block_auditor.report().to_json(), probe_auditor.report().to_json());
+  EXPECT_EQ(block_auditor.report().probes_audited, by_block.total_invocations());
+
+  const std::vector<matrix::ObjectId> three = {9, 10, 11};
+  block_auditor.begin_round(0);
+  probe_auditor.begin_round(0);
+  bits::BitVector out(three.size());
+  by_block.probe_block(2, three, out);
+  for (const auto o : three) (void)by_probe.probe(2, o);
+  block_auditor.end_round();
+  probe_auditor.end_round();
+  block_auditor.verify_invocations(by_block.snapshot());
+  probe_auditor.verify_invocations(by_probe.snapshot());
+  const auto report = block_auditor.report();
+  EXPECT_EQ(count_kind(report, AuditViolation::Kind::kDoubleProbe), 2u) << report.to_json();
+  ASSERT_EQ(report.violations.size(), 2u);
+  EXPECT_EQ(report.violations[0].object, 10u);
+  EXPECT_EQ(report.violations[1].object, 11u);
+  EXPECT_EQ(report.to_json(), probe_auditor.report().to_json());
+  EXPECT_EQ(report.probes_audited, by_block.total_invocations());
+}
+
 // ---- clean audits over the real tower -------------------------------
 
 /// Attach a fresh auditor, run `body(oracle)`, cross-check every cost
@@ -223,6 +284,8 @@ TEST(ProtocolAuditor, ZeroRadiusAuditsCleanWithReportTotals) {
   auditor.verify_totals(oracle.total_invocations(), oracle.max_invocations());
   const auto report = auditor.report();
   EXPECT_TRUE(report.clean()) << report.to_json();
+  // No faults: every attempt succeeds, the leaves' blocks included.
+  EXPECT_EQ(report.probes_audited, oracle.total_invocations());
   EXPECT_GT(report.probes_audited, 0u);
 }
 

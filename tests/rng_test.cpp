@@ -221,6 +221,41 @@ TEST(Sampling, MarginalsUniform) {
   }
 }
 
+/// The sampler as it was before the bitmap walk: Floyd's draws marked
+/// in a fresh membership array, then a sort. The reference the bitmap
+/// version must match draw for draw.
+std::vector<std::uint32_t> sample_by_sorting(std::size_t n, std::size_t k, Rng& rng) {
+  std::vector<std::uint32_t> out;
+  std::vector<bool> chosen(n, false);
+  for (std::size_t j = n - k; j < n; ++j) {
+    auto t = static_cast<std::uint32_t>(rng.uniform(j + 1));
+    if (chosen[t]) t = static_cast<std::uint32_t>(j);
+    chosen[t] = true;
+    out.push_back(t);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Same sample and same RNG state after the call as the sorting
+// version, at word-boundary sizes and RSelect's shape, for k from 0 to
+// n. Calls of different sizes alternate on one thread, so a mark left
+// behind by one call would show in the next.
+TEST(Sampling, BitmapWalkMatchesTheSortingSampler) {
+  constexpr std::size_t kSizes[] = {1, 63, 64, 65, 729, 5000};
+  for (const std::size_t n : kSizes) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n}) {
+      for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        Rng a(Rng(seed).split(n * 7919 + k));
+        Rng b = a;
+        ASSERT_EQ(sample_without_replacement(n, k, a), sample_by_sorting(n, k, b))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        ASSERT_EQ(a.next(), b.next()) << "n=" << n << " k=" << k << " seed=" << seed;
+      }
+    }
+  }
+}
+
 TEST(Shuffle, PermutationPreserved) {
   Rng r(79);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

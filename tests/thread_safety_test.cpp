@@ -1,6 +1,7 @@
 // Thread-safety stress tests for the concurrently-used structures:
 // Billboard's posting surface (one channel, several channels, and the
-// ordered posts of a Section) and the MetricsRegistry shard merge.
+// ordered posts of a Section), the MetricsRegistry shard merge, and a
+// ProtocolAuditor shared by forked probe ledgers.
 //
 // These tests are most valuable under ThreadSanitizer (run_tests.sh
 // --tsan builds and runs them there), but they also assert a functional
@@ -20,8 +21,12 @@
 #include <vector>
 
 #include "tmwia/billboard/billboard.hpp"
+#include "tmwia/billboard/probe_oracle.hpp"
+#include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/bits/bitvector.hpp"
 #include "tmwia/bits/kernels.hpp"
+#include "tmwia/engine/thread_pool.hpp"
+#include "tmwia/matrix/generators.hpp"
 #include "tmwia/matrix/ids.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/rng/rng.hpp"
@@ -235,6 +240,68 @@ TEST(ThreadSafety, ConcurrentMetricShardsMergeToSerialSnapshot) {
   std::uint64_t ops_per_thread = 0;
   for (std::uint64_t i = 0; i < 2000; ++i) ops_per_thread += i % 7;
   EXPECT_EQ(got.counter("ops"), ops_per_thread * kThreads);
+}
+
+/// Task t of the auditor stress: players 6t .. 6t+15 (neighbouring
+/// tasks share players), each probing the task's own 32 objects as two
+/// blocks and one single re-probe, like a Large Radius group's fork.
+std::vector<PlayerId> audit_task_members(std::size_t t) {
+  std::vector<PlayerId> members;
+  for (std::size_t p = 6 * t; p < 6 * t + 16; ++p) members.push_back(static_cast<PlayerId>(p));
+  return members;
+}
+
+void audit_task_probes(tmwia::billboard::ProbeOracle& oracle, std::size_t t) {
+  std::vector<tmwia::matrix::ObjectId> objs(32);
+  for (std::size_t j = 0; j < objs.size(); ++j) {
+    objs[j] = static_cast<tmwia::matrix::ObjectId>(32 * t + j);
+  }
+  const std::span<const tmwia::matrix::ObjectId> all(objs);
+  for (const PlayerId p : audit_task_members(t)) {
+    BitVector first(20);
+    BitVector rest(12);
+    oracle.probe_block(p, all.first(20), first);
+    oracle.probe_block(p, all.subspan(20), rest);
+    (void)oracle.probe(p, objs[p % objs.size()]);
+  }
+}
+
+// Eight tasks on a 4-thread pool probe through forks of one audited
+// oracle, for overlapping players: each player's A4 ledger takes counts
+// from several threads at once. The report, the auditor's ledger and
+// the joined oracle ledger equal those of the same probes made
+// serially on one oracle.
+TEST(ThreadSafety, AuditedForksShareOneAuditor) {
+  constexpr std::size_t kTasks = 8;
+  tmwia::rng::Rng gen(0xa0d17);
+  const auto inst = tmwia::matrix::planted_community(64, 32 * kTasks, {0.5, 2}, gen);
+
+  tmwia::billboard::ProbeOracle serial(inst.matrix);
+  tmwia::billboard::ProtocolAuditor serial_auditor(serial.players(), serial.objects());
+  serial.set_auditor(&serial_auditor);
+  for (std::size_t t = 0; t < kTasks; ++t) audit_task_probes(serial, t);
+  const auto want = serial_auditor.report();
+  ASSERT_EQ(want.probes_audited, serial.total_invocations());
+
+  tmwia::engine::ThreadPool pool(4);
+  for (int rep = 0; rep < 4; ++rep) {
+    tmwia::billboard::ProbeOracle oracle(inst.matrix);
+    tmwia::billboard::ProtocolAuditor auditor(oracle.players(), oracle.objects());
+    oracle.set_auditor(&auditor);
+    std::vector<tmwia::billboard::ProbeOracle> forks;
+    forks.reserve(kTasks);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      forks.push_back(oracle.fork(audit_task_members(t), static_cast<std::uint32_t>(t)));
+    }
+    pool.run(0, kTasks, [&](std::size_t t) { audit_task_probes(forks[t], t); }, 1);
+    for (const auto& fork : forks) oracle.join(fork);
+
+    EXPECT_EQ(oracle.snapshot(), serial.snapshot());
+    auditor.verify_invocations(serial.snapshot());
+    const auto got = auditor.report();
+    EXPECT_TRUE(got.clean()) << got.to_json();
+    EXPECT_EQ(got.to_json(), want.to_json());
+  }
 }
 
 TEST(ThreadSafety, SetBackendRejectedDuringParallelPhase) {
