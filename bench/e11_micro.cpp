@@ -80,23 +80,6 @@ void kernel_dist_many_body(benchmark::State& state, bits::KernelBackend backend)
   bits::kernels::set_backend(saved);
 }
 
-/// Ball counting under d-tilde: |ball(center, D)| over 256 rows with a
-/// ~25% '?' mask on the center (the Coalesce 2a shape).
-void kernel_ball_size_body(benchmark::State& state, bits::KernelBackend backend) {
-  const auto saved = bits::kernels::requested_backend();
-  bits::kernels::set_backend(backend);
-  const std::size_t m = 4096;
-  rng::Rng rng(5);
-  auto center = bits::TriVector::from_bits(matrix::random_vector(m, rng));
-  for (std::size_t i = 0; i < m; i += 4) center.set(i, bits::Tri::kUnknown);
-  std::vector<bits::BitVector> vs;
-  for (int i = 0; i < 256; ++i) vs.push_back(matrix::random_vector(m, rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bits::kernels::ball_size(vs, center, m / 3));
-  }
-  bits::kernels::set_backend(saved);
-}
-
 void register_kernel_benchmarks() {
   for (const auto backend : {bits::KernelBackend::kScalar, bits::KernelBackend::kAvx2,
                              bits::KernelBackend::kAvx512}) {
@@ -105,9 +88,6 @@ void register_kernel_benchmarks() {
     benchmark::RegisterBenchmark(
         ("BM_KernelDistMany/" + suffix).c_str(),
         [backend](benchmark::State& st) { kernel_dist_many_body(st, backend); });
-    benchmark::RegisterBenchmark(
-        ("BM_KernelBallSize/" + suffix).c_str(),
-        [backend](benchmark::State& st) { kernel_ball_size_body(st, backend); });
   }
 }
 

@@ -4,18 +4,18 @@
 // Radius, Coalesce) ultimately reduces to Hamming arithmetic over
 // packed 64-bit words. This module is the single home of that
 // arithmetic: word-span popcount primitives at the bottom, batched
-// collection operations (one-vs-many distance, argmin, balls,
-// diameters) on top, all behind a process-global KernelBackend chosen
-// by runtime CPU dispatch (scalar | AVX2 | AVX-512 | auto).
+// collection operations (one-vs-many distance, argmin) on top, all
+// behind a process-global KernelBackend chosen by runtime CPU dispatch
+// (scalar | AVX2 | AVX-512 | auto).
 //
 // Determinism contract: every backend computes the SAME integers —
 // popcounts are exact, accumulation order never affects the result,
-// and index-returning operations (argmin, ball membership) break ties
-// toward the LOWEST index. Switching backends must never change a
-// run's output, its RunReport, or a flight-recorder log byte; the
-// kernel parity suite (tests/kernels_test.cpp) enforces this for every
-// supported backend on randomized sizes including non-word-aligned
-// tails and TriVector '?' masks.
+// and argmin breaks ties toward the LOWEST index. Switching backends
+// must never change a run's output, its RunReport, or a
+// flight-recorder log byte; the kernel parity suite
+// (tests/kernels_test.cpp) enforces this for every supported backend
+// on randomized sizes including non-word-aligned tails and TriVector
+// '?' masks.
 //
 // hamming.hpp keeps the one-pair dist(x, y) as a first-class name that
 // forwards into this layer; src/core and src/billboard use the batched
@@ -59,9 +59,8 @@ bool backend_supported(KernelBackend b);
 KernelBackend resolve_backend(KernelBackend b);
 
 /// Select the process-global backend. kAuto (the default) defers to
-/// CPU detection; the TMWIA_KERNEL environment variable, when set to a
-/// backend name, overrides the initial default. Throws
-/// std::invalid_argument for a backend this CPU cannot run.
+/// CPU detection. Throws std::invalid_argument for a backend this CPU
+/// cannot run.
 ///
 /// Thread safety: the dispatch state is a pair of atomics (requested
 /// backend word + vtable pointer, release-published and
@@ -155,10 +154,6 @@ void known_diff_positions(const TriVector& a, const TriVector& b,
 void dist_many(const BitVector& target, std::span<const BitVector> vs,
                std::span<std::uint32_t> out);
 
-/// d-tilde one-vs-many: out[i] = dtilde(center, vs[i]).
-void dtilde_many(const TriVector& center, std::span<const BitVector> vs,
-                 std::span<std::uint32_t> out);
-
 struct ArgminResult {
   std::size_t index = 0;  ///< lowest index attaining the minimum
   std::size_t dist = 0;   ///< the minimum distance
@@ -167,27 +162,6 @@ struct ArgminResult {
 /// Index of the vector in `vs` closest to `target` (ties: lowest
 /// index). Precondition: vs non-empty.
 ArgminResult argmin_dist(std::span<const BitVector> vs, const BitVector& target);
-
-/// |ball(center, D)| under d-tilde: members of `vs` within distance D
-/// of `center` ignoring the center's '?' coordinates (Coalesce 2a).
-std::size_t ball_size(std::span<const BitVector> vs, const TriVector& center,
-                      std::size_t D);
-
-/// Indices (ascending) of vs-members inside ball(center, D) under
-/// d-tilde.
-std::vector<std::size_t> ball_members(std::span<const BitVector> vs,
-                                      const TriVector& center, std::size_t D);
-
-/// Hamming ball over plain vectors: |{i : dist(center, vs[i]) <= D}|.
-std::size_t ball_size(std::span<const BitVector> vs, const BitVector& center,
-                      std::size_t D);
-
-/// max over pairs of dist(vs[i], vs[j]); 0 for |vs| <= 1.
-std::size_t pairwise_diameter(std::span<const BitVector> vs);
-
-/// Pairwise diameter of the sub-multiset selected by `indices`.
-std::size_t pairwise_diameter(std::span<const BitVector> vs,
-                              std::span<const std::uint32_t> indices);
 
 }  // namespace kernels
 }  // namespace tmwia::bits

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -72,33 +71,15 @@ const KernelVTable* table_for(KernelBackend b) {
   return &detail::scalar_vtable();
 }
 
-KernelBackend initial_backend() {
-  if (const char* env = std::getenv("TMWIA_KERNEL"); env != nullptr && env[0] != '\0') {
-    if (const auto parsed = parse_backend(env);
-        parsed.has_value() && backend_supported(*parsed)) {
-      return *parsed;
-    }
-    // Unknown or unsupported name: fall through to auto rather than
-    // abort a run over an env var typo; the CLI flag validates loudly.
-  }
-  return KernelBackend::kAuto;
-}
-
 // Process-global dispatch words. `requested`/`table` are written only
 // by set_backend (serial setup by contract, atomics so a misuse can
 // never tear) and read on every distance call; `busy` counts engine
 // parallel phases in flight and turns mid-phase reselection into a
 // loud std::logic_error instead of a silent race.
 struct Dispatch {
-  std::atomic<std::uint8_t> requested;
-  std::atomic<const KernelVTable*> table;
+  std::atomic<std::uint8_t> requested{static_cast<std::uint8_t>(KernelBackend::kAuto)};
+  std::atomic<const KernelVTable*> table{table_for(KernelBackend::kAuto)};
   std::atomic<std::size_t> busy{0};
-
-  Dispatch() {
-    const KernelBackend b = initial_backend();
-    requested.store(static_cast<std::uint8_t>(b), std::memory_order_relaxed);
-    table.store(table_for(b), std::memory_order_release);
-  }
 };
 
 Dispatch& dispatch() {
@@ -160,7 +141,7 @@ void set_backend(KernelBackend b) {
     throw std::logic_error(
         "kernels::set_backend: engine threads are executing a parallel "
         "phase; select the backend from serial setup code (Session::kernel, "
-        "--kernel=, TMWIA_KERNEL) before dispatching parallel work");
+        "--kernel=) before dispatching parallel work");
   }
   d.requested.store(static_cast<std::uint8_t>(b), std::memory_order_relaxed);
   d.table.store(t, std::memory_order_release);
@@ -275,24 +256,6 @@ void dist_many(const BitVector& target, std::span<const BitVector> vs,
   }
 }
 
-void dtilde_many(const TriVector& center, std::span<const BitVector> vs,
-                 std::span<std::uint32_t> out) {
-  if (out.size() < vs.size()) {
-    throw std::invalid_argument("kernels::dtilde_many: output buffer too small");
-  }
-  const auto& t = ops();
-  const std::uint64_t* cv = center.value_words().data();
-  const std::uint64_t* ck = center.known_words().data();
-  const std::size_t nw = center.value_words().size();
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (vs[i].size() != center.size()) {
-      throw std::invalid_argument("kernels::dtilde_many: size mismatch");
-    }
-    out[i] =
-        static_cast<std::uint32_t>(t.xor_and_popcnt(cv, vs[i].words().data(), ck, nw));
-  }
-}
-
 ArgminResult argmin_dist(std::span<const BitVector> vs, const BitVector& target) {
   if (vs.empty()) {
     throw std::invalid_argument("kernels::argmin_dist: empty collection");
@@ -312,83 +275,6 @@ ArgminResult argmin_dist(std::span<const BitVector> vs, const BitVector& target)
     }
   }
   return best;
-}
-
-std::size_t ball_size(std::span<const BitVector> vs, const TriVector& center,
-                      std::size_t D) {
-  const auto& t = ops();
-  const std::uint64_t* cv = center.value_words().data();
-  const std::uint64_t* ck = center.known_words().data();
-  const std::size_t nw = center.value_words().size();
-  std::size_t c = 0;
-  for (const auto& v : vs) {
-    if (v.size() != center.size()) {
-      throw std::invalid_argument("kernels::ball_size: size mismatch");
-    }
-    if (t.xor_and_popcnt(cv, v.words().data(), ck, nw) <= D) ++c;
-  }
-  return c;
-}
-
-std::vector<std::size_t> ball_members(std::span<const BitVector> vs,
-                                      const TriVector& center, std::size_t D) {
-  const auto& t = ops();
-  const std::uint64_t* cv = center.value_words().data();
-  const std::uint64_t* ck = center.known_words().data();
-  const std::size_t nw = center.value_words().size();
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (vs[i].size() != center.size()) {
-      throw std::invalid_argument("kernels::ball_members: size mismatch");
-    }
-    if (t.xor_and_popcnt(cv, vs[i].words().data(), ck, nw) <= D) out.push_back(i);
-  }
-  return out;
-}
-
-std::size_t ball_size(std::span<const BitVector> vs, const BitVector& center,
-                      std::size_t D) {
-  const auto& t = ops();
-  const std::uint64_t* cw = center.words().data();
-  const std::size_t nw = center.words().size();
-  std::size_t c = 0;
-  for (const auto& v : vs) {
-    check_pair(center, v, "kernels::ball_size");
-    if (t.xor_popcnt(cw, v.words().data(), nw) <= D) ++c;
-  }
-  return c;
-}
-
-std::size_t pairwise_diameter(std::span<const BitVector> vs) {
-  const auto& t = ops();
-  std::uint64_t d = 0;
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    const std::uint64_t* wi = vs[i].words().data();
-    const std::size_t nw = vs[i].words().size();
-    for (std::size_t j = i + 1; j < vs.size(); ++j) {
-      check_pair(vs[i], vs[j], "kernels::pairwise_diameter");
-      const auto dij = t.xor_popcnt(wi, vs[j].words().data(), nw);
-      if (dij > d) d = dij;
-    }
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::size_t pairwise_diameter(std::span<const BitVector> vs,
-                              std::span<const std::uint32_t> indices) {
-  const auto& t = ops();
-  std::uint64_t d = 0;
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto& vi = vs[indices[i]];
-    for (std::size_t j = i + 1; j < indices.size(); ++j) {
-      const auto& vj = vs[indices[j]];
-      check_pair(vi, vj, "kernels::pairwise_diameter");
-      const auto dij = t.xor_popcnt(vi.words().data(), vj.words().data(),
-                                    vi.words().size());
-      if (dij > d) d = dij;
-    }
-  }
-  return static_cast<std::size_t>(d);
 }
 
 namespace detail {

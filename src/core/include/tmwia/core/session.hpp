@@ -75,7 +75,7 @@ class Session {
   /// Probe-noise model (default noiseless).
   Session& noise(billboard::NoiseModel n);
   /// Distance-kernel backend (default: leave the process-global choice
-  /// alone — kAuto unless TMWIA_KERNEL or earlier code overrode it).
+  /// alone — kAuto unless earlier code selected another).
   /// Applied at build() via bits::kernels::set_backend; throws there if
   /// this CPU cannot run the requested backend, or (std::logic_error)
   /// if engine threads are mid-parallel-phase — selection must stay

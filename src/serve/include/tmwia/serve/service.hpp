@@ -46,13 +46,18 @@
 
 namespace tmwia::serve {
 
-/// The largest instance add_tenant generates from "n" and "m". Per
-/// player a tenant keeps a matrix row and two oracle rows of m bits
-/// each, plus about 136 bytes of row headers and ledgers:
-/// kMaxTenantCells bounds the bits (n·m cells, 1.5 GiB) and
-/// kMaxTenantPlayers the per-player part (0.6 GiB). Every shape the
-/// tests, benches and perfbench use is far below both; a request above
-/// either fails before anything is allocated.
+/// The largest instance add_tenant generates from "n" and "m". A
+/// tenant keeps seven n × m bitmaps: the hidden matrix, the oracle's
+/// probed and values rows, the auditor's two round-mode shadows, the
+/// estimates and the published cache version's copy of them (an eighth
+/// while a publish copies the probed masks). Per player it also keeps
+/// about 400 bytes: seven 40-byte row headers, two oracle counters, the
+/// auditor's 64-byte ledger line and round count, the audit base and a
+/// toplist header. So kMaxTenantCells (n·m cells) allows about 3.5 GiB
+/// of bitmaps (4 GiB during a publish) and kMaxTenantPlayers about
+/// 1.6 GiB of per-player state. Every shape the tests, benches and
+/// perfbench use is far below both; a request above either fails
+/// before anything is allocated.
 inline constexpr std::uint64_t kMaxTenantPlayers = std::uint64_t{1} << 22;
 inline constexpr std::uint64_t kMaxTenantCells = std::uint64_t{1} << 32;
 

@@ -41,7 +41,6 @@
 #include "tmwia/billboard/probe_oracle.hpp"
 #include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/core/checkpoint.hpp"
-#include "tmwia/core/params.hpp"
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
@@ -59,18 +58,12 @@ struct TenantConfig {
   /// Refinement algorithm: "unknown_d" (Theorem 1.1 tower + keep-better
   /// merge) or "mimic" (scheduler heuristic under engine::Supervisor).
   std::string algo = "unknown_d";
-  core::Params params = core::Params::practical();
   /// Optional fault plan (faults::FaultPlan::parse grammar); empty = none.
   std::string fault_spec;
-  billboard::NoiseModel noise;
   /// Max recommendations precomputed per player per version.
   std::size_t toplist_cap = 16;
   /// Per-tenant flight-recorder sink (JSONL); empty = no recording.
   std::string record_path;
-  /// mimic: per-epoch phase round budget (0 = 4 * objects).
-  std::size_t mimic_phase_rounds = 0;
-  /// mimic: strikes before quarantine.
-  std::size_t max_strikes = 3;
   /// Test hook: every refinement epoch throws, exercising the
   /// degraded-tenant (stale cache + marker) path deterministically.
   bool sabotage_refine = false;

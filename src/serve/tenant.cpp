@@ -9,6 +9,7 @@
 #include "tmwia/billboard/strategies.hpp"
 #include "tmwia/core/coalesce.hpp"
 #include "tmwia/core/find_preferences.hpp"
+#include "tmwia/core/params.hpp"
 #include "tmwia/core/session.hpp"
 #include "tmwia/engine/supervisor.hpp"
 #include "tmwia/io/checkpoint.hpp"
@@ -16,6 +17,13 @@
 
 namespace tmwia::serve {
 namespace {
+
+/// Every tenant refines with the practical profile over noiseless
+/// probes; mimic epochs get a phase budget of 4 rounds per object and
+/// quarantine a strategy at its third strike.
+const core::Params kParams = core::Params::practical();
+constexpr std::size_t kMimicRoundsPerObject = 4;
+constexpr std::size_t kMaxStrikes = 3;
 
 /// Rebuild a TriVector from its two checkpointed planes.
 bits::TriVector trivector_from_planes(const bits::BitVector& value,
@@ -43,7 +51,7 @@ Tenant::Tenant(TenantConfig cfg, matrix::Instance inst)
     injector_ = std::make_unique<faults::FaultInjector>(
         faults::FaultPlan::parse(cfg_.fault_spec), n);
   }
-  oracle_ = std::make_unique<billboard::ProbeOracle>(inst_.matrix, cfg_.noise);
+  oracle_ = std::make_unique<billboard::ProbeOracle>(inst_.matrix);
   if (injector_ != nullptr) oracle_->set_fault_injector(injector_.get());
   board_ = std::make_unique<billboard::Billboard>();
   // Attach before the first probe so the A4 cost ledgers line up.
@@ -87,11 +95,11 @@ std::shared_ptr<const CacheVersion> Tenant::refine_epoch() {
 
 void Tenant::refine_unknown_d_locked(std::uint64_t epoch) {
   auto run = core::find_preferences_unknown_d(*oracle_, board_.get(), cfg_.alpha,
-                                              cfg_.params, root_.split(0x5e17, epoch));
+                                              kParams, root_.split(0x5e17, epoch));
   if (epochs_published_.load(std::memory_order_acquire) == 0) {
     estimates_ = std::move(run.outputs);
   } else {
-    core::keep_better_outputs(*oracle_, estimates_, run.outputs, epoch, cfg_.params, root_);
+    core::keep_better_outputs(*oracle_, estimates_, run.outputs, epoch, kParams, root_);
   }
 
   // Cluster the refined estimates with the largest D any player
@@ -120,8 +128,8 @@ void Tenant::refine_mimic_locked(std::uint64_t epoch) {
     mimics.push_back(s.get());
     strategies.push_back(std::move(s));
   }
-  engine::Supervisor sup(*oracle_, {cfg_.max_strikes, 1, 64});
-  const std::size_t budget = cfg_.mimic_phase_rounds != 0 ? cfg_.mimic_phase_rounds : 4 * m;
+  engine::Supervisor sup(*oracle_, {kMaxStrikes, 1, 64});
+  const std::size_t budget = kMimicRoundsPerObject * m;
   const auto sres =
       sup.run(strategies, {engine::PhaseSpec{"epoch:" + std::to_string(epoch), budget}});
   if (sres.degraded()) {
@@ -137,7 +145,7 @@ void Tenant::refine_mimic_locked(std::uint64_t epoch) {
   if (epochs_published_.load(std::memory_order_acquire) == 0) {
     estimates_ = std::move(challenger);
   } else {
-    core::keep_better_outputs(*oracle_, estimates_, challenger, epoch, cfg_.params, root_);
+    core::keep_better_outputs(*oracle_, estimates_, challenger, epoch, kParams, root_);
   }
 
   // Mimic certifies no radius, so cluster at D = 0: candidates are the

@@ -253,40 +253,13 @@ TEST(TriVector, LexCompareOrdersZeroOneUnknown) {
 }
 
 // ---------------------------------------------------------------- kernels.hpp
-// Collection aggregates on hand-checkable inputs; the full backend
+// The collection argmin on a hand-checkable input; the full backend
 // parity suite is tests/kernels_test.cpp.
-
-TEST(Hamming, DiameterOfSet) {
-  std::vector<BitVector> vs{BitVector::from_string("0000"), BitVector::from_string("0011"),
-                            BitVector::from_string("1111")};
-  EXPECT_EQ(kernels::pairwise_diameter(vs), 4u);
-  EXPECT_EQ(kernels::pairwise_diameter(std::span<const BitVector>(vs.data(), 1)), 0u);
-}
-
-TEST(Hamming, DiameterOfSubset) {
-  std::vector<BitVector> vs{BitVector::from_string("0000"), BitVector::from_string("0011"),
-                            BitVector::from_string("1111")};
-  const std::vector<std::uint32_t> idx{0, 1};
-  EXPECT_EQ(kernels::pairwise_diameter(vs, idx), 2u);
-}
 
 TEST(Hamming, ArgminDist) {
   std::vector<BitVector> vs{BitVector::from_string("1111"), BitVector::from_string("0011"),
                             BitVector::from_string("0001")};
   EXPECT_EQ(kernels::argmin_dist(vs, BitVector::from_string("0000")).index, 2u);
-}
-
-TEST(Hamming, BallSizeAndMembers) {
-  std::vector<BitVector> vs{BitVector::from_string("0000"), BitVector::from_string("0001"),
-                            BitVector::from_string("0111")};
-  const auto center = TriVector::from_string("000?");
-  // dtilde distances: 0, 0, 2
-  EXPECT_EQ(kernels::ball_size(vs, center, 0), 2u);
-  EXPECT_EQ(kernels::ball_size(vs, center, 2), 3u);
-  const auto members = kernels::ball_members(vs, center, 0);
-  ASSERT_EQ(members.size(), 2u);
-  EXPECT_EQ(members[0], 0u);
-  EXPECT_EQ(members[1], 1u);
 }
 
 }  // namespace

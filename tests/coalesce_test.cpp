@@ -4,9 +4,15 @@
 // (trivially: the API takes no oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "tmwia/bits/hamming.hpp"
+#include "tmwia/bits/kernels.hpp"
 #include "tmwia/core/coalesce.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/rng/rng.hpp"
@@ -183,6 +189,167 @@ TEST(Coalesce, RepresentativeNeverAssertsAncestorDisagreement) {
   for (const auto& v : vs) {
     EXPECT_EQ(rep.dtilde(v), 0u);
   }
+}
+
+// Reference: Coalesce over an n x n uint32 distance matrix, with step
+// 2a as whole sweeps over index lists (each sweep counts every ball
+// against the live set it started from). coalesce() keeps one ball
+// bit per pair instead and drops vectors in place; both must give the
+// same candidates.
+CoalesceResult matrix_coalesce(const std::vector<BitVector>& vectors, std::size_t D,
+                               std::size_t min_ball, double merge_mult) {
+  CoalesceResult res;
+  if (vectors.empty()) return res;
+  if (min_ball == 0) min_ball = 1;
+
+  const std::size_t n = vectors.size();
+  std::vector<std::uint32_t> dist_matrix(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bits::kernels::dist_many(vectors[i], vectors,
+                             std::span<std::uint32_t>(dist_matrix).subspan(i * n, n));
+  }
+  const auto dist_at = [&](std::size_t i, std::size_t j) {
+    return static_cast<std::size_t>(dist_matrix[i * n + j]);
+  };
+
+  std::vector<std::size_t> live(n);
+  for (std::size_t i = 0; i < n; ++i) live[i] = i;
+  std::vector<TriVector> a;
+  while (!live.empty()) {
+    bool changed = true;
+    while (changed && !live.empty()) {
+      changed = false;
+      std::vector<std::size_t> kept;
+      for (std::size_t i : live) {
+        std::size_t ball = 0;
+        for (std::size_t j : live) {
+          if (dist_at(i, j) <= D) ++ball;
+        }
+        if (ball >= min_ball) {
+          kept.push_back(i);
+        } else {
+          changed = true;
+        }
+      }
+      live.swap(kept);
+    }
+    if (live.empty()) break;
+
+    std::size_t first = live[0];
+    for (std::size_t i : live) {
+      if (vectors[i].lex_compare(vectors[first]) < 0) first = i;
+    }
+    a.push_back(TriVector::from_bits(vectors[first]));
+    std::vector<std::size_t> kept;
+    for (std::size_t j : live) {
+      if (dist_at(first, j) > D) kept.push_back(j);
+    }
+    live.swap(kept);
+  }
+
+  res.pre_merge_count = a.size();
+  const auto merge_bound =
+      static_cast<std::size_t>(std::floor(merge_mult * static_cast<double>(D)));
+  bool merged = true;
+  while (merged) {
+    merged = false;
+    for (std::size_t i = 0; i < a.size() && !merged; ++i) {
+      for (std::size_t j = i + 1; j < a.size() && !merged; ++j) {
+        if (a[i].dtilde(a[j]) <= merge_bound) {
+          TriVector m = a[i].merge(a[j]);
+          a.erase(a.begin() + static_cast<std::ptrdiff_t>(j));
+          a.erase(a.begin() + static_cast<std::ptrdiff_t>(i));
+          a.push_back(std::move(m));
+          merged = true;
+        }
+      }
+    }
+  }
+  std::sort(a.begin(), a.end(),
+            [](const TriVector& x, const TriVector& y) { return x.lex_compare(y) < 0; });
+  res.candidates = std::move(a);
+  return res;
+}
+
+/// One random Coalesce input: planted centres (some within merge range
+/// of each other), members scattered around them, chains one flip
+/// apart (so a drop cascades), exact duplicates and uniform noise, in
+/// shuffled order.
+std::vector<BitVector> random_multiset(std::size_t n, std::size_t m, rng::Rng& rng) {
+  std::vector<BitVector> centres;
+  const auto k = 1 + rng.uniform(4);
+  for (std::uint64_t c = 0; c < k; ++c) {
+    if (c > 0 && rng.uniform(2) == 0) {
+      centres.push_back(matrix::flip_random(centres[rng.uniform(c)],
+                                            rng.uniform(std::min<std::size_t>(m, 8) + 1),
+                                            rng));
+    } else {
+      centres.push_back(matrix::random_vector(m, rng));
+    }
+  }
+  std::vector<BitVector> vs;
+  while (vs.size() < n) {
+    const auto kind = rng.uniform(8);
+    if (kind < 4) {
+      const auto& c = centres[rng.uniform(centres.size())];
+      vs.push_back(matrix::flip_random(c, rng.uniform(std::min<std::size_t>(m, 4) + 1), rng));
+    } else if (kind == 4) {
+      vs.push_back(centres[rng.uniform(centres.size())]);
+    } else if (kind == 5 && !vs.empty()) {
+      vs.push_back(vs[rng.uniform(vs.size())]);
+    } else if (kind == 6) {
+      BitVector v = centres[rng.uniform(centres.size())];
+      for (auto len = 1 + rng.uniform(6); len > 0 && vs.size() < n; --len) {
+        v = matrix::flip_random(v, 1, rng);
+        vs.push_back(v);
+      }
+    } else {
+      vs.push_back(matrix::random_vector(m, rng));
+    }
+  }
+  for (std::size_t i = vs.size(); i > 1; --i) std::swap(vs[i - 1], vs[rng.uniform(i)]);
+  return vs;
+}
+
+TEST(Coalesce, BallBitsetMatchesTheDistanceMatrixReference) {
+  rng::Rng rng(20261019);
+  std::size_t nonempty = 0;
+  std::size_t merged = 0;
+  constexpr std::size_t kCases = 600;
+  for (std::size_t t = 0; t < kCases; ++t) {
+    // n = 1, word multiples and word tails; m up to 300 bits.
+    const std::size_t n_pick = rng.uniform(10);
+    const std::size_t n = n_pick == 0   ? 1
+                          : n_pick == 1 ? 64 * (1 + rng.uniform(3))
+                                        : 1 + rng.uniform(200);
+    const std::size_t m = 1 + rng.uniform(300);
+    const auto vs = random_multiset(n, m, rng);
+
+    // D: 0, small, or at least m (every pair in every ball).
+    const std::size_t d_pick = rng.uniform(6);
+    const std::size_t D = d_pick == 0   ? 0
+                          : d_pick == 1 ? m + rng.uniform(4)
+                                        : rng.uniform(std::min<std::size_t>(m, 24) + 1);
+    // min_ball: 0 (read as 1), in range, or above n (nothing survives).
+    const std::size_t b_pick = rng.uniform(8);
+    const std::size_t min_ball = b_pick == 0   ? 0
+                                 : b_pick == 1 ? n + 1 + rng.uniform(3)
+                                               : 1 + rng.uniform(std::max<std::size_t>(n / 3, 1));
+    const double merge_mult =
+        rng.uniform(5) == 0 ? 5.0 : 0.25 * static_cast<double>(rng.uniform(10));
+
+    const auto want = matrix_coalesce(vs, D, min_ball, merge_mult);
+    const auto got = coalesce(vs, D, min_ball, merge_mult);
+    ASSERT_EQ(got.pre_merge_count, want.pre_merge_count)
+        << "case " << t << ": n=" << n << " m=" << m << " D=" << D
+        << " min_ball=" << min_ball << " merge_mult=" << merge_mult;
+    ASSERT_EQ(got.candidates, want.candidates) << "case " << t;
+    if (!want.candidates.empty()) ++nonempty;
+    if (want.candidates.size() < want.pre_merge_count) ++merged;
+  }
+  // The inputs must reach both halves of the algorithm.
+  EXPECT_GE(nonempty, kCases / 4);
+  EXPECT_GE(merged, kCases / 20);
 }
 
 }  // namespace

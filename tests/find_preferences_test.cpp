@@ -156,6 +156,37 @@ TEST(Anytime, QualityReasonableAfterEnoughPhases) {
   EXPECT_LE(disc, 6 * std::max<std::size_t>(D, 1));
 }
 
+/// Session::run_anytime is core::anytime on the session's oracle and
+/// board, drawing from the session's first run split: the same outputs,
+/// cost and phase log as the hand-wired call.
+TEST(Anytime, SessionRunAnytimeMatchesTheHandWiredCall) {
+  rng::Rng gen(15);
+  const auto inst = matrix::planted_community(64, 64, {0.5, 2}, gen);
+  constexpr std::uint64_t kSeed = 21;
+  constexpr std::uint64_t kBudget = 3000;
+
+  billboard::ProbeOracle oracle(inst.matrix);
+  billboard::Billboard board;
+  const auto want = anytime(oracle, &board, kBudget, Params::practical(),
+                            rng::Rng(kSeed).split(0x5e55, 0));
+  ASSERT_GE(want.phases.size(), 2u);
+
+  Session session(inst.matrix);
+  session.seed(kSeed);
+  const auto got = session.run_anytime(kBudget);
+  EXPECT_EQ(got.outputs, want.outputs);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.total_probes, want.total_probes);
+  ASSERT_EQ(got.phases.size(), want.phases.size());
+  for (std::size_t i = 0; i < want.phases.size(); ++i) {
+    EXPECT_EQ(got.phases[i].alpha, want.phases[i].alpha) << i;
+    EXPECT_EQ(got.phases[i].rounds, want.phases[i].rounds) << i;
+    EXPECT_EQ(got.phases[i].total_probes, want.phases[i].total_probes) << i;
+  }
+  EXPECT_EQ(got.to_json(), want.to_json());
+  EXPECT_EQ(session.oracle().total_invocations(), oracle.total_invocations());
+}
+
 TEST(FindPreferences, RoundsPolylogWhileSoloIsLinear) {
   // Theorem 1.1 shape at a fixed size: the whole unknown-D stack costs
   // far fewer rounds than the m rounds of solo probing.

@@ -166,25 +166,15 @@ TEST(KernelsParity, BatchedOpsAgreeAcrossBackends) {
     std::vector<BitVector> vs;
     for (int i = 0; i < 33; ++i) vs.push_back(random_bits(n, rng));
     const BitVector target = random_bits(n, rng);
-    const TriVector center = random_tri(n, rng);
 
     // Scalar is the reference; every other backend must match exactly.
     kernels::set_backend(KernelBackend::kScalar);
     std::vector<std::uint32_t> ref_dists(vs.size());
     kernels::dist_many(target, vs, ref_dists);
-    std::vector<std::uint32_t> ref_dt(vs.size());
-    kernels::dtilde_many(center, vs, ref_dt);
     const auto ref_arg = kernels::argmin_dist(vs, target);
-    const auto ref_ball = kernels::ball_size(vs, center, n / 3);
-    const auto ref_members = kernels::ball_members(vs, center, n / 3);
-    const auto ref_ball_bits = kernels::ball_size(vs, target, n / 2);
-    const auto ref_diam = kernels::pairwise_diameter(vs);
-    const std::vector<std::uint32_t> idx{0, 5, 9, 31};
-    const auto ref_sub_diam = kernels::pairwise_diameter(vs, idx);
 
     for (std::size_t i = 0; i < vs.size(); ++i) {
       EXPECT_EQ(ref_dists[i], naive_dist(target, vs[i]));
-      EXPECT_EQ(ref_dt[i], naive_dtilde(center, vs[i]));
     }
 
     for (const auto backend : supported_backends()) {
@@ -192,17 +182,9 @@ TEST(KernelsParity, BatchedOpsAgreeAcrossBackends) {
       std::vector<std::uint32_t> d(vs.size());
       kernels::dist_many(target, vs, d);
       EXPECT_EQ(d, ref_dists) << kernels::backend_name(backend);
-      std::vector<std::uint32_t> dt(vs.size());
-      kernels::dtilde_many(center, vs, dt);
-      EXPECT_EQ(dt, ref_dt);
       const auto arg = kernels::argmin_dist(vs, target);
       EXPECT_EQ(arg.index, ref_arg.index);
       EXPECT_EQ(arg.dist, ref_arg.dist);
-      EXPECT_EQ(kernels::ball_size(vs, center, n / 3), ref_ball);
-      EXPECT_EQ(kernels::ball_members(vs, center, n / 3), ref_members);
-      EXPECT_EQ(kernels::ball_size(vs, target, n / 2), ref_ball_bits);
-      EXPECT_EQ(kernels::pairwise_diameter(vs), ref_diam);
-      EXPECT_EQ(kernels::pairwise_diameter(vs, idx), ref_sub_diam);
     }
   }
 }
@@ -296,6 +278,35 @@ TEST(KernelsParity, WordPrimitivesHandleEmptyAndTails) {
               64U + 32U + 0U);
     EXPECT_EQ(kernels::and_popcount_words(a.data(), b.data(), a.size()),
               0U + 32U + 1U);
+  }
+}
+
+TEST(KernelsParity, WordPopcountsMatchNaiveOnAllBackends) {
+  // popcount_words and and_popcount_words over kSizes: every length
+  // from a sub-word tail through the AVX2 4-word and AVX-512 8-word
+  // loops, plus their remainders (Coalesce's ball counts run on
+  // and_popcount_words).
+  const BackendGuard guard;
+  rng::Rng rng(2049);
+  for (const std::size_t n : kSizes) {
+    const BitVector a = random_bits(n, rng);
+    const BitVector b = random_bits(n, rng);
+    std::size_t want_a = 0;
+    std::size_t want_and = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      want_a += a.get(i) ? 1 : 0;
+      want_and += (a.get(i) && b.get(i)) ? 1 : 0;
+    }
+    const auto aw = a.words();
+    const auto bw = b.words();
+    for (const auto backend : supported_backends()) {
+      kernels::set_backend(backend);
+      EXPECT_EQ(kernels::popcount_words(aw.data(), aw.size()), want_a)
+          << "n=" << n << " backend=" << kernels::backend_name(backend);
+      EXPECT_EQ(kernels::popcount_words(aw), want_a);
+      EXPECT_EQ(kernels::and_popcount_words(aw.data(), bw.data(), aw.size()), want_and)
+          << "n=" << n << " backend=" << kernels::backend_name(backend);
+    }
   }
 }
 

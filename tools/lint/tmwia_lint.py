@@ -271,8 +271,8 @@ RULES = [
 PER_BIT_LOOP = Rule(
     id="per-bit-loop",
     description="per-bit get() loop in a distance-critical file; use the "
-    "word-parallel bits/kernels batched API (dist_many, known_diff_positions, "
-    "ball_size, ...) or BitVector word operations instead",
+    "word-parallel bits/kernels batched API (dist_many, argmin_dist, "
+    "known_diff_positions, ...) or BitVector word operations instead",
     # Hot files only: the distance/vote/probe paths where a per-bit loop
     # is a real regression. Cold setup/diagnostic code may loop bits.
     dirs=(
