@@ -177,11 +177,6 @@ std::vector<VotedVector> tally(PackedRows rows, std::uint32_t min_votes,
   return group(packed, min_votes, &distinct, group_of);
 }
 
-Billboard::Channel& Billboard::resolve(const std::string& name) {
-  support::MutexLock lk(mu_);
-  return channels_[name];
-}
-
 const Billboard::Channel* Billboard::find(const std::string& name) const {
   support::MutexLock lk(mu_);
   const auto it = channels_.find(name);
@@ -365,17 +360,6 @@ Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
     view.rows.push_back(rows.vector(ch->slot[p] - 1));
   }
   return view;
-}
-
-std::size_t Billboard::total_posts() const {
-  support::MutexLock lk(mu_);
-  std::size_t t = 0;
-  for (const auto& entry : channels_) {
-    const Channel& ch = entry.second;
-    support::MutexLock cl(ch.mu);
-    t += ch.width.size();
-  }
-  return t;
 }
 
 std::vector<Billboard::ChannelDump> Billboard::export_posts() const {

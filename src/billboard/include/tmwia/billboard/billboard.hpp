@@ -160,9 +160,6 @@ class Billboard {
   };
   [[nodiscard]] ChannelView snapshot(const std::string& channel) const;
 
-  /// Total posts across all channels (diagnostics).
-  [[nodiscard]] std::size_t total_posts() const;
-
   /// One channel's posts in deterministic order, for checkpointing.
   struct ChannelDump {
     std::string channel;
@@ -215,8 +212,6 @@ class Billboard {
     std::vector<matrix::PlayerId> shared;  ///< ascending, distinct
   };
 
-  /// The channel named `name`, created empty if new.
-  Channel& resolve(const std::string& name) TMWIA_EXCLUDES(mu_);
   /// The channel named `name`, or nullptr if nobody posted on it.
   const Channel* find(const std::string& name) const TMWIA_EXCLUDES(mu_);
 

@@ -189,12 +189,9 @@ class ProbeOracle {
     return probe_resilient_slow(p, o);
   }
 
-  /// Has (p, o) been probed already (by p)? Billboard read, free.
-  [[nodiscard]] bool is_probed(PlayerId p, ObjectId o) const;
-
   /// Result of a past probe (the value posted on the billboard — under
   /// fresh noise this is the most recent read, which may differ from
-  /// the truth). Requires is_probed(p, o). Billboard read: any player
+  /// the truth). Requires probed_mask(p).get(o). Billboard read: any player
   /// may call this for any p (results are public).
   [[nodiscard]] bool probed_value(PlayerId p, ObjectId o) const;
 

@@ -57,7 +57,6 @@ class MimicStrategy final : public PlayerStrategy {
   /// Current estimate: own probes where available, the best-matching
   /// poster's values elsewhere (0 where nobody posted).
   [[nodiscard]] const bits::BitVector& estimate() const { return estimate_; }
-  [[nodiscard]] std::optional<PlayerId> adopted_from() const { return best_match_; }
 
  private:
   void adopt_from_best(const RoundView& view);

@@ -177,8 +177,6 @@ bool ProbeOracle::probe_resilient_slow(PlayerId p, ObjectId o) {
   return fallback_read(p, o);
 }
 
-bool ProbeOracle::is_probed(PlayerId p, ObjectId o) const { return probed_[p].get(o); }
-
 bool ProbeOracle::probed_value(PlayerId p, ObjectId o) const {
   if (!probed_[p].get(o)) {
     throw std::logic_error("ProbeOracle::probed_value: entry was never probed");

@@ -17,10 +17,9 @@
 // on randomized sizes including non-word-aligned tails and TriVector
 // '?' masks.
 //
-// hamming.hpp keeps the one-pair dist(x, y) as a first-class name that
-// forwards into this layer; src/core and src/billboard use the batched
-// API directly so per-pair call overhead is paid once per collection,
-// not once per element.
+// The one-pair dist(x, y) lives here too; src/core and src/billboard
+// use the batched API so per-pair call overhead is paid once per
+// collection, not once per element.
 #pragma once
 
 #include <cstddef>
@@ -86,9 +85,6 @@ class ParallelPhaseGuard {
   ParallelPhaseGuard& operator=(const ParallelPhaseGuard&) = delete;
 };
 
-/// Open ParallelPhaseGuard count (engine parallel phases in flight).
-std::size_t parallel_phases_active();
-
 /// The backend as requested (may be kAuto).
 KernelBackend requested_backend();
 
@@ -133,14 +129,10 @@ std::size_t dist(const BitVector& a, const BitVector& b);
 std::size_t dtilde(const TriVector& a, const TriVector& b);
 std::size_t dtilde(const TriVector& a, const BitVector& b);
 
-/// The disagreement set (a.value ^ b.value) & a.known & b.known as a
-/// BitVector — the coordinates where two TriVectors are both known and
-/// differ (RSelect's X set), materialized word-parallel.
-BitVector known_diff(const TriVector& a, const TriVector& b);
-
-/// Ascending coordinates of the disagreement set, appended into a
-/// caller-owned (cleared) buffer — the allocation-free form of
-/// known_diff().one_positions() for RSelect's per-pair loop.
+/// Ascending coordinates of the disagreement set (a.value ^ b.value) &
+/// a.known & b.known — where two TriVectors are both known and differ
+/// (RSelect's X set) — written into a caller-owned buffer, which is
+/// cleared first, so RSelect's per-pair loop allocates nothing.
 void known_diff_positions(const TriVector& a, const TriVector& b,
                           std::vector<std::uint32_t>& out);
 

@@ -61,10 +61,6 @@ class TriVector {
     }
   }
 
-  void set_bit(std::size_t i, bool v) { set(i, v ? Tri::kOne : Tri::kZero); }
-
-  [[nodiscard]] bool is_known(std::size_t i) const { return known_.get(i); }
-
   /// Number of ? coordinates (Theorem 5.3 bounds this by 5D/alpha).
   [[nodiscard]] std::size_t unknown_count() const { return size() - known_.count_ones(); }
 
@@ -75,10 +71,6 @@ class TriVector {
   /// d-tilde against a fully-known vector: disagreements over this
   /// vector's known coordinates.
   [[nodiscard]] std::size_t dtilde(const BitVector& other) const;
-
-  /// d-tilde restricted to coordinate subset `coords` (d-tilde_I).
-  [[nodiscard]] std::size_t dtilde_on(const TriVector& other,
-                                      std::span<const std::uint32_t> coords) const;
 
   /// Coalesce's merge (step 4a): coordinates where both operands are
   /// known and agree keep the common value; every other coordinate

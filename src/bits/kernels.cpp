@@ -155,10 +155,6 @@ ParallelPhaseGuard::~ParallelPhaseGuard() {
   dispatch().busy.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-std::size_t parallel_phases_active() {
-  return dispatch().busy.load(std::memory_order_acquire);
-}
-
 KernelBackend requested_backend() {
   return static_cast<KernelBackend>(dispatch().requested.load(std::memory_order_relaxed));
 }
@@ -212,13 +208,6 @@ std::size_t dtilde(const TriVector& a, const BitVector& b) {
   return static_cast<std::size_t>(
       ops().xor_and_popcnt(a.value_words().data(), b.words().data(),
                            a.known_words().data(), a.value_words().size()));
-}
-
-BitVector known_diff(const TriVector& a, const TriVector& b) {
-  BitVector d = a.value_plane() ^ b.value_plane();
-  d &= a.known_plane();
-  d &= b.known_plane();
-  return d;
 }
 
 void known_diff_positions(const TriVector& a, const TriVector& b,

@@ -63,17 +63,6 @@ std::size_t TriVector::dtilde(const BitVector& other) const {
       va.data(), other.words().data(), known_.words().data(), va.size()));
 }
 
-std::size_t TriVector::dtilde_on(const TriVector& other,
-                                 std::span<const std::uint32_t> coords) const {
-  std::size_t c = 0;
-  for (std::uint32_t j : coords) {
-    const Tri a = get(j);
-    const Tri b = other.get(j);
-    if (a != Tri::kUnknown && b != Tri::kUnknown && a != b) ++c;
-  }
-  return c;
-}
-
 TriVector TriVector::merge(const TriVector& other) const {
   if (size() != other.size()) {
     throw std::invalid_argument("TriVector::merge: size mismatch");

@@ -336,10 +336,6 @@ RunCheckpoint from_container(const io::Checkpoint& cp) {
 
 }  // namespace
 
-RunCheckpoint decode_run_checkpoint(std::string_view bytes) {
-  return from_container(io::Checkpoint::decode(bytes));
-}
-
 void save_run_checkpoint(const std::string& path, const RunCheckpoint& ckpt) {
   io::atomic_write_file(path, encode_run_checkpoint(ckpt));
 }

@@ -92,15 +92,14 @@ struct CheckpointPolicy {
 // Serialization (io::Checkpoint container)
 // ---------------------------------------------------------------------------
 
-/// Encode/decode the full checkpoint through the sectioned container.
-/// Decoding throws io::CheckpointError on corrupt input: a truncated or
-/// over-long section, a count its section cannot hold, a version or
-/// oracle row that is not `objects` bits wide, or a board player id at
-/// or past `players`.
+/// Encode the full checkpoint through the sectioned container.
 std::string encode_run_checkpoint(const RunCheckpoint& ckpt);
-RunCheckpoint decode_run_checkpoint(std::string_view bytes);
 
-/// Atomic write / validated load of the container file.
+/// Atomic write / validated load of the container file. Loading throws
+/// io::CheckpointError on corrupt input: a truncated or over-long
+/// section, a count its section cannot hold, a version or oracle row
+/// that is not `objects` bits wide, or a board player id at or past
+/// `players`.
 void save_run_checkpoint(const std::string& path, const RunCheckpoint& ckpt);
 RunCheckpoint load_run_checkpoint(const std::string& path);
 

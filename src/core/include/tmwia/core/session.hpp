@@ -5,17 +5,13 @@
 //   // report.outputs[p] estimates player p's hidden preference row.
 //
 // A Session owns the ProbeOracle / Billboard / FaultInjector plumbing
-// that the lower-level API makes the caller wire by hand, plus the
-// observability sinks: `.metrics_sink(path)` writes the global
-// MetricsRegistry snapshot as JSON after each run, with this session's
-// oracle totals as the `oracle.*` gauges, `.record_sink(path)`
-// streams the flight log of this session's runs — its recorder is
-// attached to this session's oracle and billboard only, so Sessions
-// alive side by side never write into each other's logs.
+// that the lower-level API makes the caller wire by hand. A caller
+// that wants a flight log attaches its own recorder to oracle() and
+// board() before the first run, as the CLI and serve::Tenant do.
 //
 // Configuration is builder-style and must happen before the first
-// run*() call (the oracle and sinks are built lazily at that point);
-// later configuration calls throw. One Session = one oracle = one
+// run() call (the oracle is built lazily at that point); later
+// configuration calls throw. One Session = one oracle = one
 // probe ledger, so consecutive runs share probe history exactly like
 // consecutive phases of one deployment would.
 //
@@ -27,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "tmwia/billboard/billboard.hpp"
@@ -38,6 +33,7 @@
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/metrics.hpp"
+#include "tmwia/rng/rng.hpp"
 
 namespace tmwia {
 
@@ -90,21 +86,11 @@ class Session {
   /// Forwarded to engine::set_global_threads, so it only sticks if no
   /// parallel phase has run yet anywhere in the process.
   Session& threads(std::size_t n);
-  /// After every run, write the metrics snapshot (JSON) here, its
-  /// `oracle.*` gauges set from this session's oracle. Enables the
-  /// global MetricsRegistry.
-  Session& metrics_sink(std::string path);
-  /// Stream the flight-recorder event log here (see
-  /// obs::FlightRecorder). The session installs a truth-closing output
-  /// evaluator, so phase_summary records carry max/mean discrepancy.
-  Session& record_sink(std::string path);
 
   /// Theorem 1.1: known alpha, unknown D.
   core::RunReport run();
   /// Fig. 1: known alpha and D.
   core::RunReport run(std::size_t D);
-  /// Section 6 anytime algorithm under a per-player round budget.
-  core::RunReport run_anytime(std::uint64_t round_budget);
 
   /// The underlying pieces, for inspection after a run (building the
   /// session on first access if needed).
@@ -113,9 +99,9 @@ class Session {
   [[nodiscard]] const faults::FaultInjector* fault_injector() const;
 
  private:
-  void build();                    // construct oracle/injector/sinks once
+  void build();                    // construct oracle/injector once
   void require_unbuilt(const char* setter) const;
-  core::RunReport finish(core::RunReport report);
+  rng::Rng next_run_rng();         // split(seed, r) for run r, then r + 1
 
   const matrix::PreferenceMatrix* truth_;
   double alpha_ = 0.5;
@@ -124,15 +110,12 @@ class Session {
   billboard::NoiseModel noise_;
   std::optional<bits::KernelBackend> kernel_;
   std::optional<faults::FaultPlan> fault_plan_;
-  std::string metrics_path_;
-  std::string record_path_;
 
   bool built_ = false;
   std::uint64_t run_index_ = 0;
   std::unique_ptr<billboard::ProbeOracle> oracle_;
   std::unique_ptr<billboard::Billboard> board_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  std::unique_ptr<obs::RecordSink> record_;  ///< attached to oracle_/board_ from build() on
 };
 
 }  // namespace tmwia

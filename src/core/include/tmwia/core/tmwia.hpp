@@ -16,7 +16,6 @@
 #pragma once
 
 #include "tmwia/bits/bitvector.hpp"
-#include "tmwia/bits/hamming.hpp"
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/bits/trivector.hpp"
 #include "tmwia/billboard/billboard.hpp"
@@ -30,7 +29,6 @@
 #include "tmwia/core/find_preferences.hpp"
 #include "tmwia/core/good_object.hpp"
 #include "tmwia/core/large_radius.hpp"
-#include "tmwia/core/normalize.hpp"
 #include "tmwia/core/params.hpp"
 #include "tmwia/core/rselect.hpp"
 #include "tmwia/core/select.hpp"

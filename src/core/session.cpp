@@ -3,11 +3,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "tmwia/engine/thread_pool.hpp"
-#include "tmwia/io/checkpoint.hpp"
 #include "tmwia/obs/metrics.hpp"
-#include "tmwia/rng/rng.hpp"
 
 namespace tmwia {
 
@@ -98,18 +97,6 @@ Session& Session::threads(std::size_t n) {
   return *this;
 }
 
-Session& Session::metrics_sink(std::string path) {
-  require_unbuilt("metrics_sink");
-  metrics_path_ = std::move(path);
-  return *this;
-}
-
-Session& Session::record_sink(std::string path) {
-  require_unbuilt("record_sink");
-  record_path_ = std::move(path);
-  return *this;
-}
-
 void Session::build() {
   if (built_) return;
   built_ = true;
@@ -124,45 +111,19 @@ void Session::build() {
     injector_ = std::make_unique<faults::FaultInjector>(*fault_plan_, truth_->players());
     oracle_->set_fault_injector(injector_.get());
   }
-  if (!metrics_path_.empty()) obs::MetricsRegistry::global().set_enabled(true);
-  if (!record_path_.empty()) {
-    // Attached before the first probe and post, with the truth-closing
-    // evaluator so phase summaries carry discrepancy.
-    record_ = std::make_unique<obs::RecordSink>(record_path_);
-    record_->recorder().set_output_evaluator(make_truth_evaluator(*truth_));
-    oracle_->set_recorder(&record_->recorder());
-    board_->set_recorder(&record_->recorder());
-  }
 }
 
-core::RunReport Session::finish(core::RunReport report) {
-  if (!metrics_path_.empty()) {
-    // One-shot artifact: a reader never sees a torn metrics file.
-    const auto snap = snapshot_with_oracle_totals(
-        oracle_->total_invocations(), oracle_->total_charged(), oracle_->max_invocations());
-    io::atomic_write_file(metrics_path_, snap.to_json() + '\n');
-  }
-  if (record_ != nullptr) record_->recorder().flush();
-  ++run_index_;
-  return report;
-}
+rng::Rng Session::next_run_rng() { return rng::Rng(seed_).split(0x5e55, run_index_++); }
 
 core::RunReport Session::run() {
   build();
-  return finish(core::find_preferences_unknown_d(
-      *oracle_, board_.get(), alpha_, params_, rng::Rng(seed_).split(0x5e55, run_index_)));
+  return core::find_preferences_unknown_d(*oracle_, board_.get(), alpha_, params_,
+                                          next_run_rng());
 }
 
 core::RunReport Session::run(std::size_t D) {
   build();
-  return finish(core::find_preferences(*oracle_, board_.get(), alpha_, D, params_,
-                                       rng::Rng(seed_).split(0x5e55, run_index_)));
-}
-
-core::RunReport Session::run_anytime(std::uint64_t round_budget) {
-  build();
-  return finish(core::anytime(*oracle_, board_.get(), round_budget, params_,
-                              rng::Rng(seed_).split(0x5e55, run_index_)));
+  return core::find_preferences(*oracle_, board_.get(), alpha_, D, params_, next_run_rng());
 }
 
 billboard::ProbeOracle& Session::oracle() {

@@ -8,7 +8,6 @@
 namespace tmwia::io {
 
 Args::Args(int argc, const char* const* argv) {
-  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) != 0) {

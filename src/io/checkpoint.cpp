@@ -267,8 +267,6 @@ std::string Checkpoint::encode() const {
   return body;
 }
 
-void Checkpoint::save(const std::string& path) const { atomic_write_file(path, encode()); }
-
 Checkpoint Checkpoint::decode(std::string_view bytes) {
   if (bytes.size() < sizeof(kMagic) + 4 + 4 + 4) fail("checkpoint: file too short");
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {

@@ -32,13 +32,10 @@ class Args {
   /// --name (no value) or --name=true/1 => true.
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
-  [[nodiscard]] const std::string& program() const { return program_; }
-
   /// Every --key seen on the command line (sorted).
   [[nodiscard]] std::vector<std::string> keys() const;
 
  private:
-  std::string program_;
   std::map<std::string, std::string> kv_;
 };
 

@@ -135,9 +135,9 @@ class Checkpoint {
   // Section names in sorted order (the on-disk order).
   std::vector<std::string> names() const;
 
-  // Serialize to the container format / write it atomically to disk.
+  // Serialize to the container format (io::atomic_write_file puts it
+  // on disk).
   std::string encode() const;
-  void save(const std::string& path) const;
 
   // Parse/load; throws CheckpointError on any corruption.
   static Checkpoint decode(std::string_view bytes);

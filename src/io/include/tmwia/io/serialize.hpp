@@ -4,10 +4,10 @@
 // ("TMWIA/1 text" header, one '0'/'1' row per line) and diff-friendly
 // for goldens.
 //
-// Everything round-trips exactly. Loaders validate headers, shapes and
-// community ids and throw std::runtime_error ("serialize: ...") on
-// malformed input; a header's counts only bound the reads, so memory
-// grows with the rows actually present.
+// Everything round-trips exactly. Loaders validate headers, shapes,
+// bit characters and community ids and throw std::runtime_error
+// ("serialize: ...") on malformed input; a header's counts only bound
+// the reads, so memory grows with the rows actually present.
 #pragma once
 
 #include <iosfwd>
@@ -38,9 +38,10 @@ matrix::Instance load_instance(std::istream& is);
 
 // --- output vectors -------------------------------------------------------
 
-/// One row per player, text bits.
+/// One row per player, text bits. The loader rejects a row that is not
+/// `objects` bits wide.
 void save_outputs(const std::vector<bits::BitVector>& outputs, std::ostream& os);
-std::vector<bits::BitVector> load_outputs(std::istream& is);
+std::vector<bits::BitVector> load_outputs(std::istream& is, std::size_t objects);
 
 // --- file helpers ----------------------------------------------------------
 

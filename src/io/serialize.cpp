@@ -21,6 +21,14 @@ std::string read_line(std::istream& is, const char* what) {
   return line;
 }
 
+/// A row of '0'/'1' characters; `what` names it in the error.
+bits::BitVector parse_bits(const std::string& text, const std::string& what) {
+  if (text.find_first_not_of("01") != std::string::npos) {
+    throw std::runtime_error("serialize: " + what + " has a character other than 0/1");
+  }
+  return bits::BitVector::from_string(text);
+}
+
 /// A community member: a decimal player id below `players`.
 matrix::PlayerId parse_member(const std::string& token, std::size_t players) {
   std::uint64_t id = 0;
@@ -59,7 +67,7 @@ matrix::PreferenceMatrix load_matrix_text(std::istream& is) {
   for (std::size_t p = 0; p < n; ++p) {
     const auto line = read_line(is, "row");
     if (line.size() != m) throw std::runtime_error("serialize: row length mismatch");
-    rows.push_back(bits::BitVector::from_string(line));
+    rows.push_back(parse_bits(line, "row " + std::to_string(p)));
   }
   return matrix::PreferenceMatrix(std::move(rows));
 }
@@ -106,7 +114,7 @@ matrix::Instance load_instance(std::istream& is) {
     if (bitstr.size() != inst.matrix.objects()) {
       throw std::runtime_error("serialize: center width mismatch");
     }
-    inst.centers.push_back(bits::BitVector::from_string(bitstr));
+    inst.centers.push_back(parse_bits(bitstr, "center " + std::to_string(i)));
   }
   return inst;
 }
@@ -116,7 +124,7 @@ void save_outputs(const std::vector<bits::BitVector>& outputs, std::ostream& os)
   for (const auto& v : outputs) os << v.to_string() << '\n';
 }
 
-std::vector<bits::BitVector> load_outputs(std::istream& is) {
+std::vector<bits::BitVector> load_outputs(std::istream& is, std::size_t objects) {
   std::istringstream hdr(read_line(is, "outputs header"));
   std::string word;
   std::size_t count = 0;
@@ -125,7 +133,13 @@ std::vector<bits::BitVector> load_outputs(std::istream& is) {
   }
   std::vector<bits::BitVector> out;
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(bits::BitVector::from_string(read_line(is, "output row")));
+    const auto line = read_line(is, "output row");
+    const std::string what = "output row " + std::to_string(i);
+    if (line.size() != objects) {
+      throw std::runtime_error("serialize: " + what + " has " + std::to_string(line.size()) +
+                               " bits, instance has " + std::to_string(objects) + " objects");
+    }
+    out.push_back(parse_bits(line, what));
   }
   return out;
 }

@@ -53,22 +53,6 @@ void DenseMatrix::matvec_t(std::span<const double> x, std::span<double> y) const
   }
 }
 
-double DenseMatrix::frobenius() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
-DenseMatrix DenseMatrix::transpose() const {
-  DenseMatrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      t(c, r) = (*this)(r, c);
-    }
-  }
-  return t;
-}
-
 Svd truncated_svd(const DenseMatrix& a, std::size_t k, std::size_t iters, std::uint64_t seed) {
   const std::size_t n = a.rows();
   const std::size_t m = a.cols();

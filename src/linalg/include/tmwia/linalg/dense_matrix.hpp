@@ -41,11 +41,6 @@ class DenseMatrix {
   /// y = A^T * x. Requires x.size() == rows(); y.size() == cols().
   void matvec_t(std::span<const double> x, std::span<double> y) const;
 
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius() const;
-
-  [[nodiscard]] DenseMatrix transpose() const;
-
   bool operator==(const DenseMatrix& other) const = default;
 
  private:

@@ -37,11 +37,6 @@ class PreferenceMatrix {
   /// Hamming diameter of the players in `ids` (audit; O(|ids|^2)).
   [[nodiscard]] std::size_t subset_diameter(std::span<const PlayerId> ids) const;
 
-  /// True iff `ids` is an (alpha, D)-typical set: |ids| >= alpha*n and
-  /// pairwise distance <= D (Section 3 "Simplifying assumptions").
-  [[nodiscard]] bool is_typical(std::span<const PlayerId> ids, double alpha,
-                                std::size_t D) const;
-
   /// Discrepancy Delta = max_p dist(outputs[p], v(p)) over `ids`.
   [[nodiscard]] std::size_t discrepancy(std::span<const bits::BitVector> outputs,
                                         std::span<const PlayerId> ids) const;

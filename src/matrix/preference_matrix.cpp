@@ -25,14 +25,6 @@ std::size_t PreferenceMatrix::subset_diameter(std::span<const PlayerId> ids) con
   return d;
 }
 
-bool PreferenceMatrix::is_typical(std::span<const PlayerId> ids, double alpha,
-                                  std::size_t D) const {
-  if (static_cast<double>(ids.size()) + 1e-9 < alpha * static_cast<double>(players())) {
-    return false;
-  }
-  return subset_diameter(ids) <= D;
-}
-
 std::size_t PreferenceMatrix::discrepancy(std::span<const bits::BitVector> outputs,
                                           std::span<const PlayerId> ids) const {
   std::size_t d = 0;

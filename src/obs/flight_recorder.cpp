@@ -63,7 +63,6 @@ FlightRecorder::~FlightRecorder() { flush(); }
 
 void FlightRecorder::write_locked(RecorderEvent& ev) {
   ev.t = clock_++;
-  written_.fetch_add(1, std::memory_order_relaxed);
   std::string line;
   line.reserve(96);
   line += "{\"t\":";
@@ -272,13 +271,11 @@ void FlightRecorder::stage(std::uint32_t player, Staged ev) {
     // Probe traffic before the first run_begin (or beyond the declared
     // player count): counted, not recorded.
     unstaged_dropped_.fetch_add(1, std::memory_order_relaxed);
-    dropped_total_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   Stage& st = stages_[player];
   if (st.events.size() >= stage_cap_) {
     ++st.dropped;
-    dropped_total_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   st.events.push_back(std::move(ev));

@@ -195,14 +195,6 @@ class FlightRecorder {
   /// run — the splice contract run_tests.sh --kill-resume verifies.
   void resume_run(std::size_t players, std::uint64_t clock);
 
-  [[nodiscard]] std::uint64_t events_written() const {
-    return written_.load(std::memory_order_relaxed);
-  }
-  /// Events lost to stage caps or emitted before the first run_begin.
-  [[nodiscard]] std::uint64_t events_dropped() const {
-    return dropped_total_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Staged {
     RecorderEvent::Kind kind;
@@ -234,8 +226,6 @@ class FlightRecorder {
   /// parallel_for join points with no staged writers in flight. The
   /// vector itself is resized only at those serial points.
   std::vector<Stage> stages_;
-  std::atomic<std::uint64_t> written_{0};
-  std::atomic<std::uint64_t> dropped_total_{0};
   std::atomic<std::uint64_t> unstaged_dropped_{0};  ///< events before run_begin
 };
 

@@ -69,7 +69,6 @@ struct Snapshot {
 
   /// Counter value, 0 when absent (missing == never touched).
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
-  [[nodiscard]] std::int64_t gauge(const std::string& name) const;
 
   /// One-line JSON object: {"counters":{...},"gauges":{...},
   /// "histograms":{name:{"bounds":[...],"buckets":[...],"sum":S,
@@ -152,8 +151,8 @@ class MetricsRegistry {
   void restore(const Snapshot& snap);
 
   /// Process-global registry used by the library's built-in
-  /// instrumentation. Starts DISABLED; sinks (Session::metrics_sink,
-  /// tmwia_cli --metrics=, bench --metrics=) enable it.
+  /// instrumentation. Starts DISABLED; sinks (tmwia_cli --metrics=,
+  /// bench --metrics=) enable it.
   static MetricsRegistry& global();
 
   /// Shards attached so far: one per thread that ever wrote a metric.

@@ -68,9 +68,6 @@ class TelemetryExporter {
                        std::uint64_t latency_us, std::uint64_t staleness_epochs,
                        bool degraded) TMWIA_EXCLUDES(mu_);
 
-  /// Force a tick now (exposed for shutdown and tests).
-  void tick() TMWIA_EXCLUDES(mu_);
-
   /// Final tick over any unexported requests, then the slo_report
   /// record (when a watchdog is attached); flushes the stream.
   /// Idempotent; the destructor calls it.

@@ -180,11 +180,6 @@ std::uint64_t Snapshot::counter(const std::string& name) const {
   return it == counters.end() ? 0 : it->second;
 }
 
-std::int64_t Snapshot::gauge(const std::string& name) const {
-  const auto it = gauges.find(name);
-  return it == gauges.end() ? 0 : it->second;
-}
-
 std::string Snapshot::to_json() const {
   std::string out = "{\"counters\":{";
   bool first = true;

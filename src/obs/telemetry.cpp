@@ -79,11 +79,6 @@ void TelemetryExporter::observe_request(std::string_view tenant, std::string_vie
   if (++since_tick_ >= std::max<std::size_t>(1, cfg_.every)) tick_locked();
 }
 
-void TelemetryExporter::tick() {
-  support::MutexLock lk(mu_);
-  if (!finished_) tick_locked();
-}
-
 void TelemetryExporter::tick_locked() {
   const std::uint64_t seq = ++seq_;
   since_tick_ = 0;

@@ -92,19 +92,11 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::uint64_t uniform_range(std::uint64_t lo, std::uint64_t hi) {
-    return lo + uniform(hi - lo + 1);
-  }
-
   /// Uniform double in [0, 1).
   double uniform01() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Bernoulli(p).
   bool bernoulli(double p) { return uniform01() < p; }
-
-  /// Fair coin.
-  bool coin() { return (next() >> 63) != 0; }
 
   /// The raw engine state, for checkpointing. Restoring via
   /// from_state() resumes the stream exactly where state() froze it.

@@ -79,7 +79,6 @@ class Tenant {
   Tenant& operator=(const Tenant&) = delete;
 
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
-  [[nodiscard]] const TenantConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t players() const { return oracle_->players(); }
   [[nodiscard]] std::size_t objects() const { return oracle_->objects(); }
 

@@ -231,7 +231,7 @@ void Tenant::restore_snapshot(const std::string& path) {
   if (ckpt.players != players() || ckpt.objects != objects()) {
     throw std::invalid_argument("Tenant::restore_snapshot: instance shape mismatch");
   }
-  // decode_run_checkpoint already holds every row to objects() bits.
+  // load_run_checkpoint already holds every row to objects() bits.
   if (ckpt.versions.size() != 3 || ckpt.versions[0].size() != players() ||
       ckpt.versions[1].size() != ckpt.versions[2].size()) {
     throw io::CheckpointError("Tenant::restore_snapshot: malformed estimate sections");

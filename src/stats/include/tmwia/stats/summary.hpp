@@ -11,8 +11,8 @@
 
 namespace tmwia::stats {
 
-/// Collects scalar observations; O(1) moments plus stored samples for
-/// exact percentiles. Intended for 1e2..1e6 observations.
+/// Collects scalar observations; O(1) sum and mean plus stored samples
+/// for exact percentiles. Intended for 1e2..1e6 observations.
 class Summary {
  public:
   void add(double x);
@@ -20,9 +20,6 @@ class Summary {
   [[nodiscard]] std::size_t count() const { return values_.size(); }
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const;
-  /// Sample variance (n-1 denominator); 0 for fewer than 2 samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 
@@ -32,7 +29,6 @@ class Summary {
 
  private:
   double sum_ = 0.0;
-  double sum_sq_ = 0.0;
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
 };
@@ -60,8 +56,5 @@ LinearFit fit_line(std::span<const double> xs, std::span<const double> ys);
 /// A polylog quantity fits with slope -> 0 as x grows; a linear one
 /// with slope ~1. Requires positive data.
 LinearFit fit_loglog(std::span<const double> xs, std::span<const double> ys);
-
-/// Fit y = a + b*log2(x): detects logarithmic growth directly.
-LinearFit fit_semilog(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace tmwia::stats

@@ -8,7 +8,6 @@ namespace tmwia::stats {
 
 void Summary::add(double x) {
   sum_ += x;
-  sum_sq_ += x * x;
   values_.push_back(x);
   sorted_ = false;
 }
@@ -17,18 +16,6 @@ double Summary::mean() const {
   if (values_.empty()) return 0.0;
   return sum_ / static_cast<double>(values_.size());
 }
-
-double Summary::variance() const {
-  const auto n = static_cast<double>(values_.size());
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  // numerically-safer two-pass style using stored values
-  double acc = 0.0;
-  for (double v : values_) acc += (v - m) * (v - m);
-  return acc / (n - 1.0);
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
 
 double Summary::min() const {
   if (values_.empty()) throw std::logic_error("Summary::min on empty summary");
@@ -108,15 +95,6 @@ LinearFit fit_loglog(std::span<const double> xs, std::span<const double> ys) {
     ly[i] = std::log2(ys[i]);
   }
   return fit_line(lx, ly);
-}
-
-LinearFit fit_semilog(std::span<const double> xs, std::span<const double> ys) {
-  std::vector<double> lx(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (xs[i] <= 0.0) throw std::invalid_argument("fit_semilog: x must be positive");
-    lx[i] = std::log2(xs[i]);
-  }
-  return fit_line(lx, ys);
 }
 
 }  // namespace tmwia::stats

@@ -16,7 +16,6 @@
 //   TMWIA_PT_GUARDED_BY(mu)    pointee may only be touched holding mu
 //   TMWIA_REQUIRES(mu)         function must be called with mu held
 //   TMWIA_ACQUIRE(...)/TMWIA_RELEASE(...)   lock/unlock side effects
-//   TMWIA_TRY_ACQUIRE(b, ...)  try_lock returning `b` on success
 //   TMWIA_EXCLUDES(mu)         function must NOT be called with mu held
 //   TMWIA_ASSERT_CAPABILITY(mu)  runtime assertion that mu is held
 //   TMWIA_RETURN_CAPABILITY(mu)  function returns a reference to mu
@@ -54,7 +53,6 @@
 #define TMWIA_REQUIRES(...) TMWIA_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 #define TMWIA_ACQUIRE(...) TMWIA_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define TMWIA_RELEASE(...) TMWIA_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define TMWIA_TRY_ACQUIRE(...) TMWIA_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define TMWIA_EXCLUDES(...) TMWIA_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define TMWIA_ASSERT_CAPABILITY(x) TMWIA_THREAD_ANNOTATION(assert_capability(x))
 #define TMWIA_RETURN_CAPABILITY(x) TMWIA_THREAD_ANNOTATION(lock_returned(x))
@@ -77,7 +75,6 @@ class TMWIA_CAPABILITY("mutex") Mutex {
 
   void lock() TMWIA_ACQUIRE() { mu_.lock(); }
   void unlock() TMWIA_RELEASE() { mu_.unlock(); }
-  bool try_lock() TMWIA_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class MutexLock;
@@ -110,7 +107,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void wait(MutexLock& lk) { cv_.wait(lk.lock_); }
-  void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
  private:

@@ -224,7 +224,7 @@ TEST(CheckpointContainer, SaveLoadRoundTripsThroughDisk) {
   const std::string path = testing::TempDir() + "container_test.tmw";
   io::Checkpoint cp;
   cp.set("only", "section");
-  cp.save(path);
+  io::atomic_write_file(path, cp.encode());
   const auto back = io::Checkpoint::load(path);
   EXPECT_EQ(back.require("only"), "section");
 
@@ -237,6 +237,21 @@ TEST(CheckpointContainer, SaveLoadRoundTripsThroughDisk) {
   EXPECT_THROW(io::Checkpoint::load(path), io::CheckpointError);
   EXPECT_THROW(io::Checkpoint::load(path + ".does-not-exist"), io::CheckpointError);
   std::remove(path.c_str());
+}
+
+/// Reads `bytes` back the way resume and serve restore do: from a file,
+/// through load_run_checkpoint. The file is named after the running
+/// test, so tests run side by side never share one.
+core::RunCheckpoint load_bytes(const std::string& bytes) {
+  const std::string path = testing::TempDir() +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           ".ckpt";
+  io::atomic_write_file(path, bytes);
+  struct Remove {
+    const std::string& path;
+    ~Remove() { std::remove(path.c_str()); }
+  } remove{path};
+  return core::load_run_checkpoint(path);
 }
 
 TEST(RunCheckpointWire, RoundTripsFullState) {
@@ -273,7 +288,7 @@ TEST(RunCheckpointWire, RoundTripsFullState) {
   ck.harness = {{"faults", "seed=1"}, {"profile", "practical"}};
 
   const auto bytes = core::encode_run_checkpoint(ck);
-  const auto back = core::decode_run_checkpoint(bytes);
+  const auto back = load_bytes(bytes);
   EXPECT_EQ(back.algo, "unknown_d");
   EXPECT_DOUBLE_EQ(back.alpha, 0.25);
   EXPECT_EQ(back.players, 2u);
@@ -307,7 +322,7 @@ TEST(RunCheckpointWire, RoundTripsFullState) {
   // Corruption of the container is rejected whole.
   auto bad = bytes;
   bad[bytes.size() / 2] = static_cast<char>(bad[bytes.size() / 2] ^ 0x40);
-  EXPECT_THROW(core::decode_run_checkpoint(bad), io::CheckpointError);
+  EXPECT_THROW(load_bytes(bad), io::CheckpointError);
 }
 
 /// A well-formed 4-player, 8-object checkpoint with one version, as the
@@ -333,7 +348,7 @@ TEST(RunCheckpointWire, RejectsOutOfRangePlayerIds) {
   auto ck = small_checkpoint();
   ck.board.push_back({"votes", {{1, bits::BitVector(8)}, {3, bits::BitVector(8)}}});
   const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(ck));
-  EXPECT_EQ(core::decode_run_checkpoint(good.encode()).board[0].posts[1].first, 3u);
+  EXPECT_EQ(load_bytes(good.encode()).board[0].posts[1].first, 3u);
 
   for (const std::uint64_t bad_id : {(std::uint64_t{1} << 32) + 1, std::uint64_t{3000000000}}) {
     io::BinWriter w;
@@ -344,7 +359,7 @@ TEST(RunCheckpointWire, RejectsOutOfRangePlayerIds) {
     w.bitvec(bits::BitVector(8));
     auto cp = good;
     cp.set("board", w.take());
-    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << bad_id;
+    EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError) << bad_id;
   }
 }
 
@@ -366,10 +381,10 @@ TEST(RunCheckpointWire, RejectsABoardRowWiderThanTheObjects) {
   };
   auto cp = good;
   cp.set("board", board_with_row(8));
-  EXPECT_EQ(core::decode_run_checkpoint(cp.encode()).board[0].posts[1].second.size(), 8u);
+  EXPECT_EQ(load_bytes(cp.encode()).board[0].posts[1].second.size(), 8u);
   for (const std::size_t width : {std::size_t{9}, std::size_t{4096}}) {
     cp.set("board", board_with_row(width));
-    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << width;
+    EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError) << width;
   }
 }
 
@@ -422,11 +437,11 @@ TEST(RunCheckpointWire, RejectsPerPlayerStateOfTheWrongLength) {
     auto ci = good;
     ci.set("injector", injector_section(entries));
     if (entries == 4) {
-      EXPECT_EQ(core::decode_run_checkpoint(cp.encode()).oracle.invocations.size(), 4u);
-      EXPECT_EQ(core::decode_run_checkpoint(ci.encode()).injector.down.size(), 4u);
+      EXPECT_EQ(load_bytes(cp.encode()).oracle.invocations.size(), 4u);
+      EXPECT_EQ(load_bytes(ci.encode()).injector.down.size(), 4u);
     } else {
-      EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError);
-      EXPECT_THROW(core::decode_run_checkpoint(ci.encode()), io::CheckpointError);
+      EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError);
+      EXPECT_THROW(load_bytes(ci.encode()), io::CheckpointError);
     }
   }
 }
@@ -462,7 +477,7 @@ TEST(RunCheckpointWire, RefusesAVersionOneContainer) {
     bytes[bytes.size() - 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFu);
   }
   try {
-    (void)core::decode_run_checkpoint(bytes);
+    (void)load_bytes(bytes);
     FAIL() << "a version-1 container decoded";
   } catch (const io::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported version 1"), std::string::npos)
@@ -477,16 +492,16 @@ TEST(RunCheckpointWire, RejectsARowOfTheWrongWidth) {
   const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(small_checkpoint()));
   auto same = good;
   same.set("tower", tower_with_rows(std::vector<bits::BitVector>(4, bits::BitVector(8))));
-  EXPECT_EQ(core::decode_run_checkpoint(same.encode()).versions[0].size(), 4u);
+  EXPECT_EQ(load_bytes(same.encode()).versions[0].size(), 4u);
 
   for (const std::size_t width : {std::size_t{1}, std::size_t{7}, std::size_t{9}}) {
     auto cp = good;
     cp.set("tower", tower_with_rows(std::vector<bits::BitVector>(4, bits::BitVector(width))));
-    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << width;
+    EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError) << width;
 
     auto ck = small_checkpoint();
     ck.oracle.values[0] = bits::BitVector(width);
-    EXPECT_THROW(core::decode_run_checkpoint(core::encode_run_checkpoint(ck)),
+    EXPECT_THROW(load_bytes(core::encode_run_checkpoint(ck)),
                  io::CheckpointError)
         << width;
   }
@@ -500,13 +515,13 @@ TEST(RunCheckpointWire, RejectsCountsTheSectionCannotHold) {
   w.u64(std::uint64_t{1} << 61);  // invocations
   auto cp = good;
   cp.set("oracle", w.take());
-  EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError);
+  EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError);
 
   io::BinWriter h;
   h.u64(std::uint64_t{1} << 40);  // harness entries, with 0 bytes left
   cp = good;
   cp.set("harness", h.take());
-  EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError);
+  EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError);
 }
 
 // Each section is read to its end: bytes after its last field are
@@ -527,7 +542,7 @@ TEST(RunCheckpointWire, RejectsTrailingBytesInASection) {
   for (const auto& name : good.names()) {
     auto cp = good;
     cp.set(name, good.require(name) + std::string(16, '\0'));
-    EXPECT_THROW(core::decode_run_checkpoint(cp.encode()), io::CheckpointError) << name;
+    EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError) << name;
   }
 }
 
@@ -661,7 +676,7 @@ TEST(CheckpointResume, RejectsACursorThatDoesNotFitTheShape) {
   bad[3].before.pop_back();
   const core::CheckpointPolicy no_cuts;
   for (std::size_t i = 0; i < bad.size(); ++i) {
-    const auto decoded = core::decode_run_checkpoint(core::encode_run_checkpoint(bad[i]));
+    const auto decoded = load_bytes(core::encode_run_checkpoint(bad[i]));
     billboard::ProbeOracle fresh(inst.matrix);
     billboard::Billboard fresh_board;
     EXPECT_THROW(core::resume_unknown_d(fresh, &fresh_board, params, decoded, no_cuts),

@@ -225,6 +225,20 @@ printf 'TMWIA/1 text\n4000000000 1\n' >"$DIR/rows_header.tmw"
 expect_serialize_error "$CLI" info --in="$DIR/rows_header.tmw"
 printf 'outputs 4000000000\n' >"$DIR/outputs_header.txt"
 expect_serialize_error "$CLI" eval --in="$DIR/world.tmw" --outputs="$DIR/outputs_header.txt"
+# So are a row, center or output row with a character other than 0/1,
+# and an output row of the wrong width.
+printf 'TMWIA/1 text\n2 3\n010\n0x1\ncommunities 0\n' >"$DIR/row_char.tmw"
+bad_instance center_char "0 1" 0z1
+for bad in row_char center_char; do
+  expect_serialize_error "$CLI" info --in="$DIR/$bad.tmw"
+done
+bad_instance small "0 1" 010
+printf 'outputs 2\n010\n01x\n' >"$DIR/outputs_char.txt"
+printf 'outputs 2\n010\n0101\n' >"$DIR/outputs_wide.txt"
+for bad in outputs_char outputs_wide; do
+  expect_serialize_error "$CLI" eval --in="$DIR/small.tmw" --outputs="$DIR/$bad.txt"
+done
+grep -q "output row 1 has 4 bits, instance has 3 objects" "$DIR/serialize_err.txt"
 
 # 1 for a flight log that does not parse: every field parses whole (no
 # aliasing past 2^32, no sign, no text read as 0), keys appear once,
@@ -340,10 +354,25 @@ EOF
   "$CLI" resume --checkpoint="$DIR/ck_v1.tmw" --in="$DIR/w2.tmw" --out=/dev/null \
          >/dev/null 2>"$DIR/ck_v1.err" || true
   grep -q "unsupported version 1" "$DIR/ck_v1.err"
-  # An oracle ledger with one entry fewer than the run's players is
-  # corrupt too: rewrite the section (and both CRCs) without it.
-  python3 - "$DIR/ck.tmw" "$DIR/ck_players.tmw" <<'EOF'
+  # Rewrite one section of ck.tmw, and both CRCs, into $DIR/$1: $2 names
+  # the section, $3 is a Python expression giving the new payload from
+  # `payload`. harness(payload, key, value) sets one harness entry.
+  rewrite_section() {
+    python3 - "$DIR/ck.tmw" "$DIR/$1" "$2" "$3" <<'EOF'
 import struct, sys, zlib
+def strings(payload):  # a u64 pair count, then u64-length-prefixed strings
+    pos, out = 8, []
+    for _ in range(2 * struct.unpack_from('<Q', payload)[0]):
+        n = struct.unpack_from('<Q', payload, pos)[0]
+        out.append(payload[pos + 8:pos + 8 + n])
+        pos += 8 + n
+    return out
+def harness(payload, key, value):
+    kv = strings(payload)
+    pairs = dict(zip(kv[0::2], kv[1::2]))
+    pairs[key.encode()] = value.encode()
+    return struct.pack('<Q', len(pairs)) + b''.join(
+        struct.pack('<Q', len(s)) + s for k in sorted(pairs) for s in (k, pairs[k]))
 body = open(sys.argv[1], 'rb').read()[:-4]
 out = bytearray(body[:16])
 pos = 16
@@ -354,21 +383,60 @@ for _ in range(struct.unpack_from('<I', body, 12)[0]):
     pos += 4 + nlen + 12
     payload = body[pos:pos + plen]
     pos += plen
-    if name == b'oracle':  # invocations: a u64 count, then one u64 per player
-        payload = struct.pack('<Q', struct.unpack_from('<Q', payload)[0] - 1) + payload[16:]
+    if name == sys.argv[3].encode():
+        payload = eval(sys.argv[4])
     out += struct.pack('<I', nlen) + name + struct.pack('<QI', len(payload), zlib.crc32(payload))
     out += payload
 out += struct.pack('<I', zlib.crc32(bytes(out)))
 open(sys.argv[2], 'wb').write(bytes(out))
 EOF
+  }
+  # An oracle ledger with one entry fewer than the run's players is
+  # corrupt too (invocations: a u64 count, then one u64 per player).
+  rewrite_section ck_players.tmw oracle \
+    "struct.pack('<Q', struct.unpack_from('<Q', payload)[0] - 1) + payload[16:]"
   expect_exit 5 "$CLI" resume --checkpoint="$DIR/ck_players.tmw" --in="$DIR/w2.tmw" --out=/dev/null
   "$CLI" resume --checkpoint="$DIR/ck_players.tmw" --in="$DIR/w2.tmw" --out=/dev/null \
          >/dev/null 2>"$DIR/ck_players.err" || true
   grep -q "oracle invocations" "$DIR/ck_players.err"
+  # So is a harness value `run` could not have written: each fails
+  # typed, naming its key, and resume writes no estimates.
+  for bad in checkpoint_every=-1 checkpoint_every=x checkpoint_every= profile=bogus \
+             faults=warp=0.5; do
+    key="${bad%%=*}"
+    rewrite_section ck_harness.tmw harness "harness(payload, '$key', '${bad#*=}')"
+    rm -f "$DIR/harness_out.txt"
+    expect_exit 5 "$CLI" resume --checkpoint="$DIR/ck_harness.tmw" --in="$DIR/w2.tmw" \
+           --out="$DIR/harness_out.txt"
+    "$CLI" resume --checkpoint="$DIR/ck_harness.tmw" --in="$DIR/w2.tmw" --out=/dev/null \
+           >/dev/null 2>"$DIR/ck_harness.err" || true
+    grep -q "checkpoint harness: $key=" "$DIR/ck_harness.err"
+    test ! -e "$DIR/harness_out.txt"
+  done
+  # A rewritten harness that `run` could have written still resumes.
+  rewrite_section ck_harness.tmw harness "harness(payload, 'profile', 'practical')"
+  "$CLI" resume --checkpoint="$DIR/ck_harness.tmw" --in="$DIR/w2.tmw" \
+         --out="$DIR/harness_out.txt" >/dev/null
+  cmp "$DIR/ref_out.txt" "$DIR/harness_out.txt"
 fi
 # --checkpoint without a cadence is a usage error, not a silent no-op.
 expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo=unknown_d --alpha=0.5 --seed=11 \
        --checkpoint="$DIR/nope.tmw" --out=/dev/null
+# So are checkpoint flags on an algo that cuts no checkpoints: the run
+# stops, naming the algo, before writing a checkpoint or estimates.
+for algo in zero small large anytime mimic solo; do
+  rm -f "$DIR/nope.tmw" "$DIR/nope_out.txt"
+  expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo="$algo" --alpha=0.5 --seed=11 \
+         --checkpoint="$DIR/nope.tmw" --checkpoint-every=50 --out="$DIR/nope_out.txt"
+  "$CLI" run --in="$DIR/w2.tmw" --algo="$algo" --checkpoint-every=50 --out=/dev/null \
+         >/dev/null 2>"$DIR/nope.err" || true
+  grep -q -- "--algo=$algo" "$DIR/nope.err"
+  test ! -e "$DIR/nope.tmw"
+  test ! -e "$DIR/nope_out.txt"
+done
+# --profile names one of the two parameter sets; anything else is a
+# usage error, not a silent practical run.
+expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo=zero --profile=bogus --out=/dev/null
 
 # --- Supervised (mimic) runs: healthy = 0, quarantine degrades to 4. ---
 "$CLI" run --in="$DIR/w2.tmw" --algo=mimic --seed=5 --phase-rounds=900,900 \

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "tmwia/bits/hamming.hpp"
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/core/coalesce.hpp"
 #include "tmwia/matrix/generators.hpp"

@@ -16,7 +16,6 @@
 #include "tmwia/billboard/round_scheduler.hpp"
 #include "tmwia/billboard/strategies.hpp"
 #include "tmwia/bits/bitvector.hpp"
-#include "tmwia/bits/hamming.hpp"
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/bits/trivector.hpp"
 #include "tmwia/core/bit_space.hpp"
@@ -26,7 +25,6 @@
 #include "tmwia/core/find_preferences.hpp"
 #include "tmwia/core/good_object.hpp"
 #include "tmwia/core/large_radius.hpp"
-#include "tmwia/core/normalize.hpp"
 #include "tmwia/core/params.hpp"
 #include "tmwia/core/rselect.hpp"
 #include "tmwia/core/select.hpp"
@@ -67,5 +65,5 @@
 #include "tmwia/support/thread_annotations.hpp"
 
 TEST(HeaderSelfContained, AllPublicHeadersCompileTogether) {
-  SUCCEED() << "56 public headers included";
+  SUCCEED() << "54 public headers included";
 }

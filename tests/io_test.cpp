@@ -51,7 +51,6 @@ TEST(Args, ParsesKeyValueAndFlags) {
   EXPECT_TRUE(a.get_flag("verbose"));
   EXPECT_FALSE(a.get_flag("quiet"));
   EXPECT_EQ(*a.get("name"), "test");
-  EXPECT_EQ(a.program(), "prog");
 }
 
 TEST(Args, DefaultsWhenAbsent) {

@@ -88,6 +88,15 @@ std::size_t naive_dtilde(const TriVector& a, const TriVector& b) {
   return c;
 }
 
+/// Reference for kernels::known_diff_positions: the disagreement set
+/// (a.value ^ b.value) & a.known & b.known through BitVector word ops.
+BitVector known_diff(const TriVector& a, const TriVector& b) {
+  BitVector d = a.value_plane() ^ b.value_plane();
+  d &= a.known_plane();
+  d &= b.known_plane();
+  return d;
+}
+
 // Sizes chosen to hit every dispatch shape: sub-word, exactly one
 // word, non-word-aligned tails, AVX2-block (256) and AVX-512-block
 // (512) multiples, and sizes just off those boundaries.
@@ -209,7 +218,7 @@ TEST(KernelsParity, KnownDiffMatchesNaive) {
   for (const std::size_t n : {64UL, 193UL, 521UL}) {
     const TriVector a = random_tri(n, rng);
     const TriVector b = random_tri(n, rng);
-    const BitVector d = kernels::known_diff(a, b);
+    const BitVector d = known_diff(a, b);
     for (std::size_t i = 0; i < n; ++i) {
       const bool want = a.get(i) != Tri::kUnknown && b.get(i) != Tri::kUnknown &&
                         a.get(i) != b.get(i);
@@ -225,7 +234,7 @@ TEST(KernelsParity, KnownDiffPositionsMatchesKnownDiff) {
   for (const std::size_t n : {64UL, 193UL, 521UL}) {
     const TriVector a = random_tri(n, rng);
     const TriVector b = random_tri(n, rng);
-    const auto want = kernels::known_diff(a, b).one_positions();
+    const auto want = known_diff(a, b).one_positions();
     for (const auto backend : supported_backends()) {
       kernels::set_backend(backend);
       std::vector<std::uint32_t> got{0xdeadbeef};  // must be cleared, not appended

@@ -43,18 +43,6 @@ TEST(DenseMatrix, MatvecDimensionChecks) {
   EXPECT_THROW(m.matvec_t(u, v), std::invalid_argument);
 }
 
-TEST(DenseMatrix, FrobeniusAndTranspose) {
-  DenseMatrix m(2, 2);
-  m(0, 0) = 3;
-  m(1, 1) = 4;
-  EXPECT_DOUBLE_EQ(m.frobenius(), 5.0);
-  const auto t = m.transpose();
-  EXPECT_DOUBLE_EQ(t(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(t(1, 1), 4.0);
-  m(0, 1) = 7;
-  EXPECT_DOUBLE_EQ(m.transpose()(1, 0), 7.0);
-}
-
 DenseMatrix rank_k_matrix(std::size_t n, std::size_t m, std::size_t k,
                           const std::vector<double>& sigmas) {
   // Build sum sigma_i * u_i v_i^T with orthogonal-ish indicator blocks.

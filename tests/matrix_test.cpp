@@ -37,18 +37,6 @@ TEST(PreferenceMatrix, SubsetDiameter) {
   EXPECT_EQ(m.subset_diameter(pair), 2u);
 }
 
-TEST(PreferenceMatrix, IsTypicalChecksBothConditions) {
-  PreferenceMatrix m(4, 4);
-  m.row(0) = bits::BitVector::from_string("0000");
-  m.row(1) = bits::BitVector::from_string("0001");
-  m.row(2) = bits::BitVector::from_string("1111");
-  m.row(3) = bits::BitVector::from_string("1110");
-  const std::vector<PlayerId> half{0, 1};
-  EXPECT_TRUE(m.is_typical(half, 0.5, 1));
-  EXPECT_FALSE(m.is_typical(half, 0.75, 1));  // too small
-  EXPECT_FALSE(m.is_typical(half, 0.5, 0));   // diameter 1 > 0
-}
-
 TEST(PreferenceMatrix, DiscrepancyAndStretch) {
   PreferenceMatrix m(2, 4);
   m.row(0) = bits::BitVector::from_string("0000");

@@ -11,7 +11,6 @@
 
 #include <numeric>
 
-#include "tmwia/bits/hamming.hpp"
 #include "tmwia/core/bit_space.hpp"
 #include "tmwia/core/coalesce.hpp"
 #include "tmwia/core/select.hpp"
@@ -31,7 +30,7 @@ TriVector random_tri(std::size_t m, double unknown_prob, rng::Rng& rng) {
     if (rng.bernoulli(unknown_prob)) {
       t.set(i, Tri::kUnknown);
     } else {
-      t.set_bit(i, rng.coin());
+      t.set(i, (rng.next() >> 63) != 0 ? Tri::kOne : Tri::kZero);
     }
   }
   return t;

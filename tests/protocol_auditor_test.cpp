@@ -66,7 +66,7 @@ class SnoopStrategy final : public billboard::PlayerStrategy {
 
   std::optional<billboard::ObjectId> next_probe(const billboard::RoundView& view) override {
     const auto target = static_cast<billboard::ObjectId>(view.round());
-    if (target < objects_ && oracle_->is_probed(0, target)) {
+    if (target < objects_ && oracle_->probed_mask(0).get(target)) {
       (void)oracle_->probed_value(0, target);  // the leak
     }
     return next_ < objects_ ? std::optional<billboard::ObjectId>(next_) : std::nullopt;

@@ -38,6 +38,13 @@ TEST(SerializeText, RejectsRowLengthMismatch) {
   EXPECT_THROW(load_matrix_text(ss), std::runtime_error);
 }
 
+TEST(SerializeText, RejectsANonBitCharacter) {
+  for (const char* row : {"0x1", "012", "0 1"}) {
+    std::stringstream ss(std::string("TMWIA/1 text\n1 3\n") + row + "\n");
+    EXPECT_THROW(load_matrix_text(ss), std::runtime_error) << row;
+  }
+}
+
 TEST(SerializeText, RejectsTruncated) {
   std::stringstream ss("TMWIA/1 text\n3 4\n0101\n");
   EXPECT_THROW(load_matrix_text(ss), std::runtime_error);
@@ -135,17 +142,39 @@ TEST(SerializeInstance, RejectsCenterWidthMismatch) {
   }
 }
 
+TEST(SerializeInstance, RejectsANonBitCenter) {
+  std::stringstream ss(instance_text("0 1", "0z1"));
+  EXPECT_THROW(load_instance(ss), std::runtime_error);
+}
+
 TEST(SerializeOutputs, RoundTrip) {
   std::vector<bits::BitVector> outs{bits::BitVector::from_string("0101"),
                                     bits::BitVector::from_string("1111")};
   std::stringstream ss;
   save_outputs(outs, ss);
-  EXPECT_EQ(load_outputs(ss), outs);
+  EXPECT_EQ(load_outputs(ss, 4), outs);
 }
 
 TEST(SerializeOutputs, RejectsHeaderBeyondRows) {
   std::stringstream ss("outputs 4000000000\n0101\n");
-  EXPECT_THROW(load_outputs(ss), std::runtime_error);
+  EXPECT_THROW(load_outputs(ss, 4), std::runtime_error);
+}
+
+TEST(SerializeOutputs, RejectsARowOfTheWrongWidth) {
+  for (const char* row : {"010", "01011", ""}) {
+    std::stringstream ss(std::string("outputs 2\n0101\n") + row + "\n");
+    try {
+      (void)load_outputs(ss, 4);
+      FAIL() << "expected a serialize error for '" << row << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("output row 1 has"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(SerializeOutputs, RejectsANonBitCharacter) {
+  std::stringstream ss("outputs 1\n01x1\n");
+  EXPECT_THROW(load_outputs(ss, 4), std::runtime_error);
 }
 
 TEST(SerializeFile, MissingFileThrows) {

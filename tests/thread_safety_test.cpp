@@ -98,7 +98,7 @@ TEST(ThreadSafety, ConcurrentBillboardPostsMatchSerial) {
     EXPECT_EQ(got.rows[i], want.rows[i]) << "player " << want.players[i];
   }
   EXPECT_EQ(board.posters("votes"), players);
-  EXPECT_EQ(board.total_posts(), serial.total_posts());
+  EXPECT_TRUE(board.export_posts() == serial.export_posts());
 }
 
 /// Deterministic row for (wave, task, channel, player): different
@@ -134,7 +134,6 @@ void expect_same_board(const tmwia::billboard::Billboard& got,
     EXPECT_EQ(a[i].channel, b[i].channel);
     EXPECT_TRUE(a[i].posts == b[i].posts) << a[i].channel;
   }
-  EXPECT_EQ(got.total_posts(), want.total_posts());
 }
 
 // Two tasks post to the same channels inside one section, and share
@@ -307,13 +306,10 @@ TEST(ThreadSafety, AuditedForksShareOneAuditor) {
 TEST(ThreadSafety, SetBackendRejectedDuringParallelPhase) {
   namespace kernels = tmwia::bits::kernels;
   const auto current = kernels::requested_backend();
-  ASSERT_EQ(kernels::parallel_phases_active(), 0u);
   {
     const kernels::ParallelPhaseGuard gate;
-    EXPECT_EQ(kernels::parallel_phases_active(), 1u);
     EXPECT_THROW(kernels::set_backend(current), std::logic_error);
   }
-  EXPECT_EQ(kernels::parallel_phases_active(), 0u);
   // Idle again: reselection is legal and keeps the same backend.
   EXPECT_NO_THROW(kernels::set_backend(current));
   EXPECT_EQ(kernels::requested_backend(), current);

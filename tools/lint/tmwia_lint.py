@@ -76,6 +76,13 @@ literals stripped) for constructs that would let those invariants rot:
                            and carry an auditable allow pragma, so the
                            set of unregistered name shapes stays
                            enumerable.
+  no-product-caller        a function declared in a src/*/include header
+                           that no file in src/, tools/, bench/,
+                           perfbench/ or examples/ names outside its own
+                           declaration and definition (tests/ does not
+                           count). Constructors, destructors, operators
+                           and overrides are exempt. A name scan: a name
+                           shared with any other use passes.
   stale-pragma             a tmwia-lint allow/allow-file pragma that no
                            longer suppresses any finding — the escape-
                            hatch inventory stays honest.
@@ -347,6 +354,18 @@ METRIC_NAME_REGISTRY = Rule(
     exempt=("src/obs",),
 )
 
+NO_PRODUCT_CALLER = Rule(
+    id="no-product-caller",
+    description="function declared in a public header that nothing in src/, "
+    "tools/, bench/, perfbench/ or examples/ names outside its own "
+    "declaration and definition; delete it, make it file-local, or carry an "
+    "allow pragma naming the product behaviour that needs it",
+    dirs=("src",),
+)
+# Where a caller counts. tests/ is deliberately absent; perfbench/ is
+# read for callers only (it is not linted).
+PRODUCT_DIRS = ("src", "tools", "bench", "perfbench", "examples")
+
 STALE_PRAGMA = Rule(
     id="stale-pragma",
     description="tmwia-lint allow pragma that no longer suppresses any "
@@ -356,8 +375,8 @@ STALE_PRAGMA = Rule(
 
 ALL_RULES = RULES + [PER_BIT_LOOP, NONCONST_GLOBAL, NAKED_MUTEX,
                      EXPLICIT_ATOMIC_ORDERING, METRIC_NAME_REGISTRY,
-                     STALE_PRAGMA, HEADER_PRAGMA_ONCE, HEADER_TEST_STALE,
-                     HEADER_SELFCONTAINED]
+                     NO_PRODUCT_CALLER, STALE_PRAGMA, HEADER_PRAGMA_ONCE,
+                     HEADER_TEST_STALE, HEADER_SELFCONTAINED]
 
 
 def strip_comments_and_strings(src: str) -> str:
@@ -856,6 +875,141 @@ def render_metric_registry(root: str) -> str:
     return "\n".join(lines)
 
 
+_PP_LINE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.M)
+_INCLUDE_LINE = re.compile(r"^[ \t]*#[ \t]*include\b[^\n]*", re.M)
+_NON_DECL_HEAD = re.compile(r"\s*(?:using|typedef|static_assert|namespace|extern\s+template)\b")
+_CLASS_HEAD = re.compile(
+    r"\s*(?:(?:public|protected|private)\s*:)?\s*(?:template\s*<.*>\s*)?"
+    r"(?:class|struct|union)\b(.*)$", re.S)
+_DECL_NAME = re.compile(
+    r"(?<![\w:~])((?:[A-Za-z_]\w*\s*(?:<[^<>()]*>)?\s*::\s*)*)(~\s*)?([A-Za-z_]\w*)\s*$")
+_MACRO_NAME = re.compile(r"[A-Z][A-Z0-9_]*")
+_IDENT = re.compile(r"[A-Za-z_]\w*")
+# Words that precede a parenthesis without naming a function.
+_NOT_A_NAME = frozenset((
+    "alignas", "alignof", "asm", "auto", "bool", "char", "decltype", "double",
+    "float", "int", "long", "noexcept", "requires", "short", "signed", "sizeof",
+    "throw", "typeid", "unsigned", "void",
+))
+
+
+def _blank(m):
+    return re.sub(r"[^\n]", " ", m.group(0))
+
+
+@dataclass
+class FunctionDecl:
+    offset: int      # of the declared name in the scanned text
+    name: str
+    exempt: bool     # constructor, destructor, override, = delete/default
+    qualified: bool  # Class::name: an out-of-line definition
+
+
+def _function_decl(stmt: str, base: int, enclosing_class):
+    """The function a namespace- or class-scope statement declares or
+    defines, or None: the name before the first top-level parenthesis,
+    unless an initializer, a keyword, a macro or an operator comes
+    first."""
+    if _NON_DECL_HEAD.match(stmt):
+        return None
+    depth = 0
+    for j, ch in enumerate(stmt):
+        if ch == "<":
+            depth += 1
+        elif ch == ">":
+            depth = max(0, depth - 1)
+        elif depth == 0 and ch == "=":
+            return None
+        elif depth == 0 and ch == "(":
+            break
+    else:
+        return None
+    prefix, tail = stmt[:j], stmt[j:]
+    m = _DECL_NAME.search(prefix)
+    if m is None or re.search(r"\boperator\b", prefix):
+        return None
+    qualifiers = re.findall(r"[A-Za-z_]\w*(?=\s*(?:<[^<>()]*>)?\s*::)", m.group(1))
+    name = m.group(3)
+    if name in _NOT_A_NAME or _MACRO_NAME.fullmatch(name):
+        return None
+    exempt = bool(
+        m.group(2) or name == enclosing_class or name in qualifiers[-1:]
+        or re.search(r"\b(?:override|final)\b", tail)
+        or re.search(r"=\s*(?:delete|default)\b", tail))
+    return FunctionDecl(base + m.start(3), name, exempt, bool(qualifiers))
+
+
+def _class_name(rest: str):
+    """`class X : Base` head (after the keyword) -> X."""
+    rest = re.sub(r"\([^()]*\)", " ", rest)  # alignas(64), capability macros
+    while re.search(r"<[^<>]*>", rest):
+        rest = re.sub(r"<[^<>]*>", " ", rest)
+    rest = re.split(r"(?<!:):(?!:)", rest)[0]  # the base clause
+    names = [t for t in _IDENT.findall(rest)
+             if t not in ("final", "alignas") and not _MACRO_NAME.fullmatch(t)]
+    return names[-1] if names else None
+
+
+def scan_function_decls(code: str):
+    """Functions declared or defined at namespace or class scope in
+    `code` (comments, strings and preprocessor lines blanked). The same
+    statement/brace walk as scan_naked_mutexes: statements inside a
+    function body or an initializer declare nothing."""
+    decls = []
+    stack = []  # (kind, class name); kind is "ns" | "type" | "enum" | "other"
+    start = 0
+    for i, c in enumerate(code):
+        if c not in "{};":
+            continue
+        stmt, base, start = code[start:i], start, i + 1
+        if c == "}":
+            if stack:
+                stack.pop()
+            continue
+        at_scope = all(kind in ("ns", "type") for kind, _ in stack)
+        enclosing = stack[-1][1] if stack else None
+        decl = _function_decl(stmt, base, enclosing) if at_scope else None
+        if decl is not None:
+            decls.append(decl)
+        if c == ";":
+            continue
+        cls = _CLASS_HEAD.match(stmt)
+        if re.search(r"\bnamespace\b|^\s*extern\b", stmt):
+            stack.append(("ns", None))
+        elif re.match(r"\s*enum\b", stmt):
+            stack.append(("enum", None))
+        elif cls and decl is None:
+            stack.append(("type", _class_name(cls.group(1))))
+        else:
+            stack.append(("other", None))
+    return decls
+
+
+def product_names(root: str):
+    """Every identifier that some product file (PRODUCT_DIRS; tests/ is
+    not one) names outside a function's declaration or definition."""
+    used = set()
+    for relpath in iter_source_files(root, PRODUCT_DIRS):
+        with open(os.path.join(root, relpath), encoding="utf-8") as f:
+            code = _INCLUDE_LINE.sub(_blank, strip_comments_and_strings(f.read()))
+        sites = {d.offset for d in scan_function_decls(_PP_LINE.sub(_blank, code))}
+        used.update(m.group(0) for m in _IDENT.finditer(code) if m.start() not in sites)
+    return used
+
+
+def scan_no_product_caller(stripped: str, raw_lines, relpath, used):
+    """Functions this public header declares that no product file names."""
+    code = _PP_LINE.sub(_blank, stripped)
+    findings = []
+    for d in scan_function_decls(code):
+        if d.exempt or d.qualified or d.name in used:
+            continue
+        line = code.count("\n", 0, d.offset) + 1
+        findings.append(Finding(NO_PRODUCT_CALLER.id, relpath, line,
+                                raw_lines[line - 1].strip()[:160]))
+    return findings
+
+
 def public_headers(root: str):
     """Every header under src/*/include, repo-relative, sorted."""
     out = []
@@ -954,13 +1108,14 @@ def compile_check_headers(root: str, quiet: bool):
     return findings, checked
 
 
-def iter_source_files(root: str):
-    for d in CODE_DIRS:
+def iter_source_files(root: str, dirs=CODE_DIRS):
+    for d in dirs:
         base = os.path.join(root, d)
         if not os.path.isdir(base):
             continue
         for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = [x for x in dirnames if x not in ("build", "__pycache__")]
+            dirnames[:] = [x for x in dirnames
+                           if x not in ("build", "__pycache__") and not x.startswith(".")]
             for f in sorted(filenames):
                 if f.endswith(CPP_EXTS):
                     yield os.path.relpath(os.path.join(dirpath, f), root)
@@ -973,6 +1128,7 @@ def lint(root: str, compile_checks: bool, quiet: bool):
     files_scanned = 0
     metric_registry = load_metric_registry(root)
     metric_usage = set()
+    product_used = product_names(root)
 
     for relpath in iter_source_files(root):
         files_scanned += 1
@@ -1028,6 +1184,10 @@ def lint(root: str, compile_checks: bool, quiet: bool):
         if METRIC_NAME_REGISTRY.in_scope(relpath):
             for f in scan_metric_names(stripped_lines, raw_lines, relpath,
                                        metric_registry, metric_usage):
+                emit(f)
+
+        if NO_PRODUCT_CALLER.in_scope(relpath) and "/include/" in relpath:
+            for f in scan_no_product_caller(stripped, raw_lines, relpath, product_used):
                 emit(f)
 
         if relpath.endswith((".hpp", ".hh", ".h")) and "#pragma once" not in raw:
@@ -1165,6 +1325,51 @@ SELF_TEST_FIXTURES = {
         "// tmwia-lint: allow(manual-lock) fixture: nothing locks\n"
         "void fixture_stale_allowed() {}\n"
     ),
+    # no-product-caller: a public header whose functions are named by a
+    # tool, by perfbench, by their own header, only by a test, or by
+    # nothing but their definition.
+    "src/fix/include/tmwia/fix/api.hpp": (
+        "#pragma once\n"
+        "namespace fix {\n"
+        "int test_only(int x);\n"
+        "// tmwia-lint: allow(no-product-caller) fixture: tools/ calls it now\n"
+        "int tool_used(int x);\n"
+        "int perfbench_used(int x);\n"
+        "namespace detail { inline int hook(int x) { return x; } }\n"
+        "inline int wrapped(int x) { return detail::hook(x); }\n"
+        "// tmwia-lint: allow(no-product-caller) fixture: a planned caller\n"
+        "int kept(int x);\n"
+        "class Widget {\n"
+        " public:\n"
+        "  explicit Widget(int x);\n"
+        "  ~Widget();\n"
+        "  Widget(const Widget&) = delete;\n"
+        "  bool operator==(const Widget& o) const;\n"
+        "  virtual int value() const;\n"
+        "  [[nodiscard]] int accessor() const { return 0; }\n"
+        "};\n"
+        "struct Derived : Widget {\n"
+        "  int value() const override;\n"
+        "};\n"
+        "}  // namespace fix\n"
+    ),
+    "src/fix/api.cpp": (
+        "int fix::test_only(int x) { return x; }\n"
+        "int fix::kept(int x) { return x; }\n"
+    ),
+    "tests/fix_api_test.cpp": (
+        "void fixture_api_test(fix::Widget& w) {\n"
+        "  fix::test_only(w.accessor());\n"
+        "}\n"
+    ),
+    "tools/fix_api_tool.cpp": (
+        "int fixture_api_tool(const fix::Widget& w) {\n"
+        "  return fix::tool_used(fix::wrapped(w.value()));\n"
+        "}\n"
+    ),
+    "perfbench/fix_api_bench.cpp": (
+        "int fixture_api_bench() { return fix::perfbench_used(1); }\n"
+    ),
 }
 
 SELF_TEST_FINDINGS = {
@@ -1180,6 +1385,9 @@ SELF_TEST_FINDINGS = {
     ("stale-pragma", "src/fix/stale.cpp", 1),
     ("metric-name-registry", "src/fix/metric_fire.cpp", 2),
     ("metric-name-registry", METRIC_REGISTRY_PATH, 5),
+    ("no-product-caller", "src/fix/include/tmwia/fix/api.hpp", 3),
+    ("no-product-caller", "src/fix/include/tmwia/fix/api.hpp", 18),
+    ("stale-pragma", "src/fix/include/tmwia/fix/api.hpp", 4),
     # The fixture tree has no tests/header_selfcontained_test.cpp, so the
     # generated header test is reported missing — expected, not part of
     # the rules under test.
@@ -1192,6 +1400,7 @@ SELF_TEST_ALLOWED = {
     ("stale-pragma", "src/fix/stale_allowed.cpp", 2),
     ("serve-matrix-isolation", "src/serve/fix_serve_allowed.cpp", 2),
     ("metric-name-registry", "src/fix/metric_allowed.cpp", 3),
+    ("no-product-caller", "src/fix/include/tmwia/fix/api.hpp", 10),
 }
 
 

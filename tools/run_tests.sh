@@ -3,8 +3,9 @@
 #
 #   lint       tools/lint/tmwia_lint.py over src/, bench/, tests/ with
 #              per-header self-containment compile checks; writes
-#              build/LINT_REPORT.json and jq-checks it. Adds clang-tidy
-#              via -DTMWIA_LINT=ON when a clang-tidy binary exists.
+#              build/LINT_REPORT.json and jq-checks it (no findings, and
+#              the no-product-caller rule present). Adds clang-tidy via
+#              -DTMWIA_LINT=ON when a clang-tidy binary exists.
 #   plain      full suite, default flags plus -Werror (build/)
 #   asan       full suite, ASan+UBSan               (build-asan/)
 #   tsan       obs/engine/scheduler/Zero Radius suites, the oracle,
@@ -133,10 +134,13 @@ if [[ $RUN_LINT -eq 1 ]]; then
   python3 "$ROOT/tools/lint/tmwia_lint.py" --root "$ROOT" --compile-checks -q \
     --json "$ROOT/build/LINT_REPORT.json"
   if command -v jq >/dev/null; then
-    # The report must be well-formed and agree with the exit status.
-    jq -e '.tool == "tmwia-lint" and .ok == true and .finding_count == 0' \
+    # The report must be well-formed, agree with the exit status, and
+    # carry the no-product-caller rule (every public function has a
+    # caller outside tests/).
+    jq -e '.tool == "tmwia-lint" and .ok == true and .finding_count == 0
+           and .rules["no-product-caller"] != null' \
       "$ROOT/build/LINT_REPORT.json" >/dev/null \
-      || { echo "LINT_REPORT.json malformed or reports findings" >&2; exit 1; }
+      || { echo "LINT_REPORT.json malformed, reports findings or lacks no-product-caller" >&2; exit 1; }
   fi
   if command -v clang-tidy >/dev/null; then
     echo "-- clang-tidy (via TMWIA_LINT=ON rebuild)"

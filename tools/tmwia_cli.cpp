@@ -243,6 +243,14 @@ std::string write_profiler_artifacts(const io::Args& args, const obs::Profiler* 
   return json;
 }
 
+/// The parameter profile `run --profile` names and `resume` reads back
+/// from the checkpoint harness: practical | paper, or nullopt.
+std::optional<core::Params> profile_params(const std::string& name) {
+  if (name == "practical") return core::Params::practical();
+  if (name == "paper") return core::Params::paper();
+  return std::nullopt;
+}
+
 /// The --record sink `run` and `resume` both open (null without
 /// --record), attached to the run's oracle and board. The recorder gets
 /// the planted-truth evaluator, so phase summaries carry real
@@ -343,8 +351,16 @@ int cmd_run(const io::Args& args) {
   const double alpha = args.get_double("alpha", 0.5);
   const auto seed = args.get_u64("seed", 1);
   const auto profile = args.get("profile").value_or("practical");
-  const auto params =
-      profile == "paper" ? core::Params::paper() : core::Params::practical();
+  const auto profile_set = profile_params(profile);
+  if (!profile_set.has_value()) {
+    throw std::invalid_argument("unknown --profile=" + profile + " (practical|paper)");
+  }
+  const auto& params = *profile_set;
+  // Only the unknown-D driver cuts checkpoints; another algo would
+  // ignore the flags and write no file.
+  if (algo != "unknown_d" && (args.get("checkpoint") || args.get("checkpoint-every"))) {
+    throw std::invalid_argument("--checkpoint: --algo=" + algo + " cuts no checkpoints");
+  }
 
   // Observability sinks. The thread count must be requested before the
   // first parallel phase constructs the global pool, and the kernel
@@ -526,10 +542,34 @@ int cmd_run(const io::Args& args) {
 
 int cmd_resume(const io::Args& args) {
   const auto ckpt = core::load_run_checkpoint(require(args, "checkpoint"));
-  const auto inst = io::load_instance_file(require(args, "in"));
+  // The harness section is what `run` wrote beside the state; a value
+  // it could not have written means the file is corrupt, and fails
+  // before any state is built.
+  const auto bad_harness = [](const std::string& key, const std::string& value,
+                              const std::string& why) {
+    return io::CheckpointError("checkpoint harness: " + key + "='" + value + "': " + why);
+  };
   const auto profile = ckpt.harness_value("profile");
-  const auto params =
-      profile == "paper" ? core::Params::paper() : core::Params::practical();
+  const auto profile_set = profile_params(profile);
+  if (!profile_set.has_value()) throw bad_harness("profile", profile, "not practical|paper");
+  const auto& params = *profile_set;
+  core::CheckpointPolicy policy;
+  const auto every = ckpt.harness_value("checkpoint_every");
+  const char* every_end = every.data() + every.size();
+  const auto [every_last, every_ec] =
+      std::from_chars(every.data(), every_end, policy.every_rounds);
+  if (every_ec != std::errc{} || every_last != every_end) {
+    throw bad_harness("checkpoint_every", every, "not a round count");
+  }
+  std::optional<faults::FaultPlan> plan;
+  if (const auto spec = ckpt.harness_value("faults"); !spec.empty()) {
+    try {
+      plan = faults::FaultPlan::parse(spec);
+    } catch (const std::invalid_argument& e) {
+      throw bad_harness("faults", spec, e.what());
+    }
+  }
+  const auto inst = io::load_instance_file(require(args, "in"));
 
   apply_threads_flag(args);
   apply_kernel_flag(args);
@@ -542,12 +582,11 @@ int cmd_resume(const io::Args& args) {
   billboard::Billboard board;
   const auto record = open_record_sink(args, inst, oracle, board);
   std::unique_ptr<faults::FaultInjector> injector;
-  if (const auto spec = ckpt.harness_value("faults"); !spec.empty()) {
-    auto plan = faults::FaultPlan::parse(spec);
+  if (plan.has_value()) {
     // The kill drill (if any) already fired in the run being resumed;
     // re-arming it would kill the resumed run at the same round.
-    plan.kill_at_round = faults::kNever;
-    injector = std::make_unique<faults::FaultInjector>(plan, inst.matrix.players());
+    plan->kill_at_round = faults::kNever;
+    injector = std::make_unique<faults::FaultInjector>(*plan, inst.matrix.players());
     oracle.set_fault_injector(injector.get());
   }
 
@@ -555,10 +594,6 @@ int cmd_resume(const io::Args& args) {
   // same file — so a resumed run is itself resumable, and its ckpt
   // notes line up with an uninterrupted reference run.
   const auto ckpt_path = require(args, "checkpoint");
-  core::CheckpointPolicy policy;
-  if (const auto every = ckpt.harness_value("checkpoint_every"); !every.empty()) {
-    policy.every_rounds = std::stoull(every);
-  }
   const auto harness = ckpt.harness;
   policy.sink = [&ckpt_path, &harness](const core::RunCheckpoint& ck) {
     core::RunCheckpoint with_meta = ck;
@@ -598,7 +633,7 @@ int cmd_eval(const io::Args& args) {
   const auto inst = io::load_instance_file(require(args, "in"));
   std::ifstream is(require(args, "outputs"));
   if (!is) throw std::runtime_error("cannot open outputs file");
-  const auto outputs = io::load_outputs(is);
+  const auto outputs = io::load_outputs(is, inst.matrix.objects());
   if (outputs.size() != inst.matrix.players()) {
     throw std::runtime_error("outputs/player count mismatch");
   }
