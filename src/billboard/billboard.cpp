@@ -346,22 +346,6 @@ bool Billboard::has_posted(const std::string& channel, matrix::PlayerId p) const
   return p < ch->slot.size() && ch->slot[p] != 0;
 }
 
-Billboard::ChannelView Billboard::snapshot(const std::string& channel) const {
-  ChannelView view;
-  const Channel* ch = find(channel);
-  if (ch == nullptr) return view;
-  support::MutexLock lk(ch->mu);
-  const WordRows rows(ch->words, ch->stride, ch->width);
-  view.players.reserve(rows.size());
-  view.rows.reserve(rows.size());
-  for (std::size_t p = 0; p < ch->slot.size(); ++p) {
-    if (ch->slot[p] == 0) continue;
-    view.players.push_back(static_cast<matrix::PlayerId>(p));
-    view.rows.push_back(rows.vector(ch->slot[p] - 1));
-  }
-  return view;
-}
-
 std::vector<Billboard::ChannelDump> Billboard::export_posts() const {
   support::MutexLock lk(mu_);
   std::vector<ChannelDump> out;

@@ -151,15 +151,6 @@ class Billboard {
   /// Has player p posted on `channel`? One lookup in its slot array.
   [[nodiscard]] bool has_posted(const std::string& channel, matrix::PlayerId p) const;
 
-  /// The channel's current posts, ordered by player id ascending
-  /// (players[i] posted rows[i]). Rows are copies; the channel itself
-  /// stays internal to keep the lock discipline simple.
-  struct ChannelView {
-    std::vector<matrix::PlayerId> players;
-    std::vector<bits::BitVector> rows;
-  };
-  [[nodiscard]] ChannelView snapshot(const std::string& channel) const;
-
   /// One channel's posts in deterministic order, for checkpointing.
   struct ChannelDump {
     std::string channel;

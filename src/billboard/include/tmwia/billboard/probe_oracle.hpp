@@ -30,6 +30,7 @@
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/matrix/preference_matrix.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
+#include "tmwia/rng/rng.hpp"
 
 namespace tmwia::billboard {
 
@@ -40,31 +41,21 @@ using matrix::PlayerId;
 
 /// Probe-noise model: the paper's intro motivates diversity partly by
 /// "time-variable factors (such as noise, weather, mood)". The oracle
-/// can inject Bernoulli(epsilon) read errors in two flavours:
-///  * kSticky — the error is a deterministic function of (p, o): a
-///    miscalibrated sensor / a user who consistently misjudges an item.
-///    Re-probing returns the same wrong answer.
-///  * kFresh  — independent error per invocation: a flaky link. Re-
-///    probing can disagree with earlier reads.
+/// can inject sticky Bernoulli(epsilon) read errors: whether a read of
+/// (p, o) is flipped is a deterministic function of (seed, p, o) — a
+/// miscalibrated sensor / a user who consistently misjudges an item.
+/// Re-probing returns the same wrong answer. Epsilon 0 (the default)
+/// is no noise.
 struct NoiseModel {
-  enum class Kind : std::uint8_t { kNone, kSticky, kFresh };
-  Kind kind = Kind::kNone;
   double epsilon = 0.0;
   std::uint64_t seed = 0;
 
-  static NoiseModel none() { return {}; }
-  static NoiseModel sticky(double epsilon, std::uint64_t seed) {
-    return {Kind::kSticky, epsilon, seed};
-  }
-  static NoiseModel fresh(double epsilon, std::uint64_t seed) {
-    return {Kind::kFresh, epsilon, seed};
-  }
+  static NoiseModel sticky(double epsilon, std::uint64_t seed) { return {epsilon, seed}; }
 };
 
 class ProbeOracle {
  public:
-  explicit ProbeOracle(const matrix::PreferenceMatrix& truth,
-                       NoiseModel noise = NoiseModel::none());
+  explicit ProbeOracle(const matrix::PreferenceMatrix& truth, NoiseModel noise = {});
 
   [[nodiscard]] std::size_t players() const { return truth_->players(); }
   [[nodiscard]] std::size_t objects() const { return truth_->objects(); }
@@ -113,7 +104,7 @@ class ProbeOracle {
       bump(charged_[p]);
       probed_[p].set(o, true);
     }
-    const bool value = noisy_read(p, o, inv);
+    const bool value = noisy_read(p, o);
     values_[p].set(o, value);
     if (recorder_ != nullptr) recorder_->probe(p, o, value, inv);
     return value;
@@ -122,9 +113,9 @@ class ProbeOracle {
   /// Batched probe: player p probes objs[0..n) in order, results packed
   /// into the low n bits of `out` (bit j = probe of objs[j]).
   /// Observably identical to `for j: probe_resilient(p, objs[j])` —
-  /// same ledger totals, same per-invocation noise stream, same
-  /// recorder events, and with an auditor attached the same auditor
-  /// ledgers, violations and report — but the bookkeeping (counter
+  /// same ledger totals, same reads, same recorder events, and with an
+  /// auditor attached the same auditor ledgers, violations and report
+  /// — but the bookkeeping (counter
   /// bumps, recorder lookup, bounds checks, the audit hook) is
   /// amortized over the whole block: the auditor hears of it once,
   /// through ProtocolAuditor::on_probe_block. This is the Zero Radius
@@ -149,11 +140,11 @@ class ProbeOracle {
     auto& probed = probed_[p];
     auto& values = values_[p];
     auto* rec = recorder_;
-    const bool noisy = noise_.kind != NoiseModel::Kind::kNone;
+    const bool noisy = noise_.epsilon > 0.0;
     const auto& truth_row = truth_->row(p);
     std::uint64_t newly_charged = 0;
     std::uint64_t word = 0;
-    // tmwia-lint: allow(per-bit-loop) the probe protocol is per (p,o): ledger, noise stream, and recorder events are defined one probe at a time
+    // tmwia-lint: allow(per-bit-loop) the probe protocol is per (p,o): ledger, noise, and recorder events are defined one probe at a time
     for (std::size_t j = 0; j < n; ++j) {
       const auto o = objs[j];
       if (!probed.get(o)) {
@@ -161,7 +152,7 @@ class ProbeOracle {
         probed.set(o, true);
       }
       bool value = truth_row.get(o);
-      if (noisy) [[unlikely]] value ^= noise_flip(p, o, inv0 + j);
+      if (noisy) [[unlikely]] value ^= noise_flip(p, o);
       values.set(o, value);
       if (rec != nullptr) [[unlikely]] rec->probe(p, o, value, inv0 + j);
       word |= static_cast<std::uint64_t>(value) << (j & 63);
@@ -189,10 +180,10 @@ class ProbeOracle {
     return probe_resilient_slow(p, o);
   }
 
-  /// Result of a past probe (the value posted on the billboard — under
-  /// fresh noise this is the most recent read, which may differ from
-  /// the truth). Requires probed_mask(p).get(o). Billboard read: any player
-  /// may call this for any p (results are public).
+  /// Result of a past probe (the value posted on the billboard, which
+  /// under noise may differ from the truth). Requires
+  /// probed_mask(p).get(o). Billboard read: any player may call this
+  /// for any p (results are public).
   [[nodiscard]] bool probed_value(PlayerId p, ObjectId o) const;
 
   /// Packed per-player probe record: which objects p has probed, and
@@ -204,11 +195,6 @@ class ProbeOracle {
   /// Total Probe invocations by player p (the theorem-bound quantity).
   [[nodiscard]] std::uint64_t invocations(PlayerId p) const {
     return invocations_[p].load(std::memory_order_relaxed);
-  }
-
-  /// Distinct (p, o) pairs probed by p.
-  [[nodiscard]] std::uint64_t charged(PlayerId p) const {
-    return charged_[p].load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::uint64_t total_invocations() const;
@@ -240,18 +226,14 @@ class ProbeOracle {
   /// this oracle's (players, objects). Call only at quiescent points.
   void restore_ledger(const Ledger& ledger);
 
-  /// Is the order of a player's probes unobservable? Not when a read,
-  /// or what records it, depends on the order probes land in: a fault
-  /// injector (its state moves with every attempt), a flight recorder
-  /// (it logs each player's invocation index) or fresh noise (a read
-  /// depends on that index). Sticky noise and an auditor are fine.
-  /// Then the ledgers, reads and values after a set of probes do not
-  /// depend on their order, so callers may reorder a player's probes
-  /// (Small Radius batches its leaves) or split them across forks.
-  [[nodiscard]] bool order_free() const {
-    return injector_ == nullptr && recorder_ == nullptr &&
-           noise_.kind != NoiseModel::Kind::kFresh;
-  }
+  /// Is the order of a player's probes unobservable? Not with a fault
+  /// injector (its state moves with every attempt) or a flight
+  /// recorder (it logs each player's invocation index); noise and an
+  /// auditor are fine. Then the ledgers, reads and values after a set
+  /// of probes do not depend on their order, so callers may reorder a
+  /// player's probes (Small Radius batches its leaves) or split them
+  /// across forks.
+  [[nodiscard]] bool order_free() const { return injector_ == nullptr && recorder_ == nullptr; }
 
   /// Can a fork of this oracle be joined back without changing what
   /// the serial run observes? When the order is free (order_free())
@@ -271,8 +253,8 @@ class ProbeOracle {
   /// its invocations, charge the objects it probed first, and take its
   /// probed bits and values. Joining forks in task order equals running
   /// the tasks serially here — forks that share a player probe disjoint
-  /// objects in Large Radius, and without fresh noise a read depends
-  /// on (p, o) alone. Call on the caller, never concurrently with probes.
+  /// objects in Large Radius, and a read depends on (p, o) alone. Call
+  /// on the caller, never concurrently with probes.
   void join(const ProbeOracle& fork);
 
   /// A fork's position in the serial order (nullopt for an oracle that
@@ -300,36 +282,17 @@ class ProbeOracle {
     return v;
   }
 
-  /// The noiseless read folds to one bit load; noise models pay for a
-  /// hash out of line.
-  [[nodiscard]] bool noisy_read(PlayerId p, ObjectId o, std::uint64_t invocation) const {
+  /// The noiseless read folds to one bit load.
+  [[nodiscard]] bool noisy_read(PlayerId p, ObjectId o) const {
     const bool truth = truth_->value(p, o);
-    if (noise_.kind == NoiseModel::Kind::kNone) [[likely]] return truth;
-    return truth ^ noise_flip(p, o, invocation);
+    if (noise_.epsilon <= 0.0) [[likely]] return truth;
+    return truth ^ noise_flip(p, o);
   }
-  /// Whether the configured noise model flips this read. Inline: in a
-  /// noisy run every probe pays this hash, so the call must fold into
-  /// the probe fast path.
-  [[nodiscard]] bool noise_flip(PlayerId p, ObjectId o, std::uint64_t invocation) const {
-    switch (noise_.kind) {
-      case NoiseModel::Kind::kNone:
-        return false;
-      case NoiseModel::Kind::kSticky:
-        return noise_bernoulli(noise_mix(noise_.seed, p, o), noise_.epsilon);
-      case NoiseModel::Kind::kFresh:
-        return noise_bernoulli(noise_mix(noise_.seed ^ invocation, p, o), noise_.epsilon);
-    }
-    return false;
-  }
-  /// SplitMix64-style stateless mixer for the sticky/fresh noise draws.
-  static std::uint64_t noise_mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-    std::uint64_t z = a * 0x9e3779b97f4a7c15ull + b * 0xbf58476d1ce4e5b9ull + c + 1;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-  static bool noise_bernoulli(std::uint64_t h, double p) {
-    return static_cast<double>(h >> 11) * 0x1.0p-53 < p;
+  /// Whether sticky noise flips this read. Inline: in a noisy run every
+  /// probe pays this hash, so the call must fold into the probe fast
+  /// path.
+  [[nodiscard]] bool noise_flip(PlayerId p, ObjectId o) const {
+    return rng::hash_bernoulli(rng::mix(noise_.seed, p, o), noise_.epsilon);
   }
   /// Full probe path with fault-injection and audit hooks.
   bool probe_slow(PlayerId p, ObjectId o);

@@ -75,8 +75,6 @@ struct AuditReport {
   std::uint64_t posts_audited = 0;   ///< result publications seen
 
   [[nodiscard]] bool clean() const { return violations.empty(); }
-  /// Machine-readable summary (CI logs, LINT/AUDIT tooling).
-  [[nodiscard]] std::string to_json() const;
 };
 
 class ProtocolAuditor {
@@ -119,10 +117,6 @@ class ProtocolAuditor {
 
   /// Snapshot the report accumulated so far.
   [[nodiscard]] AuditReport report() const;
-
-  /// Zero every ledger and forget recorded violations (fresh run on a
-  /// shared oracle).
-  void reset();
 
  private:
   void record(AuditViolation v);

@@ -12,7 +12,7 @@
 // interactive strategies.
 //
 // Thread safety: the scheduler is single-threaded by contract — one
-// thread drives run()/next_round(), and every mutation of its round
+// thread drives run(), and every mutation of its round
 // state happens on that thread. The concurrent structures it touches
 // (Billboard, ProbeOracle ledgers, ProtocolAuditor) carry their own
 // capability annotations; the scheduler's members are deliberately
@@ -39,7 +39,6 @@ class RoundView {
  public:
   [[nodiscard]] std::size_t round() const { return round_; }
   [[nodiscard]] std::size_t players() const { return oracle_->players(); }
-  [[nodiscard]] std::size_t objects() const { return oracle_->objects(); }
 
   /// Was (p, o) probed in an earlier round?
   [[nodiscard]] bool is_posted(PlayerId p, ObjectId o) const {
@@ -137,24 +136,17 @@ class RoundScheduler {
   ScheduleResult run(std::vector<std::unique_ptr<PlayerStrategy>>& strategies,
                      std::size_t max_rounds);
 
-  /// The vector-post surface (visible state only; in-round posts are
-  /// buffered until the round ends).
-  [[nodiscard]] const Billboard& board() const { return board_; }
-
-  /// Round number the next run() call starts at. Each run() advances it
-  /// past the last round it touched, so repeated calls on one scheduler
-  /// (e.g. an engine::Supervisor driving phases) share a monotone round
-  /// clock — injector crash windows, the auditor, and the flight
-  /// recorder all see globally increasing round numbers.
-  [[nodiscard]] std::size_t next_round() const { return start_round_; }
-
  private:
   ProbeOracle* oracle_;
   Billboard board_;
   // What has been posted up to the end of the previous round; updated
   // once per round so in-round probes are invisible to peers.
   std::vector<bits::BitVector> posted_;
-  // First round of the next run() call (see next_round()).
+  // Round number the next run() call starts at. Each run() advances it
+  // past the last round it touched, so repeated calls on one scheduler
+  // (e.g. an engine::Supervisor driving phases) share a monotone round
+  // clock — injector crash windows, the auditor, and the flight
+  // recorder all see globally increasing round numbers.
   std::size_t start_round_ = 0;
 };
 

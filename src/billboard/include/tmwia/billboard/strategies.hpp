@@ -1,17 +1,11 @@
-// Reference PlayerStrategy implementations for the RoundScheduler:
-//
-//  * SoloStrategy      — probe every object in order; exact after m
-//    rounds. The baseline semantics of "go it alone".
-//  * MimicStrategy     — a billboard-native collaborative heuristic:
-//    spend a sampling budget on random probes, then each round look for
-//    the poster whose posted values agree best with one's own sample
-//    and fill unprobed coordinates from their posts, spot-checking one
-//    disputed coordinate per round. A scheduler-level cousin of the
-//    "collaborate with strangers" idea of [3].
-//
-// Both are deliberately simple: they exist to exercise the synchronous
-// executor and to give downstream users starting points, not to replace
-// the core algorithms.
+// MimicStrategy, a reference PlayerStrategy for the RoundScheduler: a
+// billboard-native collaborative heuristic. Spend a sampling budget on
+// random probes, then each round look for the poster whose posted
+// values agree best with one's own sample and fill unprobed coordinates
+// from their posts, spot-checking one disputed coordinate per round. A
+// scheduler-level cousin of the "collaborate with strangers" idea of
+// [3]. It is deliberately simple: it drives `run --algo=mimic` and
+// serve's mimic tenants, not a replacement for the core algorithms.
 #pragma once
 
 #include <optional>
@@ -22,22 +16,6 @@
 #include "tmwia/rng/rng.hpp"
 
 namespace tmwia::billboard {
-
-/// Probes objects 0..m-1 in order; estimate() is exact once done.
-class SoloStrategy final : public PlayerStrategy {
- public:
-  explicit SoloStrategy(std::size_t objects) : estimate_(objects) {}
-
-  std::optional<ObjectId> next_probe(const RoundView& view) override;
-  void on_result(ObjectId o, bool value) override;
-  [[nodiscard]] bool done() const override { return next_ >= estimate_.size(); }
-
-  [[nodiscard]] const bits::BitVector& estimate() const { return estimate_; }
-
- private:
-  bits::BitVector estimate_;
-  std::size_t next_ = 0;
-};
 
 /// Random sampling + best-matching-poster adoption with spot checks.
 class MimicStrategy final : public PlayerStrategy {

@@ -14,7 +14,7 @@ namespace {
 // success path stays uninstrumented (its cost is a couple of relaxed
 // atomics — a counter there would be a measurable fraction of it).
 // Aggregate probe totals are exported as gauges at serial points by
-// the callers (core entry points, Session) from the oracle's own
+// the callers that write a metrics artifact from the oracle's own
 // per-player ledgers.
 struct OracleMetrics {
   obs::MetricsRegistry::Counter crashes =
@@ -134,7 +134,7 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
     bump(charged_[p]);
     probed_[p].set(o, true);
   }
-  const bool value = noisy_read(p, o, inv);
+  const bool value = noisy_read(p, o);
   values_[p].set(o, value);
   if (auditor_ != nullptr) auditor_->on_probe(p, o);
   if (recorder_ != nullptr) recorder_->probe(p, o, value, inv);

@@ -1,7 +1,6 @@
 #include "tmwia/billboard/protocol_auditor.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace tmwia::billboard {
 
@@ -17,24 +16,6 @@ const char* to_string(AuditViolation::Kind kind) {
       return "cost_mismatch";
   }
   return "unknown";
-}
-
-std::string AuditReport::to_json() const {
-  std::ostringstream os;
-  os << "{\"clean\":" << (clean() ? "true" : "false")
-     << ",\"rounds_audited\":" << rounds_audited
-     << ",\"probes_audited\":" << probes_audited
-     << ",\"reads_audited\":" << reads_audited
-     << ",\"posts_audited\":" << posts_audited << ",\"violations\":[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    const auto& v = violations[i];
-    if (i != 0) os << ",";
-    os << "{\"kind\":\"" << to_string(v.kind) << "\",\"player\":" << v.player
-       << ",\"object\":" << v.object << ",\"round\":" << v.round << ",\"detail\":\""
-       << v.detail << "\"}";
-  }
-  os << "]}";
-  return os.str();
 }
 
 ProtocolAuditor::ProtocolAuditor(std::size_t players, std::size_t objects)
@@ -175,25 +156,6 @@ AuditReport ProtocolAuditor::report() const {
   const support::MutexLock lock(mu_);
   r.violations = violations_;
   return r;
-}
-
-void ProtocolAuditor::reset() {
-  for (auto& ledger : ledgers_) {
-    ledger.attempts.store(0, std::memory_order_relaxed);
-    ledger.successes.store(0, std::memory_order_relaxed);
-  }
-  reads_.store(0, std::memory_order_relaxed);
-  posts_.store(0, std::memory_order_relaxed);
-  rounds_.store(0, std::memory_order_relaxed);
-  round_active_ = false;
-  round_ = 0;
-  std::fill(round_probe_count_.begin(), round_probe_count_.end(), 0);
-  round_probes_.clear();
-  round_posts_.clear();
-  for (auto& v : probed_this_round_) v = bits::BitVector(objects_);
-  for (auto& v : posted_) v = bits::BitVector(objects_);
-  const support::MutexLock lock(mu_);
-  violations_.clear();
 }
 
 }  // namespace tmwia::billboard

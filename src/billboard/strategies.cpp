@@ -6,17 +6,6 @@
 
 namespace tmwia::billboard {
 
-std::optional<ObjectId> SoloStrategy::next_probe(const RoundView& view) {
-  (void)view;
-  if (next_ >= estimate_.size()) return std::nullopt;
-  return static_cast<ObjectId>(next_);
-}
-
-void SoloStrategy::on_result(ObjectId o, bool value) {
-  estimate_.set(o, value);
-  ++next_;
-}
-
 MimicStrategy::MimicStrategy(PlayerId self, std::size_t objects, std::size_t sample_budget,
                              std::size_t spot_checks, rng::Rng rng, std::size_t patience)
     : self_(self),

@@ -106,7 +106,6 @@ class BitVector {
   [[nodiscard]] std::string to_string() const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
 
   [[nodiscard]] bool get(std::size_t i) const {
     return (data_[i / kWordBits] >> (i % kWordBits)) & 1u;

@@ -17,9 +17,10 @@
 // on randomized sizes including non-word-aligned tails and TriVector
 // '?' masks.
 //
-// The one-pair dist(x, y) lives here too; src/core and src/billboard
-// use the batched API so per-pair call overhead is paid once per
-// collection, not once per element.
+// One-pair distances are BitVector::hamming and TriVector::dtilde,
+// which check sizes and call the word primitives below; src/core and
+// src/billboard use the batched API so per-pair call overhead is paid
+// once per collection, not once per element.
 #pragma once
 
 #include <cstddef>
@@ -69,9 +70,9 @@ KernelBackend resolve_backend(KernelBackend b);
 /// service one batch with different (identical-result but
 /// different-cost) kernels — so set_backend throws std::logic_error
 /// while any ParallelPhaseGuard is open. Select the backend from
-/// serial setup code (Session::kernel + build, the CLI --kernel flag,
-/// bench setup); between phases the pool is idle and reselection is
-/// legal (the kernel parity suites switch backends run-to-run).
+/// serial setup code (the CLI --kernel flag, bench setup); between
+/// phases the pool is idle and reselection is legal (the kernel parity
+/// suites switch backends run-to-run).
 void set_backend(KernelBackend b);
 
 /// RAII gate the execution engine opens around every pooled parallel
@@ -114,20 +115,6 @@ std::uint64_t xor_and2_popcount_words(const std::uint64_t* a, const std::uint64_
 /// popcount(a & b)
 std::uint64_t and_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
                                  std::size_t n);
-
-inline std::uint64_t popcount_words(std::span<const std::uint64_t> a) {
-  return popcount_words(a.data(), a.size());
-}
-
-// ---------------------------------------------------------------------
-// One-pair distances (the primitives BitVector::hamming / dtilde
-// forward to; kept here so every distance flows through one dispatch).
-// Sizes must match; unused tail bits are zero by class invariant.
-// ---------------------------------------------------------------------
-
-std::size_t dist(const BitVector& a, const BitVector& b);
-std::size_t dtilde(const TriVector& a, const TriVector& b);
-std::size_t dtilde(const TriVector& a, const BitVector& b);
 
 /// Ascending coordinates of the disagreement set (a.value ^ b.value) &
 /// a.known & b.known — where two TriVectors are both known and differ

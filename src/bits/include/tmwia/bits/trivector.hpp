@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 
 #include "tmwia/bits/bitvector.hpp"
 
@@ -37,12 +36,6 @@ class TriVector {
     t.known_ = BitVector(v.size(), true);
     return t;
   }
-
-  /// Parse from a string over {'0','1','?'}.
-  static TriVector from_string(const std::string& s);
-
-  /// Render as a string over {'0','1','?'}.
-  [[nodiscard]] std::string to_string() const;
 
   [[nodiscard]] std::size_t size() const { return value_.size(); }
 
@@ -78,9 +71,6 @@ class TriVector {
   /// transitively: a merged vector never *asserts* a value any of its
   /// merge-ancestors disagreed on.
   [[nodiscard]] TriVector merge(const TriVector& other) const;
-
-  /// Projection onto a coordinate subset.
-  [[nodiscard]] TriVector project(std::span<const std::uint32_t> coords) const;
 
   /// Materialize to a BitVector, filling ? coordinates with `fill`
   /// (the paper sets "don't care" entries to 0 at output time).

@@ -140,8 +140,8 @@ void set_backend(KernelBackend b) {
   if (d.busy.load(std::memory_order_acquire) != 0) {
     throw std::logic_error(
         "kernels::set_backend: engine threads are executing a parallel "
-        "phase; select the backend from serial setup code (Session::kernel, "
-        "--kernel=) before dispatching parallel work");
+        "phase; select the backend from serial setup code (--kernel=) before "
+        "dispatching parallel work");
   }
   d.requested.store(static_cast<std::uint8_t>(b), std::memory_order_relaxed);
   d.table.store(t, std::memory_order_release);
@@ -184,30 +184,6 @@ std::uint64_t xor_and2_popcount_words(const std::uint64_t* a, const std::uint64_
 std::uint64_t and_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
                                  std::size_t n) {
   return ops().and_popcnt(a, b, n);
-}
-
-std::size_t dist(const BitVector& a, const BitVector& b) {
-  check_pair(a, b, "kernels::dist");
-  return static_cast<std::size_t>(
-      ops().xor_popcnt(a.words().data(), b.words().data(), a.words().size()));
-}
-
-std::size_t dtilde(const TriVector& a, const TriVector& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("kernels::dtilde: size mismatch");
-  }
-  return static_cast<std::size_t>(ops().xor_and2_popcnt(
-      a.value_words().data(), b.value_words().data(), a.known_words().data(),
-      b.known_words().data(), a.value_words().size()));
-}
-
-std::size_t dtilde(const TriVector& a, const BitVector& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("kernels::dtilde: size mismatch");
-  }
-  return static_cast<std::size_t>(
-      ops().xor_and_popcnt(a.value_words().data(), b.words().data(),
-                           a.known_words().data(), a.value_words().size()));
 }
 
 void known_diff_positions(const TriVector& a, const TriVector& b,

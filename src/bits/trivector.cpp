@@ -7,43 +7,6 @@
 
 namespace tmwia::bits {
 
-TriVector TriVector::from_string(const std::string& s) {
-  TriVector t(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    switch (s[i]) {
-      case '0':
-        t.set(i, Tri::kZero);
-        break;
-      case '1':
-        t.set(i, Tri::kOne);
-        break;
-      case '?':
-        t.set(i, Tri::kUnknown);
-        break;
-      default:
-        throw std::invalid_argument("TriVector::from_string: expected '0', '1' or '?'");
-    }
-  }
-  return t;
-}
-
-std::string TriVector::to_string() const {
-  std::string s(size(), '?');
-  for (std::size_t i = 0; i < size(); ++i) {
-    switch (get(i)) {
-      case Tri::kZero:
-        s[i] = '0';
-        break;
-      case Tri::kOne:
-        s[i] = '1';
-        break;
-      case Tri::kUnknown:
-        break;
-    }
-  }
-  return s;
-}
-
 std::size_t TriVector::dtilde(const TriVector& other) const {
   if (size() != other.size()) {
     throw std::invalid_argument("TriVector::dtilde: size mismatch");
@@ -74,14 +37,6 @@ TriVector TriVector::merge(const TriVector& other) const {
   out.known_ = known_ & other.known_;
   out.known_ ^= differ & out.known_;            // drop both-known disagreements
   out.value_ = value_ & out.known_;
-  return out;
-}
-
-TriVector TriVector::project(std::span<const std::uint32_t> coords) const {
-  TriVector out(coords.size());
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    out.set(i, get(coords[i]));
-  }
   return out;
 }
 

@@ -37,7 +37,7 @@ class BitSpace {
 
   /// Batched leaf probe: fill the low objects.size() bits of `out` with
   /// p's probes of `objects`, in order. Equivalent to probe() per
-  /// object (same cost ledgers, noise stream and recorder events) but
+  /// object (same cost ledgers, reads and recorder events) but
   /// amortizes the oracle's per-call bookkeeping.
   void probe_row(PlayerId p, std::span<const std::uint32_t> objects, bits::BitVector& out) {
     oracle_->probe_block(p, objects, out);
@@ -109,7 +109,6 @@ class BitSpace {
     if (auto* inj = oracle_->fault_injector(); inj != nullptr) inj->note_orphan(p);
   }
 
-  [[nodiscard]] billboard::ProbeOracle& oracle() { return *oracle_; }
   /// The oracle's flight recorder (Zero Radius notes its adopt votes).
   [[nodiscard]] obs::FlightRecorder* recorder() const { return oracle_->recorder(); }
 

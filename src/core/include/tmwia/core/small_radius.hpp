@@ -23,10 +23,10 @@
 // leaf row of each part, and every player replays its row's probes
 // through the oracle, charged as its own Select, and adopts the
 // winner. Otherwise — a part above the leaf threshold, a flight
-// recorder, a fault injector or fresh noise — it runs one part at a
-// time, each player running its own Selects. Both schedules probe the
-// same (player, object) pairs and leave the same ledgers, posts,
-// metrics and outputs (DESIGN §13.6).
+// recorder or a fault injector — it runs one part at a time, each
+// player running its own Selects. Both schedules probe the same
+// (player, object) pairs and leave the same ledgers, posts, metrics
+// and outputs (DESIGN §13.6).
 #pragma once
 
 #include <cstdint>

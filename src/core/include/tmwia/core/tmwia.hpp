@@ -7,9 +7,9 @@
 //   auto report = session.alpha(0.25).seed(seed).run();
 //   // report.outputs[p] estimates player p's hidden preference row.
 //
-// Session wraps the oracle/billboard wiring; the pieces stay public
+// Session wraps the oracle wiring; the pieces stay public
 // (billboard::ProbeOracle, core::find_preferences_unknown_d, ...) for
-// callers that need manual control.
+// callers that need a board, faults, a recorder or a kernel backend.
 //
 // tmwia-lint: allow-file(matrix-read-in-strategy) umbrella header:
 // aggregates the whole public API, including the harness-side matrix.

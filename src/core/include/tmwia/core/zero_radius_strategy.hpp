@@ -85,46 +85,6 @@ class ZeroRadiusStrategy final : public billboard::PlayerStrategy {
   std::optional<std::size_t> probing_candidate_coord_;
 };
 
-/// A Byzantine wrapper for the distributed execution: runs the inner
-/// ZeroRadiusStrategy honestly (probes, awaits, adopts) but swaps every
-/// billboard post for the projection of a forged vector — the
-/// coordinated fake-candidate attack of bench e14, now at the protocol
-/// level. Honest peers defend themselves with Select's probing.
-class ForgingZeroRadiusStrategy final : public billboard::PlayerStrategy {
- public:
-  ForgingZeroRadiusStrategy(ZeroRadiusStrategy inner, bits::BitVector forged)
-      : inner_(std::move(inner)), forged_(std::move(forged)) {}
-
-  std::optional<billboard::ObjectId> next_probe(const billboard::RoundView& view) override {
-    return inner_.next_probe(view);
-  }
-  void on_result(billboard::ObjectId o, bool value) override { inner_.on_result(o, value); }
-  std::vector<billboard::PendingPost> posts() override {
-    auto out = inner_.posts();
-    for (auto& post : out) {
-      // Same channel, same length, forged content: the lie must still
-      // look like a vector over the node's object set to count as a
-      // vote there.
-      bits::BitVector lie(post.vec.size());
-      for (std::size_t j = 0; j < post.vec.size(); ++j) {
-        // Forge per position using the forged vector cyclically; the
-        // coalition posts identical vectors, which is all that matters
-        // for crossing the popularity threshold.
-        lie.set(j, forged_.get(j % forged_.size()));
-      }
-      post.vec = std::move(lie);
-    }
-    return out;
-  }
-  [[nodiscard]] bool done() const override { return inner_.done(); }
-
-  [[nodiscard]] bits::BitVector output() const { return inner_.output(); }
-
- private:
-  ZeroRadiusStrategy inner_;
-  bits::BitVector forged_;
-};
-
 /// Convenience driver: run the distributed Zero Radius for all players
 /// of the oracle under a RoundScheduler; returns per-player outputs and
 /// the schedule stats.

@@ -192,8 +192,8 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
   // finishes the groups in group order, so every ledger, post and
   // candidate equals the serial loop's. The groups stay serial, on the
   // oracle itself, when the order they run in is observable (a flight
-  // recorder, a fault injector or fresh noise) or when there are fewer
-  // groups than pool threads.
+  // recorder or a fault injector) or when there are fewer groups than
+  // pool threads.
   const bool board_records = board != nullptr && board->recorder() != nullptr;
   const std::size_t wave = L > 1 && oracle.forkable() && !board_records
                                ? engine::ThreadPool::global().thread_count()

@@ -20,7 +20,7 @@
 //
 // Determinism: backoff lengths depend only on (strike count, config),
 // bench windows on the shared round clock, and phases reuse one
-// scheduler via its monotone round clock (next_round), so a
+// scheduler and its monotone round clock, so a
 // supervised run replays byte-identically under the flight recorder.
 //
 // Thread safety: like the RoundScheduler it drives, a Supervisor is
@@ -90,12 +90,6 @@ class Supervisor {
 
   SupervisorResult run(std::vector<std::unique_ptr<billboard::PlayerStrategy>>& strategies,
                        const std::vector<PhaseSpec>& phases);
-
-  /// The underlying scheduler's vector-post surface.
-  [[nodiscard]] const billboard::Billboard& board() const { return scheduler_.board(); }
-
-  /// The shared monotone round clock (see RoundScheduler::next_round).
-  [[nodiscard]] std::size_t next_round() const { return scheduler_.next_round(); }
 
  private:
   billboard::ProbeOracle* oracle_;

@@ -3,19 +3,10 @@
 #include <csignal>
 #include <stdexcept>
 
+#include "tmwia/rng/rng.hpp"
+
 namespace tmwia::faults {
 namespace {
-
-std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  std::uint64_t z = a * 0x9e3779b97f4a7c15ull + b * 0xbf58476d1ce4e5b9ull + c + 1;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-bool bernoulli_hash(std::uint64_t h, double p) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53 < p;
-}
 
 void set_flag(std::vector<std::atomic<std::uint8_t>>& flags, PlayerId p) {
   flags[p].store(1, std::memory_order_relaxed);
@@ -57,7 +48,7 @@ FaultInjector::Attempt FaultInjector::on_probe_attempt(PlayerId p) {
   }
   if (is_down(p)) return Attempt::kCrashed;
   if (plan_.probe_fail_rate > 0.0 &&
-      bernoulli_hash(mix(plan_.seed ^ 0xFA17ull, p, attempt), plan_.probe_fail_rate)) {
+      rng::hash_bernoulli(rng::mix(plan_.seed ^ 0xFA17ull, p, attempt), plan_.probe_fail_rate)) {
     probe_failures_.fetch_add(1, std::memory_order_relaxed);
     return Attempt::kFail;
   }
@@ -96,7 +87,7 @@ void FaultInjector::begin_round(std::uint64_t round) {
 
 bool FaultInjector::post_lost(PlayerId p, std::uint64_t tag) const {
   return plan_.post_drop_rate > 0.0 &&
-         bernoulli_hash(mix(plan_.seed ^ 0xD209ull, p, tag), plan_.post_drop_rate);
+         rng::hash_bernoulli(rng::mix(plan_.seed ^ 0xD209ull, p, tag), plan_.post_drop_rate);
 }
 
 void FaultInjector::note_post_dropped() {
@@ -106,7 +97,9 @@ void FaultInjector::note_post_dropped() {
 std::uint64_t FaultInjector::delay_for_post(PlayerId p) {
   if (plan_.post_delay_rate <= 0.0 || plan_.post_delay_rounds == 0) return 0;
   const auto seq = post_seq_[p].fetch_add(1, std::memory_order_relaxed);
-  if (!bernoulli_hash(mix(plan_.seed ^ 0xDE1A1ull, p, seq), plan_.post_delay_rate)) return 0;
+  if (!rng::hash_bernoulli(rng::mix(plan_.seed ^ 0xDE1A1ull, p, seq), plan_.post_delay_rate)) {
+    return 0;
+  }
   posts_delayed_.fetch_add(1, std::memory_order_relaxed);
   return plan_.post_delay_rounds;
 }

@@ -4,19 +4,10 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "tmwia/rng/rng.hpp"
+
 namespace tmwia::faults {
 namespace {
-
-// The same stateless SplitMix64-style mixer ProbeOracle uses for noise
-// draws: deterministic in its inputs, independent across tags.
-std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  std::uint64_t z = a * 0x9e3779b97f4a7c15ull + b * 0xbf58476d1ce4e5b9ull + c + 1;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-double unit_interval(std::uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::invalid_argument("FaultPlan::parse: " + what);
@@ -99,9 +90,9 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
 
 CrashWindow FaultPlan::crash_window(PlayerId p) const {
   CrashWindow w;
-  if (crash_rate > 0.0 && unit_interval(mix(seed, 0xC2A5Full, p)) < crash_rate) {
+  if (crash_rate > 0.0 && rng::hash_bernoulli(rng::mix(seed, 0xC2A5Full, p), crash_rate)) {
     const std::uint64_t span = crash_round_hi - crash_round_lo + 1;
-    w.at = crash_round_lo + mix(seed, 0x20F7Dull, p) % span;
+    w.at = crash_round_lo + rng::mix(seed, 0x20F7Dull, p) % span;
     if (recover_after != kNever && w.at <= kNever - recover_after) {
       w.recover = w.at + recover_after;
     }

@@ -50,7 +50,6 @@ class FaultInjector {
   FaultInjector(FaultPlan plan, std::size_t n_players);
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-  [[nodiscard]] std::size_t players() const { return n_; }
 
   /// Outcome of one Probe attempt by `p` (advances p's attempt clock).
   enum class Attempt : std::uint8_t { kOk, kFail, kCrashed };

@@ -89,14 +89,6 @@ struct FaultPlan {
   /// kill/resume durability drills; deterministic, fires at most once.
   std::uint64_t kill_at_round = kNever;
 
-  /// Does this plan inject anything at all?
-  [[nodiscard]] bool any() const {
-    return crash_rate > 0.0 || !explicit_crashes.empty() || probe_fail_rate > 0.0 ||
-           post_drop_rate > 0.0 || post_delay_rate > 0.0 || kill_at_round != kNever;
-  }
-
-  static FaultPlan none() { return {}; }
-
   /// Parse the CLI grammar above. Throws std::invalid_argument on
   /// malformed clauses or out-of-range rates.
   static FaultPlan parse(std::string_view spec);

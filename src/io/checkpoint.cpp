@@ -235,13 +235,6 @@ const std::string& Checkpoint::require(const std::string& name) const {
   return it->second;
 }
 
-std::vector<std::string> Checkpoint::names() const {
-  std::vector<std::string> out;
-  out.reserve(sections_.size());
-  for (const auto& [name, bytes] : sections_) out.push_back(name);
-  return out;
-}
-
 std::string Checkpoint::encode() const {
   std::string body(kMagic, sizeof(kMagic));
   {

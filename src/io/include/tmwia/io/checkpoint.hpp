@@ -132,8 +132,6 @@ class Checkpoint {
   bool has(const std::string& name) const;
   // Throws CheckpointError naming the section when absent.
   const std::string& require(const std::string& name) const;
-  // Section names in sorted order (the on-disk order).
-  std::vector<std::string> names() const;
 
   // Serialize to the container format (io::atomic_write_file puts it
   // on disk).

@@ -35,9 +35,6 @@ class Table {
   /// Write as CSV (header row then data rows); no title line.
   void write_csv(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t rows() const { return rows_.size(); }
-  [[nodiscard]] const std::string& title() const { return title_; }
-
  private:
   [[nodiscard]] std::string format_cell(const Cell& c, std::size_t col) const;
 

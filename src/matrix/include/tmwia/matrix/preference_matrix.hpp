@@ -32,7 +32,6 @@ class PreferenceMatrix {
 
   [[nodiscard]] const bits::BitVector& row(PlayerId p) const { return rows_[p]; }
   [[nodiscard]] bits::BitVector& row(PlayerId p) { return rows_[p]; }
-  [[nodiscard]] std::span<const bits::BitVector> rows() const { return rows_; }
 
   /// Hamming diameter of the players in `ids` (audit; O(|ids|^2)).
   [[nodiscard]] std::size_t subset_diameter(std::span<const PlayerId> ids) const;

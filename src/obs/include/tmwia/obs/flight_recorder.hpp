@@ -230,7 +230,7 @@ class FlightRecorder {
 };
 
 /// A flight-log file and the recorder writing it. Every harness that
-/// records (Session, tmwia_cli, the bench harness, serve tenants) goes
+/// records (tmwia_cli, the bench harness, serve tenants) goes
 /// through this one owner: it opens `path`, owns the stream and the
 /// recorder, and flushes when destroyed. The owner attaches recorder()
 /// to the oracle and billboard of each run it records; the sink must

@@ -20,9 +20,7 @@ class WallTimer {
  public:
   WallTimer() : start_(std::chrono::steady_clock::now()) {}
 
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-
-  /// Microseconds since construction / the last reset().
+  /// Microseconds since construction.
   [[nodiscard]] std::uint64_t elapsed_us() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(

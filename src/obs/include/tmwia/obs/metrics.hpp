@@ -156,6 +156,7 @@ class MetricsRegistry {
   static MetricsRegistry& global();
 
   /// Shards attached so far: one per thread that ever wrote a metric.
+  // tmwia-lint: allow(no-product-caller) one shard per writing thread bounds shard memory; ShardSet.AlternatingInstancesKeepOneShardEach checks that bound only through this
   [[nodiscard]] std::size_t shard_count() const { return shards_.shard_count(); }
 
  private:

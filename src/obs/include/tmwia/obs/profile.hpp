@@ -85,8 +85,6 @@ struct ProfileNode {
   [[nodiscard]] std::uint64_t cost(Cost c) const {
     return costs[static_cast<std::size_t>(c)];
   }
-  /// Self cost plus all descendants'.
-  [[nodiscard]] std::uint64_t total(Cost c) const;
 };
 
 /// Point-in-time merged attribution tree.
@@ -158,6 +156,7 @@ class Profiler {
   static Current swap_current(Current next);
 
   /// Shards attached so far: one per thread that ever deposited.
+  // tmwia-lint: allow(no-product-caller) one shard per writing thread bounds shard memory; ShardSet.AlternatingInstancesKeepOneShardEach checks that bound only through this
   [[nodiscard]] std::size_t shard_count() const { return shards_.shard_count(); }
 
  private:
@@ -216,14 +215,6 @@ class ProfileZone {
 
   ProfileZone(const ProfileZone&) = delete;
   ProfileZone& operator=(const ProfileZone&) = delete;
-
-  /// Deposit on this zone explicitly (normally profile_cost suffices).
-  void add(Cost c, std::uint64_t v) const {
-    if (prof_ != nullptr) prof_->add(zone_, c, v);
-  }
-
-  /// The zone's id in its profiler (kRoot for a no-op zone).
-  [[nodiscard]] Profiler::ZoneId id() const { return zone_; }
 
  private:
   void enter();

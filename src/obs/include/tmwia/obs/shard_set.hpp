@@ -52,6 +52,7 @@ class ShardSet {
   void reset() TMWIA_EXCLUDES(mu_);
 
   /// Shards attached so far: one per thread that ever wrote.
+  // tmwia-lint: allow(no-product-caller) one shard per writing thread bounds shard memory; ShardSet.AlternatingInstancesKeepOneShardEach checks that bound only through this
   [[nodiscard]] std::size_t shard_count() const TMWIA_EXCLUDES(mu_);
 
  private:

@@ -102,8 +102,6 @@ class SloWatchdog {
   SloWatchdog(const SloWatchdog&) = delete;
   SloWatchdog& operator=(const SloWatchdog&) = delete;
 
-  [[nodiscard]] const SloSpec& spec() const { return spec_; }
-
   /// Record one served request (any request thread).
   void observe_request(std::uint64_t latency_us, std::uint64_t staleness_epochs,
                        bool degraded) TMWIA_EXCLUDES(mu_);

@@ -79,12 +79,6 @@ std::string_view cost_name(Cost c) {
 // ---------------------------------------------------------------------------
 // ProfileNode / ProfileReport
 
-std::uint64_t ProfileNode::total(Cost c) const {
-  std::uint64_t sum = cost(c);
-  for (const auto& child : children) sum += child.total(c);
-  return sum;
-}
-
 std::string ProfileReport::to_json(bool include_wall) const {
   std::string out;
   append_node_json(out, root, include_wall);

@@ -21,8 +21,6 @@ namespace tmwia::rng {
 /// items of part i in ascending order.
 struct Partition {
   std::vector<std::vector<std::uint32_t>> parts;
-
-  [[nodiscard]] std::size_t count() const { return parts.size(); }
 };
 
 /// i.i.d.-uniform s-way partition of the items in `ids` (Lemma 4.1).

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 
 namespace tmwia::rng {
 
@@ -28,21 +27,31 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// Stateless SplitMix64-style hash of three words: deterministic in its
+/// inputs and independent across distinct triples. Keyed draws that
+/// must not depend on call order use it: sticky probe noise hashes
+/// (seed, p, o), the fault plan (seed ^ tag, p, attempt).
+constexpr std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  std::uint64_t z = a * 0x9e3779b97f4a7c15ull + b * 0xbf58476d1ce4e5b9ull + c + 1;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Bernoulli(p) drawn from a hash: its top 53 bits as a double in
+/// [0, 1), below p. p <= 0 never fires; p >= 1 always does.
+constexpr bool hash_bernoulli(std::uint64_t h, double p) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53 < p;
+}
+
 /// xoshiro256** engine with splittable sub-stream derivation.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   /// Seed deterministically from a single 64-bit value.
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bull) {
     std::uint64_t sm = seed;
     for (auto& s : state_) s = splitmix64(sm);
   }
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
-
-  result_type operator()() { return next(); }
 
   std::uint64_t next() {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;

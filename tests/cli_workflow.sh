@@ -434,6 +434,31 @@ for algo in zero small large anytime mimic solo; do
   test ! -e "$DIR/nope.tmw"
   test ! -e "$DIR/nope_out.txt"
 done
+# --report on a baseline, which returns no RunReport, is refused the
+# same way: before a sink opens its file (no flight log, no report) or
+# the algo runs (no estimates).
+for algo in solo knn svd; do
+  rm -f "$DIR/nope.json" "$DIR/nope.jsonl" "$DIR/nope_out.txt"
+  expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo="$algo" --seed=11 \
+         --report="$DIR/nope.json" --record="$DIR/nope.jsonl" --out="$DIR/nope_out.txt"
+  "$CLI" run --in="$DIR/w2.tmw" --algo="$algo" --report="$DIR/nope.json" --out=/dev/null \
+         >/dev/null 2>"$DIR/nope.err" || true
+  grep -q -- "--algo=$algo" "$DIR/nope.err"
+  test ! -e "$DIR/nope.json"
+  test ! -e "$DIR/nope.jsonl"
+  test ! -e "$DIR/nope_out.txt"
+done
+# So is an unknown algo: no sink opens its file and nothing runs.
+rm -f "$DIR/nope.json" "$DIR/nope.jsonl" "$DIR/nope_metrics.json" "$DIR/nope_prof.json" \
+      "$DIR/nope_out.txt"
+expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo=bogus --seed=11 --report="$DIR/nope.json" \
+       --record="$DIR/nope.jsonl" --metrics="$DIR/nope_metrics.json" \
+       --prof="$DIR/nope_prof.json" --out="$DIR/nope_out.txt"
+"$CLI" run --in="$DIR/w2.tmw" --algo=bogus --out=/dev/null >/dev/null 2>"$DIR/nope.err" || true
+grep -q -- "unknown --algo=bogus" "$DIR/nope.err"
+for f in nope.json nope.jsonl nope_metrics.json nope_prof.json nope_out.txt; do
+  test ! -e "$DIR/$f"
+done
 # --profile names one of the two parameter sets; anything else is a
 # usage error, not a silent practical run.
 expect_exit 2 "$CLI" run --in="$DIR/w2.tmw" --algo=zero --profile=bogus --out=/dev/null

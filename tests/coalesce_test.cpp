@@ -15,6 +15,7 @@
 #include "tmwia/core/coalesce.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/rng/rng.hpp"
+#include "trivector_text.hpp"
 
 namespace tmwia::core {
 namespace {
@@ -76,7 +77,7 @@ TEST(Coalesce, NearClustersMergeWithQuestionMarks) {
 
   const auto res = coalesce(vs, 1, 4);
   ASSERT_EQ(res.candidates.size(), 1u);
-  EXPECT_EQ(res.candidates[0].to_string(), "000000??");
+  EXPECT_EQ(bits::tri_to_string(res.candidates[0]), "000000??");
   EXPECT_EQ(res.pre_merge_count, 2u);
 }
 
@@ -184,7 +185,7 @@ TEST(Coalesce, RepresentativeNeverAssertsAncestorDisagreement) {
   const auto res = coalesce(vs, 1, 3);
   ASSERT_EQ(res.candidates.size(), 1u);
   const auto& rep = res.candidates[0];
-  EXPECT_EQ(rep.to_string(), "00????");
+  EXPECT_EQ(bits::tri_to_string(rep), "00????");
   for (const auto& v : vs) {
     EXPECT_EQ(rep.dtilde(v), 0u);
   }

@@ -22,6 +22,7 @@
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
+#include "audit_json.hpp"
 
 namespace {
 
@@ -451,7 +452,7 @@ TEST(FlightRecorder, SchedulerLogReplaysThroughAuditor) {
   }
   auditor.verify_totals(events.back().b, events.back().a);
   const auto audit = auditor.report();
-  EXPECT_TRUE(audit.clean()) << audit.to_json();
+  EXPECT_TRUE(audit.clean()) << audit_json(audit);
   EXPECT_GT(audit.rounds_audited, 0u);
   // Every player eventually posted its full sweep: the billboard state
   // reconstructed from the log matches the run's final posted sets.

@@ -76,7 +76,7 @@ TEST(GoodObject, PlayerWhoLikesNothingExhaustsAndStops) {
   for (PlayerId p = 1; p < 4; ++p) EXPECT_TRUE(res.found[p].has_value());
   EXPECT_EQ(res.unsatisfied, 0u);  // exhausted players are resolved, not stuck
   // Player 0 probed every object exactly once in exploration.
-  EXPECT_GE(oracle.charged(0), 16u);
+  EXPECT_GE(oracle.export_ledger().charged[0], 16u);
 }
 
 TEST(GoodObject, RespectsRoundCap) {

@@ -31,7 +31,6 @@ TEST(Table, PrintsAlignedRows) {
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("0.33"), std::string::npos);
   EXPECT_NE(s.find("12.50"), std::string::npos);
-  EXPECT_EQ(t.rows(), 2u);
 }
 
 TEST(Table, CsvFormat) {

@@ -14,6 +14,7 @@
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/metrics.hpp"
+#include "audit_json.hpp"
 
 namespace tmwia::core {
 namespace {
@@ -228,7 +229,7 @@ TEST(ConcurrentGroups, AuditedRunIsClean) {
   const auto audited = run_groups(inst, false, &auditor);
   auditor.verify_invocations(audited.ledger.invocations);
   const auto report = auditor.report();
-  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_TRUE(report.clean()) << audit_json(report);
   EXPECT_EQ(report.probes_audited,
             std::accumulate(audited.ledger.invocations.begin(),
                             audited.ledger.invocations.end(), std::uint64_t{0}));

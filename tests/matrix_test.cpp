@@ -168,7 +168,7 @@ TEST(Generators, DeterministicGivenSeed) {
   rng::Rng r1(99), r2(99);
   const auto a = planted_community(64, 64, {0.5, 2}, r1);
   const auto b = planted_community(64, 64, {0.5, 2}, r2);
-  EXPECT_EQ(a.matrix.rows().size(), b.matrix.rows().size());
+  EXPECT_EQ(a.matrix.players(), b.matrix.players());
   for (PlayerId p = 0; p < 64; ++p) {
     EXPECT_EQ(a.matrix.row(p), b.matrix.row(p));
   }

@@ -1,9 +1,7 @@
-// Tests for the probe-noise models and the algorithms' behaviour under
-// them. Sticky noise effectively perturbs each player's vector (an
+// Tests for the sticky probe-noise model and the algorithms' behaviour
+// under it. Sticky noise effectively perturbs each player's vector (an
 // (alpha, D) community becomes an (alpha, D + ~2*eps*m) community), so
-// the distance-bounded machinery absorbs it; fresh noise additionally
-// makes re-probes inconsistent, which Select's local memoization must
-// tolerate without crashing.
+// the distance-bounded machinery absorbs it.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -22,7 +20,7 @@ matrix::PreferenceMatrix zeros(std::size_t n, std::size_t m) {
 
 TEST(Noise, NoneIsExact) {
   const auto mat = zeros(4, 64);
-  ProbeOracle o(mat, NoiseModel::none());
+  ProbeOracle o(mat);
   for (ObjectId j = 0; j < 64; ++j) EXPECT_FALSE(o.probe(0, j));
 }
 
@@ -57,42 +55,26 @@ TEST(Noise, StickyDiffersAcrossPlayers) {
   EXPECT_NEAR(static_cast<double>(differ) / 2048.0, 0.32, 0.05);
 }
 
-TEST(Noise, FreshCanDisagreeAcrossReprobes) {
-  const auto mat = zeros(1, 2048);
-  ProbeOracle o(mat, NoiseModel::fresh(0.25, 11));
-  std::size_t disagreements = 0;
-  for (ObjectId j = 0; j < 2048; ++j) {
-    const bool a = o.probe(0, j);
-    const bool b = o.probe(0, j);
-    if (a != b) ++disagreements;
-  }
-  EXPECT_GT(disagreements, 400u);  // ~2*eps*(1-eps)*2048 ~ 768
-  EXPECT_LT(disagreements, 1100u);
-}
-
 TEST(Noise, ProbedValueReflectsLatestPost) {
   const auto mat = zeros(1, 64);
-  ProbeOracle o(mat, NoiseModel::fresh(0.5, 13));
-  for (int trial = 0; trial < 64; ++trial) {
-    const bool read = o.probe(0, 5);
-    EXPECT_EQ(o.probed_value(0, 5), read);
+  ProbeOracle o(mat, NoiseModel::sticky(0.5, 13));
+  for (ObjectId j = 0; j < 64; ++j) {
+    const bool read = o.probe(0, j);
+    EXPECT_EQ(o.probed_value(0, j), read);
   }
 }
 
 TEST(Noise, ZeroEpsilonIsEquivalentToNone) {
-  // eps = 0 must be bit-for-bit kNone under every kind, not merely
-  // "unlikely to flip": bernoulli_hash draws in [0, 1), so a threshold
-  // of 0 can never fire.
+  // eps = 0 must be bit-for-bit the noiseless oracle, not merely
+  // "unlikely to flip".
   rng::Rng gen(41);
   const auto inst = matrix::uniform_random(4, 256, gen);
-  ProbeOracle plain(inst.matrix, NoiseModel::none());
+  ProbeOracle plain(inst.matrix);
   ProbeOracle sticky(inst.matrix, NoiseModel::sticky(0.0, 99));
-  ProbeOracle fresh(inst.matrix, NoiseModel::fresh(0.0, 99));
   for (matrix::PlayerId p = 0; p < 4; ++p) {
     for (ObjectId j = 0; j < 256; ++j) {
       const bool truth = plain.probe(p, j);
       EXPECT_EQ(sticky.probe(p, j), truth);
-      EXPECT_EQ(fresh.probe(p, j), truth);
     }
   }
 }
@@ -110,27 +92,6 @@ TEST(Noise, FullEpsilonStickyIsDeterministicComplement) {
       EXPECT_EQ(o.probe(p, j), read);
     }
   }
-}
-
-TEST(Noise, FreshReprobeCanContradictThePostedValue) {
-  // Under fresh noise the billboard carries the *latest* read: a
-  // re-probe may disagree with what was posted before, and when it does
-  // the posted value must follow the new read.
-  const auto mat = zeros(1, 4096);
-  ProbeOracle o(mat, NoiseModel::fresh(0.3, 17));
-  std::size_t contradictions = 0;
-  for (ObjectId j = 0; j < 4096; ++j) {
-    const bool posted_before = o.probe(0, j);
-    ASSERT_EQ(o.probed_value(0, j), posted_before);
-    const bool reread = o.probe(0, j);
-    if (reread != posted_before) {
-      ++contradictions;
-      EXPECT_EQ(o.probed_value(0, j), reread);
-    }
-  }
-  // ~2*eps*(1-eps) = 42% of re-probes contradict the posted value.
-  EXPECT_GT(contradictions, 1400u);
-  EXPECT_LT(contradictions, 2100u);
 }
 
 TEST(Noise, ZeroRadiusDegradesGracefullyUnderStickyNoise) {

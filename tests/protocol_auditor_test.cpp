@@ -17,6 +17,8 @@
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/rng/rng.hpp"
+#include "audit_json.hpp"
+#include "solo_strategy.hpp"
 
 namespace {
 
@@ -165,7 +167,7 @@ TEST(ProtocolAuditor, ReportJsonIsStructured) {
   auditor.begin_round(0);
   auditor.on_post(1, 1);
   auditor.end_round();
-  const auto json = auditor.report().to_json();
+  const auto json = audit_json(auditor.report());
   EXPECT_NE(json.find("\"clean\":false"), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"phantom_post\""), std::string::npos);
   EXPECT_NE(json.find("\"violations\":["), std::string::npos);
@@ -209,8 +211,8 @@ TEST(ProtocolAuditor, BlockHookMatchesPerProbeHooks) {
   EXPECT_TRUE(probe_all(by_block, true) == probe_all(by_probe, false));
   block_auditor.verify_invocations(by_block.snapshot());
   probe_auditor.verify_invocations(by_probe.snapshot());
-  EXPECT_TRUE(block_auditor.report().clean()) << block_auditor.report().to_json();
-  EXPECT_EQ(block_auditor.report().to_json(), probe_auditor.report().to_json());
+  EXPECT_TRUE(block_auditor.report().clean()) << audit_json(block_auditor.report());
+  EXPECT_EQ(audit_json(block_auditor.report()), audit_json(probe_auditor.report()));
   EXPECT_EQ(block_auditor.report().probes_audited, by_block.total_invocations());
 
   const std::vector<matrix::ObjectId> three = {9, 10, 11};
@@ -224,11 +226,11 @@ TEST(ProtocolAuditor, BlockHookMatchesPerProbeHooks) {
   block_auditor.verify_invocations(by_block.snapshot());
   probe_auditor.verify_invocations(by_probe.snapshot());
   const auto report = block_auditor.report();
-  EXPECT_EQ(count_kind(report, AuditViolation::Kind::kDoubleProbe), 2u) << report.to_json();
+  EXPECT_EQ(count_kind(report, AuditViolation::Kind::kDoubleProbe), 2u) << audit_json(report);
   ASSERT_EQ(report.violations.size(), 2u);
   EXPECT_EQ(report.violations[0].object, 10u);
   EXPECT_EQ(report.violations[1].object, 11u);
-  EXPECT_EQ(report.to_json(), probe_auditor.report().to_json());
+  EXPECT_EQ(audit_json(report), audit_json(probe_auditor.report()));
   EXPECT_EQ(report.probes_audited, by_block.total_invocations());
 }
 
@@ -243,7 +245,7 @@ void expect_clean_audit(billboard::ProbeOracle& oracle, Body body) {
   body();
   auditor.verify_invocations(oracle.snapshot());
   const auto report = auditor.report();
-  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_TRUE(report.clean()) << audit_json(report);
   oracle.set_auditor(nullptr);
 }
 
@@ -283,7 +285,7 @@ TEST(ProtocolAuditor, ZeroRadiusAuditsCleanWithReportTotals) {
   auditor.verify_invocations(oracle.snapshot());
   auditor.verify_totals(oracle.total_invocations(), oracle.max_invocations());
   const auto report = auditor.report();
-  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_TRUE(report.clean()) << audit_json(report);
   // No faults: every attempt succeeds, the leaves' blocks included.
   EXPECT_EQ(report.probes_audited, oracle.total_invocations());
   EXPECT_GT(report.probes_audited, 0u);
@@ -305,7 +307,7 @@ TEST(ProtocolAuditor, FindPreferencesTowerAuditsClean) {
     auditor.verify_invocations(oracle.snapshot());
     auditor.verify_totals(report.total_probes, report.rounds);
     const auto audit = auditor.report();
-    EXPECT_TRUE(audit.clean()) << "D=" << D << ": " << audit.to_json();
+    EXPECT_TRUE(audit.clean()) << "D=" << D << ": " << audit_json(audit);
   }
 }
 
@@ -321,7 +323,7 @@ TEST(ProtocolAuditor, UnknownDAuditsClean) {
   auditor.verify_invocations(oracle.snapshot());
   auditor.verify_totals(report.total_probes, report.rounds);
   const auto audit = auditor.report();
-  EXPECT_TRUE(audit.clean()) << audit.to_json();
+  EXPECT_TRUE(audit.clean()) << audit_json(audit);
 }
 
 TEST(ProtocolAuditor, FindPreferencesWithFaultPlanAuditsClean) {
@@ -344,7 +346,7 @@ TEST(ProtocolAuditor, FindPreferencesWithFaultPlanAuditsClean) {
   auditor.verify_invocations(oracle.snapshot());
   auditor.verify_totals(report.total_probes, report.rounds);
   const auto audit = auditor.report();
-  EXPECT_TRUE(audit.clean()) << audit.to_json();
+  EXPECT_TRUE(audit.clean()) << audit_json(audit);
   EXPECT_GT(report.outputs.size(), 0u);
 }
 
@@ -368,7 +370,7 @@ TEST(ProtocolAuditor, ScheduledRunAuditsClean) {
   const auto res = sched.run(strategies, 64);
   auditor.verify_invocations(oracle.snapshot());
   const auto report = auditor.report();
-  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_TRUE(report.clean()) << audit_json(report);
   EXPECT_GT(report.rounds_audited, 0u);
   EXPECT_GT(report.posts_audited, 0u);
   EXPECT_TRUE(res.all_done);
@@ -393,7 +395,7 @@ TEST(ProtocolAuditor, ScheduledRunWithFaultsAuditsClean) {
   (void)sched.run(strategies, 128);
   auditor.verify_invocations(oracle.snapshot());
   const auto report = auditor.report();
-  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_TRUE(report.clean()) << audit_json(report);
 }
 
 }  // namespace

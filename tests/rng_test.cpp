@@ -87,12 +87,39 @@ TEST(Rng, BernoulliMatchesProbability) {
   EXPECT_NEAR(hits / 40000.0, 0.3, 0.015);
 }
 
+// ------------------------------------------------------------- keyed hash
+
+// rng::mix and hash_bernoulli key sticky probe noise and every fault
+// draw, so checkpoints, flight logs and fault reports depend on their
+// exact bits: these values were printed by the per-file mixers they
+// replaced (ProbeOracle's noise hash, fault_plan.cpp, fault_injector.cpp).
+TEST(Rng, MixAndHashBernoulliMatchThePinnedValues) {
+  struct Case {
+    std::uint64_t a, b, c, want;
+  };
+  const Case cases[] = {
+      {0x0ull, 0x0ull, 0x0ull, 0x5692161d100b05e5ull},
+      {0x1ull, 0x2ull, 0x3ull, 0x57ef7245dbc0eebeull},
+      {0xfa17ull, 0x7ull, 0x12d687ull, 0xe9abd9ee44be435eull},
+      {0xdeadbeefcafef00dull, 0xffffffffull, 0x2aull, 0xccce13248fa05935ull},
+      {~0ull, ~0ull, ~0ull, 0xc95d07cb2bd44fdaull},
+  };
+  for (const auto& c : cases) EXPECT_EQ(mix(c.a, c.b, c.c), c.want) << c.a << " " << c.b;
+  static_assert(mix(1, 2, 3) == 0x57ef7245dbc0eebeull);
+
+  unsigned hits = 0;
+  for (std::uint64_t o = 0; o < 1000; ++o) hits += hash_bernoulli(mix(99, 3, o), 0.3) ? 1 : 0;
+  EXPECT_EQ(hits, 298u);
+  EXPECT_FALSE(hash_bernoulli(mix(1, 2, 3), 0.0));
+  EXPECT_TRUE(hash_bernoulli(mix(1, 2, 3), 1.0));
+}
+
 // ----------------------------------------------------------------- partitions
 
 TEST(Partition, RandomPartitionCoversExactly) {
   Rng r(29);
   const auto p = random_partition(100, 7, r);
-  EXPECT_EQ(p.count(), 7u);
+  EXPECT_EQ(p.parts.size(), 7u);
   std::set<std::uint32_t> seen;
   std::size_t total = 0;
   for (const auto& part : p.parts) {

@@ -9,6 +9,7 @@
 #include "tmwia/billboard/round_scheduler.hpp"
 #include "tmwia/billboard/strategies.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "solo_strategy.hpp"
 
 namespace tmwia::billboard {
 namespace {

@@ -12,12 +12,14 @@
 #include "tmwia/core/select.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/rng/rng.hpp"
+#include "trivector_text.hpp"
 
 namespace tmwia::core {
 namespace {
 
 using bits::BitVector;
 using bits::TriVector;
+using bits::tri_from_string;
 
 // Returns the closure itself (not a ProbeFn): ProbeFn is a non-owning
 // view, so the callable must outlive the select call it is passed to.
@@ -97,7 +99,7 @@ TEST(Select, RaggedCandidatesThrow) {
 
 TEST(Select, UnknownEntriesNeverDistinguish) {
   const auto truth = BitVector::from_string("0000");
-  std::vector<TriVector> cands{TriVector::from_string("0?00"), TriVector::from_string("0?00")};
+  std::vector<TriVector> cands{tri_from_string("0?00"), tri_from_string("0?00")};
   std::size_t probes = 0;
   const auto res = select_closest(cands, 1, probe_of(truth, &probes));
   EXPECT_EQ(probes, 0u);
@@ -107,8 +109,8 @@ TEST(Select, UnknownEntriesNeverDistinguish) {
 TEST(Select, DtildeSemanticsWithUnknowns) {
   const auto truth = BitVector::from_string("0011");
   std::vector<TriVector> cands{
-      TriVector::from_string("??11"),  // dtilde to truth: 0
-      TriVector::from_string("0000"),  // dtilde to truth: 2
+      tri_from_string("??11"),  // dtilde to truth: 0
+      tri_from_string("0000"),  // dtilde to truth: 2
   };
   const auto res = select_closest(cands, 2, probe_of(truth));
   EXPECT_EQ(res.index, 0u);

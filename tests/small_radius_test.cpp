@@ -18,6 +18,7 @@
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/obs/flight_recorder.hpp"
 #include "tmwia/obs/metrics.hpp"
+#include "audit_json.hpp"
 
 namespace tmwia::core {
 namespace {
@@ -209,7 +210,7 @@ matrix::Instance schedule_instance(const ScheduleCase& c) {
 /// observable and so keeps every iteration on the per-part schedule:
 /// the reference for the passes.
 SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
-             billboard::NoiseModel noise = billboard::NoiseModel::none(),
+             billboard::NoiseModel noise = {},
              billboard::ProtocolAuditor* auditor = nullptr) {
   auto& reg = obs::MetricsRegistry::global();
   reg.reset();
@@ -329,19 +330,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SmallRadiusScheduleChoices,
                                            ScheduleCase{256, 256, 0.2, 4},
                                            ScheduleCase{256, 1024, 0.2, 3}));
 
-// Under fresh noise a read depends on the player's invocation index, so
-// a batched run would read different noise: the unrecorded run keeps
-// the per-part schedule and equals the recorded one.
-TEST(SmallRadiusSchedule, FreshNoiseKeepsThePerPartRun) {
-  ASSERT_TRUE(kPoolSized);
-  const ScheduleCase c{256, 256, 0.25, 8};
-  const auto inst = schedule_instance(c);
-  const auto fresh = billboard::NoiseModel::fresh(0.05, 9);
-  const auto run = run_sr(inst, c, false, fresh);
-  EXPECT_FALSE(run.order_free);
-  expect_same_run(run, run_sr(inst, c, true, fresh));
-}
-
 // An attached auditor does not pin the order: the run takes the passes,
 // its audit is clean and its A4 ledger matches the oracle's. Without
 // faults every attempt succeeds, so the audited successes are the
@@ -351,11 +339,11 @@ TEST(SmallRadiusSchedule, AuditedRunTakesThePassesAndIsClean) {
   const ScheduleCase c{256, 256, 0.25, 8};
   const auto inst = schedule_instance(c);
   billboard::ProtocolAuditor auditor(c.n, c.m);
-  const auto audited = run_sr(inst, c, false, billboard::NoiseModel::none(), &auditor);
+  const auto audited = run_sr(inst, c, false, {}, &auditor);
   EXPECT_TRUE(audited.order_free);
   auditor.verify_invocations(audited.ledger.invocations);
   const auto report = auditor.report();
-  EXPECT_TRUE(report.clean()) << report.to_json();
+  EXPECT_TRUE(report.clean()) << audit_json(report);
   EXPECT_EQ(report.probes_audited,
             std::accumulate(audited.ledger.invocations.begin(),
                             audited.ledger.invocations.end(), std::uint64_t{0}));

@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "tmwia/billboard/probe_oracle.hpp"
-#include "tmwia/billboard/strategies.hpp"
 #include "tmwia/engine/supervisor.hpp"
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/faults/fault_plan.hpp"
 #include "tmwia/matrix/generators.hpp"
+#include "tmwia/obs/flight_recorder.hpp"
+#include "solo_strategy.hpp"
 
 namespace tmwia {
 namespace {
@@ -22,6 +26,16 @@ using billboard::RoundView;
 matrix::Instance small_instance(std::size_t n, std::uint64_t seed) {
   rng::Rng gen(seed);
   return matrix::planted_community(n, n, {0.5, 0}, gen);
+}
+
+/// The round numbers of a flight log's round_begin records, in order.
+std::vector<std::uint64_t> logged_rounds(const std::string& log) {
+  const std::string key = "\"ev\":\"round_begin\",\"round\":";
+  std::vector<std::uint64_t> rounds;
+  for (auto at = log.find(key); at != std::string::npos; at = log.find(key, at + 1)) {
+    rounds.push_back(std::stoull(log.substr(at + key.size())));
+  }
+  return rounds;
 }
 
 /// Throws on its first `failures` probe decisions, then behaves like a
@@ -111,20 +125,30 @@ TEST(Supervisor, TinyBudgetRecordsUnmetPhase) {
   const auto inst = small_instance(8, 4);
   billboard::ProbeOracle oracle(inst.matrix);
   auto strategies = solo_strategies(8);
-  engine::Supervisor sup(oracle);
-  // Solo needs 8 rounds; phase 0's budget of 3 cannot make it. Phase 1
-  // finishes the job.
-  const auto res = sup.run(strategies, {{"phase:0", 3}, {"phase:1", 32}});
+  std::ostringstream log;
+  engine::SupervisorResult res;
+  {
+    obs::FlightRecorder recorder(log);
+    oracle.set_recorder(&recorder);
+    engine::Supervisor sup(oracle);
+    // Solo needs 8 rounds; phase 0's budget of 3 cannot make it. Phase 1
+    // finishes the job.
+    res = sup.run(strategies, {{"phase:0", 3}, {"phase:1", 32}});
+    oracle.set_recorder(nullptr);
+  }
   EXPECT_TRUE(res.degraded());
   ASSERT_EQ(res.unmet_phases.size(), 1u);
   EXPECT_EQ(res.unmet_phases[0], "phase:0");
   ASSERT_EQ(res.phases.size(), 2u);
   EXPECT_FALSE(res.phases[0].met_deadline);
   EXPECT_TRUE(res.phases[1].met_deadline);
-  // Monotone round clock across phases (the final all-done detection
-  // round is touched but not counted, hence GE).
   EXPECT_EQ(res.phases[1].cum_rounds, res.phases[0].result.rounds + res.phases[1].result.rounds);
-  EXPECT_GE(sup.next_round(), res.phases[1].cum_rounds);
+  // Monotone round clock across phases: phase 1 numbers its rounds on
+  // from phase 0's 0, 1, 2 (and the all-done probe round, touched but
+  // not counted), so a phase that restarted its clock at 0 fails here.
+  const auto rounds = logged_rounds(log.str());
+  ASSERT_GE(rounds.size(), res.phases[1].cum_rounds);
+  for (std::size_t i = 0; i < rounds.size(); ++i) EXPECT_EQ(rounds[i], i);
   EXPECT_TRUE(res.quarantined.empty());
 }
 
@@ -177,18 +201,24 @@ TEST(Supervisor, BackoffDelaysInnerCalls) {
 TEST(SchedulerResume, RoundClockIsMonotoneAcrossRuns) {
   const auto inst = small_instance(4, 8);
   billboard::ProbeOracle oracle(inst.matrix);
-  billboard::RoundScheduler sched(oracle);
-  auto strategies = solo_strategies(4);
-  EXPECT_EQ(sched.next_round(), 0u);
-  const auto r1 = sched.run(strategies, 2);
-  EXPECT_EQ(r1.rounds, 2u);
-  EXPECT_EQ(sched.next_round(), 2u);
-  const auto r2 = sched.run(strategies, 16);
-  EXPECT_EQ(r2.rounds, 2u);  // 4 solo rounds total, 2 remained
-  EXPECT_TRUE(r2.all_done);
-  // The all-done probe round is touched (auditor brackets ran), so the
-  // clock moves past it.
-  EXPECT_GE(sched.next_round(), 4u);
+  std::ostringstream log;
+  {
+    obs::FlightRecorder recorder(log);
+    oracle.set_recorder(&recorder);
+    billboard::RoundScheduler sched(oracle);
+    auto strategies = solo_strategies(4);
+    const auto r1 = sched.run(strategies, 2);
+    EXPECT_EQ(r1.rounds, 2u);
+    const auto r2 = sched.run(strategies, 16);
+    EXPECT_EQ(r2.rounds, 2u);  // 4 solo rounds total, 2 remained
+    EXPECT_TRUE(r2.all_done);
+    oracle.set_recorder(nullptr);
+  }
+  // The second run numbers its rounds on from the first's: 0, 1, then
+  // 2, 3 (and the all-done probe round, touched but not counted).
+  const auto rounds = logged_rounds(log.str());
+  ASSERT_GE(rounds.size(), 4u);
+  for (std::size_t i = 0; i < rounds.size(); ++i) EXPECT_EQ(rounds[i], i);
 }
 
 }  // namespace

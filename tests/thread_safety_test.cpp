@@ -30,6 +30,7 @@
 #include "tmwia/matrix/ids.hpp"
 #include "tmwia/obs/metrics.hpp"
 #include "tmwia/rng/rng.hpp"
+#include "audit_json.hpp"
 
 namespace {
 
@@ -90,13 +91,6 @@ TEST(ThreadSafety, ConcurrentBillboardPostsMatchSerial) {
   }
   for (auto& th : threads) th.join();
 
-  const auto got = board.snapshot("votes");
-  const auto want = serial.snapshot("votes");
-  ASSERT_EQ(got.players, want.players);
-  ASSERT_EQ(got.rows.size(), want.rows.size());
-  for (std::size_t i = 0; i < want.rows.size(); ++i) {
-    EXPECT_EQ(got.rows[i], want.rows[i]) << "player " << want.players[i];
-  }
   EXPECT_EQ(board.posters("votes"), players);
   EXPECT_TRUE(board.export_posts() == serial.export_posts());
 }
@@ -298,8 +292,8 @@ TEST(ThreadSafety, AuditedForksShareOneAuditor) {
     EXPECT_EQ(oracle.snapshot(), serial.snapshot());
     auditor.verify_invocations(serial.snapshot());
     const auto got = auditor.report();
-    EXPECT_TRUE(got.clean()) << got.to_json();
-    EXPECT_EQ(got.to_json(), want.to_json());
+    EXPECT_TRUE(got.clean()) << audit_json(got);
+    EXPECT_EQ(audit_json(got), audit_json(want));
   }
 }
 

@@ -82,10 +82,17 @@ literals stripped) for constructs that would let those invariants rot:
                            declaration and definition (tests/ does not
                            count). Constructors, destructors, operators
                            and overrides are exempt. A name scan: a name
-                           shared with any other use passes.
+                           shared with any other use passes. With
+                           --unlinked FILE (the functions the libraries
+                           define and no product binary links, one
+                           demangled signature a line), a declaration
+                           whose class or innermost namespace, name and
+                           parameter count match one of them fires too.
   stale-pragma             a tmwia-lint allow/allow-file pragma that no
                            longer suppresses any finding — the escape-
-                           hatch inventory stays honest.
+                           hatch inventory stays honest. A
+                           no-product-caller pragma is judged only with
+                           --unlinked, when the rule sees its whole input.
   header-pragma-once       every header starts its include guard.
   header-test-stale        tests/header_selfcontained_test.cpp no longer
                            matches the set of public headers (regenerate
@@ -103,6 +110,7 @@ nothing is silently exempt.
 
 Usage:
   tools/lint/tmwia_lint.py [--root DIR] [--json PATH] [--compile-checks]
+                           [--unlinked FILE]
                            [--write-header-test] [--write-metric-registry]
                            [--list-rules] [--self-test] [-q]
 
@@ -358,8 +366,9 @@ NO_PRODUCT_CALLER = Rule(
     id="no-product-caller",
     description="function declared in a public header that nothing in src/, "
     "tools/, bench/, perfbench/ or examples/ names outside its own "
-    "declaration and definition; delete it, make it file-local, or carry an "
-    "allow pragma naming the product behaviour that needs it",
+    "declaration and definition, or (--unlinked) that no product binary "
+    "links; delete it, make it file-local, or carry an allow pragma naming "
+    "the product behaviour that needs it",
     dirs=("src",),
 )
 # Where a caller counts. tests/ is deliberately absent; perfbench/ is
@@ -903,9 +912,74 @@ class FunctionDecl:
     name: str
     exempt: bool     # constructor, destructor, override, = delete/default
     qualified: bool  # Class::name: an out-of-line definition
+    scope: str = ""  # enclosing class, else innermost namespace
+    arity: int = 0   # parameter count
 
 
-def _function_decl(stmt: str, base: int, enclosing_class):
+def _top_level_split(text: str, sep: str):
+    """`text` split at each `sep` outside (), <>, [] and {}."""
+    parts, depth, start, i = [], 0, 0, 0
+    while i < len(text):
+        ch = text[i]
+        if ch in "(<[{":
+            depth += 1
+        elif ch in ")>]}":
+            depth -= 1
+        elif depth == 0 and text.startswith(sep, i):
+            parts.append(text[start:i])
+            i += len(sep)
+            start = i
+            continue
+        i += 1
+    parts.append(text[start:])
+    return parts
+
+
+def _arity(params: str) -> int:
+    """Parameter count of a parenthesised list's contents."""
+    params = params.strip()
+    return 0 if params in ("", "void") else len(_top_level_split(params, ","))
+
+
+def _param_list(text: str):
+    """Contents of the parenthesised list `text` starts with."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return text[1:i]
+    return text[1:]
+
+
+def unlinked_keys(signatures):
+    """(scope, name, arity) of each demangled `ns::Class::name(params)`
+    signature; scope is the last qualifier, template arguments dropped."""
+    keys = set()
+    for sig in signatures:
+        sig = re.sub(r"\[abi:\w+\]", "", sig.strip()).replace(
+            "(anonymous namespace)", "{anonymous}")
+        depth = 0
+        for i, ch in enumerate(sig):
+            if ch == "<":
+                depth += 1
+            elif ch == ">":
+                depth -= 1
+            elif ch == "(" and depth == 0:
+                break
+        else:
+            continue
+        path = _top_level_split(sig[:i], "::")
+        if len(path) < 2:
+            continue
+        scope = re.sub(r"<.*", "", path[-2]).strip()
+        keys.add((scope, path[-1].strip(), _arity(_param_list(sig[i:]))))
+    return keys
+
+
+def _function_decl(stmt: str, base: int, enclosing_class, scope=""):
     """The function a namespace- or class-scope statement declares or
     defines, or None: the name before the first top-level parenthesis,
     unless an initializer, a keyword, a macro or an operator comes
@@ -936,7 +1010,8 @@ def _function_decl(stmt: str, base: int, enclosing_class):
         m.group(2) or name == enclosing_class or name in qualifiers[-1:]
         or re.search(r"\b(?:override|final)\b", tail)
         or re.search(r"=\s*(?:delete|default)\b", tail))
-    return FunctionDecl(base + m.start(3), name, exempt, bool(qualifiers))
+    return FunctionDecl(base + m.start(3), name, exempt, bool(qualifiers), scope,
+                        _arity(_param_list(tail)))
 
 
 def _class_name(rest: str):
@@ -956,7 +1031,9 @@ def scan_function_decls(code: str):
     statement/brace walk as scan_naked_mutexes: statements inside a
     function body or an initializer declare nothing."""
     decls = []
-    stack = []  # (kind, class name); kind is "ns" | "type" | "enum" | "other"
+    # (kind, name); kind is "ns" | "type" | "enum" | "other", name the
+    # class's or the innermost namespace's
+    stack = []
     start = 0
     for i, c in enumerate(code):
         if c not in "{};":
@@ -967,15 +1044,18 @@ def scan_function_decls(code: str):
                 stack.pop()
             continue
         at_scope = all(kind in ("ns", "type") for kind, _ in stack)
-        enclosing = stack[-1][1] if stack else None
-        decl = _function_decl(stmt, base, enclosing) if at_scope else None
+        enclosing = stack[-1][1] if stack and stack[-1][0] == "type" else None
+        scope = (stack[-1][1] or "") if stack else ""
+        decl = _function_decl(stmt, base, enclosing, scope) if at_scope else None
         if decl is not None:
             decls.append(decl)
         if c == ";":
             continue
         cls = _CLASS_HEAD.match(stmt)
-        if re.search(r"\bnamespace\b|^\s*extern\b", stmt):
-            stack.append(("ns", None))
+        ns = re.search(r"\bnamespace\b([\w:\s]*)$", stmt)
+        if ns or re.match(r"\s*extern\b", stmt):
+            names = re.findall(r"\w+", ns.group(1)) if ns else []
+            stack.append(("ns", names[-1] if names else "{anonymous}" if ns else None))
         elif re.match(r"\s*enum\b", stmt):
             stack.append(("enum", None))
         elif cls and decl is None:
@@ -997,12 +1077,15 @@ def product_names(root: str):
     return used
 
 
-def scan_no_product_caller(stripped: str, raw_lines, relpath, used):
-    """Functions this public header declares that no product file names."""
+def scan_no_product_caller(stripped: str, raw_lines, relpath, used, unlinked):
+    """Functions this public header declares that no product file names,
+    or whose (scope, name, arity) is in the unlinked set."""
     code = _PP_LINE.sub(_blank, stripped)
     findings = []
     for d in scan_function_decls(code):
-        if d.exempt or d.qualified or d.name in used:
+        if d.exempt or d.qualified:
+            continue
+        if d.name in used and (d.scope, d.name, d.arity) not in unlinked:
             continue
         line = code.count("\n", 0, d.offset) + 1
         findings.append(Finding(NO_PRODUCT_CALLER.id, relpath, line,
@@ -1121,7 +1204,7 @@ def iter_source_files(root: str, dirs=CODE_DIRS):
                     yield os.path.relpath(os.path.join(dirpath, f), root)
 
 
-def lint(root: str, compile_checks: bool, quiet: bool):
+def lint(root: str, compile_checks: bool, quiet: bool, unlinked=None):
     findings = []
     allowed = []
     compiled = {r.id: [re.compile(p) for p in r.patterns] for r in RULES}
@@ -1187,7 +1270,8 @@ def lint(root: str, compile_checks: bool, quiet: bool):
                 emit(f)
 
         if NO_PRODUCT_CALLER.in_scope(relpath) and "/include/" in relpath:
-            for f in scan_no_product_caller(stripped, raw_lines, relpath, product_used):
+            for f in scan_no_product_caller(stripped, raw_lines, relpath, product_used,
+                                            unlinked or frozenset()):
                 emit(f)
 
         if relpath.endswith((".hpp", ".hh", ".h")) and "#pragma once" not in raw:
@@ -1198,7 +1282,12 @@ def lint(root: str, compile_checks: bool, quiet: bool):
         # goes through emit() too, so a deliberate keeper can carry
         # allow(stale-pragma); unused allow(stale-pragma) pragmas are not
         # re-reported (no self-referential fixpoint).
+        # Without the unlinked set, no-product-caller sees only its name
+        # scan, so a pragma kept for an unlinked function is judged only
+        # when the set is given (tools/run_tests.sh's link stage).
         for pragma in pragmas:
+            if pragma.rule == NO_PRODUCT_CALLER.id and unlinked is None:
+                continue
             if pragma.rule != STALE_PRAGMA.id and not pragma.used:
                 emit(Finding(STALE_PRAGMA.id, relpath, pragma.line,
                              f"allow{'-file' if pragma.kind == 'file' else ''}"
@@ -1370,7 +1459,42 @@ SELF_TEST_FIXTURES = {
     "perfbench/fix_api_bench.cpp": (
         "int fixture_api_bench() { return fix::perfbench_used(1); }\n"
     ),
+    # no-product-caller with --unlinked: every name here is also named by
+    # a tool, so only SELF_TEST_UNLINKED decides. An unlinked function
+    # fires; a pragma suppresses one; an overload of another arity and a
+    # same-named function in another scope stay clean.
+    "src/fix/include/tmwia/fix/linked.hpp": (
+        "#pragma once\n"
+        "namespace fix {\n"
+        "class Gadget {\n"
+        " public:\n"
+        "  [[nodiscard]] int size() const { return 0; }\n"
+        "  [[nodiscard]] int size(int pad) const { return pad; }\n"
+        "  // tmwia-lint: allow(no-product-caller) fixture: a planned caller\n"
+        "  void reset();\n"
+        "  void reset(int to);\n"
+        "};\n"
+        "namespace io { int count(int x); }\n"
+        "int count(int x);\n"
+        "}  // namespace fix\n"
+    ),
+    "tools/fix_linked_tool.cpp": (
+        "int fixture_linked_tool(fix::Gadget& g) {\n"
+        "  g.reset();\n"
+        "  g.reset(1);\n"
+        "  return g.size() + g.size(1) + fix::io::count(2) + fix::count(3);\n"
+        "}\n"
+    ),
 }
+
+# The unlinked set the --unlinked fixtures are linted against, as the
+# link stage of tools/run_tests.sh writes it.
+SELF_TEST_UNLINKED = (
+    "fix::Gadget::size[abi:cxx11]() const",
+    "fix::Gadget::reset()",
+    "fix::io::count(int)",
+    "fix::(anonymous namespace)::count(int, int)",
+)
 
 SELF_TEST_FINDINGS = {
     ("naked-mutex", "src/fix/naked_fire.hpp", 4),
@@ -1388,6 +1512,8 @@ SELF_TEST_FINDINGS = {
     ("no-product-caller", "src/fix/include/tmwia/fix/api.hpp", 3),
     ("no-product-caller", "src/fix/include/tmwia/fix/api.hpp", 18),
     ("stale-pragma", "src/fix/include/tmwia/fix/api.hpp", 4),
+    ("no-product-caller", "src/fix/include/tmwia/fix/linked.hpp", 5),
+    ("no-product-caller", "src/fix/include/tmwia/fix/linked.hpp", 11),
     # The fixture tree has no tests/header_selfcontained_test.cpp, so the
     # generated header test is reported missing — expected, not part of
     # the rules under test.
@@ -1401,6 +1527,7 @@ SELF_TEST_ALLOWED = {
     ("serve-matrix-isolation", "src/serve/fix_serve_allowed.cpp", 2),
     ("metric-name-registry", "src/fix/metric_allowed.cpp", 3),
     ("no-product-caller", "src/fix/include/tmwia/fix/api.hpp", 10),
+    ("no-product-caller", "src/fix/include/tmwia/fix/linked.hpp", 8),
 }
 
 
@@ -1416,7 +1543,9 @@ def self_test() -> int:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8") as f:
                 f.write(content)
-        findings, allowed, _files, _headers = lint(td, compile_checks=False, quiet=True)
+        findings, allowed, _files, _headers = lint(
+            td, compile_checks=False, quiet=True,
+            unlinked=unlinked_keys(SELF_TEST_UNLINKED))
 
     ok = True
     for label, got, want in (
@@ -1441,6 +1570,9 @@ def main(argv):
     ap.add_argument("--json", default=None, help="write machine-readable report here")
     ap.add_argument("--compile-checks", action="store_true",
                     help="also compile every public header stand-alone")
+    ap.add_argument("--unlinked", default=None, metavar="FILE",
+                    help="functions no product binary links, one demangled "
+                    "signature a line (tools/run_tests.sh's link stage)")
     ap.add_argument("--write-header-test", action="store_true",
                     help=f"regenerate {HEADER_TEST_PATH} and exit")
     ap.add_argument("--write-metric-registry", action="store_true",
@@ -1479,8 +1611,13 @@ def main(argv):
         print(f"tmwia-lint: wrote {METRIC_REGISTRY_PATH}")
         return 0
 
+    unlinked = None
+    if args.unlinked:
+        with open(args.unlinked, encoding="utf-8") as f:
+            unlinked = [ln for ln in f.read().splitlines() if ln.strip()]
     findings, allowed, files_scanned, headers_checked = lint(
-        root, args.compile_checks, args.quiet)
+        root, args.compile_checks, args.quiet,
+        None if unlinked is None else unlinked_keys(unlinked))
 
     by_rule = {r.id: {"description": r.description, "findings": [], "allowed": []}
                for r in ALL_RULES}
@@ -1495,6 +1632,7 @@ def main(argv):
         "root": os.path.abspath(root),
         "files_scanned": files_scanned,
         "headers_compile_checked": headers_checked,
+        "unlinked_functions": None if unlinked is None else len(unlinked),
         "finding_count": len(findings),
         "allowed_count": len(allowed),
         "ok": not findings,

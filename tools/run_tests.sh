@@ -6,6 +6,16 @@
 #              build/LINT_REPORT.json and jq-checks it (no findings, and
 #              the no-product-caller rule present). Adds clang-tidy via
 #              -DTMWIA_LINT=ON when a clang-tidy binary exists.
+#   link       default: the link scan behind no-product-caller — build
+#              every product executable (tmwia_cli, bench/e*, examples/,
+#              and the perfbench driver through perfbench/CMakeLists.txt)
+#              at -O0 with one section per function, inline functions
+#              kept and --gc-sections, write the tmwia:: functions the
+#              libtmwia_*.a archives define and no product binary links
+#              (constructors, destructors, operators and lambda bodies
+#              left out) to build-link/UNLINKED.txt, and lint with that
+#              set; jq-checks build-link/LINT_REPORT.json
+#              (build-link/, build-link-perfbench/)
 #   plain      full suite, default flags plus -Werror (build/)
 #   asan       full suite, ASan+UBSan               (build-asan/)
 #   tsan       obs/engine/scheduler/Zero Radius suites, the oracle,
@@ -76,19 +86,20 @@
 #
 # Usage:
 #   tools/run_tests.sh [--plain-only|--sanitize-only|--tsan-only]
-#                      [--lint-only] [--audit] [--bench-json]
+#                      [--lint-only] [--link-scan] [--audit] [--bench-json]
 #                      [--bench-history] [--kernel-parity]
 #                      [--thread-safety] [--kill-resume] [--serve]
 #                      [--telemetry] [-j N]
 #
-# Default runs lint + plain + asan + tsan + telemetry; the *-only modes
-# drop the telemetry stage (pass --telemetry to add it back). All
-# requested stages must pass.
+# Default runs lint + link + plain + asan + tsan + telemetry; the
+# *-only modes drop the link and telemetry stages (pass --link-scan or
+# --telemetry to add them back). All requested stages must pass.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 RUN_LINT=1
+RUN_LINK=1
 RUN_PLAIN=1
 RUN_SAN=1
 RUN_TSAN=1
@@ -103,10 +114,11 @@ RUN_TELEMETRY=1
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --plain-only) RUN_SAN=0; RUN_TSAN=0; RUN_LINT=0; RUN_TELEMETRY=0 ;;
-    --sanitize-only) RUN_PLAIN=0; RUN_TSAN=0; RUN_LINT=0; RUN_TELEMETRY=0 ;;
-    --tsan-only) RUN_PLAIN=0; RUN_SAN=0; RUN_LINT=0; RUN_TELEMETRY=0 ;;
-    --lint-only) RUN_PLAIN=0; RUN_SAN=0; RUN_TSAN=0; RUN_LINT=1; RUN_TELEMETRY=0 ;;
+    --plain-only) RUN_SAN=0; RUN_TSAN=0; RUN_LINT=0; RUN_LINK=0; RUN_TELEMETRY=0 ;;
+    --sanitize-only) RUN_PLAIN=0; RUN_TSAN=0; RUN_LINT=0; RUN_LINK=0; RUN_TELEMETRY=0 ;;
+    --tsan-only) RUN_PLAIN=0; RUN_SAN=0; RUN_LINT=0; RUN_LINK=0; RUN_TELEMETRY=0 ;;
+    --lint-only) RUN_PLAIN=0; RUN_SAN=0; RUN_TSAN=0; RUN_LINT=1; RUN_LINK=0; RUN_TELEMETRY=0 ;;
+    --link-scan) RUN_LINK=1 ;;
     --audit) RUN_AUDIT=1 ;;
     --bench-json) RUN_BENCH_JSON=1 ;;
     --bench-history) RUN_BENCH_HISTORY=1 ;;
@@ -149,6 +161,53 @@ if [[ $RUN_LINT -eq 1 ]]; then
   else
     echo "-- clang-tidy not found; skipped (tmwia_lint.py rules still enforced)"
   fi
+fi
+
+if [[ $RUN_LINK -eq 1 ]]; then
+  echo "== link scan (functions no product binary links) =="
+  command -v nm >/dev/null || { echo "nm required for the link scan" >&2; exit 2; }
+  link_start=$SECONDS
+  # -fkeep-inline-functions emits every header-inline function in each
+  # library object, so an inline accessor nothing links shows up too;
+  # --gc-sections then drops from each binary every function section
+  # nothing it runs can reach.
+  link_flags=(-DCMAKE_BUILD_TYPE=Debug
+    "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections -fkeep-inline-functions"
+    "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  products=(tmwia_cli)
+  bins=("$ROOT/build-link/tools/tmwia_cli" "$ROOT/build-link-perfbench/perfbench_driver")
+  for f in "$ROOT"/bench/e*.cpp "$ROOT"/examples/*.cpp; do
+    name="$(basename "$f" .cpp)"
+    products+=("$name")
+    bins+=("$ROOT/build-link/$(basename "$(dirname "$f")")/$name")
+  done
+  cmake -B "$ROOT/build-link" -S "$ROOT" "${link_flags[@]}" >/dev/null
+  cmake --build "$ROOT/build-link" -j "$JOBS" --target "${products[@]}"
+  cmake -B "$ROOT/build-link-perfbench" -S "$ROOT/perfbench" "${link_flags[@]}" >/dev/null
+  cmake --build "$ROOT/build-link-perfbench" -j "$JOBS" --target perfbench_driver
+  # Demangled tmwia:: functions the given files define. Template
+  # functions demangle with their return type first and do not match;
+  # the name scan covers them.
+  tmwia_functions() {
+    nm -C --defined-only "$@" | sed -n 's/^[0-9a-f]* [TtWw] //p' \
+      | grep -E '^tmwia::((\(anonymous namespace\)|[A-Za-z_][A-Za-z0-9_]*(<[^()]*>)?)::)*[A-Za-z_][A-Za-z0-9_]*(\[abi:[a-z0-9]+\])?\(' \
+      | sed 's/ \[clone [^]]*\]$//' | LC_ALL=C sort -u
+  }
+  tmwia_functions "${bins[@]}" >"$ROOT/build-link/linked.txt"
+  tmwia_functions "$ROOT"/build-link/src/*/libtmwia_*.a \
+    | LC_ALL=C comm -23 - "$ROOT/build-link/linked.txt" \
+    | { grep -Ev '\{lambda|::operator|::~|::([A-Za-z_][A-Za-z0-9_]*)(<.*>)?::\1\(' || true; } \
+    >"$ROOT/build-link/UNLINKED.txt"
+  echo "-- $(wc -l <"$ROOT/build-link/UNLINKED.txt") library functions no product binary links"
+  python3 "$ROOT/tools/lint/tmwia_lint.py" --root "$ROOT" \
+    --unlinked "$ROOT/build-link/UNLINKED.txt" --json "$ROOT/build-link/LINT_REPORT.json"
+  if command -v jq >/dev/null; then
+    jq -e '.ok == true and .finding_count == 0 and (.unlinked_functions | type == "number")
+           and .rules["no-product-caller"] != null' \
+      "$ROOT/build-link/LINT_REPORT.json" >/dev/null \
+      || { echo "link scan: LINT_REPORT.json malformed or reports findings" >&2; exit 1; }
+  fi
+  echo "-- link scan took $((SECONDS - link_start)) s"
 fi
 
 if [[ $RUN_PLAIN -eq 1 ]]; then

@@ -60,6 +60,7 @@
 //   5  checkpoint file corrupt or unreadable
 //   6  serve completed but an SLO objective was breached
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <fstream>
 #include <iostream>
@@ -68,6 +69,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "tmwia/baselines/baselines.hpp"
@@ -251,6 +253,20 @@ std::optional<core::Params> profile_params(const std::string& name) {
   return std::nullopt;
 }
 
+/// Every algo `run --algo` knows, with what it writes besides
+/// estimates: the baselines (solo, knn, svd) return no RunReport, and
+/// only the unknown-D driver cuts checkpoints.
+struct RunAlgo {
+  std::string_view name;
+  bool reports;
+  bool checkpoints;
+};
+constexpr std::array<RunAlgo, 9> kRunAlgos{{
+    {"unknown_d", true, true}, {"mimic", true, false}, {"zero", true, false},
+    {"small", true, false},    {"large", true, false}, {"anytime", true, false},
+    {"solo", false, false},    {"knn", false, false},  {"svd", false, false},
+}};
+
 /// The --record sink `run` and `resume` both open (null without
 /// --record), attached to the run's oracle and board. The recorder gets
 /// the planted-truth evaluator, so phase summaries carry real
@@ -356,10 +372,17 @@ int cmd_run(const io::Args& args) {
     throw std::invalid_argument("unknown --profile=" + profile + " (practical|paper)");
   }
   const auto& params = *profile_set;
-  // Only the unknown-D driver cuts checkpoints; another algo would
-  // ignore the flags and write no file.
-  if (algo != "unknown_d" && (args.get("checkpoint") || args.get("checkpoint-every"))) {
+  // An unknown algo, or a flag asking an algo for a file it does not
+  // write, is refused here, before a sink opens its file or the algo
+  // runs.
+  const auto known = std::find_if(kRunAlgos.begin(), kRunAlgos.end(),
+                                  [&algo](const RunAlgo& a) { return a.name == algo; });
+  if (known == kRunAlgos.end()) throw std::invalid_argument("unknown --algo=" + algo);
+  if (!known->checkpoints && (args.get("checkpoint") || args.get("checkpoint-every"))) {
     throw std::invalid_argument("--checkpoint: --algo=" + algo + " cuts no checkpoints");
+  }
+  if (!known->reports && args.get("report")) {
+    throw std::invalid_argument("--report: --algo=" + algo + " produces no RunReport");
   }
 
   // Observability sinks. The thread count must be requested before the
@@ -496,18 +519,13 @@ int cmd_run(const io::Args& args) {
     kp.probes_per_player =
         static_cast<std::size_t>(args.get_u64("budget", inst.matrix.objects() / 4));
     outputs = baselines::sampled_knn(oracle, kp, rng::Rng(seed)).outputs;
-  } else if (algo == "svd") {
+  } else {  // svd: kRunAlgos admits no other algo
     baselines::SvdParams sp;
     sp.sample_rate = args.get_double("rate", 0.25);
     sp.rank = static_cast<std::size_t>(args.get_u64("rank", 4));
     outputs = baselines::svd_recommender(oracle, sp, rng::Rng(seed)).outputs;
-  } else {
-    throw std::invalid_argument("unknown --algo=" + algo);
   }
   const auto report_path = args.get("report");
-  if (report_path.has_value() && !report.has_value()) {
-    throw std::invalid_argument("--report: --algo=" + algo + " produces no RunReport");
-  }
   const std::string profile_json = write_profiler_artifacts(args, profiler.get());
   bool degraded = false;
   if (report.has_value()) {
