@@ -5,7 +5,10 @@
 // output vector for its object half, and the other half then adopts any
 // vector "voted for by at least an alpha/2 fraction" of the posters.
 // The billboard therefore supports named channels of (player -> vector)
-// posts with vote aggregation by vector equality.
+// posts with vote aggregation by vector equality. A Zero Radius leaf's
+// output is its players' probe results, which the oracle already holds,
+// so the tower posts only internal nodes' outputs and Large Radius's
+// group outputs here.
 //
 // A player has one current post per channel (the paper's billboard
 // model, §1.1), so a channel stores exactly that: one row slot per
@@ -98,7 +101,8 @@ class Billboard {
   /// length). Observably identical to posting each pair in index order
   /// — same recorder events, same totals — but the channel name is
   /// resolved and the channel's lock taken once per batch instead of
-  /// once per row. Zero Radius publishes every node's outputs this way.
+  /// once per row. Zero Radius publishes every internal node's outputs
+  /// this way, and Large Radius each group's.
   /// A post with an `order` comes from a task of the open Section (see
   /// there; std::logic_error without one); without it the post is plain.
   void post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
@@ -108,7 +112,7 @@ class Billboard {
   /// post_many() of packed rows: players[i] posts row i of `rows`
   /// (rows.words holds players.size() rows). Same posts, recorder
   /// events and totals as post_many() of the rows as BitVectors, with
-  /// no BitVector built: Small Radius posts a part's leaf rows this way.
+  /// no BitVector built.
   void post_packed(const std::string& channel, std::span<const matrix::PlayerId> players,
                    PackedRows rows, std::optional<std::uint32_t> order = std::nullopt);
 

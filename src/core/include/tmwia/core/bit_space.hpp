@@ -1,12 +1,12 @@
 // BitSpace: the primitive object space — values are the 0/1 grades of
-// the hidden preference matrix, probed through ProbeOracle and mirrored
-// onto the shared Billboard.
+// the hidden preference matrix, probed through ProbeOracle. Internal
+// Zero Radius nodes mirror their outputs onto the shared Billboard;
+// leaves, whose outputs are their probe results, post nothing.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,26 +43,12 @@ class BitSpace {
     oracle_->probe_block(p, objects, out);
   }
 
-  /// Mirror a player's published value vector to the billboard (posted
-  /// as a packed BitVector on the given channel). Under an attached
-  /// fault injector individual publications may be lost; the vote paths
-  /// consult post_lost with the same channel so they agree.
-  void publish(std::string_view channel, PlayerId p, const bits::BitVector& values) {
-    if (auto* inj = oracle_->fault_injector();
-        inj != nullptr && inj->post_lost(p, post_tag(channel))) {
-      inj->note_post_dropped();
-      return;
-    }
-    if (board_ == nullptr) return;
-    board_->post(prefix_ + "/" + std::string(channel), p, values);
-  }
-
-  /// Batched mirror: players[i] publishes rows[i] on `channel`, in
-  /// index order. Without a fault injector this resolves the channel
-  /// name and takes the board lock once for the whole node (Zero
-  /// Radius posts every node's outputs); with one it falls back to the
-  /// per-player path so crash/post-loss bookkeeping is untouched. A
-  /// forked oracle's posts carry its fork order (Billboard::Section).
+  /// Mirror a Zero Radius node's outputs to the billboard: players[i]
+  /// posts rows[i] on `channel`, in index order. Without a fault
+  /// injector the channel name is resolved and the board lock taken
+  /// once for the node, and a forked oracle's posts carry its fork
+  /// order (Billboard::Section). With one, a failed player posts
+  /// nothing and any other post may be lost (lose_post).
   void publish_rows(std::string_view channel, std::span<const PlayerId> players,
                     std::span<const bits::BitVector> rows) {
     if (oracle_->fault_injector() == nullptr) {
@@ -71,25 +57,21 @@ class BitSpace {
                         oracle_->fork_order());
       return;
     }
+    const std::uint64_t tag = post_tag(channel);
     for (std::size_t i = 0; i < players.size(); ++i) {
-      if (is_failed(players[i])) continue;
-      publish(channel, players[i], rows[i]);
+      if (lose_post(players[i], tag) || board_ == nullptr) continue;
+      board_->post(prefix_ + "/" + std::string(channel), players[i], rows[i]);
     }
   }
 
-  /// publish_rows() of packed rows (players[i] publishes row i of
-  /// `rows`), which the board takes as they are
-  /// (Billboard::post_packed), with no BitVector per row. Only without
-  /// a fault injector, whose post-loss path is publish_rows(): Small
-  /// Radius posts packed leaf rows only when the oracle is order_free().
-  void publish_packed(std::string_view channel, std::span<const PlayerId> players,
-                      billboard::PackedRows rows) {
-    if (oracle_->fault_injector() != nullptr) {
-      throw std::logic_error("BitSpace::publish_packed: use publish_rows under a fault injector");
-    }
-    if (board_ == nullptr) return;
-    board_->post_packed(prefix_ + "/" + std::string(channel), players, rows,
-                        oracle_->fork_order());
+  /// A Zero Radius leaf's publication. Its rows are its players' probe
+  /// results, which the oracle already holds (§1.1 posts every probe
+  /// result), so none reaches the board; each post is still lost or
+  /// kept, and counted, exactly as publish_rows() would.
+  void publish_leaf(std::string_view channel, std::span<const PlayerId> players) {
+    if (oracle_->fault_injector() == nullptr) return;
+    const std::uint64_t tag = post_tag(channel);
+    for (const PlayerId p : players) (void)lose_post(p, tag);
   }
 
   // Degradation hooks of the Zero Radius Space concept (all no-ops
@@ -149,6 +131,18 @@ class BitSpace {
   /// derived by the publishing path and the vote paths.
   [[nodiscard]] std::uint64_t post_tag(std::string_view channel) const {
     return faults::FaultInjector::channel_tag(prefix_ + "/" + std::string(channel));
+  }
+
+  /// Under a fault injector: does p's post with channel tag `tag` miss
+  /// the board? A failed player posts nothing; anyone else's post may be
+  /// lost (post_lost, the draw the vote paths make), and a lost post is
+  /// counted.
+  bool lose_post(PlayerId p, std::uint64_t tag) {
+    auto* inj = oracle_->fault_injector();
+    if (inj->is_failed(p)) return true;
+    if (!inj->post_lost(p, tag)) return false;
+    inj->note_post_dropped();
+    return true;
   }
 
   billboard::ProbeOracle* oracle_;

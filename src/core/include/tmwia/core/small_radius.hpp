@@ -14,8 +14,8 @@
 //
 // Schedule: the s Zero Radius runs of an iteration are independent
 // (disjoint objects, the same players). When every part is a single
-// Zero Radius leaf and no observer can see a player's probe order
-// (small_radius_order_free), the iteration runs as three pool passes
+// Zero Radius leaf and no observer can see a player's probe order (the
+// oracle is order_free()), the iteration runs as three pool passes
 // over all s parts: every player's leaf probes, then the s votes, then
 // the Selects. A player has then probed every object of each part, so
 // a Select's probes return the player's own leaf bits and its decision
@@ -25,8 +25,11 @@
 // winner. Otherwise — a part above the leaf threshold, a flight
 // recorder or a fault injector — it runs one part at a time, each
 // player running its own Selects. Both schedules probe the same
-// (player, object) pairs and leave the same ledgers, posts, metrics
-// and outputs (DESIGN §13.6).
+// (player, object) pairs and leave the same ledgers, metrics and
+// outputs (DESIGN §13.6). A part's Zero Radius posts its internal
+// nodes' outputs under sr/<t>/<i>/zr/<tag>; a leaf posts nothing (its
+// outputs are its probe results), so an all-leaf iteration leaves the
+// board as it found it.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +64,6 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
                                const std::vector<std::uint32_t>& objects, double alpha,
                                std::size_t D, const Params& params, rng::Rng rng,
                                std::size_t n_total);
-
-/// May an all-leaf iteration run as three passes over all its parts?
-/// Only when the order of a player's probes is unobservable: the oracle
-/// is order_free() and the board, if any, records nothing.
-[[nodiscard]] bool small_radius_order_free(const billboard::ProbeOracle& oracle,
-                                           const billboard::Billboard* board);
 
 /// Number of object parts s for a given D (Lemma 4.1 scaling).
 std::size_t small_radius_parts(std::size_t D, const Params& params);

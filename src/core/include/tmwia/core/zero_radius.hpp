@@ -29,8 +29,14 @@
 //                                   — one batched leaf row of probes
 //       void publish_rows(std::string_view channel,
 //                         std::span<const PlayerId>, std::span<const Row>)
-//                                   — mirror a node's outputs to a
-//                                     billboard
+//                                   — mirror an internal node's outputs
+//                                     to a billboard
+//       void publish_leaf(std::string_view channel,
+//                         std::span<const PlayerId>)
+//                                   — a leaf's publication: its outputs
+//                                     are probe results, so it posts
+//                                     nothing; only the fault
+//                                     bookkeeping of its posts is kept
 //   (optional) obs::FlightRecorder* recorder()
 //                                   — the recorder of the run being
 //                                     probed; receives the zr.adopt notes
@@ -181,8 +187,9 @@ struct RowTraits<Space, std::void_t<typename Space::Row>> {
                          std::span<const PlayerId> ps, std::span<const Row> rows) {
                   s.probe_row(p, objs, row);
                   s.publish_rows(std::string_view{}, ps, rows);
+                  s.publish_leaf(std::string_view{}, ps);
                 },
-                "a packed Zero Radius space provides probe_row and publish_rows");
+                "a packed Zero Radius space provides probe_row, publish_rows and publish_leaf");
 };
 
 inline int row_cmp(const bits::BitVector& a, const bits::BitVector& b) {
@@ -422,7 +429,7 @@ struct ZeroRadiusRun {
           }
         }
       });
-      publish_all(players, out, node.tag);
+      publish(node, out);
       return out;
     }
 
@@ -445,7 +452,7 @@ struct ZeroRadiusRun {
       scatter_outputs(r[h], node.player_pos[h], node.object_pos[h], masks[h], out);
     }
 
-    publish_all(players, out, node.tag);
+    publish(node, out);
     return out;
   }
 
@@ -590,17 +597,23 @@ struct ZeroRadiusRun {
     }
   }
 
-  /// Mirror a node's outputs to the billboard. Only packed spaces
-  /// publish: one channel resolution and board lock per node (the
-  /// failed-player skip lives inside publish_rows).
-  void publish_all(const std::vector<PlayerId>& players, const Outputs& out,
-                   std::uint64_t node_tag) {
+  /// Mirror an internal node's outputs to the billboard, one channel
+  /// resolution and board lock per node (the failed-player skip lives
+  /// inside publish_rows). A leaf's outputs are its players' probe
+  /// results, which the oracle already holds: it posts nothing and
+  /// keeps only its posts' fault bookkeeping. Only packed spaces
+  /// publish.
+  void publish(const Node& node, const Outputs& out) {
     if constexpr (RowTraits<Space>::packed) {
-      space.publish_rows("zr/" + std::to_string(node_tag), players, out);
+      const std::string channel = "zr/" + std::to_string(node.tag);
+      if (node.leaf()) {
+        space.publish_leaf(channel, node.players);
+      } else {
+        space.publish_rows(channel, node.players, out);
+      }
     } else {
-      (void)players;
+      (void)node;
       (void)out;
-      (void)node_tag;
     }
   }
 };

@@ -154,24 +154,21 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // Degradation: only survivors' outputs reach the billboard and the
     // Coalesce vote; the ball-size quorum is taken over them.
     auto* injector = oracle.fault_injector();
+    std::vector<PlayerId> posters;
     std::vector<bits::BitVector> surviving;
+    posters.reserve(members.size());
     surviving.reserve(members.size());
     for (std::size_t i = 0; i < members.size(); ++i) {
       if (injector == nullptr || !injector->is_failed(members[i])) {
+        posters.push_back(members[i]);
         surviving.push_back(outputs[i]);
       }
     }
 
-    // Publish the per-group outputs (the billboard contents Coalesce
-    // reads; it is deterministic, so running it once here equals every
-    // player running it locally).
-    if (board != nullptr) {
-      const std::string channel = "lr/group/" + std::to_string(l);
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (injector != nullptr && injector->is_failed(members[i])) continue;
-        board->post(channel, members[i], outputs[i]);
-      }
-    }
+    // Publish the per-group outputs, in member order (the billboard
+    // contents Coalesce reads; it is deterministic, so running it once
+    // here equals every player running it locally).
+    if (board != nullptr) board->post_many("lr/group/" + std::to_string(l), posters, surviving);
 
     const auto min_ball = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(params.zr_vote_frac * alpha *

@@ -81,11 +81,6 @@ std::size_t small_radius_parts(std::size_t D, const Params& params) {
   return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(s)));
 }
 
-bool small_radius_order_free(const billboard::ProbeOracle& oracle,
-                             const billboard::Billboard* board) {
-  return oracle.order_free() && (board == nullptr || board->recorder() == nullptr);
-}
-
 SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billboard* board,
                                const std::vector<PlayerId>& players,
                                const std::vector<std::uint32_t>& objects, double alpha,
@@ -111,7 +106,6 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
   // Zero Radius on a part is a single leaf when min(|P|, |part|) is
   // below this (zero_radius_bits passes |P| as its n).
   const std::size_t leaf = zero_radius_leaf_threshold(n, alpha_zr, params);
-  const bool order_free = small_radius_order_free(oracle, board);
 
   // Degradation: crashed/degraded players are excluded from votes and
   // skipped when probing; quorum thresholds are taken over survivors.
@@ -171,7 +165,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     const auto partition = rng::random_partition(m, s, part_rng);
 
     std::vector<Part> parts(s);
-    bool all_leaves = order_free;
+    bool all_leaves = oracle.order_free();
     for (std::size_t i = 0; i < s; ++i) {
       Part& part = parts[i];
       const auto& positions = partition.parts[i];
@@ -187,10 +181,6 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
         for (std::uint32_t pos : positions) part.pos_mask.set(pos, true);
       }
     }
-    const auto prefix = [t](std::size_t i) {
-      return "sr/" + std::to_string(t) + "/" + std::to_string(i);
-    };
-
     if (!all_leaves) {
       // One part at a time. Step 1b: Zero Radius on the part with
       // frequency alpha/5, then the vote; Step 1c: every player's
@@ -198,8 +188,9 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       for (std::size_t i = 0; i < s; ++i) {
         Part& part = parts[i];
         if (part.objects.empty()) continue;
-        const auto zr_out = zero_radius_bits(oracle, board, players, part.objects, alpha_zr,
-                                             params, rng.split(t, 0xB0B, i), prefix(i));
+        const auto zr_out = zero_radius_bits(
+            oracle, board, players, part.objects, alpha_zr, params, rng.split(t, 0xB0B, i),
+            "sr/" + std::to_string(t) + "/" + std::to_string(i));
         vote(part, zr_out);
         // Per-part community size; serial drain point for the recorder.
         if (auto* rec = oracle.recorder()) {
@@ -216,8 +207,9 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // Every part is one Zero Radius leaf, and nobody can see the order
     // a player's probes land in: run the s parts at once, as three pool
     // passes (DESIGN §13.6). Each player probes the same pairs as the
-    // per-part loop, its leaves first; every ledger, post and output is
-    // the per-part loop's.
+    // per-part loop, its leaves first; every ledger and output is the
+    // per-part loop's, and neither posts (a leaf's outputs are its probe
+    // results).
     //
     // Pass 1: every player probes each part's objects, in part order
     // (the leaf of Fig. 2 step 1). The rows' buffers are allocated
@@ -235,16 +227,6 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
                   part.leaf_words.begin() + static_cast<std::ptrdiff_t>(pi * part.row_words()));
       }
     });
-    // The leaves' posts, on the caller in part order: Zero Radius posts
-    // a node's outputs on zr/<tag>, and a root leaf has tag 1. Posting
-    // here keeps new board rows off the workers' malloc arenas.
-    for (std::size_t i = 0; i < s; ++i) {
-      const Part& part = parts[i];
-      if (!part.objects.empty()) {
-        BitSpace(oracle, board, prefix(i))
-            .publish_packed("zr/1", players, {part.leaf_words, part.objects.size()});
-      }
-    }
     // Pass 2: the s votes, each grouping its part's leaf rows once.
     engine::parallel_for(
         0, s,

@@ -57,6 +57,34 @@ void append_le(std::string& buf, U v) {
 
 [[noreturn]] void fail(const std::string& what) { throw CheckpointError(what); }
 
+/// a * b modulo the CRC polynomial, both bit-reflected (x^0 is bit 31):
+/// zlib's multmodp.
+std::uint32_t crc_multmod(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t prod = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) prod ^= b;
+    b = (b & 1u) != 0 ? 0xEDB88320u ^ (b >> 1) : b >> 1;
+  }
+  return prod;
+}
+
+/// x^(8n) modulo the CRC polynomial: multiplying a CRC by it appends n
+/// zero bytes to its message (zlib's x2nmodp(n, 3)).
+std::uint32_t crc_shift(std::uint64_t n) {
+  // pow[k] = x^(8 * 2^k), by repeated squaring from x^8.
+  static const auto pow = [] {
+    std::array<std::uint32_t, 64> t{};
+    t[0] = 1u << (31 - 8);
+    for (std::size_t k = 1; k < t.size(); ++k) t[k] = crc_multmod(t[k - 1], t[k - 1]);
+    return t;
+  }();
+  std::uint32_t x = 1u << 31;  // x^0
+  for (std::size_t k = 0; n != 0; n >>= 1, ++k) {
+    if ((n & 1u) != 0) x = crc_multmod(pow[k], x);
+  }
+  return x;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
@@ -72,6 +100,10 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   }
   for (; size > 0; ++p, --size) c = table[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2, std::uint64_t len2) {
+  return crc_multmod(crc_shift(len2), crc1) ^ crc2;
 }
 
 // ---------------------------------------------------------------------------
@@ -243,19 +275,26 @@ std::string Checkpoint::encode() const {
     w.u32(static_cast<std::uint32_t>(sections_.size()));
     body.append(w.bytes());
   }
+  // The file CRC covers the whole body, but each payload is read once:
+  // for its section CRC, which the file CRC then takes in by combining.
+  std::uint32_t file_crc = crc32(body.data(), body.size());
   for (const auto& [name, bytes] : sections_) {
+    const std::uint32_t payload_crc = crc32(bytes.data(), bytes.size());
+    const std::size_t start = body.size();
     BinWriter w;
     w.u32(static_cast<std::uint32_t>(name.size()));
     body.append(w.bytes());
     body.append(name);
     BinWriter tail;
     tail.u64(bytes.size());
-    tail.u32(crc32(bytes.data(), bytes.size()));
+    tail.u32(payload_crc);
     body.append(tail.bytes());
+    file_crc = crc32(body.data() + start, body.size() - start, file_crc);
     body.append(bytes);
+    file_crc = crc32_combine(file_crc, payload_crc, bytes.size());
   }
   BinWriter footer;
-  footer.u32(crc32(body.data(), body.size()));
+  footer.u32(file_crc);
   body.append(footer.bytes());
   return body;
 }
@@ -268,33 +307,52 @@ Checkpoint Checkpoint::decode(std::string_view bytes) {
   const std::string_view body = bytes.substr(0, bytes.size() - 4);
   BinReader footer(bytes.substr(bytes.size() - 4), "checkpoint footer");
   const std::uint32_t want = footer.u32();
-  const std::uint32_t got = crc32(body.data(), body.size());
-  if (want != got) fail("checkpoint: file CRC mismatch (corrupt or torn write)");
 
-  BinReader r(body.substr(sizeof(kMagic)), "checkpoint header");
-  const std::uint32_t version = r.u32();
-  if (version != kVersion) {
-    fail("checkpoint: unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kVersion) + ")");
-  }
-  const std::uint32_t count = r.u32();
+  // One walk reads every payload once, for its section CRC, and builds
+  // the file CRC from those. It stops at the first fault of the layout
+  // and notes the first fault of any kind, in file order.
+  std::string fault;
+  bool walked = false;
+  std::uint32_t got = 0;
   Checkpoint cp;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t name_len = r.u32();
-    if (name_len > r.remaining()) fail("checkpoint: truncated section name");
-    std::string name(r.bytes(name_len));
-    const std::uint64_t payload_len = r.u64();
-    const std::uint32_t payload_crc = r.u32();
-    if (payload_len > r.remaining()) {
-      fail("checkpoint: truncated section '" + name + "'");
+  try {
+    BinReader r(body.substr(sizeof(kMagic)), "checkpoint header");
+    const std::uint32_t version = r.u32();
+    const std::uint32_t count = r.u32();
+    got = crc32(body.data(), sizeof(kMagic) + 8);
+    if (version != kVersion) {
+      fail("checkpoint: unsupported version " + std::to_string(version) + " (expected " +
+           std::to_string(kVersion) + ")");
     }
-    const std::string_view payload = r.bytes(static_cast<std::size_t>(payload_len));
-    if (crc32(payload.data(), payload.size()) != payload_crc) {
-      fail("checkpoint: section '" + name + "' CRC mismatch");
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::size_t start = body.size() - r.remaining();
+      const std::uint32_t name_len = r.u32();
+      if (name_len > r.remaining()) fail("checkpoint: truncated section name");
+      std::string name(r.bytes(name_len));
+      const std::uint64_t payload_len = r.u64();
+      const std::uint32_t payload_crc = r.u32();
+      if (payload_len > r.remaining()) {
+        fail("checkpoint: truncated section '" + name + "'");
+      }
+      got = crc32(body.data() + start, body.size() - r.remaining() - start, got);
+      const std::string_view payload = r.bytes(static_cast<std::size_t>(payload_len));
+      const std::uint32_t crc = crc32(payload.data(), payload.size());
+      got = crc32_combine(got, crc, payload.size());
+      if (crc != payload_crc && fault.empty()) {
+        fault = "checkpoint: section '" + name + "' CRC mismatch";
+      }
+      cp.sections_[name] = std::string(payload);
     }
-    cp.sections_[name] = std::string(payload);
+    if (!r.at_end()) fail("checkpoint: trailing garbage after sections");
+    walked = true;
+  } catch (const CheckpointError& e) {
+    if (fault.empty()) fault = e.what();
   }
-  if (!r.at_end()) fail("checkpoint: trailing garbage after sections");
+  // The file CRC is checked first. Where the walk did not cover the
+  // body, the body's own CRC decides it.
+  if (!walked || got != want) got = crc32(body.data(), body.size());
+  if (got != want) fail("checkpoint: file CRC mismatch (corrupt or torn write)");
+  if (!fault.empty()) fail(fault);
   return cp;
 }
 

@@ -54,6 +54,11 @@ class CheckpointError : public std::runtime_error {
 // eight bytes per step (slicing-by-8).
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
+// The CRC-32 of A followed by B, from crc1 = crc32(A), crc2 = crc32(B)
+// and len2 = |B|, without reading either (zlib's crc32_combine): equal
+// to crc32(B, len2, crc1), in O(log len2) steps.
+std::uint32_t crc32_combine(std::uint32_t crc1, std::uint32_t crc2, std::uint64_t len2);
+
 // ---------------------------------------------------------------------------
 // Wire helpers
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 // checkpoint is byte-identical to the uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -165,6 +166,32 @@ TEST(Crc32, MatchesABitwiseReference) {
   EXPECT_EQ(io::crc32(buf.data() + 13, buf.size() - 13, head), io::crc32(buf.data(), buf.size()));
 }
 
+// crc32_combine of a split's two CRCs is the CRC of the whole, for
+// random splits of random buffers (empty halves and lengths with high
+// bits set included), and folds any number of pieces left to right.
+TEST(Crc32, CombineMatchesOnePassOverRandomSplits) {
+  rng::Rng gen(92);
+  std::vector<unsigned char> buf(70000);
+  for (auto& b : buf) b = static_cast<unsigned char>(gen.next());
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t len = trial < 100 ? gen.uniform(300) : gen.uniform(buf.size() + 1);
+    const std::size_t off = gen.uniform(buf.size() - len + 1);
+    const std::size_t cut = gen.uniform(len + 1);
+    const unsigned char* p = buf.data() + off;
+    EXPECT_EQ(io::crc32_combine(io::crc32(p, cut), io::crc32(p + cut, len - cut), len - cut),
+              io::crc32(p, len))
+        << "length " << len << " cut " << cut;
+  }
+  std::uint32_t folded = io::crc32(buf.data(), 0);
+  std::size_t at = 0;
+  while (at < buf.size()) {
+    const std::size_t piece = std::min(buf.size() - at, gen.uniform(9000));
+    folded = io::crc32_combine(folded, io::crc32(buf.data() + at, piece), piece);
+    at += piece;
+  }
+  EXPECT_EQ(folded, io::crc32(buf.data(), buf.size()));
+}
+
 TEST(AtomicWrite, ReplacesFileAndLeavesNoTmp) {
   const std::string path = testing::TempDir() + "atomic_write_test.bin";
   io::atomic_write_file(path, "first");
@@ -217,6 +244,60 @@ TEST(CheckpointContainer, RejectsCorruptionWhole) {
   EXPECT_THROW(io::Checkpoint::decode(wrong), io::CheckpointError);
   // Trailing garbage.
   EXPECT_THROW(io::Checkpoint::decode(bytes + "junk"), io::CheckpointError);
+}
+
+/// `body` followed by its CRC: a container whose file CRC holds.
+std::string sealed(const std::string& body) {
+  io::BinWriter w;
+  w.u32(io::crc32(body.data(), body.size()));
+  return body + w.bytes();
+}
+
+/// What decoding `bytes` fails with ("" if it decodes).
+std::string decode_error(const std::string& bytes) {
+  try {
+    (void)io::Checkpoint::decode(bytes);
+  } catch (const io::CheckpointError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The footer is the CRC of everything before it, and decoding reports
+// the file CRC first, then the first fault in file order: the version,
+// then section by section a truncation or a section CRC, then trailing
+// bytes.
+TEST(CheckpointContainer, ReportsTheFileCrcThenTheFirstFaultInFileOrder) {
+  io::Checkpoint cp;
+  cp.set("a", std::string(100, 'a'));
+  cp.set("b", std::string(50, 'b'));
+  const auto bytes = cp.encode();
+  const std::string body = bytes.substr(0, bytes.size() - 4);
+  ASSERT_EQ(sealed(body), bytes);
+  const std::size_t a_at = body.find(std::string(100, 'a'));
+  const std::size_t b_at = body.find(std::string(50, 'b'));
+  ASSERT_LT(a_at, b_at);
+
+  auto bad_a = body;
+  bad_a[a_at + 7] = 'x';
+  auto bad_b = body;
+  bad_b[b_at + 7] = 'x';
+  auto version_one = body;
+  version_one[8] = 1;
+  const std::string cut_b = body.substr(0, b_at + 20);
+  const auto expect_error = [](const std::string& got, const std::string& want) {
+    EXPECT_NE(got.find(want), std::string::npos) << "got '" << got << "', want '" << want << "'";
+  };
+  expect_error(decode_error(bad_a + bytes.substr(body.size())), "file CRC mismatch");
+  expect_error(decode_error(sealed(bad_a)), "section 'a' CRC mismatch");
+  expect_error(decode_error(sealed(bad_a.substr(0, b_at + 20))), "section 'a' CRC mismatch");
+  expect_error(decode_error(sealed(cut_b)), "truncated section 'b'");
+  expect_error(decode_error(cut_b + bytes.substr(body.size())), "file CRC mismatch");
+  expect_error(decode_error(sealed(version_one)), "unsupported version 1");
+  expect_error(decode_error(version_one + bytes.substr(body.size())), "file CRC mismatch");
+  expect_error(decode_error(sealed(body + "junk")), "trailing garbage");
+  expect_error(decode_error(sealed(bad_b + "junk")), "section 'b' CRC mismatch");
+  EXPECT_EQ(decode_error(bytes), "");
 }
 
 TEST(CheckpointContainer, SaveLoadRoundTripsThroughDisk) {

@@ -3,7 +3,10 @@
 // pure-explore good-object mode, and small API edges.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "tmwia/core/tmwia.hpp"
 
@@ -11,24 +14,45 @@ namespace tmwia::core {
 namespace {
 
 TEST(Plumbing, SmallRadiusPostsNamespacedChannels) {
-  const std::size_t n = 128;
-  rng::Rng gen(1);
-  auto inst = matrix::planted_community(n, 128, {0.5, 1}, gen);
-  billboard::ProbeOracle oracle(inst.matrix);
+  const auto run = [](std::size_t n, std::size_t m, std::size_t D, billboard::Billboard& board) {
+    rng::Rng gen(n + D);
+    auto inst = matrix::planted_community(n, m, {0.5, 1}, gen);
+    billboard::ProbeOracle oracle(inst.matrix);
+    std::vector<PlayerId> players(n);
+    std::iota(players.begin(), players.end(), 0u);
+    std::vector<std::uint32_t> objects(m);
+    std::iota(objects.begin(), objects.end(), 0u);
+    return small_radius(oracle, &board, players, objects, 0.5, D, Params::practical(),
+                        rng::Rng(2), n);
+  };
+  // 128 players are below the leaf threshold (195 at alpha 0.5 and
+  // n = 128), so every part is one Zero Radius leaf, whose outputs are
+  // its probe results: nothing is posted.
+  billboard::Billboard all_leaf;
+  (void)run(128, 128, 2, all_leaf);
+  EXPECT_TRUE(all_leaf.export_posts().empty());
+
+  // At n = 256 and D = 1 the two parts of about 256 objects are above
+  // the threshold (222 at n = 256). Each (iteration, part) Zero Radius run posts its internal nodes
+  // under its own prefix sr/<t>/<i>/zr/<tag>, so nothing collides, and
+  // each part's root is internal and posts every player.
+  const std::size_t n = 256;
   billboard::Billboard board;
-
-  std::vector<PlayerId> players(n);
-  std::iota(players.begin(), players.end(), 0u);
-  std::vector<std::uint32_t> objects(128);
-  std::iota(objects.begin(), objects.end(), 0u);
-
-  (void)small_radius(oracle, &board, players, objects, 0.5, 2, Params::practical(),
-                     rng::Rng(2), n);
-  // Each (iteration, part) Zero Radius run posts under its own prefix,
-  // so nothing collides and the board fills up.
-  std::size_t posts = 0;
-  for (const auto& ch : board.export_posts()) posts += ch.posts.size();
-  EXPECT_GT(posts, n);
+  const auto res = run(n, 512, 1, board);
+  std::set<std::string> roots;
+  for (const auto& ch : board.export_posts()) {
+    std::size_t t = 0, i = 0, tag = 0;
+    char tail = 0;
+    ASSERT_EQ(std::sscanf(ch.channel.c_str(), "sr/%zu/%zu/zr/%zu%c", &t, &i, &tag, &tail), 3)
+        << ch.channel;
+    EXPECT_LT(t, res.iterations);
+    EXPECT_LT(i, res.parts);
+    if (tag == 1) {
+      roots.insert(ch.channel);
+      EXPECT_EQ(ch.posts.size(), n);
+    }
+  }
+  EXPECT_EQ(roots.size(), res.iterations * res.parts);
 }
 
 TEST(Plumbing, LargeRadiusPublishesGroupOutputs) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <sstream>
 #include <vector>
@@ -191,6 +190,7 @@ struct SrRun {
   billboard::ProbeOracle::Ledger ledger;
   std::vector<billboard::Billboard::ChannelDump> posts;
   obs::Snapshot metrics;
+  std::vector<obs::RecorderEvent> log;  ///< the flight log of a recorded run
 };
 
 struct ScheduleCase {
@@ -222,13 +222,16 @@ SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
   if (recorded) oracle.set_recorder(&rec);
   oracle.set_auditor(auditor);
   SrRun run;
-  run.order_free = small_radius_order_free(oracle, &board);
+  run.order_free = oracle.order_free();
   run.res = small_radius(oracle, &board, iota_players(c.n), iota_objects(c.m), c.alpha, c.D,
                          Params::practical(), rng::Rng(c.n + c.D), c.n);
   run.ledger = oracle.export_ledger();
   run.posts = board.export_posts();
   run.metrics = reg.snapshot();
   reg.set_enabled(false);
+  rec.flush();
+  std::istringstream in(log.str());
+  run.log = obs::read_recorder_log(in);
   return run;
 }
 
@@ -301,14 +304,15 @@ TEST_P(SmallRadiusScheduleChoices, MatchesThePerPartRun) {
                                                 gen);
   const auto reference = run_sr(inst, c, true);
   EXPECT_FALSE(reference.order_free);
-  // The vote of some part leaves at least three candidates...
-  const auto quorum = static_cast<std::uint32_t>(
-      std::ceil(c.alpha * static_cast<double>(c.n) / Params::practical().sr_vote_div));
-  std::size_t most = 0;
-  for (const auto& dump : reference.posts) {
-    std::vector<bits::BitVector> rows;
-    for (const auto& post : dump.posts) rows.push_back(post.second);
-    most = std::max(most, billboard::tally(rows, quorum).size());
+  // The vote of some part leaves at least three candidates (the
+  // recorded run notes each part's vote as sr.part: voters,
+  // candidates)...
+  std::uint64_t most = 0;
+  for (const auto& ev : reference.log) {
+    if (ev.kind == obs::RecorderEvent::Kind::kNote && ev.label == "sr.part") {
+      EXPECT_EQ(ev.a, c.n);
+      most = std::max(most, ev.b);
+    }
   }
   EXPECT_GE(most, 3u);
   // ...and some Select probes more than one coordinate.

@@ -14,6 +14,8 @@
 #include "tmwia/core/bit_space.hpp"
 #include "tmwia/core/params.hpp"
 #include "tmwia/core/zero_radius.hpp"
+#include "tmwia/faults/fault_injector.hpp"
+#include "tmwia/faults/fault_plan.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/rng/partition.hpp"
 
@@ -222,6 +224,104 @@ TEST(ZeroRadius, DeterministicGivenSeed) {
                                    Params::practical(), rng::Rng(9));
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(o1.total_invocations(), o2.total_invocations());
+}
+
+/// Every node of `plan`, breadth-first from the root.
+std::vector<const ZeroRadiusPlan::Node*> plan_nodes(const ZeroRadiusPlan& plan) {
+  std::vector<const ZeroRadiusPlan::Node*> nodes{&plan.root()};
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i]->leaf()) continue;
+    nodes.push_back(&plan.child(*nodes[i], 0));
+    nodes.push_back(&plan.child(*nodes[i], 1));
+  }
+  return nodes;
+}
+
+/// A 512 x 512 planted instance whose Zero Radius tree at alpha 0.25
+/// (leaf threshold 100) has three levels of internal nodes above its
+/// 64-player leaves.
+struct PostCase {
+  static constexpr std::size_t n = 512;
+  static constexpr double alpha = 0.25;
+  matrix::Instance inst = [] {
+    rng::Rng gen(61);
+    return matrix::planted_community(n, n, {alpha, 0}, gen);
+  }();
+  Params params = Params::practical();
+  rng::Rng coins{62};
+  ZeroRadiusPlan plan{iota_players(n), iota_objects(n),
+                      zero_radius_leaf_threshold(n, alpha, params), coins};
+
+  std::vector<bits::BitVector> run(billboard::ProbeOracle& oracle, billboard::Billboard& board) {
+    return zero_radius_bits(oracle, &board, iota_players(n), iota_objects(n), alpha, params,
+                            coins, "t");
+  }
+};
+
+// A leaf's outputs are its players' probe results, which the oracle
+// already holds, so only internal nodes post. A player's row at a node
+// is its final row on the node's objects: every node copies its own
+// half's rows through unchanged.
+TEST(ZeroRadius, PostsExactlyTheInternalNodesOutputs) {
+  PostCase c;
+  billboard::ProbeOracle oracle(c.inst.matrix);
+  billboard::Billboard board;
+  const auto outputs = c.run(oracle, board);
+
+  std::vector<billboard::Billboard::ChannelDump> expected;
+  std::size_t leaves = 0;
+  for (const auto* node : plan_nodes(c.plan)) {
+    if (node->leaf()) {
+      ++leaves;
+      continue;
+    }
+    auto& dump = expected.emplace_back();
+    dump.channel = "t/zr/" + std::to_string(node->tag);
+    for (const PlayerId p : node->players) {
+      dump.posts.emplace_back(p, outputs[p].project(node->objects));
+    }
+    std::sort(dump.posts.begin(), dump.posts.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const auto& a, const auto& b) { return a.channel < b.channel; });
+  EXPECT_EQ(leaves, 8u);
+  EXPECT_EQ(expected.size(), 7u);
+  EXPECT_TRUE(board.export_posts() == expected);
+}
+
+// Under post loss a leaf still loses posts, though it writes none: the
+// fault report counts every (node, surviving player) pair whose
+// post_lost draw is true, leaves included, and an internal node's
+// channel holds exactly its players whose draw is false.
+TEST(ZeroRadius, PostLossCountsLeafDraws) {
+  PostCase c;
+  billboard::ProbeOracle oracle(c.inst.matrix);
+  billboard::Billboard board;
+  faults::FaultInjector injector(faults::FaultPlan::parse("seed=3,drop=0.2"), PostCase::n);
+  oracle.set_fault_injector(&injector);
+  (void)c.run(oracle, board);
+
+  std::uint64_t lost = 0;
+  std::uint64_t lost_at_leaves = 0;
+  for (const auto* node : plan_nodes(c.plan)) {
+    const std::string channel = "t/zr/" + std::to_string(node->tag);
+    const auto tag = faults::FaultInjector::channel_tag(channel);
+    std::size_t kept = 0;
+    for (const PlayerId p : node->players) {
+      if (injector.is_failed(p)) continue;
+      if (!injector.post_lost(p, tag)) {
+        ++kept;
+        continue;
+      }
+      ++lost;
+      if (node->leaf()) ++lost_at_leaves;
+    }
+    EXPECT_EQ(board.posters(channel), node->leaf() ? 0 : kept) << channel;
+  }
+  EXPECT_GT(lost_at_leaves, 0u);
+  EXPECT_GT(lost, lost_at_leaves);
+  EXPECT_EQ(injector.report().posts_dropped, lost);
 }
 
 TEST(ZeroRadius, PostsAppearOnBillboard) {

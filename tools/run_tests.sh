@@ -52,7 +52,8 @@
 #              profile equal to its run's --prof tree; a recorded copy
 #              of each run at --threads 4 (serial groups, the per-part
 #              schedule) must match their estimates, metrics and
-#              profiles
+#              profiles, and its billboard.posts counter must equal
+#              its flight log's vector_post records
 #   thread-safety opt-in: the static concurrency gate — tmwia_lint.py
 #              --self-test, then the full lint with a jq check that the
 #              concurrency rules (naked-mutex, manual-lock,
@@ -382,6 +383,18 @@ if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
       --metrics="$run.metrics.json" --prof="$run.prof.json" >/dev/null
     for f in txt metrics.json prof.json; do cmp "$PAR_DIR/$name.t4.$f" "$run.$f"; done
     echo "-- $name --record: estimates, metrics and profile match the unrecorded run"
+    # The posts counter and the flight log count the same posts: one
+    # vector_post record per billboard post. A counter nothing bumped is
+    # absent from the snapshot (an all-leaf small run posts nothing).
+    posts="$(jq '.counters["billboard.posts"] // 0' "$run.metrics.json")"
+    logged="$(grep -c '"ev":"vector_post"' "$run.jsonl" || true)"
+    if [[ "$posts" != "$logged" ]]; then
+      echo "kernel parity: $name --record: billboard.posts is $posts," \
+        "the flight log has $logged vector_post records" >&2
+      rm -rf "$PAR_DIR"
+      exit 1
+    fi
+    echo "-- $name --record: billboard.posts = $posts = vector_post records"
   done
   rm -rf "$PAR_DIR"
 fi
