@@ -226,33 +226,54 @@ void BM_ProbeOracle(benchmark::State& state) {
 BENCHMARK(BM_ProbeOracle);
 
 /// The Small Radius leaf shape of the n = m = 2048 reference run: a
-/// d = 2 iteration cuts the objects into 6 parts of about 341, and each
-/// player probes its part's objects as one probe_block. One oracle and
-/// one auditor serve every thread and both Args.
+/// d = 2 iteration cuts the objects into 6 parts of about 341. `part`
+/// is the first part, one probe_block's objects; `iteration` is every
+/// object in part order, the set one player's probe_set covers. One
+/// oracle and one auditor serve every thread and both Args.
 struct LeafProbes {
   static constexpr std::size_t kPlayers = 2048;
   static constexpr std::size_t kParts = 6;
 
   matrix::Instance inst;
+  rng::Partition partition;
   std::vector<std::uint32_t> part;
   billboard::ProbeOracle oracle;
+  billboard::ProbeOracle::ObjectSet iteration;
   billboard::ProtocolAuditor auditor;
 
   LeafProbes()
       : inst(make_instance()),
-        part(first_part()),
+        partition(make_partition()),
+        part(partition.parts[0]),
         oracle(inst.matrix),
+        iteration(oracle, in_part_order(partition)),
         auditor(kPlayers, kPlayers) {}
 
   static matrix::Instance make_instance() {
     rng::Rng rng(23);
     return matrix::uniform_random(kPlayers, kPlayers, rng);
   }
-  static std::vector<std::uint32_t> first_part() {
+  static rng::Partition make_partition() {
     rng::Rng rng(29);
-    return rng::random_partition(kPlayers, kParts, rng).parts[0];
+    return rng::random_partition(kPlayers, kParts, rng);
+  }
+  static std::vector<std::uint32_t> in_part_order(const rng::Partition& p) {
+    std::vector<std::uint32_t> objs;
+    for (const auto& part : p.parts) objs.insert(objs.end(), part.begin(), part.end());
+    return objs;
   }
 };
+
+/// Reports the loop's probed bits as items, and each thread's wall ns
+/// per probed bit since `start` (averaged over the threads).
+void count_bits(benchmark::State& state, std::size_t bits_per_iteration,
+                std::chrono::steady_clock::time_point start) {
+  const auto bits = state.iterations() * static_cast<std::int64_t>(bits_per_iteration);
+  const std::chrono::duration<double, std::nano> ns = std::chrono::steady_clock::now() - start;
+  state.SetItemsProcessed(bits);
+  state.counters["ns_per_bit"] =
+      benchmark::Counter(ns.count() / static_cast<double>(bits), benchmark::Counter::kAvgThreads);
+}
 
 // One leaf block per iteration, without (Arg 0) and with (Arg 1) an
 // attached ProtocolAuditor, at 1 and 4 threads; each thread probes its
@@ -267,15 +288,40 @@ void BM_ProbeBlock(benchmark::State& state) {
   const auto first = share * static_cast<std::size_t>(state.thread_index());
   bits::BitVector row(leaf.part.size());
   std::size_t i = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     leaf.oracle.probe_block(static_cast<matrix::PlayerId>(first + i), leaf.part, row);
     benchmark::DoNotOptimize(row.words().data());
     benchmark::ClobberMemory();
     i = i + 1 == share ? 0 : i + 1;
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(leaf.part.size()));
+  count_bits(state, leaf.part.size(), start);
 }
 BENCHMARK(BM_ProbeBlock)->Arg(0)->Arg(1)->Threads(1)->Threads(4)->UseRealTime();
+
+// One player's whole d = 2 iteration per loop, as Small Radius's pass 1
+// probes it: one probe_set over all 2048 objects in part order, without
+// (Arg 0) and with (Arg 1) an auditor, at 1 and 4 threads. Beside
+// BM_ProbeBlock's ns per bit it prices the word-kept ledger. Ungated.
+void BM_ProbeSet(benchmark::State& state) {
+  static LeafProbes leaf;
+  if (state.thread_index() == 0) {
+    leaf.oracle.set_auditor(state.range(0) != 0 ? &leaf.auditor : nullptr);
+  }
+  const auto share = LeafProbes::kPlayers / static_cast<std::size_t>(state.threads());
+  const auto first = share * static_cast<std::size_t>(state.thread_index());
+  bits::BitVector row(leaf.iteration.objects().size());
+  std::size_t i = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    leaf.oracle.probe_set(static_cast<matrix::PlayerId>(first + i), leaf.iteration, row);
+    benchmark::DoNotOptimize(row.words().data());
+    benchmark::ClobberMemory();
+    i = i + 1 == share ? 0 : i + 1;
+  }
+  count_bits(state, leaf.iteration.objects().size(), start);
+}
+BENCHMARK(BM_ProbeSet)->Arg(0)->Arg(1)->Threads(1)->Threads(4)->UseRealTime();
 
 // The raw cost of one flight-recorder probe record point: Arg 0 is the
 // disabled fast path (a null FlightRecorder* test, as ProbeOracle's

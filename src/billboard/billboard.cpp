@@ -177,6 +177,8 @@ std::vector<VotedVector> tally(PackedRows rows, std::uint32_t min_votes,
   return group(packed, min_votes, &distinct, group_of);
 }
 
+Billboard::Billboard() { (void)board_metrics(); }
+
 const Billboard::Channel* Billboard::find(const std::string& name) const {
   support::MutexLock lk(mu_);
   const auto it = channels_.find(name);

@@ -83,6 +83,12 @@ std::vector<VotedVector> tally(PackedRows rows, std::uint32_t min_votes,
 
 class Billboard {
  public:
+  /// Registers the board's metric counters (billboard.posts,
+  /// billboard.reads, billboard.tally_cache_hits), so a metrics
+  /// snapshot lists them, at zero, whether or not anything posted or
+  /// read.
+  Billboard();
+
   /// Attach the flight recorder that logs this board's vector posts
   /// (one vector_post record per post). Attach before the first post;
   /// the recorder must outlive the board's use; nullptr (the default)

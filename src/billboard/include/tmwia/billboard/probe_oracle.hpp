@@ -119,9 +119,11 @@ class ProbeOracle {
   /// bumps, recorder lookup, bounds checks, the audit hook) is
   /// amortized over the whole block: the auditor hears of it once,
   /// through ProtocolAuditor::on_probe_block. This is the Zero Radius
-  /// leaf's probe path: every player reads its full object subset,
-  /// tens of millions of bits per run. Only a fault injector takes the
-  /// bits one probe at a time, because it draws a fault per attempt.
+  /// leaf's probe path, where every player reads its full object
+  /// subset (Small Radius's all-leaf iterations read theirs through
+  /// probe_set), and Small Radius's Select replay. Only a fault
+  /// injector takes the bits one probe at a time, because it draws a
+  /// fault per attempt.
   void probe_block(PlayerId p, std::span<const ObjectId> objs, bits::BitVector& out) {
     if (injector_ != nullptr) {
       for (std::size_t j = 0; j < objs.size(); ++j) out.set(j, probe_resilient(p, objs[j]));
@@ -168,6 +170,35 @@ class ProbeOracle {
     }
     if (auditor_ != nullptr) audit_block(p, objs);
   }
+
+  /// A set of objects that players probe as one block (probe_set): the
+  /// objects in report order, and their word mask over the oracle's
+  /// objects(). The caller builds it once, which checks the bounds
+  /// once (std::out_of_range), and every player's probe_set reads it;
+  /// it serves the oracle it was built for and that oracle's forks.
+  class ObjectSet {
+   public:
+    ObjectSet(const ProbeOracle& oracle, std::vector<ObjectId> objects);
+    [[nodiscard]] std::span<const ObjectId> objects() const { return objects_; }
+
+   private:
+    friend class ProbeOracle;
+    std::vector<ObjectId> objects_;
+    bits::BitVector mask_;
+  };
+
+  /// probe_block(p, set.objects(), out) with the ledger kept in words:
+  /// the same invocations, charges, probe record, values, auditor
+  /// report and exceptions (a fork's non-member gets std::logic_error),
+  /// and bit j of `out` is the result for set.objects()[j]. Where
+  /// probe_block walks the block one object at a time, this charges,
+  /// marks and reads 64 objects per word of the set's mask; only
+  /// sticky noise (a hash per probed bit) and filling `out` in report
+  /// order go one bit at a time. A fault injector or a flight recorder
+  /// sees every probe, so with either attached this is probe_block.
+  /// Small Radius's all-leaf iterations probe each player's leaves
+  /// this way, one call per player and iteration (DESIGN §13.6).
+  void probe_set(PlayerId p, const ObjectSet& set, bits::BitVector& out);
 
   /// Fault-tolerant probe used by the centrally-simulated phases:
   /// retries transient failures up to the plan's retry budget (each
@@ -271,14 +302,14 @@ class ProbeOracle {
   /// range std::out_of_range.
   [[noreturn]] void reject_probe(PlayerId p, ObjectId o, const char* where) const;
 
-  /// Increment a per-player ledger counter, returning the old value.
+  /// Add `by` to a per-player ledger counter, returning the old value.
   /// Player p's counters have a single writer (player code runs
   /// single-threaded per player), so a relaxed load+store pair suffices
   /// — an atomic RMW would put a LOCK-prefixed op in the hottest loop
   /// in the system for exclusivity nobody contends.
-  static std::uint64_t bump(std::atomic<std::uint64_t>& c) {
+  static std::uint64_t bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
     const auto v = c.load(std::memory_order_relaxed);
-    c.store(v + 1, std::memory_order_relaxed);
+    c.store(v + by, std::memory_order_relaxed);
     return v;
   }
 

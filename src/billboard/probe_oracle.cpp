@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <utility>
 
 #include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/obs/metrics.hpp"
@@ -143,6 +144,66 @@ bool ProbeOracle::probe_slow(PlayerId p, ObjectId o) {
 
 void ProbeOracle::audit_block(PlayerId p, std::span<const ObjectId> objs) {
   auditor_->on_probe_block(p, objs);
+}
+
+ProbeOracle::ObjectSet::ObjectSet(const ProbeOracle& oracle, std::vector<ObjectId> objects)
+    : objects_(std::move(objects)), mask_(oracle.objects()) {
+  for (const auto o : objects_) {
+    if (o >= mask_.size()) throw std::out_of_range("ProbeOracle::ObjectSet: object out of range");
+    mask_.set(o, true);
+  }
+}
+
+void ProbeOracle::probe_set(PlayerId p, const ObjectSet& set, bits::BitVector& out) {
+  const auto objs = set.objects();
+  if (injector_ != nullptr || recorder_ != nullptr) {
+    probe_block(p, objs, out);
+    return;
+  }
+  if (p >= players()) throw std::out_of_range("ProbeOracle::probe_set: player out of range");
+  if (set.mask_.size() != objects()) {
+    throw std::invalid_argument("ProbeOracle::probe_set: the set is over another object count");
+  }
+  // An empty block changes nothing, for a fork's non-member too.
+  if (objs.empty()) return;
+  // A fork's non-members have zero-width rows.
+  if (probed_[p].size() != objects()) reject_probe(p, objs.front(), "probe_set");
+  auto& probed = probed_[p];
+  auto& values = values_[p];
+  const auto want = set.mask_.words();
+  const auto seen = probed.words();
+  const auto held = values.words();
+  const auto truth = truth_->row(p).words();
+  const bool noisy = noise_.epsilon > 0.0;
+  std::uint64_t first_probes = 0;
+  for (std::size_t w = 0; w < want.size(); ++w) {
+    const auto mask = want[w];
+    if (mask == 0) continue;
+    first_probes += static_cast<std::uint64_t>(std::popcount(mask & ~seen[w]));
+    probed.set_word(w, seen[w] | mask);
+    auto read = truth[w] & mask;
+    if (noisy) [[unlikely]] {
+      for (auto rest = mask; rest != 0; rest &= rest - 1) {
+        const auto b = std::countr_zero(rest);
+        if (noise_flip(p, static_cast<ObjectId>(w * 64 + static_cast<std::size_t>(b)))) {
+          read ^= std::uint64_t{1} << b;
+        }
+      }
+    }
+    values.set_word(w, (held[w] & ~mask) | read);
+  }
+  bump(invocations_[p], objs.size());
+  bump(charged_[p], first_probes);
+  std::uint64_t word = 0;
+  // tmwia-lint: allow(per-bit-loop) out is in report order, which the caller chose (Small Radius: part order), so each bit is a read from a scattered object
+  for (std::size_t j = 0; j < objs.size(); ++j) {
+    word |= static_cast<std::uint64_t>(values.get(objs[j])) << (j % 64);
+    if (j % 64 == 63 || j + 1 == objs.size()) {
+      out.set_word(j / 64, word);
+      word = 0;
+    }
+  }
+  if (auditor_ != nullptr) audit_block(p, objs);
 }
 
 bool ProbeOracle::fallback_read(PlayerId p, ObjectId o) const {

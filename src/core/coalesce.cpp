@@ -6,7 +6,7 @@
 #include <cstdint>
 
 #include "tmwia/bits/kernels.hpp"
-
+#include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/obs/profile.hpp"
 
 namespace tmwia::core {
@@ -38,12 +38,14 @@ CoalesceResult coalesce(const std::vector<bits::BitVector>& vectors, std::size_t
   // dist(i, j) <= D), thresholded from one dist_many row at a time, and
   // run step 2 on a live bitset: |ball(i)| over the current V is
   // popcount(row_i & live), and removing ball(first) is
-  // live &= ~row_first.
+  // live &= ~row_first. The rows are independent: the pool fills them,
+  // each thread through its own distance buffer, each row at its index.
   const std::size_t n = vectors.size();
   const std::size_t words = (n + 63) / 64;
   std::vector<std::uint64_t> balls(n * words);
-  std::vector<std::uint32_t> dist(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  engine::parallel_for(0, n, [&](std::size_t i) {
+    thread_local std::vector<std::uint32_t> dist;
+    dist.resize(n);
     bits::kernels::dist_many(vectors[i], vectors, dist);
     std::uint64_t* row = balls.data() + i * words;
     for (std::size_t w = 0; w < words; ++w) {
@@ -55,7 +57,7 @@ CoalesceResult coalesce(const std::vector<bits::BitVector>& vectors, std::size_t
       }
       row[w] = word;
     }
-  }
+  });
   // Logical bytes handed to the kernel layer: n rows of n vectors,
   // word-granular — backend-invariant, so safe for determinism diffs.
   obs::profile_cost(obs::Cost::kKernelBytes,

@@ -17,12 +17,16 @@
 // Zero Radius leaf and no observer can see a player's probe order (the
 // oracle is order_free()), the iteration runs as three pool passes
 // over all s parts: every player's leaf probes, then the s votes, then
-// the Selects. A player has then probed every object of each part, so
-// a Select's probes return the player's own leaf bits and its decision
-// depends only on the leaf row: pass 3 runs one Select per distinct
-// leaf row of each part, and every player replays its row's probes
-// through the oracle, charged as its own Select, and adopts the
-// winner. Otherwise — a part above the leaf threshold, a flight
+// the Selects. Pass 1 is one ProbeOracle::probe_set per player over
+// the iteration's objects in part order, so each part's leaf row is a
+// range of the result. A player has then probed every object of each
+// part, so a Select's probes return the player's own leaf bits and its
+// decision depends only on the leaf row: pass 3 runs one Select per
+// distinct leaf row of each part, and every player replays all its
+// rows' probes through the oracle as one probe_block, charges each
+// part's Select as its own, builds its stitched row in part order from
+// word copies of the winners and maps it to position order with one
+// gather. Otherwise — a part above the leaf threshold, a flight
 // recorder or a fault injector — it runs one part at a time, each
 // player running its own Selects. Both schedules probe the same
 // (player, object) pairs and leave the same ledgers, metrics and

@@ -22,6 +22,8 @@ struct Part {
   std::vector<std::uint32_t> objects;                     ///< the part's object ids
   std::size_t voters = 0;                   ///< surviving players who voted
   std::vector<bits::BitVector> candidates;  ///< U_i, lexicographic
+
+  // The per-part loop's stitch.
   /// Every player scatters through the same position set: the part's
   /// word mask, unless the part is so sparse that per-coordinate writes
   /// touch fewer words.
@@ -29,6 +31,9 @@ struct Part {
   bits::BitVector pos_mask;
 
   // The passes' state (DESIGN §13.6).
+  /// The part's coordinates in a player's part-order row: [first,
+  /// first + objects.size()).
+  std::size_t first = 0;
   /// The leaf rows, row_words() words per player. Pass 1 holds all s
   /// parts' rows at once; one buffer per part stores a row of up to 64
   /// objects in 8 bytes, where a BitVector takes 40.
@@ -47,19 +52,19 @@ struct Part {
     return bits::BitVector::word_count(objects.size());
   }
 
-  /// Player pi's row in leaf_words.
-  [[nodiscard]] bits::BitVector leaf_row(std::size_t pi) const {
-    bits::BitVector row(objects.size());
-    const std::size_t nw = row_words();
-    for (std::size_t w = 0; w < nw; ++w) row.set_word(w, leaf_words[pi * nw + w]);
-    return row;
-  }
-
   /// Step 1b's outcome: `popular` (a tally over `voters` players)
   /// becomes the candidates.
   void take_vote(std::size_t n_voters, std::vector<billboard::VotedVector> popular) {
     voters = n_voters;
     for (auto& vv : popular) candidates.push_back(std::move(vv.vec));
+  }
+
+  /// Builds the scatter's position set over the iteration's m positions.
+  void index_positions(std::size_t m) {
+    use_mask = positions->size() >= bits::BitVector::word_count(m) / 2;
+    if (!use_mask) return;
+    pos_mask = bits::BitVector(m);
+    for (std::uint32_t pos : *positions) pos_mask.set(pos, true);
   }
 
   /// Step 1c's stitch: write `piece`, the part's coordinates, into a
@@ -72,6 +77,35 @@ struct Part {
     }
   }
 };
+
+/// Bits [from, from + len) of `row` as the low len bits of the
+/// word_count(len) words at `out`, the bits above len zero.
+void copy_bits_out(std::span<const std::uint64_t> row, std::size_t from, std::size_t len,
+                   std::uint64_t* out) {
+  const std::size_t w0 = from / 64;
+  const std::size_t shift = from % 64;
+  const std::size_t nw = bits::BitVector::word_count(len);
+  for (std::size_t w = 0; w < nw; ++w) {
+    std::uint64_t word = row[w0 + w] >> shift;
+    if (shift != 0 && w0 + w + 1 < row.size()) word |= row[w0 + w + 1] << (64 - shift);
+    out[w] = word;
+  }
+  if (len % 64 != 0) out[nw - 1] &= (std::uint64_t{1} << (len % 64)) - 1;
+}
+
+/// ORs `piece`, a row whose bits above its width are zero, into bits
+/// [at, at + width) of `row`.
+void copy_bits_in(std::span<const std::uint64_t> piece, std::size_t at, bits::BitVector& row) {
+  const std::size_t w0 = at / 64;
+  const std::size_t shift = at % 64;
+  const auto words = row.words();
+  for (std::size_t w = 0; w < piece.size(); ++w) {
+    row.set_word(w0 + w, words[w0 + w] | (piece[w] << shift));
+    if (shift != 0 && (piece[w] >> (64 - shift)) != 0) {
+      row.set_word(w0 + w + 1, words[w0 + w + 1] | (piece[w] >> (64 - shift)));
+    }
+  }
+}
 
 }  // namespace
 
@@ -175,11 +209,6 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       if (!part.objects.empty() && std::min(n, part.objects.size()) >= leaf) {
         all_leaves = false;
       }
-      part.use_mask = positions.size() >= bits::BitVector::word_count(m) / 2;
-      if (part.use_mask) {
-        part.pos_mask = bits::BitVector(m);
-        for (std::uint32_t pos : positions) part.pos_mask.set(pos, true);
-      }
     }
     if (!all_leaves) {
       // One part at a time. Step 1b: Zero Radius on the part with
@@ -188,6 +217,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       for (std::size_t i = 0; i < s; ++i) {
         Part& part = parts[i];
         if (part.objects.empty()) continue;
+        part.index_positions(m);
         const auto zr_out = zero_radius_bits(
             oracle, board, players, part.objects, alpha_zr, params, rng.split(t, 0xB0B, i),
             "sr/" + std::to_string(t) + "/" + std::to_string(i));
@@ -211,20 +241,33 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // per-part loop's, and neither posts (a leaf's outputs are its probe
     // results).
     //
-    // Pass 1: every player probes each part's objects, in part order
-    // (the leaf of Fig. 2 step 1). The rows' buffers are allocated
-    // here, on the caller.
+    // A player's row in part order holds part i at [first, first +
+    // |part|); coordinate in_order[pos] of it is position pos.
+    std::vector<std::uint32_t> leaf_objects;
+    leaf_objects.reserve(m);
+    std::vector<std::uint32_t> in_order(m);
+    for (auto& part : parts) {
+      part.first = leaf_objects.size();
+      for (const std::uint32_t pos : *part.positions) {
+        in_order[pos] = static_cast<std::uint32_t>(leaf_objects.size());
+        leaf_objects.push_back(objects[pos]);
+      }
+    }
+    const billboard::ProbeOracle::ObjectSet leaf_set(oracle, std::move(leaf_objects));
+    // Pass 1: every player probes the iteration's objects in part order
+    // as one set (each part's leaf of Fig. 2 step 1), and each part's
+    // leaf row is a range of the result. The rows' buffers are
+    // allocated here, on the caller.
     for (auto& part : parts) {
       part.leaf_words.assign(n * part.row_words(), 0);
       part.row_of.assign(part.objects.empty() ? 0 : n, 0);
     }
     engine::parallel_for(0, n, [&](std::size_t pi) {
+      bits::BitVector row(m);
+      oracle.probe_set(players[pi], leaf_set, row);
       for (auto& part : parts) {
-        if (part.objects.empty()) continue;
-        bits::BitVector row(part.objects.size());
-        oracle.probe_block(players[pi], part.objects, row);
-        std::copy(row.words().begin(), row.words().end(),
-                  part.leaf_words.begin() + static_cast<std::ptrdiff_t>(pi * part.row_words()));
+        copy_bits_out(row.words(), part.first, part.objects.size(),
+                      part.leaf_words.data() + pi * part.row_words());
       }
     });
     // Pass 2: the s votes, each grouping its part's leaf rows once.
@@ -266,35 +309,50 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       });
       part.winner[r] = static_cast<std::uint32_t>(sel.index);
     });
-    // Then every player replays its rows' Selects, in part order — the
-    // same probes through the oracle and the same charges as its own
-    // Select — and stitches the winners; a player keeps its own row
-    // where no vector reached the quorum.
+    // Then every player replays its rows' Selects — the same probes
+    // through the oracle, as one block in part order, and the same
+    // charge per part as its own Select — and stitches its row in part
+    // order: each part's winner, or the player's own leaf row where no
+    // vector reached the quorum. One gather through in_order puts the
+    // row in position order.
     engine::parallel_for(0, n, [&](std::size_t pi) {
-      const PlayerId p = players[pi];
+      bits::BitVector row(m);
+      std::vector<std::uint32_t> replay;
       for (const auto& part : parts) {
-        if (part.objects.empty()) continue;
         const std::size_t k = part.candidates.size();
+        const std::size_t nw = part.row_words();
         if (k == 0) {
-          part.scatter(stitched[t][pi], part.leaf_row(pi));
+          copy_bits_in({part.leaf_words.data() + pi * nw, nw}, part.first, row);
           continue;
         }
         std::size_t chosen = 0;
         if (k >= 2) {
           const std::size_t r = part.row_of[pi];
-          const std::size_t nw = part.row_words();
-          std::size_t probes = 0;
+          const std::size_t before = replay.size();
           for (std::size_t w = 0; w < nw; ++w) {
             for (std::uint64_t left = part.probed[r * nw + w]; left != 0; left &= left - 1) {
               const auto j = w * 64 + static_cast<std::size_t>(std::countr_zero(left));
-              oracle.probe_resilient(p, part.objects[j]);
-              ++probes;
+              replay.push_back(part.objects[j]);
             }
           }
-          charge_select(k, probes);
+          charge_select(k, replay.size() - before);
           chosen = part.winner[r];
         }
-        part.scatter(stitched[t][pi], part.candidates[chosen]);
+        copy_bits_in(part.candidates[chosen].words(), part.first, row);
+      }
+      if (!replay.empty()) {
+        bits::BitVector results(replay.size());
+        oracle.probe_block(players[pi], replay, results);
+      }
+      bits::BitVector& out = stitched[t][pi];
+      std::uint64_t word = 0;
+      // tmwia-lint: allow(per-bit-loop) a random partition scatters each part's coordinates over the positions, so a position's bit comes from anywhere in the part-order row
+      for (std::size_t pos = 0; pos < m; ++pos) {
+        word |= static_cast<std::uint64_t>(row.get(in_order[pos])) << (pos % 64);
+        if (pos % 64 == 63 || pos + 1 == m) {
+          out.set_word(pos / 64, word);
+          word = 0;
+        }
       }
     });
   }

@@ -9,8 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "audit_json.hpp"
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
+#include "tmwia/billboard/protocol_auditor.hpp"
 #include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/faults/fault_injector.hpp"
 #include "tmwia/matrix/generators.hpp"
@@ -189,6 +191,136 @@ TEST(ProbeOracle, JoinedForksEqualTheSerialLedger) {
     expect_same_ledger(serial, o);
   }
   EXPECT_THROW(serial.join(serial), std::invalid_argument);
+}
+
+/// The objects of the set-probe tests, in a report order that is not
+/// object order: word boundaries on both sides, then a shuffled random
+/// subset of the rest.
+std::vector<ObjectId> set_probe_objects(std::size_t m, rng::Rng& rng) {
+  std::vector<ObjectId> objs = {130, 5, 64, 63, 199, 0, 127, 128, 70};
+  for (ObjectId o = 0; o < m; ++o) {
+    if (std::find(objs.begin(), objs.end(), o) == objs.end() && rng.uniform(3) == 0) {
+      objs.push_back(o);
+    }
+  }
+  rng::shuffle(objs, rng);
+  return objs;
+}
+
+/// Player p probes `objs` through probe_set on `by_set` and through
+/// probe_block on `by_block`: the rows must agree.
+void expect_same_rows(ProbeOracle& by_set, ProbeOracle& by_block, PlayerId p,
+                      const std::vector<ObjectId>& objs) {
+  const ProbeOracle::ObjectSet set(by_set, objs);
+  bits::BitVector got(objs.size());
+  bits::BitVector want(objs.size());
+  by_set.probe_set(p, set, got);
+  by_block.probe_block(p, objs, want);
+  EXPECT_EQ(got, want) << "player " << p;
+}
+
+// probe_set keeps the ledger in words: on twin oracles it leaves what
+// probe_block leaves over the same objects in the same order — ledgers,
+// rows and the auditor's report — on a fresh oracle, after some of the
+// objects were probed (charged counts only first probes), under sticky
+// noise and with an auditor, inside a round too.
+TEST(ProbeOracle, SetProbeMatchesProbeBlock) {
+  rng::Rng rng(17);
+  const auto inst = matrix::uniform_random(6, 200, rng);
+  const auto objs = set_probe_objects(200, rng);
+  for (const bool noisy : {false, true}) {
+    for (const bool audited : {false, true}) {
+      SCOPED_TRACE(std::string(noisy ? "sticky noise" : "no noise") +
+                   (audited ? ", audited" : ""));
+      const NoiseModel noise = noisy ? NoiseModel::sticky(0.3, 4) : NoiseModel{};
+      ProbeOracle by_set(inst.matrix, noise);
+      ProbeOracle by_block(inst.matrix, noise);
+      ProtocolAuditor set_audit(by_set.players(), by_set.objects());
+      ProtocolAuditor block_audit(by_block.players(), by_block.objects());
+      if (audited) {
+        by_set.set_auditor(&set_audit);
+        by_block.set_auditor(&block_audit);
+      }
+      expect_same_rows(by_set, by_block, 0, objs);
+      // Player 1 probed some of the objects, and one outside them.
+      for (const ObjectId o : {5U, 64U, 199U, 150U, objs.back()}) {
+        EXPECT_EQ(by_set.probe(1, o), by_block.probe(1, o));
+      }
+      const auto charged_before = by_set.export_ledger().charged[1];
+      std::uint64_t first_probes = 0;
+      for (const auto o : objs) first_probes += by_set.probed_mask(1).get(o) ? 0 : 1;
+      EXPECT_LT(first_probes, objs.size());
+      expect_same_rows(by_set, by_block, 1, objs);
+      EXPECT_EQ(by_set.export_ledger().charged[1] - charged_before, first_probes);
+      // A repeat charges nothing and reads the same values.
+      expect_same_rows(by_set, by_block, 1, objs);
+      expect_same_rows(by_set, by_block, 5, {objs.begin(), objs.begin() + 3});
+      if (audited) {
+        set_audit.begin_round(0);
+        block_audit.begin_round(0);
+        expect_same_rows(by_set, by_block, 2, {objs.begin(), objs.begin() + 4});
+        set_audit.end_round();
+        block_audit.end_round();
+      }
+      expect_same_ledger(by_set, by_block);
+      EXPECT_EQ(by_set.export_ledger().charged[1], by_set.probed_mask(1).count_ones());
+      if (audited) {
+        set_audit.verify_invocations(by_set.snapshot());
+        block_audit.verify_invocations(by_block.snapshot());
+        EXPECT_FALSE(set_audit.report().clean());  // the round's double probes
+        EXPECT_EQ(audit_json(set_audit.report()), audit_json(block_audit.report()));
+      }
+    }
+  }
+}
+
+// On a fork, a member's set probe is its probe_block; a non-member and
+// an out-of-range player get probe_block's exception types and leave
+// every ledger, the row and the audit as they were.
+TEST(ProbeOracle, SetProbeOnAForkMatchesProbeBlock) {
+  rng::Rng rng(23);
+  const auto inst = matrix::uniform_random(5, 200, rng);
+  const auto objs = set_probe_objects(200, rng);
+  const NoiseModel noise = NoiseModel::sticky(0.2, 8);
+  ProbeOracle set_parent(inst.matrix, noise);
+  ProbeOracle block_parent(inst.matrix, noise);
+  ProtocolAuditor set_audit(set_parent.players(), set_parent.objects());
+  ProtocolAuditor block_audit(block_parent.players(), block_parent.objects());
+  set_parent.set_auditor(&set_audit);
+  block_parent.set_auditor(&block_audit);
+  const std::vector<PlayerId> members{1, 3};
+  auto by_set = set_parent.fork(members, 0);
+  auto by_block = block_parent.fork(members, 0);
+  expect_same_rows(by_set, by_block, 3, objs);
+
+  // The set is built from the parent; a fork shares its objects.
+  const ProbeOracle::ObjectSet set(set_parent, objs);
+  const auto ledger = by_set.export_ledger();
+  const auto audit = audit_json(set_audit.report());
+  bits::BitVector out(objs.size(), true);
+  const bits::BitVector untouched = out;
+  EXPECT_THROW(by_set.probe_set(2, set, out), std::logic_error);
+  EXPECT_THROW(by_block.probe_block(2, objs, out), std::logic_error);
+  EXPECT_THROW(by_set.probe_set(5, set, out), std::out_of_range);
+  EXPECT_THROW(by_block.probe_block(5, objs, out), std::out_of_range);
+  EXPECT_THROW(set_parent.probe_set(5, set, out), std::out_of_range);
+  EXPECT_EQ(out, untouched);
+  const auto after = by_set.export_ledger();
+  EXPECT_EQ(after.invocations, ledger.invocations);
+  EXPECT_EQ(after.charged, ledger.charged);
+  EXPECT_EQ(after.probed, ledger.probed);
+  EXPECT_EQ(after.values, ledger.values);
+  EXPECT_EQ(audit_json(set_audit.report()), audit);
+
+  expect_same_rows(by_set, by_block, 1, objs);
+  expect_same_ledger(by_set, by_block);
+  set_parent.join(by_set);
+  block_parent.join(by_block);
+  expect_same_ledger(set_parent, block_parent);
+  EXPECT_EQ(audit_json(set_audit.report()), audit_json(block_audit.report()));
+  // A set's objects are checked once, when it is built.
+  EXPECT_THROW((void)ProbeOracle::ObjectSet(set_parent, std::vector<ObjectId>{3, 200}),
+               std::out_of_range);
 }
 
 // ------------------------------------------------------------------ Billboard

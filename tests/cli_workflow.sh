@@ -473,6 +473,25 @@ if command -v jq >/dev/null 2>&1; then
   jq -e '.degraded.quarantined == [3]' "$DIR/mimic_deg.json" >/dev/null
 fi
 
+# --- metric keys: a board registers its counters when it is built, so
+# runs that post and runs that never touch the board (an all-leaf small
+# run) list the same billboard.* keys, at zero where nothing was counted.
+"$CLI" gen --kind=multi --n=256 --m=256 --alpha=0.25 --radius=8 --seed=3 \
+       --out="$DIR/multi.tmw" >/dev/null
+"$CLI" run --in="$DIR/multi.tmw" --algo=small --d=2 --alpha=0.25 --seed=5 \
+       --metrics="$DIR/keys_small.json" --out=/dev/null >/dev/null
+"$CLI" run --in="$DIR/multi.tmw" --algo=unknown_d --alpha=0.25 --seed=5 \
+       --metrics="$DIR/keys_unknown.json" --out=/dev/null >/dev/null
+if command -v jq >/dev/null 2>&1; then
+  board_keys='[.counters | keys[] | select(startswith("billboard."))]'
+  jq -c "$board_keys" "$DIR/keys_small.json" >"$DIR/keys_small.txt"
+  jq -c "$board_keys" "$DIR/keys_unknown.json" >"$DIR/keys_unknown.txt"
+  cmp "$DIR/keys_small.txt" "$DIR/keys_unknown.txt"
+  jq -e '.counters | .["billboard.posts"] == 0 and .["billboard.reads"] == 0
+         and .["billboard.tally_cache_hits"] == 0' "$DIR/keys_small.json" >/dev/null
+  jq -e '.counters["billboard.posts"] > 0' "$DIR/keys_unknown.json" >/dev/null
+fi
+
 # --- serve: the oracle gauges are the session's, summed over tenants. ---
 # --metrics and --report must agree on probes and rounds, not show one
 # tenant's totals beside the sum.

@@ -13,6 +13,7 @@
 
 #include "tmwia/bits/kernels.hpp"
 #include "tmwia/core/coalesce.hpp"
+#include "tmwia/engine/thread_pool.hpp"
 #include "tmwia/matrix/generators.hpp"
 #include "tmwia/rng/rng.hpp"
 #include "trivector_text.hpp"
@@ -22,6 +23,9 @@ namespace {
 
 using bits::BitVector;
 using bits::TriVector;
+
+// Four pool threads: a fill of at least 256 rows runs on the pool.
+const bool kPoolSized = engine::set_global_threads(4);
 
 TEST(Coalesce, EmptyInput) {
   const auto res = coalesce({}, 2, 1);
@@ -350,6 +354,27 @@ TEST(Coalesce, BallBitsetMatchesTheDistanceMatrixReference) {
   // The inputs must reach both halves of the algorithm.
   EXPECT_GE(nonempty, kCases / 4);
   EXPECT_GE(merged, kCases / 20);
+}
+
+// From 256 vectors on, the pool fills the ball rows, each thread with
+// its own distance buffer and each row by its index: the result is
+// still the reference's.
+TEST(Coalesce, PoolFilledBallsMatchTheDistanceMatrixReference) {
+  ASSERT_TRUE(kPoolSized);
+  rng::Rng rng(20261020);
+  std::size_t nonempty = 0;
+  for (const std::size_t n : {256, 300, 641}) {
+    const std::size_t m = 60 + rng.uniform(200);
+    const auto vs = random_multiset(n, m, rng);
+    for (const std::size_t D : {std::size_t{0}, std::size_t{3}, m / 8}) {
+      const auto want = matrix_coalesce(vs, D, 4, 1.0);
+      const auto got = coalesce(vs, D, 4, 1.0);
+      ASSERT_EQ(got.pre_merge_count, want.pre_merge_count) << "n=" << n << " D=" << D;
+      ASSERT_EQ(got.candidates, want.candidates) << "n=" << n << " D=" << D;
+      if (!want.candidates.empty()) ++nonempty;
+    }
+  }
+  EXPECT_GE(nonempty, 6U);
 }
 
 }  // namespace

@@ -205,13 +205,13 @@ matrix::Instance schedule_instance(const ScheduleCase& c) {
   return matrix::planted_community(c.n, c.m, {c.alpha, 1}, gen);
 }
 
-/// One Small Radius run on a fresh oracle and board. `recorded`
-/// attaches a flight recorder, which makes a player's probe order
-/// observable and so keeps every iteration on the per-part schedule:
-/// the reference for the passes.
-SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
-             billboard::NoiseModel noise = {},
-             billboard::ProtocolAuditor* auditor = nullptr) {
+/// One Small Radius run over `objects` on a fresh oracle and board.
+/// `recorded` attaches a flight recorder, which makes a player's probe
+/// order observable and so keeps every iteration on the per-part
+/// schedule: the reference for the passes.
+SrRun run_sr_over(const matrix::Instance& inst, const std::vector<std::uint32_t>& objects,
+                  const ScheduleCase& c, bool recorded, billboard::NoiseModel noise = {},
+                  billboard::ProtocolAuditor* auditor = nullptr) {
   auto& reg = obs::MetricsRegistry::global();
   reg.reset();
   reg.set_enabled(true);
@@ -223,7 +223,7 @@ SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
   oracle.set_auditor(auditor);
   SrRun run;
   run.order_free = oracle.order_free();
-  run.res = small_radius(oracle, &board, iota_players(c.n), iota_objects(c.m), c.alpha, c.D,
+  run.res = small_radius(oracle, &board, iota_players(c.n), objects, c.alpha, c.D,
                          Params::practical(), rng::Rng(c.n + c.D), c.n);
   run.ledger = oracle.export_ledger();
   run.posts = board.export_posts();
@@ -233,6 +233,13 @@ SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
   std::istringstream in(log.str());
   run.log = obs::read_recorder_log(in);
   return run;
+}
+
+/// run_sr_over the first c.m objects.
+SrRun run_sr(const matrix::Instance& inst, const ScheduleCase& c, bool recorded,
+             billboard::NoiseModel noise = {},
+             billboard::ProtocolAuditor* auditor = nullptr) {
+  return run_sr_over(inst, iota_objects(c.m), c, recorded, noise, auditor);
 }
 
 void expect_same_run(const SrRun& a, const SrRun& b) {
@@ -333,6 +340,36 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SmallRadiusScheduleChoices,
                          ::testing::Values(ScheduleCase{256, 512, 0.2, 2},
                                            ScheduleCase{256, 256, 0.2, 4},
                                            ScheduleCase{256, 1024, 0.2, 3}));
+
+// Large Radius hands each group a sorted subset of the objects, so an
+// iteration's positions are not object ids: the set probe's mask is
+// over object ids and the stitch's gather over positions. Half of 700
+// objects, four communities (Selects with choices), parts of about 58
+// (D = 2) and 22 (D = 4) objects; n = 256 is below the leaf threshold,
+// so the unrecorded runs take the passes.
+TEST(SmallRadiusSchedule, ObjectSubsetMatchesThePerPartRun) {
+  ASSERT_TRUE(kPoolSized);
+  rng::Rng gen(71);
+  const auto inst = matrix::planted_communities(
+      256, 700, std::vector<matrix::CommunitySpec>(4, {0.2, 1}), gen);
+  std::vector<std::uint32_t> objects;
+  for (std::uint32_t o = 0; o < 700; ++o) {
+    if (gen.uniform(2) == 0) objects.push_back(o);
+  }
+  for (const std::size_t D : {2, 4}) {
+    const ScheduleCase c{256, objects.size(), 0.2, D};
+    const auto reference = run_sr_over(inst, objects, c, true);
+    EXPECT_FALSE(reference.order_free);
+    EXPECT_GT(reference.metrics.counter("core.select.probes"),
+              reference.metrics.counter("core.select.calls"));
+    const auto run = run_sr_over(inst, objects, c, false);
+    EXPECT_TRUE(run.order_free);
+    expect_same_run(run, reference);
+    const auto sticky = billboard::NoiseModel::sticky(0.05, 9);
+    expect_same_run(run_sr_over(inst, objects, c, false, sticky),
+                    run_sr_over(inst, objects, c, true, sticky));
+  }
+}
 
 // An attached auditor does not pin the order: the run takes the passes,
 // its audit is clean and its A4 ledger matches the oracle's. Without

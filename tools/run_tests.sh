@@ -19,15 +19,15 @@
 #   plain      full suite, default flags plus -Werror (build/)
 #   asan       full suite, ASan+UBSan               (build-asan/)
 #   tsan       obs/engine/scheduler/Zero Radius suites, the oracle,
-#              billboard and ProtocolAuditor suites, the concurrent
+#              billboard, ProtocolAuditor and Coalesce suites, the concurrent
 #              Large Radius group tests and the Small Radius schedule
 #              tests under ThreadSanitizer — exercises the sharded
 #              MetricsRegistry, the fork-join pool (callers and workers
 #              claiming chunks of one job, two callers at once), pool
 #              workers sharing one Zero Radius plan, group tasks probing
 #              through forked ledgers into one auditor and posting in
-#              one board section, and Small Radius's three passes
-#              (build-tsan/)
+#              one board section, Small Radius's three passes and
+#              Coalesce's ball fill on the pool (build-tsan/)
 #   audit      opt-in: just the ProtocolAuditor suite (runtime
 #              billboard-invariant checks; also part of plain)
 #   bench-json opt-in: run every e* bench binary and jq-check that each
@@ -228,15 +228,15 @@ if [[ $RUN_SAN -eq 1 ]]; then
 fi
 
 if [[ $RUN_TSAN -eq 1 ]]; then
-  echo "== TSan (obs + engine + scheduler + Zero Radius + oracle/billboard/auditor + Large Radius groups + Small Radius passes) =="
+  echo "== TSan (obs + engine + scheduler + Zero Radius + oracle/billboard/auditor + Large Radius groups + Small Radius passes + Coalesce) =="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DTMWIA_TSAN=ON
   cmake --build "$ROOT/build-tsan" -j "$JOBS" \
     --target test_obs test_profile test_engine test_round_scheduler test_thread_safety test_serve \
     test_zero_radius test_zero_radius_strategy test_billboard test_large_radius \
-    test_find_preferences test_small_radius test_protocol_auditor
+    test_find_preferences test_small_radius test_protocol_auditor test_coalesce
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry|ZeroRadius|DistributedEquivalence|ProbeOracle|Billboard|ConcurrentGroups|SmallRadiusSchedule|ProtocolAuditor)'
+    -R '(Metrics|ShardSet|Obs|Engine|ThreadPool|Parallel|RoundScheduler|Scheduler|ThreadSafety|Serve|Profile|Slo|Telemetry|ZeroRadius|DistributedEquivalence|ProbeOracle|Billboard|ConcurrentGroups|SmallRadiusSchedule|ProtocolAuditor|Coalesce)'
 fi
 
 if [[ $RUN_AUDIT -eq 1 ]]; then
