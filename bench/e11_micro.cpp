@@ -225,11 +225,13 @@ void BM_ProbeOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeOracle);
 
-/// The Small Radius leaf shape of the n = m = 2048 reference run: a
+/// The Small Radius leaf shapes of the n = m = 2048 reference run: a
 /// d = 2 iteration cuts the objects into 6 parts of about 341. `part`
-/// is the first part, one probe_block's objects; `iteration` is every
-/// object in part order, the set one player's probe_set covers. One
-/// oracle and one auditor serve every thread and both Args.
+/// is the first part, one per-part leaf's block; `iteration` is every
+/// object in part order, what one player probes in an all-leaf
+/// iteration's pass 1, and `iteration_set` the same objects as a
+/// probe_set set. One oracle and one auditor serve every thread and
+/// every Arg.
 struct LeafProbes {
   static constexpr std::size_t kPlayers = 2048;
   static constexpr std::size_t kParts = 6;
@@ -237,16 +239,18 @@ struct LeafProbes {
   matrix::Instance inst;
   rng::Partition partition;
   std::vector<std::uint32_t> part;
+  std::vector<std::uint32_t> iteration;
   billboard::ProbeOracle oracle;
-  billboard::ProbeOracle::ObjectSet iteration;
+  billboard::ProbeOracle::ObjectSet iteration_set;
   billboard::ProtocolAuditor auditor;
 
   LeafProbes()
       : inst(make_instance()),
         partition(make_partition()),
         part(partition.parts[0]),
+        iteration(in_part_order(partition)),
         oracle(inst.matrix),
-        iteration(oracle, in_part_order(partition)),
+        iteration_set(oracle, iteration),
         auditor(kPlayers, kPlayers) {}
 
   static matrix::Instance make_instance() {
@@ -275,34 +279,37 @@ void count_bits(benchmark::State& state, std::size_t bits_per_iteration,
       benchmark::Counter(ns.count() / static_cast<double>(bits), benchmark::Counter::kAvgThreads);
 }
 
-// One leaf block per iteration, without (Arg 0) and with (Arg 1) an
-// attached ProtocolAuditor, at 1 and 4 threads; each thread probes its
-// own players, as Small Radius's pass 1 does. Items are probed bits.
-// Ungated: it keeps the price of auditing visible.
+// One block per iteration, without (first Arg 0) and with (1) an
+// attached ProtocolAuditor, over one part (second Arg 0) or a whole
+// d = 2 iteration in part order (1), at 1 and 4 threads; each thread
+// probes its own players, as Small Radius's pass 1 does. Items are
+// probed bits. Ungated: it keeps the price of auditing and of a short
+// block visible.
 void BM_ProbeBlock(benchmark::State& state) {
   static LeafProbes leaf;
   if (state.thread_index() == 0) {
     leaf.oracle.set_auditor(state.range(0) != 0 ? &leaf.auditor : nullptr);
   }
+  const auto& objs = state.range(1) != 0 ? leaf.iteration : leaf.part;
   const auto share = LeafProbes::kPlayers / static_cast<std::size_t>(state.threads());
   const auto first = share * static_cast<std::size_t>(state.thread_index());
-  bits::BitVector row(leaf.part.size());
+  bits::BitVector row(objs.size());
   std::size_t i = 0;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    leaf.oracle.probe_block(static_cast<matrix::PlayerId>(first + i), leaf.part, row);
+    leaf.oracle.probe_block(static_cast<matrix::PlayerId>(first + i), objs, row);
     benchmark::DoNotOptimize(row.words().data());
     benchmark::ClobberMemory();
     i = i + 1 == share ? 0 : i + 1;
   }
-  count_bits(state, leaf.part.size(), start);
+  count_bits(state, objs.size(), start);
 }
-BENCHMARK(BM_ProbeBlock)->Arg(0)->Arg(1)->Threads(1)->Threads(4)->UseRealTime();
+BENCHMARK(BM_ProbeBlock)->ArgsProduct({{0, 1}, {0, 1}})->Threads(1)->Threads(4)->UseRealTime();
 
-// One player's whole d = 2 iteration per loop, as Small Radius's pass 1
-// probes it: one probe_set over all 2048 objects in part order, without
-// (Arg 0) and with (Arg 1) an auditor, at 1 and 4 threads. Beside
-// BM_ProbeBlock's ns per bit it prices the word-kept ledger. Ungated.
+// BM_ProbeBlock's whole-iteration shape (its second Arg 1) through
+// probe_set, Small Radius's pass 1: the same objects in the same order,
+// without (Arg 0) and with (Arg 1) an auditor, at 1 and 4 threads. The
+// two ns_per_bit readings price the word-kept ledger. Ungated.
 void BM_ProbeSet(benchmark::State& state) {
   static LeafProbes leaf;
   if (state.thread_index() == 0) {
@@ -310,16 +317,16 @@ void BM_ProbeSet(benchmark::State& state) {
   }
   const auto share = LeafProbes::kPlayers / static_cast<std::size_t>(state.threads());
   const auto first = share * static_cast<std::size_t>(state.thread_index());
-  bits::BitVector row(leaf.iteration.objects().size());
+  bits::BitVector row(leaf.iteration.size());
   std::size_t i = 0;
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    leaf.oracle.probe_set(static_cast<matrix::PlayerId>(first + i), leaf.iteration, row);
+    leaf.oracle.probe_set(static_cast<matrix::PlayerId>(first + i), leaf.iteration_set, row);
     benchmark::DoNotOptimize(row.words().data());
     benchmark::ClobberMemory();
     i = i + 1 == share ? 0 : i + 1;
   }
-  count_bits(state, leaf.iteration.objects().size(), start);
+  count_bits(state, leaf.iteration.size(), start);
 }
 BENCHMARK(BM_ProbeSet)->Arg(0)->Arg(1)->Threads(1)->Threads(4)->UseRealTime();
 

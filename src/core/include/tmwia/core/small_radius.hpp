@@ -17,23 +17,22 @@
 // Zero Radius leaf and no observer can see a player's probe order (the
 // oracle is order_free()), the iteration runs as three pool passes
 // over all s parts: every player's leaf probes, then the s votes, then
-// the Selects. Pass 1 is one ProbeOracle::probe_set per player over
+// the Selects. Pass 1 is one ProbeOracle::probe_block per player over
 // the iteration's objects in part order, so each part's leaf row is a
 // range of the result. A player has then probed every object of each
 // part, so a Select's probes return the player's own leaf bits and its
 // decision depends only on the leaf row: pass 3 runs one Select per
 // distinct leaf row of each part, and every player replays all its
-// rows' probes through the oracle as one probe_block, charges each
-// part's Select as its own, builds its stitched row in part order from
-// word copies of the winners and maps it to position order with one
-// gather. Otherwise — a part above the leaf threshold, a flight
-// recorder or a fault injector — it runs one part at a time, each
-// player running its own Selects. Both schedules probe the same
-// (player, object) pairs and leave the same ledgers, metrics and
-// outputs (DESIGN §13.6). A part's Zero Radius posts its internal
-// nodes' outputs under sr/<t>/<i>/zr/<tag>; a leaf posts nothing (its
-// outputs are its probe results), so an all-leaf iteration leaves the
-// board as it found it.
+// rows' probes through the oracle as one probe_block and charges each
+// part's Select as its own. Otherwise — a part above the leaf
+// threshold, a flight recorder or a fault injector — it runs one part
+// at a time, each player running its own Selects. Both schedules stitch
+// a player's row in part order, a word copy per part, and put it in
+// position order with one gather; both probe the same (player, object)
+// pairs and leave the same ledgers, metrics and outputs (DESIGN
+// §13.6). A part's Zero Radius posts its internal nodes' outputs under
+// sr/<t>/<i>/zr/<tag>; a leaf posts nothing (its outputs are its probe
+// results), so an all-leaf iteration leaves the board as it found it.
 #pragma once
 
 #include <cstdint>

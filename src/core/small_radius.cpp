@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "tmwia/core/bit_space.hpp"
 #include "tmwia/core/select.hpp"
@@ -18,22 +19,14 @@ namespace {
 
 /// One part of an iteration's partition, and Step 1b's vote on it.
 struct Part {
-  const std::vector<std::uint32_t>* positions = nullptr;  ///< into the iteration's objects
-  std::vector<std::uint32_t> objects;                     ///< the part's object ids
+  std::vector<std::uint32_t> objects;       ///< the part's object ids
   std::size_t voters = 0;                   ///< surviving players who voted
   std::vector<bits::BitVector> candidates;  ///< U_i, lexicographic
-
-  // The per-part loop's stitch.
-  /// Every player scatters through the same position set: the part's
-  /// word mask, unless the part is so sparse that per-coordinate writes
-  /// touch fewer words.
-  bool use_mask = false;
-  bits::BitVector pos_mask;
-
-  // The passes' state (DESIGN §13.6).
   /// The part's coordinates in a player's part-order row: [first,
   /// first + objects.size()).
   std::size_t first = 0;
+
+  // The passes' state (DESIGN §13.6).
   /// The leaf rows, row_words() words per player. Pass 1 holds all s
   /// parts' rows at once; one buffer per part stores a row of up to 64
   /// objects in 8 bytes, where a BitVector takes 40.
@@ -57,24 +50,6 @@ struct Part {
   void take_vote(std::size_t n_voters, std::vector<billboard::VotedVector> popular) {
     voters = n_voters;
     for (auto& vv : popular) candidates.push_back(std::move(vv.vec));
-  }
-
-  /// Builds the scatter's position set over the iteration's m positions.
-  void index_positions(std::size_t m) {
-    use_mask = positions->size() >= bits::BitVector::word_count(m) / 2;
-    if (!use_mask) return;
-    pos_mask = bits::BitVector(m);
-    for (std::uint32_t pos : *positions) pos_mask.set(pos, true);
-  }
-
-  /// Step 1c's stitch: write `piece`, the part's coordinates, into a
-  /// player's full row.
-  void scatter(bits::BitVector& row, const bits::BitVector& piece) const {
-    if (use_mask) {
-      row.scatter_masked(piece, pos_mask);
-    } else {
-      row.scatter(piece, *positions);
-    }
   }
 };
 
@@ -105,6 +80,24 @@ void copy_bits_in(std::span<const std::uint64_t> piece, std::size_t at, bits::Bi
       row.set_word(w0 + w + 1, words[w0 + w + 1] | (piece[w] >> (64 - shift)));
     }
   }
+}
+
+/// Step 1c's stitch, finished: `row`, a player's stitched row in part
+/// order, in position order (bit pos is bit in_order[pos] of `row`).
+bits::BitVector in_position_order(const bits::BitVector& row,
+                                  std::span<const std::uint32_t> in_order) {
+  const std::size_t m = in_order.size();
+  bits::BitVector out(m);
+  std::uint64_t word = 0;
+  // tmwia-lint: allow(per-bit-loop) a random partition scatters each part's coordinates over the positions, so a position's bit comes from anywhere in the part-order row
+  for (std::size_t pos = 0; pos < m; ++pos) {
+    word |= static_cast<std::uint64_t>(row.get(in_order[pos])) << (pos % 64);
+    if (pos % 64 == 63 || pos + 1 == m) {
+      out.set_word(pos / 64, word);
+      word = 0;
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -198,14 +191,23 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     rng::Rng part_rng = rng.split(t, 0xA11);
     const auto partition = rng::random_partition(m, s, part_rng);
 
+    // A player's stitched row is built in part order, part i at
+    // [first, first + |part|) of part_order, and coordinate
+    // in_order[pos] of it is position pos.
     std::vector<Part> parts(s);
+    std::vector<std::uint32_t> part_order;
+    part_order.reserve(m);
+    std::vector<std::uint32_t> in_order(m);
     bool all_leaves = oracle.order_free();
     for (std::size_t i = 0; i < s; ++i) {
       Part& part = parts[i];
-      const auto& positions = partition.parts[i];
-      part.positions = &positions;
-      part.objects.reserve(positions.size());
-      for (std::uint32_t pos : positions) part.objects.push_back(objects[pos]);
+      part.first = part_order.size();
+      for (const std::uint32_t pos : partition.parts[i]) {
+        in_order[pos] = static_cast<std::uint32_t>(part_order.size());
+        part_order.push_back(objects[pos]);
+      }
+      part.objects.assign(part_order.begin() + static_cast<std::ptrdiff_t>(part.first),
+                          part_order.end());
       if (!part.objects.empty() && std::min(n, part.objects.size()) >= leaf) {
         all_leaves = false;
       }
@@ -213,11 +215,10 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     if (!all_leaves) {
       // One part at a time. Step 1b: Zero Radius on the part with
       // frequency alpha/5, then the vote; Step 1c: every player's
-      // Select.
+      // Select, its outcome written to the player's row in part order.
       for (std::size_t i = 0; i < s; ++i) {
         Part& part = parts[i];
         if (part.objects.empty()) continue;
-        part.index_positions(m);
         const auto zr_out = zero_radius_bits(
             oracle, board, players, part.objects, alpha_zr, params, rng.split(t, 0xB0B, i),
             "sr/" + std::to_string(t) + "/" + std::to_string(i));
@@ -228,9 +229,14 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
         }
         engine::parallel_for(0, n, [&](std::size_t pi) {
           const bits::BitVector* chosen = adopt(pi, part);
-          part.scatter(stitched[t][pi], chosen != nullptr ? *chosen : zr_out[pi]);
+          copy_bits_in((chosen != nullptr ? *chosen : zr_out[pi]).words(), part.first,
+                       stitched[t][pi]);
         });
       }
+      engine::parallel_for(0, n, [&](std::size_t pi) {
+        auto& row = stitched[t][pi];
+        row = in_position_order(row, in_order);
+      });
       continue;
     }
 
@@ -241,27 +247,15 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // per-part loop's, and neither posts (a leaf's outputs are its probe
     // results).
     //
-    // A player's row in part order holds part i at [first, first +
-    // |part|); coordinate in_order[pos] of it is position pos.
-    std::vector<std::uint32_t> leaf_objects;
-    leaf_objects.reserve(m);
-    std::vector<std::uint32_t> in_order(m);
-    for (auto& part : parts) {
-      part.first = leaf_objects.size();
-      for (const std::uint32_t pos : *part.positions) {
-        in_order[pos] = static_cast<std::uint32_t>(leaf_objects.size());
-        leaf_objects.push_back(objects[pos]);
-      }
-    }
-    const billboard::ProbeOracle::ObjectSet leaf_set(oracle, std::move(leaf_objects));
     // Pass 1: every player probes the iteration's objects in part order
     // as one set (each part's leaf of Fig. 2 step 1), and each part's
-    // leaf row is a range of the result. The rows' buffers are
-    // allocated here, on the caller.
+    // leaf row is a range of the result. The set and the rows' buffers
+    // are built here, on the caller.
     for (auto& part : parts) {
       part.leaf_words.assign(n * part.row_words(), 0);
       part.row_of.assign(part.objects.empty() ? 0 : n, 0);
     }
+    const billboard::ProbeOracle::ObjectSet leaf_set(oracle, std::move(part_order));
     engine::parallel_for(0, n, [&](std::size_t pi) {
       bits::BitVector row(m);
       oracle.probe_set(players[pi], leaf_set, row);
@@ -313,10 +307,9 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
     // through the oracle, as one block in part order, and the same
     // charge per part as its own Select — and stitches its row in part
     // order: each part's winner, or the player's own leaf row where no
-    // vector reached the quorum. One gather through in_order puts the
-    // row in position order.
+    // vector reached the quorum.
     engine::parallel_for(0, n, [&](std::size_t pi) {
-      bits::BitVector row(m);
+      bits::BitVector& row = stitched[t][pi];
       std::vector<std::uint32_t> replay;
       for (const auto& part : parts) {
         const std::size_t k = part.candidates.size();
@@ -344,16 +337,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
         bits::BitVector results(replay.size());
         oracle.probe_block(players[pi], replay, results);
       }
-      bits::BitVector& out = stitched[t][pi];
-      std::uint64_t word = 0;
-      // tmwia-lint: allow(per-bit-loop) a random partition scatters each part's coordinates over the positions, so a position's bit comes from anywhere in the part-order row
-      for (std::size_t pos = 0; pos < m; ++pos) {
-        word |= static_cast<std::uint64_t>(row.get(in_order[pos])) << (pos % 64);
-        if (pos % 64 == 63 || pos + 1 == m) {
-          out.set_word(pos / 64, word);
-          word = 0;
-        }
-      }
+      row = in_position_order(row, in_order);
     });
   }
 
