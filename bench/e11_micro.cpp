@@ -110,13 +110,12 @@ void BM_BillboardPollQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_BillboardPollQuery)->Arg(1024)->Arg(16384);
 
-/// One Small Radius part's leaf rows at thm11_board's d = 2 shape:
-/// 2,048 players × 341 bits, as BitVectors and as one word block.
+/// One Small Radius part's rows at thm11_board's d = 2 shape: 2,048
+/// players × 341 bits.
 struct PartRows {
   static constexpr std::size_t kBits = 341;
   std::vector<matrix::PlayerId> players;
   std::vector<bits::BitVector> rows;
-  std::vector<std::uint64_t> words;
 };
 
 PartRows part_rows() {
@@ -125,30 +124,19 @@ PartRows part_rows() {
   for (std::size_t p = 0; p < 2048; ++p) {
     part.players.push_back(static_cast<matrix::PlayerId>(p));
     part.rows.push_back(matrix::random_vector(PartRows::kBits, rng));
-    const auto words = part.rows.back().words();
-    part.words.insert(part.words.end(), words.begin(), words.end());
   }
   return part;
 }
 
-/// The part's posts on a channel that holds its rows: post_many of the
-/// BitVectors, and post_packed of the word block (Small Radius's leaf
-/// post). Reported, not gated.
+/// The part's rows reposted as one batch on a channel that holds them:
+/// the batch an internal Zero Radius node of such a part posts (a leaf
+/// posts nothing). Reported, not gated.
 void BM_BillboardPostMany(benchmark::State& state) {
   const auto part = part_rows();
   billboard::Billboard board;
   for (auto _ : state) board.post_many("sr/0/0/zr/1", part.players, part.rows);
 }
 BENCHMARK(BM_BillboardPostMany);
-
-void BM_BillboardPostPacked(benchmark::State& state) {
-  const auto part = part_rows();
-  billboard::Billboard board;
-  for (auto _ : state) {
-    board.post_packed("sr/0/0/zr/1", part.players, {part.words, PartRows::kBits});
-  }
-}
-BENCHMARK(BM_BillboardPostPacked);
 
 void BM_Tally(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -443,9 +431,9 @@ double repost_us(const Post& post, std::size_t history) {
 // else (--json/--metrics/--record/--threads) to BenchReport. After the
 // microbenchmarks we measure the registry's end-to-end overhead
 // (metrics on vs. off on the Select workload, best of 5) and gate the
-// verdict on the <= 5% budget from DESIGN.md, and on a billboard post
-// (post_many and post_packed) costing at most 2x more on a long-lived
-// channel than on a fresh one.
+// verdict on the <= 5% budget from DESIGN.md, and on a billboard
+// post_many costing at most 2x more on a long-lived channel than on a
+// fresh one.
 int main(int argc, char** argv) {
   using namespace tmwia;
   std::vector<char*> gbench_argv{argv[0]};
@@ -529,21 +517,15 @@ int main(int argc, char** argv) {
 
   // A post's cost must not depend on the channel's history: one batch
   // of 256 players x 64 bits on a channel that has absorbed 4096
-  // overwrite batches by the same players vs. on a fresh channel, for
-  // post_many and for post_packed of the same rows.
+  // overwrite batches by the same players vs. on a fresh channel.
   std::vector<matrix::PlayerId> players(256);
   std::vector<bits::BitVector> batch;
-  std::vector<std::uint64_t> batch_words;
   rng::Rng post_rng(8);
   for (std::size_t i = 0; i < players.size(); ++i) {
     players[i] = static_cast<matrix::PlayerId>(i);
     batch.push_back(matrix::random_vector(64, post_rng));
-    batch_words.push_back(batch.back().words()[0]);
   }
   const auto post_many = [&](billboard::Billboard& b) { b.post_many("vote", players, batch); };
-  const auto post_packed = [&](billboard::Billboard& b) {
-    b.post_packed("vote", players, {batch_words, 64});
-  };
   const double fresh_us = repost_us(post_many, 0);
   const double history_us = repost_us(post_many, 4096);
   const double history_ratio = history_us / fresh_us;
@@ -553,18 +535,8 @@ int main(int argc, char** argv) {
   report.metric("board_post_fresh_us", fresh_us);
   report.metric("board_post_history_us", history_us);
   report.metric("board_repost_history_ratio", history_ratio);
-  const double packed_fresh_us = repost_us(post_packed, 0);
-  const double packed_history_us = repost_us(post_packed, 4096);
-  const double packed_ratio = packed_history_us / packed_fresh_us;
-  std::printf("billboard post_packed 256x64: fresh channel %.2f us, after 4096 batches "
-              "%.2f us, ratio %.2f\n",
-              packed_fresh_us, packed_history_us, packed_ratio);
-  report.metric("board_packed_post_fresh_us", packed_fresh_us);
-  report.metric("board_packed_post_history_us", packed_history_us);
-  report.metric("board_packed_repost_history_ratio", packed_ratio);
 
-  const bool ok = overhead_pct <= 5.0 && rec_overhead_pct <= 5.0 && history_ratio <= 2.0 &&
-                  packed_ratio <= 2.0;
+  const bool ok = overhead_pct <= 5.0 && rec_overhead_pct <= 5.0 && history_ratio <= 2.0;
   benchmark::Shutdown();
   return report.finish(ok);
 }

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       report.attach(oracle);
       const auto res = core::small_radius(oracle, nullptr, bench::iota_players(n),
                                           bench::iota_objects(n), 1.0, d_eff, params,
-                                          rng::Rng(seed + 9), n);
+                                          rng::Rng(seed + 9), n, "sr");
       for (matrix::PlayerId p = 0; p < n; ++p) {
         sr_worst = std::max(sr_worst, res.outputs[p].hamming(inst.matrix.row(p)));
       }

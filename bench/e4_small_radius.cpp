@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
       report.attach(oracle);
       const auto res = core::small_radius(oracle, nullptr, bench::iota_players(n),
                                           bench::iota_objects(m), alpha, D, params,
-                                          rng::Rng(seed ^ (t + radius * 31)), n);
+                                          rng::Rng(seed ^ (t + radius * 31)), n, "sr");
       parts = res.parts;
       rounds.add(static_cast<double>(oracle.max_invocations()));
       for (auto p : inst.communities[0]) {
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     report.attach(oracle);
     const auto res =
         core::small_radius(oracle, nullptr, bench::iota_players(n), bench::iota_objects(m),
-                           alpha, D, params, rng::Rng(seed ^ 0x5a), n);
+                           alpha, D, params, rng::Rng(seed ^ 0x5a), n, "sr");
     std::size_t worst = 0;
     for (auto p : inst.communities[0]) {
       worst = std::max(worst, res.outputs[p].hamming(inst.matrix.row(p)));

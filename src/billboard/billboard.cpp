@@ -185,104 +185,34 @@ const Billboard::Channel* Billboard::find(const std::string& name) const {
   return it == channels_.end() ? nullptr : &it->second;
 }
 
-template <typename RowAt>
-void Billboard::post_rows(const std::string& channel, std::span<const matrix::PlayerId> players,
-                          RowAt row_at, std::optional<std::uint32_t> order) {
+void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits::BitVector& v) {
+  post_many(channel, {&p, 1}, {&v, 1});
+}
+
+void Billboard::post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
+                          std::span<const bits::BitVector> rows) {
+  if (players.size() != rows.size()) {
+    throw std::invalid_argument("Billboard::post_many: players/rows size mismatch");
+  }
   if (players.empty()) return;
   board_metrics().posts.add(players.size());
   // Vector content is logged as (hash, size) — enough for the replayer
   // to distinguish posts without storing whole rows in the flight log.
   if (recorder_ != nullptr) {
     for (std::size_t i = 0; i < players.size(); ++i) {
-      const PackedRows row = row_at(i);
-      recorder_->vector_post(static_cast<std::uint32_t>(players[i]), channel,
-                             bits::BitVector::hash(row.words, row.width), row.width);
+      recorder_->vector_post(static_cast<std::uint32_t>(players[i]), channel, rows[i].hash(),
+                             rows[i].size());
     }
   }
   Channel* ch = nullptr;
-  const SectionState* section = nullptr;
   {
     support::MutexLock lk(mu_);
     ch = &channels_[channel];
-    if (order.has_value()) {
-      if (!section_.has_value()) {
-        throw std::logic_error("Billboard: an ordered post needs an open section");
-      }
-      section = &*section_;
-    }
   }
   support::MutexLock lk(ch->mu);
-  if (section == nullptr) {
-    for (std::size_t i = 0; i < players.size(); ++i) put(*ch, players[i], row_at(i));
-    return;
-  }
   for (std::size_t i = 0; i < players.size(); ++i) {
-    put_ordered(*ch, *section, players[i], row_at(i), *order);
+    put(*ch, players[i], {rows[i].words(), rows[i].size()});
   }
-}
-
-void Billboard::post(const std::string& channel, matrix::PlayerId p, const bits::BitVector& v) {
-  post_many(channel, {&p, 1}, {&v, 1});
-}
-
-void Billboard::post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
-                          std::span<const bits::BitVector> rows,
-                          std::optional<std::uint32_t> order) {
-  if (players.size() != rows.size()) {
-    throw std::invalid_argument("Billboard::post_many: players/rows size mismatch");
-  }
-  post_rows(
-      channel, players, [rows](std::size_t i) { return PackedRows{rows[i].words(), rows[i].size()}; },
-      order);
-}
-
-void Billboard::post_packed(const std::string& channel, std::span<const matrix::PlayerId> players,
-                            PackedRows rows, std::optional<std::uint32_t> order) {
-  const std::size_t nw = bits::BitVector::word_count(rows.width);
-  if (rows.words.size() != players.size() * nw) {
-    throw std::invalid_argument("Billboard::post_packed: players/rows size mismatch");
-  }
-  post_rows(
-      channel, players,
-      [rows, nw](std::size_t i) { return PackedRows{rows.words.subspan(i * nw, nw), rows.width}; },
-      order);
-}
-
-void Billboard::put_ordered(Channel& ch, const SectionState& section, matrix::PlayerId p,
-                            PackedRows row, std::uint32_t order) {
-  const auto& shared = section.shared;
-  const auto it = std::lower_bound(shared.begin(), shared.end(), p);
-  if (it == shared.end() || *it != p) {
-    put(ch, p, row);
-    return;
-  }
-  if (ch.marks_section != section.id) {
-    ch.marks.assign(shared.size(), 0);
-    ch.marks_section = section.id;
-  }
-  auto& mark = ch.marks[static_cast<std::size_t>(it - shared.begin())];
-  const std::uint64_t rank = std::uint64_t{order} + 1;
-  if (mark > rank) return;  // a later task already owns this row
-  mark = rank;
-  put(ch, p, row);
-}
-
-Billboard::Section::Section(Billboard& board, std::vector<matrix::PlayerId> shared)
-    : board_(&board) {
-  std::sort(shared.begin(), shared.end());
-  shared.erase(std::unique(shared.begin(), shared.end()), shared.end());
-  support::MutexLock lk(board_->mu_);
-  if (board_->section_.has_value()) {
-    throw std::logic_error("Billboard::Section: a section is already open");
-  }
-  board_->section_.emplace();
-  board_->section_->id = ++board_->sections_opened_;
-  board_->section_->shared = std::move(shared);
-}
-
-Billboard::Section::~Section() {
-  support::MutexLock lk(board_->mu_);
-  board_->section_.reset();
 }
 
 void Billboard::put(Channel& ch, matrix::PlayerId p, PackedRows row) {

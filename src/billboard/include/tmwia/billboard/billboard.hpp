@@ -22,19 +22,17 @@
 //
 // Thread safety: every channel has its own mutex, which serializes the
 // posts and reads of that channel; posts to different channels run at
-// once. The board's mutex guards only the channel map and the open
-// Section: a post or read looks its channel up under the board's mutex,
-// releases it, and then takes the channel's. A thread never takes the
-// board's mutex while it holds a channel's. Channels live as long as
-// the board (restore_posts, a quiescent-point call, replaces them), so
-// a looked-up channel stays valid after the board's mutex is released.
-// Concurrent tasks that may post for the same player (Large Radius
-// groups) post inside a Section with their task order, so the board
-// ends exactly as their serial run in task order leaves it.
+// once. The board's mutex guards only the channel map: a post or read
+// looks its channel up under the board's mutex, releases it, and then
+// takes the channel's. A thread never takes the board's mutex while it
+// holds a channel's. Channels live as long as the board (restore_posts,
+// a quiescent-point call, replaces them), so a looked-up channel stays
+// valid after the board's mutex is released. Concurrent tasks that post
+// (Large Radius groups) post under channel names of their own, so no
+// two of them write the same (channel, player) row.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -104,49 +102,14 @@ class Billboard {
   void post(const std::string& channel, matrix::PlayerId p, const bits::BitVector& v);
 
   /// Batched post: players[i] posts rows[i] (spans must be equal
-  /// length). Observably identical to posting each pair in index order
-  /// — same recorder events, same totals — but the channel name is
-  /// resolved and the channel's lock taken once per batch instead of
-  /// once per row. Zero Radius publishes every internal node's outputs
-  /// this way, and Large Radius each group's.
-  /// A post with an `order` comes from a task of the open Section (see
-  /// there; std::logic_error without one); without it the post is plain.
+  /// length, else std::invalid_argument and nothing is posted).
+  /// Observably identical to posting each pair in index order — same
+  /// recorder events, same totals — but the channel name is resolved
+  /// and the channel's lock taken once per batch instead of once per
+  /// row. Zero Radius publishes every internal node's outputs this way,
+  /// and Large Radius each group's.
   void post_many(const std::string& channel, std::span<const matrix::PlayerId> players,
-                 std::span<const bits::BitVector> rows,
-                 std::optional<std::uint32_t> order = std::nullopt);
-
-  /// post_many() of packed rows: players[i] posts row i of `rows`
-  /// (rows.words holds players.size() rows). Same posts, recorder
-  /// events and totals as post_many() of the rows as BitVectors, with
-  /// no BitVector built.
-  void post_packed(const std::string& channel, std::span<const matrix::PlayerId> players,
-                   PackedRows rows, std::optional<std::uint32_t> order = std::nullopt);
-
-  /// An ordered-post section: tasks that post at once, but must leave
-  /// the board as their serial run in task order would. Large Radius
-  /// runs its object groups as tasks; the groups reuse Small Radius's
-  /// channel names and a player sits in several groups, so serially
-  /// the highest-order group that wrote a (channel, player) row owns it.
-  /// While a section is open, a post with an order for one of its
-  /// `shared` players (those more than one task may post for)
-  /// overwrites the row only if no higher-order post of the section
-  /// already did; for any other player it is a plain post. The order
-  /// state is kept per channel, one mark per shared player, and belongs
-  /// to one section: the next section's first ordered post on the
-  /// channel resets it. So rows carry no tags and plain posts do no
-  /// new work. One section at a time; open and close it on the caller,
-  /// outside the tasks, so its shared list stays fixed while tasks
-  /// post.
-  class Section {
-   public:
-    Section(Billboard& board, std::vector<matrix::PlayerId> shared);
-    ~Section();
-    Section(const Section&) = delete;
-    Section& operator=(const Section&) = delete;
-
-   private:
-    Billboard* board_;
-  };
+                 std::span<const bits::BitVector> rows);
 
   /// All distinct vectors on `channel` with >= min_votes posters,
   /// in deterministic (lexicographic) order. Cached per (channel
@@ -198,45 +161,18 @@ class Billboard {
     mutable std::uint32_t tally_min_votes TMWIA_GUARDED_BY(mu) = 0;
     mutable bool tally_valid TMWIA_GUARDED_BY(mu) = false;
     mutable std::vector<VotedVector> tally_cache TMWIA_GUARDED_BY(mu);
-
-    // Section order marks: for the section numbered `marks_section`,
-    // marks[k] is 1 + the highest order that wrote the row of the
-    // section's k-th shared player (0: none yet).
-    std::uint64_t marks_section TMWIA_GUARDED_BY(mu) = 0;
-    std::vector<std::uint64_t> marks TMWIA_GUARDED_BY(mu);
-  };
-
-  /// The open Section. Fixed while it is open, so a post may read it
-  /// after releasing the board's mutex.
-  struct SectionState {
-    std::uint64_t id = 0;                  ///< 1 + sections opened before it
-    std::vector<matrix::PlayerId> shared;  ///< ascending, distinct
   };
 
   /// The channel named `name`, or nullptr if nobody posted on it.
   const Channel* find(const std::string& name) const TMWIA_EXCLUDES(mu_);
 
-  /// The posts of post(), post_many() and post_packed(): players[i]
-  /// posts row_at(i), a PackedRows of one row. Counts and records the
-  /// posts, resolves the channel, then puts every row under one
-  /// acquisition of its lock.
-  template <typename RowAt>
-  void post_rows(const std::string& channel, std::span<const matrix::PlayerId> players,
-                 RowAt row_at, std::optional<std::uint32_t> order) TMWIA_EXCLUDES(mu_);
-
   /// The one write path: p's post on `ch` becomes `row`, a PackedRows
   /// of one row.
   static void put(Channel& ch, matrix::PlayerId p, PackedRows row) TMWIA_REQUIRES(ch.mu);
-  /// A section task's post: put() unless a higher order already wrote
-  /// a shared player's row.
-  static void put_ordered(Channel& ch, const SectionState& section, matrix::PlayerId p,
-                          PackedRows row, std::uint32_t order) TMWIA_REQUIRES(ch.mu);
 
   obs::FlightRecorder* recorder_ = nullptr;  ///< set before the first post, then read-only
   mutable support::Mutex mu_;
   std::unordered_map<std::string, Channel> channels_ TMWIA_GUARDED_BY(mu_);
-  std::optional<SectionState> section_ TMWIA_GUARDED_BY(mu_);
-  std::uint64_t sections_opened_ TMWIA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace tmwia::billboard

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -269,16 +268,14 @@ class ProbeOracle {
   /// Can a fork of this oracle be joined back without changing what
   /// the serial run observes? When the order is free (order_free())
   /// and this oracle is not itself a fork.
-  [[nodiscard]] bool forkable() const { return order_free() && !fork_order_.has_value(); }
+  [[nodiscard]] bool forkable() const { return order_free() && !is_fork_; }
 
   /// A task-local ledger for one task's probes: a ProbeOracle over the
   /// same truth, noise model and auditor, with zero ledgers and rows
   /// only for `members` — a probe by anyone else throws
-  /// std::logic_error. `order` is the task's position in the serial
-  /// order; the fork's board posts carry it (fork_order()). Requires
-  /// forkable(). Build forks on the caller, probe each from one task,
-  /// then join() them.
-  [[nodiscard]] ProbeOracle fork(std::span<const PlayerId> members, std::uint32_t order) const;
+  /// std::logic_error. Requires forkable(). Build forks on the caller,
+  /// probe each from one task, then join() them.
+  [[nodiscard]] ProbeOracle fork(std::span<const PlayerId> members) const;
 
   /// Fold a finished fork of this oracle back in: for each member, add
   /// its invocations, charge the objects it probed first, and take its
@@ -288,14 +285,8 @@ class ProbeOracle {
   /// on the caller, never concurrently with probes.
   void join(const ProbeOracle& fork);
 
-  /// A fork's position in the serial order (nullopt for an oracle that
-  /// is not a fork). BitSpace posts with it, so the board can keep the
-  /// serial outcome of concurrent tasks (Billboard::Section).
-  [[nodiscard]] std::optional<std::uint32_t> fork_order() const { return fork_order_; }
-
  private:
-  ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> members,
-              std::uint32_t order);
+  ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> members);
 
   /// The out-of-line throw behind the probe paths' one bounds test: a
   /// fork's non-member gets std::logic_error, anything else out of
@@ -343,10 +334,10 @@ class ProbeOracle {
   // values (packed bitmaps). A fork's non-members have empty rows.
   std::vector<bits::BitVector> probed_;
   std::vector<bits::BitVector> values_;
-  // A fork's members (ascending, distinct) and its position in the
-  // serial order; empty and nullopt for an oracle that is not a fork.
+  // A fork's members (ascending, distinct); empty for an oracle that is
+  // not a fork.
   std::vector<PlayerId> members_;
-  std::optional<std::uint32_t> fork_order_;
+  bool is_fork_ = false;
 };
 
 }  // namespace tmwia::billboard

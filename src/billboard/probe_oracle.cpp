@@ -45,8 +45,7 @@ ProbeOracle::ProbeOracle(const matrix::PreferenceMatrix& truth, NoiseModel noise
       probed_(truth.players(), bits::BitVector(truth.objects())),
       values_(truth.players(), bits::BitVector(truth.objects())) {}
 
-ProbeOracle::ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> members,
-                         std::uint32_t order)
+ProbeOracle::ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> members)
     : truth_(parent.truth_),
       noise_(parent.noise_),
       auditor_(parent.auditor_),
@@ -55,7 +54,7 @@ ProbeOracle::ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> me
       probed_(parent.players()),
       values_(parent.players()),
       members_(members.begin(), members.end()),
-      fork_order_(order) {
+      is_fork_(true) {
   std::sort(members_.begin(), members_.end());
   members_.erase(std::unique(members_.begin(), members_.end()), members_.end());
   if (!members_.empty() && members_.back() >= players()) {
@@ -67,16 +66,16 @@ ProbeOracle::ProbeOracle(const ProbeOracle& parent, std::span<const PlayerId> me
   }
 }
 
-ProbeOracle ProbeOracle::fork(std::span<const PlayerId> members, std::uint32_t order) const {
+ProbeOracle ProbeOracle::fork(std::span<const PlayerId> members) const {
   if (!forkable()) {
     throw std::logic_error(
         "ProbeOracle::fork: reads or records on this oracle depend on probe order");
   }
-  return ProbeOracle(*this, members, order);
+  return ProbeOracle(*this, members);
 }
 
 void ProbeOracle::join(const ProbeOracle& fork) {
-  if (!fork.fork_order_.has_value() || fork.truth_ != truth_) {
+  if (!fork.is_fork_ || fork.truth_ != truth_) {
     throw std::invalid_argument("ProbeOracle::join: not a fork of this oracle");
   }
   for (const PlayerId p : fork.members_) {

@@ -140,7 +140,7 @@ RunReport find_preferences(billboard::ProbeOracle& oracle, billboard::Billboard*
       case Branch::kSmallRadius:
         c_small.inc();
         res.outputs = small_radius(oracle, board, players, objects, alpha, D, params,
-                                   rng.split(0x57a11), players.size())
+                                   rng.split(0x57a11), players.size(), "sr")
                           .outputs;
         break;
       case Branch::kLargeRadius:

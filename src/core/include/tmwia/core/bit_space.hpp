@@ -26,7 +26,9 @@ class BitSpace {
   using Row = bits::BitVector;    // packed rows: Zero Radius runs word-parallel
 
   /// `channel_prefix` namespaces the billboard channels of this run so
-  /// that nested/parallel Zero Radius executions do not collide.
+  /// that nested and concurrent Zero Radius executions do not collide:
+  /// Small Radius names each part's run under the prefix its caller
+  /// gives it, and Large Radius gives each group a prefix of its own.
   BitSpace(billboard::ProbeOracle& oracle, billboard::Billboard* board = nullptr,
            std::string channel_prefix = "zr")
       : oracle_(&oracle), board_(board), prefix_(std::move(channel_prefix)) {}
@@ -46,15 +48,13 @@ class BitSpace {
   /// Mirror a Zero Radius node's outputs to the billboard: players[i]
   /// posts rows[i] on `channel`, in index order. Without a fault
   /// injector the channel name is resolved and the board lock taken
-  /// once for the node, and a forked oracle's posts carry its fork
-  /// order (Billboard::Section). With one, a failed player posts
-  /// nothing and any other post may be lost (lose_post).
+  /// once for the node. With one, a failed player posts nothing and any
+  /// other post may be lost (lose_post).
   void publish_rows(std::string_view channel, std::span<const PlayerId> players,
                     std::span<const bits::BitVector> rows) {
     if (oracle_->fault_injector() == nullptr) {
       if (board_ == nullptr) return;
-      board_->post_many(prefix_ + "/" + std::string(channel), players, rows,
-                        oracle_->fork_order());
+      board_->post_many(prefix_ + "/" + std::string(channel), players, rows);
       return;
     }
     const std::uint64_t tag = post_tag(channel);

@@ -17,7 +17,7 @@
 // Zero Radius leaf and no observer can see a player's probe order (the
 // oracle is order_free()), the iteration runs as three pool passes
 // over all s parts: every player's leaf probes, then the s votes, then
-// the Selects. Pass 1 is one ProbeOracle::probe_block per player over
+// the Selects. Pass 1 is one ProbeOracle::probe_set per player over
 // the iteration's objects in part order, so each part's leaf row is a
 // range of the result. A player has then probed every object of each
 // part, so a Select's probes return the player's own leaf bits and its
@@ -31,11 +31,13 @@
 // position order with one gather; both probe the same (player, object)
 // pairs and leave the same ledgers, metrics and outputs (DESIGN
 // §13.6). A part's Zero Radius posts its internal nodes' outputs under
-// sr/<t>/<i>/zr/<tag>; a leaf posts nothing (its outputs are its probe
-// results), so an all-leaf iteration leaves the board as it found it.
+// <prefix>/<t>/<i>/zr/<tag>, the prefix the caller names; a leaf posts
+// nothing (its outputs are its probe results), so an all-leaf
+// iteration leaves the board as it found it.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "tmwia/billboard/billboard.hpp"
@@ -61,12 +63,15 @@ struct SmallRadiusResult {
 /// Run Small Radius for `players` over `objects` with community
 /// fraction `alpha` and distance bound `D`. `n_total` feeds the
 /// log-driven constants (K and the Zero Radius leaf threshold); pass
-/// players.size() when running standalone.
+/// players.size() when running standalone. `channel_prefix` names the
+/// run's board channels: find_preferences passes "sr", and Large
+/// Radius's group l "lr/group/<l>/sr", so concurrent groups never write
+/// the same (channel, player) row.
 SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billboard* board,
                                const std::vector<PlayerId>& players,
                                const std::vector<std::uint32_t>& objects, double alpha,
                                std::size_t D, const Params& params, rng::Rng rng,
-                               std::size_t n_total);
+                               std::size_t n_total, const std::string& channel_prefix);
 
 /// Number of object parts s for a given D (Lemma 4.1 scaling).
 std::size_t small_radius_parts(std::size_t D, const Params& params);

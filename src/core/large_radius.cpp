@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
 
 #include "tmwia/core/coalesce.hpp"
@@ -65,23 +64,6 @@ class VirtualSpace {
   std::size_t select_bound_;
 };
 
-/// The players of more than one of groups [lo, hi).
-std::vector<PlayerId> shared_players(const std::vector<std::vector<PlayerId>>& group_players,
-                                     std::size_t lo, std::size_t hi) {
-  std::vector<PlayerId> all;
-  for (std::size_t l = lo; l < hi; ++l) {
-    all.insert(all.end(), group_players[l].begin(), group_players[l].end());
-  }
-  std::sort(all.begin(), all.end());
-  std::vector<PlayerId> shared;
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    if (all[i] == all[i - 1] && (shared.empty() || shared.back() != all[i])) {
-      shared.push_back(all[i]);
-    }
-  }
-  return shared;
-}
-
 }  // namespace
 
 LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billboard* board,
@@ -140,10 +122,12 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       std::ceil(params.lr_coalesce_mult * static_cast<double>(std::max<std::size_t>(lambda, 1))));
 
   // Step 2 for group l: Small Radius with alpha/2 and budget lambda,
-  // probing through `probes` (the oracle, or the group's fork of it).
+  // probing through `probes` (the oracle, or the group's fork of it)
+  // and posting under the group's own channels.
   const auto run_group = [&](std::size_t l, billboard::ProbeOracle& probes) {
     return small_radius(probes, board, group_players[l], group_objects[l], alpha / 2.0, lambda,
-                        params, rng.split(0x5a11, l), n)
+                        params, rng.split(0x5a11, l), n,
+                        "lr/group/" + std::to_string(l) + "/sr")
         .outputs;
   };
 
@@ -184,13 +168,12 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
 
   // The paper runs the L groups at once. Here they run as pool tasks,
   // in waves of one group per pool thread, each probing through its own
-  // fork of the oracle and posting in a board section with its group
-  // index as order; after a wave the caller joins the forks and
-  // finishes the groups in group order, so every ledger, post and
-  // candidate equals the serial loop's. The groups stay serial, on the
-  // oracle itself, when the order they run in is observable (a flight
-  // recorder or a fault injector) or when there are fewer groups than
-  // pool threads.
+  // fork of the oracle and posting under its own channels; after a wave
+  // the caller joins the forks and finishes the groups in group order,
+  // so every ledger, post and candidate equals the serial loop's. The
+  // groups stay serial, on the oracle itself, when the order they run
+  // in is observable (a flight recorder or a fault injector) or when
+  // there are fewer groups than pool threads.
   const bool board_records = board != nullptr && board->recorder() != nullptr;
   const std::size_t wave = L > 1 && oracle.forkable() && !board_records
                                ? engine::ThreadPool::global().thread_count()
@@ -204,20 +187,14 @@ LargeRadiusResult large_radius(billboard::ProbeOracle& oracle, billboard::Billbo
       const std::size_t hi = std::min(L, lo + wave);
       std::vector<billboard::ProbeOracle> forks;
       forks.reserve(hi - lo);
-      for (std::size_t l = lo; l < hi; ++l) {
-        forks.push_back(oracle.fork(group_players[l], static_cast<std::uint32_t>(l)));
-      }
+      for (std::size_t l = lo; l < hi; ++l) forks.push_back(oracle.fork(group_players[l]));
       std::vector<std::vector<bits::BitVector>> outputs(hi - lo);
-      {
-        std::optional<billboard::Billboard::Section> section;
-        if (board != nullptr) section.emplace(*board, shared_players(group_players, lo, hi));
-        engine::parallel_for(
-            lo, hi,
-            [&](std::size_t l) {
-              if (active(l)) outputs[l - lo] = run_group(l, forks[l - lo]);
-            },
-            1);
-      }
+      engine::parallel_for(
+          lo, hi,
+          [&](std::size_t l) {
+            if (active(l)) outputs[l - lo] = run_group(l, forks[l - lo]);
+          },
+          1);
       for (std::size_t l = lo; l < hi; ++l) {
         oracle.join(forks[l - lo]);
         if (active(l)) finish_group(l, outputs[l - lo]);

@@ -112,7 +112,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
                                const std::vector<PlayerId>& players,
                                const std::vector<std::uint32_t>& objects, double alpha,
                                std::size_t D, const Params& params, rng::Rng rng,
-                               std::size_t n_total) {
+                               std::size_t n_total, const std::string& channel_prefix) {
   require_alpha(alpha, "small_radius");
   if (players.empty()) return {};
 
@@ -221,7 +221,7 @@ SmallRadiusResult small_radius(billboard::ProbeOracle& oracle, billboard::Billbo
         if (part.objects.empty()) continue;
         const auto zr_out = zero_radius_bits(
             oracle, board, players, part.objects, alpha_zr, params, rng.split(t, 0xB0B, i),
-            "sr/" + std::to_string(t) + "/" + std::to_string(i));
+            channel_prefix + "/" + std::to_string(t) + "/" + std::to_string(i));
         vote(part, zr_out);
         // Per-part community size; serial drain point for the recorder.
         if (auto* rec = oracle.recorder()) {

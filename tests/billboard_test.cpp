@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -111,7 +112,7 @@ TEST(ProbeOracle, ForkRejectsNonMembers) {
   const auto m = small_matrix();
   ProbeOracle o(m);
   const std::vector<PlayerId> members{0, 2};
-  auto fork = o.fork(members, 0);
+  auto fork = o.fork(members);
   EXPECT_TRUE(fork.probe(2, 3));
   EXPECT_THROW((void)fork.probe(1, 3), std::logic_error);
   const std::vector<ObjectId> objs{0, 1};
@@ -130,13 +131,12 @@ TEST(ProbeOracle, ForkNeedsOrderFreeReads) {
   faults::FaultInjector injector(faults::FaultPlan{}, m.players());
   faulted.set_fault_injector(&injector);
   EXPECT_FALSE(faulted.forkable());
-  EXPECT_THROW((void)faulted.fork(std::vector<PlayerId>{0}, 0), std::logic_error);
+  EXPECT_THROW((void)faulted.fork(std::vector<PlayerId>{0}), std::logic_error);
   ProbeOracle sticky(m, NoiseModel::sticky(0.1, 3));
   EXPECT_TRUE(sticky.forkable());
-  const auto fork = sticky.fork(std::vector<PlayerId>{0}, 0);
+  const auto fork = sticky.fork(std::vector<PlayerId>{0});
   EXPECT_FALSE(fork.forkable());
-  EXPECT_EQ(fork.fork_order(), 0u);
-  EXPECT_FALSE(sticky.fork_order().has_value());
+  EXPECT_THROW((void)fork.fork(std::vector<PlayerId>{0}), std::logic_error);
 }
 
 void expect_same_ledger(const ProbeOracle& a, const ProbeOracle& b) {
@@ -177,8 +177,8 @@ TEST(ProbeOracle, JoinedForksEqualTheSerialLedger) {
   for (const bool b_first : {false, true}) {
     ProbeOracle o(inst.matrix, noise);
     (void)o.probe(1, 0);
-    auto fork_a = o.fork(members_a, 0);
-    auto fork_b = o.fork(members_b, 1);
+    auto fork_a = o.fork(members_a);
+    auto fork_b = o.fork(members_b);
     if (b_first) {
       task(fork_b, members_b, objs_b);
       task(fork_a, members_a, objs_a);
@@ -289,8 +289,8 @@ TEST(ProbeOracle, SetProbeOnAForkMatchesProbeBlock) {
   set_parent.set_auditor(&set_audit);
   block_parent.set_auditor(&block_audit);
   const std::vector<PlayerId> members{1, 3};
-  auto by_set = set_parent.fork(members, 0);
-  auto by_block = block_parent.fork(members, 0);
+  auto by_set = set_parent.fork(members);
+  auto by_block = block_parent.fork(members);
   expect_same_rows(by_set, by_block, 3, objs);
 
   // The set is built from the parent; a fork shares its objects.
@@ -509,56 +509,6 @@ TEST(Tally, PackedRowsGroupAsTally) {
   }
 }
 
-void post_ordered(Billboard& b, const std::string& channel, matrix::PlayerId p,
-                  const std::string& bits, std::uint32_t order) {
-  const std::vector<matrix::PlayerId> players{p};
-  const std::vector<bits::BitVector> rows{bits::BitVector::from_string(bits)};
-  b.post_many(channel, players, rows, order);
-}
-
-std::vector<std::string> popular_rows(const Billboard& b, const std::string& channel) {
-  std::vector<std::string> out;
-  for (const auto& vv : b.popular(channel, 1)) out.push_back(vv.vec.to_string());
-  return out;
-}
-
-// Inside a section, a shared player's row keeps the highest-order post
-// whatever order the posts land in; once the section closes, posts are
-// plain again. popular() sees every write that changed a row.
-TEST(Billboard, SectionKeepsTheHighestOrderPost) {
-  Billboard b;
-  b.post("ch", 4, bits::BitVector::from_string("0000"));
-  {
-    const Billboard::Section section(b, {4});
-    post_ordered(b, "ch", 4, "0011", 3);
-    EXPECT_EQ(popular_rows(b, "ch"), std::vector<std::string>{"0011"});
-    post_ordered(b, "ch", 4, "0001", 1);
-    post_ordered(b, "ch", 4, "0010", 2);
-    EXPECT_EQ(popular_rows(b, "ch"), std::vector<std::string>{"0011"});
-    // A player only one task posts for takes every post as it lands.
-    post_ordered(b, "ch", 7, "1100", 2);
-    post_ordered(b, "ch", 7, "1000", 0);
-    EXPECT_EQ(popular_rows(b, "ch"), (std::vector<std::string>{"0011", "1000"}));
-    EXPECT_THROW({ const Billboard::Section second(b, {}); }, std::logic_error);
-  }
-  const Posts want{{4, bits::BitVector::from_string("0011")},
-                   {7, bits::BitVector::from_string("1000")}};
-  EXPECT_EQ(b.export_posts()[0].posts, want);
-  b.post("ch", 4, bits::BitVector::from_string("0001"));
-  EXPECT_EQ(popular_rows(b, "ch"), (std::vector<std::string>{"0001", "1000"}));
-  EXPECT_THROW(post_ordered(b, "ch", 4, "1111", 9), std::logic_error);
-}
-
-TEST(Billboard, SectionOrdersArePerChannel) {
-  Billboard b;
-  const Billboard::Section section(b, {1});
-  post_ordered(b, "x", 1, "01", 5);
-  post_ordered(b, "y", 1, "10", 2);  // no order-5 post on y: this one lands
-  post_ordered(b, "x", 1, "11", 2);
-  EXPECT_EQ(popular_rows(b, "x"), std::vector<std::string>{"01"});
-  EXPECT_EQ(popular_rows(b, "y"), std::vector<std::string>{"10"});
-}
-
 // ------------------------------------------------- packed channels vs a model
 
 /// What a board must hold: each channel's current post per player.
@@ -639,16 +589,9 @@ class RowPool {
   std::map<std::size_t, std::vector<bits::BitVector>> pools_;
 };
 
-/// The words of `rows`, all of one width, as one block.
-std::vector<std::uint64_t> packed_words(const std::vector<bits::BitVector>& rows) {
-  std::vector<std::uint64_t> words;
-  for (const auto& r : rows) words.insert(words.end(), r.words().begin(), r.words().end());
-  return words;
-}
-
-// Random post, post_many, post_packed and ordered section posts, over
-// widths of 1 to 300 bits: after each step every read of the board
-// agrees with a model that keeps each player's current post.
+// Random post and post_many, over widths of 1 to 300 bits: after each
+// step every read of the board agrees with a model that keeps each
+// player's current post.
 TEST(Billboard, PackedChannelsMatchAModel) {
   rng::Rng gen(2024);
   RowPool pool(gen);
@@ -691,54 +634,19 @@ TEST(Billboard, PackedChannelsMatchAModel) {
     const auto players = some_players();
     std::vector<bits::BitVector> rows;
     for (std::size_t i = 0; i < players.size(); ++i) {
-      // post_packed takes rows of one width; post_many mixes them.
+      // Half the rows of a batch share its width; the rest mix widths.
       rows.push_back(pool.row(gen.uniform(2) == 0 ? width : widths[gen.uniform(widths.size())]));
     }
-    const std::uint64_t kind = gen.uniform(4);
     std::string what;
-    if (kind == 0) {
+    if (gen.uniform(2) == 0) {
       what = "post";
       if (players.empty()) continue;
       b.post(channel, players[0], rows[0]);
       model[channel][players[0]] = rows[0];
-    } else if (kind == 1) {
+    } else {
       what = "post_many";
       b.post_many(channel, players, rows);
       for (std::size_t i = 0; i < players.size(); ++i) model[channel][players[i]] = rows[i];
-    } else if (kind == 2) {
-      what = "post_packed";
-      for (auto& r : rows) r = pool.row(width);
-      const auto words = packed_words(rows);
-      b.post_packed(channel, players, {words, width});
-      for (std::size_t i = 0; i < players.size(); ++i) model[channel][players[i]] = rows[i];
-    } else {
-      // A section: three tasks post the same players in a random order;
-      // a shared player keeps the highest order's row.
-      what = "section";
-      const auto shared = some_players();
-      std::map<matrix::PlayerId, std::uint32_t> owner;  // shared player -> highest order
-      const Billboard::Section section(b, shared);
-      std::vector<std::uint32_t> orders{0, 1, 2};
-      rng::shuffle(orders, gen);
-      for (const std::uint32_t order : orders) {
-        for (auto& r : rows) r = pool.row(width);
-        if (order == 1) {
-          const auto words = packed_words(rows);
-          b.post_packed(channel, players, {words, width}, order);
-        } else {
-          b.post_many(channel, players, rows, order);
-        }
-        for (std::size_t i = 0; i < players.size(); ++i) {
-          const matrix::PlayerId p = players[i];
-          const bool is_shared = std::find(shared.begin(), shared.end(), p) != shared.end();
-          if (is_shared) {
-            const auto it = owner.find(p);
-            if (it != owner.end() && it->second > order) continue;
-            owner[p] = order;
-          }
-          model[channel][p] = rows[i];
-        }
-      }
     }
     expect_matches(b, model, "step " + std::to_string(step) + " " + what);
     if (testing::Test::HasFailure()) return;
@@ -754,46 +662,57 @@ TEST(Billboard, PackedChannelsMatchAModel) {
   expect_matches(restored, model, "restored, then reposted");
 }
 
-// post_packed and post_many log the same vector_post records for the
-// same rows: one per post, with the row's BitVector hash and width.
-TEST(Billboard, PackedPostsRecordAsPostMany) {
+// post_many and one post() per row log the same vector_post records
+// for the same rows: one per post, with the row's BitVector hash and
+// width.
+TEST(Billboard, PostsRecordOneVectorPostPerRow) {
   rng::Rng gen(7);
   std::vector<matrix::PlayerId> players{4, 0, 2, 3};
   std::vector<bits::BitVector> rows;
   for (std::size_t i = 0; i < players.size(); ++i) rows.push_back(matrix::random_vector(130, gen));
-  const auto words = packed_words(rows);
   const std::string channel = "sr/0/0/zr/1";
-  enum class Post { kRecordedByHand, kMany, kPacked };
+  enum class Post { kRecordedByHand, kMany, kOneByOne };
   const auto record = [&](Post how) {
     std::ostringstream out;
     obs::FlightRecorder rec(out);
     rec.run_begin("posts", 0.5, 5, 130);
     Billboard b;
     b.set_recorder(&rec);
-    if (how == Post::kRecordedByHand) {
-      for (std::size_t i = 0; i < players.size(); ++i) {
+    for (std::size_t i = 0; i < players.size(); ++i) {
+      if (how == Post::kRecordedByHand) {
         rec.vector_post(players[i], channel, rows[i].hash(), rows[i].size());
+      } else if (how == Post::kOneByOne) {
+        b.post(channel, players[i], rows[i]);
       }
-    } else if (how == Post::kMany) {
-      b.post_many(channel, players, rows);
-    } else {
-      b.post_packed(channel, players, {words, 130});
     }
+    if (how == Post::kMany) b.post_many(channel, players, rows);
     rec.flush();
     return out.str();
   };
   const std::string want = record(Post::kRecordedByHand);
   EXPECT_NE(want.find("vector_post"), std::string::npos);
   EXPECT_EQ(record(Post::kMany), want);
-  EXPECT_EQ(record(Post::kPacked), want);
+  EXPECT_EQ(record(Post::kOneByOne), want);
 }
 
-TEST(Billboard, PackedPostNeedsOneRowPerPlayer) {
+// Spans of different lengths post nothing: no row, no channel, no
+// record.
+TEST(Billboard, PostManyNeedsOneRowPerPlayer) {
+  std::ostringstream out;
+  obs::FlightRecorder rec(out);
+  rec.run_begin("posts", 0.5, 3, 2);
   Billboard b;
+  b.set_recorder(&rec);
   const std::vector<matrix::PlayerId> players{0, 1};
-  const std::vector<std::uint64_t> words{1, 2, 3};
-  EXPECT_THROW(b.post_packed("ch", players, {words, 64}), std::invalid_argument);
+  const std::vector<bits::BitVector> rows(3, bits::BitVector::from_string("01"));
+  EXPECT_THROW(b.post_many("ch", players, std::span(rows).first(1)), std::invalid_argument);
+  EXPECT_THROW(b.post_many("ch", players, rows), std::invalid_argument);
+  EXPECT_THROW(b.post_many("ch", {}, std::span(rows).first(1)), std::invalid_argument);
   EXPECT_EQ(b.posters("ch"), 0u);
+  EXPECT_FALSE(b.has_posted("ch", 0));
+  EXPECT_TRUE(b.export_posts().empty());
+  rec.flush();
+  EXPECT_EQ(out.str().find("vector_post"), std::string::npos);
 }
 
 TEST(Billboard, ConcurrentPostsSafe) {

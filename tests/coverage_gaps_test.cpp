@@ -23,7 +23,7 @@ TEST(Plumbing, SmallRadiusPostsNamespacedChannels) {
     std::vector<std::uint32_t> objects(m);
     std::iota(objects.begin(), objects.end(), 0u);
     return small_radius(oracle, &board, players, objects, 0.5, D, Params::practical(),
-                        rng::Rng(2), n);
+                        rng::Rng(2), n, "sr");
   };
   // 128 players are below the leaf threshold (195 at alpha 0.5 and
   // n = 128), so every part is one Zero Radius leaf, whose outputs are

@@ -185,7 +185,7 @@ TEST(FindPreferences, RejectsAlphaOutsideUnitIntervalBeforeProbing) {
     EXPECT_THROW(find_preferences_unknown_d(oracle, nullptr, alpha, params, rng::Rng(1)),
                  std::invalid_argument);
     EXPECT_THROW(small_radius(oracle, nullptr, players, objects, alpha, 2, params, rng::Rng(1),
-                              32),
+                              32, "sr"),
                  std::invalid_argument);
     EXPECT_THROW(large_radius(oracle, nullptr, {}, objects, alpha, 32, params, rng::Rng(1)),
                  std::invalid_argument);

@@ -3,8 +3,12 @@
 // agreement of typical players, and cost scaling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "tmwia/billboard/billboard.hpp"
 #include "tmwia/billboard/probe_oracle.hpp"
@@ -148,7 +152,8 @@ matrix::Instance groups_instance() {
 /// keeps the groups on the caller, and their Small Radius iterations on
 /// the per-part schedule: the reference for the pool run.
 GroupsRun run_groups(const matrix::Instance& inst, bool serial,
-                     billboard::ProtocolAuditor* auditor = nullptr, std::size_t D = 64) {
+                     billboard::ProtocolAuditor* auditor = nullptr, std::size_t D = 64,
+                     const Params& params = Params::practical()) {
   auto& reg = obs::MetricsRegistry::global();
   reg.reset();
   reg.set_enabled(true);
@@ -160,8 +165,7 @@ GroupsRun run_groups(const matrix::Instance& inst, bool serial,
   oracle.set_auditor(auditor);
   GroupsRun run;
   run.res = large_radius(oracle, &board, iota_players(inst.matrix.players()),
-                         iota_objects(inst.matrix.objects()), 0.25, D, Params::practical(),
-                         rng::Rng(42));
+                         iota_objects(inst.matrix.objects()), 0.25, D, params, rng::Rng(42));
   run.ledger = oracle.export_ledger();
   run.posts = board.export_posts();
   run.metrics = reg.snapshot();
@@ -187,10 +191,10 @@ void expect_same_run(const GroupsRun& a, const GroupsRun& b) {
   EXPECT_EQ(a.metrics.to_json(), b.metrics.to_json());
 }
 
-// The groups run as pool tasks through forked ledgers and ordered
-// board posts, each group's all-leaf Small Radius iterations as three
-// passes inline in its task, and leave exactly what the serial group
-// loop leaves — in every run, whichever group of a wave finishes first.
+// The groups run as pool tasks through forked ledgers, each group's
+// all-leaf Small Radius iterations as three passes inline in its task,
+// and leave exactly what the serial group loop leaves — in every run,
+// whichever group of a wave finishes first.
 TEST(ConcurrentGroups, LargeRadiusMatchesTheSerialRun) {
   ASSERT_TRUE(kPoolSized);
   const auto inst = groups_instance();
@@ -234,6 +238,56 @@ TEST(ConcurrentGroups, AuditedRunIsClean) {
             std::accumulate(audited.ledger.invocations.begin(),
                             audited.ledger.invocations.end(), std::uint64_t{0}));
   expect_same_run(audited, run_groups(inst, true));
+}
+
+// With a leaf threshold this low and parts this few, every group's
+// Small Radius parts are above the threshold, so the group tasks post
+// their internal Zero Radius nodes' outputs while other tasks run. Each
+// group posts under its own prefix, and a player of two groups posts
+// under both, so no two tasks write the same (channel, player) row:
+// the pooled runs leave the serial run's board without ordering a post.
+TEST(ConcurrentGroups, GroupsAboveTheLeafThresholdPostUnderTheirOwnPrefixes) {
+  ASSERT_TRUE(kPoolSized);
+  Params params = Params::practical();
+  params.zr_leaf_c = 0.1;
+  params.sr_s_mult = 0.01;
+  const auto inst = groups_instance();
+  const auto serial = run_groups(inst, true, nullptr, 64, params);
+  ASSERT_GE(serial.res.parts, engine::ThreadPool::global().thread_count());
+  ASSERT_GE(serial.res.player_copies, 2u);
+
+  // Group l's members are the posters of its output channel.
+  const auto members = [&](std::size_t l) {
+    std::set<PlayerId> out;
+    for (const auto& ch : serial.posts) {
+      if (ch.channel != "lr/group/" + std::to_string(l)) continue;
+      for (const auto& post : ch.posts) out.insert(post.first);
+    }
+    return out;
+  };
+  std::map<PlayerId, std::set<std::size_t>> groups_of;  // player -> groups it posted under
+  for (std::size_t l = 0; l < serial.res.parts; ++l) {
+    const std::string prefix = "lr/group/" + std::to_string(l) + "/sr/";
+    const auto in_group = members(l);
+    std::size_t channels = 0;
+    for (const auto& ch : serial.posts) {
+      if (ch.channel.rfind(prefix, 0) != 0) continue;
+      ++channels;
+      for (const auto& post : ch.posts) {
+        EXPECT_EQ(in_group.count(post.first), 1u) << ch.channel << " player " << post.first;
+        groups_of[post.first].insert(l);
+      }
+    }
+    EXPECT_GT(channels, 0u) << "group " << l;
+  }
+  for (const auto& ch : serial.posts) {
+    EXPECT_NE(ch.channel.rfind("sr/", 0), 0u) << ch.channel;
+  }
+  EXPECT_TRUE(std::ranges::any_of(groups_of, [](const auto& e) { return e.second.size() >= 2; }));
+
+  for (int rep = 0; rep < 4; ++rep) {
+    expect_same_run(run_groups(inst, false, nullptr, 64, params), serial);
+  }
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ TEST(Noise, SmallRadiusAbsorbsStickyNoiseIntoD) {
       2 + 4.0 * eps * static_cast<double>(m));  // planted 2 + noise inflation
   const auto res =
       core::small_radius(oracle, nullptr, players, objects, 1.0, noisy_D,
-                         core::Params::practical(), rng::Rng(32), n);
+                         core::Params::practical(), rng::Rng(32), n, "sr");
   std::size_t worst = 0;
   for (matrix::PlayerId p = 0; p < n; ++p) {
     worst = std::max(worst, res.outputs[p].hamming(inst.matrix.row(p)));

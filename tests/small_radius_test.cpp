@@ -51,7 +51,7 @@ TEST(SmallRadius, RejectsBadAlpha) {
   matrix::PreferenceMatrix mat(4, 4);
   billboard::ProbeOracle oracle(mat);
   EXPECT_THROW(small_radius(oracle, nullptr, iota_players(4), iota_objects(4), 0.0, 1,
-                            Params::practical(), rng::Rng(1), 4),
+                            Params::practical(), rng::Rng(1), 4, "sr"),
                std::invalid_argument);
 }
 
@@ -64,7 +64,7 @@ TEST(SmallRadius, DZeroEquivalentToZeroRadiusPlusSelect) {
 
   billboard::ProbeOracle oracle(inst.matrix);
   const auto res = small_radius(oracle, nullptr, iota_players(n), iota_objects(n), 0.5, 0,
-                                Params::practical(), rng::Rng(22), n);
+                                Params::practical(), rng::Rng(22), n, "sr");
   EXPECT_EQ(res.parts, 1u);
   for (PlayerId p : inst.communities[0]) {
     EXPECT_EQ(res.outputs[p], inst.centers[0]);
@@ -91,7 +91,7 @@ TEST_P(SmallRadiusGuarantee, OutputWithinFiveDOfTruth) {
   billboard::ProbeOracle oracle(inst.matrix);
   const auto res = small_radius(oracle, nullptr, iota_players(n), iota_objects(m), alpha,
                                 std::max<std::size_t>(D, 1), Params::practical(),
-                                rng::Rng(seed ^ 0xabc), n);
+                                rng::Rng(seed ^ 0xabc), n, "sr");
 
   const auto bound = 5 * std::max<std::size_t>(D, 1);
   for (PlayerId p : inst.communities[0]) {
@@ -123,7 +123,7 @@ TEST(SmallRadius, CostMatchesTheoremBoundShape) {
   const auto params = Params::practical();
   const auto D = std::max<std::size_t>(1, inst.matrix.subset_diameter(inst.communities[0]));
   const auto res = small_radius(oracle, nullptr, iota_players(n), iota_objects(m), alpha, D,
-                                params, rng::Rng(42), n);
+                                params, rng::Rng(42), n, "sr");
 
   const auto leaf = zero_radius_leaf_threshold(n, alpha / params.sr_vote_div, params);
   const auto bound = 4 * res.iterations * res.parts * (D + leaf);
@@ -141,7 +141,7 @@ TEST(SmallRadius, CheaperThanSoloWhenCommunityIsLarge) {
   billboard::ProbeOracle oracle(inst.matrix);
   const auto D = std::max<std::size_t>(1, inst.matrix.subset_diameter(inst.communities[0]));
   (void)small_radius(oracle, nullptr, iota_players(n), iota_objects(m), 1.0, D,
-                     Params::practical(), rng::Rng(44), n);
+                     Params::practical(), rng::Rng(44), n, "sr");
   // At n = 4096 the crossover has happened but the margin is modest
   // (approximately 1.6x here); the gap widens with n since the cost is
   // polylog while solo is linear (see bench/e4_small_radius).
@@ -156,9 +156,9 @@ TEST(SmallRadius, DeterministicGivenSeed) {
   billboard::ProbeOracle o1(inst.matrix);
   billboard::ProbeOracle o2(inst.matrix);
   const auto r1 = small_radius(o1, nullptr, iota_players(n), iota_objects(256), 0.5, 4,
-                               Params::practical(), rng::Rng(52), n);
+                               Params::practical(), rng::Rng(52), n, "sr");
   const auto r2 = small_radius(o2, nullptr, iota_players(n), iota_objects(256), 0.5, 4,
-                               Params::practical(), rng::Rng(52), n);
+                               Params::practical(), rng::Rng(52), n, "sr");
   EXPECT_EQ(r1.outputs, r2.outputs);
 }
 
@@ -173,7 +173,7 @@ TEST(SmallRadius, WorksOnObjectSubset) {
 
   billboard::ProbeOracle oracle(inst.matrix);
   const auto res = small_radius(oracle, nullptr, iota_players(n), objects, 0.5, 2,
-                                Params::practical(), rng::Rng(62), n);
+                                Params::practical(), rng::Rng(62), n, "sr");
 
   for (PlayerId p : inst.communities[0]) {
     const auto truth = inst.matrix.row(p).project(objects);
@@ -224,7 +224,7 @@ SrRun run_sr_over(const matrix::Instance& inst, const std::vector<std::uint32_t>
   SrRun run;
   run.order_free = oracle.order_free();
   run.res = small_radius(oracle, &board, iota_players(c.n), objects, c.alpha, c.D,
-                         Params::practical(), rng::Rng(c.n + c.D), c.n);
+                         Params::practical(), rng::Rng(c.n + c.D), c.n, "sr");
   run.ledger = oracle.export_ledger();
   run.posts = board.export_posts();
   run.metrics = reg.snapshot();

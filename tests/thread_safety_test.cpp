@@ -1,7 +1,7 @@
 // Thread-safety stress tests for the concurrently-used structures:
-// Billboard's posting surface (one channel, several channels, and the
-// ordered posts of a Section), the MetricsRegistry shard merge, and a
-// ProtocolAuditor shared by forked probe ledgers.
+// Billboard's posting surface (one channel and several channels), the
+// MetricsRegistry shard merge, and a ProtocolAuditor shared by forked
+// probe ledgers.
 //
 // These tests are most valuable under ThreadSanitizer (run_tests.sh
 // --tsan builds and runs them there), but they also assert a functional
@@ -11,9 +11,7 @@
 // between players is immaterial) and metric merges are commutative sums.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -95,28 +93,10 @@ TEST(ThreadSafety, ConcurrentBillboardPostsMatchSerial) {
   EXPECT_TRUE(board.export_posts() == serial.export_posts());
 }
 
-/// Deterministic row for (wave, task, channel, player): different
-/// tasks write different rows for the same player.
-BitVector task_row(std::size_t wave, std::size_t task, std::size_t channel, PlayerId p) {
-  return row_for(static_cast<PlayerId>(((wave * 2 + task) * 8 + channel) * 1024 + p));
-}
-
-/// Task `task` of a wave posts rows for players [first, first + 48) on
-/// three channels, in batches of 8 that alternate between the channels.
-void post_task(tmwia::billboard::Billboard& board, std::size_t wave, std::size_t task,
-               std::optional<std::uint32_t> order) {
-  const PlayerId first = static_cast<PlayerId>(task * 24);
-  for (PlayerId lo = first; lo < first + 48; lo += 8) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      std::vector<PlayerId> ids;
-      std::vector<BitVector> rows;
-      for (PlayerId p = lo; p < lo + 8; ++p) {
-        ids.push_back(p);
-        rows.push_back(task_row(wave, task, c, p));
-      }
-      board.post_many("ch" + std::to_string(c), ids, rows, order);
-    }
-  }
+/// Deterministic row for (thread, channel, player): different threads
+/// write different rows for the same player.
+BitVector task_row(std::size_t t, std::size_t channel, PlayerId p) {
+  return row_for(static_cast<PlayerId>((t * 16 + channel) * 1024 + p));
 }
 
 void expect_same_board(const tmwia::billboard::Billboard& got,
@@ -127,48 +107,6 @@ void expect_same_board(const tmwia::billboard::Billboard& got,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].channel, b[i].channel);
     EXPECT_TRUE(a[i].posts == b[i].posts) << a[i].channel;
-  }
-}
-
-// Two tasks post to the same channels inside one section, and share
-// players 24..47, while a third thread polls the channels. Each wave
-// must leave the board as its tasks' serial run in task order. The
-// first wave's tasks have orders 2 and 3 and the second's 0 and 1, so
-// the second wave's posts land only if a section's order marks are its
-// own.
-TEST(ThreadSafety, SectionTasksMatchTheSerialRun) {
-  tmwia::billboard::Billboard serial;
-  for (std::size_t wave = 0; wave < 2; ++wave) {
-    for (std::size_t task = 0; task < 2; ++task) post_task(serial, wave, task, std::nullopt);
-  }
-  for (int rep = 0; rep < 4; ++rep) {
-    tmwia::billboard::Billboard board;
-    for (std::size_t wave = 0; wave < 2; ++wave) {
-      std::vector<PlayerId> shared;
-      for (PlayerId p = 24; p < 48; ++p) shared.push_back(p);
-      const tmwia::billboard::Billboard::Section section(board, shared);
-      std::atomic<int> running{2};
-      std::vector<std::thread> threads;
-      for (std::size_t task = 0; task < 2; ++task) {
-        // The later task starts first, so its rows often land first.
-        threads.emplace_back([&board, &running, wave, task] {
-          const std::size_t order = (wave == 0 ? 2 : 0) + 1 - task;
-          post_task(board, wave, 1 - task, static_cast<std::uint32_t>(order));
-          running.fetch_sub(1, std::memory_order_release);
-        });
-      }
-      threads.emplace_back([&board, &running] {
-        while (running.load(std::memory_order_acquire) > 0) {
-          for (std::size_t c = 0; c < 3; ++c) {
-            const std::string ch = "ch" + std::to_string(c);
-            (void)board.popular(ch, 1);
-            (void)board.posters(ch);
-          }
-        }
-      });
-      for (auto& th : threads) th.join();
-    }
-    expect_same_board(board, serial);
   }
 }
 
@@ -183,7 +121,7 @@ TEST(ThreadSafety, DistinctChannelPostsMatchSerial) {
         std::vector<BitVector> rows;
         for (PlayerId p = lo; p < lo + 16; ++p) {
           ids.push_back(p);
-          rows.push_back(task_row(t, 0, c, p));
+          rows.push_back(task_row(t, c, p));
         }
         board.post_many(ch, ids, rows);
         (void)board.popular(ch, 1);
@@ -284,7 +222,7 @@ TEST(ThreadSafety, AuditedForksShareOneAuditor) {
     std::vector<tmwia::billboard::ProbeOracle> forks;
     forks.reserve(kTasks);
     for (std::size_t t = 0; t < kTasks; ++t) {
-      forks.push_back(oracle.fork(audit_task_members(t), static_cast<std::uint32_t>(t)));
+      forks.push_back(oracle.fork(audit_task_members(t)));
     }
     pool.run(0, kTasks, [&](std::size_t t) { audit_task_probes(forks[t], t); }, 1);
     for (const auto& fork : forks) oracle.join(fork);

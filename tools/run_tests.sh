@@ -25,8 +25,8 @@
 #              MetricsRegistry, the fork-join pool (callers and workers
 #              claiming chunks of one job, two callers at once), pool
 #              workers sharing one Zero Radius plan, group tasks probing
-#              through forked ledgers into one auditor and posting in
-#              one board section, Small Radius's three passes and
+#              through forked ledgers into one auditor and posting under
+#              channels of their own, Small Radius's three passes and
 #              Coalesce's ball fill on the pool (build-tsan/)
 #   audit      opt-in: just the ProtocolAuditor suite (runtime
 #              billboard-invariant checks; also part of plain)
@@ -384,9 +384,14 @@ if [[ $RUN_KERNEL_PARITY -eq 1 ]]; then
     for f in txt metrics.json prof.json; do cmp "$PAR_DIR/$name.t4.$f" "$run.$f"; done
     echo "-- $name --record: estimates, metrics and profile match the unrecorded run"
     # The posts counter and the flight log count the same posts: one
-    # vector_post record per billboard post. A counter nothing bumped is
-    # absent from the snapshot (an all-leaf small run posts nothing).
-    posts="$(jq '.counters["billboard.posts"] // 0' "$run.metrics.json")"
+    # vector_post record per billboard post. Every board registers its
+    # counters when it is built, so the key is there even at 0 (an
+    # all-leaf small run posts nothing); a run without it fails here.
+    if ! posts="$(jq -e '.counters["billboard.posts"]' "$run.metrics.json")"; then
+      echo "kernel parity: $name --record: no billboard.posts counter in its --metrics" >&2
+      rm -rf "$PAR_DIR"
+      exit 1
+    fi
     logged="$(grep -c '"ev":"vector_post"' "$run.jsonl" || true)"
     if [[ "$posts" != "$logged" ]]; then
       echo "kernel parity: $name --record: billboard.posts is $posts," \
